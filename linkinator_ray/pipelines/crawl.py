@@ -45,6 +45,7 @@ from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages import classify as classify_mod
 from linkinator_ray.stages.extract import ExtractLinks, extract_css_doc_links
 from linkinator_ray.stages.fetch import FetchPool
+from linkinator_ray.state import actors
 from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
 from linkinator_ray.state.seen import SeenSet
@@ -420,7 +421,12 @@ class LinkChecker:
         }
         self.static_host = self.corpus_base  # requireHttps exemption + mapUrl
         self.run_id = uuid.uuid4().hex[:12]
-        self.timings = {"skip": 0.0, "fetch": 0.0, "process": 0.0}
+        # "spawn": leasing, resetting and spawning actors plus the
+        # transport-blob broadcast (state/actors.py)
+        self.timings = {"spawn": 0.0, "skip": 0.0, "fetch": 0.0,
+                        "process": 0.0}
+        self._leases: list = []
+        self._executor = ""
         # §2.8 event-listener parity: the reference's 'link' events become
         # a per-batch callback over each appended results table
         self.on_results = on_results
@@ -594,6 +600,19 @@ class LinkChecker:
     # ------------------------------------------------------------------
 
     def check(self, resume_from: str | None = None) -> CrawlResult:
+        """Run the crawl. In Ray mode the actors come from the session's
+        pool (state/actors.py): a clean finish hands them back, any
+        error or interrupt kills them."""
+        self._leases = []
+        try:
+            result = self._check(resume_from)
+        except BaseException:
+            actors.discard(self._leases)
+            raise
+        actors.release(self._leases)
+        return result
+
+    def _check(self, resume_from: str | None) -> CrawlResult:
         opts = self.opts
         # expand seeds FIRST: glob expansion and the .md/.mdx markdown
         # auto-detect (src/options.ts:156-164) mutate opts/corpus state
@@ -656,12 +675,20 @@ class LinkChecker:
             return self._run_mesh(transport_blob, worker_kwargs, num_actors,
                                   resume_from=resume_from)
 
+        import time as _time
+        t0 = _time.perf_counter()
         self.seen = SeenSet(opts.seen_shards, opts.seen_filter, use_ray=self.use_ray)
         # edge dedup is driver-local; one vectorized shard beats sharding
         self.edge_seen = SeenSet(1, "exact", use_ray=False)
         pool = FetchPool(worker_kwargs, transport_blob, use_ray=self.use_ray,
                          num_actors=num_actors,
                          salt_threshold=opts.host_salt_threshold)
+        if self.use_ray:
+            # both leases reset (and spawn) concurrently; wait for both
+            self._leases += [self.seen.lease, pool.lease]
+            for lease in self._leases:
+                lease.wait()
+        self.timings["spawn"] = _time.perf_counter() - t0
 
         round_no = 0
         if resume_from is not None:
@@ -670,7 +697,9 @@ class LinkChecker:
             frontier = self._seed_frontier()
 
         if self.use_ray and opts.pipelined:
+            self._executor = "pipelined"
             return self._run_pipelined(pool, frontier, round_no)
+        self._executor = "rounds"
         return self._run_rounds(pool, frontier, round_no)
 
     def _mesh_supported(self, resume_from) -> bool:
@@ -797,7 +826,10 @@ class LinkChecker:
             stats=dict(self.counters, broken=total_broken,
                        seen_urls=self.seen.size(),
                        results_dir=self.opts.results_dir,
-                       timings={k: round(v, 3) for k, v in self.timings.items()}),
+                       timings={k: round(v, 3) for k, v in self.timings.items()},
+                       executor=self._executor,
+                       actors={"spawned": sum(x.spawned for x in self._leases),
+                               "reused": sum(x.reused for x in self._leases)}),
             call_log=pool.call_log(),
         )
 
@@ -986,16 +1018,14 @@ class LinkChecker:
 
         from linkinator_ray.state import mesh as mesh_mod
         opts = self.opts
-        # cap nodes at the cluster's CPUs — requesting more would block
-        # actor creation forever on a small session
+        # cap nodes at the cluster's CPUs — pooled actors hold no CPU,
+        # but more nodes than CPUs only time-slice one another
         try:
             cluster_cpus = int(ray.cluster_resources().get("CPU", num_actors))
         except Exception:
             cluster_cpus = num_actors
         num_actors = max(1, min(num_actors, cluster_cpus))
-        # max_concurrency=2: peer messages and driver polls land while a
-        # pump computes (MeshNode guards shared state with its own lock)
-        node_cls = ray.remote(num_cpus=1, max_concurrency=2)(mesh_mod.MeshNode)
+        t0 = _time.perf_counter()
         blob_ref = ray.put(transport_blob)
         opts_blob = {"batch_cap": opts.batch_size * 4, "jitter_seed": 42,
                      "frontier_spill_rows": opts.mesh_frontier_spill_rows,
@@ -1008,20 +1038,20 @@ class LinkChecker:
         # url_hash — same policy as FetchPool.sticky_hosts
         sticky = (any(e.get("seq", -1) >= 0 for e in self.http_map)
                   or opts.retry or opts.politeness_delay > 0)
-        nodes = [node_cls.remote(i, num_actors, blob_ref, worker_kwargs,
-                                 opts_blob, seen_mode=opts.seen_filter,
-                                 sticky_hosts=sticky)
-                 for i in range(num_actors)]
-        try:
-            return self._run_mesh_body(nodes, num_actors, sticky,
-                                       transport_blob, resume_from)
-        finally:
-            # nodes hold handles to each other — a reference cycle Ray's
-            # distributed refcounting never collects. Kill on EVERY exit
-            # (including interrupts/errors) or the actors and their CPU
-            # reservations leak and the next mesh run blocks forever.
-            for actor in nodes:
-                ray.kill(actor, no_restart=True)
+        lease = actors.Lease(mesh_mod.MeshNode, [
+            (i, num_actors, blob_ref, worker_kwargs, opts_blob,
+             opts.seen_filter, sticky) for i in range(num_actors)])
+        self._leases.append(lease)
+        nodes = lease.wait()
+        # the generation tags this check's pumps and kicks: a node that
+        # was released and leased again drops the ones sent before
+        self._mesh_generation = lease.generation
+        ray.get([n.set_peers.remote(nodes[i], nodes, lease.generation)
+                 for i, n in enumerate(nodes)])
+        self.timings["spawn"] = _time.perf_counter() - t0
+        self._executor = "mesh"
+        return self._run_mesh_body(nodes, num_actors, sticky,
+                                   transport_blob, resume_from)
 
     def _run_mesh_body(self, nodes, num_actors: int, sticky: bool,
                        transport_blob: dict,
@@ -1032,8 +1062,7 @@ class LinkChecker:
 
         from linkinator_ray.state import mesh as mesh_mod
         opts = self.opts
-        ray.get([n.set_peers.remote(nodes[i], nodes)
-                 for i, n in enumerate(nodes)])
+        gen = self._mesh_generation
 
         def enqueue_frontier(frontier: pa.Table) -> list:
             """Route frontier rows to their fetch owners."""
@@ -1131,7 +1160,7 @@ class LinkChecker:
             for n, p in zip(nodes, polls):
                 if (p["queued_rows"] and not p["pump_scheduled"]) or \
                         (p["held_cand"] and not p["pump_scheduled"]):
-                    n.kick.remote()
+                    n.kick.remote(gen)
             progress = (sent_c, recv_c, sent_f, recv_f, sent_w, recv_w)
             if progress != last_progress[0]:
                 last_progress = (progress, _time.monotonic())
@@ -1144,7 +1173,7 @@ class LinkChecker:
                     earliest = min(p["earliest_deadline"] for p in polls
                                    if p["deferred_rows"])
                     _time.sleep(max(0.0, earliest - _time.time()) + 0.002)
-                    ray.get([n.kick.remote() for n in nodes])
+                    ray.get([n.kick.remote(gen) for n in nodes])
                     stable = 0
                     last_progress = (None, _time.monotonic())
                     continue
@@ -1209,7 +1238,7 @@ class LinkChecker:
             # (kick flushes; pumps stay suppressed while paused)
             for n, p in zip(nodes, polls):
                 if p["held_cand"]:
-                    n.kick.remote()
+                    n.kick.remote(self._mesh_generation)
             state = [(p["sent_cand"], p["received_cand"], p["sent_wants"],
                       p["received_wants"], p["sent_frontier"],
                       p["received_frontier"], p["pump_scheduled"],

@@ -106,15 +106,23 @@ def _reachability_table(result) -> pa.Table:
 # one crawl per corpus per process: crawl_summary and crawl_depth derive
 # from the same cached RESULTS table instead of re-running the BFS
 # (VERDICT r2 'What's wrong' #4). bench.py clears this between timed
-# runs so timings stay honest.
-_REACH_CACHE: dict[str, pa.Table] = {}
+# runs so timings stay honest. Entries are (executor, results).
+_REACH_CACHE: dict[str, tuple[str, pa.Table]] = {}
 
 
 def _crawl_results(sf_dir: str) -> pa.Table:
-    table = _REACH_CACHE.get(sf_dir)
-    if table is None:
-        table = crawl_links(sf_dir).results
-        _REACH_CACHE[sf_dir] = table
+    """The cached round-mode crawl of ``sf_dir``. crawl_depth reads
+    depth = round - 1, which holds only for the level-synchronous round
+    executor, so the crawl pins it and a result from any other executor
+    is refused rather than read as wrong depths."""
+    entry = _REACH_CACHE.get(sf_dir)
+    if entry is None:
+        res = crawl_links(sf_dir, options={"pipelined": False, "mesh": False})
+        entry = _REACH_CACHE[sf_dir] = (res.stats["executor"], res.results)
+    executor, table = entry
+    if executor != "rounds":
+        raise RuntimeError(f"cached crawl of {sf_dir} ran the {executor!r} "
+                           "executor; crawl depths need 'rounds'")
     return table
 
 

@@ -171,8 +171,8 @@ class FetchWorker:
     src/index.ts:344-479 (HEAD→GET fallbacks, manual redirect loop with
     per-hop skip rules, retry-after detection), batch in / batch out.
 
-    Instantiated directly (local mode) or as a Ray actor via
-    ``make_fetch_actors`` (distributed mode).
+    Instantiated directly (local mode) or hosted by a pooled Ray actor
+    (``FetchPool``, distributed mode).
     """
 
     def __init__(self, transport: MockTransport, *,
@@ -210,6 +210,18 @@ class FetchWorker:
         # driver's serial round work down to the global joins
         self.classify_opts = classify_opts
         self.static_host = static_host
+        # built on first use: extraction imports stages/extract lazily,
+        # connection threads only exist when a batch fetches in parallel
+        self._extractor = None
+        self._pool = None
+        self._skip_vec_ok: dict[int, bool] = {}
+
+    def close(self) -> None:
+        """Stop the connection threads (their keep-alive connections
+        close with them)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     # -- skip rules (src/index.ts:929-955) --------------------------------
 
@@ -420,7 +432,7 @@ class FetchWorker:
         pending_frags / frag_targets.
         """
         from linkinator_ray.stages.extract import ExtractLinks, extract_css_doc_links
-        if not hasattr(self, "_extractor"):
+        if self._extractor is None:
             self._extractor = ExtractLinks(check_css=self.check_css)
         pending = set(pending_fragment_urls)
         urls = batch["url"].to_pylist()
@@ -434,7 +446,7 @@ class FetchWorker:
             # across the thread pool; the GIL serializes the cheap
             # per-row compute. Results keep row order.
             from concurrent.futures import ThreadPoolExecutor
-            if not hasattr(self, "_pool"):
+            if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.connections)
             rows = list(self._pool.map(
                 lambda i: self.fetch_one(urls[i], do_crawls[i], now,
@@ -685,8 +697,6 @@ class FetchWorker:
             vals = col.to_pylist()
             return np.fromiter((bool(self.skip_fn(v)) for v in vals), bool, n)
         hit = np.zeros(n, dtype=bool)
-        if not hasattr(self, "_skip_vec_ok"):
-            self._skip_vec_ok = {}
         for k, pat in enumerate(self.skip_patterns):
             ok = self._skip_vec_ok.get(k, True)
             if ok:
@@ -859,14 +869,17 @@ class FetchPool:
             # scripted sequences / politeness ordering require serial
             # per-host request streams
             worker_kwargs = {**worker_kwargs, "connections": 1}
+        self.lease = None
         if use_ray:
             import ray
-            actor_cls = ray.remote(num_cpus=1)(_RemoteFetchWorker)
+
+            from linkinator_ray.state import actors
             blob_ref = ray.put(transport_blob)
-            self._actors = [actor_cls.remote(blob_ref, worker_kwargs)
-                            for _ in range(self.num_actors)]
+            self.lease = actors.Lease(
+                new_fetch_worker,
+                [(blob_ref, worker_kwargs)] * self.num_actors)
         else:
-            self._worker = FetchWorker(build_transport(transport_blob), **worker_kwargs)
+            self._worker = new_fetch_worker(transport_blob, worker_kwargs)
 
     EMPTY_KEYS = {
         "fetched": "FETCH_RESULTS", "candidates": "CANDIDATES",
@@ -881,7 +894,7 @@ class FetchPool:
     def submit(self, actor_index: int, batch: pa.Table,
                pending_fragment_urls: list[str], now: float):
         """Async dispatch of one batch to one actor (pipelined mode)."""
-        return self._actors[actor_index].fetch_batch.remote(
+        return self.lease.wait()[actor_index].fetch_batch.remote(
             batch, pending_fragment_urls, now)
 
     def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
@@ -903,11 +916,12 @@ class FetchPool:
                 frontier["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
             assignment = (key_hash % np.uint64(self.num_actors)).astype(np.int64)
         futures = []
+        workers = self.lease.wait()
         for a in range(self.num_actors):
             idx = np.flatnonzero(assignment == a)
             if len(idx):
                 piece = frontier.take(pa.array(idx))
-                futures.append(self._actors[a].fetch_batch.remote(piece, pending, now))
+                futures.append(workers[a].fetch_batch.remote(piece, pending, now))
         outputs = ray.get(futures)
         if not outputs:
             return self._empty()
@@ -919,22 +933,16 @@ class FetchPool:
     def call_log(self) -> list[tuple[str, str, int]]:
         if self.use_ray:
             import ray
-            logs = ray.get([a.call_log.remote() for a in self._actors])
+            logs = ray.get([a.call_log.remote() for a in self.lease.wait()])
             return [c for log in logs for c in log]
         return self._worker.call_log()
 
 
-class _RemoteFetchWorker(FetchWorker):
-    """Ray-actor wrapper: rebuilds the transport from the broadcast blob
-    once per actor (state in __init__, work in fetch_batch)."""
-
-    def __init__(self, transport_blob: dict, worker_kwargs: dict):
-        # each actor gets ONE Arrow thread: pyarrow defaults its
-        # internal pool to os.cpu_count() per process, so K actors spawn
-        # K×ncpu threads and thrash the whole node
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
-        super().__init__(build_transport(transport_blob), **worker_kwargs)
+def new_fetch_worker(transport_blob: dict, worker_kwargs: dict) -> FetchWorker:
+    """A fresh worker over the transport rebuilt from the broadcast
+    blob: once per lease on a pooled actor, once per check in local
+    mode."""
+    return FetchWorker(build_transport(transport_blob), **worker_kwargs)
 
 
 def build_transport(blob: dict):

@@ -83,8 +83,6 @@ class MeshNode:
                  seen_mode: str = "exact", sticky_hosts: bool = True,
                  seen_capacity: int = 1 << 20):
         import threading
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
         # the node runs with max_concurrency=2 so enqueue/submit/poll
         # land WHILE a pump computes (latency hiding — pumps otherwise
         # convoy the whole mesh into lock-step waves). All shared state
@@ -145,6 +143,9 @@ class MeshNode:
         self.paused = False
         self.self_handle = None
         self.peers = None
+        # the lease generation this node serves (set_peers); pumps and
+        # kicks carry it, so ones sent for an earlier check are dropped
+        self.generation = None
         self.host_memo: dict = {}
         self.errors: list[str] = []
         self.busy_sec = 0.0
@@ -182,12 +183,28 @@ class MeshNode:
         self._spilled_frontier_rows = 0
         self._frontier_part_seq = 0
 
-    def set_peers(self, self_handle, peers) -> None:
-        self.self_handle = self_handle
-        self.peers = peers
-        self.peer_buf = [[] for _ in peers]
-        self.peer_buf_rows = [0] * len(peers)
-        self.peer_wants = [[] for _ in peers]
+    def set_peers(self, self_handle, peers, generation: int) -> None:
+        with self.lock:
+            self.self_handle = self_handle
+            self.peers = peers
+            self.generation = generation
+            self.peer_buf = [[] for _ in peers]
+            self.peer_buf_rows = [0] * len(peers)
+            self.peer_wants = [[] for _ in peers]
+
+    def close(self) -> None:
+        """Release: drop the peer handles (the mesh's handle cycle), stop
+        answering this check's pumps and kicks, stop the fetch worker's
+        connection threads and remove the frontier spill directory."""
+        import shutil
+        with self.lock:
+            self.generation = None
+            self.self_handle = None
+            self.peers = None
+            self.peer_buf, self.peer_buf_rows, self.peer_wants = [], [], []
+        self.worker.close()
+        if self._frontier_spill_dir is not None:
+            shutil.rmtree(self._frontier_spill_dir, ignore_errors=True)
 
     # -- intake ------------------------------------------------------------
 
@@ -291,7 +308,7 @@ class MeshNode:
                 and self.self_handle is not None \
                 and (self.queue or self._frontier_parts):
             self.pump_scheduled = True
-            self.self_handle.pump.remote()
+            self.self_handle.pump.remote(self.generation)
 
     # -- checkpoint coordination (driver-driven epoch snapshots) ----------
 
@@ -468,9 +485,11 @@ class MeshNode:
                 still.append(t)
         self.deferred = still
 
-    def pump(self) -> None:
+    def pump(self, generation: int) -> None:
         now = time.time()
         with self.lock:
+            if generation != self.generation:
+                return  # sent for a check this node no longer serves
             self.pump_scheduled = False
             if self.pumping:
                 return  # the active pump reschedules on exit
@@ -737,10 +756,12 @@ class MeshNode:
             "seen_size": self.url_seen.size(),
         }
 
-    def kick(self) -> None:
+    def kick(self, generation: int) -> None:
         """Driver nudge: wake deferred rows whose deadline passed and
         flush any coalesced sends."""
         with self.lock:
+            if generation != self.generation:
+                return
             self._wake_deferred(time.time())
             self._flush_peers(everything=True)
             self._schedule_pump()

@@ -149,19 +149,12 @@ def seen_table_to_blob(tbl: pa.Table) -> dict:
             "victims": values[n_slots:]}
 
 
-class _RemoteSeenShard(SeenShard):
-    def __init__(self, *args, **kwargs):
-        pa.set_cpu_count(1)  # keep actor-side Arrow pools single-threaded
-        pa.set_io_thread_count(1)
-        super().__init__(*args, **kwargs)
-
-
 class SeenSet:
     """Driver-side facade over the shard pool.
 
-    In Ray mode the shards are ``ray.remote(SeenShard)`` actors and
-    ``contains_or_insert`` fans a batch out by ``hash % K`` in ONE call
-    per shard (a batched semi-join of the frontier against the seen
+    In Ray mode the shards are hosted by pooled actors (state/actors.py)
+    and ``contains_or_insert`` fans a batch out by ``hash % K`` in ONE
+    call per shard (a batched semi-join of the frontier against the seen
     state — SURVEY.md §2.4 J3). Local mode holds plain objects.
     """
 
@@ -170,14 +163,17 @@ class SeenSet:
         self.num_shards = num_shards
         self.mode = mode
         self.use_ray = use_ray
+        args = [(i, mode, capacity_per_shard) for i in range(num_shards)]
+        self.lease = None
         if use_ray:
-            import ray
-            actor_cls = ray.remote(num_cpus=0.25)(_RemoteSeenShard)
-            self._shards = [
-                actor_cls.remote(i, mode, capacity_per_shard) for i in range(num_shards)
-            ]
+            from linkinator_ray.state import actors
+            self.lease = actors.Lease(SeenShard, args)
         else:
-            self._shards = [SeenShard(i, mode, capacity_per_shard) for i in range(num_shards)]
+            self._local_shards = [SeenShard(*a) for a in args]
+
+    @property
+    def _shards(self) -> list:
+        return self.lease.wait() if self.use_ray else self._local_shards
 
     def contains_or_insert(self, hashes: np.ndarray) -> np.ndarray:
         """Batched test-and-set across shards; order-preserving."""

@@ -1,0 +1,189 @@
+"""Warm crawl actors (state/actors.py): checks in one Ray session lease
+their fetch workers, seen shards and mesh nodes from a per-session pool.
+A leased actor must behave exactly like a fresh one, idle actors must
+hold no CPU, and only a cleanly finished check may hand actors back."""
+
+import time
+
+import pytest
+
+from linkinator_ray.options import CheckOptions
+from linkinator_ray.pipelines.crawl import LinkChecker
+from linkinator_ray.sources import fixtures as fx
+from linkinator_ray.state import actors
+
+EXECUTORS = {"rounds": {}, "pipelined": {"pipelined": True},
+             "mesh": {"mesh": True}}
+SEQUENCE = (fx.recurse, fx.repeated_broken_link, fx.css_fixture)
+
+
+def key_set(res):
+    return {(r["url"], r["state"], r["status"], r["parent"])
+            for r in res.results.to_pylist()}
+
+
+def checker(fixture, use_ray=True, **extra):
+    opts = CheckOptions(paths=fixture.seeds, **fixture.options,
+                        fetch_concurrency=2, seen_shards=2, **extra)
+    return LinkChecker(opts, fixture.documents, fixture.http_map,
+                       use_ray=use_ray)
+
+
+def pids(c: LinkChecker) -> set[int]:
+    return {pid for lease in c._leases for pid in lease.pids}
+
+
+def assert_cpus_free(ray):
+    """Idle pooled actors hold no CPU: every session CPU becomes
+    available and a plain task runs. The resource view trails a finished
+    task's lease return, so it is polled, with a deadline."""
+    total = ray.cluster_resources()["CPU"]
+    deadline = time.monotonic() + 30
+    while ray.available_resources().get("CPU") != total:
+        assert time.monotonic() < deadline, ray.available_resources()
+        time.sleep(0.1)
+    assert ray.get(ray.remote(lambda: 7).remote(), timeout=60) == 7
+
+
+def wait_dead(ray, handle):
+    """Block until a killed actor is gone: ``ray.kill`` returns before
+    the actor exits. ``release(0)`` is a no-op on a live shell."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        try:
+            ray.get(handle.release.remote(0), timeout=60)
+        except ray.exceptions.RayActorError:
+            return
+        time.sleep(0.05)
+    raise AssertionError("a killed actor still answers")
+
+
+@pytest.mark.parametrize("executor", list(EXECUTORS))
+def test_back_to_back_checks_reuse_actors(ray_session, executor):
+    """recurse → repeated_broken_link → css in one session: every check
+    equals local mode, and the later ones run on the same worker
+    processes as the first."""
+    ray = ray_session
+    previous = None
+    for i, builder in enumerate(SEQUENCE):
+        fixture = builder()
+        local = checker(fixture, use_ray=False).check()
+        c = checker(fixture, **EXECUTORS[executor])
+        res = c.check()
+        assert key_set(res) == key_set(local), fixture.name
+        assert res.passed == local.passed
+        assert res.stats["executor"] == executor
+        assert res.stats["timings"]["spawn"] >= 0
+        if i:
+            assert res.stats["actors"] == {
+                "spawned": 0, "reused": len(previous)}, fixture.name
+            assert pids(c) == previous, fixture.name
+        previous = pids(c)
+        assert actors.idle_count() == len(previous)
+        assert_cpus_free(ray)
+
+
+def test_local_mode_books_no_actors():
+    fixture = fx.recurse()
+    res = checker(fixture, use_ray=False).check()
+    assert res.stats["actors"] == {"spawned": 0, "reused": 0}
+    assert res.stats["executor"] == "rounds"
+    assert res.stats["timings"]["spawn"] >= 0
+
+
+def test_killed_idle_actor_is_replaced(ray_session):
+    """An idle actor that died between checks is replaced at lease, and
+    the result does not change."""
+    ray = ray_session
+    fixture = fx.css_fixture()
+    first = checker(fixture, pipelined=True)
+    want = key_set(first.check())
+    victim = first._leases[-1].handles[0]
+    ray.kill(victim, no_restart=True)
+    wait_dead(ray, victim)
+    second = checker(fixture, pipelined=True)
+    res = second.check()
+    assert key_set(res) == want
+    assert res.stats["actors"]["spawned"] == 1
+    assert res.stats["actors"]["reused"] == len(pids(first)) - 1
+    assert victim not in [h for lease in second._leases
+                          for h in lease.handles]
+    assert_cpus_free(ray)
+
+
+def test_failed_mesh_check_releases_nothing(ray_session):
+    """A mesh check interrupted mid-crawl kills its nodes: none goes
+    back to the pool, and the next check spawns fresh ones and is
+    correct."""
+    ray = ray_session
+    fixture = fx.repeated_broken_link()
+    want = key_set(checker(fixture, mesh=True).check())
+    assert actors.idle_count() == 2
+
+    failing = checker(fixture, mesh=True)
+
+    def interrupt(table):
+        raise KeyboardInterrupt
+    failing._emit = interrupt
+    with pytest.raises(KeyboardInterrupt):
+        failing.check()
+    assert actors.idle_count() == 0
+    for handle in failing._leases[0].handles:
+        wait_dead(ray, handle)
+
+    again = checker(fixture, mesh=True)
+    res = again.check()
+    assert key_set(res) == want
+    assert res.stats["actors"] == {"spawned": 2, "reused": 0}
+    assert_cpus_free(ray)
+
+
+def test_check_after_session_restart(ray_session):
+    """``ray.shutdown()`` ends the pool with its session; the next
+    session's check spawns fresh actors and is correct."""
+    ray = ray_session
+    fixture = fx.recurse()
+    want = key_set(checker(fixture).check())
+    assert actors.idle_count() > 0
+    ray.shutdown()
+    # the same arguments as the conftest session, for the tests after
+    ray.init(address="local", num_cpus=8, include_dashboard=False,
+             logging_level="ERROR")
+    assert actors.idle_count() == 0
+    res = checker(fixture).check()
+    assert key_set(res) == want
+    assert res.stats["actors"]["reused"] == 0
+    assert_cpus_free(ray)
+
+
+def test_mesh_node_drops_stale_pumps_and_kicks():
+    """A pump or kick sent for another lease generation, or reaching a
+    released node, is dropped under the node lock (no Ray needed)."""
+    from linkinator_ray import urlkit
+    from linkinator_ray.pipelines.crawl import _frontier_rows
+    from linkinator_ray.state.mesh import MeshNode
+    sent = []
+
+    class SelfHandle:
+        """Records the pumps the node schedules for itself."""
+        class pump:
+            @staticmethod
+            def remote(generation):
+                sent.append(generation)
+
+    url = "http://a.test/"
+    node = MeshNode(0, 1, {"http_map": [], "strict": False},
+                    {"classify_opts": CheckOptions(paths=[url])}, {})
+    node.set_peers(SelfHandle(), [SelfHandle()], 7)
+    node.enqueue(_frontier_rows(
+        url=[url], url_hash=urlkit.hash64_array([url]), host=["a.test"],
+        parent=[""], depth=[0], do_crawl=[True], root_path=[url],
+        attempt=[0], not_before=[0.0]))
+    assert sent == [7]
+    node.pump(6)
+    node.kick(6)
+    assert node.queued_rows == 1 and sent == [7]
+    node.close()
+    node.pump(7)
+    node.kick(7)
+    assert node.queued_rows == 1 and sent == [7]

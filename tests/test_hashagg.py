@@ -126,6 +126,11 @@ def test_hash_join_salted_equals_unsalted(ray_session):
                            num_parts=5, salt=4).to_pandas() \
             .sort_values(["k", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(salted, plain), how
+        # salting on the default partition count
+        salted_default = hash_join(_ds(left), _ds(right), on="k", how=how,
+                                   salt=4).to_pandas() \
+            .sort_values(["k", "v"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(salted_default, plain), how
 
 
 def test_partition_stats_detects_planted_skew(ray_session):

@@ -347,6 +347,22 @@ def test_crawl_depth_engine_matches_reference(ray_session):
     assert dict(zip(got.doc_id, got.depth)) == expect
 
 
+def test_crawl_depth_refuses_non_round_results():
+    """crawl_depth's depth = round - 1 holds only for the round
+    executor: a cached result from any other executor raises instead
+    of reading as wrong depths."""
+    import pyarrow as pa
+    import pytest
+
+    from linkinator_ray.pipelines import graph
+    graph._REACH_CACHE["fake-sf"] = ("pipelined", pa.table({"x": [1]}))
+    try:
+        with pytest.raises(RuntimeError, match="rounds"):
+            graph.crawl_depth("fake-sf")
+    finally:
+        graph._REACH_CACHE.pop("fake-sf", None)
+
+
 def test_broken_link_parents_matches_rule(ray_session):
     """The duplicate-broken-join certificate vs the known edge rule:
     per missing doc, the distinct crawled parents — and the operator
