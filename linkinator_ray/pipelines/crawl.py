@@ -1062,7 +1062,6 @@ class LinkChecker:
 
         from linkinator_ray.state import mesh as mesh_mod
         opts = self.opts
-        gen = self._mesh_generation
 
         def enqueue_frontier(frontier: pa.Table) -> list:
             """Route frontier rows to their fetch owners."""
@@ -1160,7 +1159,7 @@ class LinkChecker:
             for n, p in zip(nodes, polls):
                 if (p["queued_rows"] and not p["pump_scheduled"]) or \
                         (p["held_cand"] and not p["pump_scheduled"]):
-                    n.kick.remote(gen)
+                    n.kick.remote(self._mesh_generation)
             progress = (sent_c, recv_c, sent_f, recv_f, sent_w, recv_w)
             if progress != last_progress[0]:
                 last_progress = (progress, _time.monotonic())
@@ -1173,7 +1172,8 @@ class LinkChecker:
                     earliest = min(p["earliest_deadline"] for p in polls
                                    if p["deferred_rows"])
                     _time.sleep(max(0.0, earliest - _time.time()) + 0.002)
-                    ray.get([n.kick.remote(gen) for n in nodes])
+                    ray.get([n.kick.remote(self._mesh_generation)
+                             for n in nodes])
                     stable = 0
                     last_progress = (None, _time.monotonic())
                     continue
