@@ -50,6 +50,11 @@ from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
 from linkinator_ray.state.seen import SeenSet
 
+# the mesh driver's poll waits (_run_mesh_body): the longest while a node
+# is pumping, and the one while the mesh settles
+MESH_POLL_BUSY_S = 0.02
+MESH_POLL_SETTLE_S = 0.002
+
 
 @dataclasses.dataclass
 class CrawlResult:
@@ -1129,6 +1134,13 @@ class LinkChecker:
         # a pause starves the mesh if it re-fires before any work ran —
         # floor the epoch cadence
         ckpt_interval = max(0.25, opts.checkpoint_interval_s)
+        # poll cadence: while a node pumps there is nothing to decide, so
+        # the wait doubles up to MESH_POLL_BUSY_S; when every node is idle
+        # with messages in flight the mesh is settling, so it drops back
+        # to MESH_POLL_SETTLE_S. Each poll takes a node's lock and a GIL
+        # turn from its pump, so polling a busy mesh every 2 ms slows the
+        # check whenever other processes compete for the CPUs
+        poll_s = MESH_POLL_SETTLE_S
         while True:
             if opts.checkpoint_dir and _time.monotonic() - last_ckpt \
                     > ckpt_interval:
@@ -1182,7 +1194,9 @@ class LinkChecker:
                     break
             else:
                 stable = 0
-                _time.sleep(float(__import__("os").environ.get("MESH_POLL_S", "0.002")))
+                poll_s = min(2 * poll_s, MESH_POLL_BUSY_S) if busy \
+                    else MESH_POLL_SETTLE_S
+                _time.sleep(poll_s)
         self.timings["fetch"] += _time.perf_counter() - t_start
 
         for counters in last_counters:

@@ -28,6 +28,7 @@ Lifetime and resources are decided here and nowhere else:
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import os
 import threading
@@ -80,6 +81,14 @@ class CrawlActor:
                 return
             old, self._obj = self._obj, None
         _close(old)
+        del old
+        # the check's objects are gone: collect once, then move what
+        # survives (imports, Ray's worker state, ~120k objects) out of
+        # the collector's reach. A pooled process lives for many checks,
+        # and a gen-2 collection that walks them takes ~85 ms, in the
+        # middle of whichever crawl triggers it
+        gc.collect()
+        gc.freeze()
 
 
 def _close(obj) -> None:
@@ -108,7 +117,8 @@ for _name in LATE:
 
 _lock = threading.Lock()
 _generations = itertools.count(1)
-# (job id, node id) → idle actor handles; holds one session at most
+# (job id, node id) → idle (factory last hosted, actor handle) pairs;
+# holds one session at most
 _idle: dict[tuple[str, str], list] = {}
 
 
@@ -151,12 +161,16 @@ class Lease:
     their new actors start) concurrently."""
 
     def __init__(self, factory, arg_lists: list[tuple]):
-        self.factory = factory
+        self.factory = self.kind = factory
         self.arg_lists = arg_lists
         self.generation = next(_generations)
         with _lock:
             idle = _session_idle()
-            self.handles = [idle.pop() for _ in
+            # actors that last hosted this factory's class go first: the
+            # others would import its modules (~0.5 s for a fetch
+            # worker) inside the check
+            idle.sort(key=lambda entry: entry[0] is factory)
+            self.handles = [idle.pop()[1] for _ in
                             range(min(len(idle), len(arg_lists)))]
         self.reused = self._pooled = len(self.handles)
         self.handles += [_spawn() for _ in
@@ -208,8 +222,8 @@ def release(leases: list[Lease]) -> None:
             handle.release.remote(lease.generation)
     with _lock:
         idle = _session_idle()
-        extra = list(idle)
-        idle[:] = [h for lease in leases for h in lease.handles]
+        extra = [handle for _, handle in idle]
+        idle[:] = [(lease.kind, h) for lease in leases for h in lease.handles]
     for handle in extra:
         ray.kill(handle, no_restart=True)
 
