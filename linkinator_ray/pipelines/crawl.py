@@ -14,9 +14,9 @@ not_before)`` rows; each round:
 5. handle Retry-After re-enqueues (max-of-deadlines per host,
    src/index.ts:1035-1043) and error-retry backoff (:1069-1109);
 6. classify (stages/classify.py) → results rows;
-7. extract links from crawled bodies (stages/extract.py, distributed via
-   ``ray.data`` ``map_batches`` when the round is large), dedup edges,
-   consult the sharded seen-set (batched anti-join) → next frontier;
+7. extract links from crawled bodies (stages/extract.py, inside the
+   fetch workers that fetched them), dedup edges, consult the sharded
+   seen-set (batched anti-join) → next frontier;
 8. validate fragments whose target page was fetched this round;
 9. checkpoint frontier + seen shards + lineage (state/checkpoint.py).
 
@@ -40,11 +40,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from linkinator_ray import schema, urlkit
-from linkinator_ray.options import CheckOptions, LinkState
+from linkinator_ray.options import CheckOptions
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages import classify as classify_mod
-from linkinator_ray.stages.extract import ExtractLinks, extract_css_doc_links
-from linkinator_ray.stages.fetch import FetchPool
+from linkinator_ray.stages.fetch import (FetchPool, SkipRules, hash_owner,
+                                         split_by_owner)
 from linkinator_ray.state import actors
 from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
@@ -64,8 +64,51 @@ class CrawlResult:
     call_log: list
 
 
+# result rows as the executors hold them: RESULTS plus whether the row
+# reports a frontier URL itself (the duplicate-broken join's input)
+RESULT_ROWS = schema.RESULTS.append(pa.field("frontier_level", pa.bool_()))
+
+
 def _frontier_rows(**cols) -> pa.Table:
     return schema.table(schema.FRONTIER, **cols)
+
+
+def result_rows(round_no: int, frontier_level: bool, url, status, state,
+                parent, failure="") -> pa.Table:
+    """RESULT_ROWS for ``len(url)`` rows, the one constructor every
+    stage uses. Columns are Arrow arrays or Python lists; a str fills
+    every row and ``None`` makes the column null."""
+    n = len(url)
+    cols = []
+    for values, field in zip((url, status, state, parent, failure),
+                             RESULT_ROWS):
+        if values is None:
+            values = pa.nulls(n, field.type)
+        elif isinstance(values, str):
+            values = pa.repeat(pa.scalar(values, field.type), n)
+        elif isinstance(values, pa.ChunkedArray):
+            values = values.combine_chunks()
+        elif not isinstance(values, pa.Array):
+            values = pa.array(values, field.type)
+        cols.append(values)
+    cols.append(pa.array(np.full(n, round_no, dtype=np.int32)))
+    cols.append(pa.array(np.full(n, frontier_level, dtype=bool)))
+    return pa.Table.from_arrays(cols, schema=RESULT_ROWS)
+
+
+def seed_frontier(paths: list[str], corpus_base: str) -> pa.Table:
+    """Frontier rows for the expanded seed paths: each seed is its own
+    root path at depth 0. The caller pre-inserts their hashes into its
+    seen set (src/index.ts:267-288)."""
+    urls = [urlkit.normalize_url(
+        p if urlkit.is_absolute_url(p) else corpus_base + p.lstrip("/"),
+        keep_fragment=False) for p in paths]
+    n = len(urls)
+    return _frontier_rows(
+        url=urls, url_hash=urlkit.hash64_array(urls),
+        host=[urlkit.host_of(u) for u in urls], parent=[""] * n,
+        depth=[0] * n, do_crawl=[True] * n, root_path=urls,
+        attempt=[0] * n, not_before=[0.0] * n)
 
 
 def host_fair_order(table: pa.Table) -> pa.Table:
@@ -103,7 +146,8 @@ def host_fair_order(table: pa.Table) -> pa.Table:
 def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
                      opts: CheckOptions, rng) -> tuple[pa.Table, list, int]:
     """Retry-After re-enqueues with host-wide max-of-deadlines
-    (src/index.ts:1019-1060) and error-retry backoff (:1069-1109).
+    (src/index.ts:1019-1060) and error-retry backoff (:1069-1109); the
+    error-retry gate is the fetch worker's ``retry_error`` column.
     Mutates ``delay_map``; shared by the driver loop (LinkChecker) and
     the mesh fetch actors (state/mesh.py)."""
     requeues: list[pa.Table] = []
@@ -132,13 +176,7 @@ def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
         n_retries += len(hosts)
         fetched = fetched.filter(pa.array(~ra_mask))
     attempt = fetched["attempt"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if "retry_error" in fetched.column_names:  # actor-side gate
-        err_mask = fetched["retry_error"].to_numpy(zero_copy_only=False)
-    else:
-        status = fetched["status"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ra_left = fetched["retry_after_epoch"].to_numpy(zero_copy_only=False)
-        err_mask = classify_mod.should_retry_error_mask(
-            status, attempt, ra_left, opts)
+    err_mask = fetched["retry_error"].to_numpy(zero_copy_only=False)
     if err_mask.any():
         rows = fetched.filter(pa.array(err_mask))
         attempts = attempt[err_mask]
@@ -157,19 +195,19 @@ def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
 
 
 def validate_fragment_wants(fetched: pa.Table, frags: pa.Table,
-                            states: np.ndarray, is_html: np.ndarray,
-                            pending: dict) -> list[tuple]:
+                            pending: dict, round_no: int) -> pa.Table | None:
     """Fragment validation at target-fetch time (src/index.ts:616-673,
     :878-920): requested fragments anti-joined against the page's
-    fragment-target ids (extracted in the fetch actor). Satisfied pages
-    pop from ``pending``; misses → (url#frag, status, parent,
-    failure_json) tuples, reported BROKEN with the page's status and the
-    page's own parent. Shared by the driver loop and the mesh nodes."""
+    fragment-target ids (extracted in the fetch actor). ``fetched``
+    carries the actor-side classification. Satisfied pages pop from
+    ``pending``; each missing fragment is a BROKEN url#frag row with the
+    page's status and the page's own parent."""
+    states = pc.equal(fetched["state"], "OK").to_numpy(zero_copy_only=False)
+    is_html = fetched["recurse_html"].to_numpy(zero_copy_only=False)
     has_body = fetched["has_body"].to_numpy(zero_copy_only=False)
-    ok_pages = np.flatnonzero((states == "OK") & is_html & has_body)
-    out: list[tuple] = []
+    ok_pages = np.flatnonzero(states & is_html & has_body)
     if len(ok_pages) == 0:
-        return out
+        return None
     present_by_page: dict[str, set[str]] = {}
     for page, frag in zip(frags["page_url"].to_pylist(),
                           frags["fragment_id"].to_pylist()):
@@ -178,6 +216,7 @@ def validate_fragment_wants(fetched: pa.Table, frags: pa.Table,
     parents = fetched["parent"].to_pylist()
     statuses = fetched["status"].to_numpy(zero_copy_only=False)
     soft404s = fetched["soft404"].to_numpy(zero_copy_only=False)
+    bad: list[tuple] = []
     for i in ok_pages:
         url = urls[i]
         wanted = pending.pop(url, None)
@@ -187,54 +226,37 @@ def validate_fragment_wants(fetched: pa.Table, frags: pa.Table,
             continue
         present = present_by_page.get(url, set())
         for frag in sorted(wanted - present):
-            out.append((
+            bad.append((
                 f"{url}#{frag}", int(statuses[i]), parents[i],
                 f'[{{"error": "Fragment identifier \'#{frag}\' not found on page"}}]'))
-    return out
+    if not bad:
+        return None
+    url, status, parent, failure = zip(*bad)
+    return result_rows(round_no, False, url, status, "BROKEN", parent, failure)
 
 
 def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
                            round_no: int, counters: dict,
                            check_css: bool = False) -> tuple[list, pa.Table]:
-    """Classified fetch output → RESULTS(+frontier_level) tables.
-
-    The per-round results-assembly shared by the driver loop and the
-    mesh fetch actors: redirect-skipped rows → SKIPPED, actor-classified
-    rows pass through as Arrow columns, link-level results append.
-    Returns (result tables, remaining fetched rows) and bumps the warn /
-    pages counters. ``fetched`` must carry actor-side classification
-    columns (state/failure/warn_*/recurse_*)."""
+    """Classified fetch output → RESULT_ROWS tables, shared by every
+    executor: redirect-skipped rows → SKIPPED, actor-classified rows
+    pass through as Arrow columns, link-level results append. Returns
+    (result tables, remaining fetched rows) and bumps the warn / pages
+    counters. ``fetched`` must carry actor-side classification columns
+    (state/failure/warn_*/recurse_*)."""
     out: list[pa.Table] = []
     if fetched.num_rows:
-        rskip = np.fromiter(
-            (s != "" for s in fetched["redirect_skipped"].to_pylist()),
-            bool, fetched.num_rows)
-        if rskip.any():
-            rows = fetched.filter(pa.array(rskip))
-            n = rows.num_rows
-            out.append(pa.Table.from_arrays([
-                rows["url"].combine_chunks(),
-                pa.array([None] * n, pa.int32()),
-                pa.array(["SKIPPED"] * n, pa.string()),
-                rows["parent"].combine_chunks(),
-                pa.array([""] * n, pa.string()),
-                pa.array(np.full(n, round_no, dtype=np.int32)),
-                pa.array(np.ones(n, dtype=bool)),
-            ], names=["url", "status", "state", "parent", "failure_details",
-                      "round", "frontier_level"]))
-            fetched = fetched.filter(pa.array(~rskip))
+        # redirect-skipped rows → SKIPPED results (src/index.ts:370-373)
+        rskip = pc.not_equal(fetched["redirect_skipped"], "")
+        if pc.any(rskip).as_py():
+            rows = fetched.filter(rskip)
+            out.append(result_rows(round_no, True, rows["url"], None,
+                                   "SKIPPED", rows["parent"]))
+            fetched = fetched.filter(pc.invert(rskip))
     if fetched.num_rows:
-        n = fetched.num_rows
-        out.append(pa.Table.from_arrays([
-            fetched["url"].combine_chunks(),
-            fetched["status"].combine_chunks(),
-            fetched["state"].combine_chunks(),
-            fetched["parent"].combine_chunks(),
-            fetched["failure"].combine_chunks(),
-            pa.array(np.full(n, round_no, dtype=np.int32)),
-            pa.array(np.ones(n, dtype=bool)),
-        ], names=["url", "status", "state", "parent", "failure_details",
-                  "round", "frontier_level"]))
+        out.append(result_rows(round_no, True, fetched["url"],
+                               fetched["status"], fetched["state"],
+                               fetched["parent"], fetched["failure"]))
         counters["warn_status"] += int(pc.sum(fetched["warn_status"]).as_py() or 0)
         counters["warn_redirect"] += int(pc.sum(fetched["warn_redirect"]).as_py() or 0)
         counters["warn_insecure"] += int(pc.sum(fetched["warn_insecure"]).as_py() or 0)
@@ -246,17 +268,9 @@ def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
             (do_crawl & has_body &
              (recurse_html | (recurse_css & check_css))).sum())
     if link_results.num_rows:
-        n = link_results.num_rows
-        out.append(pa.Table.from_arrays([
-            link_results["url"].combine_chunks(),
-            link_results["status"].combine_chunks(),
-            link_results["state"].combine_chunks(),
-            link_results["parent"].combine_chunks(),
-            pa.array([""] * n, pa.string()),
-            pa.array(np.full(n, round_no, dtype=np.int32)),
-            pa.array(np.zeros(n, dtype=bool)),
-        ], names=["url", "status", "state", "parent", "failure_details",
-                  "round", "frontier_level"]))
+        out.append(result_rows(round_no, False, link_results["url"],
+                               link_results["status"], link_results["state"],
+                               link_results["parent"]))
     return out, fetched
 
 
@@ -326,6 +340,82 @@ def politeness_gate_table(table: pa.Table, now: float, delay_map: dict,
     return table, deferred
 
 
+def skip_stage_table(table: pa.Table, skip: SkipRules, robots,
+                     round_no: int) -> tuple[pa.Table, pa.Table | None]:
+    """Frontier-level skip classification (src/index.ts:320-323,
+    :973-985): non-http(s) → SKIPPED status 0; skip rules and robots.txt
+    → SKIPPED status null. Returns (live rows, SKIPPED result rows or
+    None)."""
+    n = table.num_rows
+    url_col = table["url"].combine_chunks()
+    is_http = pc.or_(pc.starts_with(url_col, "http://"),
+                     pc.starts_with(url_col, "https://")) \
+        .to_numpy(zero_copy_only=False)
+    skip_mask = ~is_http
+    if skip:
+        skip_mask |= skip.match_vec(url_col)
+    if robots.has_rules():
+        allowed = robots.allowed
+        skip_mask |= np.fromiter(
+            (not allowed(u) for u in url_col.to_pylist()), bool, n)
+    if not skip_mask.any():
+        return table, None
+    rows = table.filter(pa.array(skip_mask))
+    status = pa.array(np.zeros(rows.num_rows, dtype=np.int32),
+                      mask=is_http[skip_mask])
+    return (table.filter(pa.array(~skip_mask)),
+            result_rows(round_no, True, rows["url"], status, "SKIPPED",
+                        rows["parent"]))
+
+
+def admit_frontier(table: pa.Table, now: float, round_no: int,
+                   opts: CheckOptions, skip: SkipRules, robots,
+                   delay_map: dict):
+    """The admission step every executor runs on frontier rows before
+    they are fetched: rewrite → skip → politeness gate. Returns
+    ``(runnable rows, SKIPPED result rows or None, deferred tables)``."""
+    table = apply_rewrites_table(table, opts.url_rewrites)
+    live, skipped = skip_stage_table(table, skip, robots, round_no)
+    live, deferred = politeness_gate_table(live, now, delay_map,
+                                           opts.politeness_delay)
+    return live, skipped, deferred
+
+
+def dedup_candidates(cand: pa.Table, edge_seen, url_seen):
+    """The two global joins of link discovery: edge dedup
+    (relationshipCache, src/index.ts:800-810) and the seen-set anti-join
+    (cache, :812-875); edge-fresh rows alone consult and insert the URL
+    set. ``edge_seen``/``url_seen`` are SeenSets (driver executors) or
+    one mesh node's SeenShards. Returns ``(new frontier rows, (url,
+    parent) edges to an already-seen URL — the duplicate-broken join's
+    input, edge_fresh mask, keep mask)``."""
+    edge_hash = np.asarray(
+        cand["edge_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
+    edge_fresh = ~edge_seen.contains_or_insert(edge_hash)
+    url_hash = np.asarray(
+        cand["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
+    url_dup = np.zeros(len(url_hash), dtype=bool)
+    fresh_idx = np.flatnonzero(edge_fresh)
+    if len(fresh_idx):
+        url_dup[fresh_idx] = url_seen.contains_or_insert(url_hash[fresh_idx])
+    dups = cand.filter(pa.array(edge_fresh & url_dup)).select(["url", "parent"])
+    keep = edge_fresh & ~url_dup
+    rows = cand.filter(pa.array(keep))
+    n = rows.num_rows
+    frontier = pa.Table.from_arrays([
+        rows["url"].combine_chunks(),
+        rows["url_hash"].combine_chunks(),
+        rows["host"].combine_chunks(),
+        rows["parent"].combine_chunks(),
+        rows["depth"].combine_chunks(),
+        rows["do_crawl"].combine_chunks(),
+        rows["root_path"].combine_chunks(),
+        pa.array(np.zeros(n, dtype=np.int32)),
+        pa.array(np.zeros(n, dtype=np.float64)),
+    ], schema=schema.FRONTIER)
+    return frontier, dups, edge_fresh, keep
+
+
 def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
                             node_spill_parts: list[int]) -> None:
     """Resume hygiene: delete results_dir parquet parts written AFTER
@@ -393,10 +483,7 @@ class LinkChecker:
                                   markdown=options.markdown,
                                   multi_host=multi_host,
                                   directory_listing=options.directory_listing)
-        self.extractor = ExtractLinks(check_css=options.check_css,
-                                      corpus_base=self.corpus_base)
-        self._skip_patterns = options.compiled_skips()
-        self._frag_skip_patterns = options.compiled_fragment_skips()
+        self.skip = SkipRules.from_options(options)
         from linkinator_ray.state.robots import RobotsCache
         self.robots = RobotsCache.from_corpus(self.corpus, multi_host) \
             if options.respect_robots else RobotsCache()
@@ -438,9 +525,9 @@ class LinkChecker:
         # per-event listeners (reference emits at src/index.ts:496, :546,
         # :601, :614, :677, :1058, :1107): 'link' | 'pagestart' | 'retry'
         # | 'redirect' | 'statusCodeWarning' | 'httpInsecure'. Zero
-        # overhead when nothing is registered; driver execution modes
-        # only (the mesh is the batch/cluster mode — per-URL callbacks
-        # would serialize it through the driver again).
+        # overhead when nothing is registered. The rounds and pipelined
+        # executors fire them all; the mesh fires only 'link' (per-URL
+        # callbacks would serialize it through the driver again).
         self._listeners: dict[str, list] = {}
 
     def on(self, event: str, callback) -> "LinkChecker":
@@ -453,9 +540,8 @@ class LinkChecker:
         for callback in self._listeners.get(event, ()):
             callback(payload)
 
-    def _emit_warn_events(self, fetched: pa.Table, warn_status, warn_redirect,
-                          warn_insecure) -> None:
-        """Row-level warning events off the classified masks
+    def _emit_warn_events(self, fetched: pa.Table) -> None:
+        """Row-level warning events off the actor-classified masks
         (statusCodeWarning :496, redirect :546, httpInsecure :601)."""
         if not (self._listeners.get("statusCodeWarning")
                 or self._listeners.get("redirect")
@@ -464,6 +550,9 @@ class LinkChecker:
         urls = fetched["url"].to_pylist()
         statuses = fetched["status"].to_pylist()
         finals = fetched["final_url"].to_pylist()
+        warn_status, warn_redirect, warn_insecure = (
+            fetched[c].to_numpy(zero_copy_only=False)
+            for c in ("warn_status", "warn_redirect", "warn_insecure"))
         for i in np.flatnonzero(warn_status):
             self._emit_event("statusCodeWarning",
                              {"url": urls[i], "status": statuses[i]})
@@ -530,47 +619,6 @@ class LinkChecker:
             self.corpus.markdown = True
         return paths
 
-    def _seed_frontier(self) -> pa.Table:
-        paths = getattr(self, "_expanded_paths", None) or self._expand_paths()
-        urls, roots = [], []
-        for path in paths:
-            if urlkit.is_absolute_url(path):
-                url = urlkit.normalize_url(path, keep_fragment=False)
-            else:
-                url = urlkit.normalize_url(self.corpus_base + path.lstrip("/"),
-                                           keep_fragment=False)
-            urls.append(url)
-            roots.append(url)
-        hashes = urlkit.hash64_array(urls)
-        # seeds pre-inserted into the seen set (src/index.ts:267-288)
-        self.seen.contains_or_insert(hashes)
-        return _frontier_rows(
-            url=urls, url_hash=hashes,
-            host=[urlkit.host_of(u) for u in urls],
-            parent=[""] * len(urls), depth=[0] * len(urls),
-            do_crawl=[True] * len(urls), root_path=roots,
-            attempt=[0] * len(urls), not_before=[0.0] * len(urls),
-        )
-
-    # ------------------------------------------------------------------
-    # skip rules (src/index.ts:929-971)
-    # ------------------------------------------------------------------
-
-    def _should_skip(self, href: str) -> bool:
-        if not href.startswith(("http://", "https://")):
-            return True
-        if callable(self.opts.links_to_skip):
-            return bool(self.opts.links_to_skip(href))
-        return any(p.search(href) for p in self._skip_patterns)
-
-    def _has_skip_rules(self) -> bool:
-        return callable(self.opts.links_to_skip) or bool(self._skip_patterns)
-
-    def _should_skip_fragment(self, fragment: str, url: str) -> bool:
-        if callable(self.opts.fragments_to_skip):
-            return bool(self.opts.fragments_to_skip(fragment, url))
-        return any(p.search(fragment) for p in self._frag_skip_patterns)
-
     # ------------------------------------------------------------------
     # results plumbing
     # ------------------------------------------------------------------
@@ -580,25 +628,6 @@ class LinkChecker:
         if self.on_results is not None:
             self.on_results(table.drop_columns(["frontier_level"]))
         self._emit_link_rows(table)
-
-    def _push_results(self, round_no: int, urls, statuses, states, parents,
-                      failures=None, frontier_level=None):
-        n = len(urls)
-        if n == 0:
-            return
-        table = pa.table({
-            "url": pa.array(urls, pa.string()),
-            "status": pa.array(statuses, pa.int32()),
-            "state": pa.array(states, pa.string()),
-            "parent": pa.array(parents, pa.string()),
-            "failure_details": pa.array(failures or [""] * n, pa.string()),
-            "round": pa.array([round_no] * n, pa.int32()),
-        })
-        table = table.append_column(
-            "frontier_level",
-            pa.array(frontier_level if frontier_level is not None else [False] * n,
-                     pa.bool_()))
-        self._emit(table)
 
     # ------------------------------------------------------------------
     # the round loop
@@ -699,7 +728,9 @@ class LinkChecker:
         if resume_from is not None:
             frontier, round_no = self._restore(resume_from)
         else:
-            frontier = self._seed_frontier()
+            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
+            self.seen.contains_or_insert(
+                frontier["url_hash"].to_numpy(zero_copy_only=False))
 
         if self.use_ray and opts.pipelined:
             self._executor = "pipelined"
@@ -712,8 +743,8 @@ class LinkChecker:
         robots compile per node, fragment wants route to the target's
         fetch owner, checkpoints are driver-coordinated epoch snapshots.
         A resume only goes through the mesh when the checkpoint was
-        written BY the mesh (same shard count — filters are not
-        re-shardable across K)."""
+        written BY the mesh; ``_mesh_restore`` re-shards it from the key
+        journal when the node count differs."""
         if resume_from is not None:
             import json
             import os
@@ -741,17 +772,9 @@ class LinkChecker:
             deferred = [frontier.filter(pa.array(~runnable_mask))]
 
             import time as _time
-            t0 = _time.perf_counter()
-            runnable = self._apply_rewrites(runnable)
-            live, skipped = self._skip_stage(runnable, round_no)
-            live, gated = self._politeness_gate(live, now)
+            live, gated = self._admit(runnable, now, round_no)
             deferred.extend(gated)
             t1 = _time.perf_counter()
-            if self._listeners.get("pagestart") and live.num_rows:
-                do_crawl = live["do_crawl"].to_numpy(zero_copy_only=False)
-                for url in np.asarray(live["url"].to_pylist(),
-                                      dtype=object)[do_crawl]:
-                    self._emit_event("pagestart", url)
 
             output = pool.fetch(live, set(self.pending_fragments), now)
             fetched = output["fetched"]
@@ -764,7 +787,6 @@ class LinkChecker:
             new_frontier = self._process_fetched(fetched, output, round_no)
             deferred.append(new_frontier)
             t3 = _time.perf_counter()
-            self.timings["skip"] += t1 - t0
             self.timings["fetch"] += t2 - t1
             self.timings["process"] += t3 - t2
 
@@ -870,34 +892,16 @@ class LinkChecker:
             nonlocal queued_rows
             if table.num_rows == 0:
                 return
-            if num_actors == 1:
-                queues[0].append(table)
-            else:
-                if pool.sticky_hosts:
-                    from linkinator_ray.stages.fetch import sticky_assignment
-                    assign = sticky_assignment(
-                        table["host"].to_pylist(),
-                        table["url_hash"].to_numpy(zero_copy_only=False),
-                        num_actors, scripted=pool.scripted,
-                        salt_threshold=pool.salt_threshold,
-                        counts=salt_counts)
-                else:
-                    key = np.asarray(
-                        table["url_hash"].to_numpy(zero_copy_only=False),
-                        dtype=np.uint64)
-                    assign = (key % np.uint64(num_actors)).astype(np.int64)
-                for a in range(num_actors):
-                    idx = np.flatnonzero(assign == a)
-                    if len(idx):
-                        queues[a].append(table.take(pa.array(idx)))
+            for a, piece in split_by_owner(
+                    table, pool.owners(table, salt_counts), num_actors):
+                queues[a].append(piece)
             queued_rows += table.num_rows
 
         def admit(table: pa.Table, now: float) -> None:
-            """Rewrite + skip + politeness classify, then route. Rows
-            with a future ``not_before`` (checkpoint-restored retry /
-            politeness deferrals) park until their deadline — the rounds
-            loop gets this via runnable_mask; this is the pipelined
-            equivalent."""
+            """The admission step, then route. Rows with a future
+            ``not_before`` (checkpoint-restored retry / politeness
+            deferrals) park until their deadline — the rounds loop gets
+            this via runnable_mask; this is the pipelined equivalent."""
             nb = table["not_before"].to_numpy(zero_copy_only=False)
             future = nb > now
             if future.any():
@@ -905,10 +909,8 @@ class LinkChecker:
                 table = table.filter(pa.array(~future))
                 if table.num_rows == 0:
                     return
-            table = self._apply_rewrites(table)
-            live, _ = self._skip_stage(table, batch_no)
-            live, gated = self._politeness_gate(live, now)
-            deferred.extend(t for t in gated if t.num_rows)
+            live, gated = self._admit(table, now, batch_no)
+            deferred.extend(gated)
             route(live)
 
         def dispatch(now: float) -> None:
@@ -1068,59 +1070,22 @@ class LinkChecker:
         from linkinator_ray.state import mesh as mesh_mod
         opts = self.opts
 
-        def enqueue_frontier(frontier: pa.Table) -> list:
-            """Route frontier rows to their fetch owners."""
-            if frontier.num_rows == 0:
-                return []
-            if sticky:
-                assign = mesh_mod._host_assignment(
-                    frontier["host"].to_pylist(), num_actors, {})
-            else:
-                hh = np.asarray(frontier["url_hash"].to_numpy(
-                    zero_copy_only=False), dtype=np.uint64)
-                assign = (hh % np.uint64(num_actors)).astype(np.int64)
-            futs = []
-            for a in range(num_actors):
-                idx = np.flatnonzero(assign == a)
-                if len(idx):
-                    futs.append(
-                        nodes[a].enqueue.remote(frontier.take(pa.array(idx))))
-            return futs
-
         epoch = 0
         if resume_from is not None:
             frontier, epoch = self._mesh_restore(resume_from, nodes,
                                                  num_actors, sticky)
-            seed_rows = frontier.num_rows
-            ray.get(enqueue_frontier(frontier))
         else:
             # seeds: pre-insert into the owning nodes' seen shards
             # (src/index.ts:267-288), then enqueue each row with its
             # fetch owner
-            paths = getattr(self, "_expanded_paths", None) \
-                or self._expand_paths()
-            urls, roots = [], []
-            for path in paths:
-                if urlkit.is_absolute_url(path):
-                    url = urlkit.normalize_url(path, keep_fragment=False)
-                else:
-                    url = urlkit.normalize_url(
-                        self.corpus_base + path.lstrip("/"),
-                        keep_fragment=False)
-                urls.append(url)
-                roots.append(url)
-            hashes = urlkit.hash64_array(urls)
-            owner_of = (hashes % np.uint64(num_actors)).astype(np.int64)
-            ray.get([nodes[a].seed.remote(hashes[owner_of == a])
-                     for a in range(num_actors) if (owner_of == a).any()])
-            frontier = _frontier_rows(
-                url=urls, url_hash=hashes,
-                host=[urlkit.host_of(u) for u in urls],
-                parent=[""] * len(urls), depth=[0] * len(urls),
-                do_crawl=[True] * len(urls), root_path=roots,
-                attempt=[0] * len(urls), not_before=[0.0] * len(urls))
-            seed_rows = frontier.num_rows
-            ray.get(enqueue_frontier(frontier))
+            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
+            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
+            ray.get([nodes[a].seed.remote(h) for a, h in split_by_owner(
+                hashes, hash_owner(hashes, num_actors), num_actors)])
+        seed_rows = frontier.num_rows
+        owners = mesh_mod.frontier_owner(frontier, num_actors, sticky, {})
+        ray.get([nodes[a].enqueue.remote(piece) for a, piece
+                 in split_by_owner(frontier, owners, num_actors)])
 
         # quiescence: monotonic counters make in-flight messages visible
         # as a sum mismatch; a consistent all-idle snapshot is terminal
@@ -1284,12 +1249,10 @@ class LinkChecker:
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
 
-        _empty_res = schema.empty(schema.RESULTS).append_column(
-            "frontier_level", pa.array([], pa.bool_()))
         results = pa.concat_tables(self.results_tables) \
-            if self.results_tables else _empty_res
+            if self.results_tables else schema.empty(RESULT_ROWS)
         broken_first = pa.concat_tables(self.broken_first_tables) \
-            if self.broken_first_tables else _empty_res
+            if self.broken_first_tables else schema.empty(RESULT_ROWS)
         delay_union: dict[str, float] = {}
         for s in snaps:
             for host, deadline in s["delay_map"].items():
@@ -1368,6 +1331,7 @@ class LinkChecker:
         the child-URL owner derivation)."""
         import ray
 
+        from linkinator_ray.state import mesh as mesh_mod
         from linkinator_ray.state.seen import seen_table_to_blob
         last = ckpt.latest_round(checkpoint_dir)
         if last is None:
@@ -1399,21 +1363,9 @@ class LinkChecker:
         wants = tables.get("pending_fragments")
         want_pieces: list = [None] * num_actors
         if wants is not None and wants.num_rows:
-            # route each want to its target's fetch owner — same
-            # assignment frontier rows use
-            from linkinator_ray.state import mesh as mesh_mod
-            if sticky:
-                hosts = [urlkit.host_of_normalized(u)
-                         for u in wants["target_url"].to_pylist()]
-                assign = mesh_mod._host_assignment(hosts, num_actors, {})
-            else:
-                hashes = urlkit.hash64_arrow(
-                    wants["target_url"].combine_chunks())
-                assign = (hashes % np.uint64(num_actors)).astype(np.int64)
-            for a in range(num_actors):
-                idx = np.flatnonzero(assign == a)
-                if len(idx):
-                    want_pieces[a] = wants.take(pa.array(idx))
+            owners = mesh_mod.want_owner(wants, num_actors, sticky, {})
+            for a, piece in split_by_owner(wants, owners, num_actors):
+                want_pieces[a] = piece
         saved_parts = manifest["extra"].get("node_spill_parts",
                                             [0] * (saved_nodes or num_actors))
         self._inherited_node_floors = list(saved_parts)
@@ -1441,8 +1393,8 @@ class LinkChecker:
 
         url_keys, edge_keys, edge_routes = self._load_key_journal(
             checkpoint_dir, last)
-        url_owner = (url_keys % np.uint64(num_actors)).astype(np.int64)
-        edge_owner = (edge_routes % np.uint64(num_actors)).astype(np.int64)
+        url_owner = hash_owner(url_keys, num_actors)
+        edge_owner = hash_owner(edge_routes, num_actors)
         ray.get([
             nodes[i].restore_keys.remote(
                 url_keys[url_owner == i], edge_keys[edge_owner == i],
@@ -1495,55 +1447,25 @@ class LinkChecker:
 
     # ------------------------------------------------------------------
 
-    def _apply_rewrites(self, frontier: pa.Table) -> pa.Table:
-        return apply_rewrites_table(frontier, self.opts.url_rewrites)
-
-    def _skip_stage(self, frontier: pa.Table, round_no: int):
-        """Frontier-level skip classification (src/index.ts:320-323,
-        :973-985): non-http(s) → SKIPPED status 0; skip rules → SKIPPED
-        status null."""
-        n = frontier.num_rows
-        url_col = frontier["url"]
-        is_http = pc.or_(pc.starts_with(url_col, "http://"),
-                         pc.starts_with(url_col, "https://")) \
-            .combine_chunks().to_numpy(zero_copy_only=False)
-        if callable(self.opts.links_to_skip):
-            fn = self.opts.links_to_skip
-            urls = frontier["url"].to_pylist()
-            rule_skip = np.fromiter((bool(fn(u)) for u in urls), bool, n)
-        elif self._skip_patterns:
-            pats = self._skip_patterns
-            urls = frontier["url"].to_pylist()
-            rule_skip = np.fromiter(
-                (any(p.search(u) for p in pats) for u in urls), bool, n)
-        else:
-            rule_skip = np.zeros(n, dtype=bool)
-        if self.robots.has_rules():
-            allowed = self.robots.allowed
-            urls = frontier["url"].to_pylist()
-            rule_skip |= np.fromiter(
-                (not allowed(u) for u in urls), bool, n)
-        skip_mask = ~is_http | (is_http & rule_skip)
-        if skip_mask.any():
-            urls = frontier["url"].to_pylist()
-            parents = frontier["parent"].to_pylist()
-            idx = np.flatnonzero(skip_mask)
-            self._push_results(
-                round_no,
-                [urls[i] for i in idx],
-                [0 if not is_http[i] else None for i in idx],
-                ["SKIPPED"] * len(idx),
-                [parents[i] for i in idx],
-                frontier_level=[True] * len(idx),
-            )
-            live = frontier.filter(pa.array(~skip_mask))
-        else:
-            live = frontier
-        return live, skip_mask.sum()
-
-    def _politeness_gate(self, frontier: pa.Table, now: float):
-        return politeness_gate_table(frontier, now, self.delay_map,
-                                     self.opts.politeness_delay)
+    def _admit(self, table: pa.Table, now: float, round_no: int):
+        """The driver executors' admission step (``admit_frontier``),
+        booked as "skip": SKIPPED rows go to the results and 'pagestart'
+        fires for every runnable page to crawl. Returns (runnable rows,
+        deferred tables)."""
+        import time as _time
+        t0 = _time.perf_counter()
+        live, skipped, deferred = admit_frontier(
+            table, now, round_no, self.opts, self.skip, self.robots,
+            self.delay_map)
+        if skipped is not None:
+            self._emit(skipped)
+        if self._listeners.get("pagestart") and live.num_rows:
+            do_crawl = live["do_crawl"].to_numpy(zero_copy_only=False)
+            for url in np.asarray(live["url"].to_pylist(),
+                                  dtype=object)[do_crawl]:
+                self._emit_event("pagestart", url)
+        self.timings["skip"] += _time.perf_counter() - t0
+        return live, deferred
 
     def _handle_retries(self, fetched: pa.Table, now: float):
         fetched, requeues, n_retries = compute_requeues(
@@ -1556,161 +1478,35 @@ class LinkChecker:
 
     def _process_fetched(self, fetched: pa.Table, output: dict,
                          round_no: int) -> pa.Table:
-        """Classify, merge actor-side link results, run the dedup joins,
-        build the next frontier."""
-        if fetched.num_rows == 0:
-            return schema.empty(schema.FRONTIER)
-
-        # redirect-skipped rows → SKIPPED results (src/index.ts:370-373)
-        rskip = np.fromiter(
-            (s != "" for s in fetched["redirect_skipped"].to_pylist()),
-            bool, fetched.num_rows)
-        if rskip.any():
-            rows = fetched.filter(pa.array(rskip))
-            self._push_results(
-                round_no, rows["url"].to_pylist(),
-                [None] * rows.num_rows, ["SKIPPED"] * rows.num_rows,
-                rows["parent"].to_pylist(),
-                frontier_level=[True] * rows.num_rows)
-            fetched = fetched.filter(pa.array(~rskip))
-        if fetched.num_rows == 0:
-            return schema.empty(schema.FRONTIER)
-
-        if "state" in fetched.column_names:  # classified inside the actor
-            # results assemble straight from the actor-computed Arrow
-            # columns — no Python list round-trip on the hot path
-            n = fetched.num_rows
-            self._emit(pa.Table.from_arrays([
-                fetched["url"].combine_chunks(),
-                fetched["status"].combine_chunks(),
-                fetched["state"].combine_chunks(),
-                fetched["parent"].combine_chunks(),
-                fetched["failure"].combine_chunks(),
-                pa.array(np.full(n, round_no, dtype=np.int32)),
-                pa.array(np.ones(n, dtype=bool)),
-            ], names=["url", "status", "state", "parent", "failure_details",
-                      "round", "frontier_level"]))
-            self.counters["warn_status"] += int(pc.sum(fetched["warn_status"]).as_py() or 0)
-            self.counters["warn_redirect"] += int(pc.sum(fetched["warn_redirect"]).as_py() or 0)
-            self.counters["warn_insecure"] += int(pc.sum(fetched["warn_insecure"]).as_py() or 0)
-            self._emit_warn_events(
-                fetched,
-                fetched["warn_status"].to_numpy(zero_copy_only=False),
-                fetched["warn_redirect"].to_numpy(zero_copy_only=False),
-                fetched["warn_insecure"].to_numpy(zero_copy_only=False))
-            recurse_html = fetched["recurse_html"].to_numpy(zero_copy_only=False)
-            recurse_css = fetched["recurse_css"].to_numpy(zero_copy_only=False)
-        else:
-            verdict = classify_mod.classify_batch(fetched, self.opts, self.static_host)
-            self.counters["warn_status"] += int(verdict["warn_status"].sum())
-            self.counters["warn_redirect"] += int(verdict["warn_redirect"].sum())
-            self.counters["warn_insecure"] += int(verdict["warn_insecure"].sum())
-            self._emit_warn_events(fetched, verdict["warn_status"],
-                                   verdict["warn_redirect"],
-                                   verdict["warn_insecure"])
-            urls = fetched["url"].to_pylist()
-            parents = fetched["parent"].to_pylist()
-            statuses = fetched["status"].to_numpy(zero_copy_only=False)
-            self._push_results(
-                round_no, urls, statuses.tolist(), verdict["state"].tolist(),
-                parents, failures=verdict["failure"].tolist(),
-                frontier_level=[True] * len(urls))
-            recurse_html = verdict["should_recurse_html"]
-            recurse_css = verdict["should_recurse_css"]
-
-        do_crawl = fetched["do_crawl"].to_numpy(zero_copy_only=False)
-        has_body = fetched["has_body"].to_numpy(zero_copy_only=False)
-        recurse = do_crawl & has_body & (
-            recurse_html | (recurse_css & self.opts.check_css))
-        self.counters["pages_crawled"] += int(recurse.sum())
-
-        # actor-side per-link results (parse errors, link-level skips)
-        link_results = output["link_results"]
-        if link_results.num_rows:
-            n = link_results.num_rows
-            self._emit(pa.Table.from_arrays([
-                link_results["url"].combine_chunks(),
-                link_results["status"].combine_chunks(),
-                link_results["state"].combine_chunks(),
-                link_results["parent"].combine_chunks(),
-                pa.array([""] * n, pa.string()),
-                pa.array(np.full(n, round_no, dtype=np.int32)),
-                pa.array(np.zeros(n, dtype=bool)),
-            ], names=["url", "status", "state", "parent", "failure_details",
-                      "round", "frontier_level"]))
+        """Results, fragment wants and validation, and the dedup joins
+        over one fetched batch; returns the new frontier rows."""
+        results, fetched = assemble_result_tables(
+            fetched, output["link_results"], round_no, self.counters,
+            check_css=self.opts.check_css)
+        for table in results:
+            self._emit(table)
+        self._emit_warn_events(fetched)
 
         # fragment accumulation (A7): merge actor-noted fragments
         pend = output["pending_frags"]
-        if pend.num_rows:
-            for url, frag in zip(pend["target_url"].to_pylist(),
-                                 pend["fragment"].to_pylist()):
-                self.pending_fragments.setdefault(url, set()).add(frag)
+        for url, frag in zip(pend["target_url"].to_pylist(),
+                             pend["fragment"].to_pylist()):
+            self.pending_fragments.setdefault(url, set()).add(frag)
 
-        new_rows = self._enqueue_candidates(output["candidates"])
+        new_rows = schema.empty(schema.FRONTIER)
+        cand = output["candidates"]
+        if cand.num_rows:
+            new_rows, dups, _, _ = dedup_candidates(cand, self.edge_seen,
+                                                    self.seen)
+            if dups.num_rows:
+                self.dup_edge_tables.append(dups)
 
-        if self.opts.check_fragments:
-            states = np.asarray(fetched["state"].to_pylist(), dtype=object) \
-                if "state" in fetched.column_names else verdict["state"]
-            self._validate_fragments(fetched, output["frag_targets"],
-                                     states, recurse_html, round_no)
+        if self.opts.check_fragments and fetched.num_rows:
+            bad = validate_fragment_wants(fetched, output["frag_targets"],
+                                          self.pending_fragments, round_no)
+            if bad is not None:
+                self._emit(bad)
         return new_rows
-
-    def _enqueue_candidates(self, cand: pa.Table) -> pa.Table:
-        """The two global joins of link discovery: edge dedup
-        (relationshipCache, src/index.ts:800-810) and the seen-set
-        anti-join (cache, :812-875). Everything per-link was already
-        prepared inside the fetch actors; this stage is pure batched
-        set-membership + an Arrow filter."""
-        if cand.num_rows == 0:
-            return schema.empty(schema.FRONTIER)
-        edge_hash = np.asarray(
-            cand["edge_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        edge_fresh = ~self.edge_seen.contains_or_insert(edge_hash)
-        url_hash = np.asarray(
-            cand["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        # consult the seen shards only for edge-fresh rows; rows already
-        # edge-deduped must not re-insert their URL
-        url_dup = np.zeros(len(url_hash), dtype=bool)
-        fresh_idx = np.flatnonzero(edge_fresh)
-        if len(fresh_idx):
-            url_dup[fresh_idx] = self.seen.contains_or_insert(url_hash[fresh_idx])
-        dup_mask = edge_fresh & url_dup
-        if dup_mask.any():
-            self.dup_edge_tables.append(
-                cand.filter(pa.array(dup_mask)).select(["url", "parent"]))
-        keep = edge_fresh & ~url_dup
-        if not keep.any():
-            return schema.empty(schema.FRONTIER)
-        cand = cand.filter(pa.array(keep))
-        n = cand.num_rows
-        return pa.Table.from_arrays([
-            cand["url"].combine_chunks(),
-            cand["url_hash"].combine_chunks(),
-            cand["host"].combine_chunks(),
-            cand["parent"].combine_chunks(),
-            cand["depth"].combine_chunks(),
-            cand["do_crawl"].combine_chunks(),
-            cand["root_path"].combine_chunks(),
-            pa.array(np.zeros(n, dtype=np.int32)),
-            pa.array(np.zeros(n, dtype=np.float64)),
-        ], schema=schema.FRONTIER)
-
-    # ------------------------------------------------------------------
-
-    def _validate_fragments(self, fetched: pa.Table, frags: pa.Table,
-                            states: np.ndarray, is_html: np.ndarray,
-                            round_no: int) -> None:
-        rows = validate_fragment_wants(fetched, frags, states, is_html,
-                                       self.pending_fragments)
-        if rows:
-            self._push_results(
-                round_no,
-                [r[0] for r in rows], [r[1] for r in rows],
-                ["BROKEN"] * len(rows), [r[2] for r in rows],
-                failures=[r[3] for r in rows],
-            )
-
-    # ------------------------------------------------------------------
 
     def _duplicate_broken_join(self) -> None:
         """Post-hoc join replacing the in-flight wait at
@@ -1735,17 +1531,9 @@ class LinkChecker:
         joined = dup_edges.join(broken_first, keys=["url"], join_type="inner")
         if joined.num_rows == 0:
             return
-        n = joined.num_rows
-        self._emit(pa.Table.from_arrays([
-            joined["url"].combine_chunks(),
-            joined["status"].combine_chunks(),
-            pa.array(["BROKEN"] * n, pa.string()),
-            joined["parent"].combine_chunks(),
-            joined["failure_details"].combine_chunks(),
-            pa.array(np.full(n, -1, dtype=np.int32)),
-            pa.array(np.zeros(n, dtype=bool)),
-        ], names=["url", "status", "state", "parent", "failure_details",
-                  "round", "frontier_level"]))
+        self._emit(result_rows(-1, False, joined["url"], joined["status"],
+                               "BROKEN", joined["parent"],
+                               joined["failure_details"]))
 
     def _final_results(self) -> pa.Table:
         if not self.results_tables:
@@ -1771,15 +1559,13 @@ class LinkChecker:
             "parent": pa.concat_arrays([t["parent"].combine_chunks() for t in self.dup_edge_tables])
             if self.dup_edge_tables else pa.array([], pa.string()),
         })
-        _empty_res = schema.empty(schema.RESULTS).append_column(
-            "frontier_level", pa.array([], pa.bool_()))
         results = pa.concat_tables(self.results_tables) if self.results_tables \
-            else _empty_res
+            else schema.empty(RESULT_ROWS)
         # spill state: retained frontier-level BROKEN rows from earlier
         # spills (the J1 join input) must survive a crash, and a resumed
         # run must continue numbering parquet parts where it left off
         broken_first = pa.concat_tables(self.broken_first_tables) \
-            if self.broken_first_tables else _empty_res
+            if self.broken_first_tables else schema.empty(RESULT_ROWS)
         delay = pa.table({
             "host": pa.array(list(self.delay_map), pa.string()),
             "deadline": pa.array(list(self.delay_map.values()), pa.float64()),

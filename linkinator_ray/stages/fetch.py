@@ -166,6 +166,55 @@ class MockTransport:
         return TResponse(404, {}, "", "", url)
 
 
+class SkipRules:
+    """linksToSkip (src/index.ts:929-955): regex patterns or one callable.
+    The fetch worker matches them per link and per redirect hop, and the
+    frontier skip stage (pipelines/crawl.py) matches them per batch."""
+
+    def __init__(self, patterns: list[str] | None = None, fn=None):
+        import re
+        self.patterns = [re.compile(p) for p in (patterns or [])]
+        self.fn = fn
+        self._vec_ok: dict[int, bool] = {}
+
+    @classmethod
+    def from_options(cls, opts) -> "SkipRules":
+        rule = opts.links_to_skip
+        return cls(fn=rule) if callable(rule) else cls(rule)
+
+    def __bool__(self) -> bool:
+        return bool(self.patterns) or self.fn is not None
+
+    def should_skip(self, href: str) -> bool:
+        if not href.startswith(("http://", "https://")):
+            return True
+        if self.fn is not None:
+            return bool(self.fn(href))
+        return any(p.search(href) for p in self.patterns)
+
+    def match_vec(self, col) -> np.ndarray:
+        """Vectorized rule matching. RE2-compatible patterns run as
+        Arrow kernels; Python-only patterns (or a callable rule) fall
+        back to the per-row path."""
+        import pyarrow.compute as pc
+        n = len(col)
+        if self.fn is not None:
+            vals = col.to_pylist()
+            return np.fromiter((bool(self.fn(v)) for v in vals), bool, n)
+        hit = np.zeros(n, dtype=bool)
+        for k, pat in enumerate(self.patterns):
+            if self._vec_ok.get(k, True):
+                try:
+                    hit |= pc.match_substring_regex(col, pat.pattern) \
+                        .to_numpy(zero_copy_only=False)
+                    continue
+                except Exception:
+                    self._vec_ok[k] = False
+            vals = col.to_pylist()
+            hit |= np.fromiter((bool(pat.search(v)) for v in vals), bool, n)
+        return hit
+
+
 class FetchWorker:
     """One fetch worker: the per-URL request state machine of
     src/index.ts:344-479 (HEAD→GET fallbacks, manual redirect loop with
@@ -200,8 +249,7 @@ class FetchWorker:
         self.check_fragments = check_fragments
         self.retry = retry
         self.recurse = recurse
-        self.skip_patterns = [re.compile(p) for p in (skip_patterns or [])]
-        self.skip_fn = skip_fn
+        self.skip = SkipRules(skip_patterns, skip_fn)
         self.frag_skip_patterns = [re.compile(p) for p in (frag_skip_patterns or [])]
         self.frag_skip_fn = frag_skip_fn
         self.headers = headers or {}
@@ -214,7 +262,6 @@ class FetchWorker:
         # connection threads only exist when a batch fetches in parallel
         self._extractor = None
         self._pool = None
-        self._skip_vec_ok: dict[int, bool] = {}
 
     def close(self) -> None:
         """Stop the connection threads (their keep-alive connections
@@ -223,23 +270,11 @@ class FetchWorker:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    # -- skip rules (src/index.ts:929-955) --------------------------------
-
-    def has_skip_rules(self) -> bool:
-        return bool(self.skip_patterns) or self.skip_fn is not None
-
-    def should_skip(self, href: str) -> bool:
-        if not href.startswith(("http://", "https://")):
-            return True
-        if self.skip_fn is not None:
-            return bool(self.skip_fn(href))
-        return any(p.search(href) for p in self.skip_patterns)
-
     # -- makeRequest with redirect handling (src/index.ts:1185-1286) ------
 
     def make_request(self, method: str, url: str) -> TResponse:
         manual = self.redirects == RedirectsMode.ERROR
-        per_hop_skip = not manual and self.has_skip_rules()
+        per_hop_skip = not manual and bool(self.skip)
         current = url
         headers = dict(self.headers)
         hops = 0
@@ -250,7 +285,7 @@ class FetchWorker:
             if manual or resp.status not in REDIRECT_STATUSES or not location:
                 return resp
             target = urlkit.normalize_url(urljoin(current, location), keep_fragment=True)
-            if per_hop_skip and self.should_skip(target):
+            if per_hop_skip and self.skip.should_skip(target):
                 resp.redirect_skipped = target
                 resp.body_doc_id = ""
                 return resp
@@ -382,7 +417,7 @@ class FetchWorker:
 
     def _process_links(self, page_url: str, root_path: str, depth: int,
                        links: list[dict], out: "_BatchAccumulator") -> None:
-        has_rules = self.has_skip_rules()
+        has_rules = bool(self.skip)
         root_meta = out.root_meta.get(root_path)
         if root_meta is None:
             host = urlkit.host_of(root_path)
@@ -400,7 +435,7 @@ class FetchWorker:
             wfrag = link["url_with_fragment"] or url
             # fragment-full skip rule (src/index.ts:732-752)
             if has_rules and url.startswith(("http://", "https://")) \
-                    and self.should_skip(wfrag):
+                    and self.skip.should_skip(wfrag):
                 out.link_results.append((wfrag, None, "SKIPPED", page_url))
                 continue
             # fragment tracking (src/index.ts:754-784) — the URL is
@@ -612,12 +647,12 @@ class FetchWorker:
             live &= ~perr
 
         # fragment-full skip rule (src/index.ts:732-752)
-        if self.has_skip_rules():
+        if self.skip:
             wfrag = links["url_with_fragment"].combine_chunks()
             is_http = pc.or_(pc.starts_with(url_col, "http://"),
                              pc.starts_with(url_col, "https://")) \
                 .to_numpy(zero_copy_only=False)
-            rule_hit = self._match_skip_vec(wfrag)
+            rule_hit = self.skip.match_vec(wfrag)
             skip_mask = live & is_http & rule_hit
             if skip_mask.any():
                 sel = pa.array(np.flatnonzero(skip_mask))
@@ -686,29 +721,6 @@ class FetchWorker:
             for pos, u in zip(misses, raw):
                 hosts[pos] = urlkit.host_of_normalized(u)
         return hosts
-
-    def _match_skip_vec(self, col) -> np.ndarray:
-        """Vectorized skip-rule matching. RE2-compatible patterns run as
-        Arrow kernels; Python-only patterns (or a callable rule) fall
-        back to the per-row path."""
-        import pyarrow.compute as pc
-        n = len(col)
-        if self.skip_fn is not None:
-            vals = col.to_pylist()
-            return np.fromiter((bool(self.skip_fn(v)) for v in vals), bool, n)
-        hit = np.zeros(n, dtype=bool)
-        for k, pat in enumerate(self.skip_patterns):
-            ok = self._skip_vec_ok.get(k, True)
-            if ok:
-                try:
-                    hit |= pc.match_substring_regex(col, pat.pattern) \
-                        .to_numpy(zero_copy_only=False)
-                    continue
-                except Exception:
-                    self._skip_vec_ok[k] = False
-            vals = col.to_pylist()
-            hit |= np.fromiter((bool(pat.search(v)) for v in vals), bool, n)
-        return hit
 
     def _classify_in_actor(self, fetched: pa.Table) -> pa.Table:
         """Run M17-M20 classification + the retryErrors gate inside the
@@ -833,7 +845,24 @@ def sticky_assignment(hosts: list[str], url_hash, num_actors: int, *,
             uh = np.asarray(url_hash, dtype=np.uint64)
             base = base.copy()
             base[hot] += uh[hot] % ks[hot]
-    return (base % np.uint64(num_actors)).astype(np.int64)
+    return hash_owner(base, num_actors)
+
+
+def hash_owner(hashes, num_owners: int) -> np.ndarray:
+    """``hash % K``: the owner of each u64 key (fetch worker, seen or
+    edge shard, mesh node)."""
+    return (np.asarray(hashes, dtype=np.uint64)
+            % np.uint64(num_owners)).astype(np.int64)
+
+
+def split_by_owner(data, owner: np.ndarray, num_owners: int):
+    """Yield ``(owner, its rows)`` for every owner with at least one
+    row. ``data`` is an Arrow table or a numpy array; rows keep their
+    order within each piece (scripted sequences rely on it)."""
+    for a in range(num_owners):
+        idx = np.flatnonzero(owner == a)
+        if len(idx):
+            yield a, data.take(idx)
 
 
 class FetchPool:
@@ -891,6 +920,18 @@ class FetchPool:
         return {k: schema.empty(getattr(schema, s))
                 for k, s in self.EMPTY_KEYS.items()}
 
+    def owners(self, frontier: pa.Table, counts: dict | None = None) -> np.ndarray:
+        """The worker index of every frontier row: host-sticky (hot
+        hosts salted, ``sticky_assignment``) or balanced by url_hash.
+        ``counts`` carries per-host totals across calls (pipelined)."""
+        url_hash = frontier["url_hash"].to_numpy(zero_copy_only=False)
+        if self.sticky_hosts:
+            return sticky_assignment(
+                frontier["host"].to_pylist(), url_hash, self.num_actors,
+                scripted=self.scripted, salt_threshold=self.salt_threshold,
+                counts=counts)
+        return hash_owner(url_hash, self.num_actors)
+
     def submit(self, actor_index: int, batch: pa.Table,
                pending_fragment_urls: list[str], now: float):
         """Async dispatch of one batch to one actor (pipelined mode)."""
@@ -905,24 +946,11 @@ class FetchPool:
         if not self.use_ray:
             return self._worker.fetch_batch(frontier, pending, now)
         import ray
-        if self.sticky_hosts:
-            assignment = sticky_assignment(
-                frontier["host"].to_pylist(),
-                frontier["url_hash"].to_numpy(zero_copy_only=False),
-                self.num_actors, scripted=self.scripted,
-                salt_threshold=self.salt_threshold)
-        else:
-            key_hash = np.asarray(
-                frontier["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-            assignment = (key_hash % np.uint64(self.num_actors)).astype(np.int64)
-        futures = []
         workers = self.lease.wait()
-        for a in range(self.num_actors):
-            idx = np.flatnonzero(assignment == a)
-            if len(idx):
-                piece = frontier.take(pa.array(idx))
-                futures.append(workers[a].fetch_batch.remote(piece, pending, now))
-        outputs = ray.get(futures)
+        outputs = ray.get([
+            workers[a].fetch_batch.remote(piece, pending, now)
+            for a, piece in split_by_owner(frontier, self.owners(frontier),
+                                           self.num_actors)])
         if not outputs:
             return self._empty()
         # per-round tables stay chunked (≤ K chunks — no pathology);

@@ -40,8 +40,10 @@ set), duplicate-broken re-reporting input (:840-875), retry handling
 validated at target fetch (:754-784, :616-673). robots.txt rules are
 compiled per node from the corpus. Checkpoints are driver-coordinated
 epoch snapshots (pause → settle → snapshot every node → one atomic
-write → resume); resume requires the same node count (filters are
-hash-sharded). Every LinkChecker feature runs in this mode.
+write → resume); a resume at a different node count rebuilds the
+filters from the checkpoint's key journal. Every LinkChecker feature
+runs in this mode, through the same frontier-stage kernels as the
+driver executors (pipelines/crawl.py).
 
 Scale notes: the frontier queue spills to node-local parquet past
 ``mesh_frontier_spill_rows`` (FIFO tail out, parts reloaded as the head
@@ -60,6 +62,7 @@ import numpy as np
 import pyarrow as pa
 
 from linkinator_ray import schema, urlkit
+from linkinator_ray.stages.fetch import hash_owner, split_by_owner
 from linkinator_ray.state.seen import SeenShard
 
 
@@ -72,6 +75,28 @@ def _host_assignment(hosts: list[str], num_nodes: int,
             a = memo[h] = int(urlkit.hash64(h) % num_nodes)
         out[i] = a
     return out
+
+
+def frontier_owner(frontier: pa.Table, num_nodes: int, sticky: bool,
+                   memo: dict) -> np.ndarray:
+    """The node that fetches each frontier row: its host's home node in
+    sticky mode, else its url_hash owner (so a fresh URL's dedup owner
+    fetches it, with no extra hop)."""
+    if sticky:
+        return _host_assignment(frontier["host"].to_pylist(), num_nodes, memo)
+    return hash_owner(frontier["url_hash"].to_numpy(zero_copy_only=False),
+                      num_nodes)
+
+
+def want_owner(wants: pa.Table, num_nodes: int, sticky: bool,
+               memo: dict) -> np.ndarray:
+    """The node that will fetch each fragment want's target page — the
+    owner ``frontier_owner`` gives that page's row."""
+    urls = wants["target_url"].combine_chunks()
+    if sticky:
+        return _host_assignment([urlkit.host_of_normalized(u)
+                                 for u in urls.to_pylist()], num_nodes, memo)
+    return hash_owner(urlkit.hash64_arrow(urls), num_nodes)
 
 
 class MeshNode:
@@ -96,7 +121,6 @@ class MeshNode:
                                   **worker_kwargs)
         self.opts = worker_kwargs["classify_opts"]
         self.batch_cap = opts_blob.get("batch_cap", 16384)
-        self.rewrites = self.opts.url_rewrites or []
         self.rng = np.random.default_rng(opts_blob.get("jitter_seed", 42)
                                          + actor_id)
         self.sticky_hosts = sticky_hosts
@@ -409,58 +433,30 @@ class MeshNode:
     # -- dedup + frontier routing (the shard role) -------------------------
 
     def _accept_candidates(self, cand: pa.Table) -> None:
-        """Edge dedup → URL dedup → fresh rows to their fetch owners.
-        Mirrors the driver joins (crawl._enqueue_candidates): edge-fresh
-        rows only consult/insert the URL set; (url, parent) duplicates
-        whose URL is already seen are retained for the J1 join."""
-        edge_hash = np.asarray(
-            cand["edge_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        edge_fresh = ~self.edge_seen.contains_or_insert(edge_hash)
-        url_hash = np.asarray(
-            cand["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        url_dup = np.zeros(len(url_hash), dtype=bool)
-        fresh_idx = np.flatnonzero(edge_fresh)
-        if len(fresh_idx):
-            url_dup[fresh_idx] = self.url_seen.contains_or_insert(
-                url_hash[fresh_idx])
+        """The dedup joins over this node's key range (crawl
+        ``dedup_candidates``), then fresh rows to their fetch owners;
+        (url, parent) duplicates of seen URLs are kept for the J1 join."""
+        from linkinator_ray.pipelines.crawl import dedup_candidates
+        frontier, dups, edge_fresh, keep = dedup_candidates(
+            cand, self.edge_seen, self.url_seen)
         if self.journal_keys:
+            url_hash = cand["url_hash"].to_numpy(zero_copy_only=False)
             if edge_fresh.any():
-                self._jr_edge_key.append(edge_hash[edge_fresh])
+                self._jr_edge_key.append(cand["edge_hash"].to_numpy(
+                    zero_copy_only=False)[edge_fresh])
                 self._jr_edge_route.append(url_hash[edge_fresh])
-            ins = edge_fresh & ~url_dup
-            if ins.any():
-                self._jr_url.append(url_hash[ins])
-        dup_mask = edge_fresh & url_dup
-        if dup_mask.any():
-            self.dup_edges.append(
-                cand.filter(pa.array(dup_mask)).select(["url", "parent"]))
-        keep = edge_fresh & ~url_dup
-        if not keep.any():
+            if keep.any():
+                self._jr_url.append(url_hash[keep])
+        if dups.num_rows:
+            self.dup_edges.append(dups)
+        if not frontier.num_rows:
             return
-        rows = cand.filter(pa.array(keep))
-        n = rows.num_rows
-        frontier = pa.Table.from_arrays([
-            rows["url"].combine_chunks(),
-            rows["url_hash"].combine_chunks(),
-            rows["host"].combine_chunks(),
-            rows["parent"].combine_chunks(),
-            rows["depth"].combine_chunks(),
-            rows["do_crawl"].combine_chunks(),
-            rows["root_path"].combine_chunks(),
-            pa.array(np.zeros(n, dtype=np.int32)),
-            pa.array(np.zeros(n, dtype=np.float64)),
-        ], schema=schema.FRONTIER)
         if not self.sticky_hosts:
             # balanced mode: the url_hash owner IS the fetch owner
             self._append_local(frontier)
             return
-        assign = _host_assignment(rows["host"].to_pylist(),
-                                  self.num_nodes, self.host_memo)
-        for a in range(self.num_nodes):
-            idx = np.flatnonzero(assign == a)
-            if not len(idx):
-                continue
-            piece = frontier.take(pa.array(idx))
+        owners = frontier_owner(frontier, self.num_nodes, True, self.host_memo)
+        for a, piece in split_by_owner(frontier, owners, self.num_nodes):
             if a == self.actor_id:
                 self._append_local(piece)
             else:
@@ -528,14 +524,19 @@ class MeshNode:
             self._schedule_pump()
 
     def _process(self, batch: pa.Table, now: float) -> None:
-        from linkinator_ray.pipelines.crawl import (assemble_result_tables,
+        from linkinator_ray.pipelines.crawl import (admit_frontier,
+                                                    assemble_result_tables,
                                                     compute_requeues,
                                                     validate_fragment_wants)
-        batch = self._apply_rewrites(batch)
         with self.lock:
-            batch = self._skip_stage(batch)
-            batch = self._politeness_gate(batch, now)
-            pending_list = list(self.pending_fragments)                 if self.opts.check_fragments else []
+            batch, skipped, deferred = admit_frontier(
+                batch, now, self.counters["rounds"], self.opts,
+                self.worker.skip, self.robots, self.delay_map)
+            if skipped is not None:
+                self.results_buf.append(skipped)
+            self.deferred.extend(deferred)
+            pending_list = list(self.pending_fragments) \
+                if self.opts.check_fragments else []
         if batch.num_rows == 0:
             return
         # the long fetch/extract section runs WITHOUT the lock so peer
@@ -558,27 +559,11 @@ class MeshNode:
                 # validate now — identical ordering to the driver loop
                 self._route_wants(output["pending_frags"])
                 if remaining.num_rows:
-                    states = np.asarray(remaining["state"].to_pylist(),
-                                        dtype=object)
-                    is_html = remaining["recurse_html"].to_numpy(
-                        zero_copy_only=False)
                     bad = validate_fragment_wants(
-                        remaining, output["frag_targets"], states, is_html,
-                        self.pending_fragments)
-                    if bad:
-                        k = len(bad)
-                        self.results_buf.append(pa.Table.from_arrays([
-                            pa.array([r[0] for r in bad], pa.string()),
-                            pa.array([r[1] for r in bad], pa.int32()),
-                            pa.array(["BROKEN"] * k, pa.string()),
-                            pa.array([r[2] for r in bad], pa.string()),
-                            pa.array([r[3] for r in bad], pa.string()),
-                            pa.array(np.full(k, self.counters["rounds"],
-                                             dtype=np.int32)),
-                            pa.array(np.zeros(k, dtype=bool)),
-                        ], names=["url", "status", "state", "parent",
-                                  "failure_details", "round",
-                                  "frontier_level"]))
+                        remaining, output["frag_targets"],
+                        self.pending_fragments, self.counters["rounds"])
+                    if bad is not None:
+                        self.results_buf.append(bad)
             self._route_candidates(output["candidates"])
             self._maybe_spill_results()
 
@@ -611,55 +596,6 @@ class MeshNode:
             self.counters["spilled_rows"] =                 self.counters.get("spilled_rows", 0) + spill.num_rows
         self.results_buf = [keep] if keep.num_rows else []
 
-    def _apply_rewrites(self, batch: pa.Table) -> pa.Table:
-        from linkinator_ray.pipelines.crawl import apply_rewrites_table
-        return apply_rewrites_table(batch, self.rewrites)
-
-    def _skip_stage(self, batch: pa.Table) -> pa.Table:
-        """Frontier-level skip classification (src/index.ts:320-323):
-        non-http(s) → SKIPPED status 0; skip rules → SKIPPED status null."""
-        import pyarrow.compute as pc
-        n = batch.num_rows
-        url_col = batch["url"].combine_chunks()
-        is_http = pc.or_(pc.starts_with(url_col, "http://"),
-                         pc.starts_with(url_col, "https://")) \
-            .to_numpy(zero_copy_only=False)
-        if self.worker.has_skip_rules():
-            rule_skip = self.worker._match_skip_vec(url_col)
-        else:
-            rule_skip = np.zeros(n, dtype=bool)
-        if self.robots.has_rules():
-            allowed = self.robots.allowed
-            urls = url_col.to_pylist()
-            rule_skip |= np.fromiter((not allowed(u) for u in urls), bool, n)
-        skip_mask = ~is_http | (is_http & rule_skip)
-        if not skip_mask.any():
-            return batch
-        rows = batch.filter(pa.array(skip_mask))
-        k = rows.num_rows
-        statuses = [0 if not h else None for h in is_http[skip_mask]]
-        self.results_buf.append(pa.Table.from_arrays([
-            rows["url"].combine_chunks(),
-            pa.array(statuses, pa.int32()),
-            pa.array(["SKIPPED"] * k, pa.string()),
-            rows["parent"].combine_chunks(),
-            pa.array([""] * k, pa.string()),
-            pa.array(np.full(k, self.counters["rounds"], dtype=np.int32)),
-            pa.array(np.ones(k, dtype=bool)),
-        ], names=["url", "status", "state", "parent", "failure_details",
-                  "round", "frontier_level"]))
-        return batch.filter(pa.array(~skip_mask))
-
-    def _politeness_gate(self, batch: pa.Table, now: float) -> pa.Table:
-        """Host Retry-After deadlines + optional per-host stagger —
-        owner-local (this node IS the host's home in sticky mode).
-        Shared kernel with the driver modes (exact-equality contract)."""
-        from linkinator_ray.pipelines.crawl import politeness_gate_table
-        live, deferred = politeness_gate_table(
-            batch, now, self.delay_map, self.opts.politeness_delay)
-        self.deferred.extend(t for t in deferred if t.num_rows)
-        return live
-
     def _route_wants(self, wants: pa.Table) -> None:
         """Route fragment wants to the node that will FETCH the target
         (host owner in sticky mode, url_hash owner in balanced mode —
@@ -668,19 +604,9 @@ class MeshNode:
         mode ordering)."""
         if wants.num_rows == 0:
             return
-        if self.sticky_hosts:
-            hosts = [urlkit.host_of_normalized(u)
-                     for u in wants["target_url"].to_pylist()]
-            assign = _host_assignment(hosts, self.num_nodes, self.host_memo)
-        else:
-            hashes = urlkit.hash64_arrow(
-                wants["target_url"].combine_chunks())
-            assign = (hashes % np.uint64(self.num_nodes)).astype(np.int64)
-        for a in range(self.num_nodes):
-            idx = np.flatnonzero(assign == a)
-            if not len(idx):
-                continue
-            piece = wants.take(pa.array(idx))
+        owners = want_owner(wants, self.num_nodes, self.sticky_hosts,
+                            self.host_memo)
+        for a, piece in split_by_owner(wants, owners, self.num_nodes):
             if a == self.actor_id:
                 self._register_wants(piece)
             else:
@@ -689,14 +615,9 @@ class MeshNode:
     def _route_candidates(self, cand: pa.Table) -> None:
         if cand.num_rows == 0:
             return
-        url_hash = np.asarray(
-            cand["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        owner = (url_hash % np.uint64(self.num_nodes)).astype(np.int64)
-        for a in range(self.num_nodes):
-            idx = np.flatnonzero(owner == a)
-            if not len(idx):
-                continue
-            piece = cand.take(pa.array(idx))
+        owners = hash_owner(cand["url_hash"].to_numpy(zero_copy_only=False),
+                            self.num_nodes)
+        for a, piece in split_by_owner(cand, owners, self.num_nodes):
             if a == self.actor_id:
                 self._accept_candidates(piece)
             else:

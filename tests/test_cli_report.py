@@ -156,10 +156,13 @@ def test_render_text_totals_unfiltered(broke_result):
     assert "[FAIL]" in out
 
 
-def test_event_listener_surface():
+@pytest.mark.parametrize("pipelined", [False, True],
+                         ids=["rounds", "pipelined"])
+def test_event_listener_surface(pipelined, request):
     """§2.8 parity: link / pagestart / redirect / retry /
     statusCodeWarning events fire at the reference's emit points
-    (src/index.ts:496, :546, :614, :677, :1058)."""
+    (src/index.ts:496, :546, :614, :677, :1058), in both driver
+    executors."""
     from linkinator_ray.state.clock import FakeClock
     events = {"link": [], "pagestart": [], "redirect": [], "retry": [],
               "statusCodeWarning": []}
@@ -175,9 +178,13 @@ def test_event_listener_surface():
         fx.http("http://flaky.invalid/x", 200, seq=1),
         fx.http("http://warny.invalid/y", 403),
     ]
+    if pipelined:
+        request.getfixturevalue("ray_session")
     opts = CheckOptions(paths=["ev/index.html"], recurse=True, retry=True,
-                        redirects="warn", status_codes={"403": "warn"})
-    checker = LinkChecker(opts, docs, http_map, clock=FakeClock())
+                        redirects="warn", status_codes={"403": "warn"},
+                        pipelined=pipelined)
+    checker = LinkChecker(opts, docs, http_map, clock=FakeClock(),
+                          use_ray=pipelined)
     for name, bucket in events.items():
         checker.on(name, bucket.append)
     result = checker.check()

@@ -14,18 +14,28 @@ def key_set(res):
 
 
 def test_ray_mode_matches_local(ray_session):
-    for builder in (fx.recurse, fx.repeated_broken_link, fx.css_fixture):
-        fixture = builder()
+    """Every fixture gives the local rounds result on Ray rounds,
+    pipelined and mesh. The executor loop is outermost so that each
+    executor's leased actors serve all fixtures in a row."""
+    fixtures = {name: builder() for name, builder in fx.ALL.items()}
+
+    def run(fixture, use_ray, **mode):
         opts = CheckOptions(paths=fixture.seeds, **fixture.options,
-                            fetch_concurrency=2, seen_shards=2)
-        local = LinkChecker(opts, fixture.documents, fixture.http_map,
-                            use_ray=False).check()
-        opts2 = CheckOptions(paths=fixture.seeds, **fixture.options,
-                             fetch_concurrency=2, seen_shards=2)
-        distributed = LinkChecker(opts2, fixture.documents, fixture.http_map,
-                                  use_ray=True).check()
-        assert key_set(local) == key_set(distributed), fixture.name
-        assert local.passed == distributed.passed
+                            fetch_concurrency=2, seen_shards=2, **mode)
+        return LinkChecker(opts, fixture.documents, fixture.http_map,
+                           use_ray=use_ray).check()
+
+    local = {name: run(f, False) for name, f in fixtures.items()}
+    mismatches = []
+    for executor, mode in (("rounds", {}), ("pipelined", {"pipelined": True}),
+                           ("mesh", {"mesh": True})):
+        for name, fixture in fixtures.items():
+            res = run(fixture, True, **mode)
+            assert res.stats["executor"] == executor
+            if key_set(res) != key_set(local[name]) \
+                    or res.passed != local[name].passed:
+                mismatches.append((executor, name))
+    assert not mismatches
 
 
 def test_ray_mode_retry(ray_session):
