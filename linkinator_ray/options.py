@@ -151,18 +151,6 @@ class CheckOptions:
                 raise ValueError(f"invalid url rewrite: {rw!r}")
         self.url_rewrites = rewrites
 
-    # --- skip predicates (src/index.ts:929-971) ---
-
-    def compiled_skips(self) -> list[re.Pattern]:
-        if callable(self.links_to_skip):
-            return []
-        return [re.compile(p) for p in self.links_to_skip]
-
-    def compiled_fragment_skips(self) -> list[re.Pattern]:
-        if callable(self.fragments_to_skip):
-            return []
-        return [re.compile(p) for p in self.fragments_to_skip]
-
 
 VALID_CONFIG_EXTENSIONS = (".js", ".mjs", ".cjs", ".json", ".toml")
 

@@ -372,9 +372,10 @@ def admit_frontier(table: pa.Table, now: float, round_no: int,
                    opts: CheckOptions, skip: SkipRules, robots,
                    delay_map: dict):
     """The admission step every executor runs on frontier rows before
-    they are fetched: rewrite → skip → politeness gate. Returns
-    ``(runnable rows, SKIPPED result rows or None, deferred tables)``."""
-    table = apply_rewrites_table(table, opts.url_rewrites)
+    they are fetched: skip → politeness gate, on rows that have already
+    been through ``apply_rewrites_table`` (kept apart so the mesh node
+    rewrites outside its lock). Returns ``(runnable rows, SKIPPED result
+    rows or None, deferred tables)``."""
     live, skipped = skip_stage_table(table, skip, robots, round_no)
     live, deferred = politeness_gate_table(live, now, delay_map,
                                            opts.politeness_delay)
@@ -542,8 +543,11 @@ class LinkChecker:
 
     def _emit_warn_events(self, fetched: pa.Table) -> None:
         """Row-level warning events off the actor-classified masks
-        (statusCodeWarning :496, redirect :546, httpInsecure :601)."""
-        if not (self._listeners.get("statusCodeWarning")
+        (statusCodeWarning :496, redirect :546, httpInsecure :601).
+        An empty batch may lack the warn_* columns (``FetchPool._empty``
+        when admission left nothing to fetch)."""
+        if fetched.num_rows == 0 or not (
+                self._listeners.get("statusCodeWarning")
                 or self._listeners.get("redirect")
                 or self._listeners.get("httpInsecure")):
             return
@@ -1448,15 +1452,15 @@ class LinkChecker:
     # ------------------------------------------------------------------
 
     def _admit(self, table: pa.Table, now: float, round_no: int):
-        """The driver executors' admission step (``admit_frontier``),
-        booked as "skip": SKIPPED rows go to the results and 'pagestart'
-        fires for every runnable page to crawl. Returns (runnable rows,
-        deferred tables)."""
+        """The driver executors' admission step (rewrite, then
+        ``admit_frontier``), booked as "skip": SKIPPED rows go to the
+        results and 'pagestart' fires for every runnable page to crawl.
+        Returns (runnable rows, deferred tables)."""
         import time as _time
         t0 = _time.perf_counter()
         live, skipped, deferred = admit_frontier(
-            table, now, round_no, self.opts, self.skip, self.robots,
-            self.delay_map)
+            apply_rewrites_table(table, self.opts.url_rewrites), now,
+            round_no, self.opts, self.skip, self.robots, self.delay_map)
         if skipped is not None:
             self._emit(skipped)
         if self._listeners.get("pagestart") and live.num_rows:

@@ -525,9 +525,11 @@ class MeshNode:
 
     def _process(self, batch: pa.Table, now: float) -> None:
         from linkinator_ray.pipelines.crawl import (admit_frontier,
+                                                    apply_rewrites_table,
                                                     assemble_result_tables,
                                                     compute_requeues,
                                                     validate_fragment_wants)
+        batch = apply_rewrites_table(batch, self.opts.url_rewrites)
         with self.lock:
             batch, skipped, deferred = admit_frontier(
                 batch, now, self.counters["rounds"], self.opts,

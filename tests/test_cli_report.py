@@ -199,6 +199,28 @@ def test_event_listener_surface(pipelined, request):
                for e in events["statusCodeWarning"])
 
 
+@pytest.mark.parametrize("pipelined", [False, True],
+                         ids=["rounds", "pipelined"])
+def test_warn_listeners_on_all_skipped_round(pipelined, request):
+    """A round whose frontier is all skipped links fetches nothing; the
+    redirect / statusCodeWarning / httpInsecure listeners (the CLI's
+    text format registers the first two) must not trip over the empty
+    batch."""
+    if pipelined:
+        request.getfixturevalue("ray_session")
+    f = fx.protocols()
+    checker = LinkChecker(
+        CheckOptions(paths=f.seeds, pipelined=pipelined, **f.options),
+        f.documents, f.http_map, use_ray=pipelined)
+    events = []
+    for name in ("redirect", "statusCodeWarning", "httpInsecure"):
+        checker.on(name, events.append)
+    result = checker.check()
+    assert result.passed and events == []
+    states = result.results.column("state").to_pylist()
+    assert states.count("SKIPPED") == 3
+
+
 def test_cli_live_retry_redirect_lines(tmp_path):
     """CLI text mode renders live retry/redirect/warn lines like the
     reference (src/cli.ts:253-267)."""
