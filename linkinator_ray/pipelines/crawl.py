@@ -520,6 +520,8 @@ class LinkChecker:
                         "process": 0.0}
         self._leases: list = []
         self._executor = ""
+        # mesh only: each node's busy seconds and pump count
+        self._mesh_stats: dict | None = None
         # §2.8 event-listener parity: the reference's 'link' events become
         # a per-batch callback over each appended results table
         self.on_results = on_results
@@ -851,18 +853,17 @@ class LinkChecker:
         total_broken = results.filter(
             pc.equal(results["state"], "BROKEN")).num_rows \
             + self.counters.get("spilled_broken", 0)
-        return CrawlResult(
-            passed=total_broken == 0,
-            results=results,
-            stats=dict(self.counters, broken=total_broken,
-                       seen_urls=self.seen.size(),
-                       results_dir=self.opts.results_dir,
-                       timings={k: round(v, 3) for k, v in self.timings.items()},
-                       executor=self._executor,
-                       actors={"spawned": sum(x.spawned for x in self._leases),
-                               "reused": sum(x.reused for x in self._leases)}),
-            call_log=pool.call_log(),
-        )
+        stats = dict(self.counters, broken=total_broken,
+                     seen_urls=self.seen.size(),
+                     results_dir=self.opts.results_dir,
+                     timings={k: round(v, 3) for k, v in self.timings.items()},
+                     executor=self._executor,
+                     actors={"spawned": sum(x.spawned for x in self._leases),
+                             "reused": sum(x.reused for x in self._leases)})
+        if self._mesh_stats is not None:
+            stats["mesh"] = self._mesh_stats
+        return CrawlResult(passed=total_broken == 0, results=results,
+                           stats=stats, call_log=pool.call_log())
 
     # ------------------------------------------------------------------
     # pipelined execution — the reference's continuous queue, Ray-shaped
@@ -1171,6 +1172,8 @@ class LinkChecker:
         for counters in last_counters:
             for key, val in counters.items():
                 self.counters[key] = self.counters.get(key, 0) + val
+        self._mesh_stats = {"busy_sec": [p["busy_sec"] for p in polls],
+                            "pumps": [p["counters"]["rounds"] for p in polls]}
         dup_lists = ray.get([n.drain_dups.remote() for n in nodes])
         self.dup_edge_tables.extend(t for t in dup_lists if t.num_rows)
         seen_size = sum(p["seen_size"] for p in polls)

@@ -18,13 +18,14 @@ Lance when importable.
 
 from __future__ import annotations
 
-import posixpath
 from urllib.parse import unquote, urlsplit
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from linkinator_ray import schema
+from linkinator_ray import schema, urlkit
 
 MIME_BY_EXT = {
     ".html": "text/html", ".htm": "text/html", ".xhtml": "application/xhtml+xml",
@@ -37,26 +38,30 @@ MIME_BY_EXT = {
     ".pdf": "application/pdf", ".xml": "application/xml",
 }
 DEFAULT_MIME = "application/octet-stream"
-_MISSING = object()
+
+# one resolved corpus request per row (CorpusIndex.resolve_many)
+RESOLUTIONS = pa.schema([
+    ("on_corpus", pa.bool_()),      # False: the URL is not a corpus URL
+    ("status", pa.int32()),         # 200 | 301 | 404 (0 off the corpus)
+    ("doc_id", pa.string()),        # '' unless 200
+    ("content_type", pa.string()),
+    ("location", pa.string()),      # the 301's target path
+    ("row", pa.int64()),            # documents row of doc_id, -1 if none
+])
 
 
-def _blake8(text: str) -> int:
-    """C-speed 64-bit hash for the corpus index structures (internal to
-    CorpusIndex — scalar lookups must stay sub-microsecond)."""
-    import hashlib
-    return int.from_bytes(
-        hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(),
-        "little")
-
-
-def content_type_for(doc_id: str, markdown_as_html: bool = False) -> str:
-    ext = posixpath.splitext(doc_id)[1].lower()
-    mime = MIME_BY_EXT.get(ext, DEFAULT_MIME)
-    if markdown_as_html and mime == "text/markdown":
+def content_types(doc_ids: pa.Array, markdown_as_html: bool = False) -> pa.Array:
+    """MIME type by extension of each doc_id (the last ``.ext`` of the
+    file name, not counting leading dots, as ``posixpath.splitext``)."""
+    ext = pc.utf8_lower(pc.struct_field(
+        pc.extract_regex(doc_ids, r"[^/.][^/]*(?P<ext>\.[^./]*)$"), "ext"))
+    mimes = list(MIME_BY_EXT.values())
+    if markdown_as_html:
         # the reference compiles .md/.mdx to HTML before serving
         # (src/server.ts:147-165) when markdown mode is on
-        return "text/html"
-    return mime
+        mimes = ["text/html" if m == "text/markdown" else m for m in mimes]
+    pos = pc.index_in(ext, value_set=pa.array(list(MIME_BY_EXT)))
+    return pc.fill_null(pa.array(mimes, pa.string()).take(pos), DEFAULT_MIME)
 
 
 def read_documents(path: str, *, columns: list[str] | None = None):
@@ -74,26 +79,16 @@ def write_documents(table: pa.Table, path: str) -> None:
     pq.write_table(table, path)
 
 
-class Resolution:
-    """Outcome of resolving a corpus URL path (one 'request')."""
-
-    __slots__ = ("status", "doc_id", "content_type", "location")
-
-    def __init__(self, status: int, doc_id: str = "", content_type: str = "",
-                 location: str = ""):
-        self.status = status
-        self.doc_id = doc_id
-        self.content_type = content_type
-        self.location = location
-
-
 class CorpusIndex:
     """doc_id → row lookup + the static-server path rules.
 
-    Small corpora (fixtures, per-host shards) are held as a dict; the
-    at-scale path for a 100 TB corpus is a hash-join of the frontier
-    against the documents Dataset on doc_id (SURVEY.md §2.4 J4) — the
-    interface is the same, so the crawl driver can swap resolvers.
+    The doc ids sit in a sorted index of their 64-bit FNV hashes
+    (``urlkit.hash64_arrow``) with the permutation back to table rows;
+    a lookup is one batch ``searchsorted`` probe, string-verified
+    against the doc_id column. ``resolve_many`` answers a whole batch
+    of requests in one vectorized pass. At 100 TB scale the same probe
+    becomes a hash-join of the frontier against the documents Dataset on
+    doc_id (SURVEY.md §2.4 J4) behind the same interface.
     """
 
     LISTING_PREFIX = "\x00listing:"
@@ -113,80 +108,64 @@ class CorpusIndex:
         if documents is None:
             documents = schema.empty(schema.DOCUMENTS)
         self._table = documents.combine_chunks()
-        self._spans_col = self._table["spans"].combine_chunks() \
-            if documents.num_rows else None
-        self._ids_col = self._table["doc_id"].combine_chunks() \
-            if documents.num_rows else None
-        if prebuilt is not None:
-            # zero-copy index structures shipped through the object
-            # store: actor __init__ pays ~0 instead of rebuilding a
-            # 10^6-entry dict per actor per crawl
-            self._id_hash_sorted = prebuilt["id_hash_sorted"]
-            self._id_perm = prebuilt["id_perm"]
-            self._dir_hash_sorted = prebuilt["dir_hash_sorted"]
-            self._hosts = set(prebuilt["hosts"])
-        else:
-            blob = build_corpus_index_blob(self._table, multi_host)
-            self._id_hash_sorted = blob["id_hash_sorted"]
-            self._id_perm = blob["id_perm"]
-            self._dir_hash_sorted = blob["dir_hash_sorted"]
-            self._hosts = set(blob["hosts"])
-        if not multi_host:
-            self._hosts = set()
-        self._row_cache: dict = {}
+        self._spans_col = self._table["spans"].combine_chunks()
+        self._ids_col = self._table["doc_id"].combine_chunks()
+        # zero-copy index structures shipped through the object store
+        # (actor __init__ pays ~0), or built here
+        blob = prebuilt if prebuilt is not None \
+            else build_corpus_index_blob(self._table, multi_host)
+        self._id_hash_sorted = blob["id_hash_sorted"]
+        self._id_perm = blob["id_perm"]
+        self._dir_hash_sorted = blob["dir_hash_sorted"]
+        self._hosts = pa.array(blob["hosts"] if multi_host else [],
+                               pa.string())
+
+    def rows_of(self, doc_ids: pa.Array) -> np.ndarray:
+        """Table row of each doc_id, -1 where absent: one hash +
+        ``searchsorted`` pass, string-verified; a row whose hash run
+        holds other ids walks on to the next equal hash."""
+        n = len(doc_ids)
+        rows = np.full(n, -1, dtype=np.int64)
+        sorted_h = self._id_hash_sorted
+        if n == 0 or len(sorted_h) == 0:
+            return rows
+        h = urlkit.hash64_arrow(doc_ids)
+        pos = np.searchsorted(sorted_h, h)
+        live = np.arange(n)
+        while len(live):
+            live = live[pos[live] < len(sorted_h)]
+            live = live[sorted_h[pos[live]] == h[live]]
+            if not len(live):
+                break
+            cand = self._id_perm[pos[live]]
+            same = pc.equal(self._ids_col.take(cand), doc_ids.take(live)) \
+                .to_numpy(zero_copy_only=False)
+            rows[live[same]] = cand[same]
+            live = live[~same]
+            pos[live] += 1
+        return rows
 
     def row_of(self, doc_id: str) -> int | None:
-        """Table row for a doc_id. Batch-minded: ``resolve_many``
-        prefills the row cache for whole frontier batches (vectorized
-        hash + searchsorted), so this is usually a dict hit; cold
-        lookups binary-search the sorted hash index, string-verified
-        against the Arrow column (hash-collision safe)."""
-        hit = self._row_cache.get(doc_id, _MISSING)
-        if hit is not _MISSING:
-            return hit
-        row = self._row_lookup(doc_id)
-        if len(self._row_cache) > 4_000_000:
-            self._row_cache.clear()
-        self._row_cache[doc_id] = row
-        return row
+        """Table row for one doc_id (a one-row :meth:`rows_of`)."""
+        row = int(self.rows_of(pa.array([doc_id], pa.string()))[0])
+        return None if row < 0 else row
 
-    def _row_lookup(self, doc_id: str) -> int | None:
-        import numpy as np
-
-
-        sorted_h = self._id_hash_sorted
-        if sorted_h is None or len(sorted_h) == 0:
-            return None
-        h = np.uint64(_blake8(doc_id))
-        pos = int(np.searchsorted(sorted_h, h))
-        while pos < len(sorted_h) and sorted_h[pos] == h:
-            row = int(self._id_perm[pos])
-            if self._ids_col[row].as_py() == doc_id:
-                return row
-            pos += 1
-        return None
-
-    def has(self, doc_id: str) -> bool:
-        return self.row_of(doc_id) is not None
-
-    def _dir_has(self, prefix: str) -> bool:
-        import numpy as np
-
-
+    def _dirs_have(self, prefixes: pa.Array) -> np.ndarray:
         sorted_h = self._dir_hash_sorted
-        if sorted_h is None or len(sorted_h) == 0:
-            return False
-        h = np.uint64(_blake8(prefix))
-        pos = int(np.searchsorted(sorted_h, h))
-        return pos < len(sorted_h) and sorted_h[pos] == h
+        if len(sorted_h) == 0 or len(prefixes) == 0:
+            return np.zeros(len(prefixes), dtype=bool)
+        h = urlkit.hash64_arrow(prefixes)
+        pos = np.minimum(np.searchsorted(sorted_h, h), len(sorted_h) - 1)
+        return sorted_h[pos] == h
 
     def spans_of(self, doc_id: str) -> list:
         if doc_id.startswith(self.LISTING_PREFIX):
             return self._listing_spans(doc_id[len(self.LISTING_PREFIX):])
-        i = self.row_of(doc_id)
-        if i is None or self._spans_col is None:
-            return []
-        return self._spans_col[i].as_py() or []
+        row = self.row_of(doc_id)
+        return [] if row is None else self.spans_at(row)
+
+    def spans_at(self, row: int) -> list:
+        return self._spans_col[row].as_py() or []
 
     def _listing_spans(self, dir_prefix: str) -> list:
         """Synthetic auto-index page: one anchor per direct child
@@ -213,81 +192,138 @@ class CorpusIndex:
         return {"id_hash_sorted": self._id_hash_sorted,
                 "id_perm": self._id_perm,
                 "dir_hash_sorted": self._dir_hash_sorted,
-                "hosts": sorted(self._hosts)}
+                "hosts": self._hosts.to_pylist()}
 
     def doc_ids(self) -> list[str]:
         if not hasattr(self, "_ids_list"):
-            self._ids_list = self._ids_col.to_pylist() \
-                if self._ids_col is not None else []
+            self._ids_list = self._ids_col.to_pylist()
         return self._ids_list
 
     @property
     def table(self) -> pa.Table:
         return self._table
 
-    def resolve_url(self, url: str) -> Resolution | None:
-        """None if the URL is not on the corpus host; else a Resolution.
+    def resolve_many(self, urls: pa.Array) -> pa.Table:
+        """Resolve a batch of request URLs, one static-server 'request'
+        each, to RESOLUTIONS rows in input order.
 
-        In multi-host mode (scaled bench corpora) doc_ids are
-        "host/path" and any host whose docs are present resolves."""
-        # fast path for the normalized plain shape the crawl always
-        # produces (no %-escapes / query / fragment / userinfo / port):
-        # slice host+path without urlsplit+unquote (~6x cheaper)
-        sep = url.find("://")
-        if sep > 0:
-            rest = url[sep + 3:]
-            plain = True
-            for ch in "%?#@:":
-                if ch in rest:
-                    plain = False
-                    break
-            if plain:
-                slash = rest.find("/")
-                hostname = rest if slash < 0 else rest[:slash]
-                path = "/" if slash < 0 else rest[slash:]
-                if hostname and hostname == hostname.lower():
-                    if self.multi_host:
-                        if hostname not in self._hosts:
-                            return None
-                        return self.resolve_path(hostname + "/" + path.lstrip("/"))
-                    if hostname != self.host:
-                        return None
-                    return self.resolve_path(path)
-        parts = urlsplit(url)
-        hostname = (parts.hostname or "").lower()
-        path = unquote(parts.path or "/")
+        Plain URLs (lower-case host, no port, userinfo, ``%``, ``?`` or
+        ``#``) split into host and path with one Arrow regex; the rest
+        go through ``urlsplit``/``unquote`` first. Everything after the
+        split is vectorized. In multi-host mode (scaled bench corpora)
+        doc_ids are "host/path" and any host whose docs are present
+        resolves."""
+        if isinstance(urls, pa.ChunkedArray):
+            urls = urls.combine_chunks()
+        n = len(urls)
+        hosts, paths = _split_host_path(urls)
         if self.multi_host:
-            if hostname not in self._hosts:
-                return None
-            return self.resolve_path(hostname + "/" + path.lstrip("/"))
-        if hostname != self.host:
-            return None
-        return self.resolve_path(path)
+            on = pc.is_in(hosts, value_set=self._hosts)
+            paths = pc.binary_join_element_wise(
+                hosts, pc.utf8_ltrim(paths, "/"), "/")
+        else:
+            on = pc.equal(hosts, self.host)
+        on = on.to_numpy(zero_copy_only=False)
+        sel = np.flatnonzero(on)
+        found = self._resolve_paths(paths.take(sel))
+        # rows off the corpus take the default row appended at the end
+        take = np.full(n, len(sel))
+        take[sel] = np.arange(len(sel))
+        take = pa.array(take)
+        cols = [pa.array(on)] + [
+            pa.concat_arrays([col, pa.array([default], col.type)]).take(take)
+            for col, default in zip(found, (0, "", "", "", -1))]
+        return pa.Table.from_arrays(cols, schema=RESOLUTIONS)
 
-    def resolve_path(self, path: str) -> Resolution:
-        raw = path.lstrip("/")
-        if path.endswith("/") or raw == "":
-            raw = raw + "index.html"
-        if self.has(raw):
-            return Resolution(200, raw, content_type_for(raw, self.markdown))
+    def _resolve_paths(self, paths: pa.Array) -> list[pa.Array]:
+        """The static-server path rules over a batch of corpus paths:
+        status, doc_id, content_type, location and row columns."""
+        raw = pc.utf8_ltrim(paths, "/")
+        as_dir = pc.or_(pc.ends_with(paths, "/"), pc.equal(raw, ""))
+        raw = pc.if_else(as_dir, pc.binary_join_element_wise(
+            raw, "index.html", ""), raw)
+        row = self.rows_of(raw)
         if self.clean_urls:
             # /about → about.html (server.ts:119-143)
             for suffix in (".html", ".htm"):
-                cand = raw + suffix
-                if self.has(cand):
-                    return Resolution(200, cand, content_type_for(cand, self.markdown))
-        if self.directory_listing and raw.endswith("index.html"):
+                miss = np.flatnonzero(row < 0)
+                row[miss] = self.rows_of(pc.binary_join_element_wise(
+                    raw.take(miss), suffix, ""))
+        found = pa.array(row, mask=row < 0)
+        status = np.where(row >= 0, 200, 404).astype(np.int32)
+        doc_id = pc.fill_null(self._ids_col.take(found), "")
+        content_type = pc.if_else(pc.is_null(found), "",
+                                  content_types(doc_id, self.markdown))
+        location = pa.repeat("", len(row))
+        miss = np.flatnonzero(row < 0)
+        if len(miss) and self.directory_listing:
             # auto-index for directories without index.html
             # (server.ts:94-95, :172-184)
-            dir_prefix = raw[:-len("index.html")].rstrip("/")
-            if self._dir_has(dir_prefix) or dir_prefix == "":
-                return Resolution(200, self.LISTING_PREFIX + dir_prefix,
-                                  "text/html")
-        if self._dir_has(raw):
+            miss = miss[pc.ends_with(raw.take(miss), "index.html")
+                        .to_numpy(zero_copy_only=False)]
+            prefixes = pc.utf8_rtrim(pc.utf8_slice_codeunits(
+                raw.take(miss), 0, -len("index.html")), "/")
+            listed = self._dirs_have(prefixes) | \
+                pc.equal(prefixes, "").to_numpy(zero_copy_only=False)
+            idx = miss[listed]
+            status[idx] = 200
+            doc_id = _patch(doc_id, idx, pc.binary_join_element_wise(
+                self.LISTING_PREFIX, prefixes.filter(pa.array(listed)), ""))
+            content_type = _patch(content_type, idx,
+                                  ["text/html"] * len(idx))
+            miss = np.flatnonzero(status == 404)
+        if len(miss):
             # directory without trailing slash → 301 to path + '/'
             # (server.ts:85-117)
-            return Resolution(301, location="/" + raw + "/")
-        return Resolution(404)
+            dirs = raw.take(miss)
+            is_dir = self._dirs_have(dirs)
+            idx = miss[is_dir]
+            status[idx] = 301
+            location = _patch(location, idx, pc.binary_join_element_wise(
+                "/", dirs.filter(pa.array(is_dir)), "/", ""))
+        return [pa.array(status), doc_id, content_type, location,
+                pa.array(row)]
+
+
+def _split_host_path(urls: pa.Array) -> tuple[pa.Array, pa.Array]:
+    """(host, path) of each URL as the static server reads it."""
+    matched, host, port, rest = urlkit.split_url_arrow(urls)
+    plain = matched & pc.equal(port, "").to_numpy(zero_copy_only=False) \
+        & ~pc.match_substring_regex(rest, "[%?#@:]") \
+        .to_numpy(zero_copy_only=False)
+    path = pc.if_else(pc.equal(rest, ""), "/", rest)
+    odd = np.flatnonzero(~plain)
+    if len(odd):
+        pairs = [_split_one(u) for u in urls.take(odd).to_pylist()]
+        host = _patch(host, odd, [h for h, _ in pairs])
+        path = _patch(path, odd, [p for _, p in pairs])
+    return host, path
+
+
+def _split_one(url: str) -> tuple[str, str]:
+    """(host, path) of a URL the plain pattern missed: a plain slice
+    when nothing after ``://`` needs decoding, else urlsplit + unquote."""
+    sep = url.find("://")
+    if sep > 0:
+        rest = url[sep + 3:]
+        if not any(ch in rest for ch in "%?#@:"):
+            slash = rest.find("/")
+            host = rest if slash < 0 else rest[:slash]
+            if host and host == host.lower():
+                return host, "/" if slash < 0 else rest[slash:]
+    parts = urlsplit(url)
+    return (parts.hostname or "").lower(), unquote(parts.path or "/")
+
+
+def _patch(col: pa.Array, idx: np.ndarray, values) -> pa.Array:
+    """``col`` with rows ``idx`` replaced by ``values``."""
+    if not len(idx):
+        return col
+    if not isinstance(values, pa.Array):
+        values = pa.array(values, col.type)
+    take = np.arange(len(col))
+    take[idx] = len(col) + np.arange(len(idx))
+    return pa.concat_arrays([col, values]).take(pa.array(take))
 
 
 def _dirs_of(ids: list[str]) -> set[str]:
@@ -309,22 +345,16 @@ def build_corpus_index_blob(documents: pa.Table, multi_host: bool) -> dict:
     """Driver-side (once per crawl) construction of the CorpusIndex
     lookup structures — plain numpy arrays + a small host list, so the
     broadcast to fetch actors is zero-copy and actor __init__ pays ~0."""
-    import numpy as np
-
-
     if documents.num_rows == 0:
         empty = np.empty(0, dtype=np.uint64)
         return {"id_hash_sorted": empty, "id_perm": np.empty(0, np.int64),
                 "dir_hash_sorted": empty, "hosts": []}
     ids_col = documents["doc_id"].combine_chunks()
-    ids = ids_col.to_pylist()
-    id_hash = np.fromiter((_blake8(d) for d in ids), dtype=np.uint64,
-                          count=len(ids))
+    id_hash = urlkit.hash64_arrow(ids_col)
     perm = np.argsort(id_hash, kind="stable").astype(np.int64)
-    dirs = _dirs_of(ids)
-    dir_hash = np.sort(np.fromiter((_blake8(d) for d in dirs),
-                                   dtype=np.uint64, count=len(dirs))) \
-        if dirs else np.empty(0, dtype=np.uint64)
-    hosts = sorted({p for p in dirs if "/" not in p}) if multi_host else []
+    dirs = sorted(_dirs_of(ids_col.to_pylist()))
+    dir_hash = np.sort(urlkit.hash64_array(dirs)) if dirs \
+        else np.empty(0, dtype=np.uint64)
+    hosts = [p for p in dirs if "/" not in p] if multi_host else []
     return {"id_hash_sorted": id_hash[perm], "id_perm": perm,
             "dir_hash_sorted": dir_hash, "hosts": hosts}

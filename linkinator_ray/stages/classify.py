@@ -14,8 +14,11 @@ import json
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from linkinator_ray.options import CheckOptions, LinkState, RedirectsMode, RequireHttpsMode
+
+HTML_TYPES = ("text/html", "application/xhtml+xml")
 
 
 def status_code_action(status: int, status_codes: dict[str, str]) -> str | None:
@@ -44,14 +47,14 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
     has_body = batch["has_body"].to_numpy(zero_copy_only=False)
     has_location = batch["has_location"].to_numpy(zero_copy_only=False)
     cf_mitigated = batch["cf_mitigated"].to_numpy(zero_copy_only=False)
-    urls = np.asarray(batch["url"].to_pylist(), dtype=object)
-    final_urls = np.asarray(batch["final_url"].to_pylist(), dtype=object)
-    errors = np.asarray(batch["error_details"].to_pylist(), dtype=object)
-    has_response = final_urls != ""  # request produced some response
+    urls = batch["url"]
+    final_urls = batch["final_url"]
+    # the request produced some response
+    has_response = _mask(pc.not_equal(final_urls, ""))
 
     # redirect detection (src/index.ts:1370-1395)
     is_redirect = (status >= 300) & (status < 400)
-    url_changed = has_response & (final_urls != urls)
+    url_changed = has_response & _mask(pc.not_equal(final_urls, urls))
     was_followed = url_changed | (is_redirect & has_body)
 
     # custom status-code actions, vectorized over distinct statuses
@@ -89,10 +92,9 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
     # synthetic http host is exempt like the reference's local server
     warn_insecure = np.zeros(n, dtype=bool)
     if opts.require_https != RequireHttpsMode.OFF:
-        is_http = np.fromiter((u.startswith("http://") for u in urls), bool, n)
+        is_http = _mask(pc.starts_with(urls, "http://"))
         if static_host:
-            local = np.fromiter((u.startswith(static_host) for u in urls), bool, n)
-            is_http &= ~local
+            is_http &= ~_mask(pc.starts_with(urls, static_host))
         if opts.require_https == RequireHttpsMode.ERROR:
             state[is_http] = "BROKEN"
         else:
@@ -101,22 +103,26 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
     # failure details only for BROKEN rows
     failure = np.full(n, "", dtype=object)
     broken_idx = np.flatnonzero(state == "BROKEN")
-    for i in broken_idx:
+    take = pa.array(broken_idx)
+    for i, url, final_url, errors in zip(
+            broken_idx, urls.take(take).to_pylist(),
+            final_urls.take(take).to_pylist(),
+            batch["error_details"].take(take).to_pylist()):
         details = []
-        if errors[i]:
-            details.extend(json.loads(errors[i]))
+        if errors:
+            details.extend(json.loads(errors))
         if has_response[i]:
             # HttpResponse-shaped record (the reference keeps the full
             # response object, src/index.ts:131-137): status + the
             # final URL after any followed redirects
             details.append({"status": int(status[i]),
-                            "url": final_urls[i] or urls[i]})
+                            "url": final_url or url})
         if action[i] == "error":
             details.append({"error": f"status {int(status[i])} mapped to error"})
         if opts.redirects == RedirectsMode.ERROR and is_redirect[i]:
             details.append({"error": "Redirect detected but redirects are disabled"})
-        if opts.require_https == RequireHttpsMode.ERROR and urls[i].startswith("http://") \
-                and not (static_host and urls[i].startswith(static_host)):
+        if opts.require_https == RequireHttpsMode.ERROR and url.startswith("http://") \
+                and not (static_host and url.startswith(static_host)):
             details.append({"error": "HTTP link detected but HTTPS is required"})
         failure[i] = json.dumps(details)
 
@@ -127,16 +133,21 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
         "warn_redirect": (is_redirect | was_followed) if mode == RedirectsMode.WARN
         else np.zeros(n, dtype=bool),
         "warn_insecure": warn_insecure,
-        "should_recurse_html": _content_is(batch, ("text/html", "application/xhtml+xml")),
-        "should_recurse_css": _content_is(batch, ("text/css",)),
+        "should_recurse_html": content_is(batch["content_type"], HTML_TYPES),
+        "should_recurse_css": content_is(batch["content_type"], ("text/css",)),
     }
 
 
-def _content_is(batch: pa.Table, needles: tuple[str, ...]) -> np.ndarray:
-    cts = batch["content_type"].to_pylist()
-    return np.fromiter(
-        (any(nd in (ct or "") for nd in needles) for ct in cts),
-        bool, batch.num_rows)
+def _mask(values) -> np.ndarray:
+    return values.to_numpy(zero_copy_only=False)
+
+
+def content_is(content_type, needles: tuple[str, ...]) -> np.ndarray:
+    """Rows of a content-type column containing any of ``needles``."""
+    hit = pc.match_substring(content_type, needles[0])
+    for needle in needles[1:]:
+        hit = pc.or_(hit, pc.match_substring(content_type, needle))
+    return _mask(pc.fill_null(hit, False))
 
 
 def should_retry_error_mask(status: np.ndarray, attempt: np.ndarray,

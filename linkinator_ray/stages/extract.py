@@ -28,12 +28,6 @@ from linkinator_ray import schema, urlkit
 from linkinator_ray.urlkit import LinkResolver
 
 
-def default_url_for_doc(doc_id: str, corpus_base: str = "http://corpus.test/") -> str:
-    """Map a doc_id to its canonical URL (the analogue of the reference's
-    local static server address rewrite, src/index.ts:222-250)."""
-    return corpus_base + doc_id
-
-
 def explode_spans(batch: pa.Table) -> pa.Table:
     """documents → flat spans table, order preserved within each doc.
 
@@ -81,20 +75,17 @@ class ExtractLinks:
     Parameters
     ----------
     check_css : extract style_url spans (reference checkCss option)
-    url_for_doc : doc_id → page URL (base for relative resolution)
+    corpus_base : page URL prefix of a doc_id (base for relative
+        resolution); a batch with a ``page_url`` column gives each doc's
+        page URL instead
     emit_fragment_targets : include fragment_target rows in a second
         output table via :meth:`extract_with_fragments`.
     """
 
-    def __init__(self, check_css: bool = False, corpus_base: str = "http://corpus.test/",
-                 page_urls: dict[str, str] | None = None):
+    def __init__(self, check_css: bool = False, corpus_base: str = "http://corpus.test/"):
         self.check_css = check_css
         self.corpus_base = corpus_base
-        self.page_urls = page_urls or {}
         self.resolver = LinkResolver()
-
-    def page_url(self, doc_id: str) -> str:
-        return self.page_urls.get(doc_id) or default_url_for_doc(doc_id, self.corpus_base)
 
     # -- per-document extraction (the inner kernel) ------------------------
 
@@ -187,7 +178,8 @@ class ExtractLinks:
         import numpy as np
         if batch.num_rows == 0:
             return schema.empty(schema.LINKS), schema.empty(schema.FRAGMENT_TARGETS)
-        batch = batch.select(["doc_id", "spans"]).combine_chunks()
+        batch = batch.select([c for c in ("doc_id", "spans", "page_url")
+                              if c in batch.column_names]).combine_chunks()
         spans = batch["spans"].chunk(0) if batch["spans"].num_chunks else \
             pa.array([], type=batch["spans"].type)
         flat = pc.list_flatten(spans)
@@ -215,13 +207,9 @@ class ExtractLinks:
         return self._extract_fast(batch)
 
     def _page_urls_array(self, batch: pa.Table) -> pa.Array:
+        if "page_url" in batch.column_names:
+            return batch["page_url"].combine_chunks()
         doc_ids = batch["doc_id"].combine_chunks()
-        if isinstance(doc_ids, pa.ChunkedArray):
-            doc_ids = doc_ids.chunk(0) if doc_ids.num_chunks else \
-                pa.array([], pa.string())
-        if self.page_urls:
-            return pa.array([self.page_url(d) for d in doc_ids.to_pylist()],
-                            pa.string())
         return pc.binary_join_element_wise(
             pa.scalar(self.corpus_base), doc_ids, "")
 
@@ -345,11 +333,11 @@ class ExtractLinks:
         unsorted-offset docs."""
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
+        pages = self._page_urls_array(batch).to_pylist()
         links_rows: list[dict] = []
         frag_pages: list[str] = []
         frag_ids: list[str] = []
-        for doc_id, spans in zip(doc_ids, spans_col):
-            page = self.page_url(doc_id)
+        for doc_id, spans, page in zip(doc_ids, spans_col, pages):
             links, frags = self.extract_doc(doc_id, page, spans or [])
             links_rows.extend(links)
             frag_pages.extend([page] * len(frags))

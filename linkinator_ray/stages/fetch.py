@@ -1,4 +1,4 @@
-"""Fetch stage: deterministic transport + host-sticky fetch actor pool.
+"""Fetch stage: transports + host-sticky fetch actor pool.
 
 Re-expresses the reference's ``makeRequest`` + per-URL crawl state
 machine (/root/reference/src/index.ts:1185-1286 and :344-479) as a Ray
@@ -9,11 +9,14 @@ host's requests always hit the same worker — that affinity is what makes
 per-host politeness and scripted response sequences deterministic on a
 cluster (SURVEY.md §4 partitioning keys).
 
-The transport is a mock (FIXTURES.md ``http_map`` — the stand-in for
-undici's MockAgent in the reference tests) backed by the corpus resolver
-for on-corpus URLs. There is no network in this sandbox; a real
-aiohttp/urllib transport would slot in behind the same ``request``
-interface.
+A worker runs the state machine as masked steps over its whole batch,
+one request per selected row per step. Two transports sit behind the
+same ``request`` interface: ``MockTransport`` (FIXTURES.md ``http_map``
+— the stand-in for undici's MockAgent in the reference tests — backed
+by the corpus resolver, which answers a step's corpus rows in one
+vectorized pass) and the stdlib ``HttpTransport``
+(stages/http_transport.py), which the worker drives per row over its
+connection threads.
 """
 
 from __future__ import annotations
@@ -25,14 +28,33 @@ from urllib.parse import urljoin
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from linkinator_ray import schema, urlkit
 from linkinator_ray.options import RedirectsMode
 from linkinator_ray.sources.documents import CorpusIndex
+from linkinator_ray.stages.classify import HTML_TYPES, content_is
 
 REDIRECT_STATUSES = frozenset([301, 302, 303, 307, 308])
 SENSITIVE_HEADERS = frozenset(["authorization", "cookie", "proxy-authorization"])
 MAX_REDIRECTS = 20  # src/index.ts:1272-1275
+
+
+# one fetch-step response per row: the fields the state machine and
+# FETCH_RESULTS read ('' / 0 / -1 when the request threw)
+STEP = pa.schema([
+    ("status", pa.int32()),
+    ("final_url", pa.string()),
+    ("body_doc_id", pa.string()),
+    ("content_type", pa.string()),
+    ("has_location", pa.bool_()),
+    ("location", pa.string()),
+    ("cf_mitigated", pa.bool_()),
+    ("retry_after", pa.string()),       # raw retry-after header
+    ("redirect_skipped", pa.string()),
+    ("error", pa.string()),             # '' = a response arrived
+    ("body_row", pa.int64()),           # corpus row of the body, -1 if none
+])
 
 
 class TransportError(Exception):
@@ -102,6 +124,8 @@ class MockTransport:
             self._map.setdefault(key, []).append(dict(entry))
         for entries in self._map.values():
             entries.sort(key=lambda e: e.get("seq", -1))
+        self._map_urls = pa.array(sorted({url for url, _ in self._map}),
+                                  pa.string())
 
     def _match(self, url: str, method: str) -> dict | None:
         for key in ((url, method), (url, "*")):
@@ -148,22 +172,75 @@ class MockTransport:
             return TResponse(entry["status"], headers, entry.get("content_type", ""),
                              body, url)
         if self.corpus is not None:
-            res = self.corpus.resolve_url(url)
-            if res is not None:
+            res = self.corpus.resolve_many(pa.array([url], pa.string())) \
+                .to_pylist()[0]
+            if res["on_corpus"]:
+                status = res["status"]
                 if self.record_calls:
-                    self.calls.append((url, method, res.status))
-                if res.status == 301:
-                    return TResponse(301, {"location": res.location}, "", "", url)
-                if res.status == 200:
-                    body = res.doc_id if method == "GET" else ""
-                    return TResponse(200, {"content-type": res.content_type},
-                                     res.content_type, body, url)
-                return TResponse(res.status, {}, "", "", url)
+                    self.calls.append((url, method, status))
+                if status == 301:
+                    return TResponse(301, {"location": res["location"]},
+                                     "", "", url)
+                if status == 200:
+                    body = res["doc_id"] if method == "GET" else ""
+                    ct = res["content_type"]
+                    return TResponse(200, {"content-type": ct}, ct, body, url)
+                return TResponse(status, {}, "", "", url)
         if self.record_calls:
             self.calls.append((url, method, 0))
         if self.strict:
             raise TransportError(f"unmocked request: {method} {url}")
         return TResponse(404, {}, "", "", url)
+
+    @property
+    def batched(self) -> bool:
+        """A fetch step's corpus rows go through ``request_many`` unless
+        every request must wait out a simulated latency."""
+        return self.corpus is not None and not self.latency_s
+
+    def scripted(self, urls: pa.Array) -> np.ndarray:
+        """Rows whose URL has an http_map entry: they keep per-row
+        ``request`` calls, which own the sequence counters."""
+        return pc.is_in(urls, value_set=self._map_urls) \
+            .to_numpy(zero_copy_only=False)
+
+    def request_many(self, urls: pa.Array, get: np.ndarray,
+                     headers: dict[str, str] | None = None) -> pa.Table:
+        """``request`` for a batch of URLs without an http_map entry
+        (GET where ``get``, else HEAD): one ``CorpusIndex.resolve_many``
+        pass, the same responses and call-log rows. Returns STEP rows;
+        following a 301's location is the caller's hop loop."""
+        res = self.corpus.resolve_many(urls)
+        status = res["status"]
+        off = pc.invert(res["on_corpus"])
+        methods = pa.array(np.where(get, "GET", "HEAD"))
+        if headers:
+            self.header_log.extend((u, m, dict(headers)) for u, m in
+                                   zip(urls.to_pylist(), methods.to_pylist()))
+        if self.record_calls:
+            self.calls.extend(zip(urls.to_pylist(), methods.to_pylist(),
+                                  status.to_pylist()))
+        error = pa.nulls(len(urls), pa.string())
+        if self.strict:
+            error = pc.if_else(off, pc.binary_join_element_wise(
+                "unmocked request:", methods, urls, " "), error)
+        else:
+            status = pc.if_else(off, 404, status)
+        body = pc.and_(pc.equal(status, 200), pa.array(get))
+        location = res["location"]
+        return pa.Table.from_arrays([
+            status.cast(pa.int32()),
+            pc.if_else(pc.is_null(error), urls, ""),
+            pc.if_else(body, res["doc_id"], ""),
+            res["content_type"],
+            pc.not_equal(location, ""),
+            location,
+            pa.repeat(False, len(urls)),
+            pa.repeat("", len(urls)),
+            pa.repeat("", len(urls)),
+            pc.fill_null(error, ""),
+            pc.if_else(body, res["row"], -1),
+        ], schema=STEP)
 
 
 class SkipRules:
@@ -218,7 +295,8 @@ class SkipRules:
 class FetchWorker:
     """One fetch worker: the per-URL request state machine of
     src/index.ts:344-479 (HEAD→GET fallbacks, manual redirect loop with
-    per-hop skip rules, retry-after detection), batch in / batch out.
+    per-hop skip rules, retry-after detection), run as masked steps over
+    a whole batch.
 
     Instantiated directly (local mode) or hosted by a pooled Ray actor
     (``FetchPool``, distributed mode).
@@ -258,6 +336,9 @@ class FetchWorker:
         # driver's serial round work down to the global joins
         self.classify_opts = classify_opts
         self.static_host = static_host
+        corpus = getattr(transport, "corpus", None)
+        # body rows of per-row responses come from the corpus index
+        self._index = corpus if isinstance(corpus, CorpusIndex) else None
         # built on first use: extraction imports stages/extract lazily,
         # connection threads only exist when a batch fetches in parallel
         self._extractor = None
@@ -272,14 +353,19 @@ class FetchWorker:
 
     # -- makeRequest with redirect handling (src/index.ts:1185-1286) ------
 
-    def make_request(self, method: str, url: str) -> TResponse:
+    def make_request(self, method: str, url: str,
+                     first: TResponse | None = None) -> TResponse:
+        """One request and its redirect hops. ``first`` is the first
+        hop's response when a batched step already sent it."""
         manual = self.redirects == RedirectsMode.ERROR
         per_hop_skip = not manual and bool(self.skip)
         current = url
         headers = dict(self.headers)
         hops = 0
         while True:
-            resp = self.transport.request(current, method, headers)
+            resp = first if first is not None else \
+                self.transport.request(current, method, headers)
+            first = None
             resp.url = current
             location = resp.headers.get("location", "")
             if manual or resp.status not in REDIRECT_STATUSES or not location:
@@ -297,116 +383,168 @@ class FetchWorker:
             current = target
             hops += 1
 
-    # -- the per-URL state machine ----------------------------------------
+    # -- the per-URL state machine, one batch step at a time ---------------
 
-    @staticmethod
-    def _is_html(resp: TResponse) -> bool:
-        ct = resp.headers.get("content-type", "")
-        return "text/html" in ct or "application/xhtml+xml" in ct
+    def _request_steps(self, urls: pa.Array, do_crawl: np.ndarray,
+                       pending: np.ndarray, now: float):
+        """Run src/index.ts:344-479 over the batch as masked steps, each
+        one request per selected row, in the reference's order: first
+        request (GET to crawl, else HEAD), 405 → GET, last-gasp GET,
+        CSS body re-GET, fragment body re-GET. A redirect skip or a
+        usable retry-after ends a row; a thrown request is recorded and
+        the row goes on.
 
-    @staticmethod
-    def _is_css(resp: TResponse) -> bool:
-        return "text/css" in resp.headers.get("content-type", "")
+        Returns (each row's final response as STEP rows,
+        retry_after_epoch, {row: [error messages]}, ended rows)."""
+        n = len(urls)
+        steps: list[pa.Table] = []
+        src = np.zeros(n, dtype=np.int64)   # row → its response, in steps
+        has_resp = np.zeros(n, dtype=bool)
+        ended = np.zeros(n, dtype=bool)
+        status = np.zeros(n, dtype=np.int64)
+        has_body = np.zeros(n, dtype=bool)
+        is_html = np.zeros(n, dtype=bool)
+        is_css = np.zeros(n, dtype=bool)
+        retry_at = np.zeros(n)
+        failures: dict[int, list[str]] = {}
+        get_all = np.ones(n, dtype=bool)
 
-    def fetch_one(self, url: str, do_crawl: bool, now: float,
-                  has_pending_fragments: bool) -> dict:
-        failures: list[str] = []
-        response: TResponse | None = None
-        out = {
-            "status": 0, "final_url": "", "has_body": False, "body_doc_id": "",
-            "content_type": "", "has_location": False, "retry_after_epoch": 0.0,
-            "cf_mitigated": False, "redirect_skipped": "", "error_details": "",
-        }
+        def step(mask, get, forget_on_error: bool, check_retry: bool):
+            idx = np.flatnonzero(mask)
+            if not len(idx):
+                return
+            rows, t = self._send(urls, idx, get[idx])
+            err = pc.not_equal(t["error"], "").to_numpy(zero_copy_only=False)
+            for r, msg in zip(rows[err], t["error"].filter(err).to_pylist()):
+                failures.setdefault(int(r), []).append(msg)
+            # a thrown first request leaves no response; a thrown
+            # follow-up keeps the earlier one
+            take = np.ones(len(rows), dtype=bool) if forget_on_error else ~err
+            r = rows[take]
+            src[r] = sum(x.num_rows for x in steps) + np.flatnonzero(take)
+            has_resp[r] = ~err[take]
+            st = t["status"].to_numpy(zero_copy_only=False)
+            status[r] = st[take]
+            has_body[r] = pc.not_equal(t["body_doc_id"], "") \
+                .to_numpy(zero_copy_only=False)[take]
+            is_html[r] = content_is(t["content_type"], HTML_TYPES)[take]
+            is_css[r] = content_is(t["content_type"], ("text/css",))[take]
+            skipped = pc.not_equal(t["redirect_skipped"], "") \
+                .to_numpy(zero_copy_only=False)
+            ended[rows[skipped]] = True
+            if check_retry and self.retry:
+                # 429 + parseable retry-after while retry enabled
+                # (src/index.ts:1019-1032)
+                wait = np.flatnonzero(
+                    ~skipped & (st == 429) & pc.not_equal(
+                        t["retry_after"], "").to_numpy(zero_copy_only=False))
+                raws = t["retry_after"].take(wait).to_pylist()
+                for j, raw in zip(wait, raws):
+                    epoch = parse_retry_after(raw, now)
+                    if epoch == epoch and epoch:  # nan → no retry
+                        retry_at[rows[j]] = epoch
+                        ended[rows[j]] = True
+            steps.append(t)
 
-        def retry_after_of(resp: TResponse) -> float:
-            # 429 + parseable retry-after while retry enabled
-            # (src/index.ts:1019-1032)
-            if not self.retry or resp.status != 429:
-                return 0.0
-            raw = resp.headers.get("retry-after", "")
-            if not raw:
-                return 0.0
-            epoch = parse_retry_after(raw, now)
-            return 0.0 if epoch != epoch else epoch  # nan → no retry
+        step(get_all, do_crawl, True, True)
+        # server dislikes HEAD → GET
+        step(~ended & has_resp & (status == 405), get_all, True, True)
+        # last-gasp GET for non-crawl targets (src/index.ts:396-417)
+        ok2xx = has_resp & (status >= 200) & (status < 300)
+        step(~ended & ~do_crawl & ~ok2xx, get_all, False, True)
+        if self.check_css:
+            # CSS body re-GET (src/index.ts:426-448)
+            step(~ended & has_resp & is_css & ~has_body & do_crawl,
+                 get_all, False, False)
+        if self.check_fragments:
+            # fragment body re-GET (src/index.ts:450-473)
+            step(~ended & has_resp & is_html & ~has_body & pending,
+                 get_all, False, False)
+        responses = pa.concat_tables(steps).take(pa.array(src))
+        return responses, retry_at, failures, ended
 
-        def finish(resp: TResponse | None) -> dict:
-            if resp is not None:
-                out["status"] = resp.status
-                out["final_url"] = resp.url
-                out["has_body"] = resp.has_body
-                out["body_doc_id"] = resp.body_doc_id
-                out["content_type"] = resp.headers.get("content-type", "")
-                out["has_location"] = "location" in resp.headers
-                out["cf_mitigated"] = bool(resp.headers.get("cf-mitigated"))
-            if failures:
-                out["error_details"] = json.dumps(failures)
-            return out
+    def _send(self, urls: pa.Array, idx: np.ndarray, get: np.ndarray):
+        """One request for each row ``idx`` (GET where ``get``, else
+        HEAD) → (rows, STEP table). An in-process corpus transport
+        answers the corpus rows with one ``request_many``; scripted
+        rows, redirects to follow and transports that wait on the wire
+        go through ``make_request`` per row."""
+        sub = urls.take(pa.array(idx))
+        transport = self.transport
+        per_row = transport.scripted(sub) \
+            if getattr(transport, "batched", False) \
+            else np.ones(len(idx), dtype=bool)
+        todo = np.flatnonzero(per_row)
+        firsts: list = [None] * len(todo)
+        rows, tables = [], []
+        batched = np.flatnonzero(~per_row)
+        if len(batched):
+            t = transport.request_many(sub.take(pa.array(batched)),
+                                       get[batched], self.headers)
+            hop = np.zeros(len(batched), dtype=bool)
+            if self.redirects != RedirectsMode.ERROR:
+                hop = np.isin(t["status"].to_numpy(zero_copy_only=False),
+                              list(REDIRECT_STATUSES)) \
+                    & t["has_location"].to_numpy(zero_copy_only=False)
+            if hop.any():
+                h = pa.array(np.flatnonzero(hop))
+                firsts += [TResponse(st, {"location": loc}, "", "", u)
+                           for st, loc, u in zip(
+                               t["status"].take(h).to_pylist(),
+                               t["location"].take(h).to_pylist(),
+                               t["final_url"].take(h).to_pylist())]
+                todo = np.concatenate([todo, batched[hop]])
+                t = t.filter(pa.array(~hop))
+                batched = batched[~hop]
+            rows.append(idx[batched])
+            tables.append(t)
+        if len(todo):
+            outcomes = self._request_rows(
+                sub.take(pa.array(todo)).to_pylist(), get[todo], firsts)
+            rows.append(idx[todo])
+            tables.append(self._step_table(outcomes))
+        return np.concatenate(rows), pa.concat_tables(tables)
 
-        try:
-            response = self.make_request("GET" if do_crawl else "HEAD", url)
-            if response.redirect_skipped:
-                out["redirect_skipped"] = response.redirect_skipped
-                return finish(response)
-            ra = retry_after_of(response)
-            if ra:
-                out["retry_after_epoch"] = ra
-                return finish(response)
-            if response.status == 405:  # server dislikes HEAD → GET
-                response = self.make_request("GET", url)
-                if response.redirect_skipped:
-                    out["redirect_skipped"] = response.redirect_skipped
-                    return finish(response)
-                ra = retry_after_of(response)
-                if ra:
-                    out["retry_after_epoch"] = ra
-                    return finish(response)
-        except TransportError as exc:
-            failures.append(str(exc))
-            response = None
+    def _request_rows(self, urls: list[str], get: np.ndarray,
+                      firsts: list) -> list:
+        """``make_request`` per row: a TResponse, or the TransportError
+        message."""
+        methods = np.where(get, "GET", "HEAD").tolist()
 
-        try:
-            # last-gasp GET for non-crawl targets (src/index.ts:396-417)
-            if (response is None or not (200 <= response.status < 300)) and not do_crawl:
-                response = self.make_request("GET", url)
-                if response.redirect_skipped:
-                    out["redirect_skipped"] = response.redirect_skipped
-                    return finish(response)
-                ra = retry_after_of(response)
-                if ra:
-                    out["retry_after_epoch"] = ra
-                    return finish(response)
-        except TransportError as exc:
-            failures.append(str(exc))
-
-        should_recurse = False
-        if response is not None:
-            should_recurse = self._is_html(response) or (
-                self._is_css(response) and self.check_css)
-
-        # CSS body re-GET (src/index.ts:426-448)
-        if (should_recurse and response is not None and self._is_css(response)
-                and not response.has_body and do_crawl and self.check_css):
+        def one(j):
             try:
-                response = self.make_request("GET", url)
-                if response.redirect_skipped:
-                    out["redirect_skipped"] = response.redirect_skipped
-                    return finish(response)
+                return self.make_request(methods[j], urls[j], firsts[j])
             except TransportError as exc:
-                failures.append(str(exc))
+                return str(exc)
 
-        # fragment body re-GET (src/index.ts:450-473)
-        if (self.check_fragments and response is not None
-                and self._is_html(response) and not response.has_body
-                and has_pending_fragments):
-            try:
-                response = self.make_request("GET", url)
-                if response.redirect_skipped:
-                    out["redirect_skipped"] = response.redirect_skipped
-                    return finish(response)
-            except TransportError as exc:
-                failures.append(str(exc))
+        if self.connections > 1 and len(urls) > 1:
+            # I/O-concurrent fetching: sleeps (wire latency) overlap
+            # across the thread pool; the GIL serializes the cheap
+            # per-row compute. Results keep row order.
+            from concurrent.futures import ThreadPoolExecutor
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.connections)
+            return list(self._pool.map(one, range(len(urls))))
+        return [one(j) for j in range(len(urls))]
 
-        return finish(response)
+    def _step_table(self, outcomes: list) -> pa.Table:
+        """STEP rows for per-row outcomes."""
+        def fields(o):
+            if isinstance(o, str):  # the request threw
+                return (0, "", "", "", False, "", False, "", "", o)
+            h = o.headers
+            return (o.status, o.url, o.body_doc_id,
+                    h.get("content-type", ""), "location" in h,
+                    h.get("location", ""), bool(h.get("cf-mitigated")),
+                    h.get("retry-after", ""), o.redirect_skipped, "")
+
+        cols = [pa.array(list(col), field.type) for field, col
+                in zip(STEP, zip(*map(fields, outcomes)))]
+        bodies = cols[STEP.get_field_index("body_doc_id")]
+        cols.append(pa.array(
+            self._index.rows_of(bodies) if self._index is not None
+            else np.full(len(outcomes), -1, dtype=np.int64)))
+        return pa.Table.from_arrays(cols, schema=STEP)
 
     # -- per-link handling, actor-side (src/index.ts:717-798) -------------
 
@@ -466,166 +604,136 @@ class FetchWorker:
         Returns dict of tables: fetched / candidates / link_results /
         pending_frags / frag_targets.
         """
-        from linkinator_ray.stages.extract import ExtractLinks, extract_css_doc_links
+        from linkinator_ray.stages.extract import ExtractLinks
         if self._extractor is None:
             self._extractor = ExtractLinks(check_css=self.check_css)
-        pending = set(pending_fragment_urls)
-        urls = batch["url"].to_pylist()
-        do_crawls = batch["do_crawl"].to_pylist()
-        roots = batch["root_path"].to_pylist()
-        depths = batch["depth"].to_pylist()
-        corpus = self.transport.corpus
         out = _BatchAccumulator()
-        if self.connections > 1 and len(urls) > 1:
-            # I/O-concurrent fetching: sleeps (wire latency) overlap
-            # across the thread pool; the GIL serializes the cheap
-            # per-row compute. Results keep row order.
-            from concurrent.futures import ThreadPoolExecutor
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.connections)
-            rows = list(self._pool.map(
-                lambda i: self.fetch_one(urls[i], do_crawls[i], now,
-                                         urls[i] in pending),
-                range(len(urls))))
-            for result in rows:
-                result["soft404"] = False
-        else:
-            rows = []
-            for i, url in enumerate(urls):
-                result = self.fetch_one(url, do_crawls[i], now, url in pending)
-                result["soft404"] = False
-                rows.append(result)
-        # Split the extraction work: the common shape — corpus-backed
-        # HTML doc, no fragment tracking — runs through the VECTORIZED
-        # batch extractor (Arrow take + explode, no per-doc as_py());
-        # css docs, directory listings, duplicate bodies and all
-        # fragment-mode rows keep the scalar per-doc path.
-        vec_rows: list[tuple[int, int]] = []  # (row index, corpus row)
-        scalar_rows: list[int] = []
-        seen_bodies: set[str] = set()
-        row_of = corpus.row_of if corpus is not None else (lambda d: None)
-        for i, result in enumerate(rows):
-            url = urls[i]
-            if result["redirect_skipped"] or result["retry_after_epoch"]:
-                continue
-            ct = result["content_type"]
-            body = result["body_doc_id"]
-            is_html = "text/html" in ct or "application/xhtml+xml" in ct
-            is_css = "text/css" in ct
-            eligible = bool(do_crawls[i] and body and
-                            (is_html or (is_css and self.check_css)))
-            need_frags = bool(self.check_fragments and body and is_html
-                              and (eligible or url in pending))
-            if not (eligible or need_frags):
-                continue
-            body_row = None if (need_frags or not is_html or is_css
-                                or body in seen_bodies) else row_of(body)
-            if body_row is None:
-                scalar_rows.append(i)
-                continue
-            seen_bodies.add(body)
-            vec_rows.append((i, body_row))
+        if batch.num_rows == 0:
+            return out.tables(schema.empty(schema.FETCH_RESULTS))
+        batch = batch.select(schema.FETCH_RESULTS.names[:8]).combine_chunks()
+        urls = batch["url"].chunk(0)
+        do_crawl = batch["do_crawl"].to_numpy(zero_copy_only=False)
+        pending = pc.is_in(urls, value_set=pa.array(
+            pending_fragment_urls, pa.string())).to_numpy(zero_copy_only=False)
+        resp, retry_at, failures, ended = self._request_steps(
+            urls, do_crawl, pending, now)
 
-        for i in scalar_rows:
-            result = rows[i]
-            url = urls[i]
-            ct = result["content_type"]
-            body = result["body_doc_id"]
-            is_html = "text/html" in ct or "application/xhtml+xml" in ct
-            is_css = "text/css" in ct
-            eligible = bool(do_crawls[i] and body and
-                            (is_html or (is_css and self.check_css)))
-            spans = corpus.spans_of(body) if corpus is not None else []
-            base = result["final_url"] or url
-            if eligible and is_css and not is_html:
-                links = extract_css_doc_links(body, base, spans,
+        content_type = resp["content_type"]
+        is_html = content_is(content_type, HTML_TYPES)
+        is_css = content_is(content_type, ("text/css",))
+        has_body = pc.not_equal(resp["body_doc_id"], "") \
+            .to_numpy(zero_copy_only=False)
+        body_row = resp["body_row"].to_numpy(zero_copy_only=False)
+        base = pc.if_else(pc.equal(resp["final_url"], ""), urls,
+                          resp["final_url"])
+        # parsed: crawl targets with an HTML (or checked CSS) body, and
+        # pages whose fragments are wanted
+        eligible = do_crawl & has_body & (is_html | (is_css & self.check_css))
+        need_frags = self.check_fragments & has_body & is_html \
+            & (eligible | pending)
+        parse = ~ended & (eligible | need_frags)
+        # The common shape — a corpus HTML doc, no fragment tracking —
+        # runs through the VECTORIZED batch extractor (Arrow take +
+        # explode, no per-doc as_py()), once per body; css docs,
+        # directory listings, repeated bodies and all fragment-mode rows
+        # keep the scalar per-doc path.
+        vec = np.flatnonzero(parse & ~need_frags & is_html & ~is_css
+                             & (body_row >= 0))
+        vec = np.sort(vec[np.unique(body_row[vec], return_index=True)[1]])
+        scalar = parse.copy()
+        scalar[vec] = False
+        soft404 = self._extract_scalar(np.flatnonzero(scalar), batch, base,
+                                       resp["body_doc_id"], body_row,
+                                       eligible, need_frags, is_html,
+                                       is_css, out)
+        if len(vec):
+            self._extract_and_process_vec(vec, batch, base, body_row, out)
+
+        errors = np.full(batch.num_rows, "", dtype=object)
+        for row, messages in failures.items():
+            errors[row] = json.dumps(messages)
+        fetched = pa.Table.from_arrays(batch.columns + [
+            resp["status"], resp["final_url"], pa.array(has_body),
+            resp["body_doc_id"], content_type, resp["has_location"],
+            pa.array(retry_at), resp["cf_mitigated"],
+            resp["redirect_skipped"], pa.array(errors, pa.string()),
+            pa.array(soft404)], schema=schema.FETCH_RESULTS)
+        if self.classify_opts is not None:
+            fetched = self._classify_in_actor(fetched)
+        return out.tables(fetched)
+
+    def _extract_scalar(self, idx: np.ndarray, batch: pa.Table, base,
+                        bodies, body_row, eligible, need_frags, is_html,
+                        is_css, out: "_BatchAccumulator") -> np.ndarray:
+        """Per-doc extraction of rows ``idx``; returns the soft-404 mask
+        (set on fragment-checked pages)."""
+        from linkinator_ray.stages.extract import extract_css_doc_links
+        soft404 = np.zeros(batch.num_rows, dtype=bool)
+        if not len(idx):
+            return soft404
+        corpus = self.transport.corpus
+        take = pa.array(idx)
+        for i, url, body, base_url, root, depth in zip(
+                idx.tolist(), *(col.take(take).to_pylist() for col in (
+                    batch["url"], bodies, base, batch["root_path"],
+                    batch["depth"]))):
+            if body_row[i] >= 0:
+                spans = self._index.spans_at(body_row[i])
+            else:
+                spans = corpus.spans_of(body) if corpus is not None else []
+            if eligible[i] and is_css[i] and not is_html[i]:
+                links = extract_css_doc_links(body, base_url, spans,
                                               self._extractor.resolver)
                 frags = []
             else:
                 links, frags = self._extractor.extract_doc(
-                    body, base, spans, parent_url=url)
-            if eligible:
-                self._process_links(url, roots[i], depths[i], links, out)
-            need_frags = bool(self.check_fragments and body and is_html
-                              and (eligible or url in pending))
-            if need_frags:
+                    body, base_url, spans, parent_url=url)
+            if eligible[i]:
+                self._process_links(url, root, depth, links, out)
+            if need_frags[i]:
                 out.frag_targets.extend((url, f) for f in frags)
                 # soft-404 heuristic over the body text (src/index.ts:630-637)
                 texts = [s.get("text") or "" for s in spans]
-                result["soft404"] = (any("noindex" in t for t in texts)
-                                     and any("nofollow" in t for t in texts))
-
-        if vec_rows:
-            self._extract_and_process_vec(vec_rows, rows, urls, roots,
-                                          depths, corpus, out)
-        cols = {name: [r[name] for r in rows] for name in rows[0]} if rows else {}
-        carried = {name: batch[name].to_pylist() for name in
-                   ("url", "url_hash", "host", "parent", "depth", "do_crawl",
-                    "root_path", "attempt")}
-        carried.update(cols)
-        fetched = schema.table(schema.FETCH_RESULTS, **carried) if rows \
-            else schema.empty(schema.FETCH_RESULTS)
-        if self.classify_opts is not None and fetched.num_rows:
-            fetched = self._classify_in_actor(fetched)
-        return {
-            "fetched": fetched,
-            "candidates": out.candidates_table(),
-            "link_results": out.link_results_table(),
-            "pending_frags": out.pending_frags_table(),
-            "frag_targets": out.frag_targets_table(),
-        }
+                soft404[i] = (any("noindex" in t for t in texts)
+                              and any("nofollow" in t for t in texts))
+        return soft404
 
     # -- vectorized extraction + link processing (the hot crawl path) ------
 
-    def _extract_and_process_vec(self, vec_rows, rows, urls, roots, depths,
-                                 corpus, out: "_BatchAccumulator") -> None:
+    def _extract_and_process_vec(self, idx: np.ndarray, batch: pa.Table,
+                                 base, body_row: np.ndarray,
+                                 out: "_BatchAccumulator") -> None:
         """Batch extraction over the corpus Arrow table (one take + the
         vectorized span explode of stages/extract.py) and vectorized
         per-link processing — replaces the per-doc as_py() + per-link
         Python loop of the scalar path for corpus-backed HTML docs."""
-        ex = self._extractor
-        take = pa.array([rp for _, rp in vec_rows], pa.int64())
-        spans_arr = corpus._spans_col.take(take)
+        take = pa.array(idx)
         # doc_id = LOCAL position string so link rows map back to their
-        # frontier row with one int() instead of a dict lookup
-        doc_tbl = pa.Table.from_arrays(
-            [pa.array([str(j) for j in range(len(vec_rows))], pa.string()),
-             spans_arr], schema=schema.DOCUMENTS)
-        bases = {str(j): (rows[i]["final_url"] or urls[i])
-                 for j, (i, _) in enumerate(vec_rows)}
-        saved = ex.page_urls
-        ex.page_urls = bases
-        try:
-            links_tbl, _ = ex.extract_with_fragments(doc_tbl)
-        finally:
-            ex.page_urls = saved
-        self._process_links_vec(links_tbl, vec_rows, urls, roots, depths, out)
+        # frontier row with one cast instead of a lookup
+        doc_tbl = pa.table({
+            "doc_id": pc.cast(pa.array(np.arange(len(idx))), pa.string()),
+            "spans": self._index._spans_col.take(pa.array(body_row[idx])),
+            "page_url": base.take(take),
+        })
+        links_tbl, _ = self._extractor.extract_with_fragments(doc_tbl)
+        self._process_links_vec(links_tbl, batch.take(take), out)
 
-    def _process_links_vec(self, links: pa.Table, vec_rows, urls, roots,
-                           depths, out: "_BatchAccumulator") -> None:
+    def _process_links_vec(self, links: pa.Table, pages: pa.Table,
+                           out: "_BatchAccumulator") -> None:
         """Arrow-native per-link processing: doc metadata joins are
-        C-speed takes on per-doc arrays, string work stays in Arrow
+        C-speed takes on the page rows, string work stays in Arrow
         kernels, hashing runs on the flat UTF-8 buffers. Python touches
         only the rare rows (parse errors, skip hits)."""
-        import pyarrow.compute as pc
         n = links.num_rows
         if n == 0:
             return
         doc_pos = pc.cast(links["doc_id"].combine_chunks(), pa.int64())
-        page_docs = pa.array([urls[i] for i, _ in vec_rows], pa.string())
-        depth_docs = pa.array([depths[i] for i, _ in vec_rows], pa.int32())
-        root_strs: list[str] = []
-        root_index: dict[str, int] = {}
-        root_ids_list = []
-        for i, _ in vec_rows:
-            r = roots[i]
-            rid = root_index.get(r)
-            if rid is None:
-                rid = root_index[r] = len(root_strs)
-                root_strs.append(r)
-            root_ids_list.append(rid)
-        root_ids_docs = pa.array(root_ids_list, pa.int64())
-        root_strs_pa = pa.array(root_strs, pa.string())
+        page_docs = pages["url"].combine_chunks()
+        depth_docs = pages["depth"].combine_chunks()
+        roots = pc.dictionary_encode(pages["root_path"].combine_chunks())
+        root_strs_pa = roots.dictionary
+        root_strs = root_strs_pa.to_pylist()
+        root_ids_docs = roots.indices
 
         parents = page_docs.take(doc_pos)
         link_depths = depth_docs.take(doc_pos)
@@ -706,16 +814,14 @@ class FetchWorker:
             root_strs_pa.take(pa.array(link_root_ids[live])),
         ], schema=schema.CANDIDATES))
 
-    _HOST_RE = r"^https?://(?P<h>[a-z0-9.-]+)(?:[/:?#]|$)"
-
-    def _hosts_vec(self, url_col) -> np.ndarray:
-        """Vectorized host-of for normalized URLs (RE2 kernel); rows the
-        simple pattern misses (userinfo, IPv6, odd schemes) fall back to
-        the scalar helper."""
-        import pyarrow.compute as pc
-        h = pc.struct_field(pc.extract_regex(url_col, self._HOST_RE), "h")
-        hosts = h.to_numpy(zero_copy_only=False)
-        misses = np.flatnonzero(pc.is_null(h).to_numpy(zero_copy_only=False))
+    @staticmethod
+    def _hosts_vec(url_col) -> np.ndarray:
+        """Vectorized host-of for normalized URLs (the shared RE2 split,
+        ``urlkit.split_url_arrow``); rows the pattern misses (userinfo,
+        IPv6, odd schemes) fall back to the scalar helper."""
+        matched, host, _, _ = urlkit.split_url_arrow(url_col)
+        hosts = host.to_numpy(zero_copy_only=False)
+        misses = np.flatnonzero(~matched)
         if len(misses):
             raw = url_col.take(pa.array(misses)).to_pylist()
             for pos, u in zip(misses, raw):
@@ -763,6 +869,17 @@ class _BatchAccumulator:
         self.pending_frags: list[tuple] = []
         self.frag_targets: list[tuple] = []
         self.root_meta: dict[str, tuple] = {}
+
+    def tables(self, fetched: pa.Table) -> dict:
+        """The fetch_batch result: ``fetched`` plus the link-derived
+        tables."""
+        return {
+            "fetched": fetched,
+            "candidates": self.candidates_table(),
+            "link_results": self.link_results_table(),
+            "pending_frags": self.pending_frags_table(),
+            "frag_targets": self.frag_targets_table(),
+        }
 
     def candidates_table(self) -> pa.Table:
         tables = list(self.cand_tables)

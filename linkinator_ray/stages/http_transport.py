@@ -10,10 +10,11 @@ stripping — stages/fetch.py).
 
 Fetched HTML/CSS bodies are parsed into the engine's span model
 (stages/htmlparse.html_to_spans) and held in a ``LiveBodyStore`` that
-quacks like the CorpusIndex body side (``spans_of`` / ``row_of``), so
-extraction and fragment logic run unchanged. ``row_of`` returns None —
-live bodies take the scalar extraction path (one doc each, no Arrow
-batch to explode).
+serves them through ``spans_of``, like the CorpusIndex body side, so
+extraction and fragment logic run unchanged. Live bodies have no corpus
+row, so they take the scalar per-doc extraction path. The fetch worker
+sends this transport's requests one per row over its connection threads
+(``FetchWorker._request_rows``).
 
 The sandbox has no outbound network; the integration test drives this
 against a loopback ``http.server`` (tests/test_http_transport.py).
@@ -25,9 +26,8 @@ import ssl
 import threading
 from urllib.parse import urlsplit
 
+from linkinator_ray.stages.classify import HTML_TYPES
 from linkinator_ray.stages.fetch import TransportError, TResponse
-
-HTML_TYPES = ("text/html", "application/xhtml+xml")
 
 
 class LiveBodyStore:
@@ -48,9 +48,6 @@ class LiveBodyStore:
 
     def spans_of(self, doc_id: str) -> list:
         return self._spans.get(doc_id, [])
-
-    def row_of(self, doc_id: str):  # live bodies: scalar extraction path
-        return None
 
 
 def proxy_url_from_env() -> str | None:

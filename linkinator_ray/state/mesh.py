@@ -595,7 +595,8 @@ class MeshNode:
                            part + ".tmp")
             os.replace(part + ".tmp", part)
             self.spill_part += 1
-            self.counters["spilled_rows"] =                 self.counters.get("spilled_rows", 0) + spill.num_rows
+            spilled = self.counters.get("spilled_rows", 0)
+            self.counters["spilled_rows"] = spilled + spill.num_rows
         self.results_buf = [keep] if keep.num_rows else []
 
     def _route_wants(self, wants: pa.Table) -> None:

@@ -394,6 +394,28 @@ def hash64_arrow(col) -> np.ndarray:
     return out
 
 
+# lower-case host, optional port, then path/query/fragment (RE2)
+_RE_URL_PARTS = (r"^(?P<scheme>[a-z][a-z0-9+.-]*)://(?P<host>[a-z0-9.-]+)"
+                 r"(?P<port>:[0-9]*)?(?P<rest>[/?#].*)?$")
+
+
+def split_url_arrow(col):
+    """Vectorized split of absolute URLs with a plain lower-case host
+    into ``(matched, host, port, rest)``: a numpy mask of the rows the
+    pattern took, and Arrow string columns (``''`` where a part is
+    absent or the row missed). Rows it misses (userinfo, IPv6, upper
+    case, odd characters) are left to the scalar helpers."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    parts = pc.extract_regex(col, _RE_URL_PARTS)
+    matched = pc.is_valid(parts).to_numpy(zero_copy_only=False)
+    return (matched,) + tuple(
+        pc.fill_null(pc.struct_field(parts, name), "")
+        for name in ("host", "port", "rest"))
+
+
 # ---------------------------------------------------------------------------
 # vectorized batch resolution (the map_batches hot kernel)
 # ---------------------------------------------------------------------------

@@ -1,0 +1,155 @@
+"""One ``FetchWorker.fetch_batch`` call whose rows take every step of the
+per-URL request state machine (src/index.ts:344-479) together: HEAD
+405 → GET, the last-gasp GET for a non-crawl error, a redirect chain cut
+by a per-hop skip rule, scripted response sequences, a transport error,
+the CSS body re-GET, the fragment body re-GET and plain corpus rows.
+
+Each URL's request sequence and its FETCH_RESULTS row are pinned, so a
+change to how the batch is stepped cannot reorder or drop a request.
+"""
+
+import json
+
+from linkinator_ray import schema
+from linkinator_ray.sources import fixtures as fx
+from linkinator_ray.sources.documents import CorpusIndex
+from linkinator_ray.stages.fetch import FetchWorker, MockTransport
+
+NOW = 1000.0
+HTML = "text/html"
+
+# url → (do_crawl, [(method, status) in request order])
+ROWS = {
+    "http://x.invalid/head405": (False, [("HEAD", 405), ("GET", 200)]),
+    "http://x.invalid/head405err": (False, [("HEAD", 405), ("GET", 0),
+                                            ("GET", 0)]),
+    "http://x.invalid/gone": (False, [("HEAD", 404), ("GET", 404)]),
+    "http://r.invalid/start": (False, [("HEAD", 302)]),
+    "http://s.invalid/a": (False, [("HEAD", 500), ("GET", 200)]),
+    "http://s.invalid/b": (True, [("GET", 429)]),
+    "http://e.invalid/x": (False, [("HEAD", 0), ("GET", 0)]),
+    "http://corpus.test/style.css": (True, [("GET", 200), ("GET", 200)]),
+    "http://corpus.test/plain.css": (True, [("GET", 200)]),
+    "http://corpus.test/frag.html": (False, [("HEAD", 200), ("GET", 200)]),
+    "http://corpus.test/": (True, [("GET", 200)]),
+    "http://corpus.test/sub": (True, [("GET", 301)]),
+    "http://corpus.test/missing.html": (True, [("GET", 404)]),
+    "http://nowhere.invalid/": (False, [("HEAD", 0), ("GET", 0)]),
+}
+# hops behind the redirects above
+HOPS = {
+    "http://r.invalid/mid": [("HEAD", 301)],
+    "http://corpus.test/sub/": [("GET", 200)],
+}
+
+
+def _worker() -> FetchWorker:
+    documents = fx.docs_table(
+        fx.doc("index.html", fx.span("anchor", "/sub/")),
+        fx.doc("sub/index.html", fx.span("anchor", "/index.html")),
+        fx.doc("frag.html", fx.span("fragment_target", text="here"),
+               fx.span("anchor", "#here")),
+        fx.doc("style.css", fx.span("style_url", text="a{background:url(/i.png)}")),
+        fx.doc("plain.css", fx.span("style_url", text="b{background:url(/j.png)}")),
+    )
+    http_map = [
+        fx.http("http://x.invalid/head405", 405, method="HEAD"),
+        fx.http("http://x.invalid/head405", 200, method="GET"),
+        fx.http("http://x.invalid/head405err", 405, method="HEAD"),
+        fx.http("http://x.invalid/head405err", 0, method="GET", error="boom"),
+        fx.http("http://x.invalid/gone", 404),
+        fx.http("http://r.invalid/start", 302,
+                headers={"location": "http://r.invalid/mid"}),
+        fx.http("http://r.invalid/mid", 301,
+                headers={"location": "http://skip.invalid/end"}),
+        fx.http("http://s.invalid/a", 500, seq=0),
+        fx.http("http://s.invalid/a", 200, seq=1),
+        fx.http("http://s.invalid/b", 429, seq=0, retry_after="5"),
+        fx.http("http://s.invalid/b", 200, seq=1, content_type=HTML),
+        fx.http("http://e.invalid/x", 0, error="connection reset"),
+        fx.http("http://corpus.test/style.css", 200, seq=0,
+                content_type="text/css"),
+        fx.http("http://corpus.test/style.css", 200, seq=1,
+                content_type="text/css", body_doc_id="style.css"),
+    ]
+    transport = MockTransport(http_map, CorpusIndex(documents), strict=False)
+    return FetchWorker(transport, check_css=True, check_fragments=True,
+                       retry=True, recurse=True,
+                       skip_patterns=[r"skip\.invalid"])
+
+
+def _batch():
+    urls = list(ROWS)
+    return schema.table(
+        schema.FRONTIER, url=urls, url_hash=[0] * len(urls),
+        host=[u.split("/")[2] for u in urls], parent=[""] * len(urls),
+        depth=[0] * len(urls), do_crawl=[ROWS[u][0] for u in urls],
+        root_path=["http://corpus.test/"] * len(urls),
+        attempt=[0] * len(urls), not_before=[0.0] * len(urls))
+
+
+def _row(status, final_url="", body="", ct="", location=False, ra=0.0,
+         skipped="", errors=None):
+    return {"status": status, "final_url": final_url,
+            "has_body": body != "", "body_doc_id": body, "content_type": ct,
+            "has_location": location, "retry_after_epoch": ra,
+            "cf_mitigated": False, "redirect_skipped": skipped,
+            "error_details": json.dumps(errors) if errors else "",
+            "soft404": False}
+
+
+EXPECTED = {
+    "http://x.invalid/head405": _row(200, "http://x.invalid/head405"),
+    # the thrown GET after the 405 leaves no response
+    "http://x.invalid/head405err": _row(0, errors=["boom"] * 2),
+    "http://x.invalid/gone": _row(404, "http://x.invalid/gone"),
+    "http://r.invalid/start": _row(301, "http://r.invalid/mid", location=True,
+                                   skipped="http://skip.invalid/end"),
+    "http://s.invalid/a": _row(200, "http://s.invalid/a"),
+    "http://s.invalid/b": _row(429, "http://s.invalid/b", ra=NOW + 5),
+    "http://e.invalid/x": _row(0, errors=["connection reset"] * 2),
+    "http://corpus.test/style.css": _row(
+        200, "http://corpus.test/style.css", "style.css", "text/css"),
+    "http://corpus.test/plain.css": _row(
+        200, "http://corpus.test/plain.css", "plain.css", "text/css"),
+    "http://corpus.test/frag.html": _row(
+        200, "http://corpus.test/frag.html", "frag.html", HTML),
+    "http://corpus.test/": _row(200, "http://corpus.test/", "index.html", HTML),
+    "http://corpus.test/sub": _row(200, "http://corpus.test/sub/",
+                                   "sub/index.html", HTML),
+    "http://corpus.test/missing.html": _row(404,
+                                            "http://corpus.test/missing.html"),
+    "http://nowhere.invalid/": _row(404, "http://nowhere.invalid/"),
+}
+
+
+def test_mixed_batch_takes_every_step():
+    worker = _worker()
+    out = worker.fetch_batch(_batch(), ["http://corpus.test/frag.html"], NOW)
+    calls = worker.call_log()
+    sequences = {**{u: s for u, (_, s) in ROWS.items()}, **HOPS}
+    for url, expected in sequences.items():
+        assert [(m, s) for (u, m, s) in calls if u == url] == expected, url
+    assert len(calls) == sum(len(s) for s in sequences.values())
+
+    fetched = out["fetched"]
+    assert fetched.schema == schema.FETCH_RESULTS
+    rows = {r["url"]: r for r in fetched.to_pylist()}
+    assert fetched["url"].to_pylist() == list(ROWS)  # batch order kept
+    for url, want in EXPECTED.items():
+        got = {k: rows[url][k] for k in want}
+        assert got == want, url
+        assert rows[url]["do_crawl"] == ROWS[url][0]
+
+    # extraction: the crawled corpus pages and the re-fetched stylesheet
+    # yield their links, the re-fetched fragment page its fragment target
+    cands = out["candidates"].to_pylist()
+    assert {(c["url"], c["parent"]) for c in cands} == {
+        ("http://corpus.test/sub/", "http://corpus.test/"),
+        ("http://corpus.test/index.html", "http://corpus.test/sub"),
+        ("http://corpus.test/i.png", "http://corpus.test/style.css"),
+        ("http://corpus.test/j.png", "http://corpus.test/plain.css"),
+    }
+    assert out["frag_targets"].to_pylist() == [
+        {"page_url": "http://corpus.test/frag.html", "fragment_id": "here"}]
+    assert out["link_results"].num_rows == 0

@@ -117,6 +117,22 @@ class TestMeshMode:
             == expected_seen
         assert rounds.passed == mesh.passed
 
+    def test_mesh_node_load_in_stats(self, ray_session):
+        """stats["mesh"] gives each node's busy seconds and pump count
+        from the driver's final poll; the pumps add up to the rounds."""
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, _, _ = synth_crawl_corpus(num_hosts=3,
+                                               docs_per_host=150)
+        res = LinkChecker(
+            CheckOptions(paths=seeds, recurse=True, fetch_concurrency=3,
+                         mesh=True),
+            docs, [], multi_host=True, use_ray=True).check()
+        assert res.stats["executor"] == "mesh"
+        load = res.stats["mesh"]
+        assert len(load["busy_sec"]) == len(load["pumps"]) == 3
+        assert all(busy > 0 for busy in load["busy_sec"])
+        assert sum(load["pumps"]) == res.stats["rounds"]
+
     def test_mesh_skip_rules_and_dup_broken(self, ray_session):
         """Mesh honors skip rules and the duplicate-broken re-report
         join (J1) — equality vs round mode on a fixture with repeated
