@@ -386,82 +386,39 @@ class FetchWorker:
     # -- the per-URL state machine, one batch step at a time ---------------
 
     def _request_steps(self, urls: pa.Array, do_crawl: np.ndarray,
-                       pending: np.ndarray, now: float):
+                       pending: np.ndarray, now: float) -> "_StepState":
         """Run src/index.ts:344-479 over the batch as masked steps, each
         one request per selected row, in the reference's order: first
         request (GET to crawl, else HEAD), 405 → GET, last-gasp GET,
         CSS body re-GET, fragment body re-GET. A redirect skip or a
         usable retry-after ends a row; a thrown request is recorded and
-        the row goes on.
-
-        Returns (each row's final response as STEP rows,
-        retry_after_epoch, {row: [error messages]}, ended rows)."""
-        n = len(urls)
-        steps: list[pa.Table] = []
-        src = np.zeros(n, dtype=np.int64)   # row → its response, in steps
-        has_resp = np.zeros(n, dtype=bool)
-        ended = np.zeros(n, dtype=bool)
-        status = np.zeros(n, dtype=np.int64)
-        has_body = np.zeros(n, dtype=bool)
-        is_html = np.zeros(n, dtype=bool)
-        is_css = np.zeros(n, dtype=bool)
-        retry_at = np.zeros(n)
-        failures: dict[int, list[str]] = {}
-        get_all = np.ones(n, dtype=bool)
+        the row goes on."""
+        state = _StepState(len(urls))
+        get_all = np.ones(len(urls), dtype=bool)
 
         def step(mask, get, forget_on_error: bool, check_retry: bool):
             idx = np.flatnonzero(mask)
-            if not len(idx):
-                return
-            rows, t = self._send(urls, idx, get[idx])
-            err = pc.not_equal(t["error"], "").to_numpy(zero_copy_only=False)
-            for r, msg in zip(rows[err], t["error"].filter(err).to_pylist()):
-                failures.setdefault(int(r), []).append(msg)
-            # a thrown first request leaves no response; a thrown
-            # follow-up keeps the earlier one
-            take = np.ones(len(rows), dtype=bool) if forget_on_error else ~err
-            r = rows[take]
-            src[r] = sum(x.num_rows for x in steps) + np.flatnonzero(take)
-            has_resp[r] = ~err[take]
-            st = t["status"].to_numpy(zero_copy_only=False)
-            status[r] = st[take]
-            has_body[r] = pc.not_equal(t["body_doc_id"], "") \
-                .to_numpy(zero_copy_only=False)[take]
-            is_html[r] = content_is(t["content_type"], HTML_TYPES)[take]
-            is_css[r] = content_is(t["content_type"], ("text/css",))[take]
-            skipped = pc.not_equal(t["redirect_skipped"], "") \
-                .to_numpy(zero_copy_only=False)
-            ended[rows[skipped]] = True
-            if check_retry and self.retry:
-                # 429 + parseable retry-after while retry enabled
-                # (src/index.ts:1019-1032)
-                wait = np.flatnonzero(
-                    ~skipped & (st == 429) & pc.not_equal(
-                        t["retry_after"], "").to_numpy(zero_copy_only=False))
-                raws = t["retry_after"].take(wait).to_pylist()
-                for j, raw in zip(wait, raws):
-                    epoch = parse_retry_after(raw, now)
-                    if epoch == epoch and epoch:  # nan → no retry
-                        retry_at[rows[j]] = epoch
-                        ended[rows[j]] = True
-            steps.append(t)
+            if len(idx):
+                rows, table = self._send(urls, idx, get[idx])
+                state.record(rows, table, forget_on_error,
+                             check_retry and self.retry, now)
 
         step(get_all, do_crawl, True, True)
         # server dislikes HEAD → GET
-        step(~ended & has_resp & (status == 405), get_all, True, True)
+        step(~state.ended & state.has_resp & (state.status == 405),
+             get_all, True, True)
         # last-gasp GET for non-crawl targets (src/index.ts:396-417)
-        ok2xx = has_resp & (status >= 200) & (status < 300)
-        step(~ended & ~do_crawl & ~ok2xx, get_all, False, True)
+        ok2xx = state.has_resp & (state.status >= 200) & (state.status < 300)
+        step(~state.ended & ~do_crawl & ~ok2xx, get_all, False, True)
         if self.check_css:
             # CSS body re-GET (src/index.ts:426-448)
-            step(~ended & has_resp & is_css & ~has_body & do_crawl,
-                 get_all, False, False)
+            step(~state.ended & state.has_resp & state.is_css
+                 & ~state.has_body & do_crawl, get_all, False, False)
         if self.check_fragments:
             # fragment body re-GET (src/index.ts:450-473)
-            step(~ended & has_resp & is_html & ~has_body & pending,
-                 get_all, False, False)
-        responses = pa.concat_tables(steps).take(pa.array(src))
-        return responses, retry_at, failures, ended
+            step(~state.ended & state.has_resp & state.is_html
+                 & ~state.has_body & pending, get_all, False, False)
+        return state
 
     def _send(self, urls: pa.Array, idx: np.ndarray, get: np.ndarray):
         """One request for each row ``idx`` (GET where ``get``, else
@@ -610,19 +567,19 @@ class FetchWorker:
         out = _BatchAccumulator()
         if batch.num_rows == 0:
             return out.tables(schema.empty(schema.FETCH_RESULTS))
-        batch = batch.select(schema.FETCH_RESULTS.names[:8]).combine_chunks()
+        # FETCH_RESULTS carries the frontier columns. take() copies them
+        # compactly: a sliced batch (a mesh pump's share of its queue)
+        # would otherwise pickle its parent's whole buffers into every
+        # result table it ships
+        batch = batch.select(schema.FETCH_RESULTS.names[:8]) \
+            .take(np.arange(batch.num_rows))
         urls = batch["url"].chunk(0)
         do_crawl = batch["do_crawl"].to_numpy(zero_copy_only=False)
         pending = pc.is_in(urls, value_set=pa.array(
             pending_fragment_urls, pa.string())).to_numpy(zero_copy_only=False)
-        resp, retry_at, failures, ended = self._request_steps(
-            urls, do_crawl, pending, now)
-
-        content_type = resp["content_type"]
-        is_html = content_is(content_type, HTML_TYPES)
-        is_css = content_is(content_type, ("text/css",))
-        has_body = pc.not_equal(resp["body_doc_id"], "") \
-            .to_numpy(zero_copy_only=False)
+        state = self._request_steps(urls, do_crawl, pending, now)
+        resp = state.responses()
+        is_html, is_css, has_body = state.is_html, state.is_css, state.has_body
         body_row = resp["body_row"].to_numpy(zero_copy_only=False)
         base = pc.if_else(pc.equal(resp["final_url"], ""), urls,
                           resp["final_url"])
@@ -631,7 +588,7 @@ class FetchWorker:
         eligible = do_crawl & has_body & (is_html | (is_css & self.check_css))
         need_frags = self.check_fragments & has_body & is_html \
             & (eligible | pending)
-        parse = ~ended & (eligible | need_frags)
+        parse = ~state.ended & (eligible | need_frags)
         # The common shape — a corpus HTML doc, no fragment tracking —
         # runs through the VECTORIZED batch extractor (Arrow take +
         # explode, no per-doc as_py()), once per body; css docs,
@@ -650,12 +607,12 @@ class FetchWorker:
             self._extract_and_process_vec(vec, batch, base, body_row, out)
 
         errors = np.full(batch.num_rows, "", dtype=object)
-        for row, messages in failures.items():
+        for row, messages in state.failures.items():
             errors[row] = json.dumps(messages)
         fetched = pa.Table.from_arrays(batch.columns + [
             resp["status"], resp["final_url"], pa.array(has_body),
-            resp["body_doc_id"], content_type, resp["has_location"],
-            pa.array(retry_at), resp["cf_mitigated"],
+            resp["body_doc_id"], resp["content_type"], resp["has_location"],
+            pa.array(state.retry_at), resp["cf_mitigated"],
             resp["redirect_skipped"], pa.array(errors, pa.string()),
             pa.array(soft404)], schema=schema.FETCH_RESULTS)
         if self.classify_opts is not None:
@@ -857,6 +814,63 @@ class FetchWorker:
 
     def call_log(self) -> list[tuple[str, str, int]]:
         return list(self.transport.calls)
+
+
+class _StepState:
+    """Each batch row's state while the request steps run: its current
+    response (a row of the step tables) and the masks the next steps
+    branch on."""
+
+    def __init__(self, n: int):
+        self.tables: list[pa.Table] = []
+        self.src = np.zeros(n, dtype=np.int64)
+        self.has_resp = np.zeros(n, dtype=bool)
+        self.ended = np.zeros(n, dtype=bool)  # redirect skip / retry-after
+        self.status = np.zeros(n, dtype=np.int64)
+        self.has_body = np.zeros(n, dtype=bool)
+        self.is_html = np.zeros(n, dtype=bool)
+        self.is_css = np.zeros(n, dtype=bool)
+        self.retry_at = np.zeros(n)           # retry_after_epoch
+        self.failures: dict[int, list[str]] = {}  # thrown-request messages
+
+    def record(self, rows: np.ndarray, t: pa.Table, forget_on_error: bool,
+               check_retry: bool, now: float) -> None:
+        """Take one step's responses (STEP rows for batch rows ``rows``)."""
+        err = pc.not_equal(t["error"], "").to_numpy(zero_copy_only=False)
+        if err.any():
+            for r, msg in zip(rows[err], t["error"].filter(err).to_pylist()):
+                self.failures.setdefault(int(r), []).append(msg)
+        # a thrown first request leaves no response; a thrown follow-up
+        # keeps the earlier one
+        take = np.ones(len(rows), dtype=bool) if forget_on_error else ~err
+        r = rows[take]
+        self.src[r] = sum(x.num_rows for x in self.tables) \
+            + np.flatnonzero(take)
+        self.tables.append(t)
+        self.has_resp[r] = ~err[take]
+        status = t["status"].to_numpy(zero_copy_only=False)
+        self.status[r] = status[take]
+        self.has_body[r] = pc.not_equal(t["body_doc_id"], "") \
+            .to_numpy(zero_copy_only=False)[take]
+        self.is_html[r] = content_is(t["content_type"], HTML_TYPES)[take]
+        self.is_css[r] = content_is(t["content_type"], ("text/css",))[take]
+        skipped = pc.not_equal(t["redirect_skipped"], "") \
+            .to_numpy(zero_copy_only=False)
+        self.ended[rows[skipped]] = True
+        if check_retry:
+            # 429 + parseable retry-after while retry enabled
+            # (src/index.ts:1019-1032)
+            wait = np.flatnonzero(~skipped & (status == 429) & pc.not_equal(
+                t["retry_after"], "").to_numpy(zero_copy_only=False))
+            for j, raw in zip(wait, t["retry_after"].take(wait).to_pylist()):
+                epoch = parse_retry_after(raw, now)
+                if epoch == epoch and epoch:  # nan → no retry
+                    self.retry_at[rows[j]] = epoch
+                    self.ended[rows[j]] = True
+
+    def responses(self) -> pa.Table:
+        """Each row's final response, in batch order."""
+        return pa.concat_tables(self.tables).take(pa.array(self.src))
 
 
 class _BatchAccumulator:
