@@ -225,6 +225,10 @@ class CorpusIndex:
             on = pc.equal(hosts, self.host)
         on = on.to_numpy(zero_copy_only=False)
         sel = np.flatnonzero(on)
+        if len(sel) == n:
+            return pa.Table.from_arrays(
+                [pa.array(on)] + self._resolve_paths(paths),
+                schema=RESOLUTIONS)
         found = self._resolve_paths(paths.take(sel))
         # rows off the corpus take the default row appended at the end
         take = np.full(n, len(sel))

@@ -152,8 +152,7 @@ class MockTransport:
             # recorded so tests can assert the per-hop header flow
             # (incl. cross-host sensitive-header stripping)
             self.header_log.append((url, method, dict(headers)))
-        if self.latency_s:
-            time.sleep(self.latency_s)
+        self.wait()
         entry = self._match(url, method)
         if entry is not None:
             if entry.get("error"):
@@ -192,11 +191,10 @@ class MockTransport:
             raise TransportError(f"unmocked request: {method} {url}")
         return TResponse(404, {}, "", "", url)
 
-    @property
-    def batched(self) -> bool:
-        """A fetch step's corpus rows go through ``request_many`` unless
-        every request must wait out a simulated latency."""
-        return self.corpus is not None and not self.latency_s
+    def wait(self) -> None:
+        """One request's simulated time on the wire."""
+        if self.latency_s:
+            time.sleep(self.latency_s)
 
     def scripted(self, urls: pa.Array) -> np.ndarray:
         """Rows whose URL has an http_map entry: they keep per-row
@@ -209,7 +207,8 @@ class MockTransport:
         """``request`` for a batch of URLs without an http_map entry
         (GET where ``get``, else HEAD): one ``CorpusIndex.resolve_many``
         pass, the same responses and call-log rows. Returns STEP rows;
-        following a 301's location is the caller's hop loop."""
+        following a 301's location is the caller's hop loop, and each
+        row's ``wait`` the caller's connection threads."""
         res = self.corpus.resolve_many(urls)
         status = res["status"]
         off = pc.invert(res["on_corpus"])
@@ -422,14 +421,14 @@ class FetchWorker:
 
     def _send(self, urls: pa.Array, idx: np.ndarray, get: np.ndarray):
         """One request for each row ``idx`` (GET where ``get``, else
-        HEAD) → (rows, STEP table). An in-process corpus transport
-        answers the corpus rows with one ``request_many``; scripted
-        rows, redirects to follow and transports that wait on the wire
-        go through ``make_request`` per row."""
+        HEAD) → (rows, STEP table). A mock transport answers its corpus
+        rows with one ``request_many`` and, when it simulates latency,
+        waits once per row over the connection threads; scripted rows,
+        redirects to follow and the HTTP transport go through
+        ``make_request`` per row."""
         sub = urls.take(pa.array(idx))
         transport = self.transport
-        per_row = transport.scripted(sub) \
-            if getattr(transport, "batched", False) \
+        per_row = transport.scripted(sub) if self._index is not None \
             else np.ones(len(idx), dtype=bool)
         todo = np.flatnonzero(per_row)
         firsts: list = [None] * len(todo)
@@ -438,6 +437,8 @@ class FetchWorker:
         if len(batched):
             t = transport.request_many(sub.take(pa.array(batched)),
                                        get[batched], self.headers)
+            if transport.latency_s:
+                self._per_row(lambda _: transport.wait(), len(batched))
             hop = np.zeros(len(batched), dtype=bool)
             if self.redirects != RedirectsMode.ERROR:
                 hop = np.isin(t["status"].to_numpy(zero_copy_only=False),
@@ -474,15 +475,18 @@ class FetchWorker:
             except TransportError as exc:
                 return str(exc)
 
-        if self.connections > 1 and len(urls) > 1:
-            # I/O-concurrent fetching: sleeps (wire latency) overlap
-            # across the thread pool; the GIL serializes the cheap
-            # per-row compute. Results keep row order.
+        return self._per_row(one, len(urls))
+
+    def _per_row(self, fn, n: int) -> list:
+        """``[fn(j) for j in range(n)]``, over the connection threads
+        when there are several: waits on the wire overlap, the GIL
+        serializes the cheap per-row compute."""
+        if self.connections > 1 and n > 1:
             from concurrent.futures import ThreadPoolExecutor
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.connections)
-            return list(self._pool.map(one, range(len(urls))))
-        return [one(j) for j in range(len(urls))]
+            return list(self._pool.map(fn, range(n)))
+        return [fn(j) for j in range(n)]
 
     def _step_table(self, outcomes: list) -> pa.Table:
         """STEP rows for per-row outcomes."""

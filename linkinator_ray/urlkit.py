@@ -357,6 +357,11 @@ def hash64_array(values) -> np.ndarray:
     return hash64_arrow(pa.array(list(values), pa.string()))
 
 
+# rows up to which hash64_arrow hashes string by string (break-even
+# with the vectorized passes is ~64 URL-length strings)
+_SCALAR_HASH_ROWS = 48
+
+
 def hash64_arrow(col) -> np.ndarray:
     """Vectorized FNV-1a over an Arrow string column — operates on the
     flat UTF-8 buffer directly (one numpy pass per character position,
@@ -369,6 +374,11 @@ def hash64_arrow(col) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     if col.null_count:
         col = col.fill_null("")
+    if n <= _SCALAR_HASH_ROWS:
+        # a handful of rows: the per-character numpy passes below cost
+        # more than the scalar loop
+        return np.fromiter((hash64(s) for s in col.to_pylist()),
+                           dtype=np.uint64, count=n)
     if pa.types.is_large_string(col.type):
         off_dtype = np.int64
     else:

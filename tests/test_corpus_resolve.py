@@ -167,6 +167,11 @@ def test_resolve_many_equals_scalar_reference(multi_host, clean_urls,
         assert (g["status"], g["doc_id"], g["content_type"],
                 g["location"]) == w, url
         assert g["row"] == doc_row.get(w[1], -1), url
+    # a batch with no off-corpus row answers the same
+    on_rows = [g for g in rows if g["on_corpus"]]
+    on_urls = [u for u, g in zip(urls, rows) if g["on_corpus"]]
+    assert index.resolve_many(pa.array(on_urls, pa.string())).to_pylist() \
+        == on_rows
 
 
 def test_row_of():
