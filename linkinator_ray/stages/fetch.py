@@ -314,7 +314,6 @@ class FetchWorker:
                  headers: dict[str, str] | None = None,
                  classify_opts=None, static_host: str | None = None,
                  connections: int = 1):
-        import re
         self.transport = transport
         # per-actor concurrent connection streams (the reference's
         # `concurrency` is simultaneous connections, src/index.ts:256);
@@ -327,7 +326,7 @@ class FetchWorker:
         self.retry = retry
         self.recurse = recurse
         self.skip = SkipRules(skip_patterns, skip_fn)
-        self.frag_skip_patterns = [re.compile(p) for p in (frag_skip_patterns or [])]
+        self.frag_skip = SkipRules(frag_skip_patterns)
         self.frag_skip_fn = frag_skip_fn
         self.headers = headers or {}
         # when set, classification (M17-M20) runs inside the actor and
@@ -507,50 +506,6 @@ class FetchWorker:
             else np.full(len(outcomes), -1, dtype=np.int64)))
         return pa.Table.from_arrays(cols, schema=STEP)
 
-    # -- per-link handling, actor-side (src/index.ts:717-798) -------------
-
-    def _should_skip_fragment(self, fragment: str, url: str) -> bool:
-        if self.frag_skip_fn is not None:
-            return bool(self.frag_skip_fn(fragment, url))
-        return any(p.search(fragment) for p in self.frag_skip_patterns)
-
-    def _process_links(self, page_url: str, root_path: str, depth: int,
-                       links: list[dict], out: "_BatchAccumulator") -> None:
-        has_rules = bool(self.skip)
-        root_meta = out.root_meta.get(root_path)
-        if root_meta is None:
-            host = urlkit.host_of(root_path)
-            sep = root_path.find("://")
-            pinned = sep >= 0 and root_path.find("/", sep + 3) >= 0
-            root_meta = (host, pinned)
-            out.root_meta[root_path] = root_meta
-        root_host, root_pinned = root_meta
-        for link in links:
-            if link["parse_error"]:
-                # unparseable → BROKEN status 0 (src/index.ts:717-730)
-                out.link_results.append((link["raw_link"], 0, "BROKEN", page_url))
-                continue
-            url = link["url"]
-            wfrag = link["url_with_fragment"] or url
-            # fragment-full skip rule (src/index.ts:732-752)
-            if has_rules and url.startswith(("http://", "https://")) \
-                    and self.skip.should_skip(wfrag):
-                out.link_results.append((wfrag, None, "SKIPPED", page_url))
-                continue
-            # fragment tracking (src/index.ts:754-784) — the URL is
-            # still checked even when its fragment is skipped
-            if self.check_fragments and link["fragment"]:
-                if self._should_skip_fragment(link["fragment"], wfrag):
-                    out.link_results.append((wfrag, None, "SKIPPED", page_url))
-                else:
-                    out.pending_frags.append((url, link["fragment"]))
-            child_crawl = False
-            if self.recurse and url.startswith(root_path):
-                child_crawl = root_pinned or \
-                    urlkit.host_of_normalized(url) == root_host
-            out.cand.append((url, f"{url}|{page_url}",
-                             page_url, depth + 1, child_crawl, root_path))
-
     def fetch_batch(self, batch: pa.Table, pending_fragment_urls: list[str],
                     now: float) -> dict:
         """Fetch + fused extraction + per-link prep, one RPC per round
@@ -568,9 +523,9 @@ class FetchWorker:
         from linkinator_ray.stages.extract import ExtractLinks
         if self._extractor is None:
             self._extractor = ExtractLinks(check_css=self.check_css)
-        out = _BatchAccumulator()
+        out = empty_outputs()
         if batch.num_rows == 0:
-            return out.tables(schema.empty(schema.FETCH_RESULTS))
+            return out
         # FETCH_RESULTS carries the frontier columns. take() copies them
         # compactly: a sliced batch (a mesh pump's share of its queue)
         # would otherwise pickle its parent's whole buffers into every
@@ -584,31 +539,20 @@ class FetchWorker:
         state = self._request_steps(urls, do_crawl, pending, now)
         resp = state.responses()
         is_html, is_css, has_body = state.is_html, state.is_css, state.has_body
-        body_row = resp["body_row"].to_numpy(zero_copy_only=False)
         base = pc.if_else(pc.equal(resp["final_url"], ""), urls,
                           resp["final_url"])
         # parsed: crawl targets with an HTML (or checked CSS) body, and
-        # pages whose fragments are wanted
+        # pages whose fragments are wanted — all of them in one documents
+        # table through the batch extractor (stages/extract.py)
         eligible = do_crawl & has_body & (is_html | (is_css & self.check_css))
         need_frags = self.check_fragments & has_body & is_html \
             & (eligible | pending)
-        parse = ~state.ended & (eligible | need_frags)
-        # The common shape — a corpus HTML doc, no fragment tracking —
-        # runs through the VECTORIZED batch extractor (Arrow take +
-        # explode, no per-doc as_py()), once per body; css docs,
-        # directory listings, repeated bodies and all fragment-mode rows
-        # keep the scalar per-doc path.
-        vec = np.flatnonzero(parse & ~need_frags & is_html & ~is_css
-                             & (body_row >= 0))
-        vec = np.sort(vec[np.unique(body_row[vec], return_index=True)[1]])
-        scalar = parse.copy()
-        scalar[vec] = False
-        soft404 = self._extract_scalar(np.flatnonzero(scalar), batch, base,
-                                       resp["body_doc_id"], body_row,
-                                       eligible, need_frags, is_html,
-                                       is_css, out)
-        if len(vec):
-            self._extract_and_process_vec(vec, batch, base, body_row, out)
+        rows = np.flatnonzero(~state.ended & (eligible | need_frags))
+        soft404 = np.zeros(batch.num_rows, dtype=bool)
+        if len(rows):
+            soft404[rows] = self._extract_and_process(
+                rows, batch, base, resp, eligible[rows],
+                (is_css & ~is_html)[rows], need_frags[rows], out)
 
         errors = np.full(batch.num_rows, "", dtype=object)
         for row, messages in state.failures.items():
@@ -621,141 +565,165 @@ class FetchWorker:
             pa.array(soft404)], schema=schema.FETCH_RESULTS)
         if self.classify_opts is not None:
             fetched = self._classify_in_actor(fetched)
-        return out.tables(fetched)
+        out["fetched"] = fetched
+        return out
 
-    def _extract_scalar(self, idx: np.ndarray, batch: pa.Table, base,
-                        bodies, body_row, eligible, need_frags, is_html,
-                        is_css, out: "_BatchAccumulator") -> np.ndarray:
-        """Per-doc extraction of rows ``idx``; returns the soft-404 mask
-        (set on fragment-checked pages)."""
-        from linkinator_ray.stages.extract import extract_css_doc_links
-        soft404 = np.zeros(batch.num_rows, dtype=bool)
-        if not len(idx):
-            return soft404
-        corpus = self.transport.corpus
-        take = pa.array(idx)
-        for i, url, body, base_url, root, depth in zip(
-                idx.tolist(), *(col.take(take).to_pylist() for col in (
-                    batch["url"], bodies, base, batch["root_path"],
-                    batch["depth"]))):
-            if body_row[i] >= 0:
-                spans = self._index.spans_at(body_row[i])
-            else:
-                spans = corpus.spans_of(body) if corpus is not None else []
-            if eligible[i] and is_css[i] and not is_html[i]:
-                links = extract_css_doc_links(body, base_url, spans,
-                                              self._extractor.resolver)
-                frags = []
-            else:
-                links, frags = self._extractor.extract_doc(
-                    body, base_url, spans, parent_url=url)
-            if eligible[i]:
-                self._process_links(url, root, depth, links, out)
-            if need_frags[i]:
-                out.frag_targets.extend((url, f) for f in frags)
-                # soft-404 heuristic over the body text (src/index.ts:630-637)
-                texts = [s.get("text") or "" for s in spans]
-                soft404[i] = (any("noindex" in t for t in texts)
-                              and any("nofollow" in t for t in texts))
-        return soft404
+    # -- extraction + per-link handling, actor-side (src/index.ts:675-798) --
 
-    # -- vectorized extraction + link processing (the hot crawl path) ------
-
-    def _extract_and_process_vec(self, idx: np.ndarray, batch: pa.Table,
-                                 base, body_row: np.ndarray,
-                                 out: "_BatchAccumulator") -> None:
-        """Batch extraction over the corpus Arrow table (one take + the
-        vectorized span explode of stages/extract.py) and vectorized
-        per-link processing — replaces the per-doc as_py() + per-link
-        Python loop of the scalar path for corpus-backed HTML docs."""
-        take = pa.array(idx)
+    def _extract_and_process(self, rows: np.ndarray, batch: pa.Table, base,
+                             resp: pa.Table, eligible: np.ndarray,
+                             css: np.ndarray, need_frags: np.ndarray,
+                             out: dict) -> np.ndarray:
+        """Extract links from the bodies of batch rows ``rows`` in one
+        call and run the per-link rules on the links of ``eligible``
+        ones; fills ``out`` and returns the rows' soft-404 mask (set on
+        fragment-checked pages)."""
+        take = pa.array(rows)
+        spans = self._spans(resp["body_doc_id"].take(take),
+                            resp["body_row"].to_numpy(zero_copy_only=False)[rows])
         # doc_id = LOCAL position string so link rows map back to their
-        # frontier row with one cast instead of a lookup
-        doc_tbl = pa.table({
-            "doc_id": pc.cast(pa.array(np.arange(len(idx))), pa.string()),
-            "spans": self._index._spans_col.take(pa.array(body_row[idx])),
-            "page_url": base.take(take),
-        })
-        links_tbl, _ = self._extractor.extract_with_fragments(doc_tbl)
-        self._process_links_vec(links_tbl, batch.take(take), out)
+        # row with one cast instead of a lookup; fragment targets are
+        # keyed by the checked URL, links resolve against the final one
+        links, frags = self._extractor.extract_with_fragments(pa.table({
+            "doc_id": pc.cast(pa.array(np.arange(len(rows))), pa.string()),
+            "spans": spans,
+            "page_url": batch["url"].take(take),
+            "base_url": base.take(take),
+            "css": pa.array(css),
+        }))
+        if not eligible.all():
+            doc_pos = pc.cast(links["doc_id"], pa.int64()) \
+                .to_numpy(zero_copy_only=False)
+            links = links.filter(pa.array(eligible[doc_pos]))
+        out.update(self._process_links_vec(links, batch.take(take)))
+        if not self.check_fragments:
+            return np.zeros(len(rows), dtype=bool)
+        # the only parsed rows that are not fragment-checked then are
+        # stylesheets, which have no fragment targets
+        out["frag_targets"] = frags
+        # soft-404 heuristic over the body text (src/index.ts:630-637)
+        texts = pc.list_flatten(spans).field("text")
+        owner = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
 
-    def _process_links_vec(self, links: pa.Table, pages: pa.Table,
-                           out: "_BatchAccumulator") -> None:
-        """Arrow-native per-link processing: doc metadata joins are
-        C-speed takes on the page rows, string work stays in Arrow
-        kernels, hashing runs on the flat UTF-8 buffers. Python touches
-        only the rare rows (parse errors, skip hits)."""
+        def some_span_has(word: str) -> np.ndarray:
+            hit = pc.fill_null(pc.match_substring(texts, word), False) \
+                .to_numpy(zero_copy_only=False)
+            return np.bincount(owner[hit], minlength=len(rows)) > 0
+
+        return need_frags & some_span_has("noindex") & some_span_has("nofollow")
+
+    def _spans(self, bodies: pa.Array, body_row: np.ndarray) -> pa.Array:
+        """The span lists of ``bodies``: corpus rows by one take on the
+        corpus's spans column, live bodies and directory listings from
+        the transport's body store."""
+        stored = np.flatnonzero(body_row >= 0)
+        if len(stored) == len(body_row):
+            return self._index._spans_col.take(pa.array(body_row))
+        spans_type = schema.DOCUMENTS.field("spans").type
+        store = getattr(self.transport, "corpus", None)
+        others = np.flatnonzero(body_row < 0)
+        listed = pa.array(
+            [store.spans_of(b) if store is not None else [] for b in
+             bodies.take(pa.array(others)).to_pylist()], spans_type)
+        if not len(stored):
+            return listed
+        pick = np.empty(len(body_row), dtype=np.int64)
+        pick[stored] = np.arange(len(stored))
+        pick[others] = len(stored) + np.arange(len(others))
+        return pa.concat_arrays([
+            self._index._spans_col.take(pa.array(body_row[stored])),
+            listed]).take(pa.array(pick))
+
+    def _process_links_vec(self, links: pa.Table, pages: pa.Table) -> dict:
+        """Arrow-native per-link processing (src/index.ts:717-798) of
+        links whose ``doc_id`` is the position of their page in
+        ``pages``: doc metadata joins are C-speed takes on the page rows,
+        string work stays in Arrow kernels, hashing runs on the flat
+        UTF-8 buffers. Python touches only user skip callables. Returns
+        the candidates, link_results and pending_frags tables."""
         n = links.num_rows
         if n == 0:
-            return
+            return {}
         doc_pos = pc.cast(links["doc_id"].combine_chunks(), pa.int64())
-        page_docs = pages["url"].combine_chunks()
-        depth_docs = pages["depth"].combine_chunks()
         roots = pc.dictionary_encode(pages["root_path"].combine_chunks())
         root_strs_pa = roots.dictionary
-        root_strs = root_strs_pa.to_pylist()
-        root_ids_docs = roots.indices
-
-        parents = page_docs.take(doc_pos)
-        link_depths = depth_docs.take(doc_pos)
-        link_root_ids = root_ids_docs.take(doc_pos) \
+        parents = pages["url"].combine_chunks().take(doc_pos)
+        link_depths = pages["depth"].combine_chunks().take(doc_pos)
+        link_root_ids = roots.indices.take(doc_pos) \
             .to_numpy(zero_copy_only=False)
-
         url_col = links["url"].combine_chunks()
-        live = np.ones(n, dtype=bool)
+        wfrag = links["url_with_fragment"].combine_chunks()
 
         # parse errors → BROKEN status 0 (src/index.ts:717-730)
-        perr = pc.not_equal(links["parse_error"].combine_chunks(), "") \
+        broken = pc.not_equal(links["parse_error"].combine_chunks(), "") \
             .to_numpy(zero_copy_only=False)
-        if perr.any():
-            sel = pa.array(np.flatnonzero(perr))
-            raws = links["raw_link"].take(sel).to_pylist()
-            pars = parents.take(sel).to_pylist()
-            out.link_results.extend(
-                (raw, 0, "BROKEN", par) for raw, par in zip(raws, pars))
-            live &= ~perr
-
+        live = ~broken
+        skipped = np.zeros(n, dtype=bool)
         # fragment-full skip rule (src/index.ts:732-752)
         if self.skip:
-            wfrag = links["url_with_fragment"].combine_chunks()
             is_http = pc.or_(pc.starts_with(url_col, "http://"),
                              pc.starts_with(url_col, "https://")) \
                 .to_numpy(zero_copy_only=False)
-            rule_hit = self.skip.match_vec(wfrag)
-            skip_mask = live & is_http & rule_hit
-            if skip_mask.any():
-                sel = pa.array(np.flatnonzero(skip_mask))
-                wf = wfrag.take(sel).to_pylist()
-                pars = parents.take(sel).to_pylist()
-                out.link_results.extend(
-                    (w, None, "SKIPPED", par) for w, par in zip(wf, pars))
-                live &= ~skip_mask
+            skipped = live & is_http & self.skip.match_vec(wfrag)
+            live &= ~skipped
+        # fragment tracking (src/index.ts:754-784): the URL is still
+        # checked when its fragment is skipped
+        out = {}
+        if self.check_fragments:
+            frag_col = links["fragment"].combine_chunks()
+            has_frag = np.flatnonzero(live & pc.not_equal(frag_col, "")
+                                      .to_numpy(zero_copy_only=False))
+            sel = pa.array(has_frag)
+            frags, frag_urls = frag_col.take(sel), wfrag.take(sel)
+            if self.frag_skip_fn is not None:
+                hit = np.fromiter(
+                    (bool(self.frag_skip_fn(f, u)) for f, u in
+                     zip(frags.to_pylist(), frag_urls.to_pylist())),
+                    bool, len(has_frag))
+            else:
+                hit = self.frag_skip.match_vec(frags)
+            skipped[has_frag[hit]] = True
+            keep = pa.array(~hit)
+            out["pending_frags"] = pa.Table.from_arrays(
+                [url_col.take(sel).filter(keep), frags.filter(keep)],
+                schema=schema.PENDING_FRAGS)
+        if (broken | skipped).any():
+            sel = pa.array(np.flatnonzero(broken | skipped))
+            bad = pa.array(broken).take(sel)
+            out["link_results"] = pa.Table.from_arrays([
+                pc.if_else(bad, links["raw_link"].combine_chunks().take(sel),
+                           wfrag.take(sel)),
+                pc.if_else(bad, pa.scalar(0, pa.int32()),
+                           pa.scalar(None, pa.int32())),
+                pc.if_else(bad, "BROKEN", "SKIPPED"),
+                parents.take(sel),
+            ], schema=schema.LINK_RESULTS)
         if not live.any():
-            return
+            return out
 
         # child-crawl gate (src/index.ts:786-798): url under the seed's
         # rootPath, same host unless the root pins a path
         crawl_flags = np.zeros(n, dtype=bool)
         link_hosts = None
         if self.recurse:
-            for rid, root in enumerate(root_strs):
+            for rid, root in enumerate(root_strs_pa.to_pylist()):
                 root_mask = live & (link_root_ids == rid)
                 if not root_mask.any():
                     continue
                 starts = pc.starts_with(url_col, root) \
                     .to_numpy(zero_copy_only=False)
-                cand = root_mask & starts
-                if not cand.any():
+                under = root_mask & starts
+                if not under.any():
                     continue
                 sep = root.find("://")
                 pinned = sep >= 0 and root.find("/", sep + 3) >= 0
                 if pinned:
-                    crawl_flags |= cand
+                    crawl_flags |= under
                 else:
                     if link_hosts is None:
                         link_hosts = self._hosts_vec(url_col)
                     root_host = urlkit.host_of(root)
-                    crawl_flags |= cand & (link_hosts == root_host)
+                    crawl_flags |= under & (link_hosts == root_host)
         if link_hosts is None:
             link_hosts = self._hosts_vec(url_col)
 
@@ -763,7 +731,7 @@ class FetchWorker:
         live_urls = url_col.filter(live_pa)
         live_parents = parents.filter(live_pa)
         edge_concat = pc.binary_join_element_wise(live_urls, live_parents, "|")
-        out.cand_tables.append(pa.Table.from_arrays([
+        out["candidates"] = pa.Table.from_arrays([
             live_urls,
             pa.array(urlkit.hash64_arrow(live_urls), pa.uint64()),
             pa.array(urlkit.hash64_arrow(edge_concat), pa.uint64()),
@@ -773,7 +741,8 @@ class FetchWorker:
                    pa.scalar(1, pa.int32())).cast(pa.int32()),
             pa.array(crawl_flags[live]),
             root_strs_pa.take(pa.array(link_root_ids[live])),
-        ], schema=schema.CANDIDATES))
+        ], schema=schema.CANDIDATES)
+        return out
 
     @staticmethod
     def _hosts_vec(url_col) -> np.ndarray:
@@ -877,68 +846,17 @@ class _StepState:
         return pa.concat_tables(self.tables).take(pa.array(self.src))
 
 
-class _BatchAccumulator:
-    """Per-fetch-batch collection of link-derived rows."""
+# the fetch_batch result tables, by key
+OUTPUT_SCHEMAS = {
+    "fetched": schema.FETCH_RESULTS, "candidates": schema.CANDIDATES,
+    "link_results": schema.LINK_RESULTS, "pending_frags": schema.PENDING_FRAGS,
+    "frag_targets": schema.FRAGMENT_TARGETS,
+}
 
-    def __init__(self):
-        self.cand: list[tuple] = []          # (url, edge_key, parent, depth, crawl, root)
-        self.cand_tables: list[pa.Table] = []  # prebuilt CANDIDATES blocks
-        self.link_results: list[tuple] = []  # (url, status, state, parent)
-        self.pending_frags: list[tuple] = []
-        self.frag_targets: list[tuple] = []
-        self.root_meta: dict[str, tuple] = {}
 
-    def tables(self, fetched: pa.Table) -> dict:
-        """The fetch_batch result: ``fetched`` plus the link-derived
-        tables."""
-        return {
-            "fetched": fetched,
-            "candidates": self.candidates_table(),
-            "link_results": self.link_results_table(),
-            "pending_frags": self.pending_frags_table(),
-            "frag_targets": self.frag_targets_table(),
-        }
-
-    def candidates_table(self) -> pa.Table:
-        tables = list(self.cand_tables)
-        if self.cand:
-            urls = [c[0] for c in self.cand]
-            edge_keys = [c[1] for c in self.cand]
-            tables.append(pa.Table.from_arrays([
-                pa.array(urls, pa.string()),
-                pa.array(urlkit.hash64_array(urls), pa.uint64()),
-                pa.array(urlkit.hash64_array(edge_keys), pa.uint64()),
-                pa.array([urlkit.host_of_normalized(u) for u in urls], pa.string()),
-                pa.array([c[2] for c in self.cand], pa.string()),
-                pa.array([c[3] for c in self.cand], pa.int32()),
-                pa.array([c[4] for c in self.cand], pa.bool_()),
-                pa.array([c[5] for c in self.cand], pa.string()),
-            ], schema=schema.CANDIDATES))
-        if not tables:
-            return schema.empty(schema.CANDIDATES)
-        return pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-
-    def link_results_table(self) -> pa.Table:
-        if not self.link_results:
-            return schema.empty(schema.LINK_RESULTS)
-        return pa.Table.from_arrays([
-            pa.array([r[0] for r in self.link_results], pa.string()),
-            pa.array([r[1] for r in self.link_results], pa.int32()),
-            pa.array([r[2] for r in self.link_results], pa.string()),
-            pa.array([r[3] for r in self.link_results], pa.string()),
-        ], schema=schema.LINK_RESULTS)
-
-    def pending_frags_table(self) -> pa.Table:
-        return pa.Table.from_arrays([
-            pa.array([r[0] for r in self.pending_frags], pa.string()),
-            pa.array([r[1] for r in self.pending_frags], pa.string()),
-        ], schema=schema.PENDING_FRAGS)
-
-    def frag_targets_table(self) -> pa.Table:
-        return pa.Table.from_arrays([
-            pa.array([r[0] for r in self.frag_targets], pa.string()),
-            pa.array([r[1] for r in self.frag_targets], pa.string()),
-        ], schema=schema.FRAGMENT_TARGETS)
+def empty_outputs() -> dict:
+    """A fetch_batch result with no rows."""
+    return {k: schema.empty(s) for k, s in OUTPUT_SCHEMAS.items()}
 
 
 def sticky_assignment(hosts: list[str], url_hash, num_actors: int, *,
@@ -1045,16 +963,6 @@ class FetchPool:
         else:
             self._worker = new_fetch_worker(transport_blob, worker_kwargs)
 
-    EMPTY_KEYS = {
-        "fetched": "FETCH_RESULTS", "candidates": "CANDIDATES",
-        "link_results": "LINK_RESULTS", "pending_frags": "PENDING_FRAGS",
-        "frag_targets": "FRAGMENT_TARGETS",
-    }
-
-    def _empty(self) -> dict:
-        return {k: schema.empty(getattr(schema, s))
-                for k, s in self.EMPTY_KEYS.items()}
-
     def owners(self, frontier: pa.Table, counts: dict | None = None) -> np.ndarray:
         """The worker index of every frontier row: host-sticky (hot
         hosts salted, ``sticky_assignment``) or balanced by url_hash.
@@ -1076,7 +984,7 @@ class FetchPool:
     def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
               now: float) -> dict:
         if frontier.num_rows == 0:
-            return self._empty()
+            return empty_outputs()
         pending = [u for u in pending_fragment_urls]
         if not self.use_ray:
             return self._worker.fetch_batch(frontier, pending, now)
@@ -1087,11 +995,11 @@ class FetchPool:
             for a, piece in split_by_owner(frontier, self.owners(frontier),
                                            self.num_actors)])
         if not outputs:
-            return self._empty()
+            return empty_outputs()
         # per-round tables stay chunked (≤ K chunks — no pathology);
         # only the cross-round frontier concat compacts
         return {key: pa.concat_tables([o[key] for o in outputs])
-                for key in self.EMPTY_KEYS}
+                for key in OUTPUT_SCHEMAS}
 
     def call_log(self) -> list[tuple[str, str, int]]:
         if self.use_ray:

@@ -11,10 +11,10 @@ stripping — stages/fetch.py).
 Fetched HTML/CSS bodies are parsed into the engine's span model
 (stages/htmlparse.html_to_spans) and held in a ``LiveBodyStore`` that
 serves them through ``spans_of``, like the CorpusIndex body side, so
-extraction and fragment logic run unchanged. Live bodies have no corpus
-row, so they take the scalar per-doc extraction path. The fetch worker
-sends this transport's requests one per row over its connection threads
-(``FetchWorker._request_rows``).
+extraction and fragment logic run unchanged: the fetch worker converts
+the span lists of a batch's live bodies to Arrow and extracts them in
+the same batch call as corpus bodies. It sends this transport's requests
+one per row over its connection threads (``FetchWorker._request_rows``).
 
 The sandbox has no outbound network; the integration test drives this
 against a loopback ``http.server`` (tests/test_http_transport.py).

@@ -153,3 +153,128 @@ def test_mixed_batch_takes_every_step():
     assert out["frag_targets"].to_pylist() == [
         {"page_url": "http://corpus.test/frag.html", "fragment_id": "here"}]
     assert out["link_results"].num_rows == 0
+
+
+# -- fragment mode: one batch whose parsed bodies take every extraction
+# shape together (a redirected page, a stylesheet, a directory listing,
+# two rows sharing one body, a soft-404 page and a fragment-only re-GET)
+
+C = "http://corpus.test/"
+# url → do_crawl; target.html is only fetched for its fragments
+FRAG_ROWS = {C: True, C + "index.html": True, C + "old.html": True,
+             C + "soft.html": True, C + "style.css": True, C + "dir/": True,
+             C + "target.html": False}
+
+
+def _frag_worker(skip_by: str) -> FetchWorker:
+    documents = fx.docs_table(
+        fx.doc("index.html",
+               fx.span("fragment_target", text="top"),
+               fx.span("anchor", "a.html#sec"),
+               fx.span("anchor", "b.html#skip-me"),
+               fx.span("anchor", "b.html#cb-drop"),
+               fx.span("anchor", "https://["),
+               fx.span("anchor", "http://skip.invalid/x")),
+        fx.doc("moved/page.html", fx.span("anchor", "rel.html#here"),
+               fx.span("fragment_target", text="here")),
+        fx.doc("soft.html", fx.span("text", text="robots: noindex"),
+               fx.span("fragment_target", text="s"),
+               fx.span("text", text="and nofollow")),
+        fx.doc("style.css", fx.span("text", text="a{background:ur"),
+               fx.span("style_url", text="l(/split.png)} b{background:"
+                                         "url(/whole.png)}")),
+        fx.doc("target.html", fx.span("anchor", "unseen.html"),
+               fx.span("text", text="noindex alone"),
+               fx.span("fragment_target", text="sec")),
+        fx.doc("dir/x.html", fx.span("text", text="x")),
+    )
+    http_map = [fx.http(C + "old.html", 301,
+                        headers={"location": "/moved/page.html"})]
+    transport = MockTransport(
+        http_map, CorpusIndex(documents, directory_listing=True), strict=False)
+    frag_rule = {"frag_skip_patterns": ["^skip"]} if skip_by == "pattern" \
+        else {"frag_skip_fn": lambda frag, url: frag.startswith("cb-")}
+    return FetchWorker(transport, check_css=True, check_fragments=True,
+                       recurse=True, skip_patterns=[r"skip\.invalid"],
+                       **frag_rule)
+
+
+def _frag_batch():
+    urls = list(FRAG_ROWS)
+    return schema.table(
+        schema.FRONTIER, url=urls, url_hash=[0] * len(urls),
+        host=["corpus.test"] * len(urls), parent=[""] * len(urls),
+        depth=[0] * len(urls), do_crawl=list(FRAG_ROWS.values()),
+        root_path=[C] * len(urls), attempt=[0] * len(urls),
+        not_before=[0.0] * len(urls))
+
+
+def _sorted_rows(table, columns):
+    return sorted(tuple(r[c] for c in columns) for r in table.to_pylist())
+
+
+def test_fragment_mode_batch_all_tables():
+    from linkinator_ray import urlkit
+    for skip_by in ("pattern", "callable"):
+        # the pattern skips '#skip-me', the callable '#cb-drop'; the
+        # other fragment stays pending
+        skipped, kept = ("skip-me", "cb-drop") if skip_by == "pattern" \
+            else ("cb-drop", "skip-me")
+        out = _frag_worker(skip_by).fetch_batch(
+            _frag_batch(), [C + "target.html"], NOW)
+        assert set(out) == {"fetched", "candidates", "link_results",
+                            "pending_frags", "frag_targets"}
+
+        fetched = out["fetched"]
+        assert fetched.schema == schema.FETCH_RESULTS
+        assert fetched["url"].to_pylist() == list(FRAG_ROWS)
+        assert _sorted_rows(fetched, ("url", "status", "final_url",
+                                      "body_doc_id", "content_type",
+                                      "soft404")) == sorted([
+            (C, 200, C, "index.html", "text/html", False),
+            (C + "index.html", 200, C + "index.html", "index.html",
+             "text/html", False),
+            (C + "old.html", 200, C + "moved/page.html", "moved/page.html",
+             "text/html", False),
+            (C + "soft.html", 200, C + "soft.html", "soft.html",
+             "text/html", True),
+            (C + "style.css", 200, C + "style.css", "style.css", "text/css",
+             False),
+            (C + "dir/", 200, C + "dir/", "\x00listing:dir", "text/html",
+             False),
+            (C + "target.html", 200, C + "target.html", "target.html",
+             "text/html", False),
+        ])
+
+        index_pages = (C, C + "index.html")
+        want_cands = [(C + "a.html", p) for p in index_pages] \
+            + [(C + "b.html", p) for p in index_pages for _ in range(2)] \
+            + [(C + "moved/rel.html", C + "old.html"),
+               (C + "split.png", C + "style.css"),
+               (C + "whole.png", C + "style.css"),
+               (C + "dir/x.html", C + "dir/")]
+        assert _sorted_rows(out["candidates"], (
+            "url", "url_hash", "edge_hash", "host", "parent", "depth",
+            "do_crawl", "root_path")) == sorted(
+            (u, urlkit.hash64(u), urlkit.hash64(f"{u}|{p}"), "corpus.test",
+             p, 1, True, C) for u, p in want_cands)
+
+        assert _sorted_rows(out["link_results"], (
+            "url", "status", "state", "parent")) == sorted(
+            [("https://[", 0, "BROKEN", p) for p in index_pages]
+            + [("http://skip.invalid/x", None, "SKIPPED", p)
+               for p in index_pages]
+            + [(C + "b.html#" + skipped, None, "SKIPPED", p)
+               for p in index_pages])
+
+        assert _sorted_rows(out["pending_frags"], (
+            "target_url", "fragment")) == sorted(
+            [(C + "a.html", "sec"), (C + "b.html", kept)] * 2
+            + [(C + "moved/rel.html", "here")])
+
+        # keyed by the checked URL: the redirected page's targets belong
+        # to old.html, not to the page it landed on
+        assert _sorted_rows(out["frag_targets"], (
+            "page_url", "fragment_id")) == sorted([
+            (C, "top"), (C + "index.html", "top"), (C + "old.html", "here"),
+            (C + "soft.html", "s"), (C + "target.html", "sec")])

@@ -233,3 +233,74 @@ class TestUnicodeUrls:
 
     def test_unicode_host_lowercased(self):
         assert urlkit.host_of("http://EXAMPLE.test/x") == "example.test"
+
+
+class TestResolveLinksArrow:
+    """The batch resolver must equal parse_link row for row, whatever
+    the shape of the base: the RE2 fast classes may only take a row
+    whose scalar resolution they reproduce exactly."""
+
+    BASES = [
+        "http://h.test/dir/page.html",
+        "http://h.test:8080/",
+        "http://h.test:8080/dir/page.html",
+        "https://h.test:8443",
+        "http://h.test:80/dir/",
+        "https://h.test:443/dir/page.html",
+        "http://h.test:443/",
+        "https://h.test:80/",
+        "http://h.test:080/",
+        "http://h.test:70000/",
+        "http://u:p@h.test/a.html",
+        "http://u@h.test:8080/a/",
+        "http://H.Test/Dir/page.html",
+        "http://h.test/dir/page.html?q=1",
+        "http://h.test/dir/page.html#top",
+        "http://h.test?q",
+        "http://[::1]:8080/dir/",
+        "http://[::1]/",
+    ]
+
+    @staticmethod
+    def _check(links, bases):
+        import pyarrow as pa
+        got = urlkit.resolve_links_arrow(pa.array(links, pa.string()),
+                                         pa.array(bases, pa.string()),
+                                         urlkit.LinkResolver())
+        cols = [got[k].to_pylist() for k in
+                ("url", "url_with_fragment", "fragment", "parse_error")]
+        for i, (link, base) in enumerate(zip(links, bases)):
+            want = urlkit.parse_link(link, base)
+            assert tuple(c[i] for c in cols) == (
+                want.url or "", want.url_with_fragment or "",
+                want.fragment or "", want.error or ""), (link, base)
+
+    def test_port_and_userinfo_bases(self):
+        # the root-relative shape takes the origin of the base
+        self._check(["/x.html"] * 3,
+                    ["http://h.test:8080/", "http://u:p@h.test/a.html",
+                     "https://h.test:443/"])
+
+    def test_fixed_cases_on_every_base(self):
+        links = [link for link, _ in TestFastResolveEquivalence.CASES]
+        pairs = [(link, base) for base in self.BASES for link in links]
+        self._check([p[0] for p in pairs], [p[1] for p in pairs])
+
+    def test_hypothesis_links_on_every_base(self):
+        from hypothesis import given, settings, strategies as st
+        seg = st.text(alphabet="abcZ09._-", min_size=1, max_size=5)
+        links = st.one_of(
+            st.builds(lambda a, b: f"{a}/{b}.html", seg, seg),
+            st.builds(lambda a: f"/{a}.html", seg),
+            st.builds(lambda a, b: f"http://{a.lower()}.test/{b}", seg, seg),
+            st.builds(lambda a, f: f"{a}.html#{f}", seg, seg),
+            st.builds(lambda a: f"/{a}/", seg),
+        )
+
+        @settings(max_examples=200, deadline=None)
+        @given(batch=st.lists(st.tuples(links, st.sampled_from(self.BASES)),
+                              min_size=1, max_size=12))
+        def check(batch):
+            self._check([b[0] for b in batch], [b[1] for b in batch])
+
+        check()
