@@ -38,11 +38,13 @@ CONNS_PER_ACTOR = int(os.environ.get("BENCH_CONNS_PER_ACTOR", "12"))
 
 
 def _make_opts(ncpu: int, seeds):
-    """Regime-matched execution mode: the wire model (latency > 0) is
-    connection-bound — the pipelined continuous queue drives the
-    per-actor connection pools best; the compute-only regime is
-    coordination-bound — the actor-mesh frontier (no driver-serial dedup
-    work) wins there (BASELINE.md scaling section)."""
+    """Both regimes run the actor-mesh frontier (``pipelined`` is an
+    alias for ``mesh``). In the wire model (latency > 0) the nodes'
+    requests wait on the wire, so each node sends its peers their
+    candidates at the end of every pump and keeps every connection pool
+    fed; the compute-only regime is coordination-bound, so the nodes
+    coalesce their sends and no driver-serial dedup work caps it
+    (BASELINE.md scaling section)."""
     from linkinator_ray.options import CheckOptions
     actors = max(2, ncpu // 2)
     wire = CRAWL_LATENCY_MS > 0
@@ -360,9 +362,11 @@ def scaling() -> None:
     fresh processes at num_cpus 8 then 32 on the same corpus:
 
     - wire (50 ms RTT, connection budget ∝ nodes): the realistic
-      crawler regime — pipelined mode drives the connection pools.
+      crawler regime — the mesh's nodes flush their sends every pump
+      and drive the connection pools.
     - compute-only (latency 0, 4× corpus so work dominates fixed
-      costs): the coordination-stress regime — actor-mesh mode.
+      costs): the coordination-stress regime — the mesh's nodes
+      coalesce their sends.
     """
     out = {}
     regimes = {

@@ -120,7 +120,7 @@ class CheckOptions:
     seen_shards: int = 8  # URL-seen set shard count
     seen_filter: str = "exact"  # 'exact' | 'cuckoo' (cuckoo at 10^10-URL scale)
     batch_size: int = 4096  # rows per Arrow batch in map_batches stages
-    pipelined: bool = False  # continuous-queue execution (no round barriers)
+    pipelined: bool = False  # alias for mesh: the continuous (no round barriers) Ray executor
     mesh: bool = False  # actor-mesh frontier: dedup + routing in actors, driver only seeds/quiesces
     mesh_frontier_spill_rows: int = 0  # per-node frontier queue cap; past it the tail spills to parquet (0 = unbounded in-memory)
     max_rounds: int = 10_000  # BFS safety valve
@@ -129,7 +129,7 @@ class CheckOptions:
     results_dir: str | None = None     # stream results out as parquet parts
     results_flush_rows: int = 1_000_000  # spill threshold (rows held in driver)
     politeness_delay: float = 0.0  # min seconds between fetches to one host (token bucket)
-    host_salt_threshold: int = 256  # sticky dispatch: a host past this many frontier rows is salted across ceil(n/threshold) actors (0 = never salt); scripted transports never salt
+    host_salt_threshold: int = 256  # Ray rounds' sticky dispatch: a host past this many rows in a round is salted across ceil(n/threshold) actors (0 = never salt); scripted transports never salt
 
     respect_robots: bool = False  # consult the robots cache actor
 

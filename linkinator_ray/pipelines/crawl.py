@@ -68,6 +68,9 @@ class CrawlResult:
 # reports a frontier URL itself (the duplicate-broken join's input)
 RESULT_ROWS = schema.RESULTS.append(pa.field("frontier_level", pa.bool_()))
 
+# the row-level warning events, fired off the fetch worker's warn_* masks
+WARN_EVENTS = frozenset({"statusCodeWarning", "redirect", "httpInsecure"})
+
 
 def _frontier_rows(**cols) -> pa.Table:
     return schema.table(schema.FRONTIER, **cols)
@@ -109,38 +112,6 @@ def seed_frontier(paths: list[str], corpus_base: str) -> pa.Table:
         host=[urlkit.host_of(u) for u in urls], parent=[""] * n,
         depth=[0] * n, do_crawl=[True] * n, root_path=urls,
         attempt=[0] * n, not_before=[0.0] * n)
-
-
-def host_fair_order(table: pa.Table) -> pa.Table:
-    """Priority order for a dispatch slice: host round-robin first
-    (every queued host gets its 1st URL before any host gets its 2nd),
-    BFS depth as tiebreak, arrival order last. Within one host the
-    arrival order is preserved EXACTLY (the within-host rank is the
-    within-host arrival index), which is what scripted response
-    sequences rely on."""
-    n = table.num_rows
-    if n <= 1:
-        return table
-    hosts = table["host"]
-    if isinstance(hosts, pa.ChunkedArray):
-        hosts = hosts.combine_chunks()
-    code = np.asarray(hosts.dictionary_encode().indices
-                      .to_numpy(zero_copy_only=False), dtype=np.int64)
-    by_host = np.argsort(code, kind="stable")
-    sorted_code = code[by_host]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_code[1:] != sorted_code[:-1]
-    starts = np.flatnonzero(boundary)
-    within = np.arange(n, dtype=np.int64) - \
-        np.repeat(starts, np.diff(np.append(starts, n)))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_host] = within
-    depth = np.asarray(table["depth"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-    arrival = np.arange(n, dtype=np.int64)
-    order = np.lexsort((arrival, depth, rank))
-    return table.take(pa.array(order))
 
 
 def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
@@ -417,35 +388,42 @@ def dedup_candidates(cand: pa.Table, edge_seen, url_seen):
     return frontier, dups, edge_fresh, keep
 
 
+def write_results_part(results_dir: str, writer: int, k: int,
+                       rows: pa.Table) -> None:
+    """Atomically write result part ``k`` of ``writer`` (0 is the
+    driver, ``i + 1`` mesh node ``i``) as ``part_{writer:02d}_{k:05d}
+    .parquet``: one name form for every writer, so a ``part_*.parquet``
+    scan of ``results_dir`` sees every part."""
+    import pyarrow.parquet as pq
+    os.makedirs(results_dir, exist_ok=True)
+    path = os.path.join(results_dir, f"part_{writer:02d}_{k:05d}.parquet")
+    pq.write_table(rows.drop_columns(["frontier_level"]), path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
 def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
                             node_spill_parts: list[int]) -> None:
     """Resume hygiene: delete results_dir parquet parts written AFTER
     the checkpoint being resumed (the dead run kept spilling past its
     last snapshot; the replay re-produces those rows, so stale parts
-    would double-count them in the results_dir scan). Driver parts are
-    ``part_{k:05d}.parquet`` (stale when k >= the restored spill_part);
-    mesh node parts are ``node{i:02d}_part_{k:05d}.parquet`` (stale when
-    k >= that node's checkpointed spill_part — indices beyond the saved
-    node list had no pre-checkpoint parts, so everything is stale).
-    Orphan ``.tmp`` files from an interrupted atomic write also go."""
+    would double-count them in the results_dir scan). A part
+    ``part_{w:02d}_{k:05d}.parquet`` (``write_results_part``) is stale
+    when k >= its writer's restored counter: ``spill_part`` for the
+    driver (w = 0), ``node_spill_parts[i]`` for mesh node i (w = i + 1);
+    nodes beyond the saved list had no pre-checkpoint parts, so all of
+    theirs are stale. Orphan ``.tmp`` files from an interrupted atomic
+    write also go."""
     import re
     if not results_dir or not os.path.isdir(results_dir):
         return
-    pat = re.compile(r"^(?:node(\d+)_)?part_(\d+)\.parquet(\.tmp)?$")
+    pat = re.compile(r"^part_(\d+)_(\d+)\.parquet(\.tmp)?$")
+    floors = [spill_part, *node_spill_parts]
     for name in os.listdir(results_dir):
         m = pat.match(name)
         if not m:
             continue
-        node, k, tmp = m.group(1), int(m.group(2)), m.group(3)
-        if tmp:
-            stale = True
-        elif node is None:
-            stale = k >= spill_part
-        else:
-            i = int(node)
-            floor = node_spill_parts[i] if i < len(node_spill_parts) else 0
-            stale = k >= floor
-        if stale:
+        w, k = int(m.group(1)), int(m.group(2))
+        if m.group(3) or k >= (floors[w] if w < len(floors) else 0):
             try:
                 os.remove(os.path.join(results_dir, name))
             except FileNotFoundError:
@@ -498,7 +476,7 @@ class LinkChecker:
         self.broken_first_tables: list[pa.Table] = []
         self._spill_part = 0
         # per-node spill-part floors inherited from a resumed checkpoint
-        # (mesh node{i}_part numbering). Carried forward into every
+        # (mesh node parts' numbering). Carried forward into every
         # checkpoint THIS run writes — even when this run has fewer
         # nodes (or is a driver run): a later resume would otherwise see
         # no floor for those node indices, treat their FINALIZED parts
@@ -528,9 +506,9 @@ class LinkChecker:
         # per-event listeners (reference emits at src/index.ts:496, :546,
         # :601, :614, :677, :1058, :1107): 'link' | 'pagestart' | 'retry'
         # | 'redirect' | 'statusCodeWarning' | 'httpInsecure'. Zero
-        # overhead when nothing is registered. The rounds and pipelined
-        # executors fire them all; the mesh fires only 'link' (per-URL
-        # callbacks would serialize it through the driver again).
+        # overhead when nothing is registered. Every executor fires them
+        # all: mesh nodes buffer the events that have a listener and the
+        # driver fires them as it polls.
         self._listeners: dict[str, list] = {}
 
     def on(self, event: str, callback) -> "LinkChecker":
@@ -548,10 +526,8 @@ class LinkChecker:
         (statusCodeWarning :496, redirect :546, httpInsecure :601).
         An empty batch may lack the warn_* columns (``FetchPool._empty``
         when admission left nothing to fetch)."""
-        if fetched.num_rows == 0 or not (
-                self._listeners.get("statusCodeWarning")
-                or self._listeners.get("redirect")
-                or self._listeners.get("httpInsecure")):
+        if fetched.num_rows == 0 or not any(
+                self._listeners.get(e) for e in WARN_EVENTS):
             return
         urls = fetched["url"].to_pylist()
         statuses = fetched["status"].to_pylist()
@@ -581,6 +557,16 @@ class LinkChecker:
                 self._emit_event("retry", {
                     "url": url,
                     "secondsUntilRetry": int(round(max(0.0, deadline - now)))})
+
+    def _emit_pagestart(self, live: pa.Table) -> None:
+        """'pagestart' (src/index.ts:677) for every admitted row whose
+        page will be crawled."""
+        if not self._listeners.get("pagestart") or live.num_rows == 0:
+            return
+        do_crawl = live["do_crawl"].to_numpy(zero_copy_only=False)
+        for url in np.asarray(live["url"].to_pylist(),
+                              dtype=object)[do_crawl]:
+            self._emit_event("pagestart", url)
 
     def _emit_link_rows(self, table: pa.Table) -> None:
         if not self._listeners.get("link"):
@@ -711,9 +697,13 @@ class LinkChecker:
             1, min(25, opts.concurrency // num_actors)) \
             if waits_on_wire else 1
 
-        if self.use_ray and opts.mesh and self._mesh_supported(resume_from):
+        # the mesh is the continuous Ray executor; ``pipelined`` names it
+        # too. Ray rounds run everything else, and resume round
+        # checkpoints.
+        if self.use_ray and (opts.mesh or opts.pipelined) \
+                and self._mesh_supported(resume_from):
             return self._run_mesh(transport_blob, worker_kwargs, num_actors,
-                                  resume_from=resume_from)
+                                  waits_on_wire, resume_from=resume_from)
 
         import time as _time
         t0 = _time.perf_counter()
@@ -738,19 +728,18 @@ class LinkChecker:
             self.seen.contains_or_insert(
                 frontier["url_hash"].to_numpy(zero_copy_only=False))
 
-        if self.use_ray and opts.pipelined:
-            self._executor = "pipelined"
-            return self._run_pipelined(pool, frontier, round_no)
         self._executor = "rounds"
         return self._run_rounds(pool, frontier, round_no)
 
     def _mesh_supported(self, resume_from) -> bool:
-        """Everything the driver modes support runs in the mesh too:
-        robots compile per node, fragment wants route to the target's
-        fetch owner, checkpoints are driver-coordinated epoch snapshots.
-        A resume only goes through the mesh when the checkpoint was
-        written BY the mesh; ``_mesh_restore`` re-shards it from the key
-        journal when the node count differs."""
+        """Everything rounds support runs in the mesh too: robots
+        compile per node, fragment wants route to the target's fetch
+        owner, listener events buffer on the nodes, checkpoints are
+        driver-coordinated epoch snapshots. A resume only goes through
+        the mesh when the checkpoint was written BY the mesh (rounds
+        resume their own round checkpoints); ``_mesh_restore``
+        re-shards it from the key journal when the node count
+        differs."""
         if resume_from is not None:
             import json
             import os
@@ -823,16 +812,11 @@ class LinkChecker:
         held = sum(t.num_rows for t in self.results_tables)
         if held == 0 or (not force and held < opts.results_flush_rows):
             return
-        import pyarrow.parquet as pq
         merged = pa.concat_tables(self.results_tables).combine_chunks()
         self.broken_first_tables.append(merged.filter(
             pc.and_(merged["frontier_level"],
                     pc.equal(merged["state"], "BROKEN"))))
-        os.makedirs(opts.results_dir, exist_ok=True)
-        part = os.path.join(opts.results_dir,
-                            f"part_{self._spill_part:05d}.parquet")
-        pq.write_table(merged.drop_columns(["frontier_level"]), part + ".tmp")
-        os.replace(part + ".tmp", part)
+        write_results_part(opts.results_dir, 0, self._spill_part, merged)
         self._spill_part += 1
         self.counters["spilled_rows"] = \
             self.counters.get("spilled_rows", 0) + merged.num_rows
@@ -866,164 +850,20 @@ class LinkChecker:
                            stats=stats, call_log=pool.call_log())
 
     # ------------------------------------------------------------------
-    # pipelined execution — the reference's continuous queue, Ray-shaped
-    # ------------------------------------------------------------------
-
-    def _run_pipelined(self, pool, frontier: pa.Table, start_round: int) -> CrawlResult:
-        """Continuous-queue execution (the reference's actual model,
-        src/queue.ts): per-actor work queues, at most one in-flight batch
-        per actor, completions processed as they arrive via ``ray.wait``.
-        No round barriers — a straggling actor never idles the fleet.
-
-        Semantics: identical final result/seen sets as the round mode
-        (order-insensitive contract, SURVEY.md §2.6); 'round' in the
-        output counts processed batches instead of BFS depths.
-        """
-        import ray
-        import time as _time
-        opts = self.opts
-        num_actors = pool.num_actors
-        queues: list[list[pa.Table]] = [[] for _ in range(num_actors)]
-        queued_rows = 0
-        deferred: list[pa.Table] = []  # rows with future not_before
-        inflight: dict = {}            # future -> actor index
-        batch_no = start_round
-
-        # cumulative per-host row counts: the pipelined stream admits
-        # tables incrementally, so hot-host salting needs running totals
-        salt_counts: dict[str, int] = {}
-
-        def route(table: pa.Table) -> None:
-            nonlocal queued_rows
-            if table.num_rows == 0:
-                return
-            for a, piece in split_by_owner(
-                    table, pool.owners(table, salt_counts), num_actors):
-                queues[a].append(piece)
-            queued_rows += table.num_rows
-
-        def admit(table: pa.Table, now: float) -> None:
-            """The admission step, then route. Rows with a future
-            ``not_before`` (checkpoint-restored retry / politeness
-            deferrals) park until their deadline — the rounds loop gets
-            this via runnable_mask; this is the pipelined equivalent."""
-            nb = table["not_before"].to_numpy(zero_copy_only=False)
-            future = nb > now
-            if future.any():
-                deferred.append(table.filter(pa.array(future)))
-                table = table.filter(pa.array(~future))
-                if table.num_rows == 0:
-                    return
-            live, gated = self._admit(table, now, batch_no)
-            deferred.extend(gated)
-            route(live)
-
-        def dispatch(now: float) -> None:
-            nonlocal queued_rows
-            busy = {a for a, _ in inflight.values()}
-            for a in range(num_actors):
-                if a in busy or not queues[a]:
-                    continue
-                batch = pa.concat_tables(queues[a])
-                queues[a] = []
-                queued_rows -= batch.num_rows
-                if batch.num_rows > opts.batch_size * 4:
-                    # the dispatched slice is a PRIORITY pick, not FIFO:
-                    # host round-robin with depth tiebreak (north_rule's
-                    # depth/host-fairness queue) — a hot host whose rows
-                    # arrived first can't monopolize the slice and
-                    # starve cold hosts queued behind it
-                    batch = host_fair_order(batch)
-                    head = batch.slice(0, opts.batch_size * 4)
-                    tail = batch.slice(opts.batch_size * 4)
-                    queues[a] = [tail]
-                    queued_rows += tail.num_rows
-                    batch = head
-                pend = list(self.pending_fragments)
-                fut = pool.submit(a, batch, pend, now)
-                inflight[fut] = (a, batch)
-
-        admit(frontier, self.clock.now())
-        while True:
-            now = self.clock.now()
-            # wake deferred rows whose deadline passed
-            if deferred:
-                still = []
-                for t in deferred:
-                    nb = t["not_before"].to_numpy(zero_copy_only=False)
-                    ready = nb <= now
-                    if ready.any():
-                        route(t.filter(pa.array(ready)))
-                        t = t.filter(pa.array(~ready))
-                    if t.num_rows:
-                        still.append(t)
-                deferred = still
-            dispatch(now)
-            if not inflight:
-                if queued_rows:
-                    continue
-                if deferred:
-                    self.clock.advance_to(min(
-                        float(t["not_before"].to_numpy(zero_copy_only=False).min())
-                        for t in deferred))
-                    continue
-                break
-            t1 = _time.perf_counter()
-            done, rest = ray.wait(list(inflight.keys()), num_returns=1)
-            if rest:
-                # opportunistic drain: group everything already finished
-                # into ONE processing pass so tiny completions don't each
-                # pay the global-join overhead
-                more, _ = ray.wait(rest, num_returns=len(rest), timeout=0)
-                done += more
-            self.timings["fetch"] += _time.perf_counter() - t1
-            outputs = []
-            for fut in done:
-                inflight.pop(fut)
-                outputs.append(ray.get(fut))
-            output = outputs[0] if len(outputs) == 1 else {
-                key: pa.concat_tables([o[key] for o in outputs])
-                for key in outputs[0]
-            }
-            fetched = output["fetched"]
-            self.counters["urls_checked"] += fetched.num_rows
-            t2 = _time.perf_counter()
-            now = self.clock.now()
-            fetched, requeues = self._handle_retries(fetched, now)
-            deferred.extend(t for t in requeues if t.num_rows)
-            new_rows = self._process_fetched(fetched, output, batch_no)
-            t3 = _time.perf_counter()
-            self.timings["process"] += t3 - t2
-            if new_rows.num_rows:
-                admit(new_rows, now)
-            batch_no += 1
-            self.counters["rounds"] = batch_no
-            self._maybe_spill_results()
-            if opts.checkpoint_dir and batch_no % 8 == 0:
-                # checkpoint epoch: queued + deferred + in-flight batch
-                # inputs (their results after this snapshot replay on
-                # resume — re-fetching is idempotent)
-                snapshot = [t for q in queues for t in q] + deferred \
-                    + [b for _, b in inflight.values()]
-                snapshot = pa.concat_tables(snapshot) if snapshot \
-                    else schema.empty(schema.FRONTIER)
-                self._checkpoint(batch_no, snapshot)
-        return self._finish(pool)
-
-    # ------------------------------------------------------------------
     # mesh execution — the driverless frontier (state/mesh.py)
     # ------------------------------------------------------------------
 
     def _run_mesh(self, transport_blob: dict, worker_kwargs: dict,
-                  num_actors: int, resume_from: str | None = None) -> CrawlResult:
+                  num_actors: int, waits_on_wire: bool,
+                  resume_from: str | None = None) -> CrawlResult:
         """Actor-mesh frontier: fetch actors push candidates straight to
         seen-shard actors; shards route fresh rows back to the owning
         fetch actors; the driver only seeds, detects quiescence (two
         consecutive stable snapshots of the monotonic send/receive
-        counters), drains result buffers, and runs the final
-        duplicate-broken join. No per-URL driver work — the round/
-        pipelined modes' ~25 µs/URL serial ceiling (BASELINE.md r1) goes
-        away."""
+        counters), drains result and event buffers, and runs the final
+        duplicate-broken join. No per-URL driver work — the round
+        mode's ~25 µs/URL serial ceiling (BASELINE.md r1) goes away.
+        ``waits_on_wire`` picks the nodes' flush rule (state/mesh.py)."""
         import time as _time
 
         import ray
@@ -1044,7 +884,10 @@ class LinkChecker:
                      # checkpointed runs journal inserted keys so the
                      # checkpoint is re-shardable (elastic resume at a
                      # different node count)
-                     "journal_keys": bool(opts.checkpoint_dir)}
+                     "journal_keys": bool(opts.checkpoint_dir),
+                     "waits_on_wire": waits_on_wire,
+                     "events": [e for e, cbs in self._listeners.items()
+                                if cbs]}
         # host affinity only when per-host actor state matters (scripted
         # sequences, Retry-After delay maps, politeness); else balance by
         # url_hash — same policy as FetchPool.sticky_hosts
@@ -1109,8 +952,11 @@ class LinkChecker:
         # with messages in flight the mesh is settling, so it drops back
         # to MESH_POLL_SETTLE_S. Each poll takes a node's lock and a GIL
         # turn from its pump, so polling a busy mesh every 2 ms slows the
-        # check whenever other processes compete for the CPUs
+        # check whenever other processes compete for the CPUs. Until the
+        # first results arrive the wait stays short: they are the
+        # check's first answer, and a backed-off poll would sit on them
         poll_s = MESH_POLL_SETTLE_S
+        got_results = False
         while True:
             if opts.checkpoint_dir and _time.monotonic() - last_ckpt \
                     > ckpt_interval:
@@ -1123,8 +969,8 @@ class LinkChecker:
                 if p["errors"]:
                     raise RuntimeError(
                         f"mesh node failed:\n{p['errors'][0]}")
-                for table in p["results"]:
-                    self._emit(table)
+                self._fire_node_buffers(p)
+                got_results = got_results or bool(p["results"])
             self._maybe_spill_results()
             last_counters = [p["counters"] for p in polls]
             busy = any(p["pump_scheduled"] or p["queued_rows"] for p in polls)
@@ -1164,8 +1010,8 @@ class LinkChecker:
                     break
             else:
                 stable = 0
-                poll_s = min(2 * poll_s, MESH_POLL_BUSY_S) if busy \
-                    else MESH_POLL_SETTLE_S
+                poll_s = min(2 * poll_s, MESH_POLL_BUSY_S) \
+                    if busy and got_results else MESH_POLL_SETTLE_S
                 _time.sleep(poll_s)
         self.timings["fetch"] += _time.perf_counter() - t_start
 
@@ -1193,6 +1039,20 @@ class LinkChecker:
         self.seen = _SeenShim()
         return self._finish(_MeshFacade())
 
+    def _fire_node_buffers(self, poll: dict) -> None:
+        """One node poll's buffers, in the order rounds fire them:
+        'pagestart' at admission, then the result rows ('link'), then
+        the warning and 'retry' events of the fetched batch."""
+        events = poll["events"]
+        for table in events["pagestart"]:
+            self._emit_pagestart(table)
+        for table in poll["results"]:
+            self._emit(table)
+        for table in events["warn"]:
+            self._emit_warn_events(table)
+        for now, table in events["retry"]:
+            self._emit_retry_events([table], now)
+
     # ------------------------------------------------------------------
     # mesh checkpoint / resume (driver-coordinated epoch snapshots)
     # ------------------------------------------------------------------
@@ -1218,8 +1078,7 @@ class LinkChecker:
         while True:
             polls = ray.get([n.poll.remote() for n in nodes])
             for p in polls:
-                for table in p["results"]:
-                    self._emit(table)
+                self._fire_node_buffers(p)
             # buffered coalesced sends must flush before the snapshot
             # (kick flushes; pumps stay suppressed while paused)
             for n, p in zip(nodes, polls):
@@ -1376,7 +1235,7 @@ class LinkChecker:
         saved_parts = manifest["extra"].get("node_spill_parts",
                                             [0] * (saved_nodes or num_actors))
         self._inherited_node_floors = list(saved_parts)
-        # results spill files are namespaced node{i}_part{k}: a new node
+        # node i writes results parts as writer i + 1: a new node
         # sharing an old index continues that numbering; indices beyond
         # the old count start fresh; on shrink, orphaned old parts stay
         # on disk and the results_dir scan still collects them
@@ -1466,11 +1325,7 @@ class LinkChecker:
             round_no, self.opts, self.skip, self.robots, self.delay_map)
         if skipped is not None:
             self._emit(skipped)
-        if self._listeners.get("pagestart") and live.num_rows:
-            do_crawl = live["do_crawl"].to_numpy(zero_copy_only=False)
-            for url in np.asarray(live["url"].to_pylist(),
-                                  dtype=object)[do_crawl]:
-                self._emit_event("pagestart", url)
+        self._emit_pagestart(live)
         self.timings["skip"] += _time.perf_counter() - t0
         return live, deferred
 

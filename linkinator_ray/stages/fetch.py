@@ -860,38 +860,28 @@ def empty_outputs() -> dict:
 
 
 def sticky_assignment(hosts: list[str], url_hash, num_actors: int, *,
-                      scripted: bool = False, salt_threshold: int = 256,
-                      counts: dict | None = None) -> np.ndarray:
-    """``hash(host) % K`` dispatch with EXPLICIT hot-host salting (the
-    north_rule's skew handling): a host whose row count exceeds
-    ``salt_threshold`` is split into ``ceil(count/threshold)`` salted
-    sub-keys (capped at K) by ``url_hash``, so one mega-host stops
-    serializing a whole partition behind a single actor. Safe because
-    politeness (429 deadlines + token bucket) gates at ADMISSION on the
-    driver, not via worker affinity — the one thing that genuinely needs
-    a serial per-host stream is a scripted response sequence
-    (``scripted=True`` disables salting, preserving mock seq order).
-
-    ``counts``: cumulative per-host row counts (mutated in place) for
-    streaming callers that see the frontier table-by-table (pipelined
-    mode); ``None`` counts within this table only (round mode, where the
-    table IS the round's frontier).
+                      scripted: bool = False,
+                      salt_threshold: int = 256) -> np.ndarray:
+    """``hash(host) % K`` dispatch of one Ray round's frontier with
+    EXPLICIT hot-host salting (the north_rule's skew handling): a host
+    with more than ``salt_threshold`` rows in the round is split into
+    ``ceil(count/threshold)`` salted sub-keys (capped at K) by
+    ``url_hash``, so one mega-host stops serializing a whole partition
+    behind a single actor. Safe because politeness (429 deadlines +
+    token bucket) gates at ADMISSION on the driver, not via worker
+    affinity — the one thing that genuinely needs a serial per-host
+    stream is a scripted response sequence (``scripted=True`` disables
+    salting, preserving mock seq order).
     """
     if num_actors <= 1:
         return np.zeros(len(hosts), dtype=np.int64)
     base = urlkit.hash64_array(hosts)
     if not scripted and salt_threshold > 0:
-        local: dict[str, int] = {}
+        counts: dict[str, int] = {}
         for h in hosts:
-            local[h] = local.get(h, 0) + 1
-        if counts is not None:
-            for h, c in local.items():
-                counts[h] = counts.get(h, 0) + c
-            ref = counts
-        else:
-            ref = local
+            counts[h] = counts.get(h, 0) + 1
         ks = np.fromiter(
-            (min(num_actors, -(-ref[h] // salt_threshold)) for h in hosts),
+            (min(num_actors, -(-counts[h] // salt_threshold)) for h in hosts),
             dtype=np.uint64, count=len(hosts))
         hot = ks > 1
         if hot.any():
@@ -919,15 +909,17 @@ def split_by_owner(data, owner: np.ndarray, num_owners: int):
 
 
 class FetchPool:
-    """Host-sticky pool facade.
+    """The rounds executor's fetch workers.
 
     local mode: one in-process worker.
     ray mode: K FetchWorker actors; each round's frontier is split by
-    ``hash(host) % K`` and dispatched as one Arrow batch per actor (the
-    groupby('host')-shaped exchange of SURVEY.md §4, realized as explicit
-    routing because politeness and scripted sequences need key affinity).
-    Hot hosts are salted across actors (``sticky_assignment``) unless the
-    transport is scripted.
+    ``hash(host) % K`` (or by url_hash when no per-host state matters)
+    and dispatched as one Arrow batch per actor, all K at once (the
+    groupby('host')-shaped exchange of SURVEY.md §4, realized as
+    explicit routing because politeness and scripted sequences need key
+    affinity). Hot hosts are salted across actors
+    (``sticky_assignment``) unless the transport is scripted. The mesh
+    (state/mesh.py) runs its own fetch workers inside its nodes.
     """
 
     def __init__(self, worker_kwargs: dict, transport_blob: dict,
@@ -963,23 +955,15 @@ class FetchPool:
         else:
             self._worker = new_fetch_worker(transport_blob, worker_kwargs)
 
-    def owners(self, frontier: pa.Table, counts: dict | None = None) -> np.ndarray:
+    def owners(self, frontier: pa.Table) -> np.ndarray:
         """The worker index of every frontier row: host-sticky (hot
-        hosts salted, ``sticky_assignment``) or balanced by url_hash.
-        ``counts`` carries per-host totals across calls (pipelined)."""
+        hosts salted, ``sticky_assignment``) or balanced by url_hash."""
         url_hash = frontier["url_hash"].to_numpy(zero_copy_only=False)
         if self.sticky_hosts:
             return sticky_assignment(
                 frontier["host"].to_pylist(), url_hash, self.num_actors,
-                scripted=self.scripted, salt_threshold=self.salt_threshold,
-                counts=counts)
+                scripted=self.scripted, salt_threshold=self.salt_threshold)
         return hash_owner(url_hash, self.num_actors)
-
-    def submit(self, actor_index: int, batch: pa.Table,
-               pending_fragment_urls: list[str], now: float):
-        """Async dispatch of one batch to one actor (pipelined mode)."""
-        return self.lease.wait()[actor_index].fetch_batch.remote(
-            batch, pending_fragment_urls, now)
 
     def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
               now: float) -> dict:

@@ -1,11 +1,13 @@
-"""Actor-mesh frontier: the driverless crawl dataflow.
+"""Actor-mesh frontier: the driverless crawl dataflow, and the one
+continuous Ray executor (``CheckOptions.mesh``; ``pipelined`` is an
+alias for it).
 
-The round/pipelined modes route every fetched batch through the driver
-for the global dedup joins — ~25 µs/URL of serial work that Amdahl-caps
-compute-bound scaling at ≈0.4 (BASELINE.md round 1). The mesh moves the
-whole frontier cycle into K symmetric ``MeshNode`` actors; each node is
-BOTH a fetch worker and the seen/edge shard for its ``url_hash % K``
-key range:
+Ray rounds route every fetched batch through the driver for the global
+dedup joins — ~25 µs/URL of serial work that Amdahl-caps compute-bound
+scaling at ≈0.4 (BASELINE.md round 1). The mesh moves the whole
+frontier cycle into K symmetric ``MeshNode`` actors; each node is BOTH
+a fetch worker and the seen/edge shard for its ``url_hash % K`` key
+range:
 
     node.pump ──candidates (url_hash % K)──▶ owner.submit_candidates
         ▲                                          │ dedup (edge+URL)
@@ -31,7 +33,15 @@ Batching: ``enqueue``/``submit_candidates`` only append; a
 self-scheduled ``pump`` message processes everything accumulated since
 the last pump, so under load the mailbox coalesces many small routed
 pieces into full fetch batches. Self-addressed pieces are delivered
-in-process (no message, no counter — symmetric).
+in-process (no message, no counter — symmetric). A compute-bound node
+also coalesces its sends to peers (``COALESCE_ROWS``); a node whose
+requests wait on the wire sends everything at the end of each pump, so
+its peers never sit idle on the wire while it holds their work.
+
+Listener events: the driver names the events that have listeners, and
+nodes buffer only those (``pagestart``, ``retry`` and the warning
+events) as small tables that ``poll`` hands to the driver, which fires
+them as the rounds executor does.
 
 Reference semantics preserved: edge + URL dedup order
 (src/index.ts:800-817 — edge-fresh rows only consult/insert the URL
@@ -64,6 +74,11 @@ import pyarrow as pa
 from linkinator_ray import schema, urlkit
 from linkinator_ray.stages.fetch import hash_owner, split_by_owner
 from linkinator_ray.state.seen import SeenShard
+
+# a compute-bound node sends a peer its buffered candidates once this
+# many rows are held (or when it is about to go idle): an actor message
+# costs ~1-2 ms of raylet/task overhead regardless of payload
+COALESCE_ROWS = 4096
 
 
 def _host_assignment(hosts: list[str], num_nodes: int,
@@ -155,6 +170,13 @@ class MeshNode:
         self.deferred: list[pa.Table] = []
         self.delay_map: dict[str, float] = {}
         self.results_buf: list[pa.Table] = []
+        # listener events the driver fires from poll(): only the events
+        # that have a listener are buffered
+        from linkinator_ray.pipelines.crawl import WARN_EVENTS
+        self.events = frozenset(opts_blob.get("events", ()))
+        self.buffer_warnings = bool(self.events & WARN_EVENTS)
+        self.event_buf: dict[str, list] = {"pagestart": [], "warn": [],
+                                           "retry": []}
         self.counters = {"retries": 0, "warn_redirect": 0, "warn_insecure": 0,
                          "warn_status": 0, "pages_crawled": 0,
                          "urls_checked": 0, "rounds": 0}
@@ -173,12 +195,12 @@ class MeshNode:
         self.host_memo: dict = {}
         self.errors: list[str] = []
         self.busy_sec = 0.0
-        # cross-pump send coalescing: per-peer candidate buffers. An
-        # actor message costs ~1-2 ms of raylet/task overhead regardless
-        # of payload, so sends flush only when a peer's buffer reaches
-        # flush_rows — or all at once when this node is about to go idle
-        # (progress guarantee: the last productive pump always flushes).
-        self.flush_rows = opts_blob.get("flush_rows", 4096)
+        # per-peer candidate buffers, flushed at the end of a pump: all
+        # of them when requests wait on the wire (a held row idles the
+        # peer's connections), else only those past COALESCE_ROWS — or
+        # all at once when this node is about to go idle (progress
+        # guarantee: the last productive pump always flushes)
+        self.waits_on_wire = bool(opts_blob.get("waits_on_wire", False))
         self.peer_buf: list[list[pa.Table]] = []
         self.peer_buf_rows: list[int] = []
         # fragment wants: registered unconditionally on arrival
@@ -513,11 +535,13 @@ class MeshNode:
             with self.lock:
                 self.errors.append(traceback.format_exc())
         with self.lock:
-            # flush coalesced sends: everything when about to go idle
-            # or when a checkpoint pause is pending (the snapshot must
-            # not miss buffered candidates), else only peers whose
-            # buffer crossed the threshold
-            self._flush_peers(everything=not self.queue or self.paused)
+            # flush buffered sends: everything when requests wait on
+            # the wire, when about to go idle or when a checkpoint pause
+            # is pending (the snapshot must not miss buffered
+            # candidates), else only peers whose buffer crossed
+            # COALESCE_ROWS
+            self._flush_peers(everything=self.waits_on_wire
+                              or not self.queue or self.paused)
             self.busy_sec += time.perf_counter() - t0
             self.counters["rounds"] += 1
             self.pumping = False
@@ -537,6 +561,9 @@ class MeshNode:
             if skipped is not None:
                 self.results_buf.append(skipped)
             self.deferred.extend(deferred)
+            if "pagestart" in self.events and batch.num_rows:
+                self.event_buf["pagestart"].append(
+                    batch.select(["url", "do_crawl"]))
             pending_list = list(self.pending_fragments) \
                 if self.opts.check_fragments else []
         if batch.num_rows == 0:
@@ -550,11 +577,19 @@ class MeshNode:
             fetched, requeues, n_retries = compute_requeues(
                 fetched, now, self.delay_map, self.opts, self.rng)
             self.counters["retries"] += n_retries
-            self.deferred.extend(t for t in requeues if t.num_rows)
+            requeues = [t for t in requeues if t.num_rows]
+            self.deferred.extend(requeues)
+            if "retry" in self.events:
+                self.event_buf["retry"].extend(
+                    (now, t.select(["url", "not_before"])) for t in requeues)
             results, remaining = assemble_result_tables(
                 fetched, output["link_results"], self.counters["rounds"],
                 self.counters, check_css=self.opts.check_css)
             self.results_buf.extend(results)
+            if self.buffer_warnings and remaining.num_rows:
+                self.event_buf["warn"].append(remaining.select(
+                    ["url", "status", "final_url", "warn_status",
+                     "warn_redirect", "warn_insecure"]))
             if self.opts.check_fragments:
                 # own-range wants register BEFORE validating this
                 # batch's pages, so same-page/same-batch fragments
@@ -577,23 +612,18 @@ class MeshNode:
         threshold = max(1, opts.results_flush_rows // max(1, self.num_nodes))
         if held < threshold:
             return
-        import os
-
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
+
+        from linkinator_ray.pipelines.crawl import write_results_part
         merged = pa.concat_tables(self.results_buf).combine_chunks()
         keep_mask = pc.and_(merged["frontier_level"],
                             pc.equal(merged["state"], "BROKEN"))
         keep = merged.filter(keep_mask)
         spill = merged.filter(pc.invert(keep_mask))
         if spill.num_rows:
-            os.makedirs(opts.results_dir, exist_ok=True)
-            part = os.path.join(
-                opts.results_dir,
-                f"node{self.actor_id:02d}_part_{self.spill_part:05d}.parquet")
-            pq.write_table(spill.drop_columns(["frontier_level"]),
-                           part + ".tmp")
-            os.replace(part + ".tmp", part)
+            # writer 0 is the driver; node i writes as i + 1
+            write_results_part(opts.results_dir, self.actor_id + 1,
+                               self.spill_part, spill)
             self.spill_part += 1
             spilled = self.counters.get("spilled_rows", 0)
             self.counters["spilled_rows"] = spilled + spill.num_rows
@@ -630,7 +660,7 @@ class MeshNode:
     def _flush_peers(self, everything: bool) -> None:
         for a, bufs in enumerate(self.peer_buf):
             if bufs and (everything
-                         or self.peer_buf_rows[a] >= self.flush_rows):
+                         or self.peer_buf_rows[a] >= COALESCE_ROWS):
                 piece = bufs[0] if len(bufs) == 1 else pa.concat_tables(bufs)
                 self.peer_buf[a] = []
                 self.peer_buf_rows[a] = 0
@@ -656,6 +686,8 @@ class MeshNode:
     def _poll_locked(self) -> dict:
         results = self.results_buf
         self.results_buf = []
+        events = self.event_buf
+        self.event_buf = {kind: [] for kind in events}
         deferred_rows = sum(t.num_rows for t in self.deferred)
         earliest = min((float(t["not_before"].to_numpy(
             zero_copy_only=False).min()) for t in self.deferred),
@@ -675,6 +707,7 @@ class MeshNode:
             "pump_scheduled": self.pump_scheduled or self.pumping,
             "counters": dict(self.counters),
             "results": results,
+            "events": events,
             "errors": self.errors,
             "busy_sec": self.busy_sec,
             "seen_size": self.url_seen.size(),

@@ -15,8 +15,9 @@ def key_set(res):
 
 def test_ray_mode_matches_local(ray_session):
     """Every fixture gives the local rounds result on Ray rounds,
-    pipelined and mesh. The executor loop is outermost so that each
-    executor's leased actors serve all fixtures in a row."""
+    pipelined (an alias that runs the mesh) and mesh. The executor loop
+    is outermost so that each executor's leased actors serve all
+    fixtures in a row."""
     fixtures = {name: builder() for name, builder in fx.ALL.items()}
 
     def run(fixture, use_ray, **mode):
@@ -27,14 +28,14 @@ def test_ray_mode_matches_local(ray_session):
 
     local = {name: run(f, False) for name, f in fixtures.items()}
     mismatches = []
-    for executor, mode in (("rounds", {}), ("pipelined", {"pipelined": True}),
+    for executor, mode in (("rounds", {}), ("mesh", {"pipelined": True}),
                            ("mesh", {"mesh": True})):
         for name, fixture in fixtures.items():
             res = run(fixture, True, **mode)
             assert res.stats["executor"] == executor
             if key_set(res) != key_set(local[name]) \
                     or res.passed != local[name].passed:
-                mismatches.append((executor, name))
+                mismatches.append((executor, mode, name))
     assert not mismatches
 
 

@@ -40,20 +40,6 @@ def test_scripted_and_disabled_never_salt():
     assert len(set(off.tolist())) == 1
 
 
-def test_cumulative_counts_cross_threshold():
-    # pipelined mode sees the frontier table-by-table: the SECOND batch
-    # of 200 rows pushes the cumulative count past 256 and salts
-    from linkinator_ray.stages.fetch import sticky_assignment
-    counts: dict = {}
-    b1 = sticky_assignment(["hot"] * 200, _uh(200), 8,
-                           salt_threshold=256, counts=counts)
-    b2 = sticky_assignment(["hot"] * 200, _uh(200), 8,
-                           salt_threshold=256, counts=counts)
-    assert len(set(b1.tolist())) == 1
-    assert len(set(b2.tolist())) == 2
-    assert counts["hot"] == 400
-
-
 def test_assignment_deterministic():
     from linkinator_ray.stages.fetch import sticky_assignment
     hosts = ["a"] * 400 + ["b"] * 10 + ["c"] * 300
@@ -112,32 +98,3 @@ def test_salted_pipelined_equals_round(ray_session):
     rounds, seen_r = _crawl(docs, seeds, threshold=16)
     assert piped == rounds
     assert seen_p == seen_r == expected_seen
-
-
-def test_host_fair_order_interleaves_hosts():
-    """One hot host queued first must not monopolize the head of a
-    dispatch slice: rank-0 rows of EVERY host come before any rank-1
-    row, and within one host arrival order is preserved exactly."""
-    import pyarrow as pa
-
-    from linkinator_ray.pipelines.crawl import host_fair_order
-    rows = (
-        [("hot.test", i, 2) for i in range(100)]
-        + [("a.test", 100 + i, 1) for i in range(2)]
-        + [("b.test", 102 + i, 3) for i in range(2)]
-    )
-    t = pa.table({
-        "host": [r[0] for r in rows],
-        "url_hash": pa.array([r[1] for r in rows], pa.uint64()),
-        "depth": pa.array([r[2] for r in rows], pa.int32()),
-    })
-    out = host_fair_order(t)
-    hosts = out["host"].to_pylist()
-    # first 3 rows: one per host, ordered by depth (a=1, hot=2, b=3)
-    assert hosts[:3] == ["a.test", "hot.test", "b.test"]
-    # within-host arrival order preserved (scripted-sequence contract)
-    uh = out["url_hash"].to_pylist()
-    for h in ("hot.test", "a.test", "b.test"):
-        mine = [u for u, hh in zip(uh, hosts) if hh == h]
-        assert mine == sorted(mine)
-    assert sorted(uh) == list(range(104))

@@ -124,47 +124,6 @@ class TestCheckpointResume:
         assert "row_counts" in manifest and "counters" in manifest
 
 
-class TestPipelinedCheckpoint:
-    def test_pipelined_resume(self, ray_session, tmp_path):
-        """Kill a pipelined run early (max_rounds caps processed batches),
-        resume from its checkpoint, same final sets as a clean run."""
-        from linkinator_ray.sources.synth import synth_crawl_corpus
-        docs, seeds, expected_seen, _ = synth_crawl_corpus(
-            num_hosts=2, docs_per_host=400)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=2,
-                    seen_shards=2)
-        full = LinkChecker(CheckOptions(**base), docs, [],
-                           multi_host=True, use_ray=True).check()
-        ck = str(tmp_path / "ck")
-        partial = LinkChecker(
-            CheckOptions(**base, pipelined=True, checkpoint_dir=ck,
-                         batch_size=64, max_rounds=10_000),
-            docs, [], multi_host=True, use_ray=True)
-        # force an early stop after enough batches to checkpoint once
-        orig = partial._process_fetched
-        calls = {"n": 0}
-        def bomb(*a, **k):
-            calls["n"] += 1
-            if calls["n"] > 12:
-                raise KeyboardInterrupt
-            return orig(*a, **k)
-        partial._process_fetched = bomb
-        try:
-            partial.check()
-        except KeyboardInterrupt:
-            pass
-        import os
-        assert os.path.isdir(ck) and os.listdir(ck), "no checkpoint written"
-        resumed = LinkChecker(CheckOptions(**base), docs, [],
-                              multi_host=True, use_ray=True).check(
-            resume_from=ck)
-        def urls_states(res):
-            return {(r["url"], r["state"], r["status"])
-                    for r in res.results.to_pylist()}
-        assert urls_states(resumed) == urls_states(full)
-        assert resumed.stats["seen_urls"] == expected_seen
-
-
 class TestSpillResume:
     def test_spill_state_survives_resume(self, tmp_path):
         """Crash/resume with a streaming results_dir: a resumed run must
@@ -243,7 +202,7 @@ class TestMeshCheckpoint:
             CheckOptions(**base, checkpoint_dir=ck,
                          checkpoint_interval_s=0.2, batch_size=64),
             docs, [], multi_host=True, use_ray=True,
-            transport_latency_s=0.005)
+            transport_latency_s=0.02)
         orig = crawl_mod.LinkChecker._mesh_checkpoint
         calls = {"n": 0}
 
@@ -301,7 +260,7 @@ class TestMeshCheckpoint:
             CheckOptions(**base, fetch_concurrency=2, checkpoint_dir=ck,
                          checkpoint_interval_s=0.2, batch_size=64),
             docs, [], multi_host=True, use_ray=True,
-            transport_latency_s=0.005)
+            transport_latency_s=0.02)
         orig = crawl_mod.LinkChecker._mesh_checkpoint
         calls = {"n": 0}
 
@@ -350,7 +309,7 @@ class TestMeshCheckpoint:
                                  checkpoint_dir=ck,
                                  checkpoint_interval_s=0.3, batch_size=32),
                     docs, [], multi_host=True, use_ray=True,
-                    transport_latency_s=0.005).check()
+                    transport_latency_s=0.02).check()
         rounds = [d for d in os.listdir(ck) if d.startswith("round_")] \
             if os.path.isdir(ck) else []
         if not rounds:
@@ -395,7 +354,7 @@ class TestMeshResultsSpill:
             docs, [], multi_host=True, use_ray=True).check()
         parts = sorted(os.listdir(res_dir))
         assert parts, "expected node-spilled parquet parts"
-        assert any(p.startswith("node") for p in parts)
+        assert any(not p.startswith("part_00_") for p in parts)
 
         tables = [pq.read_table(os.path.join(res_dir, p)) for p in parts]
         all_rows = pa.concat_tables(
@@ -414,7 +373,7 @@ class TestMeshResultsSpill:
 
 class TestResumeHardening:
     """Round-4 review fixes: shard-layout-safe seen restore, stale spill
-    pruning, deferral deadlines surviving a pipelined resume, cross-mode
+    pruning, deferral deadlines surviving a Ray resume, cross-mode
     (mesh checkpoint -> driver) resume, and no caller-opts mutation."""
 
     def test_exact_seen_restore_reshards(self):
@@ -451,21 +410,21 @@ class TestResumeHardening:
         d = tmp_path / "res"
         d.mkdir()
         names = [
-            "part_00000.parquet", "part_00001.parquet",
-            "part_00002.parquet",            # stale: >= spill_part 2
-            "node00_part_00000.parquet",
-            "node00_part_00001.parquet",     # stale: node 0 saved 1
-            "node01_part_00000.parquet",     # stale: node 1 saved 0
-            "node05_part_00000.parquet",     # stale: beyond saved list
-            "part_00009.parquet.tmp",        # orphan tmp
+            "part_00_00000.parquet", "part_00_00001.parquet",
+            "part_00_00002.parquet",         # stale: >= spill_part 2
+            "part_01_00000.parquet",
+            "part_01_00001.parquet",         # stale: node 0 saved 1
+            "part_02_00000.parquet",         # stale: node 1 saved 0
+            "part_06_00000.parquet",         # stale: beyond saved list
+            "part_00_00009.parquet.tmp",     # orphan tmp
             "other.txt",
         ]
         for n in names:
             (d / n).write_bytes(b"x")
         prune_stale_spill_parts(str(d), 2, [1, 0])
         assert sorted(os.listdir(d)) == [
-            "node00_part_00000.parquet", "other.txt",
-            "part_00000.parquet", "part_00001.parquet"]
+            "other.txt", "part_00_00000.parquet",
+            "part_00_00001.parquet", "part_01_00000.parquet"]
 
     def test_shrink_resume_carries_node_floors(self, ray_session,
                                                tmp_path):
@@ -473,7 +432,7 @@ class TestResumeHardening:
         checkpoints per-node spill floors; run B resumes with 1 node
         (node 1 never runs again) and its checkpoints must CARRY node
         1's floor forward — without it, run C's prune sees no floor for
-        node01_part files, treats finalized parts as stale and deletes
+        node 1's part files, treats finalized parts as stale and deletes
         crawl results the replay never re-produces (their URLs are
         already in the seen set). Final sets must equal a clean run."""
         import json
@@ -514,7 +473,7 @@ class TestResumeHardening:
                          checkpoint_interval_s=0.2, batch_size=64,
                          results_dir=res_dir, results_flush_rows=50),
             docs, [], multi_host=True, use_ray=True,
-            transport_latency_s=0.005)
+            transport_latency_s=0.02)
         run_a._mesh_checkpoint = make_bomb({"n": 0}).__get__(run_a)
         try:
             run_a.check()
@@ -529,7 +488,7 @@ class TestResumeHardening:
                          checkpoint_interval_s=0.2, batch_size=64,
                          results_dir=res_dir, results_flush_rows=50),
             docs, [], multi_host=True, use_ray=True,
-            transport_latency_s=0.005)
+            transport_latency_s=0.02)
         run_b._mesh_checkpoint = make_bomb({"n": 0}).__get__(run_b)
         try:
             run_b.check(resume_from=ck)
@@ -586,7 +545,8 @@ class TestResumeHardening:
     def test_pipelined_resume_honors_retry_deadline(self, ray_session,
                                                     tmp_path):
         """A checkpoint snapshotted mid-retry-backoff carries the row's
-        not_before deadline; the pipelined resume must park it (advance
+        not_before deadline; a pipelined (mesh alias) check resuming a
+        round checkpoint runs on Ray rounds, which must park it (advance
         the clock to the deadline) instead of re-fetching immediately."""
         from linkinator_ray.state.clock import FakeClock
 
@@ -630,14 +590,14 @@ class TestResumeHardening:
                            multi_host=True, use_ray=True).check()
 
         ck = str(tmp_path / "crossck")
-        # 5 ms injected latency: without it a fast machine drains the
+        # 20 ms injected latency: without it a fast machine drains the
         # whole mesh before the first 0.2 s checkpoint epoch fires and
         # the bomb never goes off (results are latency-independent)
         partial = LinkChecker(
             CheckOptions(**base, mesh=True, checkpoint_dir=ck,
                          checkpoint_interval_s=0.2, batch_size=64),
             docs, [], multi_host=True, use_ray=True,
-            transport_latency_s=0.005)
+            transport_latency_s=0.02)
         orig = partial._mesh_checkpoint
         calls = {"n": 0}
 
