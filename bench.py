@@ -38,13 +38,11 @@ CONNS_PER_ACTOR = int(os.environ.get("BENCH_CONNS_PER_ACTOR", "12"))
 
 
 def _make_opts(ncpu: int, seeds):
-    """Both regimes run the actor-mesh frontier (``pipelined`` is an
-    alias for ``mesh``). In the wire model (latency > 0) the nodes'
-    requests wait on the wire, so each node sends its peers their
-    candidates at the end of every pump and keeps every connection pool
-    fed; the compute-only regime is coordination-bound, so the nodes
-    coalesce their sends and no driver-serial dedup work caps it
-    (BASELINE.md scaling section)."""
+    """Both regimes run the actor-mesh frontier: each node sends its
+    peers their candidates at the end of every pump, which keeps every
+    connection pool fed in the wire model (latency > 0), and no
+    driver-serial dedup work caps the coordination-bound compute-only
+    regime (BASELINE.md scaling section)."""
     from linkinator_ray.options import CheckOptions
     actors = max(2, ncpu // 2)
     wire = CRAWL_LATENCY_MS > 0
@@ -55,8 +53,7 @@ def _make_opts(ncpu: int, seeds):
         seen_shards=max(4, ncpu // 4),
         seen_filter="cuckoo",
         batch_size=4096 if wire else 2048,
-        pipelined=wire,
-        mesh=not wire,
+        mesh=True,
     )
 
 
@@ -362,11 +359,9 @@ def scaling() -> None:
     fresh processes at num_cpus 8 then 32 on the same corpus:
 
     - wire (50 ms RTT, connection budget ∝ nodes): the realistic
-      crawler regime — the mesh's nodes flush their sends every pump
-      and drive the connection pools.
+      crawler regime — the mesh's nodes drive the connection pools.
     - compute-only (latency 0, 4× corpus so work dominates fixed
-      costs): the coordination-stress regime — the mesh's nodes
-      coalesce their sends.
+      costs): the coordination-stress regime.
     """
     out = {}
     regimes = {

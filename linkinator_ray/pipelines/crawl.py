@@ -411,19 +411,23 @@ def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
     when k >= its writer's restored counter: ``spill_part`` for the
     driver (w = 0), ``node_spill_parts[i]`` for mesh node i (w = i + 1);
     nodes beyond the saved list had no pre-checkpoint parts, so all of
-    theirs are stale. Orphan ``.tmp`` files from an interrupted atomic
-    write also go."""
+    theirs are stale. Parts named by earlier versions, which a resumed
+    checkpoint's dead run may have left, count too: ``part_{k:05d}``
+    is the driver's, ``node{i:02d}_part_{k:05d}`` mesh node i's. Orphan
+    ``.tmp`` files from an interrupted atomic write also go."""
     import re
     if not results_dir or not os.path.isdir(results_dir):
         return
-    pat = re.compile(r"^part_(\d+)_(\d+)\.parquet(\.tmp)?$")
+    pat = re.compile(
+        r"^(?:part_(\d+)_|node(\d+)_part_|part_)(\d+)\.parquet(\.tmp)?$")
     floors = [spill_part, *node_spill_parts]
     for name in os.listdir(results_dir):
         m = pat.match(name)
         if not m:
             continue
-        w, k = int(m.group(1)), int(m.group(2))
-        if m.group(3) or k >= (floors[w] if w < len(floors) else 0):
+        new_w, old_node, k, tmp = m.groups()
+        w = int(new_w) if new_w else int(old_node) + 1 if old_node else 0
+        if tmp or int(k) >= (floors[w] if w < len(floors) else 0):
             try:
                 os.remove(os.path.join(results_dir, name))
             except FileNotFoundError:
@@ -703,7 +707,7 @@ class LinkChecker:
         if self.use_ray and (opts.mesh or opts.pipelined) \
                 and self._mesh_supported(resume_from):
             return self._run_mesh(transport_blob, worker_kwargs, num_actors,
-                                  waits_on_wire, resume_from=resume_from)
+                                  resume_from=resume_from)
 
         import time as _time
         t0 = _time.perf_counter()
@@ -854,16 +858,14 @@ class LinkChecker:
     # ------------------------------------------------------------------
 
     def _run_mesh(self, transport_blob: dict, worker_kwargs: dict,
-                  num_actors: int, waits_on_wire: bool,
-                  resume_from: str | None = None) -> CrawlResult:
+                  num_actors: int, resume_from: str | None = None) -> CrawlResult:
         """Actor-mesh frontier: fetch actors push candidates straight to
         seen-shard actors; shards route fresh rows back to the owning
         fetch actors; the driver only seeds, detects quiescence (two
         consecutive stable snapshots of the monotonic send/receive
         counters), drains result and event buffers, and runs the final
         duplicate-broken join. No per-URL driver work — the round
-        mode's ~25 µs/URL serial ceiling (BASELINE.md r1) goes away.
-        ``waits_on_wire`` picks the nodes' flush rule (state/mesh.py)."""
+        mode's ~25 µs/URL serial ceiling (BASELINE.md r1) goes away."""
         import time as _time
 
         import ray
@@ -885,7 +887,6 @@ class LinkChecker:
                      # checkpoint is re-shardable (elastic resume at a
                      # different node count)
                      "journal_keys": bool(opts.checkpoint_dir),
-                     "waits_on_wire": waits_on_wire,
                      "events": [e for e, cbs in self._listeners.items()
                                 if cbs]}
         # host affinity only when per-host actor state matters (scripted
@@ -982,7 +983,7 @@ class LinkChecker:
             recv_f = sum(p["received_frontier"] for p in polls)
             deferred = sum(p["deferred_rows"] for p in polls)
             # self-heal: queued work with no pump scheduled (a lost pump
-            # self-message) or held coalesced sends on an idle node get
+            # self-message) or held sends on an idle node get
             # re-kicked instead of hanging
             for n, p in zip(nodes, polls):
                 if (p["queued_rows"] and not p["pump_scheduled"]) or \
@@ -1040,18 +1041,20 @@ class LinkChecker:
         return self._finish(_MeshFacade())
 
     def _fire_node_buffers(self, poll: dict) -> None:
-        """One node poll's buffers, in the order rounds fire them:
-        'pagestart' at admission, then the result rows ('link'), then
-        the warning and 'retry' events of the fetched batch."""
+        """One node poll's buffers, kind by kind in the order a round
+        fires them: 'pagestart', 'retry', the result rows ('link'), then
+        the warning events. Each kind keeps the node's order, but a poll
+        may cover several pumps, whose events are grouped by kind, not
+        by pump."""
         events = poll["events"]
         for table in events["pagestart"]:
             self._emit_pagestart(table)
+        for now, table in events["retry"]:
+            self._emit_retry_events([table], now)
         for table in poll["results"]:
             self._emit(table)
         for table in events["warn"]:
             self._emit_warn_events(table)
-        for now, table in events["retry"]:
-            self._emit_retry_events([table], now)
 
     # ------------------------------------------------------------------
     # mesh checkpoint / resume (driver-coordinated epoch snapshots)
@@ -1079,7 +1082,7 @@ class LinkChecker:
             polls = ray.get([n.poll.remote() for n in nodes])
             for p in polls:
                 self._fire_node_buffers(p)
-            # buffered coalesced sends must flush before the snapshot
+            # buffered sends must flush before the snapshot
             # (kick flushes; pumps stay suppressed while paused)
             for n, p in zip(nodes, polls):
                 if p["held_cand"]:

@@ -33,10 +33,9 @@ Batching: ``enqueue``/``submit_candidates`` only append; a
 self-scheduled ``pump`` message processes everything accumulated since
 the last pump, so under load the mailbox coalesces many small routed
 pieces into full fetch batches. Self-addressed pieces are delivered
-in-process (no message, no counter — symmetric). A compute-bound node
-also coalesces its sends to peers (``COALESCE_ROWS``); a node whose
-requests wait on the wire sends everything at the end of each pump, so
-its peers never sit idle on the wire while it holds their work.
+in-process (no message, no counter — symmetric). Each pump ends by
+sending every peer what it routed to that peer, so no peer sits idle
+while this node holds its work.
 
 Listener events: the driver names the events that have listeners, and
 nodes buffer only those (``pagestart``, ``retry`` and the warning
@@ -74,12 +73,6 @@ import pyarrow as pa
 from linkinator_ray import schema, urlkit
 from linkinator_ray.stages.fetch import hash_owner, split_by_owner
 from linkinator_ray.state.seen import SeenShard
-
-# a compute-bound node sends a peer its buffered candidates once this
-# many rows are held (or when it is about to go idle): an actor message
-# costs ~1-2 ms of raylet/task overhead regardless of payload
-COALESCE_ROWS = 4096
-
 
 def _host_assignment(hosts: list[str], num_nodes: int,
                      memo: dict) -> np.ndarray:
@@ -195,14 +188,8 @@ class MeshNode:
         self.host_memo: dict = {}
         self.errors: list[str] = []
         self.busy_sec = 0.0
-        # per-peer candidate buffers, flushed at the end of a pump: all
-        # of them when requests wait on the wire (a held row idles the
-        # peer's connections), else only those past COALESCE_ROWS — or
-        # all at once when this node is about to go idle (progress
-        # guarantee: the last productive pump always flushes)
-        self.waits_on_wire = bool(opts_blob.get("waits_on_wire", False))
+        # per-peer candidate buffers, all sent at the end of each pump
         self.peer_buf: list[list[pa.Table]] = []
-        self.peer_buf_rows: list[int] = []
         # fragment wants: registered unconditionally on arrival
         # (reference registers at link-processing time,
         # src/index.ts:754-784); validated only when the target page is
@@ -235,7 +222,6 @@ class MeshNode:
             self.peers = peers
             self.generation = generation
             self.peer_buf = [[] for _ in peers]
-            self.peer_buf_rows = [0] * len(peers)
             self.peer_wants = [[] for _ in peers]
 
     def close(self) -> None:
@@ -247,7 +233,7 @@ class MeshNode:
             self.generation = None
             self.self_handle = None
             self.peers = None
-            self.peer_buf, self.peer_buf_rows, self.peer_wants = [], [], []
+            self.peer_buf, self.peer_wants = [], []
         self.worker.close()
         if self._frontier_spill_dir is not None:
             shutil.rmtree(self._frontier_spill_dir, ignore_errors=True)
@@ -364,7 +350,7 @@ class MeshNode:
         snapshots."""
         with self.lock:
             self.paused = True
-            self._flush_peers(everything=True)
+            self._flush_peers()
 
     def resume_run(self) -> None:
         with self.lock:
@@ -517,7 +503,7 @@ class MeshNode:
                 self._unspill_frontier()
             if not self.queue:
                 self.pumping = False
-                self._flush_peers(everything=True)
+                self._flush_peers()
                 return
             batch = pa.concat_tables(self.queue)
             self.queue = []
@@ -535,13 +521,7 @@ class MeshNode:
             with self.lock:
                 self.errors.append(traceback.format_exc())
         with self.lock:
-            # flush buffered sends: everything when requests wait on
-            # the wire, when about to go idle or when a checkpoint pause
-            # is pending (the snapshot must not miss buffered
-            # candidates), else only peers whose buffer crossed
-            # COALESCE_ROWS
-            self._flush_peers(everything=self.waits_on_wire
-                              or not self.queue or self.paused)
+            self._flush_peers()
             self.busy_sec += time.perf_counter() - t0
             self.counters["rounds"] += 1
             self.pumping = False
@@ -655,20 +635,18 @@ class MeshNode:
                 self._accept_candidates(piece)
             else:
                 self.peer_buf[a].append(piece)
-                self.peer_buf_rows[a] += piece.num_rows
 
-    def _flush_peers(self, everything: bool) -> None:
+    def _flush_peers(self) -> None:
+        """Send every peer its buffered candidates and fragment wants,
+        one message per kind."""
         for a, bufs in enumerate(self.peer_buf):
-            if bufs and (everything
-                         or self.peer_buf_rows[a] >= COALESCE_ROWS):
+            if bufs:
                 piece = bufs[0] if len(bufs) == 1 else pa.concat_tables(bufs)
                 self.peer_buf[a] = []
-                self.peer_buf_rows[a] = 0
                 self.sent_cand += piece.num_rows
                 self.peers[a].submit_candidates.remote(piece)
             wbufs = self.peer_wants[a] if self.peer_wants else []
-            if wbufs and (everything
-                          or not self.peer_buf[a]):  # ride along with flushes
+            if wbufs:
                 piece = wbufs[0] if len(wbufs) == 1 else pa.concat_tables(wbufs)
                 self.peer_wants[a] = []
                 self.sent_wants += piece.num_rows
@@ -700,8 +678,9 @@ class MeshNode:
             "sent_wants": self.sent_wants,
             "received_wants": self.received_wants,
             "queued_rows": self.queued_rows + self._spilled_frontier_rows,
-            "held_cand": sum(self.peer_buf_rows)
-            + sum(t.num_rows for bufs in self.peer_wants for t in bufs),
+            "held_cand": sum(t.num_rows for bufs in
+                             (*self.peer_buf, *self.peer_wants)
+                             for t in bufs),
             "deferred_rows": deferred_rows,
             "earliest_deadline": earliest,
             "pump_scheduled": self.pump_scheduled or self.pumping,
@@ -715,12 +694,12 @@ class MeshNode:
 
     def kick(self, generation: int) -> None:
         """Driver nudge: wake deferred rows whose deadline passed and
-        flush any coalesced sends."""
+        send any buffered sends."""
         with self.lock:
             if generation != self.generation:
                 return
             self._wake_deferred(time.time())
-            self._flush_peers(everything=True)
+            self._flush_peers()
             self._schedule_pump()
 
     def drain_dups(self) -> pa.Table:

@@ -12,9 +12,13 @@ from linkinator_ray.pipelines.crawl import LinkChecker
 from linkinator_ray.sources import fixtures as fx
 from linkinator_ray.state import actors
 
-EXECUTORS = {"rounds": {}, "pipelined": {"pipelined": True},
-             "mesh": {"mesh": True}}
-# the executor each option runs: pipelined is an alias for the mesh
+# the options of the checks in a row: pipelined is an alias for the
+# mesh, so its leg alternates it with mesh=True, and the two must lease
+# the same nodes
+EXECUTORS = {"rounds": ({},), "pipelined": ({"pipelined": True},
+                                            {"mesh": True}),
+             "mesh": ({"mesh": True},)}
+# the executor each option runs
 RUNS_AS = {"rounds": "rounds", "pipelined": "mesh", "mesh": "mesh"}
 SEQUENCE = (fx.recurse, fx.repeated_broken_link, fx.css_fixture)
 
@@ -66,11 +70,12 @@ def test_back_to_back_checks_reuse_actors(ray_session, executor):
     equals local mode, and the later ones run on the same worker
     processes as the first."""
     ray = ray_session
+    modes = EXECUTORS[executor]
     previous = None
     for i, builder in enumerate(SEQUENCE):
         fixture = builder()
         local = checker(fixture, use_ray=False).check()
-        c = checker(fixture, **EXECUTORS[executor])
+        c = checker(fixture, **modes[i % len(modes)])
         res = c.check()
         assert key_set(res) == key_set(local), fixture.name
         assert res.passed == local.passed
@@ -191,12 +196,12 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
     assert node.queued_rows == 1 and sent == [7]
 
 
-def test_mesh_node_flushes_peer_candidates_when_waiting_on_wire():
+def test_mesh_node_sends_peer_candidates_every_pump():
     """End-of-pump flush rule (no Ray needed): node 0 of a two-node mesh
     pumps one page whose links route candidates to node 1 while its own
-    queue still holds a second page. A node whose requests wait on the
-    wire sends them to node 1 in that pump; a compute-bound node holds
-    them to coalesce (fewer than COALESCE_ROWS are buffered)."""
+    queue still holds a second page. It sends them to node 1 in that
+    pump rather than holding them until its queue empties: a held row
+    idles the peer (on the wire, its connections)."""
     from linkinator_ray import urlkit
     from linkinator_ray.pipelines.crawl import _frontier_rows
     from linkinator_ray.state.mesh import MeshNode
@@ -207,41 +212,30 @@ def test_mesh_node_flushes_peer_candidates_when_waiting_on_wire():
             def remote(generation):
                 pass
 
-    def run(waits_on_wire: bool) -> tuple[list[int], int]:
-        """(rows node 0 sends node 1, rows it still holds for node 1)
-        after its first pump."""
-        sent = []
+    sent = []
 
-        class Peer:
-            class submit_candidates:
-                @staticmethod
-                def remote(cand):
-                    sent.append(cand.num_rows)
+    class Peer:
+        class submit_candidates:
+            @staticmethod
+            def remote(cand):
+                sent.append(cand.num_rows)
 
-        links = [fx._anchor(f"/p{i}.html") for i in range(40)]
-        docs = fx.docs_table(fx.doc("a.html", *links),
-                             fx.doc("b.html", *links))
-        urls = ["http://corpus.test/a.html", "http://corpus.test/b.html"]
-        node = MeshNode(
-            0, 2, {"http_map": [], "documents": docs, "strict": False},
-            {"classify_opts": CheckOptions(paths=urls, recurse=True),
-             "recurse": True},
-            {"batch_cap": 1, "waits_on_wire": waits_on_wire},
-            sticky_hosts=False)
-        node.set_peers(SelfHandle(), [SelfHandle(), Peer()], 1)
-        node.enqueue(_frontier_rows(
-            url=urls, url_hash=urlkit.hash64_array(urls),
-            host=["corpus.test"] * 2, parent=["", ""], depth=[0, 0],
-            do_crawl=[True, True], root_path=urls, attempt=[0, 0],
-            not_before=[0.0, 0.0]))
-        node.pump(1)
-        assert not node.errors
-        assert node.queued_rows  # b.html and node 0's own links wait
-        held = sum(node.peer_buf_rows)
-        node.close()
-        return sent, held
-
-    sent, held = run(waits_on_wire=True)
-    assert sum(sent) > 0 and held == 0
-    sent, held = run(waits_on_wire=False)
-    assert sent == [] and held > 0
+    links = [fx._anchor(f"/p{i}.html") for i in range(40)]
+    docs = fx.docs_table(fx.doc("a.html", *links), fx.doc("b.html", *links))
+    urls = ["http://corpus.test/a.html", "http://corpus.test/b.html"]
+    node = MeshNode(
+        0, 2, {"http_map": [], "documents": docs, "strict": False},
+        {"classify_opts": CheckOptions(paths=urls, recurse=True),
+         "recurse": True},
+        {"batch_cap": 1}, sticky_hosts=False)
+    node.set_peers(SelfHandle(), [SelfHandle(), Peer()], 1)
+    node.enqueue(_frontier_rows(
+        url=urls, url_hash=urlkit.hash64_array(urls),
+        host=["corpus.test"] * 2, parent=["", ""], depth=[0, 0],
+        do_crawl=[True, True], root_path=urls, attempt=[0, 0],
+        not_before=[0.0, 0.0]))
+    node.pump(1)
+    assert not node.errors
+    assert node.queued_rows  # b.html and node 0's own links wait
+    assert sum(sent) > 0 and node.poll()["held_cand"] == 0
+    node.close()

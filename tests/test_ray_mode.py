@@ -14,10 +14,9 @@ def key_set(res):
 
 
 def test_ray_mode_matches_local(ray_session):
-    """Every fixture gives the local rounds result on Ray rounds,
-    pipelined (an alias that runs the mesh) and mesh. The executor loop
-    is outermost so that each executor's leased actors serve all
-    fixtures in a row."""
+    """Every fixture gives the local rounds result on Ray rounds and
+    on the mesh. The executor loop is outermost so that each executor's
+    leased actors serve all fixtures in a row."""
     fixtures = {name: builder() for name, builder in fx.ALL.items()}
 
     def run(fixture, use_ray, **mode):
@@ -28,8 +27,7 @@ def test_ray_mode_matches_local(ray_session):
 
     local = {name: run(f, False) for name, f in fixtures.items()}
     mismatches = []
-    for executor, mode in (("rounds", {}), ("mesh", {"pipelined": True}),
-                           ("mesh", {"mesh": True})):
+    for executor, mode in (("rounds", {}), ("mesh", {"mesh": True})):
         for name, fixture in fixtures.items():
             res = run(fixture, True, **mode)
             assert res.stats["executor"] == executor
@@ -85,6 +83,7 @@ def test_pipelined_fixture_parity(ray_session):
                                          pipelined=True),
                             fixture.documents, fixture.http_map,
                             use_ray=True).check()
+        assert piped.stats["executor"] == "mesh"  # pipelined is an alias
         assert key_set(rounds) == key_set(piped), fixture.name
 
 

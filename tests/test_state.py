@@ -417,13 +417,23 @@ class TestResumeHardening:
             "part_02_00000.parquet",         # stale: node 1 saved 0
             "part_06_00000.parquet",         # stale: beyond saved list
             "part_00_00009.parquet.tmp",     # orphan tmp
+            # the name forms of earlier versions: part_{k} is the
+            # driver's, node{i}_part_{k} mesh node i's
+            "part_00001.parquet",
+            "part_00003.parquet",            # stale: >= spill_part 2
+            "node00_part_00000.parquet",
+            "node00_part_00004.parquet",     # stale: node 0 saved 1
+            "node01_part_00000.parquet",     # stale: node 1 saved 0
+            "node05_part_00000.parquet",     # stale: beyond saved list
+            "part_00009.parquet.tmp",        # orphan tmp
             "other.txt",
         ]
         for n in names:
             (d / n).write_bytes(b"x")
         prune_stale_spill_parts(str(d), 2, [1, 0])
         assert sorted(os.listdir(d)) == [
-            "other.txt", "part_00_00000.parquet",
+            "node00_part_00000.parquet", "other.txt",
+            "part_00001.parquet", "part_00_00000.parquet",
             "part_00_00001.parquet", "part_01_00000.parquet"]
 
     def test_shrink_resume_carries_node_floors(self, ray_session,
