@@ -124,8 +124,8 @@ class CheckOptions:
     mesh: bool = False  # actor-mesh frontier: dedup + routing in actors, driver only seeds/quiesces
     mesh_frontier_spill_rows: int = 0  # per-node frontier queue cap; past it the tail spills to parquet (0 = unbounded in-memory)
     max_rounds: int = 10_000  # BFS safety valve
-    checkpoint_dir: str | None = None  # per-round frontier/seen/lineage checkpoints
-    checkpoint_interval_s: float = 10.0  # mesh mode: seconds between epoch snapshots
+    checkpoint_dir: str | None = None  # checkpoints (frontier, key journal, lineage) after every round, or every mesh epoch
+    checkpoint_interval_s: float = 10.0  # mesh mode: seconds between epoch checkpoints
     results_dir: str | None = None     # stream results out as parquet parts
     results_flush_rows: int = 1_000_000  # spill threshold (rows held in driver)
     politeness_delay: float = 0.0  # min seconds between fetches to one host (token bucket)

@@ -18,7 +18,7 @@ not_before)`` rows; each round:
    fetch workers that fetched them), dedup edges, consult the sharded
    seen-set (batched anti-join) → next frontier;
 8. validate fragments whose target page was fetched this round;
-9. checkpoint frontier + seen shards + lineage (state/checkpoint.py).
+9. checkpoint frontier + key journal + lineage (state/checkpoint.py).
 
 After the loop: the duplicate-broken hash join (SURVEY.md §2.4 J1)
 re-reports every BROKEN URL once per distinct referring parent.
@@ -489,6 +489,9 @@ class LinkChecker:
         self.dup_edge_tables: list[pa.Table] = []   # (url, parent) dup references
         self.pending_fragments: dict[str, set[str]] = {}
         self.delay_map: dict[str, float] = {}       # host → retry-after deadline
+        # keys this driver inserts into seen/edge_seen between checkpoints
+        self.journal = ckpt.KeyJournal(bool(self.opts.checkpoint_dir))
+        self._journal_from = 1  # the first round of checkpoint_dir's chain
         self.counters = {
             "retries": 0, "warn_redirect": 0, "warn_insecure": 0,
             "warn_status": 0, "pages_crawled": 0, "urls_checked": 0,
@@ -729,8 +732,9 @@ class LinkChecker:
             frontier, round_no = self._restore(resume_from)
         else:
             frontier = seed_frontier(self._expanded_paths, self.corpus_base)
-            self.seen.contains_or_insert(
-                frontier["url_hash"].to_numpy(zero_copy_only=False))
+            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
+            self.journal.add_urls(
+                hashes[~self.seen.contains_or_insert(hashes)])
 
         self._executor = "rounds"
         return self._run_rounds(pool, frontier, round_no)
@@ -740,10 +744,9 @@ class LinkChecker:
         compile per node, fragment wants route to the target's fetch
         owner, listener events buffer on the nodes, checkpoints are
         driver-coordinated epoch snapshots. A resume only goes through
-        the mesh when the checkpoint was written BY the mesh (rounds
-        resume their own round checkpoints); ``_mesh_restore``
-        re-shards it from the key journal when the node count
-        differs."""
+        the mesh when the checkpoint was written BY the mesh: round
+        checkpoints carry the rounds' clock in their deadlines, so Ray
+        rounds resume them."""
         if resume_from is not None:
             import json
             import os
@@ -883,9 +886,7 @@ class LinkChecker:
         blob_ref = ray.put(transport_blob)
         opts_blob = {"batch_cap": opts.batch_size * 4, "jitter_seed": 42,
                      "frontier_spill_rows": opts.mesh_frontier_spill_rows,
-                     # checkpointed runs journal inserted keys so the
-                     # checkpoint is re-shardable (elastic resume at a
-                     # different node count)
+                     # checkpointed runs journal the keys they insert
                      "journal_keys": bool(opts.checkpoint_dir),
                      "events": [e for e, cbs in self._listeners.items()
                                 if cbs]}
@@ -1074,7 +1075,6 @@ class LinkChecker:
 
         import ray
 
-        from linkinator_ray.state.seen import seen_blob_to_table
         ray.get([n.pause.remote() for n in nodes])
         prev = None
         last_change = _time.monotonic()
@@ -1117,11 +1117,6 @@ class LinkChecker:
             _time.sleep(0.005)
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
-
-        results = pa.concat_tables(self.results_tables) \
-            if self.results_tables else schema.empty(RESULT_ROWS)
-        broken_first = pa.concat_tables(self.broken_first_tables) \
-            if self.broken_first_tables else schema.empty(RESULT_ROWS)
         delay_union: dict[str, float] = {}
         for s in snaps:
             for host, deadline in s["delay_map"].items():
@@ -1132,37 +1127,6 @@ class LinkChecker:
         for s in snaps:
             for key, val in s["counters"].items():
                 counters[key] = counters.get(key, 0) + val
-        tables = {
-            "frontier": pa.concat_tables([s["frontier"] for s in snaps]),
-            "results": results,
-            "broken_first": broken_first,
-            # node buffers + any dups restored from an earlier epoch
-            # (held driver-side after a resume)
-            "dup_edges": pa.concat_tables(
-                [s["dup_edges"] for s in snaps]
-                + [t.select(["url", "parent"])
-                   for t in self.dup_edge_tables if t.num_rows]),
-            "delay_map": pa.table({
-                "host": pa.array(list(delay_union), pa.string()),
-                "deadline": pa.array(list(delay_union.values()), pa.float64()),
-            }),
-        }
-        tables["pending_fragments"] = pa.concat_tables(
-            [s["pending_fragments"] for s in snaps])
-        for i, s in enumerate(snaps):
-            tables[f"edge_shard_{i:04d}"] = seen_blob_to_table(s["edge_seen"])
-            # key journal (one binary-blob row per array — the 1M-row
-            # lesson from the cuckoo format applies here too): raw u64
-            # keys inserted since the previous epoch, edges paired with
-            # their routing hash. This is what lets _mesh_restore
-            # re-shard the checkpoint to a different node count.
-            tables[f"url_keys_{i:04d}"] = pa.table({
-                "data": pa.array([s["url_keys"].tobytes()], pa.binary())})
-            tables[f"edge_keys_{i:04d}"] = pa.table({
-                "data": pa.array([s["edge_keys"].tobytes()], pa.binary()),
-                "routes": pa.array([s["edge_routes"].tobytes()],
-                                   pa.binary())})
-        seen_tables = [seen_blob_to_table(s["url_seen"]) for s in snaps]
         # merge this mesh's floors with inherited ones: node indices
         # this run doesn't have (resume shrank the mesh) keep their
         # checkpointed floor so their finalized parts survive a later
@@ -1174,145 +1138,54 @@ class LinkChecker:
                 floors[i] = max(floors[i], f)
             else:
                 floors.append(f)
-        ckpt.save_round(
-            self.opts.checkpoint_dir, self.run_id, epoch, tables,
-            seen_tables, counters,
-            extra={"mesh": True, "mesh_nodes": num_actors,
-                   "journal": True,
-                   "spill_part": self._spill_part,
-                   "node_spill_parts": floors,
-                   "clock": self.clock.now()},
-        )
+        # a resume from another directory left its replayed keys in
+        # the driver's journal
+        journals = [s["journal"] for s in snaps] + [self.journal.drain()]
+        self._save_checkpoint(
+            epoch, pa.concat_tables([s["frontier"] for s in snaps]),
+            pa.concat_tables([s["pending_fragments"] for s in snaps]),
+            # node buffers + any dups restored from an earlier epoch
+            # (held driver-side after a resume)
+            [s["dup_edges"] for s in snaps] + self.dup_edge_tables,
+            delay_union,
+            [np.concatenate(parts) for parts in zip(*journals)],
+            counters, floors, {"mesh": True, "mesh_nodes": num_actors})
         ray.get([n.resume_run.remote() for n in nodes])
 
     def _mesh_restore(self, checkpoint_dir: str, nodes,
                       num_actors: int, sticky: bool = False) -> tuple[pa.Table, int]:
-        """Load the newest mesh epoch into a fresh mesh. Same shard
-        count: fast path — each node restores its own seen/edge blob.
-        DIFFERENT shard count (elastic resume, e.g. checkpoint at N and
-        resume at 4N nodes): the filters are rebuilt from the key
-        JOURNAL — every epoch dir carries the raw u64 hashes inserted
-        that epoch plus each edge key's routing hash, so the chain of
-        epochs 1..last reconstructs each new node's hash range exactly.
-        Frontier rows, pending wants and the delay map carry URLs/hosts
-        and re-route under any count; only the filters need the journal
-        (cuckoo blobs hold fingerprints, and even exact edge dumps lose
-        the child-URL owner derivation)."""
+        """Load the newest mesh epoch into a fresh mesh of any node
+        count: journal keys go to their ``hash_owner`` under this count
+        (edges by their routing hash), pending wants to their target's
+        fetch owner, and each node continues its results-part
+        numbering."""
         import ray
 
         from linkinator_ray.state import mesh as mesh_mod
-        from linkinator_ray.state.seen import seen_table_to_blob
-        last = ckpt.latest_round(checkpoint_dir)
-        if last is None:
-            raise ValueError(f"no checkpoint found under {checkpoint_dir}")
-        # defer the seen-shard reads: the elastic (journal) branch
-        # rebuilds the filters from the key journal and never touches
-        # the positional shard dumps — at scale the checkpoint's bulk
-        manifest, tables, _ = ckpt.load_round(checkpoint_dir, last,
-                                              load_seen=False)
-        saved_nodes = manifest["extra"].get("mesh_nodes")
-        elastic = saved_nodes != num_actors
-        if elastic and not manifest["extra"].get("journal"):
-            raise ValueError(
-                f"mesh checkpoint was written with {saved_nodes} nodes and "
-                f"carries no key journal; resume requires the same node "
-                f"count (got {num_actors})")
-        self.counters.update(manifest["counters"])
-        self.results_tables = [tables["results"]]
-        self._spill_part = int(manifest["extra"].get("spill_part", 0))
-        broken_first = tables.get("broken_first")
-        if broken_first is not None and broken_first.num_rows:
-            self.broken_first_tables = [broken_first]
-        dup = tables.get("dup_edges")
-        if dup is not None and dup.num_rows:
-            self.dup_edge_tables = [dup]
-        delay = tables["delay_map"]
-        delay_map = dict(zip(delay["host"].to_pylist(),
-                             delay["deadline"].to_pylist()))
-        wants = tables.get("pending_fragments")
+        frontier, epoch, wants, journal = self._load_checkpoint(
+            checkpoint_dir)
         want_pieces: list = [None] * num_actors
-        if wants is not None and wants.num_rows:
+        if wants.num_rows:
             owners = mesh_mod.want_owner(wants, num_actors, sticky, {})
             for a, piece in split_by_owner(wants, owners, num_actors):
                 want_pieces[a] = piece
-        saved_parts = manifest["extra"].get("node_spill_parts",
-                                            [0] * (saved_nodes or num_actors))
-        self._inherited_node_floors = list(saved_parts)
         # node i writes results parts as writer i + 1: a new node
         # sharing an old index continues that numbering; indices beyond
         # the old count start fresh; on shrink, orphaned old parts stay
         # on disk and the results_dir scan still collects them
+        saved_parts = self._inherited_node_floors
         node_parts = [saved_parts[i] if i < len(saved_parts) else 0
                       for i in range(num_actors)]
-        # drop parts the dead run spilled after this epoch (driver tail
-        # parts >= spill_part, node parts >= that node's saved counter)
-        prune_stale_spill_parts(self.opts.results_dir, self._spill_part,
-                                saved_parts)
-        if not elastic:
-            seen_tables = ckpt.load_seen_shards(checkpoint_dir, last,
-                                                manifest)
-            ray.get([
-                nodes[i].restore_state.remote(
-                    seen_table_to_blob(seen_tables[i]),
-                    seen_table_to_blob(tables[f"edge_shard_{i:04d}"]),
-                    delay_map, want_pieces[i], node_parts[i])
-                for i in range(num_actors)
-            ])
-            return tables["frontier"], manifest["round"]
-
-        url_keys, edge_keys, edge_routes = self._load_key_journal(
-            checkpoint_dir, last)
+        url_keys, edge_keys, edge_routes = journal
         url_owner = hash_owner(url_keys, num_actors)
         edge_owner = hash_owner(edge_routes, num_actors)
         ray.get([
             nodes[i].restore_keys.remote(
                 url_keys[url_owner == i], edge_keys[edge_owner == i],
-                delay_map, want_pieces[i], node_parts[i])
+                self.delay_map, want_pieces[i], node_parts[i])
             for i in range(num_actors)
         ])
-        return tables["frontier"], manifest["round"]
-
-    @staticmethod
-    def _load_key_journal(checkpoint_dir: str, last: int):
-        """Union of the per-epoch key journals for epochs 1..last —
-        (url_keys, edge_keys, edge_routes) u64 arrays. Each epoch dir
-        holds only that epoch's new keys (lineage), so this read is one
-        sequential pass over 8 B/key total."""
-        import json as _json
-        import os
-
-        import pyarrow.parquet as pq
-        urls, ekeys, eroutes = [], [], []
-        for r in range(1, last + 1):
-            round_dir = os.path.join(checkpoint_dir, f"round_{r:06d}")
-            mpath = os.path.join(round_dir, "manifest.json")
-            if not os.path.exists(mpath):
-                raise ValueError(
-                    f"elastic resume needs the full epoch chain; "
-                    f"round {r} is missing under {checkpoint_dir}")
-            with open(mpath) as f:
-                names = _json.load(f)["row_counts"]
-            jr = sorted(n for n in names if n.startswith("url_keys_"))
-            if not jr:
-                raise ValueError(
-                    f"round {r} carries no key journal — elastic resume "
-                    "needs every epoch written with journaling on")
-            for name in jr:
-                t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
-                urls.append(np.frombuffer(t["data"][0].as_py() or b"",
-                                          dtype=np.uint64))
-            for name in sorted(n for n in names
-                               if n.startswith("edge_keys_")):
-                t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
-                ekeys.append(np.frombuffer(t["data"][0].as_py() or b"",
-                                           dtype=np.uint64))
-                eroutes.append(np.frombuffer(t["routes"][0].as_py() or b"",
-                                             dtype=np.uint64))
-
-        def cat(parts):
-            return np.concatenate(parts) if parts \
-                else np.empty(0, dtype=np.uint64)
-        return cat(urls), cat(ekeys), cat(eroutes)
+        return frontier, epoch
 
     # ------------------------------------------------------------------
 
@@ -1361,8 +1234,9 @@ class LinkChecker:
         new_rows = schema.empty(schema.FRONTIER)
         cand = output["candidates"]
         if cand.num_rows:
-            new_rows, dups, _, _ = dedup_candidates(cand, self.edge_seen,
-                                                    self.seen)
+            new_rows, dups, edge_fresh, keep = dedup_candidates(
+                cand, self.edge_seen, self.seen)
+            self.journal.add_candidates(cand, edge_fresh, keep)
             if dups.num_rows:
                 self.dup_edge_tables.append(dups)
 
@@ -1412,105 +1286,100 @@ class LinkChecker:
     # ------------------------------------------------------------------
 
     def _checkpoint(self, round_no: int, frontier: pa.Table) -> None:
-        pending = pa.table({
-            "target_url": pa.array(
-                [u for u, fs in self.pending_fragments.items() for _ in fs], pa.string()),
-            "fragment": pa.array(
-                [f for fs in self.pending_fragments.values() for f in fs], pa.string()),
-        })
-        dup = pa.table({
-            "url": pa.concat_arrays([t["url"].combine_chunks() for t in self.dup_edge_tables])
-            if self.dup_edge_tables else pa.array([], pa.string()),
-            "parent": pa.concat_arrays([t["parent"].combine_chunks() for t in self.dup_edge_tables])
-            if self.dup_edge_tables else pa.array([], pa.string()),
-        })
-        results = pa.concat_tables(self.results_tables) if self.results_tables \
-            else schema.empty(RESULT_ROWS)
-        # spill state: retained frontier-level BROKEN rows from earlier
-        # spills (the J1 join input) must survive a crash, and a resumed
-        # run must continue numbering parquet parts where it left off
-        broken_first = pa.concat_tables(self.broken_first_tables) \
-            if self.broken_first_tables else schema.empty(RESULT_ROWS)
-        delay = pa.table({
-            "host": pa.array(list(self.delay_map), pa.string()),
-            "deadline": pa.array(list(self.delay_map.values()), pa.float64()),
-        })
-        ckpt.save_round(
-            self.opts.checkpoint_dir, self.run_id, round_no,
-            {"frontier": frontier, "pending_fragments": pending,
-             "dup_edges": dup, "results": results, "delay_map": delay,
-             "broken_first": broken_first},
-            self.seen.dump_tables(), dict(self.counters),
-            extra={"clock": self.clock.now(), "spill_part": self._spill_part,
-                   # carry node floors from a resumed mesh checkpoint so
-                   # a later resume keeps those nodes' finalized parts
-                   "node_spill_parts": self._inherited_node_floors},
-        )
+        self._save_checkpoint(
+            round_no, frontier, ckpt.pending_table(self.pending_fragments),
+            self.dup_edge_tables, self.delay_map, self.journal.drain(),
+            dict(self.counters),
+            # carry node floors from a resumed mesh checkpoint so a
+            # later resume keeps those nodes' finalized parts
+            self._inherited_node_floors, {})
 
-    def _restore(self, checkpoint_dir: str):
+    def _save_checkpoint(self, round_no: int, frontier: pa.Table,
+                         pending: pa.Table, dup_tables: list,
+                         delay_map: dict, journal, counters: dict,
+                         node_spill_parts: list[int], extra: dict) -> None:
+        """The one checkpoint every executor writes: the executor's
+        frontier, pending wants, duplicate edges, delay map and key
+        journal, plus the driver's results and spill state (retained
+        frontier-level BROKEN rows are the J1 join's input, and a
+        resumed run continues numbering parquet parts)."""
+        dups = [t.select(["url", "parent"]) for t in dup_tables
+                if t.num_rows]
+        tables = {
+            "frontier": frontier,
+            "pending_fragments": pending,
+            "dup_edges": pa.concat_tables(dups) if dups
+            else schema.empty(schema.EDGES),
+            "results": pa.concat_tables(self.results_tables)
+            if self.results_tables else schema.empty(RESULT_ROWS),
+            "broken_first": pa.concat_tables(self.broken_first_tables)
+            if self.broken_first_tables else schema.empty(RESULT_ROWS),
+            "delay_map": pa.table({
+                "host": pa.array(list(delay_map), pa.string()),
+                "deadline": pa.array(list(delay_map.values()),
+                                     pa.float64())}),
+            **ckpt.journal_tables(*journal),
+        }
+        ckpt.save_round(
+            self.opts.checkpoint_dir, self.run_id, round_no, tables,
+            counters, extra={"clock": self.clock.now(),
+                             "spill_part": self._spill_part,
+                             "journal_from": self._journal_from,
+                             "node_spill_parts": node_spill_parts,
+                             **extra})
+
+    def _load_checkpoint(self, checkpoint_dir: str):
+        """Restore the driver's share of the newest checkpoint, whoever
+        wrote it: counters, results, spill state, duplicate edges, the
+        delay map and the clock. Returns ``(frontier, round, pending
+        wants, key journal)`` for the executor to place."""
         last = ckpt.latest_round(checkpoint_dir)
         if last is None:
             raise ValueError(f"no checkpoint found under {checkpoint_dir}")
-        # defer the seen-shard reads: the journal branch below never
-        # uses them, and at scale they're the bulk of a checkpoint
-        manifest, tables, _ = ckpt.load_round(checkpoint_dir, last,
-                                              load_seen=False)
+        manifest, tables = ckpt.load_round(checkpoint_dir, last)
+        first = manifest["extra"].get("journal_from", 1)
+        journal = ckpt.load_key_journal(checkpoint_dir, last, first)
+        self._journal_from = first
+        if self.opts.checkpoint_dir and os.path.realpath(
+                self.opts.checkpoint_dir) != os.path.realpath(checkpoint_dir):
+            # a new directory starts a new chain: its first round
+            # journals every key replayed here
+            self.journal.add_urls(journal[0])
+            self.journal.add_edges(journal[1], journal[2])
+            self._journal_from = last + 1
         self.counters.update(manifest["counters"])
-        if manifest["extra"].get("mesh"):
-            # mesh-written checkpoint resumed in a driver mode: the
-            # per-node seen dumps are positional (node i's hash range),
-            # NOT this SeenSet's layout — rebuild membership from the
-            # key journal instead (raw u64 keys re-shard anywhere)
-            if not manifest["extra"].get("journal"):
-                raise ValueError(
-                    "mesh checkpoint carries no key journal; resume it "
-                    "in mesh mode with the same node count")
-            url_keys, edge_keys, _ = self._load_key_journal(
-                checkpoint_dir, last)
-            if len(url_keys):
-                self.seen.contains_or_insert(url_keys)
-            if len(edge_keys):
-                self.edge_seen.contains_or_insert(edge_keys)
-        else:
-            self.seen.restore_tables(
-                ckpt.load_seen_shards(checkpoint_dir, last, manifest))
-        frontier = tables["frontier"]
-        pend = tables["pending_fragments"]
-        for url, frag in zip(pend["target_url"].to_pylist(), pend["fragment"].to_pylist()):
-            self.pending_fragments.setdefault(url, set()).add(frag)
+        self.results_tables = [tables["results"]]
+        broken_first = tables["broken_first"]
+        if broken_first.num_rows:
+            self.broken_first_tables = [broken_first]
         dup = tables["dup_edges"]
         if dup.num_rows:
             self.dup_edge_tables = [dup]
-        # rebuild the edge-seen set from results parents + dup edges
-        results = tables["results"]
-        self.results_tables = [results]
-        # restore spill state (results_dir streaming sink): resume part
-        # numbering past already-written files and re-seed the retained
-        # BROKEN rows so the duplicate-broken join still sees them
-        self._spill_part = int(manifest["extra"].get("spill_part", 0))
+        delay = tables["delay_map"]
+        self.delay_map = dict(zip(delay["host"].to_pylist(),
+                                  delay["deadline"].to_pylist()))
         # parts the dead run spilled AFTER this checkpoint duplicate
         # rows the replay will re-produce — drop them before resuming
+        self._spill_part = int(manifest["extra"].get("spill_part", 0))
         self._inherited_node_floors = list(
             manifest["extra"].get("node_spill_parts", []))
         prune_stale_spill_parts(self.opts.results_dir, self._spill_part,
                                 self._inherited_node_floors)
-        broken_first = tables.get("broken_first")
-        if broken_first is not None and broken_first.num_rows:
-            self.broken_first_tables = [broken_first]
-        delay = tables["delay_map"]
-        self.delay_map = dict(zip(delay["host"].to_pylist(),
-                                  delay["deadline"].to_pylist()))
-        edge_keys = [f"{u}|{p}" for u, p in zip(dup["url"].to_pylist(),
-                                                dup["parent"].to_pylist())]
-        for table in (results, *self.broken_first_tables):
-            edge_keys.extend(
-                f"{u}|{p}" for u, p in zip(table["url"].to_pylist(),
-                                           table["parent"].to_pylist()) if p)
-        if edge_keys:
-            self.edge_seen.contains_or_insert(urlkit.hash64_array(edge_keys))
         if isinstance(self.clock, FakeClock):
             self.clock.advance_to(manifest["extra"].get("clock", 0.0))
-        return frontier, manifest["round"]
+        return (tables["frontier"], manifest["round"],
+                tables["pending_fragments"], journal)
+
+    def _restore(self, checkpoint_dir: str):
+        frontier, round_no, pend, journal = self._load_checkpoint(
+            checkpoint_dir)
+        url_keys, edge_keys, _ = journal
+        self.seen.contains_or_insert(url_keys)
+        self.edge_seen.contains_or_insert(edge_keys)
+        for url, frag in zip(pend["target_url"].to_pylist(),
+                             pend["fragment"].to_pylist()):
+            self.pending_fragments.setdefault(url, set()).add(frag)
+        return frontier, round_no
 
 
 def check(options: CheckOptions, documents: pa.Table | None = None,

@@ -38,10 +38,10 @@ import pyarrow as pa
 # methods a hosted object answers through its actor, by hosted class
 FORWARDED = (
     "fetch_batch", "call_log",                            # FetchWorker
-    "contains_or_insert", "size", "dump", "restore",      # SeenShard
+    "contains_or_insert", "size",                         # SeenShard
     "set_peers", "seed", "enqueue", "submit_candidates",  # MeshNode
-    "submit_wants", "pause", "resume_run", "snapshot", "restore_state",
-    "restore_keys", "poll", "drain_dups",
+    "submit_wants", "pause", "resume_run", "snapshot", "restore_keys",
+    "poll", "drain_dups",
 )
 # self-messages and driver nudges that can reach an actor after its
 # check released it: dropped when the actor is idle (the mesh node drops

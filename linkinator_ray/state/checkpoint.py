@@ -1,21 +1,32 @@
 """Per-round checkpoint / resume with lineage (north_rule requirement).
 
 The reference has no crash recovery — a killed run loses everything
-(SURVEY.md §4). Here every BFS round writes an atomic checkpoint:
-frontier, seen-set shard snapshots, pending fragments, duplicate edges,
-results-so-far, counters, and a lineage manifest
-``{run_id, round, parent_round, row_counts, wall_clock}``. Writes go to
-a temp dir that is renamed into place, so a partially-written round is
-never picked up; resume loads the newest complete round and re-enters
-the loop.
+(SURVEY.md §4). Here every executor writes one checkpoint format: the
+rounds executors after every BFS round, the mesh at every epoch
+snapshot. A checkpoint holds the frontier, pending fragments, duplicate
+edges, results-so-far, counters, the key journal and a lineage
+manifest ``{run_id, round, parent_round, row_counts, wall_clock}``.
+Writes go to a temp dir that is renamed into place, so a
+partially-written round is never picked up; resume loads the newest
+complete round and re-enters the loop.
 
-Layout (one dir per round — the partition unit; a multi-node run writes
-per-partition files under the same round dir):
+Layout (one dir per round or mesh epoch):
 
     {checkpoint_dir}/round_{k:06d}/
         manifest.json
         frontier.parquet  pending_fragments.parquet  dup_edges.parquet
-        results.parquet   seen_shard_{i:04d}.parquet
+        results.parquet   broken_first.parquet       delay_map.parquet
+        url_keys.parquet  edge_keys.parquet
+
+Seen state is checkpointed as keys, never as filter geometry: round k's
+``url_keys`` holds the u64 URL keys inserted into the seen set since
+round k - 1, and ``edge_keys`` the edge keys, each with its routing
+``url_hash`` (an edge lives on its child URL's hash owner). The
+journals of rounds f..k together are every key seen by round k, so a
+resume rebuilds exact sets and cuckoo filters alike under any shard or
+node count. The chain starts at f = 1, or, for a run resumed from
+another directory, at its first round here, whose journal also holds
+every key it replayed (the manifest's ``journal_from``).
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import os
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -52,8 +64,8 @@ def _fsync_dir(path: str) -> None:
 
 
 def save_round(checkpoint_dir: str, run_id: str, round_no: int,
-               tables: dict[str, pa.Table], seen_tables: list[pa.Table],
-               counters: dict, extra: dict | None = None) -> str:
+               tables: dict[str, pa.Table], counters: dict,
+               extra: dict | None = None) -> str:
     final_dir = os.path.join(checkpoint_dir, f"round_{round_no:06d}")
     tmp_dir = final_dir + ".tmp"
     if os.path.exists(tmp_dir):
@@ -63,14 +75,11 @@ def save_round(checkpoint_dir: str, run_id: str, round_no: int,
     for name, table in tables.items():
         _write(table, os.path.join(tmp_dir, f"{name}.parquet"))
         row_counts[name] = table.num_rows
-    for i, table in enumerate(seen_tables):
-        _write(table, os.path.join(tmp_dir, f"seen_shard_{i:04d}.parquet"))
     manifest = {
         "run_id": run_id,
         "round": round_no,
         "parent_round": round_no - 1,
         "row_counts": row_counts,
-        "num_seen_shards": len(seen_tables),
         "wall_clock": time.time(),
         "counters": counters,
         "extra": extra or {},
@@ -113,31 +122,118 @@ def latest_round(checkpoint_dir: str) -> int | None:
     return None
 
 
-def load_round(checkpoint_dir: str, round_no: int,
-               load_seen: bool = True):
-    """``load_seen=False`` skips the seen-shard parquet reads (returns
-    an empty list) — a journal-based resume rebuilds membership from
-    the key journal and never touches the positional shard dumps, which
-    at scale are the bulk of a checkpoint's bytes."""
+def load_round(checkpoint_dir: str, round_no: int):
     round_dir = os.path.join(checkpoint_dir, f"round_{round_no:06d}")
     with open(os.path.join(round_dir, "manifest.json")) as f:
         manifest = json.load(f)
     tables = {}
     for name in manifest["row_counts"]:
         tables[name] = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
-    seen_tables = [
-        pq.read_table(os.path.join(round_dir, f"seen_shard_{i:04d}.parquet"))
-        for i in range(manifest["num_seen_shards"])
-    ] if load_seen else []
-    return manifest, tables, seen_tables
+    return manifest, tables
 
 
-def load_seen_shards(checkpoint_dir: str, round_no: int,
-                     manifest: dict) -> list:
-    """The deferred half of ``load_round(load_seen=False)``: read the
-    positional seen-shard dumps once the caller knows it needs them."""
-    round_dir = os.path.join(checkpoint_dir, f"round_{round_no:06d}")
-    return [
-        pq.read_table(os.path.join(round_dir, f"seen_shard_{i:04d}.parquet"))
-        for i in range(manifest["num_seen_shards"])
-    ]
+def pending_table(pending: dict[str, set]) -> pa.Table:
+    """Pending fragment wants ``{target_url: {fragment}}`` as rows."""
+    return pa.table({
+        "target_url": pa.array(
+            [u for u, fs in pending.items() for _ in fs], pa.string()),
+        "fragment": pa.array(
+            [f for fs in pending.values() for f in fs], pa.string()),
+    })
+
+
+# -- the key journal ---------------------------------------------------------
+
+_NO_KEYS = np.empty(0, dtype=np.uint64)
+
+
+class KeyJournal:
+    """Keys inserted into the seen sets since the last checkpoint: URL
+    keys, and edge keys each with its routing ``url_hash``. RAM holds
+    one round's new keys; ``drain`` hands them to the next checkpoint.
+    Off (every add is a no-op) in runs that write no checkpoints."""
+
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+        self._urls: list[np.ndarray] = []
+        self._edges: list[np.ndarray] = []
+        self._routes: list[np.ndarray] = []
+
+    def add_urls(self, keys: np.ndarray) -> None:
+        if self.enabled and len(keys):
+            self._urls.append(np.asarray(keys, dtype=np.uint64))
+
+    def add_edges(self, keys: np.ndarray, routes: np.ndarray) -> None:
+        if self.enabled and len(keys):
+            self._edges.append(np.asarray(keys, dtype=np.uint64))
+            self._routes.append(np.asarray(routes, dtype=np.uint64))
+
+    def add_candidates(self, cand: pa.Table, edge_fresh: np.ndarray,
+                       keep: np.ndarray) -> None:
+        """What ``dedup_candidates`` inserted: the edge keys of the
+        edge-fresh rows and the URL keys of the kept rows."""
+        if not self.enabled:
+            return
+        url_hash = cand["url_hash"].to_numpy(zero_copy_only=False)
+        if edge_fresh.any():
+            self.add_edges(cand["edge_hash"].to_numpy(
+                zero_copy_only=False)[edge_fresh], url_hash[edge_fresh])
+        if keep.any():
+            self.add_urls(url_hash[keep])
+
+    def drain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(url_keys, edge_keys, edge_routes)`` since the last drain."""
+        out = tuple(np.concatenate(parts) if parts else _NO_KEYS
+                    for parts in (self._urls, self._edges, self._routes))
+        self._urls, self._edges, self._routes = [], [], []
+        return out
+
+
+def journal_tables(url_keys: np.ndarray, edge_keys: np.ndarray,
+                   edge_routes: np.ndarray) -> dict[str, pa.Table]:
+    """A round's journal as checkpoint tables: one binary-blob row per
+    u64 array, not one row per key."""
+    def blob(keys):
+        return pa.array([np.asarray(keys, dtype=np.uint64).tobytes()],
+                        pa.binary())
+    return {"url_keys": pa.table({"data": blob(url_keys)}),
+            "edge_keys": pa.table({"data": blob(edge_keys),
+                                   "routes": blob(edge_routes)})}
+
+
+def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
+    """Union of the key journals of rounds first..last: ``(url_keys,
+    edge_keys, edge_routes)`` u64 arrays. Each round holds only its own
+    new keys, so this is one sequential pass over 8 B per key. Raises
+    ``ValueError`` when a round is missing or carries no journal (a
+    checkpoint from an earlier version): its seen state is unknown."""
+    urls, ekeys, eroutes = [], [], []
+
+    def keys(table, column):
+        return np.frombuffer(table[column][0].as_py() or b"",
+                             dtype=np.uint64)
+    for r in range(first, last + 1):
+        round_dir = os.path.join(checkpoint_dir, f"round_{r:06d}")
+        try:
+            with open(os.path.join(round_dir, "manifest.json")) as f:
+                names = json.load(f)["row_counts"]
+        except OSError:
+            raise ValueError(
+                f"checkpoint {checkpoint_dir}: round {r} is missing; the "
+                f"key journal needs every round {first}..{last}") from None
+        # the earlier mesh wrote one url_keys_{i:04d} per node
+        url_names = sorted(n for n in names if n.startswith("url_keys"))
+        if not url_names:
+            raise ValueError(
+                f"checkpoint {checkpoint_dir}: round {r} has no key "
+                "journal (written by an earlier version); its seen state "
+                "cannot be restored")
+        for name in url_names:
+            t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
+            urls.append(keys(t, "data"))
+        for name in sorted(n for n in names if n.startswith("edge_keys")):
+            t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
+            ekeys.append(keys(t, "data"))
+            eroutes.append(keys(t, "routes"))
+    return tuple(np.concatenate(parts) if parts else _NO_KEYS
+                 for parts in (urls, ekeys, eroutes))

@@ -49,10 +49,11 @@ set), duplicate-broken re-reporting input (:840-875), retry handling
 validated at target fetch (:754-784, :616-673). robots.txt rules are
 compiled per node from the corpus. Checkpoints are driver-coordinated
 epoch snapshots (pause → settle → snapshot every node → one atomic
-write → resume); a resume at a different node count rebuilds the
-filters from the checkpoint's key journal. Every LinkChecker feature
-runs in this mode, through the same frontier-stage kernels as the
-driver executors (pipelines/crawl.py).
+write → resume) in the rounds' format: each node journals the keys it
+inserts, and a resume at any node count routes the journal's keys to
+their new owners (``restore_keys``). Every LinkChecker feature runs in
+this mode, through the same frontier-stage kernels as the driver
+executors (pipelines/crawl.py).
 
 Scale notes: the frontier queue spills to node-local parquet past
 ``mesh_frontier_spill_rows`` (FIFO tail out, parts reloaded as the head
@@ -72,6 +73,7 @@ import pyarrow as pa
 
 from linkinator_ray import schema, urlkit
 from linkinator_ray.stages.fetch import hash_owner, split_by_owner
+from linkinator_ray.state.checkpoint import KeyJournal, pending_table
 from linkinator_ray.state.seen import SeenShard
 
 def _host_assignment(hosts: list[str], num_nodes: int,
@@ -145,18 +147,8 @@ class MeshNode:
         # edges outnumber URLs ~linkage-factor×; give the filter headroom
         self.edge_seen = SeenShard(actor_id ^ 0xFFFF, seen_mode,
                                    seen_capacity * 4)
-        # key journal (checkpointed runs): raw u64 hashes inserted since
-        # the last snapshot, plus each edge key's ROUTING hash (edges
-        # live on their child URL's hash owner — the edge key alone
-        # cannot be re-routed). The journal is what makes a checkpoint
-        # RE-SHARDABLE: cuckoo blobs store fingerprints, not keys, and
-        # even exact edge dumps lose the owner derivation. Drained into
-        # every epoch dir (8 B/key/epoch lineage, never a full dump);
-        # RAM holds one epoch's new keys only.
-        self.journal_keys = bool(opts_blob.get("journal_keys", False))
-        self._jr_url: list[np.ndarray] = []
-        self._jr_edge_key: list[np.ndarray] = []
-        self._jr_edge_route: list[np.ndarray] = []
+        # keys inserted since the last snapshot (checkpointed runs)
+        self.journal = KeyJournal(bool(opts_blob.get("journal_keys", False)))
         self.dup_edges: list[pa.Table] = []
         self.queue: list[pa.Table] = []
         self.queued_rows = 0
@@ -244,10 +236,9 @@ class MeshNode:
         """Pre-insert seed URLs into this node's key range
         (src/index.ts:267-288)."""
         with self.lock:
-            seen = self.url_seen.contains_or_insert(hashes)
-            if self.journal_keys and (~seen).any():
-                self._jr_url.append(
-                    np.asarray(hashes, dtype=np.uint64)[~seen])
+            hashes = np.asarray(hashes, dtype=np.uint64)
+            self.journal.add_urls(
+                hashes[~self.url_seen.contains_or_insert(hashes)])
 
     def enqueue(self, table: pa.Table) -> None:
         """Frontier rows whose fetch this node owns. Rows restored from
@@ -373,33 +364,12 @@ class MeshNode:
                 else schema.empty(schema.FRONTIER)
             dups = pa.concat_tables(self.dup_edges) \
                 if self.dup_edges else schema.empty(schema.EDGES)
-            pending = pa.table({
-                "target_url": pa.array(
-                    [u for u, fs in self.pending_fragments.items()
-                     for _ in fs], pa.string()),
-                "fragment": pa.array(
-                    [f for fs in self.pending_fragments.values()
-                     for f in fs], pa.string()),
-            })
-            jr_url = np.concatenate(self._jr_url) if self._jr_url \
-                else np.empty(0, dtype=np.uint64)
-            jr_ek = np.concatenate(self._jr_edge_key) if self._jr_edge_key \
-                else np.empty(0, dtype=np.uint64)
-            jr_er = np.concatenate(self._jr_edge_route) \
-                if self._jr_edge_route else np.empty(0, dtype=np.uint64)
-            # the journal drains into THIS epoch's checkpoint dir: keys
-            # live in exactly one epoch's journal, and the chain of
-            # epochs 0..k reconstructs the seen sets at epoch k under
-            # ANY shard count (see crawl._mesh_restore elastic path)
-            self._jr_url, self._jr_edge_key, self._jr_edge_route = [], [], []
             return {
                 "frontier": frontier,
-                "url_seen": self.url_seen.dump(),
-                "edge_seen": self.edge_seen.dump(),
-                "url_keys": jr_url,
-                "edge_keys": jr_ek,
-                "edge_routes": jr_er,
-                "pending_fragments": pending,
+                # drained into THIS epoch's checkpoint: every key lives
+                # in exactly one epoch's journal
+                "journal": self.journal.drain(),
+                "pending_fragments": pending_table(self.pending_fragments),
                 "delay_map": dict(self.delay_map),
                 "dup_edges": dups.group_by(["url", "parent"]).aggregate([])
                 if dups.num_rows else dups,
@@ -407,25 +377,12 @@ class MeshNode:
                 "spill_part": self.spill_part,
             }
 
-    def restore_state(self, url_blob: dict, edge_blob: dict,
-                      delay_map: dict, wants: pa.Table | None = None,
-                      spill_part: int = 0) -> None:
-        with self.lock:
-            self.url_seen.restore(url_blob)
-            self.edge_seen.restore(edge_blob)
-            self.delay_map.update(delay_map)
-            if wants is not None and wants.num_rows:
-                self._register_wants(wants)
-            self.spill_part = spill_part
-
     def restore_keys(self, url_keys: np.ndarray, edge_keys: np.ndarray,
                      delay_map: dict, wants: pa.Table | None = None,
                      spill_part: int = 0) -> None:
-        """Elastic restore: rebuild this node's seen/edge filters from
-        raw journal keys (already routed to this node's new hash range
-        by the driver). Deliberately NOT journaled again — the journal
-        chain in earlier epoch dirs already covers these keys under any
-        future shard count."""
+        """Resume: rebuild this node's seen/edge filters from journal
+        keys the driver routed to this node's hash range. They are not
+        journaled again: the checkpoint's earlier epochs hold them."""
         with self.lock:
             if len(url_keys):
                 self.url_seen.contains_or_insert(
@@ -447,14 +404,7 @@ class MeshNode:
         from linkinator_ray.pipelines.crawl import dedup_candidates
         frontier, dups, edge_fresh, keep = dedup_candidates(
             cand, self.edge_seen, self.url_seen)
-        if self.journal_keys:
-            url_hash = cand["url_hash"].to_numpy(zero_copy_only=False)
-            if edge_fresh.any():
-                self._jr_edge_key.append(cand["edge_hash"].to_numpy(
-                    zero_copy_only=False)[edge_fresh])
-                self._jr_edge_route.append(url_hash[edge_fresh])
-            if keep.any():
-                self._jr_url.append(url_hash[keep])
+        self.journal.add_candidates(cand, edge_fresh, keep)
         if dups.num_rows:
             self.dup_edges.append(dups)
         if not frontier.num_rows:

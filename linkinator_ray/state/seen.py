@@ -9,14 +9,15 @@ distributed mode so membership is consistent across fetch rounds, with
 the batched ``contains_or_insert`` RPC amortizing round-trips; the local
 mode uses the same class in-process.
 
-Checkpointing: each shard dumps to an Arrow-friendly blob per round
-(state/checkpoint.py) so a killed run resumes with the exact seen state.
+Checkpointing: the seen set is never dumped. Executors journal the keys
+they insert (state/checkpoint.py ``KeyJournal``), and a resume replays
+the journal through ``contains_or_insert``, so a checkpoint restores
+into any shard count and either mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from linkinator_ray.state.cuckoo import CuckooFilter
 
@@ -76,78 +77,6 @@ class SeenShard:
             return self._filter.count
         return len(self._keys)
 
-    # -- checkpoint --------------------------------------------------------
-
-    def dump(self) -> dict:
-        if self._filter is not None:
-            blob = self._filter.dump()
-            blob["mode"] = "cuckoo"
-        else:
-            blob = {"mode": "exact", "keys": self._keys.copy()}
-        blob["shard_id"] = self.shard_id
-        return blob
-
-    def restore(self, blob: dict) -> None:
-        if blob["mode"] == "cuckoo":
-            self.mode = "cuckoo"
-            self._filter = CuckooFilter.restore(blob, seed=0x5EED ^ self.shard_id)
-        else:
-            self.mode = "exact"
-            self._filter = None
-            keys = np.asarray(blob["keys"], dtype=np.uint64).copy()
-            keys.sort()
-            self._keys = keys
-
-
-def seen_blob_to_table(blob: dict) -> pa.Table:
-    """Shard dump blob → Arrow checkpoint table (shared by SeenSet and
-    the mesh nodes). Exact mode: one uint64 row per key. Cuckoo mode:
-    ONE row carrying the slot table as a binary blob — a 4M-slot filter
-    serializes as one 8 MB buffer, not 4M tagged rows."""
-    if blob["mode"] == "exact":
-        return pa.table({
-            "kind": pa.array(["exact"] * len(blob["keys"]), pa.string()),
-            "value": pa.array(blob["keys"], pa.uint64()),
-        })
-    table = np.ascontiguousarray(blob["table"], dtype=np.uint16)
-    victims = np.ascontiguousarray(blob["victims"], dtype=np.uint64)
-    return pa.table({
-        "kind": pa.array(["cuckoo"], pa.string()),
-        "n_buckets": pa.array([table.shape[0]], pa.int64()),
-        "count": pa.array([int(blob.get("count", (table != 0).sum()))],
-                          pa.int64()),
-        "data": pa.array([table.tobytes()], pa.binary()),
-        "victims": pa.array([victims.tobytes()], pa.binary()),
-    })
-
-
-def seen_table_to_blob(tbl: pa.Table) -> dict:
-    """Checkpoint table → shard restore blob (inverse of the above;
-    also reads the legacy per-slot row format)."""
-    if tbl.num_rows == 0:
-        return {"mode": "exact", "keys": np.empty(0, dtype=np.uint64)}
-    first_kind = tbl["kind"][0].as_py()
-    if first_kind == "exact":
-        values = np.asarray(tbl["value"].to_numpy(zero_copy_only=False),
-                            dtype=np.uint64)
-        return {"mode": "exact", "keys": values}
-    if first_kind == "cuckoo":  # compact blob row
-        n_buckets = int(tbl["n_buckets"][0].as_py())
-        data = np.frombuffer(tbl["data"][0].as_py(), dtype=np.uint16) \
-            .reshape(n_buckets, 4)
-        victims = np.frombuffer(tbl["victims"][0].as_py(), dtype=np.uint64)
-        return {"mode": "cuckoo", "table": data.copy(),
-                "count": int(tbl["count"][0].as_py()), "victims": victims}
-    # legacy: per-slot "slot"/"victim" rows
-    kinds = tbl["kind"].to_pylist()
-    values = np.asarray(tbl["value"].to_numpy(zero_copy_only=False),
-                        dtype=np.uint64)
-    n_slots = sum(1 for k in kinds if k == "slot")
-    table = values[:n_slots].astype(np.uint16).reshape(-1, 4)
-    return {"mode": "cuckoo", "table": table,
-            "count": int((table != 0).sum()) + (len(values) - n_slots),
-            "victims": values[n_slots:]}
-
 
 class SeenSet:
     """Driver-side facade over the shard pool.
@@ -205,45 +134,3 @@ class SeenSet:
             import ray
             return sum(ray.get([s.size.remote() for s in self._shards]))
         return sum(s.size() for s in self._shards)
-
-    # -- checkpoint --------------------------------------------------------
-
-    def dump_tables(self) -> list[pa.Table]:
-        """One Arrow table per shard (exact mode: the key column; cuckoo:
-        the filter table flattened + overflow)."""
-        return [seen_blob_to_table(blob) for blob in self._dump_blobs()]
-
-    def _dump_blobs(self) -> list[dict]:
-        if self.use_ray:
-            import ray
-            return ray.get([s.dump.remote() for s in self._shards])
-        return [s.dump() for s in self._shards]
-
-    def restore_tables(self, tables: list[pa.Table]) -> None:
-        """Restore from checkpoint shard dumps. Blob i maps to shard i
-        ONLY when the layouts match — lookups route by ``hash % K``, so
-        restoring K' blobs into K != K' shards would silently misroute
-        every membership probe. Exact-mode dumps carry raw keys and
-        re-shard into any layout; cuckoo dumps are positional
-        fingerprint tables and cannot."""
-        blobs = [seen_table_to_blob(t) for t in tables]
-        if len(blobs) != self.num_shards:
-            if all(b["mode"] == "exact" for b in blobs):
-                keys = np.concatenate(
-                    [np.asarray(b["keys"], dtype=np.uint64) for b in blobs]) \
-                    if blobs else np.empty(0, dtype=np.uint64)
-                if len(keys):
-                    self.contains_or_insert(keys)
-                return
-            raise ValueError(
-                f"seen checkpoint has {len(blobs)} shard(s) but this run "
-                f"uses {self.num_shards}; cuckoo shard dumps hold "
-                f"positional fingerprints and cannot be re-sharded — "
-                f"resume with seen_shards={len(blobs)}")
-        if self.use_ray:
-            import ray
-            ray.get([self._shards[i].restore.remote(blob)
-                     for i, blob in enumerate(blobs)])
-        else:
-            for i, blob in enumerate(blobs):
-                self._shards[i].restore(blob)

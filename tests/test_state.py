@@ -64,14 +64,22 @@ class TestSeenSet:
         out = seen.contains_or_insert(keys)
         assert out.tolist() == [False, False, True, False, True, False]
 
-    def test_dump_restore_roundtrip(self):
+    def test_dump_restore_roundtrip(self, tmp_path):
+        """A seen set round-trips through the key journal: the keys it
+        inserted, saved as a round and loaded back, rebuild it."""
+        from linkinator_ray.state import checkpoint as ckpt
         seen = SeenSet(num_shards=3)
+        journal = ckpt.KeyJournal()
         keys = np.arange(50, dtype=np.uint64) * 104729
-        seen.contains_or_insert(keys)
-        tables = seen.dump_tables()
+        journal.add_urls(keys[~seen.contains_or_insert(keys)])
+        ckpt.save_round(str(tmp_path), "run", 1,
+                        ckpt.journal_tables(*journal.drain()), {})
+        url_keys, edge_keys, _ = ckpt.load_key_journal(str(tmp_path), 1)
+        assert len(edge_keys) == 0
         fresh = SeenSet(num_shards=3)
-        fresh.restore_tables(tables)
+        assert not fresh.contains_or_insert(url_keys).any()
         assert fresh.contains_or_insert(keys).all()
+        assert fresh.size() == seen.size() == len(keys)
 
     def test_shard_exact_vs_cuckoo_equivalent(self):
         keys = np.random.default_rng(9).integers(0, 2**63, 2000, dtype=np.uint64)
@@ -106,6 +114,33 @@ class TestCheckpointResume:
                     for r in res.results.to_pylist()}
         assert key_set(resumed) == key_set(full)
         assert resumed.passed == full.passed
+
+    def test_resume_into_new_checkpoint_dir(self, tmp_path):
+        """A run resumed from one directory that checkpoints into
+        another starts a new key-journal chain there, so the new
+        directory resumes on its own to a clean run's result set."""
+        import os
+
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=200)
+
+        def run(resume_from=None, **kw):
+            return LinkChecker(CheckOptions(paths=seeds, recurse=True, **kw),
+                               docs, [], multi_host=True) \
+                .check(resume_from=resume_from)
+        full = run()
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        run(checkpoint_dir=first, max_rounds=2)
+        run(first, checkpoint_dir=second, max_rounds=3)
+        assert os.listdir(second) == ["round_000003"]
+        resumed = run(second)
+
+        def key(res):
+            return {(r["url"], r["state"], r["status"], r["parent"])
+                    for r in res.results.to_pylist()}
+        assert key(resumed) == key(full)
+        assert resumed.stats["seen_urls"] == expected_seen
 
     def test_manifest_lineage(self, tmp_path):
         import json
@@ -240,8 +275,8 @@ class TestMeshCheckpoint:
         """Kill a 2-node mesh crawl after its first epoch, resume with a
         DIFFERENT node count: the key journal re-shards the seen/edge
         filters to the new hash ranges, and the final sets match a
-        clean run — for the exact filter and the cuckoo filter (whose
-        blobs alone are not re-shardable), growing and shrinking."""
+        clean run — for the exact filter and the cuckoo filter, growing
+        and shrinking."""
         import os
 
         from linkinator_ray.pipelines import crawl as crawl_mod
@@ -294,38 +329,122 @@ class TestMeshCheckpoint:
 
     def test_mesh_elastic_resume_requires_journal(self, ray_session,
                                                   tmp_path):
-        """A checkpoint whose manifest carries no journal flag (legacy
-        format) still refuses a different node count with a clear
-        error; the same count keeps working."""
+        """A checkpoint without key journal tables (a round checkpoint
+        from an earlier version) raises a ValueError naming the
+        checkpoint on every resume path — Ray-free rounds, a mesh=True
+        check (which resumes round checkpoints on Ray rounds) and the
+        mesh's own restore — instead of resuming with an empty seen
+        set."""
         import json
         import os
 
-        from linkinator_ray.sources.synth import synth_crawl_corpus
-        docs, seeds, _, _ = synth_crawl_corpus(num_hosts=2,
-                                               docs_per_host=400)
+        fixture = fx.repeated_broken_link()
         ck = str(tmp_path / "ck2")
-        base = dict(paths=seeds, recurse=True, mesh=True)
-        LinkChecker(CheckOptions(**base, fetch_concurrency=2,
-                                 checkpoint_dir=ck,
-                                 checkpoint_interval_s=0.3, batch_size=32),
-                    docs, [], multi_host=True, use_ray=True,
-                    transport_latency_s=0.02).check()
-        rounds = [d for d in os.listdir(ck) if d.startswith("round_")] \
-            if os.path.isdir(ck) else []
-        if not rounds:
-            pytest.skip("crawl finished before the first epoch fired")
-        for d in rounds:  # strip the journal flag → legacy checkpoint
-            mpath = os.path.join(ck, d, "manifest.json")
-            with open(mpath) as f:
-                m = json.load(f)
-            m["extra"].pop("journal", None)
-            with open(mpath, "w") as f:
-                json.dump(m, f)
-        with pytest.raises(ValueError, match="no key journal"):
-            LinkChecker(CheckOptions(**base, fetch_concurrency=3,
-                                     checkpoint_dir=ck),
-                        docs, [], multi_host=True, use_ray=True) \
-                .check(resume_from=ck)
+        LinkChecker(CheckOptions(paths=fixture.seeds, checkpoint_dir=ck,
+                                 max_rounds=2, **fixture.options),
+                    fixture.documents, fixture.http_map).check()
+        rounds = sorted(d for d in os.listdir(ck) if d.startswith("round_"))
+        assert len(rounds) == 2
+
+        def rewrite_manifests(edit):
+            for d in rounds:
+                mpath = os.path.join(ck, d, "manifest.json")
+                with open(mpath) as f:
+                    m = json.load(f)
+                edit(m)
+                with open(mpath, "w") as f:
+                    json.dump(m, f)
+
+        def drop_journal(m):
+            m["row_counts"].pop("url_keys")
+            m["row_counts"].pop("edge_keys")
+        rewrite_manifests(drop_journal)
+
+        def resume(**kw):
+            with pytest.raises(ValueError, match="no key journal") as err:
+                LinkChecker(CheckOptions(paths=fixture.seeds,
+                                         **fixture.options, **kw),
+                            fixture.documents, fixture.http_map,
+                            use_ray=kw.get("mesh", False)) \
+                    .check(resume_from=ck)
+            assert ck in str(err.value)
+        resume()
+        resume(mesh=True, fetch_concurrency=2)
+        rewrite_manifests(lambda m: m["extra"].update(mesh=True,
+                                                      mesh_nodes=2))
+        resume(mesh=True, fetch_concurrency=2)
+
+
+class TestCheckpointLineage:
+    """One checkpoint format for every executor: seen state travels as
+    the key journal alone."""
+
+    @staticmethod
+    def check_lineage(ck, res, expected_seen):
+        import os
+
+        from linkinator_ray import urlkit
+        from linkinator_ray.state import checkpoint as ckpt
+        rounds = sorted(d for d in os.listdir(ck) if d.startswith("round_"))
+        for d in rounds:
+            assert not [n for n in os.listdir(os.path.join(ck, d))
+                        if n.startswith(("seen_shard_", "edge_shard_"))]
+        per_round = [np.frombuffer(
+            ckpt.load_round(ck, r)[1]["url_keys"]["data"][0].as_py(),
+            dtype=np.uint64) for r in range(1, len(rounds) + 1)]
+        union, edges, routes = ckpt.load_key_journal(ck, len(rounds))
+        # every key sits in exactly one round's journal
+        assert sum(len(k) for k in per_round) == len(union)
+        assert len(np.unique(union)) == len(union)
+        assert len(union) == res.stats["seen_urls"] == expected_seen
+        urls = sorted({r["url"] for r in res.results.to_pylist()})
+        assert set(union.tolist()) == set(
+            urlkit.hash64_array(urls).tolist())
+        assert len(edges) and len(np.unique(edges)) == len(edges)
+        # an edge routes by its child URL, which the URL journal holds
+        assert np.isin(routes, union).all()
+
+    def test_rounds_journal_lineage(self, tmp_path):
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=200)
+        ck = str(tmp_path / "ck")
+        res = LinkChecker(CheckOptions(paths=seeds, recurse=True,
+                                       checkpoint_dir=ck),
+                          docs, [], multi_host=True).check()
+        assert res.stats["rounds"] >= 3
+        self.check_lineage(ck, res, expected_seen)
+
+    def test_mesh_journal_lineage(self, ray_session, tmp_path):
+        """The mesh snapshots one more epoch after the crawl settles, so
+        the journal covers every key; whether a timed epoch fired
+        mid-crawl does not change what the test asserts."""
+        import os
+
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=200)
+        ck = str(tmp_path / "meshck")
+        checker = LinkChecker(
+            CheckOptions(paths=seeds, recurse=True, mesh=True,
+                         fetch_concurrency=2, checkpoint_dir=ck),
+            docs, [], multi_host=True, use_ray=True)
+        body, finish = checker._run_mesh_body, checker._finish
+
+        def run_body(nodes, num_actors, *rest):
+            def final_epoch(pool):
+                epoch = len([d for d in os.listdir(ck)
+                             if d.startswith("round_")]) \
+                    if os.path.isdir(ck) else 0
+                checker._mesh_checkpoint(nodes, epoch + 1, num_actors,
+                                         len(seeds))
+                return finish(pool)
+            checker._finish = final_epoch
+            return body(nodes, num_actors, *rest)
+        checker._run_mesh_body = run_body
+        res = checker.check()
+        assert res.stats["executor"] == "mesh"
+        self.check_lineage(ck, res, expected_seen)
 
 
 class TestMeshResultsSpill:
@@ -376,28 +495,34 @@ class TestResumeHardening:
     pruning, deferral deadlines surviving a Ray resume, cross-mode
     (mesh checkpoint -> driver) resume, and no caller-opts mutation."""
 
-    def test_exact_seen_restore_reshards(self):
-        """Exact-mode shard dumps carry raw keys: restoring a 3-shard
-        checkpoint into a 5-shard set rehashes into the new layout
-        instead of silently misrouting lookups."""
-        seen = SeenSet(num_shards=3)
-        keys = np.random.default_rng(21).integers(
-            0, 2**63, 500, dtype=np.uint64)
-        seen.contains_or_insert(keys)
-        fresh = SeenSet(num_shards=5)
-        fresh.restore_tables(seen.dump_tables())
-        assert fresh.contains_or_insert(keys).all()
-        assert fresh.size() == len(np.unique(keys))
+    def test_exact_seen_restore_reshards(self, tmp_path):
+        """A round checkpoint written at seen_shards=3 resumes at
+        seen_shards=5: the key journal re-shards into the new layout,
+        for the exact set and the cuckoo filter alike, and the resumed
+        crawl matches a clean run."""
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=200)
 
-    def test_cuckoo_seen_restore_mismatch_raises(self):
-        """Cuckoo dumps are positional fingerprint tables — a shard-count
-        mismatch must raise loudly, not corrupt membership."""
-        seen = SeenSet(num_shards=3, mode="cuckoo")
-        keys = np.arange(200, dtype=np.uint64) * 7919
-        seen.contains_or_insert(keys)
-        tables = seen.dump_tables()
-        with pytest.raises(ValueError, match="re-shard"):
-            SeenSet(num_shards=4, mode="cuckoo").restore_tables(tables)
+        def key(res):
+            return {(r["url"], r["state"], r["status"], r["parent"])
+                    for r in res.results.to_pylist()}
+        for mode in ("exact", "cuckoo"):
+            base = dict(paths=seeds, recurse=True, seen_filter=mode)
+            full = LinkChecker(CheckOptions(**base, seen_shards=5), docs,
+                               [], multi_host=True).check()
+            ck = str(tmp_path / mode)
+            partial = LinkChecker(
+                CheckOptions(**base, seen_shards=3, checkpoint_dir=ck,
+                             max_rounds=2),
+                docs, [], multi_host=True).check()
+            assert partial.results.num_rows < full.results.num_rows
+            resumed = LinkChecker(
+                CheckOptions(**base, seen_shards=5, checkpoint_dir=ck),
+                docs, [], multi_host=True).check(resume_from=ck)
+            assert key(resumed) == key(full), mode
+            assert resumed.stats["seen_urls"] == full.stats["seen_urls"] \
+                == expected_seen, mode
 
     def test_prune_stale_spill_parts(self, tmp_path):
         """Parts spilled AFTER the checkpoint being resumed (driver
@@ -586,10 +711,9 @@ class TestResumeHardening:
         assert resumed_checker.clock.now() >= 1_000_000.0 + 3
 
     def test_driver_resume_of_mesh_checkpoint(self, ray_session, tmp_path):
-        """A mesh-written checkpoint resumed in driver rounds mode: the
-        per-node seen dumps don't map onto the driver's shard layout, so
-        membership rebuilds from the key journal — final sets must match
-        a clean run."""
+        """A mesh-written checkpoint resumed in driver rounds mode:
+        membership rebuilds from the key journal into the driver's shard
+        layout — final sets must match a clean run."""
         import os
 
         from linkinator_ray.sources.synth import synth_crawl_corpus
