@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import fnmatch
+import functools
 import os
 import uuid
 
@@ -43,8 +44,8 @@ from linkinator_ray import schema, urlkit
 from linkinator_ray.options import CheckOptions
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages import classify as classify_mod
-from linkinator_ray.stages.fetch import (FetchPool, SkipRules, hash_owner,
-                                         split_by_owner)
+from linkinator_ray.stages.fetch import (FetchPool, SkipRules, call_tuples,
+                                         hash_owner, split_by_owner)
 from linkinator_ray.state import actors
 from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
@@ -61,7 +62,13 @@ class CrawlResult:
     passed: bool
     results: pa.Table       # schema.RESULTS
     stats: dict
-    call_log: list
+    request_log: pa.Table   # schema.CALLS, one row per request sent
+
+    @functools.cached_property
+    def call_log(self) -> list[tuple[str, str, int]]:
+        """The request log as (url, method, status) tuples, built when
+        first read."""
+        return call_tuples(self.request_log)
 
 
 # result rows as the executors hold them: RESULTS plus whether the row
@@ -500,9 +507,12 @@ class LinkChecker:
         self.static_host = self.corpus_base  # requireHttps exemption + mapUrl
         self.run_id = uuid.uuid4().hex[:12]
         # "spawn": leasing, resetting and spawning actors plus the
-        # transport-blob broadcast (state/actors.py)
+        # transport-blob broadcast (state/actors.py); "finish": from the
+        # end of the crawl loop to the returned CrawlResult (the mesh's
+        # dup drain, the request-log gather, the duplicate-broken join)
         self.timings = {"spawn": 0.0, "skip": 0.0, "fetch": 0.0,
-                        "process": 0.0}
+                        "process": 0.0, "finish": 0.0}
+        self._loop_end = 0.0  # perf_counter when the crawl loop ended
         self._leases: list = []
         self._executor = ""
         # mesh only: each node's busy seconds and pump count
@@ -669,9 +679,12 @@ class LinkChecker:
             "user_agent": opts.user_agent,
             "allow_insecure_certs": opts.allow_insecure_certs,
             "proxy": opts.proxy,
-            # the per-request call log exists for the conformance tests;
-            # at bench/cluster scale it is an O(requests) memory and
-            # end-of-run serialization cost
+            # the request log (CrawlResult.request_log) exists for the
+            # conformance tests. Fetch workers keep it as Arrow chunks
+            # and the driver gathers it once after the crawl, so it
+            # costs O(requests) memory and transfer, but no Python object
+            # per batched request. Over 50,000 docs with no http_map it
+            # is off
             "record_calls": bool(self.http_map) or self.documents.num_rows <= 50_000,
         }
         worker_kwargs = {
@@ -762,6 +775,7 @@ class LinkChecker:
     def _run_rounds(self, pool, frontier: pa.Table, round_no: int) -> CrawlResult:
         """Strict BFS rounds: deterministic depth ordering; each round is
         a barrier. The conformance-test execution mode."""
+        import time as _time
         opts = self.opts
         while frontier.num_rows and round_no < opts.max_rounds:
             now = self.clock.now()
@@ -773,7 +787,6 @@ class LinkChecker:
             runnable = frontier.filter(pa.array(runnable_mask))
             deferred = [frontier.filter(pa.array(~runnable_mask))]
 
-            import time as _time
             live, gated = self._admit(runnable, now, round_no)
             deferred.extend(gated)
             t1 = _time.perf_counter()
@@ -802,7 +815,8 @@ class LinkChecker:
             if opts.checkpoint_dir:
                 self._checkpoint(round_no, frontier)
 
-        return self._finish(pool)
+        self._loop_end = _time.perf_counter()
+        return self._finish(pool.request_log())
 
     def _maybe_spill_results(self, force: bool = False) -> None:
         """Streaming results sink (options.results_dir): when the driver
@@ -832,7 +846,11 @@ class LinkChecker:
                 pc.equal(merged["state"], "BROKEN")).num_rows
         self.results_tables = []
 
-    def _finish(self, pool) -> CrawlResult:
+    def _finish(self, request_log: pa.Table) -> CrawlResult:
+        """The duplicate-broken join, the results tail and the stats.
+        The "finish" timing runs from ``self._loop_end``, the
+        ``perf_counter`` reading the executor took as its loop ended."""
+        import time as _time
         self._duplicate_broken_join()
         if self.opts.results_dir and self.results_tables:
             # flush the tail (including the J1 re-reports) so the parquet
@@ -844,6 +862,7 @@ class LinkChecker:
         total_broken = results.filter(
             pc.equal(results["state"], "BROKEN")).num_rows \
             + self.counters.get("spilled_broken", 0)
+        self.timings["finish"] = _time.perf_counter() - self._loop_end
         stats = dict(self.counters, broken=total_broken,
                      seen_urls=self.seen.size(),
                      results_dir=self.opts.results_dir,
@@ -854,7 +873,7 @@ class LinkChecker:
         if self._mesh_stats is not None:
             stats["mesh"] = self._mesh_stats
         return CrawlResult(passed=total_broken == 0, results=results,
-                           stats=stats, call_log=pool.call_log())
+                           stats=stats, request_log=request_log)
 
     # ------------------------------------------------------------------
     # mesh execution — the driverless frontier (state/mesh.py)
@@ -907,11 +926,9 @@ class LinkChecker:
                  for i, n in enumerate(nodes)])
         self.timings["spawn"] = _time.perf_counter() - t0
         self._executor = "mesh"
-        return self._run_mesh_body(nodes, num_actors, sticky,
-                                   transport_blob, resume_from)
+        return self._run_mesh_body(nodes, num_actors, sticky, resume_from)
 
     def _run_mesh_body(self, nodes, num_actors: int, sticky: bool,
-                       transport_blob: dict,
                        resume_from: str | None) -> CrawlResult:
         import time as _time
 
@@ -1015,31 +1032,27 @@ class LinkChecker:
                 poll_s = min(2 * poll_s, MESH_POLL_BUSY_S) \
                     if busy and got_results else MESH_POLL_SETTLE_S
                 _time.sleep(poll_s)
-        self.timings["fetch"] += _time.perf_counter() - t_start
+        self._loop_end = _time.perf_counter()
+        self.timings["fetch"] += self._loop_end - t_start
 
         for counters in last_counters:
             for key, val in counters.items():
                 self.counters[key] = self.counters.get(key, 0) + val
         self._mesh_stats = {"busy_sec": [p["busy_sec"] for p in polls],
                             "pumps": [p["counters"]["rounds"] for p in polls]}
-        dup_lists = ray.get([n.drain_dups.remote() for n in nodes])
-        self.dup_edge_tables.extend(t for t in dup_lists if t.num_rows)
+        # each node's dup edges and request log, in one wait
+        tails = ray.get([n.drain_dups.remote() for n in nodes]
+                        + [n.request_log.remote() for n in nodes])
+        self.dup_edge_tables.extend(t for t in tails[:len(nodes)]
+                                    if t.num_rows)
         seen_size = sum(p["seen_size"] for p in polls)
-        if transport_blob.get("record_calls", True):
-            logs = ray.get([n.call_log.remote() for n in nodes])
-            call_log = [c for log in logs for c in log]
-        else:
-            call_log = []
-        class _MeshFacade:
-            def call_log(self):
-                return call_log
 
         class _SeenShim:
             def size(self):
                 return seen_size
 
         self.seen = _SeenShim()
-        return self._finish(_MeshFacade())
+        return self._finish(pa.concat_tables(tails[len(nodes):]))
 
     def _fire_node_buffers(self, poll: dict) -> None:
         """One node poll's buffers, kind by kind in the order a round

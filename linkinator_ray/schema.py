@@ -174,9 +174,26 @@ HTTP_MAP = pa.schema([
     ("error", pa.string()),          # '' = none; else a raised transport error
 ])
 
+# the request log: one row per request a transport sent, in request order
+# (status 0 when the request threw)
+CALLS = pa.schema([
+    ("url", pa.string()),
+    ("method", pa.string()),
+    ("status", pa.int32()),
+])
+
+# one empty table per schema object (Arrow tables are immutable, so every
+# caller can share it). Keyed by id, since a schema's hash is recomputed on
+# every call (~40 us). Each entry holds its schema, so the id stays that
+# schema's while it is cached.
+_EMPTY: dict[int, tuple[pa.Schema, pa.Table]] = {}
+
 
 def empty(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
+    hit = _EMPTY.get(id(schema))
+    if hit is None:
+        hit = _EMPTY[id(schema)] = (schema, schema.empty_table())
+    return hit[1]
 
 
 def table(schema: pa.Schema, **columns) -> pa.Table:

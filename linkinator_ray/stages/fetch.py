@@ -22,6 +22,7 @@ connection threads.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from email.utils import parsedate_to_datetime
 from urllib.parse import urljoin
@@ -79,6 +80,53 @@ class TResponse:
         return self.body_doc_id != ""
 
 
+class CallLog:
+    """A transport's request log (schema.CALLS), kept as Arrow. A batched
+    step appends its url/method/status columns as one chunk; a single
+    request (a scripted row, a redirect hop, any HTTP request) appends a
+    row, and the rows pending become a chunk before the next batched one,
+    so the log keeps request order. Disabled, it records nothing: at
+    bench/cluster scale it is an O(requests) memory and end-of-run
+    serialization cost. Connection threads append concurrently."""
+
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+        self._chunks: list[pa.Table] = []
+        self._rows: list[tuple[str, str, int]] = []
+        self._lock = threading.Lock()
+
+    def append(self, url: str, method: str, status: int) -> None:
+        if self.enabled:
+            with self._lock:
+                self._rows.append((url, method, status))
+
+    def extend(self, urls: pa.Array, methods: pa.Array,
+               status: pa.Array) -> None:
+        if self.enabled:
+            self._flush_rows()
+            self._chunks.append(pa.Table.from_arrays(
+                [urls, methods, status.cast(pa.int32())],
+                schema=schema.CALLS))
+
+    def _flush_rows(self) -> None:
+        with self._lock:
+            rows, self._rows = self._rows, []
+        if rows:
+            self._chunks.append(pa.Table.from_arrays(
+                [pa.array(col, f.type) for col, f in zip(zip(*rows),
+                                                          schema.CALLS)],
+                schema=schema.CALLS))
+
+    def table(self) -> pa.Table:
+        self._flush_rows()
+        return pa.concat_tables([schema.empty(schema.CALLS), *self._chunks])
+
+
+def call_tuples(calls: pa.Table) -> list[tuple[str, str, int]]:
+    """A request log as (url, method, status) tuples."""
+    return list(zip(*(calls[name].to_pylist() for name in schema.CALLS.names)))
+
+
 def parse_retry_after(raw: str, now: float) -> float:
     """seconds | HTTP-date | '30s'/'1m30s' → epoch seconds, or nan
     (src/index.ts:993-1009)."""
@@ -109,10 +157,8 @@ class MockTransport:
         self.corpus = corpus
         self.latency_s = latency_s
         self.strict = strict
-        # the call log exists for conformance tests; at bench/cluster
-        # scale it is an O(requests) memory+serialization cost — off
-        self.record_calls = record_calls
-        self.calls: list[tuple[str, str, int]] = []  # (url, method, status)
+        # the call log exists for conformance tests
+        self.log = CallLog(record_calls)
         self.header_log: list[tuple[str, str, dict]] = []  # (url, method, headers)
         self._counters: dict[tuple[str, str], int] = {}
         self._map: dict[tuple[str, str], list[dict]] = {}
@@ -156,8 +202,7 @@ class MockTransport:
         entry = self._match(url, method)
         if entry is not None:
             if entry.get("error"):
-                if self.record_calls:
-                    self.calls.append((url, method, 0))
+                self.log.append(url, method, 0)
                 raise TransportError(entry["error"])
             headers = json.loads(entry["headers_json"]) if entry.get("headers_json") else {}
             headers = {k.lower(): v for k, v in headers.items()}
@@ -166,8 +211,7 @@ class MockTransport:
             if entry.get("content_type"):
                 headers["content-type"] = entry["content_type"]
             body = entry.get("body_doc_id", "") if method == "GET" else ""
-            if self.record_calls:
-                self.calls.append((url, method, entry["status"]))
+            self.log.append(url, method, entry["status"])
             return TResponse(entry["status"], headers, entry.get("content_type", ""),
                              body, url)
         if self.corpus is not None:
@@ -175,8 +219,7 @@ class MockTransport:
                 .to_pylist()[0]
             if res["on_corpus"]:
                 status = res["status"]
-                if self.record_calls:
-                    self.calls.append((url, method, status))
+                self.log.append(url, method, status)
                 if status == 301:
                     return TResponse(301, {"location": res["location"]},
                                      "", "", url)
@@ -185,8 +228,7 @@ class MockTransport:
                     ct = res["content_type"]
                     return TResponse(200, {"content-type": ct}, ct, body, url)
                 return TResponse(status, {}, "", "", url)
-        if self.record_calls:
-            self.calls.append((url, method, 0))
+        self.log.append(url, method, 0)
         if self.strict:
             raise TransportError(f"unmocked request: {method} {url}")
         return TResponse(404, {}, "", "", url)
@@ -216,9 +258,7 @@ class MockTransport:
         if headers:
             self.header_log.extend((u, m, dict(headers)) for u, m in
                                    zip(urls.to_pylist(), methods.to_pylist()))
-        if self.record_calls:
-            self.calls.extend(zip(urls.to_pylist(), methods.to_pylist(),
-                                  status.to_pylist()))
+        self.log.extend(urls, methods, status)
         error = pa.nulls(len(urls), pa.string())
         if self.strict:
             error = pc.if_else(off, pc.binary_join_element_wise(
@@ -785,8 +825,12 @@ class FetchWorker:
                 .append_column("recurse_css",
                                pa.array(verdict["should_recurse_css"])))
 
+    def request_log(self) -> pa.Table:
+        """Every request this worker's transport sent (schema.CALLS)."""
+        return self.transport.log.table()
+
     def call_log(self) -> list[tuple[str, str, int]]:
-        return list(self.transport.calls)
+        return call_tuples(self.request_log())
 
 
 class _StepState:
@@ -985,12 +1029,13 @@ class FetchPool:
         return {key: pa.concat_tables([o[key] for o in outputs])
                 for key in OUTPUT_SCHEMAS}
 
-    def call_log(self) -> list[tuple[str, str, int]]:
+    def request_log(self) -> pa.Table:
+        """The workers' request logs, worker by worker (schema.CALLS)."""
         if self.use_ray:
             import ray
-            logs = ray.get([a.call_log.remote() for a in self.lease.wait()])
-            return [c for log in logs for c in log]
-        return self._worker.call_log()
+            return pa.concat_tables(ray.get(
+                [a.request_log.remote() for a in self.lease.wait()]))
+        return self._worker.request_log()
 
 
 def new_fetch_worker(transport_blob: dict, worker_kwargs: dict) -> FetchWorker:

@@ -27,7 +27,8 @@ import threading
 from urllib.parse import urlsplit
 
 from linkinator_ray.stages.classify import HTML_TYPES
-from linkinator_ray.stages.fetch import TransportError, TResponse
+from linkinator_ray.stages.fetch import (CallLog, TransportError, TResponse,
+                                         call_tuples)
 
 
 class LiveBodyStore:
@@ -106,8 +107,12 @@ class HttpTransport:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._seq = 0
-        self.calls: list[tuple[str, str, int]] = []
-        self.record_calls = True
+        self.log = CallLog()
+
+    @property
+    def calls(self) -> list[tuple[str, str, int]]:
+        """The request log as (url, method, status) tuples."""
+        return call_tuples(self.log.table())
 
     def _use_proxy(self, host: str) -> bool:
         return bool(self.proxy) and not _matches_no_proxy(host, self.no_proxy)
@@ -192,21 +197,18 @@ class HttpTransport:
                 self.corpus.put(body_doc_id, spans)
             else:
                 resp.read()  # drain for keep-alive
-            if self.record_calls:
-                self.calls.append((url, method, resp.status))
+            self.log.append(url, method, resp.status)
             return TResponse(resp.status, resp_headers, ct, body_doc_id, url)
         except TimeoutError as exc:
             self._drop(parts.scheme, host, parts.port)
-            if self.record_calls:
-                # timed-out requests must appear in the call log like any
-                # other transport error (status 0) or retry/conformance
-                # assertions undercount them
-                self.calls.append((url, method, 0))
+            # timed-out requests must appear in the call log like any
+            # other transport error (status 0) or retry/conformance
+            # assertions undercount them
+            self.log.append(url, method, 0)
             raise TransportError(f"request timeout: {url}") from exc
         except OSError as exc:
             self._drop(parts.scheme, host, parts.port)
-            if self.record_calls:
-                self.calls.append((url, method, 0))
+            self.log.append(url, method, 0)
             raise TransportError(str(exc)) from exc
 
     @staticmethod

@@ -37,7 +37,7 @@ import pyarrow as pa
 
 # methods a hosted object answers through its actor, by hosted class
 FORWARDED = (
-    "fetch_batch", "call_log",                            # FetchWorker
+    "fetch_batch", "request_log",                         # FetchWorker
     "contains_or_insert", "size",                         # SeenShard
     "set_peers", "seed", "enqueue", "submit_candidates",  # MeshNode
     "submit_wants", "pause", "resume_run", "snapshot", "restore_keys",

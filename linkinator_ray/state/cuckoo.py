@@ -169,21 +169,3 @@ class CuckooFilter:
             pend = np.asarray(next_phase, dtype=np.int64)
         for j in pend:
             self._insert_one(int(fp[j]), int(i1[j]), int(i2[j]))
-
-    # -- checkpoint --------------------------------------------------------
-
-    def dump(self) -> dict:
-        victims = np.fromiter(
-            ((idx << 16) | fp for idx, fp in self._victims),
-            dtype=np.uint64, count=len(self._victims))
-        return {"table": self.table.copy(), "count": self.count,
-                "victims": victims}
-
-    @classmethod
-    def restore(cls, blob: dict, seed: int = 0x5EED) -> "CuckooFilter":
-        table = blob["table"]
-        filt = cls(capacity=table.shape[0] * 4, seed=seed)
-        filt.table = table.copy()
-        filt.count = int(blob["count"])
-        filt._victims = {(int(v) >> 16, int(v) & 0xFFFF) for v in blob["victims"]}
-        return filt

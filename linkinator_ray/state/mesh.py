@@ -663,5 +663,5 @@ class MeshNode:
         merged = pa.concat_tables(dups).combine_chunks()
         return merged.group_by(["url", "parent"]).aggregate([])
 
-    def call_log(self):
-        return self.worker.call_log()
+    def request_log(self) -> pa.Table:
+        return self.worker.request_log()

@@ -51,6 +51,17 @@ def assert_cpus_free(ray):
     assert ray.get(ray.remote(lambda: 7).remote(), timeout=60) == 7
 
 
+def assert_timings_booked(res, wall: float):
+    """``stats["timings"]`` books every stage, the end-of-check tail
+    ("finish") included, and the stages never add up to more than the
+    check's wall time (each is rounded to the millisecond)."""
+    timings = res.stats["timings"]
+    assert set(timings) == {"spawn", "skip", "fetch", "process", "finish"}
+    assert min(timings.values()) >= 0
+    assert sum(timings.values()) <= wall + 0.0005 * len(timings), \
+        (timings, wall)
+
+
 def wait_dead(ray, handle):
     """Block until a killed actor is gone: ``ray.kill`` returns before
     the actor exits. ``release(0)`` is a no-op on a live shell."""
@@ -76,11 +87,13 @@ def test_back_to_back_checks_reuse_actors(ray_session, executor):
         fixture = builder()
         local = checker(fixture, use_ray=False).check()
         c = checker(fixture, **modes[i % len(modes)])
+        t0 = time.perf_counter()
         res = c.check()
+        wall = time.perf_counter() - t0
         assert key_set(res) == key_set(local), fixture.name
         assert res.passed == local.passed
         assert res.stats["executor"] == RUNS_AS[executor]
-        assert res.stats["timings"]["spawn"] >= 0
+        assert_timings_booked(res, wall)
         if i:
             assert res.stats["actors"] == {
                 "spawned": 0, "reused": len(previous)}, fixture.name
@@ -92,10 +105,12 @@ def test_back_to_back_checks_reuse_actors(ray_session, executor):
 
 def test_local_mode_books_no_actors():
     fixture = fx.recurse()
+    t0 = time.perf_counter()
     res = checker(fixture, use_ray=False).check()
+    wall = time.perf_counter() - t0
     assert res.stats["actors"] == {"spawned": 0, "reused": 0}
     assert res.stats["executor"] == "rounds"
-    assert res.stats["timings"]["spawn"] >= 0
+    assert_timings_booked(res, wall)
 
 
 def test_killed_idle_actor_is_replaced(ray_session):
