@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     # engine knobs
     p.add_argument("--use-ray", action="store_true",
-                   help="distributed actors (requires a Ray session)")
+                   help="runs the actor mesh (starts a local Ray session "
+                        "when none is running)")
     p.add_argument("--fetch-concurrency", type=int, default=8)
     p.add_argument("--seen-shards", type=int, default=8)
     p.add_argument("--checkpoint-dir", default=None)

@@ -113,23 +113,24 @@ class CheckOptions:
     status_codes: dict[str, str] = dataclasses.field(default_factory=dict)
 
     # --- engine knobs (no reference analogue; Ray-side physical tuning) ---
-    execution: str = "auto"  # 'ray' | 'local' | 'auto' (auto: ray when a round is big)
+    execution: str = "auto"  # 'ray' runs the Ray actor mesh; 'local' and 'auto' run local rounds (LinkChecker's use_ray overrides it)
     transport: str = "mock"  # 'mock' (corpus/http_map) | 'http' (real stdlib HTTP, loopback-tested)
-    ray_threshold_rows: int = 4096  # auto switches to Ray Dataset stages at this round size
     fetch_concurrency: int = 8  # fetch actor-pool size
     seen_shards: int = 8  # URL-seen set shard count
     seen_filter: str = "exact"  # 'exact' | 'cuckoo' (cuckoo at 10^10-URL scale)
     batch_size: int = 4096  # rows per Arrow batch in map_batches stages
-    pipelined: bool = False  # alias for mesh: the continuous (no round barriers) Ray executor
-    mesh: bool = False  # actor-mesh frontier: dedup + routing in actors, driver only seeds/quiesces
+    # accepted and inert: use_ray alone picks the mesh. Kept only because
+    # perfbench/workloads.py passes them; both go with the next
+    # benchmark change
+    pipelined: bool = False
+    mesh: bool = False
     mesh_frontier_spill_rows: int = 0  # per-node frontier queue cap; past it the tail spills to parquet (0 = unbounded in-memory)
-    max_rounds: int = 10_000  # BFS safety valve
+    max_rounds: int = 10_000  # BFS safety valve (local rounds; a Ray check refuses a lower cap)
     checkpoint_dir: str | None = None  # checkpoints (frontier, key journal, lineage) after every round, or every mesh epoch
     checkpoint_interval_s: float = 10.0  # mesh mode: seconds between epoch checkpoints
     results_dir: str | None = None     # stream results out as parquet parts
     results_flush_rows: int = 1_000_000  # spill threshold (rows held in driver)
     politeness_delay: float = 0.0  # min seconds between fetches to one host (token bucket)
-    host_salt_threshold: int = 256  # Ray rounds' sticky dispatch: a host past this many rows in a round is salted across ceil(n/threshold) actors (0 = never salt); scripted transports never salt
 
     respect_robots: bool = False  # consult the robots cache actor
 

@@ -10,7 +10,7 @@ not_before)`` rows; each round:
 2. rewrite + skip-classify (vectorized kernel; SKIPPED rows → results);
 3. per-host politeness gate (429 deadlines + optional token-bucket
    stagger) → more deferrals;
-4. fetch via the host-sticky actor pool (stages/fetch.py);
+4. fetch through the fetch worker (stages/fetch.py);
 5. handle Retry-After re-enqueues (max-of-deadlines per host,
    src/index.ts:1035-1043) and error-retry backoff (:1069-1109);
 6. classify (stages/classify.py) → results rows;
@@ -441,6 +441,50 @@ def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
                 pass
 
 
+# the messages mesh nodes count, by poll key suffix
+MESH_MESSAGES = {"cand": "candidates", "wants": "fragment wants",
+                 "frontier": "frontier rows"}
+
+
+def mesh_message_totals(polls: list[dict], seed_rows: int) -> dict:
+    """Mesh-wide ``(sent, received)`` per message kind from the nodes'
+    ``MeshNode.poll`` answers. The driver's ``seed_rows`` count as sent
+    frontier rows; a kind whose counts differ has a message in flight
+    (or lost)."""
+    return {key: (sum(p[f"sent_{key}"] for p in polls)
+                  + (seed_rows if key == "frontier" else 0),
+                  sum(p[f"received_{key}"] for p in polls))
+            for key in MESH_MESSAGES}
+
+
+def mesh_stall_message(what: str, polls: list[dict], seed_rows: int) -> str:
+    """The error for a mesh that stopped making progress. It names each
+    node that still has queued rows, a scheduled pump or held sends, or
+    takes part in a message kind whose mesh-wide counts do not balance,
+    with those counters."""
+    unbalanced = {key: (sent, received) for key, (sent, received)
+                  in mesh_message_totals(polls, seed_rows).items()
+                  if sent != received}
+    lines = []
+    for i, p in enumerate(polls):
+        why = [f"{label} {p[field]}" for label, field in (
+            ("queued rows", "queued_rows"), ("held sends", "held_cand"))
+            if p[field]]
+        if p["pump_scheduled"]:
+            why.append("pump scheduled")
+        why += [f"{MESH_MESSAGES[key]} sent {p[f'sent_{key}']} received "
+                f"{p[f'received_{key}']}" for key in unbalanced
+                if p[f"sent_{key}"] or p[f"received_{key}"]]
+        if why:
+            lines.append(f"  node {i}: " + ", ".join(why))
+    head = f"{what} stalled 60s"
+    if unbalanced:
+        head += "; unbalanced: " + ", ".join(
+            f"{MESH_MESSAGES[key]} sent {sent} received {received}"
+            for key, (sent, received) in unbalanced.items())
+    return "\n".join([head] + (lines or ["  no node reports pending work"]))
+
+
 class LinkChecker:
     """One crawl job. Construct with options + the corpus table (+ mock
     http_map); ``check()`` runs the BFS loop to frontier exhaustion."""
@@ -541,7 +585,7 @@ class LinkChecker:
     def _emit_warn_events(self, fetched: pa.Table) -> None:
         """Row-level warning events off the actor-classified masks
         (statusCodeWarning :496, redirect :546, httpInsecure :601).
-        An empty batch may lack the warn_* columns (``FetchPool._empty``
+        An empty batch may lack the warn_* columns (``empty_outputs``
         when admission left nothing to fetch)."""
         if fetched.num_rows == 0 or not any(
                 self._listeners.get(e) for e in WARN_EVENTS):
@@ -643,7 +687,7 @@ class LinkChecker:
     # ------------------------------------------------------------------
 
     def check(self, resume_from: str | None = None) -> CrawlResult:
-        """Run the crawl. In Ray mode the actors come from the session's
+        """Run the crawl. On Ray the mesh nodes come from the session's
         pool (state/actors.py): a clean finish hands them back, any
         error or interrupt kills them."""
         self._leases = []
@@ -657,6 +701,11 @@ class LinkChecker:
 
     def _check(self, resume_from: str | None) -> CrawlResult:
         opts = self.opts
+        if self.use_ray and opts.max_rounds < CheckOptions.max_rounds:
+            # the mesh has no rounds: a cap would silently crawl to the end
+            raise ValueError(
+                f"max_rounds={opts.max_rounds} caps BFS rounds, which only "
+                "the local rounds executor has; run with use_ray=False")
         # expand seeds FIRST: glob expansion and the .md/.mdx markdown
         # auto-detect (src/options.ts:156-164) mutate opts/corpus state
         # that the broadcast transport blob snapshots below
@@ -717,27 +766,18 @@ class LinkChecker:
             1, min(25, opts.concurrency // num_actors)) \
             if waits_on_wire else 1
 
-        # the mesh is the continuous Ray executor; ``pipelined`` names it
-        # too. Ray rounds run everything else, and resume round
-        # checkpoints.
-        if self.use_ray and (opts.mesh or opts.pipelined) \
-                and self._mesh_supported(resume_from):
+        # Ray runs the mesh; local rounds are the Ray-free reference
+        if self.use_ray:
             return self._run_mesh(transport_blob, worker_kwargs, num_actors,
                                   resume_from=resume_from)
 
         import time as _time
         t0 = _time.perf_counter()
-        self.seen = SeenSet(opts.seen_shards, opts.seen_filter, use_ray=self.use_ray)
+        self._executor = "rounds"
+        self.seen = SeenSet(opts.seen_shards, opts.seen_filter)
         # edge dedup is driver-local; one vectorized shard beats sharding
-        self.edge_seen = SeenSet(1, "exact", use_ray=False)
-        pool = FetchPool(worker_kwargs, transport_blob, use_ray=self.use_ray,
-                         num_actors=num_actors,
-                         salt_threshold=opts.host_salt_threshold)
-        if self.use_ray:
-            # both leases reset (and spawn) concurrently; wait for both
-            self._leases += [self.seen.lease, pool.lease]
-            for lease in self._leases:
-                lease.wait()
+        self.edge_seen = SeenSet(1, "exact")
+        pool = FetchPool(worker_kwargs, transport_blob)
         self.timings["spawn"] = _time.perf_counter() - t0
 
         round_no = 0
@@ -748,29 +788,7 @@ class LinkChecker:
             hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
             self.journal.add_urls(
                 hashes[~self.seen.contains_or_insert(hashes)])
-
-        self._executor = "rounds"
         return self._run_rounds(pool, frontier, round_no)
-
-    def _mesh_supported(self, resume_from) -> bool:
-        """Everything rounds support runs in the mesh too: robots
-        compile per node, fragment wants route to the target's fetch
-        owner, listener events buffer on the nodes, checkpoints are
-        driver-coordinated epoch snapshots. A resume only goes through
-        the mesh when the checkpoint was written BY the mesh: round
-        checkpoints carry the rounds' clock in their deadlines, so Ray
-        rounds resume them."""
-        if resume_from is not None:
-            import json
-            import os
-            last = ckpt.latest_round(resume_from)
-            if last is None:
-                return False
-            with open(os.path.join(resume_from, f"round_{last:06d}",
-                                   "manifest.json")) as f:
-                manifest = json.load(f)
-            return bool(manifest.get("extra", {}).get("mesh"))
-        return True
 
     def _run_rounds(self, pool, frontier: pa.Table, round_no: int) -> CrawlResult:
         """Strict BFS rounds: deterministic depth ordering; each round is
@@ -816,7 +834,7 @@ class LinkChecker:
                 self._checkpoint(round_no, frontier)
 
         self._loop_end = _time.perf_counter()
-        return self._finish(pool.request_log())
+        return self._finish(pool.request_log(), self.seen.size())
 
     def _maybe_spill_results(self, force: bool = False) -> None:
         """Streaming results sink (options.results_dir): when the driver
@@ -846,7 +864,7 @@ class LinkChecker:
                 pc.equal(merged["state"], "BROKEN")).num_rows
         self.results_tables = []
 
-    def _finish(self, request_log: pa.Table) -> CrawlResult:
+    def _finish(self, request_log: pa.Table, seen_size: int) -> CrawlResult:
         """The duplicate-broken join, the results tail and the stats.
         The "finish" timing runs from ``self._loop_end``, the
         ``perf_counter`` reading the executor took as its loop ended."""
@@ -864,7 +882,7 @@ class LinkChecker:
             + self.counters.get("spilled_broken", 0)
         self.timings["finish"] = _time.perf_counter() - self._loop_end
         stats = dict(self.counters, broken=total_broken,
-                     seen_urls=self.seen.size(),
+                     seen_urls=seen_size,
                      results_dir=self.opts.results_dir,
                      timings={k: round(v, 3) for k, v in self.timings.items()},
                      executor=self._executor,
@@ -886,8 +904,9 @@ class LinkChecker:
         fetch actors; the driver only seeds, detects quiescence (two
         consecutive stable snapshots of the monotonic send/receive
         counters), drains result and event buffers, and runs the final
-        duplicate-broken join. No per-URL driver work — the round
-        mode's ~25 µs/URL serial ceiling (BASELINE.md r1) goes away."""
+        duplicate-broken join. No per-URL driver work, so no ~25 µs/URL
+        serial ceiling from routing every batch through the driver
+        (BASELINE.md r1)."""
         import time as _time
 
         import ray
@@ -911,7 +930,7 @@ class LinkChecker:
                                 if cbs]}
         # host affinity only when per-host actor state matters (scripted
         # sequences, Retry-After delay maps, politeness); else balance by
-        # url_hash — same policy as FetchPool.sticky_hosts
+        # url_hash
         sticky = (any(e.get("seq", -1) >= 0 for e in self.http_map)
                   or opts.retry or opts.politeness_delay > 0)
         lease = actors.Lease(mesh_mod.MeshNode, [
@@ -993,12 +1012,7 @@ class LinkChecker:
             self._maybe_spill_results()
             last_counters = [p["counters"] for p in polls]
             busy = any(p["pump_scheduled"] or p["queued_rows"] for p in polls)
-            sent_c = sum(p["sent_cand"] for p in polls)
-            recv_c = sum(p["received_cand"] for p in polls)
-            sent_w = sum(p["sent_wants"] for p in polls)
-            recv_w = sum(p["received_wants"] for p in polls)
-            sent_f = sum(p["sent_frontier"] for p in polls)
-            recv_f = sum(p["received_frontier"] for p in polls)
+            totals = mesh_message_totals(polls, seed_rows)
             deferred = sum(p["deferred_rows"] for p in polls)
             # self-heal: queued work with no pump scheduled (a lost pump
             # self-message) or held sends on an idle node get
@@ -1007,14 +1021,13 @@ class LinkChecker:
                 if (p["queued_rows"] and not p["pump_scheduled"]) or \
                         (p["held_cand"] and not p["pump_scheduled"]):
                     n.kick.remote(self._mesh_generation)
-            progress = (sent_c, recv_c, sent_f, recv_f, sent_w, recv_w)
+            progress = tuple(totals.values())
             if progress != last_progress[0]:
                 last_progress = (progress, _time.monotonic())
             elif _time.monotonic() - last_progress[1] > 60:
                 raise RuntimeError(
-                    f"mesh stalled 60s: nodes={polls}")
-            if not busy and sent_c == recv_c and sent_w == recv_w \
-                    and sent_f + seed_rows == recv_f:
+                    mesh_stall_message("mesh", polls, seed_rows))
+            if not busy and all(s == r for s, r in totals.values()):
                 if deferred:
                     earliest = min(p["earliest_deadline"] for p in polls
                                    if p["deferred_rows"])
@@ -1045,14 +1058,8 @@ class LinkChecker:
                         + [n.request_log.remote() for n in nodes])
         self.dup_edge_tables.extend(t for t in tails[:len(nodes)]
                                     if t.num_rows)
-        seen_size = sum(p["seen_size"] for p in polls)
-
-        class _SeenShim:
-            def size(self):
-                return seen_size
-
-        self.seen = _SeenShim()
-        return self._finish(pa.concat_tables(tails[len(nodes):]))
+        return self._finish(pa.concat_tables(tails[len(nodes):]),
+                            sum(p["seen_size"] for p in polls))
 
     def _fire_node_buffers(self, poll: dict) -> None:
         """One node poll's buffers, kind by kind in the order a round
@@ -1107,13 +1114,8 @@ class LinkChecker:
             # totals must balance too (mirrors the quiescence check in
             # _run_mesh_body): stable counters alone can't see a message
             # in flight across two ~5 ms polls
-            totals_ok = (
-                sum(p["sent_cand"] for p in polls)
-                == sum(p["received_cand"] for p in polls)
-                and sum(p["sent_wants"] for p in polls)
-                == sum(p["received_wants"] for p in polls)
-                and sum(p["sent_frontier"] for p in polls) + seed_rows
-                == sum(p["received_frontier"] for p in polls))
+            totals_ok = all(s == r for s, r in mesh_message_totals(
+                polls, seed_rows).values())
             if prev == state and totals_ok \
                     and not any(p["pump_scheduled"] for p in polls) \
                     and not any(p["held_cand"] for p in polls):
@@ -1122,10 +1124,10 @@ class LinkChecker:
                 last_change = _time.monotonic()
             elif _time.monotonic() - last_change > 60:
                 # a lost message leaves sent != received forever; raise
-                # with the state dump (mirrors _run_mesh_body's stall
+                # naming the stalled nodes (mirrors _run_mesh_body's stall
                 # detector) instead of hanging the paused mesh silently
-                raise RuntimeError(
-                    f"mesh checkpoint settle stalled 60s: nodes={polls}")
+                raise RuntimeError(mesh_stall_message(
+                    "mesh checkpoint settle", polls, seed_rows))
             prev = state
             _time.sleep(0.005)
         self._maybe_spill_results()
@@ -1162,7 +1164,7 @@ class LinkChecker:
             [s["dup_edges"] for s in snaps] + self.dup_edge_tables,
             delay_union,
             [np.concatenate(parts) for parts in zip(*journals)],
-            counters, floors, {"mesh": True, "mesh_nodes": num_actors})
+            counters, floors)
         ray.get([n.resume_run.remote() for n in nodes])
 
     def _mesh_restore(self, checkpoint_dir: str, nodes,
@@ -1305,12 +1307,12 @@ class LinkChecker:
             dict(self.counters),
             # carry node floors from a resumed mesh checkpoint so a
             # later resume keeps those nodes' finalized parts
-            self._inherited_node_floors, {})
+            self._inherited_node_floors)
 
     def _save_checkpoint(self, round_no: int, frontier: pa.Table,
                          pending: pa.Table, dup_tables: list,
                          delay_map: dict, journal, counters: dict,
-                         node_spill_parts: list[int], extra: dict) -> None:
+                         node_spill_parts: list[int]) -> None:
         """The one checkpoint every executor writes: the executor's
         frontier, pending wants, duplicate edges, delay map and key
         journal, plus the driver's results and spill state (retained
@@ -1335,17 +1337,17 @@ class LinkChecker:
         }
         ckpt.save_round(
             self.opts.checkpoint_dir, self.run_id, round_no, tables,
-            counters, extra={"clock": self.clock.now(),
+            counters, extra={"clock": self._now(),
+                             "executor": self._executor,
                              "spill_part": self._spill_part,
                              "journal_from": self._journal_from,
-                             "node_spill_parts": node_spill_parts,
-                             **extra})
+                             "node_spill_parts": node_spill_parts})
 
     def _load_checkpoint(self, checkpoint_dir: str):
         """Restore the driver's share of the newest checkpoint, whoever
-        wrote it: counters, results, spill state, duplicate edges, the
-        delay map and the clock. Returns ``(frontier, round, pending
-        wants, key journal)`` for the executor to place."""
+        wrote it: counters, results, spill state, duplicate edges and
+        the delay map. Returns ``(frontier, round, pending wants, key
+        journal)`` for the executor to place."""
         last = ckpt.latest_round(checkpoint_dir)
         if last is None:
             raise ValueError(f"no checkpoint found under {checkpoint_dir}")
@@ -1368,9 +1370,19 @@ class LinkChecker:
         dup = tables["dup_edges"]
         if dup.num_rows:
             self.dup_edge_tables = [dup]
+        # every deadline keeps the time it had left when the checkpoint
+        # was written, on this executor's clock: either executor resumes
+        # the other's checkpoints
+        saved, now = manifest["extra"].get("clock", 0.0), self._now()
+        frontier = tables["frontier"]
+        not_before = frontier["not_before"].to_numpy(zero_copy_only=False)
+        frontier = frontier.set_column(
+            frontier.schema.get_field_index("not_before"), "not_before",
+            pa.array(now + np.maximum(0.0, not_before - saved), pa.float64()))
         delay = tables["delay_map"]
-        self.delay_map = dict(zip(delay["host"].to_pylist(),
-                                  delay["deadline"].to_pylist()))
+        self.delay_map = {
+            host: now + max(0.0, deadline - saved) for host, deadline in
+            zip(delay["host"].to_pylist(), delay["deadline"].to_pylist())}
         # parts the dead run spilled AFTER this checkpoint duplicate
         # rows the replay will re-produce — drop them before resuming
         self._spill_part = int(manifest["extra"].get("spill_part", 0))
@@ -1378,10 +1390,14 @@ class LinkChecker:
             manifest["extra"].get("node_spill_parts", []))
         prune_stale_spill_parts(self.opts.results_dir, self._spill_part,
                                 self._inherited_node_floors)
-        if isinstance(self.clock, FakeClock):
-            self.clock.advance_to(manifest["extra"].get("clock", 0.0))
-        return (tables["frontier"], manifest["round"],
-                tables["pending_fragments"], journal)
+        return (frontier, manifest["round"], tables["pending_fragments"],
+                journal)
+
+    def _now(self) -> float:
+        """The clock this executor's deadlines are measured on: the
+        nodes' wall clock on the mesh, ``self.clock`` in rounds."""
+        import time as _time
+        return _time.time() if self._executor == "mesh" else self.clock.now()
 
     def _restore(self, checkpoint_dir: str):
         frontier, round_no, pend, journal = self._load_checkpoint(

@@ -111,13 +111,13 @@ _REACH_CACHE: dict[str, tuple[str, pa.Table]] = {}
 
 
 def _crawl_results(sf_dir: str) -> pa.Table:
-    """The cached round-mode crawl of ``sf_dir``. crawl_depth reads
+    """The cached local-rounds crawl of ``sf_dir``. crawl_depth reads
     depth = round - 1, which holds only for the level-synchronous round
-    executor, so the crawl pins it and a result from any other executor
-    is refused rather than read as wrong depths."""
+    executor, so a result from any other executor is refused rather
+    than read as wrong depths."""
     entry = _REACH_CACHE.get(sf_dir)
     if entry is None:
-        res = crawl_links(sf_dir, options={"pipelined": False, "mesh": False})
+        res = crawl_links(sf_dir)
         entry = _REACH_CACHE[sf_dir] = (res.stats["executor"], res.results)
     executor, table = entry
     if executor != "rounds":
@@ -177,7 +177,7 @@ def crawl_reachability_mesh(sf_dir: str) -> pa.Table:
     oracle, proving the driverless dataflow end-to-end."""
     result = crawl_links(
         sf_dir, use_ray=True,
-        options={"mesh": True, "fetch_concurrency": 4, "seen_shards": 4})
+        options={"fetch_concurrency": 4, "seen_shards": 4})
     return _reachability_table(result)
 
 

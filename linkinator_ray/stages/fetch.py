@@ -1,13 +1,14 @@
-"""Fetch stage: transports + host-sticky fetch actor pool.
+"""Fetch stage: transports and the fetch worker.
 
 Re-expresses the reference's ``makeRequest`` + per-URL crawl state
-machine (/root/reference/src/index.ts:1185-1286 and :344-479) as a Ray
-actor pool. Each worker holds the transport (connection pool analogue),
-compiled skip rules, and per-(url, method) sequence counters; the driver
-routes each round's frontier to workers by ``hash(host) % K`` so one
-host's requests always hit the same worker — that affinity is what makes
-per-host politeness and scripted response sequences deterministic on a
-cluster (SURVEY.md §4 partitioning keys).
+machine (/root/reference/src/index.ts:1185-1286 and :344-479) as a
+batch worker. Each worker holds the transport (connection pool
+analogue), compiled skip rules, and per-(url, method) sequence
+counters. The local rounds executor owns one through ``FetchPool``;
+on Ray every mesh node (state/mesh.py) owns one, and the mesh routes a
+host's rows to one node when per-host state matters (scripted response
+sequences, Retry-After delay maps, politeness), so those stay
+deterministic on a cluster (SURVEY.md §4 partitioning keys).
 
 A worker runs the state machine as masked steps over its whole batch,
 one request per selected row per step. Two transports sit behind the
@@ -337,8 +338,8 @@ class FetchWorker:
     per-hop skip rules, retry-after detection), run as masked steps over
     a whole batch.
 
-    Instantiated directly (local mode) or hosted by a pooled Ray actor
-    (``FetchPool``, distributed mode).
+    Owned by the local rounds' ``FetchPool`` or by a mesh node
+    (state/mesh.py).
     """
 
     def __init__(self, transport: MockTransport, *,
@@ -903,38 +904,6 @@ def empty_outputs() -> dict:
     return {k: schema.empty(s) for k, s in OUTPUT_SCHEMAS.items()}
 
 
-def sticky_assignment(hosts: list[str], url_hash, num_actors: int, *,
-                      scripted: bool = False,
-                      salt_threshold: int = 256) -> np.ndarray:
-    """``hash(host) % K`` dispatch of one Ray round's frontier with
-    EXPLICIT hot-host salting (the north_rule's skew handling): a host
-    with more than ``salt_threshold`` rows in the round is split into
-    ``ceil(count/threshold)`` salted sub-keys (capped at K) by
-    ``url_hash``, so one mega-host stops serializing a whole partition
-    behind a single actor. Safe because politeness (429 deadlines +
-    token bucket) gates at ADMISSION on the driver, not via worker
-    affinity — the one thing that genuinely needs a serial per-host
-    stream is a scripted response sequence (``scripted=True`` disables
-    salting, preserving mock seq order).
-    """
-    if num_actors <= 1:
-        return np.zeros(len(hosts), dtype=np.int64)
-    base = urlkit.hash64_array(hosts)
-    if not scripted and salt_threshold > 0:
-        counts: dict[str, int] = {}
-        for h in hosts:
-            counts[h] = counts.get(h, 0) + 1
-        ks = np.fromiter(
-            (min(num_actors, -(-counts[h] // salt_threshold)) for h in hosts),
-            dtype=np.uint64, count=len(hosts))
-        hot = ks > 1
-        if hot.any():
-            uh = np.asarray(url_hash, dtype=np.uint64)
-            base = base.copy()
-            base[hot] += uh[hot] % ks[hot]
-    return hash_owner(base, num_actors)
-
-
 def hash_owner(hashes, num_owners: int) -> np.ndarray:
     """``hash % K``: the owner of each u64 key (fetch worker, seen or
     edge shard, mesh node)."""
@@ -953,96 +922,31 @@ def split_by_owner(data, owner: np.ndarray, num_owners: int):
 
 
 class FetchPool:
-    """The rounds executor's fetch workers.
+    """The local rounds executor's fetch worker: one in-process
+    ``FetchWorker`` that fetches each round's runnable frontier as one
+    batch. The mesh (state/mesh.py) runs its own workers inside its
+    nodes."""
 
-    local mode: one in-process worker.
-    ray mode: K FetchWorker actors; each round's frontier is split by
-    ``hash(host) % K`` (or by url_hash when no per-host state matters)
-    and dispatched as one Arrow batch per actor, all K at once (the
-    groupby('host')-shaped exchange of SURVEY.md §4, realized as
-    explicit routing because politeness and scripted sequences need key
-    affinity). Hot hosts are salted across actors
-    (``sticky_assignment``) unless the transport is scripted. The mesh
-    (state/mesh.py) runs its own fetch workers inside its nodes.
-    """
-
-    def __init__(self, worker_kwargs: dict, transport_blob: dict,
-                 use_ray: bool = False, num_actors: int = 8,
-                 sticky_hosts: bool | None = None,
-                 salt_threshold: int = 256):
-        self.use_ray = use_ray
-        self.num_actors = num_actors if use_ray else 1
-        self.scripted = any(
-            e.get("seq", -1) >= 0
-            for e in transport_blob.get("http_map") or [])
-        self.salt_threshold = salt_threshold
-        if sticky_hosts is None:
-            # host affinity is only semantically required when per-host
-            # state matters: scripted response sequences (mock seq
-            # counters) or retry/politeness token buckets. Otherwise
-            # balance by url_hash so a hot host doesn't straggle a round.
-            sticky_hosts = self.scripted or worker_kwargs.get("retry", False)
-        self.sticky_hosts = sticky_hosts
-        if sticky_hosts:
+    def __init__(self, worker_kwargs: dict, transport_blob: dict):
+        scripted = any(e.get("seq", -1) >= 0
+                       for e in transport_blob.get("http_map") or [])
+        if scripted or worker_kwargs.get("retry", False):
             # scripted sequences / politeness ordering require serial
             # per-host request streams
             worker_kwargs = {**worker_kwargs, "connections": 1}
-        self.lease = None
-        if use_ray:
-            import ray
-
-            from linkinator_ray.state import actors
-            blob_ref = ray.put(transport_blob)
-            self.lease = actors.Lease(
-                new_fetch_worker,
-                [(blob_ref, worker_kwargs)] * self.num_actors)
-        else:
-            self._worker = new_fetch_worker(transport_blob, worker_kwargs)
-
-    def owners(self, frontier: pa.Table) -> np.ndarray:
-        """The worker index of every frontier row: host-sticky (hot
-        hosts salted, ``sticky_assignment``) or balanced by url_hash."""
-        url_hash = frontier["url_hash"].to_numpy(zero_copy_only=False)
-        if self.sticky_hosts:
-            return sticky_assignment(
-                frontier["host"].to_pylist(), url_hash, self.num_actors,
-                scripted=self.scripted, salt_threshold=self.salt_threshold)
-        return hash_owner(url_hash, self.num_actors)
+        self._worker = FetchWorker(build_transport(transport_blob),
+                                   **worker_kwargs)
 
     def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
               now: float) -> dict:
         if frontier.num_rows == 0:
             return empty_outputs()
-        pending = [u for u in pending_fragment_urls]
-        if not self.use_ray:
-            return self._worker.fetch_batch(frontier, pending, now)
-        import ray
-        workers = self.lease.wait()
-        outputs = ray.get([
-            workers[a].fetch_batch.remote(piece, pending, now)
-            for a, piece in split_by_owner(frontier, self.owners(frontier),
-                                           self.num_actors)])
-        if not outputs:
-            return empty_outputs()
-        # per-round tables stay chunked (≤ K chunks — no pathology);
-        # only the cross-round frontier concat compacts
-        return {key: pa.concat_tables([o[key] for o in outputs])
-                for key in OUTPUT_SCHEMAS}
+        return self._worker.fetch_batch(frontier, list(pending_fragment_urls),
+                                        now)
 
     def request_log(self) -> pa.Table:
-        """The workers' request logs, worker by worker (schema.CALLS)."""
-        if self.use_ray:
-            import ray
-            return pa.concat_tables(ray.get(
-                [a.request_log.remote() for a in self.lease.wait()]))
+        """The worker's request log (schema.CALLS)."""
         return self._worker.request_log()
-
-
-def new_fetch_worker(transport_blob: dict, worker_kwargs: dict) -> FetchWorker:
-    """A fresh worker over the transport rebuilt from the broadcast
-    blob: once per lease on a pooled actor, once per check in local
-    mode."""
-    return FetchWorker(build_transport(transport_blob), **worker_kwargs)
 
 
 def build_transport(blob: dict):

@@ -1,14 +1,12 @@
 """Warm crawl actors: one pool of idle Ray actors per Ray session.
 
 Starting an actor costs a worker-process start-up, which on a small box
-is most of a short check. So the fetch pool (stages/fetch.py), the seen
-shards (state/seen.py) and the mesh nodes (state/mesh.py) do not spawn
-their actors; they lease them here, and a cleanly finished check hands
+is most of a short check. So the mesh (state/mesh.py) does not spawn
+its nodes; it leases them here, and a cleanly finished check hands
 them back. Every pooled actor is the same shell, :class:`CrawlActor`,
-which hosts one crawl object per lease: a ``FetchWorker``, a
-``SeenShard`` or a ``MeshNode``, built fresh from the new check's
-transport blob and kwargs. Nothing of the previous check survives a
-lease, because the hosted object is new, not re-initialised.
+which hosts one ``MeshNode`` per lease, built fresh from the new
+check's transport blob and kwargs. Nothing of the previous check
+survives a lease, because the hosted node is new, not re-initialised.
 
 Lifetime and resources are decided here and nowhere else:
 
@@ -35,13 +33,11 @@ import threading
 
 import pyarrow as pa
 
-# methods a hosted object answers through its actor, by hosted class
+# the MeshNode methods a hosted node answers through its actor
 FORWARDED = (
-    "fetch_batch", "request_log",                         # FetchWorker
-    "contains_or_insert", "size",                         # SeenShard
-    "set_peers", "seed", "enqueue", "submit_candidates",  # MeshNode
-    "submit_wants", "pause", "resume_run", "snapshot", "restore_keys",
-    "poll", "drain_dups",
+    "set_peers", "seed", "enqueue", "submit_candidates", "submit_wants",
+    "pause", "resume_run", "snapshot", "restore_keys", "poll",
+    "drain_dups", "request_log",
 )
 # self-messages and driver nudges that can reach an actor after its
 # check released it: dropped when the actor is idle (the mesh node drops
@@ -117,8 +113,7 @@ for _name in LATE:
 
 _lock = threading.Lock()
 _generations = itertools.count(1)
-# (job id, node id) → idle (factory last hosted, actor handle) pairs;
-# holds one session at most
+# (job id, node id) → idle actor handles; holds one session at most
 _idle: dict[tuple[str, str], list] = {}
 
 
@@ -161,16 +156,12 @@ class Lease:
     their new actors start) concurrently."""
 
     def __init__(self, factory, arg_lists: list[tuple]):
-        self.factory = self.kind = factory
+        self.factory = factory
         self.arg_lists = arg_lists
         self.generation = next(_generations)
         with _lock:
             idle = _session_idle()
-            # actors that last hosted this factory's class go first: the
-            # others would import its modules (~0.5 s for a fetch
-            # worker) inside the check
-            idle.sort(key=lambda entry: entry[0] is factory)
-            self.handles = [idle.pop()[1] for _ in
+            self.handles = [idle.pop() for _ in
                             range(min(len(idle), len(arg_lists)))]
         self.reused = self._pooled = len(self.handles)
         self.handles += [_spawn() for _ in
@@ -222,8 +213,8 @@ def release(leases: list[Lease]) -> None:
             handle.release.remote(lease.generation)
     with _lock:
         idle = _session_idle()
-        extra = [handle for _, handle in idle]
-        idle[:] = [(lease.kind, h) for lease in leases for h in lease.handles]
+        extra = list(idle)
+        idle[:] = [h for lease in leases for h in lease.handles]
     for handle in extra:
         ray.kill(handle, no_restart=True)
 

@@ -1,9 +1,9 @@
-"""Actor-mesh frontier: the driverless crawl dataflow, and the one
-continuous Ray executor (``CheckOptions.mesh``; ``pipelined`` is an
-alias for it).
+"""Actor-mesh frontier: the driverless crawl dataflow, and the one Ray
+executor (every Ray check runs it; local rounds are the Ray-free
+reference beside it).
 
-Ray rounds route every fetched batch through the driver for the global
-dedup joins — ~25 µs/URL of serial work that Amdahl-caps compute-bound
+Routing every fetched batch through the driver for the global dedup
+joins costs ~25 µs/URL of serial work, which Amdahl-caps compute-bound
 scaling at ≈0.4 (BASELINE.md round 1). The mesh moves the whole
 frontier cycle into K symmetric ``MeshNode`` actors; each node is BOTH
 a fetch worker and the seen/edge shard for its ``url_hash % K`` key
@@ -371,8 +371,7 @@ class MeshNode:
                 "journal": self.journal.drain(),
                 "pending_fragments": pending_table(self.pending_fragments),
                 "delay_map": dict(self.delay_map),
-                "dup_edges": dups.group_by(["url", "parent"]).aggregate([])
-                if dups.num_rows else dups,
+                "dup_edges": dups,
                 "counters": dict(self.counters),
                 "spill_part": self.spill_part,
             }
@@ -653,15 +652,16 @@ class MeshNode:
             self._schedule_pump()
 
     def drain_dups(self) -> pa.Table:
-        """One compact distinct (url, parent) table per node — concat +
-        dedup happen node-side so the driver deserializes one block."""
+        """This node's (url, parent) duplicate edges as one table, so
+        the driver deserializes one block. They are distinct already:
+        ``dedup_candidates`` reports only edge-fresh rows, and an edge
+        always routes to its URL's owner."""
         with self.lock:
             dups = self.dup_edges
             self.dup_edges = []
         if not dups:
             return schema.empty(schema.EDGES)
-        merged = pa.concat_tables(dups).combine_chunks()
-        return merged.group_by(["url", "parent"]).aggregate([])
+        return pa.concat_tables(dups).combine_chunks()
 
     def request_log(self) -> pa.Table:
         return self.worker.request_log()

@@ -4,15 +4,15 @@ The reference keeps one in-heap ``Set<string>`` consulted before every
 enqueue (/root/reference/src/index.ts:261, :813-817). Here the set is
 sharded by ``url_hash % num_shards``; each shard is either an exact set
 (test mode, authoritative) or a cuckoo filter (scale mode, ~2 B/key at
-10^10 URLs — see state/cuckoo.py). Shards run as Ray actors in
-distributed mode so membership is consistent across fetch rounds, with
-the batched ``contains_or_insert`` RPC amortizing round-trips; the local
-mode uses the same class in-process.
+10^10 URLs — see state/cuckoo.py). The local rounds executor holds its
+shards in-process (``SeenSet``); on Ray every mesh node (state/mesh.py)
+is the ``SeenShard`` of its own ``url_hash % K`` range, consulted with
+one batched ``contains_or_insert`` per routed candidate batch.
 
 Checkpointing: the seen set is never dumped. Executors journal the keys
 they insert (state/checkpoint.py ``KeyJournal``), and a resume replays
 the journal through ``contains_or_insert``, so a checkpoint restores
-into any shard count and either mode.
+into any shard or node count, on either executor.
 """
 
 from __future__ import annotations
@@ -79,58 +79,26 @@ class SeenShard:
 
 
 class SeenSet:
-    """Driver-side facade over the shard pool.
-
-    In Ray mode the shards are hosted by pooled actors (state/actors.py)
-    and ``contains_or_insert`` fans a batch out by ``hash % K`` in ONE
-    call per shard (a batched semi-join of the frontier against the seen
-    state — SURVEY.md §2.4 J3). Local mode holds plain objects.
-    """
+    """The local rounds' seen set: ``num_shards`` in-process shards,
+    each batch split by ``hash % K`` (a batched semi-join of the
+    frontier against the seen state — SURVEY.md §2.4 J3)."""
 
     def __init__(self, num_shards: int = 8, mode: str = "exact",
-                 use_ray: bool = False, capacity_per_shard: int = 1 << 20):
+                 capacity_per_shard: int = 1 << 20):
         self.num_shards = num_shards
-        self.mode = mode
-        self.use_ray = use_ray
-        args = [(i, mode, capacity_per_shard) for i in range(num_shards)]
-        self.lease = None
-        if use_ray:
-            from linkinator_ray.state import actors
-            self.lease = actors.Lease(SeenShard, args)
-        else:
-            self._local_shards = [SeenShard(*a) for a in args]
-
-    @property
-    def _shards(self) -> list:
-        return self.lease.wait() if self.use_ray else self._local_shards
+        self._shards = [SeenShard(i, mode, capacity_per_shard)
+                        for i in range(num_shards)]
 
     def contains_or_insert(self, hashes: np.ndarray) -> np.ndarray:
         """Batched test-and-set across shards; order-preserving."""
         hashes = np.asarray(hashes, dtype=np.uint64)
-        if len(hashes) == 0:
-            return np.zeros(0, dtype=bool)
         shard_of = (hashes % np.uint64(self.num_shards)).astype(np.int64)
         out = np.zeros(len(hashes), dtype=bool)
-        if self.use_ray:
-            import ray
-            futures = {}
-            index_of = {}
-            for s in range(self.num_shards):
-                idx = np.flatnonzero(shard_of == s)
-                if len(idx):
-                    futures[s] = self._shards[s].contains_or_insert.remote(hashes[idx])
-                    index_of[s] = idx
-            for s, fut in futures.items():
-                out[index_of[s]] = ray.get(fut)
-        else:
-            for s in range(self.num_shards):
-                idx = np.flatnonzero(shard_of == s)
-                if len(idx):
-                    out[idx] = self._shards[s].contains_or_insert(hashes[idx])
+        for s in range(self.num_shards):
+            idx = np.flatnonzero(shard_of == s)
+            if len(idx):
+                out[idx] = self._shards[s].contains_or_insert(hashes[idx])
         return out
 
     def size(self) -> int:
-        if self.use_ray:
-            import ray
-            return sum(ray.get([s.size.remote() for s in self._shards]))
         return sum(s.size() for s in self._shards)

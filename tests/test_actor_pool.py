@@ -1,5 +1,5 @@
 """Warm crawl actors (state/actors.py): checks in one Ray session lease
-their fetch workers, seen shards and mesh nodes from a per-session pool.
+their mesh nodes from a per-session pool.
 A leased actor must behave exactly like a fresh one, idle actors must
 hold no CPU, and only a cleanly finished check may hand actors back."""
 
@@ -12,14 +12,12 @@ from linkinator_ray.pipelines.crawl import LinkChecker
 from linkinator_ray.sources import fixtures as fx
 from linkinator_ray.state import actors
 
-# the options of the checks in a row: pipelined is an alias for the
-# mesh, so its leg alternates it with mesh=True, and the two must lease
-# the same nodes
+# the options of the checks in a row. Every Ray check runs the mesh
+# (``mesh`` and ``pipelined`` are inert), so each leg must lease the
+# same nodes check after check; the pipelined leg alternates options
 EXECUTORS = {"rounds": ({},), "pipelined": ({"pipelined": True},
                                             {"mesh": True}),
              "mesh": ({"mesh": True},)}
-# the executor each option runs
-RUNS_AS = {"rounds": "rounds", "pipelined": "mesh", "mesh": "mesh"}
 SEQUENCE = (fx.recurse, fx.repeated_broken_link, fx.css_fixture)
 
 
@@ -92,7 +90,7 @@ def test_back_to_back_checks_reuse_actors(ray_session, executor):
         wall = time.perf_counter() - t0
         assert key_set(res) == key_set(local), fixture.name
         assert res.passed == local.passed
-        assert res.stats["executor"] == RUNS_AS[executor]
+        assert res.stats["executor"] == "mesh"
         assert_timings_booked(res, wall)
         if i:
             assert res.stats["actors"] == {

@@ -108,18 +108,17 @@ def test_corpus_batches_build_no_python_rows(monkeypatch):
 
 
 def test_ray_logs_match_local(ray_session):
-    """Ray rounds and the mesh log the same multiset of requests as
-    local rounds; the mesh hands back one Arrow table, and the tuples
-    are built only when ``call_log`` is read."""
+    """The mesh (what ``use_ray=True`` runs) logs the same multiset of
+    requests as local rounds; it hands back one Arrow table, and the
+    tuples are built only when ``call_log`` is read."""
     fixture = mixed()
     local = Counter(run(fixture).call_log)
-    for mode, executor in (({}, "rounds"), ({"mesh": True}, "mesh")):
-        res = run(fixture, use_ray=True, **mode)
-        assert res.stats["executor"] == executor
-        assert isinstance(res.request_log, pa.Table)
-        assert res.request_log.schema == schema.CALLS
-        assert "call_log" not in vars(res)
-        assert Counter(res.call_log) == local, executor
+    res = run(fixture, use_ray=True)
+    assert res.stats["executor"] == "mesh"
+    assert isinstance(res.request_log, pa.Table)
+    assert res.request_log.schema == schema.CALLS
+    assert "call_log" not in vars(res)
+    assert Counter(res.call_log) == local
 
 
 def test_mesh_log_is_a_table(ray_session):
@@ -130,7 +129,7 @@ def test_mesh_log_is_a_table(ray_session):
     base = dict(paths=seeds, recurse=True, fetch_concurrency=2)
     local = LinkChecker(CheckOptions(**base), docs, [],
                         multi_host=True).check()
-    mesh = LinkChecker(CheckOptions(**base, mesh=True), docs, [],
+    mesh = LinkChecker(CheckOptions(**base), docs, [],
                        multi_host=True, use_ray=True).check()
     assert mesh.stats["executor"] == "mesh"
     assert isinstance(mesh.request_log, pa.Table)

@@ -181,8 +181,7 @@ def test_event_listener_surface(pipelined, request):
     if pipelined:
         request.getfixturevalue("ray_session")
     opts = CheckOptions(paths=["ev/index.html"], recurse=True, retry=True,
-                        redirects="warn", status_codes={"403": "warn"},
-                        pipelined=pipelined)
+                        redirects="warn", status_codes={"403": "warn"})
     checker = LinkChecker(opts, docs, http_map, clock=FakeClock(),
                           use_ray=pipelined)
     for name, bucket in events.items():
@@ -210,7 +209,7 @@ def test_warn_listeners_on_all_skipped_round(pipelined, request):
         request.getfixturevalue("ray_session")
     f = fx.protocols()
     checker = LinkChecker(
-        CheckOptions(paths=f.seeds, pipelined=pipelined, **f.options),
+        CheckOptions(paths=f.seeds, **f.options),
         f.documents, f.http_map, use_ray=pipelined)
     events = []
     for name in ("redirect", "statusCodeWarning", "httpInsecure"):

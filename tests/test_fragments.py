@@ -101,7 +101,7 @@ def test_mesh_fragment_parity(ray_session):
     for name in ("fragments",):
         fixture = getattr(fx, name)()
         rounds = run(fixture)
-        opts = dict(fixture.options, mesh=True, fetch_concurrency=2)
+        opts = dict(fixture.options, fetch_concurrency=2)
         mesh = LinkChecker(CheckOptions(paths=fixture.seeds, **opts),
                            fixture.documents, fixture.http_map,
                            use_ray=True).check()

@@ -124,7 +124,7 @@ def test_mesh_respects_robots(ray_session):
                    fx.span("text", "", "User-agent: *\nDisallow: /private/\n")),
         ),
         [], [""], {"recurse": True, "respect_robots": True,
-                   "fetch_concurrency": 2, "mesh": True})
+                   "fetch_concurrency": 2})
     res = LinkChecker(CheckOptions(paths=fixture.seeds, **fixture.options),
                       fixture.documents, fixture.http_map,
                       use_ray=True).check()

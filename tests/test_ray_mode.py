@@ -1,7 +1,9 @@
-"""Distributed-mode crawl: Ray actor seen-set shards + fetch actor pool
-must produce the same final sets as local mode."""
+"""Ray-mode crawl: every ``use_ray=True`` check runs the actor mesh,
+which must produce the same final sets as the Ray-free local rounds."""
 
-import pyarrow.compute as pc
+from collections import Counter
+
+import pytest
 
 from linkinator_ray.options import CheckOptions
 from linkinator_ray.pipelines.crawl import LinkChecker
@@ -14,27 +16,36 @@ def key_set(res):
 
 
 def test_ray_mode_matches_local(ray_session):
-    """Every fixture gives the local rounds result on Ray rounds and
-    on the mesh. The executor loop is outermost so that each executor's
-    leased actors serve all fixtures in a row."""
-    fixtures = {name: builder() for name, builder in fx.ALL.items()}
-
-    def run(fixture, use_ray, **mode):
-        opts = CheckOptions(paths=fixture.seeds, **fixture.options,
-                            fetch_concurrency=2, seen_shards=2, **mode)
-        return LinkChecker(opts, fixture.documents, fixture.http_map,
-                           use_ray=use_ray).check()
-
-    local = {name: run(f, False) for name, f in fixtures.items()}
+    """Every fixture gives the local rounds result on the mesh, which is
+    what ``use_ray=True`` runs. The mesh's leased nodes serve all
+    fixtures in a row."""
     mismatches = []
-    for executor, mode in (("rounds", {}), ("mesh", {"mesh": True})):
-        for name, fixture in fixtures.items():
-            res = run(fixture, True, **mode)
-            assert res.stats["executor"] == executor
-            if key_set(res) != key_set(local[name]) \
-                    or res.passed != local[name].passed:
-                mismatches.append((executor, mode, name))
+    for name, builder in fx.ALL.items():
+        fixture = builder()
+        opts = CheckOptions(paths=fixture.seeds, **fixture.options,
+                            fetch_concurrency=2, seen_shards=2)
+        local = LinkChecker(opts, fixture.documents,
+                            fixture.http_map).check()
+        res = LinkChecker(opts, fixture.documents, fixture.http_map,
+                          use_ray=True).check()
+        assert res.stats["executor"] == "mesh"
+        if key_set(res) != key_set(local) or res.passed != local.passed:
+            mismatches.append(name)
     assert not mismatches
+
+
+def test_ray_mode_refuses_max_rounds():
+    """The mesh has no rounds to cap: a Ray check with ``max_rounds``
+    below its default raises before it leases anything, instead of
+    silently crawling to the end."""
+    fixture = fx.recurse()
+    opts = CheckOptions(paths=fixture.seeds, max_rounds=2, **fixture.options)
+    with pytest.raises(ValueError, match="max_rounds"):
+        LinkChecker(opts, fixture.documents, fixture.http_map,
+                    use_ray=True).check()
+    # local rounds honour the cap
+    capped = LinkChecker(opts, fixture.documents, fixture.http_map).check()
+    assert capped.stats["rounds"] == 2
 
 
 def test_ray_mode_retry(ray_session):
@@ -50,14 +61,14 @@ def test_ray_mode_retry(ray_session):
 
 
 def test_pipelined_matches_rounds(ray_session):
-    """Continuous-queue execution produces the same final sets as the
-    round-based mode."""
+    """Continuous-queue execution (``pipelined`` is an inert option; Ray
+    runs the mesh) produces the same final sets as local rounds."""
     from linkinator_ray.sources.synth import synth_crawl_corpus
     docs, seeds, expected_seen, _ = synth_crawl_corpus(num_hosts=3,
                                                        docs_per_host=120)
     base = dict(paths=seeds, recurse=True, fetch_concurrency=3, seen_shards=2)
-    rounds = LinkChecker(CheckOptions(**base), docs, [], multi_host=True,
-                         use_ray=True).check()
+    rounds = LinkChecker(CheckOptions(**base), docs, [],
+                         multi_host=True).check()
     piped = LinkChecker(CheckOptions(**base, pipelined=True), docs, [],
                         multi_host=True, use_ray=True).check()
     assert rounds.stats["seen_urls"] == piped.stats["seen_urls"] == expected_seen
@@ -77,29 +88,22 @@ def test_pipelined_fixture_parity(ray_session):
         fixture = builder()
         opts = dict(fixture.options, fetch_concurrency=2, seen_shards=2)
         rounds = LinkChecker(CheckOptions(paths=fixture.seeds, **opts),
-                             fixture.documents, fixture.http_map,
-                             use_ray=True).check()
+                             fixture.documents, fixture.http_map).check()
         piped = LinkChecker(CheckOptions(paths=fixture.seeds, **opts,
                                          pipelined=True),
                             fixture.documents, fixture.http_map,
                             use_ray=True).check()
-        assert piped.stats["executor"] == "mesh"  # pipelined is an alias
+        assert piped.stats["executor"] == "mesh"
         assert key_set(rounds) == key_set(piped), fixture.name
 
 
 class TestMeshMode:
     def test_mesh_equals_rounds(self, ray_session):
         """Mesh execution produces the identical result/seen sets as the
-        conformance round mode (SURVEY.md §2.6 contract)."""
+        conformance round mode (SURVEY.md §2.6 contract): on a balanced
+        corpus, and on a Zipf-skewed one with ``retry`` on, where the
+        mesh routes each host to one node."""
         from linkinator_ray.sources.synth import synth_crawl_corpus
-        docs, seeds, expected_seen, _ = synth_crawl_corpus(
-            num_hosts=3, docs_per_host=200)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=2,
-                    seen_shards=2)
-        rounds = LinkChecker(CheckOptions(**base), docs, [],
-                             multi_host=True, use_ray=True).check()
-        mesh = LinkChecker(CheckOptions(**base, mesh=True), docs, [],
-                           multi_host=True, use_ray=True).check()
 
         # the §2.6 contract: URL/state/status sets and the per-
         # (url, parent) BROKEN edge set — OK-parent attribution is
@@ -111,11 +115,20 @@ class TestMeshMode:
         def broken_edges(res):
             return {(r["url"], r["parent"])
                     for r in res.results.to_pylist() if r["state"] == "BROKEN"}
-        assert key(rounds) == key(mesh)
-        assert broken_edges(rounds) == broken_edges(mesh)
-        assert rounds.stats["seen_urls"] == mesh.stats["seen_urls"] \
-            == expected_seen
-        assert rounds.passed == mesh.passed
+        for corpus, extra in (({"num_hosts": 3, "docs_per_host": 200}, {}),
+                              ({"num_hosts": 3, "docs_per_host": 300,
+                                "zipf": 2.5}, {"retry": True})):
+            docs, seeds, expected_seen, _ = synth_crawl_corpus(**corpus)
+            opts = CheckOptions(paths=seeds, recurse=True,
+                                fetch_concurrency=2, seen_shards=2, **extra)
+            rounds = LinkChecker(opts, docs, [], multi_host=True).check()
+            mesh = LinkChecker(opts, docs, [], multi_host=True,
+                               use_ray=True).check()
+            assert key(rounds) == key(mesh), corpus
+            assert broken_edges(rounds) == broken_edges(mesh), corpus
+            assert rounds.stats["seen_urls"] == mesh.stats["seen_urls"] \
+                == expected_seen
+            assert rounds.passed == mesh.passed
 
     def test_mesh_node_load_in_stats(self, ray_session):
         """stats["mesh"] gives each node's busy seconds and pump count
@@ -124,8 +137,7 @@ class TestMeshMode:
         docs, seeds, _, _ = synth_crawl_corpus(num_hosts=3,
                                                docs_per_host=150)
         res = LinkChecker(
-            CheckOptions(paths=seeds, recurse=True, fetch_concurrency=3,
-                         mesh=True),
+            CheckOptions(paths=seeds, recurse=True, fetch_concurrency=3),
             docs, [], multi_host=True, use_ray=True).check()
         assert res.stats["executor"] == "mesh"
         load = res.stats["mesh"]
@@ -144,7 +156,7 @@ class TestMeshMode:
             CheckOptions(paths=fixture.seeds, **opts),
             fixture.documents, fixture.http_map).check()
         mesh = LinkChecker(
-            CheckOptions(paths=fixture.seeds, **opts, mesh=True),
+            CheckOptions(paths=fixture.seeds, **opts),
             fixture.documents, fixture.http_map, use_ray=True).check()
 
         def key(res):
@@ -152,6 +164,45 @@ class TestMeshMode:
                     for r in res.results.to_pylist()}
         assert key(rounds) == key(mesh)
         assert rounds.passed == mesh.passed
+
+    def test_mesh_dup_broken_rows_match_local(self, ray_session):
+        """The duplicate-broken join's re-report rows (BROKEN
+        ``(url, parent)`` rows, counted as a multiset) are the same on
+        the mesh as in local rounds: a doubled dup edge would double a
+        re-report, which set comparisons cannot see."""
+        import pyarrow as pa
+
+        from linkinator_ray import schema
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, _, _ = synth_crawl_corpus(num_hosts=2,
+                                               docs_per_host=150)
+        # synth's own broken links have one parent each: every page
+        # also links one of seven missing pages of its host
+        rows = docs.to_pylist()
+        for j, row in enumerate(rows):
+            row["spans"].append({"kind": "anchor", "text": "",
+                                 "media_ref": f"/gone{j % 7}.html",
+                                 "offset": 10 * len(row["spans"])})
+        docs = pa.Table.from_pylist(rows, schema=schema.DOCUMENTS)
+        fixture = fx.repeated_broken_link()
+        cases = {fixture.name: (fixture.seeds, fixture.documents,
+                                fixture.http_map, fixture.options, False),
+                 "synth": (seeds, docs, [], {"recurse": True}, True)}
+
+        def broken_rows(res):
+            return Counter((r["url"], r["parent"])
+                           for r in res.results.to_pylist()
+                           if r["state"] == "BROKEN")
+        for name, (paths, documents, http_map, options, multi) in \
+                cases.items():
+            opts = CheckOptions(paths=paths, fetch_concurrency=2, **options)
+            local = LinkChecker(opts, documents, http_map,
+                                multi_host=multi).check()
+            mesh = LinkChecker(opts, documents, http_map, multi_host=multi,
+                               use_ray=True).check()
+            rows = broken_rows(local)
+            assert sum(rows.values()) > len(set(k[0] for k in rows)), name
+            assert broken_rows(mesh) == rows, name
 
     def test_mesh_frontier_spill_equality(self, ray_session):
         """An artificially tiny per-node frontier cap forces constant
@@ -161,8 +212,7 @@ class TestMeshMode:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=3, docs_per_host=150)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=2,
-                    mesh=True)
+        base = dict(paths=seeds, recurse=True, fetch_concurrency=2)
         nocap = LinkChecker(CheckOptions(**base), docs, [],
                             multi_host=True, use_ray=True).check()
         capped = LinkChecker(
@@ -185,10 +235,44 @@ class TestMeshMode:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=2, docs_per_host=100)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=3,
-                    mesh=True)
+        base = dict(paths=seeds, recurse=True, fetch_concurrency=3)
         r1 = LinkChecker(CheckOptions(**base), docs, [], multi_host=True,
                          use_ray=True).check()
         r2 = LinkChecker(CheckOptions(**base), docs, [], multi_host=True,
                          use_ray=True).check()
         assert r1.stats["seen_urls"] == r2.stats["seen_urls"] == expected_seen
+
+
+def test_mesh_stall_message_names_stalled_nodes():
+    """The 60 s stall errors name only the nodes that hold work or take
+    part in an unbalanced message kind, with their counters (Ray-free,
+    on fake ``MeshNode.poll`` answers)."""
+    from linkinator_ray.pipelines.crawl import mesh_stall_message
+
+    def poll(**kw):
+        return dict({"queued_rows": 0, "held_cand": 0,
+                     "pump_scheduled": False, "sent_cand": 0,
+                     "received_cand": 0, "sent_wants": 0,
+                     "received_wants": 0, "sent_frontier": 0,
+                     "received_frontier": 0}, **kw)
+
+    # node 0 sent 5 candidates node 2 never received; node 1 is idle
+    # and balanced; node 3 holds queued rows and a pump
+    polls = [poll(sent_cand=5, received_frontier=1),
+             poll(received_frontier=1),
+             poll(),
+             poll(queued_rows=7, pump_scheduled=True)]
+    msg = mesh_stall_message("mesh", polls, seed_rows=2)
+    assert msg.splitlines()[0] == (
+        "mesh stalled 60s; unbalanced: candidates sent 5 received 0")
+    assert "node 0: candidates sent 5 received 0" in msg
+    assert "node 3: queued rows 7, pump scheduled" in msg
+    assert "node 1" not in msg and "node 2" not in msg
+    assert "frontier" not in msg  # the two seed rows balance
+
+    held = mesh_stall_message(
+        "mesh checkpoint settle", [poll(held_cand=3), poll()], seed_rows=0)
+    assert held.splitlines() == ["mesh checkpoint settle stalled 60s",
+                                 "  node 0: held sends 3"]
+    idle = mesh_stall_message("mesh", [poll()], seed_rows=0)
+    assert idle.splitlines()[1] == "  no node reports pending work"

@@ -217,8 +217,7 @@ class TestMeshCheckpoint:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=2, docs_per_host=400)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=2,
-                    mesh=True)
+        base = dict(paths=seeds, recurse=True, fetch_concurrency=2)
         full = LinkChecker(CheckOptions(**base), docs, [],
                            multi_host=True, use_ray=True).check()
 
@@ -276,7 +275,7 @@ class TestMeshCheckpoint:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=2, docs_per_host=400)
-        base = dict(paths=seeds, recurse=True, mesh=True,
+        base = dict(paths=seeds, recurse=True,
                     seen_filter=seen_filter)
         full = LinkChecker(CheckOptions(**base, fetch_concurrency=2),
                            docs, [], multi_host=True, use_ray=True).check()
@@ -324,10 +323,8 @@ class TestMeshCheckpoint:
                                                   tmp_path):
         """A checkpoint without key journal tables (a round checkpoint
         from an earlier version) raises a ValueError naming the
-        checkpoint on every resume path — Ray-free rounds, a mesh=True
-        check (which resumes round checkpoints on Ray rounds) and the
-        mesh's own restore — instead of resuming with an empty seen
-        set."""
+        checkpoint on both resume paths — local rounds and the mesh's
+        restore — instead of resuming with an empty seen set."""
         import json
         import os
 
@@ -353,19 +350,14 @@ class TestMeshCheckpoint:
             m["row_counts"].pop("edge_keys")
         rewrite_manifests(drop_journal)
 
-        def resume(**kw):
+        for use_ray in (False, True):
             with pytest.raises(ValueError, match="no key journal") as err:
                 LinkChecker(CheckOptions(paths=fixture.seeds,
-                                         **fixture.options, **kw),
+                                         fetch_concurrency=2,
+                                         **fixture.options),
                             fixture.documents, fixture.http_map,
-                            use_ray=kw.get("mesh", False)) \
-                    .check(resume_from=ck)
+                            use_ray=use_ray).check(resume_from=ck)
             assert ck in str(err.value)
-        resume()
-        resume(mesh=True, fetch_concurrency=2)
-        rewrite_manifests(lambda m: m["extra"].update(mesh=True,
-                                                      mesh_nodes=2))
-        resume(mesh=True, fetch_concurrency=2)
 
 
 class TestCheckpointLineage:
@@ -419,19 +411,19 @@ class TestCheckpointLineage:
             num_hosts=2, docs_per_host=200)
         ck = str(tmp_path / "meshck")
         checker = LinkChecker(
-            CheckOptions(paths=seeds, recurse=True, mesh=True,
+            CheckOptions(paths=seeds, recurse=True,
                          fetch_concurrency=2, checkpoint_dir=ck),
             docs, [], multi_host=True, use_ray=True)
         body, finish = checker._run_mesh_body, checker._finish
 
         def run_body(nodes, num_actors, *rest):
-            def final_epoch(pool):
+            def final_epoch(*args):
                 epoch = len([d for d in os.listdir(ck)
                              if d.startswith("round_")]) \
                     if os.path.isdir(ck) else 0
                 checker._mesh_checkpoint(nodes, epoch + 1, num_actors,
                                          len(seeds))
-                return finish(pool)
+                return finish(*args)
             checker._finish = final_epoch
             return body(nodes, num_actors, *rest)
         checker._run_mesh_body = run_body
@@ -454,8 +446,7 @@ class TestMeshResultsSpill:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=2, docs_per_host=300)
-        base = dict(paths=seeds, recurse=True, fetch_concurrency=2,
-                    mesh=True)
+        base = dict(paths=seeds, recurse=True, fetch_concurrency=2)
         full = LinkChecker(CheckOptions(**base), docs, [],
                            multi_host=True, use_ray=True).check()
 
@@ -572,7 +563,7 @@ class TestResumeHardening:
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, expected_seen, _ = synth_crawl_corpus(
             num_hosts=2, docs_per_host=400)
-        base = dict(paths=seeds, recurse=True, mesh=True)
+        base = dict(paths=seeds, recurse=True)
         full = LinkChecker(CheckOptions(**base, fetch_concurrency=2),
                            docs, [], multi_host=True, use_ray=True).check()
 
@@ -672,10 +663,13 @@ class TestResumeHardening:
 
     def test_pipelined_resume_honors_retry_deadline(self, ray_session,
                                                     tmp_path):
-        """A checkpoint snapshotted mid-retry-backoff carries the row's
-        not_before deadline; a pipelined (mesh alias) check resuming a
-        round checkpoint runs on Ray rounds, which must park it (advance
-        the clock to the deadline) instead of re-fetching immediately."""
+        """A local-rounds checkpoint snapshotted mid-retry-backoff
+        carries the row's not_before deadline on the rounds' fake clock;
+        a Ray check resumes it on the mesh, which moves the deadline
+        onto the wall clock with the 3 s the Retry-After had left, and
+        parks the row until then instead of re-fetching it at once."""
+        import time
+
         from linkinator_ray.state.clock import FakeClock
 
         fixture = fx.retry_fixture()
@@ -690,23 +684,30 @@ class TestResumeHardening:
                    for r in part_res.results.to_pylist()) is False
 
         resumed_checker = LinkChecker(
-            CheckOptions(paths=fixture.seeds, pipelined=True,
-                         fetch_concurrency=1, **fixture.options),
-            fixture.documents, fixture.http_map, clock=FakeClock(),
-            use_ray=True)
+            CheckOptions(paths=fixture.seeds, fetch_concurrency=1,
+                         **fixture.options),
+            fixture.documents, fixture.http_map, use_ray=True)
+        # the resumed run's first 429 comes only after the parked wait
+        retries = []
+        resumed_checker.on("retry", lambda e: retries.append(
+            time.perf_counter()))
+        t0 = time.perf_counter()
         resumed = resumed_checker.check(resume_from=ck)
+        wall = time.perf_counter() - t0
+        assert resumed.stats["executor"] == "mesh"
         states = {r["url"]: r["state"] for r in resumed.results.to_pylist()}
         assert states["http://slow.invalid/1"] == "OK"
         assert states["http://slow.invalid/3"] == "OK"
         assert resumed.passed
-        # the deadline was honored: the resumed clock advanced past
-        # checkpoint-time + Retry-After (3 s)
-        assert resumed_checker.clock.now() >= 1_000_000.0 + 3
+        # the deadline was honored: 3 s of Retry-After were left
+        assert wall >= 2.5
+        assert retries and retries[0] - t0 >= 2.5
 
     def test_driver_resume_of_mesh_checkpoint(self, ray_session, tmp_path):
-        """A mesh-written checkpoint resumed in driver rounds mode:
-        membership rebuilds from the key journal into the driver's shard
-        layout — final sets must match a clean run."""
+        """A mesh-written checkpoint resumed on local rounds: membership
+        rebuilds from the key journal into the driver's shard layout,
+        deadlines move onto the rounds' clock — final sets must match a
+        clean run."""
         import os
 
         from linkinator_ray.sources.synth import synth_crawl_corpus
@@ -714,14 +715,14 @@ class TestResumeHardening:
             num_hosts=2, docs_per_host=400)
         base = dict(paths=seeds, recurse=True, fetch_concurrency=2)
         full = LinkChecker(CheckOptions(**base), docs, [],
-                           multi_host=True, use_ray=True).check()
+                           multi_host=True).check()
 
         ck = str(tmp_path / "crossck")
         # 20 ms injected latency: without it a fast machine drains the
         # whole mesh before the first 0.2 s checkpoint epoch fires and
         # the bomb never goes off (results are latency-independent)
         partial = LinkChecker(
-            CheckOptions(**base, mesh=True, checkpoint_dir=ck,
+            CheckOptions(**base, checkpoint_dir=ck,
                          checkpoint_interval_s=0.2, batch_size=64),
             docs, [], multi_host=True, use_ray=True,
             transport_latency_s=0.02)
@@ -740,10 +741,10 @@ class TestResumeHardening:
             pass
         assert os.path.isdir(ck) and os.listdir(ck), "no mesh checkpoint"
 
-        # resume WITHOUT mesh: driver rounds mode over the mesh epoch
+        # resume without Ray: local rounds over the mesh epoch
         resumed = LinkChecker(CheckOptions(**base), docs, [],
-                              multi_host=True, use_ray=True).check(
-            resume_from=ck)
+                              multi_host=True).check(resume_from=ck)
+        assert resumed.stats["executor"] == "rounds"
 
         def key(res):
             return {(r["url"], r["state"], r["status"])
