@@ -525,7 +525,7 @@ class LinkChecker:
         # mutable crawl state (the Arrow/actor re-architecture of the
         # reference's six shared caches, src/index.ts:260-265)
         self.seen = None          # SeenSet — built in check()
-        self.edge_seen = None     # SeenSet over hash64(url + '|' + parent)
+        self.edge_seen = None     # SeenSet over urlkit.edge_key keys
         self.results_tables: list[pa.Table] = []
         # frontier-level BROKEN rows retained across spills (J1 join input)
         self.broken_first_tables: list[pa.Table] = []
@@ -540,6 +540,9 @@ class LinkChecker:
         self.dup_edge_tables: list[pa.Table] = []   # (url, parent) dup references
         self.pending_fragments: dict[str, set[str]] = {}
         self.delay_map: dict[str, float] = {}       # host → retry-after deadline
+        # a resumed checkpoint's scripted-sequence counters, for the
+        # executor to hand its transports
+        self.seq_counters: dict[tuple[str, str], int] = {}
         # keys this driver inserts into seen/edge_seen between checkpoints
         self.journal = ckpt.KeyJournal(bool(self.opts.checkpoint_dir))
         self._journal_from = 1  # the first round of checkpoint_dir's chain
@@ -783,6 +786,7 @@ class LinkChecker:
         round_no = 0
         if resume_from is not None:
             frontier, round_no = self._restore(resume_from)
+            pool.seq_counters().update(self.seq_counters)
         else:
             frontier = seed_frontier(self._expanded_paths, self.corpus_base)
             hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
@@ -831,7 +835,7 @@ class LinkChecker:
             self._maybe_spill_results()
 
             if opts.checkpoint_dir:
-                self._checkpoint(round_no, frontier)
+                self._checkpoint(round_no, frontier, pool.seq_counters())
 
         self._loop_end = _time.perf_counter()
         return self._finish(pool.request_log(), self.seen.size())
@@ -1133,11 +1137,17 @@ class LinkChecker:
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
         delay_union: dict[str, float] = {}
+        # a scripted URL is fetched by its host's one node, but after a
+        # resume at another node count a stale copy may sit on another:
+        # counts only grow, so the max is the live one
+        seq_union: dict[tuple[str, str], int] = {}
         for s in snaps:
             for host, deadline in s["delay_map"].items():
                 cur = delay_union.get(host)
                 delay_union[host] = max(cur, deadline) \
                     if cur is not None else deadline
+            for key, count in s["seq_counters"].items():
+                seq_union[key] = max(seq_union.get(key, 0), count)
         counters = dict(self.counters)
         for s in snaps:
             for key, val in s["counters"].items():
@@ -1162,7 +1172,7 @@ class LinkChecker:
             # node buffers + any dups restored from an earlier epoch
             # (held driver-side after a resume)
             [s["dup_edges"] for s in snaps] + self.dup_edge_tables,
-            delay_union,
+            delay_union, seq_union,
             [np.concatenate(parts) for parts in zip(*journals)],
             counters, floors)
         ray.get([n.resume_run.remote() for n in nodes])
@@ -1197,7 +1207,8 @@ class LinkChecker:
         ray.get([
             nodes[i].restore_keys.remote(
                 url_keys[url_owner == i], edge_keys[edge_owner == i],
-                self.delay_map, want_pieces[i], node_parts[i])
+                self.delay_map, self.seq_counters, want_pieces[i],
+                node_parts[i])
             for i in range(num_actors)
         ])
         return frontier, epoch
@@ -1300,22 +1311,24 @@ class LinkChecker:
     # checkpoint / resume
     # ------------------------------------------------------------------
 
-    def _checkpoint(self, round_no: int, frontier: pa.Table) -> None:
+    def _checkpoint(self, round_no: int, frontier: pa.Table,
+                    seq_counters: dict) -> None:
         self._save_checkpoint(
             round_no, frontier, ckpt.pending_table(self.pending_fragments),
-            self.dup_edge_tables, self.delay_map, self.journal.drain(),
-            dict(self.counters),
+            self.dup_edge_tables, self.delay_map, seq_counters,
+            self.journal.drain(), dict(self.counters),
             # carry node floors from a resumed mesh checkpoint so a
             # later resume keeps those nodes' finalized parts
             self._inherited_node_floors)
 
     def _save_checkpoint(self, round_no: int, frontier: pa.Table,
                          pending: pa.Table, dup_tables: list,
-                         delay_map: dict, journal, counters: dict,
-                         node_spill_parts: list[int]) -> None:
+                         delay_map: dict, seq_counters: dict, journal,
+                         counters: dict, node_spill_parts: list[int]) -> None:
         """The one checkpoint every executor writes: the executor's
-        frontier, pending wants, duplicate edges, delay map and key
-        journal, plus the driver's results and spill state (retained
+        frontier, pending wants, duplicate edges, delay map, scripted
+        sequence counters and key journal, plus the driver's results and
+        spill state (retained
         frontier-level BROKEN rows are the J1 join's input, and a
         resumed run continues numbering parquet parts)."""
         dups = [t.select(["url", "parent"]) for t in dup_tables
@@ -1333,6 +1346,7 @@ class LinkChecker:
                 "host": pa.array(list(delay_map), pa.string()),
                 "deadline": pa.array(list(delay_map.values()),
                                      pa.float64())}),
+            "seq_counters": ckpt.seq_counter_table(seq_counters),
             **ckpt.journal_tables(*journal),
         }
         ckpt.save_round(
@@ -1345,8 +1359,8 @@ class LinkChecker:
 
     def _load_checkpoint(self, checkpoint_dir: str):
         """Restore the driver's share of the newest checkpoint, whoever
-        wrote it: counters, results, spill state, duplicate edges and
-        the delay map. Returns ``(frontier, round, pending wants, key
+        wrote it: counters, results, spill state, duplicate edges, the
+        delay map and the scripted-sequence counters. Returns ``(frontier, round, pending wants, key
         journal)`` for the executor to place."""
         last = ckpt.latest_round(checkpoint_dir)
         if last is None:
@@ -1383,6 +1397,7 @@ class LinkChecker:
         self.delay_map = {
             host: now + max(0.0, deadline - saved) for host, deadline in
             zip(delay["host"].to_pylist(), delay["deadline"].to_pylist())}
+        self.seq_counters = ckpt.seq_counters_of(tables["seq_counters"])
         # parts the dead run spilled AFTER this checkpoint duplicate
         # rows the replay will re-produce — drop them before resuming
         self._spill_part = int(manifest["extra"].get("spill_part", 0))

@@ -140,7 +140,7 @@ FETCH_RESULTS = pa.schema([
 CANDIDATES = pa.schema([
     ("url", pa.string()),
     ("url_hash", pa.uint64()),
-    ("edge_hash", pa.uint64()),       # hash64(url + '|' + parent)
+    ("edge_hash", pa.uint64()),       # edge_key(url_hash, hash64(parent))
     ("host", pa.string()),
     ("parent", pa.string()),
     ("depth", pa.int32()),

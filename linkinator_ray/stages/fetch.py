@@ -40,6 +40,9 @@ from linkinator_ray.stages.classify import HTML_TYPES, content_is
 REDIRECT_STATUSES = frozenset([301, 302, 303, 307, 308])
 SENSITIVE_HEADERS = frozenset(["authorization", "cookie", "proxy-authorization"])
 MAX_REDIRECTS = 20  # src/index.ts:1272-1275
+# the host of an absolute URL with a plain lower-case host (RE2)
+_RE_HOST = (r"^[a-z][a-z0-9+.-]*://(?P<host>[a-z0-9.-]+)(?::[0-9]*)?"
+            r"(?:[/?#]|$)")
 
 
 # one fetch-step response per row: the fields the state machine and
@@ -161,7 +164,10 @@ class MockTransport:
         # the call log exists for conformance tests
         self.log = CallLog(record_calls)
         self.header_log: list[tuple[str, str, dict]] = []  # (url, method, headers)
-        self._counters: dict[tuple[str, str], int] = {}
+        # requests answered so far per scripted (url, method) key: the
+        # next one gets `seq` = this count. Checkpoints save it, so a
+        # resumed check continues each script where it stopped
+        self.seq_counters: dict[tuple[str, str], int] = {}
         self._map: dict[tuple[str, str], list[dict]] = {}
         for entry in http_map or []:
             # keys are stored normalized — the engine always fetches
@@ -179,8 +185,8 @@ class MockTransport:
             entries = self._map.get(key)
             if not entries:
                 continue
-            seq = self._counters.get(key, 0)
-            self._counters[key] = seq + 1
+            seq = self.seq_counters.get(key, 0)
+            self.seq_counters[key] = seq + 1
             exact = [e for e in entries if e.get("seq", -1) == seq]
             if exact:
                 return exact[0]
@@ -689,7 +695,6 @@ class FetchWorker:
         roots = pc.dictionary_encode(pages["root_path"].combine_chunks())
         root_strs_pa = roots.dictionary
         parents = pages["url"].combine_chunks().take(doc_pos)
-        link_depths = pages["depth"].combine_chunks().take(doc_pos)
         link_root_ids = roots.indices.take(doc_pos) \
             .to_numpy(zero_copy_only=False)
         url_col = links["url"].combine_chunks()
@@ -744,60 +749,57 @@ class FetchWorker:
 
         # child-crawl gate (src/index.ts:786-798): url under the seed's
         # rootPath, same host unless the root pins a path
-        crawl_flags = np.zeros(n, dtype=bool)
-        link_hosts = None
+        live_pa = pa.array(live)
+        live_urls = url_col.filter(live_pa)
+        live_pos = doc_pos.filter(live_pa)
+        live_roots = link_root_ids[live]
+        link_hosts = self._hosts_vec(live_urls)
+        crawl_flags = np.zeros(len(live_roots), dtype=bool)
         if self.recurse:
             for rid, root in enumerate(root_strs_pa.to_pylist()):
-                root_mask = live & (link_root_ids == rid)
+                root_mask = live_roots == rid
                 if not root_mask.any():
                     continue
-                starts = pc.starts_with(url_col, root) \
+                under = root_mask & pc.starts_with(live_urls, root) \
                     .to_numpy(zero_copy_only=False)
-                under = root_mask & starts
                 if not under.any():
                     continue
                 sep = root.find("://")
-                pinned = sep >= 0 and root.find("/", sep + 3) >= 0
-                if pinned:
-                    crawl_flags |= under
-                else:
-                    if link_hosts is None:
-                        link_hosts = self._hosts_vec(url_col)
-                    root_host = urlkit.host_of(root)
-                    crawl_flags |= under & (link_hosts == root_host)
-        if link_hosts is None:
-            link_hosts = self._hosts_vec(url_col)
+                if sep < 0 or root.find("/", sep + 3) < 0:
+                    under &= pc.equal(link_hosts, urlkit.host_of(root)) \
+                        .to_numpy(zero_copy_only=False)
+                crawl_flags |= under
 
-        live_pa = pa.array(live)
-        live_urls = url_col.filter(live_pa)
-        live_parents = parents.filter(live_pa)
-        edge_concat = pc.binary_join_element_wise(live_urls, live_parents, "|")
+        # the edge key mixes the two URL hashes: the page's url_hash is
+        # hash64 of its url, which every frontier stage keeps
+        url_hash = urlkit.hash64_arrow(live_urls)
+        parent_hash = pages["url_hash"].combine_chunks().take(live_pos) \
+            .to_numpy(zero_copy_only=False)
         out["candidates"] = pa.Table.from_arrays([
             live_urls,
-            pa.array(urlkit.hash64_arrow(live_urls), pa.uint64()),
-            pa.array(urlkit.hash64_arrow(edge_concat), pa.uint64()),
-            pa.array(link_hosts[live], pa.string()),
-            live_parents,
-            pc.add(pc.filter(link_depths, live_pa),
+            pa.array(url_hash, pa.uint64()),
+            pa.array(urlkit.edge_key(url_hash, parent_hash), pa.uint64()),
+            link_hosts,
+            parents.filter(live_pa),
+            pc.add(pages["depth"].combine_chunks().take(live_pos),
                    pa.scalar(1, pa.int32())).cast(pa.int32()),
-            pa.array(crawl_flags[live]),
-            root_strs_pa.take(pa.array(link_root_ids[live])),
+            pa.array(crawl_flags),
+            root_strs_pa.take(pa.array(live_roots)),
         ], schema=schema.CANDIDATES)
         return out
 
     @staticmethod
-    def _hosts_vec(url_col) -> np.ndarray:
-        """Vectorized host-of for normalized URLs (the shared RE2 split,
-        ``urlkit.split_url_arrow``); rows the pattern misses (userinfo,
-        IPv6, odd schemes) fall back to the scalar helper."""
-        matched, host, _, _ = urlkit.split_url_arrow(url_col)
-        hosts = host.to_numpy(zero_copy_only=False)
-        misses = np.flatnonzero(~matched)
-        if len(misses):
-            raw = url_col.take(pa.array(misses)).to_pylist()
-            for pos, u in zip(misses, raw):
-                hosts[pos] = urlkit.host_of_normalized(u)
-        return hosts
+    def _hosts_vec(url_col: pa.Array) -> pa.Array:
+        """Vectorized host-of for normalized URLs, as an Arrow column:
+        one host-only RE2; rows it misses (userinfo, IPv6, odd schemes)
+        fall back to the scalar helper."""
+        host = pc.struct_field(pc.extract_regex(url_col, _RE_HOST), "host")
+        if not host.null_count:
+            return host
+        misses = pc.is_null(host)
+        return pc.replace_with_mask(host, misses, pa.array(
+            [urlkit.host_of_normalized(u)
+             for u in url_col.filter(misses).to_pylist()], pa.string()))
 
     def _classify_in_actor(self, fetched: pa.Table) -> pa.Table:
         """Run M17-M20 classification + the retryErrors gate inside the
@@ -947,6 +949,10 @@ class FetchPool:
     def request_log(self) -> pa.Table:
         """The worker's request log (schema.CALLS)."""
         return self._worker.request_log()
+
+    def seq_counters(self) -> dict:
+        """The worker transport's live scripted-sequence counters."""
+        return self._worker.transport.seq_counters
 
 
 def build_transport(blob: dict):

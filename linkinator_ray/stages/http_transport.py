@@ -108,6 +108,9 @@ class HttpTransport:
         self._lock = threading.Lock()
         self._seq = 0
         self.log = CallLog()
+        # a live server runs no scripted sequences (MockTransport's
+        # counters); checkpoints save and restore this empty dict
+        self.seq_counters: dict[tuple[str, str], int] = {}
 
     @property
     def calls(self) -> list[tuple[str, str, int]]:

@@ -16,7 +16,11 @@ Layout (one dir per round or mesh epoch):
         manifest.json
         frontier.parquet  pending_fragments.parquet  dup_edges.parquet
         results.parquet   broken_first.parquet       delay_map.parquet
-        url_keys.parquet  edge_keys.parquet
+        url_keys.parquet  edge_keys.parquet          seq_counters.parquet
+
+``seq_counters`` holds the mock transport's scripted-sequence counters
+(the mesh's merged by max), so a resumed check answers each scripted
+URL from where the run stopped, not from ``seq`` 0.
 
 Seen state is checkpointed as keys, never as filter geometry: round k's
 ``url_keys`` holds the u64 URL keys inserted into the seen set since
@@ -27,6 +31,12 @@ resume rebuilds exact sets and cuckoo filters alike under any shard or
 node count. The chain starts at f = 1, or, for a run resumed from
 another directory, at its first round here, whose journal also holds
 every key it replayed (the manifest's ``journal_from``).
+
+An edge key is ``urlkit.edge_key(url_hash, parent_hash)``, mixed from
+the two URL hashes; every manifest names that scheme
+(``extra.edge_key``), and the journal of a round that names another one
+(or none: an earlier version keyed edges by ``hash64(url|parent)``) is
+refused rather than restored into edge sets it no longer matches.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from linkinator_ray import urlkit
 
 
 def _write(table: pa.Table, path: str) -> None:
@@ -82,7 +94,7 @@ def save_round(checkpoint_dir: str, run_id: str, round_no: int,
         "row_counts": row_counts,
         "wall_clock": time.time(),
         "counters": counters,
-        "extra": extra or {},
+        "extra": {**(extra or {}), "edge_key": urlkit.EDGE_KEY_SCHEME},
     }
     with open(os.path.join(tmp_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
@@ -140,6 +152,22 @@ def pending_table(pending: dict[str, set]) -> pa.Table:
         "fragment": pa.array(
             [f for fs in pending.values() for f in fs], pa.string()),
     })
+
+
+def seq_counter_table(counters: dict) -> pa.Table:
+    """The mock transport's scripted-sequence counters ``{(url, method):
+    count}`` as rows."""
+    return pa.table({
+        "url": pa.array([u for u, _ in counters], pa.string()),
+        "method": pa.array([m for _, m in counters], pa.string()),
+        "count": pa.array(list(counters.values()), pa.int64()),
+    })
+
+
+def seq_counters_of(table: pa.Table) -> dict:
+    return {(u, m): c for u, m, c in zip(table["url"].to_pylist(),
+                                         table["method"].to_pylist(),
+                                         table["count"].to_pylist())}
 
 
 # -- the key journal ---------------------------------------------------------
@@ -205,8 +233,11 @@ def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
     """Union of the key journals of rounds first..last: ``(url_keys,
     edge_keys, edge_routes)`` u64 arrays. Each round holds only its own
     new keys, so this is one sequential pass over 8 B per key. Raises
-    ``ValueError`` when a round is missing or carries no journal (a
-    checkpoint from an earlier version): its seen state is unknown."""
+    ``ValueError`` when a round is missing, carries no journal, or keys
+    its edges by another scheme than ``urlkit.edge_key`` (checkpoints
+    from earlier versions): its seen state is unknown, and a resume
+    with edge keys that no longer match would report every re-found
+    edge as fresh."""
     urls, ekeys, eroutes = [], [], []
 
     def keys(table, column):
@@ -216,11 +247,12 @@ def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
         round_dir = os.path.join(checkpoint_dir, f"round_{r:06d}")
         try:
             with open(os.path.join(round_dir, "manifest.json")) as f:
-                names = json.load(f)["row_counts"]
+                manifest = json.load(f)
         except OSError:
             raise ValueError(
                 f"checkpoint {checkpoint_dir}: round {r} is missing; the "
                 f"key journal needs every round {first}..{last}") from None
+        names = manifest["row_counts"]
         # the earlier mesh wrote one url_keys_{i:04d} per node
         url_names = sorted(n for n in names if n.startswith("url_keys"))
         if not url_names:
@@ -228,6 +260,13 @@ def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
                 f"checkpoint {checkpoint_dir}: round {r} has no key "
                 "journal (written by an earlier version); its seen state "
                 "cannot be restored")
+        scheme = manifest.get("extra", {}).get("edge_key")
+        if scheme != urlkit.EDGE_KEY_SCHEME:
+            raise ValueError(
+                f"checkpoint {checkpoint_dir}: round {r} keys its edges by "
+                f"{scheme or 'hash64(url|parent) (an earlier version)'}, "
+                f"not {urlkit.EDGE_KEY_SCHEME}; its edge journal cannot be "
+                "restored")
         for name in url_names:
             t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
             urls.append(keys(t, "data"))

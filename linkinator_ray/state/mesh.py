@@ -371,17 +371,21 @@ class MeshNode:
                 "journal": self.journal.drain(),
                 "pending_fragments": pending_table(self.pending_fragments),
                 "delay_map": dict(self.delay_map),
+                "seq_counters": dict(self.worker.transport.seq_counters),
                 "dup_edges": dups,
                 "counters": dict(self.counters),
                 "spill_part": self.spill_part,
             }
 
     def restore_keys(self, url_keys: np.ndarray, edge_keys: np.ndarray,
-                     delay_map: dict, wants: pa.Table | None = None,
+                     delay_map: dict, seq: dict,
+                     wants: pa.Table | None = None,
                      spill_part: int = 0) -> None:
         """Resume: rebuild this node's seen/edge filters from journal
         keys the driver routed to this node's hash range. They are not
-        journaled again: the checkpoint's earlier epochs hold them."""
+        journaled again: the checkpoint's earlier epochs hold them.
+        Every node takes the whole delay map and scripted-sequence
+        counters: any node may own a host at the new node count."""
         with self.lock:
             if len(url_keys):
                 self.url_seen.contains_or_insert(
@@ -390,6 +394,7 @@ class MeshNode:
                 self.edge_seen.contains_or_insert(
                     np.asarray(edge_keys, dtype=np.uint64))
             self.delay_map.update(delay_map)
+            self.worker.transport.seq_counters.update(seq)
             if wants is not None and wants.num_rows:
                 self._register_wants(wants)
             self.spill_part = spill_part

@@ -364,8 +364,9 @@ _SCALAR_HASH_ROWS = 48
 
 def hash64_arrow(col) -> np.ndarray:
     """Vectorized FNV-1a over an Arrow string column — operates on the
-    flat UTF-8 buffer directly (one numpy pass per character position,
-    shrinking active set), no per-row Python."""
+    flat UTF-8 buffer directly, no per-row Python: rows sorted longest
+    first, so the rows still hashing at character position j are a
+    prefix, and each position is one in-place numpy pass over it."""
     import pyarrow as pa
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -388,20 +389,53 @@ def hash64_arrow(col) -> np.ndarray:
                             count=n + 1 + col.offset)[col.offset:]
     data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
         else np.empty(0, dtype=np.uint8)
-    starts = offsets[:-1].astype(np.int64)
     lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    out = np.full(n, _FNV_BASIS, dtype=np.uint64)
-    max_len = int(lengths.max()) if n else 0
-    active = np.arange(n, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    starts = offsets[:-1].astype(np.int64)[order]
+    # rows longer than j: a prefix of the sorted rows
+    longer = np.searchsorted(-lengths[order],
+                             -np.arange(int(lengths.max())), side="left")
+    acc = np.full(n, _FNV_BASIS, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for j in range(max_len):
-            keep = lengths[active] > j
-            active = active[keep]
-            if len(active) == 0:
-                break
-            chars = data[starts[active] + j].astype(np.uint64)
-            out[active] = (out[active] ^ chars) * _FNV_PRIME
+        for j, k in enumerate(longer):
+            head = acc[:k]
+            head ^= data[starts[:k] + j]
+            head *= _FNV_PRIME
+    out = np.empty(n, dtype=np.uint64)
+    out[order] = acc
     return out
+
+
+# splitmix64's finalizer (Steele et al., "Fast splittable pseudorandom
+# number generators", OOPSLA 2014): a bijection on u64
+_SM_A = np.uint64(0xBF58476D1CE4E5B9)
+_SM_B = np.uint64(0x94D049BB133111EB)
+_SM_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _SM_A
+    z = (z ^ (z >> np.uint64(27))) * _SM_B
+    return z ^ (z >> np.uint64(31))
+
+
+# names edge_key's formula in checkpoint manifests: a journal of edge keys
+# made another way cannot seed this version's edge sets
+EDGE_KEY_SCHEME = "splitmix64(url_hash ^ splitmix64(parent_hash + golden))"
+
+
+def edge_key(url_hash, parent_hash) -> np.ndarray:
+    """The dedup key of the (url, parent) edge, mixed from the two URL
+    hashes (``hash64`` of each URL) instead of hashing the joined
+    strings again. ``mix(url_hash ^ mix(parent_hash + golden))``, with
+    ``mix`` a bijection, is a bijection in either argument when the
+    other is fixed, so two edges that share a URL or a parent never
+    share a key. Vectorized over u64 arrays (a pair of ints gives a
+    0-d array)."""
+    u = np.asarray(url_hash, dtype=np.uint64)
+    p = np.asarray(parent_hash, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _splitmix64(u ^ _splitmix64(p + _SM_GOLDEN))
 
 
 # lower-case host, optional port, then path/query/fragment (RE2)
@@ -430,31 +464,90 @@ def split_url_arrow(col):
 # vectorized batch resolution (the map_batches hot kernel)
 # ---------------------------------------------------------------------------
 
-# RE2 char class of characters normalize_url preserves verbatim ('-' last)
-_FULLC = r"[A-Za-z0-9/:@!$&'()*+,;=~%._\[\]-]"
-_RE_DOTSEG = r"(^|/)\.\.?(/|$)"
-_RE_ABS_BARE = r"^https?://[a-z0-9.-]+$"
-_RE_ABS_PATH = rf"^https?://[a-z0-9.-]+/{_FULLC}*$"
-_RE_DSLASH_AFTER_SCHEME = r"://.*//"
-_RE_ROOTREL = rf"^/{_FULLC}*$"
-_RE_REL = rf"^{_FULLC}+$"
-# scheme://host[:port] up to the end of the authority: bases with
-# userinfo, an IPv6 literal, upper case or a 0-led / out-of-range port
-# miss, and a default port (normalize_url drops it) is nulled below
-_RE_BASE_ORIGIN = (r"^(?P<origin>https?://[a-z0-9.-]+"
-                   r"(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}))?)(?:[/?#]|$)")
+# RE2 char classes of the path characters normalize_url keeps verbatim,
+# less '/' and '.' ('-' last); the second also less ':' (a relative
+# link's first segment would read as a scheme)
+_SEGC = r"A-Za-z0-9:@!$&'()*+,;=~%_\[\]-"
+_SEGC_NO_COLON = r"A-Za-z0-9@!$&'()*+,;=~%_\[\]-"
+
+
+def _plain_segment(chars: str) -> str:
+    """RE2 for one path segment of ``chars`` and '.', other than '.' and
+    '..' (dot segments, which normpath would resolve)."""
+    return (rf"(?:[{chars}][.{chars}]*|\.[{chars}][.{chars}]*"
+            rf"|\.\.[.{chars}]+)")
+
+
+# a path of plain segments: no dot segment, no empty segment ('//'),
+# an optional trailing '/'
+_RE_PLAIN_PATH = rf"(?:/{_plain_segment(_SEGC)})*/?"
+# class A: http(s) with a plain lower-case host and an in-range port
+# without a leading 0 (a default port is weeded out below)
+_RE_CLASS_A = (r"^https?://[a-z0-9.-]+(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}))?"
+               rf"{_RE_PLAIN_PATH}$")
+_RE_DEFAULT_PORT_HEAD = r"^(?:http://[^/]*:80|https://[^/]*:443)(?:/|$)"
+# class B: a root-relative plain path
+_RE_CLASS_B = rf"^{_RE_PLAIN_PATH}$"
+# class C: a relative plain path (no scheme, no leading '/')
+_SEG_C = _plain_segment(_SEGC_NO_COLON)
+_RE_CLASS_C = rf"^{_SEG_C}(?:/{_SEG_C})*/?$"
+# a base's origin: http(s)://, then its authority up to the first
+# [/?#]. It is plain when the authority is a lower-case host and an
+# optional port: userinfo, an IPv6 literal, upper case or a 0-led /
+# out-of-range port miss, and a default port (normalize_url drops it)
+# is nulled too
+_RE_BASE_AUTHORITY = r"^(?P<origin>https?://[^/?#]*)"
+_RE_PLAIN_ORIGIN = (r"^https?://[a-z0-9.-]+"
+                    r"(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}))?$")
 _RE_DEFAULT_PORT = r"^(?:http://.*:80|https://.*:443)$"
 _RE_BASE_DIR = r"^(?P<dir>https?://[a-z0-9.-]+/(?:[^?#]*/)?)"
+
+
+def _take(arr, idx: np.ndarray):
+    """``arr`` at positions ``idx`` (no copy when ``idx`` is every row)."""
+    import pyarrow as pa
+    return arr if len(idx) == len(arr) else arr.take(pa.array(idx))
+
+
+def _base_prefix(base, idx: np.ndarray, prefix):
+    """``prefix(distinct bases)`` (an Arrow string column, null where the
+    base shape is not plain) taken back to the rows ``idx``: the links
+    of a batch share few bases, so each is worked out once."""
+    import pyarrow.compute as pc
+    bases = pc.dictionary_encode(_take(base, idx))
+    return prefix(bases.dictionary).take(bases.indices)
+
+
+def _origin(uniq):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    origin = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_AUTHORITY),
+                             "origin")
+    plain = pc.and_(pc.match_substring_regex(origin, _RE_PLAIN_ORIGIN),
+                    pc.invert(pc.match_substring_regex(origin,
+                                                       _RE_DEFAULT_PORT)))
+    return pc.if_else(plain, origin, pa.scalar(None, pa.string()))
+
+
+def _base_dir(uniq):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    base_dir = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_DIR), "dir")
+    return pc.if_else(pc.match_substring_regex(uniq, r"[?#]"),
+                      pa.scalar(None, pa.string()), base_dir)
 
 
 def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
     """Batch resolve+normalize: the vectorized counterpart of
     :func:`parse_link` for whole Arrow columns.
 
-    The three plain shapes :func:`_fast_resolve` recognizes (absolute
-    http(s), root-relative, relative path — no fragment/query/dot
-    segments) are classified with RE2 kernels and assembled with Arrow
-    string concatenation; every other row falls back to the scalar
+    The fragment is split off first. Rows are then routed by the shape
+    of what precedes it (``http(s)://``, ``/``, anything else), and each
+    route runs only its own class's RE2 pattern and one string join:
+    A, a plain absolute http(s) URL, non-default port allowed; B, a
+    plain root-relative path; C, a plain relative path (no query, no
+    dot or empty segment, the characters normalize_url keeps). A route
+    with no rows runs nothing. Every other row goes to the scalar
     resolver. Tested equal to parse_link row for row, over bases with
     ports, userinfo, upper case, queries and IPv6, in
     tests/test_urlkit.py::TestResolveLinksArrow.
@@ -471,93 +564,119 @@ def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
     if isinstance(base, pa.ChunkedArray):
         base = base.combine_chunks()
     n = len(raw)
-    empty_str = pa.nulls(n, pa.string())
     if n == 0:
         e = pa.array([], pa.string())
         return {"url": e, "url_with_fragment": e, "fragment": e, "parse_error": e}
 
-    bad_dots = pc.match_substring_regex(raw, _RE_DOTSEG)
-    slash = pa.scalar("/")
+    def mask(arr) -> np.ndarray:
+        return pc.fill_null(arr, False).to_numpy(zero_copy_only=False)
 
-    # class A: plain absolute http(s)
-    abs_bare = pc.match_substring_regex(raw, _RE_ABS_BARE)
-    abs_path = pc.and_(
-        pc.and_(pc.match_substring_regex(raw, _RE_ABS_PATH),
-                pc.invert(pc.match_substring_regex(raw, _RE_DSLASH_AFTER_SCHEME))),
-        pc.invert(bad_dots))
-    cls_a = pc.or_(abs_bare, abs_path)
-    url_a = pc.if_else(abs_bare,
-                       pc.binary_join_element_wise(raw, slash, ""), raw)
+    # the fragment: everything after the first '#'. A fragment with a
+    # tab or newline stays scalar (urlsplit would drop those characters)
+    head, frag_raw = raw, None
+    slow = np.zeros(n, dtype=bool)
+    hashed = mask(pc.match_substring(raw, "#"))
+    if hashed.any():
+        parts = pc.split_pattern(raw.filter(pa.array(hashed)), "#",
+                                 max_splits=1)
+        head = pc.replace_with_mask(raw, pa.array(hashed),
+                                    pc.list_element(parts, 0))
+        frags = pc.list_element(parts, 1)
+        frag_raw = pc.replace_with_mask(pa.nulls(n, pa.string()),
+                                        pa.array(hashed), frags)
+        slow[hashed] = mask(pc.match_substring_regex(frags, r"[\t\r\n]"))
 
-    # base-derived prefixes (null when the base shape is not plain),
-    # worked out once per distinct base: a batch's links share few bases
-    bases = pc.dictionary_encode(base)
-    uniq, base_pos = bases.dictionary, bases.indices
-    origin = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_ORIGIN), "origin")
-    origin = pc.if_else(pc.match_substring_regex(origin, _RE_DEFAULT_PORT),
-                        pa.scalar(None, pa.string()), origin).take(base_pos)
-    base_dir = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_DIR), "dir") \
-        .take(base_pos)
-    base_clean = pc.invert(pc.match_substring_regex(uniq, r"[?#]")) \
-        .take(base_pos)
+    is_abs = mask(pc.or_(pc.starts_with(head, "http://"),
+                         pc.starts_with(head, "https://")))
+    is_root = mask(pc.starts_with(head, "/"))
+    fast_pos, fast_url = [], []
 
-    # class B: root-relative plain path
-    cls_b = pc.and_(
-        pc.and_(pc.and_(pc.match_substring_regex(raw, _RE_ROOTREL),
-                        pc.invert(pc.match_substring_regex(raw, "//"))),
-                pc.invert(bad_dots)),
-        pc.is_valid(origin))
-    url_b = pc.binary_join_element_wise(
-        pc.if_else(pc.is_valid(origin), origin, pa.scalar("")), raw, "")
+    idx = np.flatnonzero(is_abs & ~slow)
+    if len(idx):
+        sub = _take(head, idx)
+        ok = mask(pc.match_substring_regex(sub, _RE_CLASS_A)) & ~mask(
+            pc.match_substring_regex(sub, _RE_DEFAULT_PORT_HEAD))
+        if ok.any():
+            sub = sub.filter(pa.array(ok))
+            bare = pc.equal(pc.count_substring(sub, "/"), 2)
+            fast_pos.append(idx[ok])
+            fast_url.append(pc.if_else(
+                bare, pc.binary_join_element_wise(sub, "/", ""), sub))
 
-    # class C: relative plain path (no scheme, no leading '/')
-    cls_c = pc.and_(
-        pc.and_(
-            pc.and_(pc.and_(pc.match_substring_regex(raw, _RE_REL),
-                            pc.invert(pc.match_substring(raw, ":"))),
-                    pc.and_(pc.invert(pc.starts_with(raw, "/")),
-                            pc.invert(bad_dots))),
-            pc.invert(pc.match_substring(raw, "//"))),
-        pc.and_(pc.is_valid(base_dir), base_clean))
-    url_c = pc.binary_join_element_wise(
-        pc.if_else(pc.is_valid(base_dir), base_dir, pa.scalar("")), raw, "")
+    idx = np.flatnonzero(is_root & ~slow)
+    if len(idx):
+        sub = _take(head, idx)
+        ok = mask(pc.match_substring_regex(sub, _RE_CLASS_B))
+        if ok.any():
+            origin = _base_prefix(base, idx, _origin)
+            ok &= mask(pc.is_valid(origin))
+            keep = pa.array(ok)
+            fast_pos.append(idx[ok])
+            fast_url.append(pc.binary_join_element_wise(
+                origin.filter(keep), sub.filter(keep), ""))
 
-    # the three classes are disjoint (scheme / leading '/' / neither);
-    # null raws classify slow
-    fast = pc.fill_null(pc.or_(pc.or_(cls_a, cls_b), cls_c), False)
-    url = pc.if_else(cls_a, url_a,
-                     pc.if_else(cls_b, url_b,
-                                pc.if_else(cls_c, url_c, empty_str)))
+    idx = np.flatnonzero(~is_abs & ~is_root & ~slow)
+    if len(idx):
+        sub = _take(head, idx)
+        ok = mask(pc.match_substring_regex(sub, _RE_CLASS_C))
+        if ok.any():
+            base_dir = _base_prefix(base, idx, _base_dir)
+            ok &= mask(pc.is_valid(base_dir))
+            keep = pa.array(ok)
+            fast_pos.append(idx[ok])
+            fast_url.append(pc.binary_join_element_wise(
+                base_dir.filter(keep), sub.filter(keep), ""))
 
-    slow_mask = pc.invert(fast)
-    n_slow = pc.sum(slow_mask).as_py() or 0
-    if n_slow:
-        idx = pc.indices_nonzero(slow_mask)
-        raw_slow = raw.take(idx).to_pylist()
-        base_slow = base.take(idx).to_pylist()
+    pos = np.concatenate(fast_pos) if fast_pos \
+        else np.empty(0, dtype=np.int64)
+    url = pa.concat_arrays(fast_url) if fast_url else pa.array([], pa.string())
+    wfrag = url
+    frag = err = pa.repeat(pa.scalar("", pa.string()), len(pos))
+    if frag_raw is not None and len(pos):
+        raw_frag = frag_raw.take(pa.array(pos))
+        has = mask(pc.not_equal(raw_frag, ""))
+        if has.any():
+            raw_frag = pc.fill_null(raw_frag, "")
+            wfrag = pc.if_else(pa.array(has), pc.binary_join_element_wise(
+                url, raw_frag, "#"), url)
+            # only a fragment with a percent escape needs decoding
+            frag = raw_frag
+            esc = mask(pc.match_substring(raw_frag, "%"))
+            if esc.any():
+                esc = pa.array(esc)
+                frag = pc.replace_with_mask(raw_frag, esc, pa.array(
+                    [unquote(f) for f in raw_frag.filter(esc).to_pylist()],
+                    pa.string()))
+
+    if len(pos) < n:
+        rest = np.ones(n, dtype=bool)
+        rest[pos] = False
+        rest = np.flatnonzero(rest)
         resolve = (resolver or _DEFAULT_RESOLVER).resolve
-        s_url, s_wfrag, s_frag, s_err = [], [], [], []
-        for link, b in zip(raw_slow, base_slow):
+        cols = ([], [], [], [])
+        for link, b in zip(raw.take(pa.array(rest)).to_pylist(),
+                           base.take(pa.array(rest)).to_pylist()):
             parsed = resolve(link if link is not None else "", b or "")
-            s_url.append(parsed.url or "")
-            s_wfrag.append(parsed.url_with_fragment or "")
-            s_frag.append(parsed.fragment or "")
-            s_err.append(parsed.error or "")
-        url = pc.replace_with_mask(url, slow_mask, pa.array(s_url, pa.string()))
-        wfrag = pc.replace_with_mask(url, slow_mask,
-                                     pa.array(s_wfrag, pa.string()))
-        frag = pc.replace_with_mask(
-            pa.array([""] * n, pa.string()), slow_mask,
-            pa.array(s_frag, pa.string()))
-        err = pc.replace_with_mask(
-            pa.array([""] * n, pa.string()), slow_mask,
-            pa.array(s_err, pa.string()))
-    else:
-        wfrag = url
-        frag = pa.array([""] * n, pa.string())
-        err = pa.array([""] * n, pa.string())
-    return {"url": url, "url_with_fragment": wfrag, "fragment": frag,
-            "parse_error": err}
+            for col, value in zip(cols, (parsed.url, parsed.url_with_fragment,
+                                         parsed.fragment, parsed.error)):
+                col.append(value or "")
+        url, wfrag, frag, err = (
+            pa.concat_arrays([fast, pa.array(col, pa.string())])
+            for fast, col in zip((url, wfrag, frag, err), cols))
+        pos = np.concatenate([pos, rest])
+    out = {"url": url, "url_with_fragment": wfrag, "fragment": frag,
+           "parse_error": err}
+    if len(pos) and not (pos[1:] > pos[:-1]).all():
+        # back to row order (row pos[i] is at i), once per distinct array
+        order = np.empty(n, dtype=np.int64)
+        order[pos] = np.arange(n)
+        order = pa.array(order)
+        taken = {}
+        for key, arr in out.items():
+            if id(arr) not in taken:
+                taken[id(arr)] = arr.take(order)
+            out[key] = taken[id(arr)]
+    return out
 
 
 class LinkResolver:

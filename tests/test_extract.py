@@ -342,6 +342,39 @@ def test_kernel_equals_reference_port_bearing_pages():
         _assert_kernel_matches_reference(table, check_css)
 
 
+def test_loopback_bodies_resolve_without_scalar_fallback(monkeypatch):
+    """The http-loopback benchmark workload's 800 pages, as the crawl
+    sees them: port-bearing page URLs, root-relative links that carry
+    '#top'/'#gone' fragments, cross-host links to other ports. Every
+    link resolves in the batch kernel's classes; none reaches the scalar
+    parse_link (930 did when fragments and ports were scalar)."""
+    from linkinator_ray.stages.htmlparse import html_to_spans
+    from perfbench.workloads import WORKLOADS, Corpus
+    w = WORKLOADS["http-loopback"]
+    corpus = Corpus(w, seed=1)
+    corpus.ports = list(range(40000, 40000 + w.hosts))
+    pages = corpus.pages()
+    urls = [corpus.origin(h) + path for h, path in pages]
+    docs = pa.table({
+        "doc_id": urls, "page_url": urls, "base_url": urls,
+        "spans": pa.array([html_to_spans(body.decode())
+                           for body in pages.values()],
+                          schema.DOCUMENTS.field("spans").type)})
+    calls = []
+    parse_link = urlkit.parse_link
+    monkeypatch.setattr(urlkit, "parse_link",
+                        lambda *a: calls.append(a) or parse_link(*a))
+    links, _ = ExtractLinks().extract_with_fragments(docs)
+    assert len(pages) == 800 and links.num_rows == 2411
+    assert sum(1 for f in links["fragment"].to_pylist() if f) == 938
+    assert calls == []
+    # each page's doc_id is its URL, its links' base
+    for r in links.to_pylist():
+        want = parse_link(r["raw_link"], r["doc_id"])
+        assert (r["url"], r["url_with_fragment"], r["fragment"]) == (
+            want.url, want.url_with_fragment, want.fragment or "")
+
+
 def test_kernel_equals_reference_stylesheets():
     """Entered stylesheets: the whole body is one CSS source, so a url()
     split across runs and a text run beside a style_url run both count;

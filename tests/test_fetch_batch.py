@@ -10,7 +10,7 @@ change to how the batch is stepped cannot reorder or drop a request.
 
 import json
 
-from linkinator_ray import schema
+from linkinator_ray import schema, urlkit
 from linkinator_ray.sources import fixtures as fx
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages.fetch import FetchWorker, MockTransport
@@ -81,7 +81,7 @@ def _worker() -> FetchWorker:
 def _batch():
     urls = list(ROWS)
     return schema.table(
-        schema.FRONTIER, url=urls, url_hash=[0] * len(urls),
+        schema.FRONTIER, url=urls, url_hash=urlkit.hash64_array(urls),
         host=[u.split("/")[2] for u in urls], parent=[""] * len(urls),
         depth=[0] * len(urls), do_crawl=[ROWS[u][0] for u in urls],
         root_path=["http://corpus.test/"] * len(urls),
@@ -202,7 +202,7 @@ def _frag_worker(skip_by: str) -> FetchWorker:
 def _frag_batch():
     urls = list(FRAG_ROWS)
     return schema.table(
-        schema.FRONTIER, url=urls, url_hash=[0] * len(urls),
+        schema.FRONTIER, url=urls, url_hash=urlkit.hash64_array(urls),
         host=["corpus.test"] * len(urls), parent=[""] * len(urls),
         depth=[0] * len(urls), do_crawl=list(FRAG_ROWS.values()),
         root_path=[C] * len(urls), attempt=[0] * len(urls),
@@ -214,7 +214,6 @@ def _sorted_rows(table, columns):
 
 
 def test_fragment_mode_batch_all_tables():
-    from linkinator_ray import urlkit
     for skip_by in ("pattern", "callable"):
         # the pattern skips '#skip-me', the callable '#cb-drop'; the
         # other fragment stays pending
@@ -256,8 +255,9 @@ def test_fragment_mode_batch_all_tables():
         assert _sorted_rows(out["candidates"], (
             "url", "url_hash", "edge_hash", "host", "parent", "depth",
             "do_crawl", "root_path")) == sorted(
-            (u, urlkit.hash64(u), urlkit.hash64(f"{u}|{p}"), "corpus.test",
-             p, 1, True, C) for u, p in want_cands)
+            (u, urlkit.hash64(u),
+             int(urlkit.edge_key(urlkit.hash64(u), urlkit.hash64(p))),
+             "corpus.test", p, 1, True, C) for u, p in want_cands)
 
         assert _sorted_rows(out["link_results"], (
             "url", "status", "state", "parent")) == sorted(

@@ -151,6 +151,61 @@ class TestCheckpointResume:
         assert manifest["parent_round"] == manifest["round"] - 1
         assert "row_counts" in manifest and "counters" in manifest
 
+    def test_resume_refuses_another_edge_key_scheme(self, tmp_path):
+        """Every manifest names the edge-key scheme. A round whose
+        manifest lacks it (an earlier version keyed edges by
+        hash64(url|parent)) raises a ValueError naming the checkpoint
+        and the round, instead of seeding the edge set with keys that
+        no re-found edge matches."""
+        import json
+        import os
+
+        from linkinator_ray import urlkit
+        from linkinator_ray.state import checkpoint as ckpt
+        fixture = fx.repeated_broken_link()
+        ck = str(tmp_path / "ck")
+        LinkChecker(CheckOptions(paths=fixture.seeds, checkpoint_dir=ck,
+                                 max_rounds=2, **fixture.options),
+                    fixture.documents, fixture.http_map).check()
+        mpath = os.path.join(ck, "round_000002", "manifest.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+        assert manifest["extra"]["edge_key"] == urlkit.EDGE_KEY_SCHEME
+        del manifest["extra"]["edge_key"]
+        with open(mpath, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ValueError, match="round 2 keys its edges") as err:
+            ckpt.load_key_journal(ck, 2)
+        assert ck in str(err.value)
+        with pytest.raises(ValueError, match="round 2 keys its edges") as err:
+            LinkChecker(CheckOptions(paths=fixture.seeds, **fixture.options),
+                        fixture.documents, fixture.http_map) \
+                .check(resume_from=ck)
+        assert ck in str(err.value)
+
+    def test_resume_continues_scripted_sequences(self, tmp_path):
+        """The mock transport's sequence counters travel with the
+        checkpoint: resumed mid-Retry-After, the retry fixture's next
+        requests get their seq-1 200s, not the seq-0 429s again, so the
+        partial and the resumed request logs together are an
+        uninterrupted run's log, tuple for tuple."""
+        from linkinator_ray.state.clock import FakeClock
+        fixture = fx.retry_fixture()
+
+        def run(resume_from=None, **kw):
+            return LinkChecker(
+                CheckOptions(paths=fixture.seeds, **fixture.options, **kw),
+                fixture.documents, fixture.http_map, clock=FakeClock()) \
+                .check(resume_from=resume_from)
+        full = run()
+        ck = str(tmp_path / "ck")
+        partial = run(checkpoint_dir=ck, max_rounds=2)
+        assert ("http://slow.invalid/1", "HEAD", 429) in partial.call_log
+        resumed = run(ck)
+        assert partial.call_log + resumed.call_log == full.call_log
+        assert resumed.passed and resumed.stats["retries"] == \
+            full.stats["retries"]
+
 
 class TestSpillResume:
     def test_spill_state_survives_resume(self, tmp_path):
@@ -400,36 +455,158 @@ class TestCheckpointLineage:
         assert res.stats["rounds"] >= 3
         self.check_lineage(ck, res, expected_seen)
 
-    def test_mesh_journal_lineage(self, ray_session, tmp_path):
-        """The mesh snapshots one more epoch after the crawl settles, so
-        the journal covers every key; whether a timed epoch fired
-        mid-crawl does not change what the test asserts."""
+    @staticmethod
+    def with_final_epoch(checker, ck: str, seed_rows: int,
+                         resumed_epoch: int = 0):
+        """Make a mesh ``checker`` snapshot one more epoch after the
+        crawl settles, so its journal covers every key whether or not a
+        timed epoch fired mid-crawl. ``seed_rows`` and
+        ``resumed_epoch``: the frontier rows and the epoch the mesh
+        starts from."""
         import os
-
-        from linkinator_ray.sources.synth import synth_crawl_corpus
-        docs, seeds, expected_seen, _ = synth_crawl_corpus(
-            num_hosts=2, docs_per_host=200)
-        ck = str(tmp_path / "meshck")
-        checker = LinkChecker(
-            CheckOptions(paths=seeds, recurse=True,
-                         fetch_concurrency=2, checkpoint_dir=ck),
-            docs, [], multi_host=True, use_ray=True)
         body, finish = checker._run_mesh_body, checker._finish
 
         def run_body(nodes, num_actors, *rest):
             def final_epoch(*args):
-                epoch = len([d for d in os.listdir(ck)
-                             if d.startswith("round_")]) \
-                    if os.path.isdir(ck) else 0
+                done = os.listdir(ck) if os.path.isdir(ck) else []
+                epoch = max([int(d.split("_")[1]) for d in done
+                             if d.startswith("round_")],
+                            default=resumed_epoch)
                 checker._mesh_checkpoint(nodes, epoch + 1, num_actors,
-                                         len(seeds))
+                                         seed_rows)
                 return finish(*args)
             checker._finish = final_epoch
             return body(nodes, num_actors, *rest)
         checker._run_mesh_body = run_body
+        return checker
+
+    def test_mesh_journal_lineage(self, ray_session, tmp_path):
+        """The mesh snapshots one more epoch after the crawl settles, so
+        the journal covers every key; whether a timed epoch fired
+        mid-crawl does not change what the test asserts."""
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=200)
+        ck = str(tmp_path / "meshck")
+        checker = self.with_final_epoch(LinkChecker(
+            CheckOptions(paths=seeds, recurse=True,
+                         fetch_concurrency=2, checkpoint_dir=ck),
+            docs, [], multi_host=True, use_ray=True), ck, len(seeds))
         res = checker.check()
         assert res.stats["executor"] == "mesh"
         self.check_lineage(ck, res, expected_seen)
+
+
+class TestEdgeKeyInvariant:
+    """The edge key is ``edge_key(url_hash, parent's url_hash)``, taken
+    from the fetched page rows, so it is right only while every
+    frontier row's ``url_hash`` is ``hash64(url)``: through URL
+    rewrites, requeues, checkpoints and resumes, on both executors."""
+
+    # pages /d10-/d19 are fetched as /d20-/d29: rewritten page rows
+    REWRITE = [(r"/d1(\d)\.html$", r"/d2\1.html")]
+
+    @staticmethod
+    def corpus():
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, _, _ = synth_crawl_corpus(num_hosts=2,
+                                               docs_per_host=200)
+        return docs, seeds
+
+    @classmethod
+    def string_edges(cls, monkeypatch) -> set:
+        """Every (url, parent) candidate edge of a local-rounds crawl,
+        checking each candidate row's keys against its strings."""
+        import re
+
+        from linkinator_ray import urlkit
+        from linkinator_ray.pipelines import crawl
+        docs, seeds = cls.corpus()
+        edges = set()
+        dedup = crawl.dedup_candidates
+
+        def checked(cand, *rest):
+            urls = cand["url"].to_pylist()
+            parents = cand["parent"].to_pylist()
+            url_hash = urlkit.hash64_array(urls)
+            assert (cand["url_hash"].to_numpy() == url_hash).all()
+            assert (cand["edge_hash"].to_numpy() == urlkit.edge_key(
+                url_hash, urlkit.hash64_array(parents))).all()
+            edges.update(zip(urls, parents))
+            return dedup(cand, *rest)
+        with monkeypatch.context() as m:
+            m.setattr(crawl, "dedup_candidates", checked)
+            LinkChecker(CheckOptions(paths=seeds, recurse=True,
+                                     url_rewrites=cls.REWRITE),
+                        docs, [], multi_host=True).check()
+        # the rewrite took: pages are fetched (and parent) as /d2x only
+        assert any(re.search(r"/d1\d\.html$", u) for u, _ in edges)
+        assert not any(re.search(r"/d1\d\.html$", p) for _, p in edges)
+        return edges
+
+    @staticmethod
+    def check_checkpoint(ck: str, edges: set) -> None:
+        """Every frontier row of every round has url_hash == hash64(url),
+        and the journal chain's edge keys are the string edges' keys."""
+        import os
+
+        from linkinator_ray import urlkit
+        from linkinator_ray.state import checkpoint as ckpt
+        rounds = sorted(int(d.split("_")[1]) for d in os.listdir(ck)
+                        if d.startswith("round_"))
+        for r in rounds:
+            manifest, tables = ckpt.load_round(ck, r)
+            frontier = tables["frontier"]
+            assert (frontier["url_hash"].to_numpy() == urlkit.hash64_array(
+                frontier["url"].to_pylist())).all()
+        first = manifest["extra"]["journal_from"]
+        _, edge_keys, _ = ckpt.load_key_journal(ck, rounds[-1], first)
+        urls, parents = zip(*edges)
+        want = urlkit.edge_key(urlkit.hash64_array(urls),
+                               urlkit.hash64_array(parents))
+        assert len(edge_keys) == len(edges)
+        assert set(edge_keys.tolist()) == set(want.tolist())
+
+    def test_rounds_edge_keys_follow_url_hashes(self, tmp_path,
+                                                monkeypatch):
+        """Local rounds, stopped after round 2 and resumed into another
+        checkpoint directory (whose chain journals every replayed key)."""
+        edges = self.string_edges(monkeypatch)
+        docs, seeds = self.corpus()
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        base = dict(paths=seeds, recurse=True, url_rewrites=self.REWRITE)
+        LinkChecker(CheckOptions(**base, checkpoint_dir=first, max_rounds=2),
+                    docs, [], multi_host=True).check()
+        LinkChecker(CheckOptions(**base, checkpoint_dir=second), docs, [],
+                    multi_host=True).check(resume_from=first)
+        self.check_checkpoint(second, edges)
+
+    def test_mesh_edge_keys_follow_url_hashes(self, ray_session, tmp_path,
+                                              monkeypatch):
+        """The mesh from the seeds, and the mesh resuming a local-rounds
+        checkpoint: each journals exactly the string edges' keys."""
+        edges = self.string_edges(monkeypatch)
+        docs, seeds = self.corpus()
+        base = dict(paths=seeds, recurse=True, url_rewrites=self.REWRITE,
+                    fetch_concurrency=2)
+        ck = str(tmp_path / "mesh")
+        TestCheckpointLineage.with_final_epoch(LinkChecker(
+            CheckOptions(**base, checkpoint_dir=ck), docs, [],
+            multi_host=True, use_ray=True), ck, len(seeds)).check()
+        self.check_checkpoint(ck, edges)
+
+        from linkinator_ray.state import checkpoint as ckpt
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        LinkChecker(CheckOptions(**base, checkpoint_dir=first, max_rounds=2),
+                    docs, [], multi_host=True).check()
+        # a resumed mesh starts from the checkpoint's frontier
+        restored = ckpt.load_round(first, 2)[1]["frontier"].num_rows
+        res = TestCheckpointLineage.with_final_epoch(LinkChecker(
+            CheckOptions(**base, checkpoint_dir=second), docs, [],
+            multi_host=True, use_ray=True), second, restored, 2) \
+            .check(resume_from=first)
+        assert res.stats["executor"] == "mesh"
+        self.check_checkpoint(second, edges)
 
 
 class TestMeshResultsSpill:
@@ -667,12 +844,19 @@ class TestResumeHardening:
         carries the row's not_before deadline on the rounds' fake clock;
         a Ray check resumes it on the mesh, which moves the deadline
         onto the wall clock with the 3 s the Retry-After had left, and
-        parks the row until then instead of re-fetching it at once."""
+        parks the row until then instead of re-fetching it at once. The
+        nodes continue the checkpoint's scripted sequences: the parked
+        requests get their 200s, not a replayed 429, so the resumed
+        request log is the tail of an uninterrupted run's."""
+        import collections
         import time
 
         from linkinator_ray.state.clock import FakeClock
 
         fixture = fx.retry_fixture()
+        full = LinkChecker(
+            CheckOptions(paths=fixture.seeds, **fixture.options),
+            fixture.documents, fixture.http_map, clock=FakeClock()).check()
         ck = str(tmp_path / "retryck")
         partial = LinkChecker(
             CheckOptions(paths=fixture.seeds, checkpoint_dir=ck,
@@ -687,10 +871,8 @@ class TestResumeHardening:
             CheckOptions(paths=fixture.seeds, fetch_concurrency=1,
                          **fixture.options),
             fixture.documents, fixture.http_map, use_ray=True)
-        # the resumed run's first 429 comes only after the parked wait
         retries = []
-        resumed_checker.on("retry", lambda e: retries.append(
-            time.perf_counter()))
+        resumed_checker.on("retry", retries.append)
         t0 = time.perf_counter()
         resumed = resumed_checker.check(resume_from=ck)
         wall = time.perf_counter() - t0
@@ -701,7 +883,62 @@ class TestResumeHardening:
         assert resumed.passed
         # the deadline was honored: 3 s of Retry-After were left
         assert wall >= 2.5
-        assert retries and retries[0] - t0 >= 2.5
+        # and the scripts went on from where the checkpoint left them
+        assert not retries
+        assert collections.Counter(resumed.call_log) == collections.Counter(
+            full.call_log[len(part_res.call_log):])
+
+    def test_mesh_checkpoint_carries_scripted_sequences(self, ray_session,
+                                                        tmp_path):
+        """A mesh epoch taken while the retry fixture's 429s wait out
+        their Retry-After saves the nodes' sequence counters; local
+        rounds resuming it send the parked requests once more and get
+        their seq-1 200s, not the seq-0 429s again. Sixty more pages,
+        fetched one at a time at 50 ms in pumps of 16 rows, keep the
+        mesh busy (and taking epochs) through the 3 s wait."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        from linkinator_ray.state.clock import FakeClock
+
+        fixture = fx.retry_fixture()
+        pages = [f"p{i}.html" for i in range(60)]
+        index, subpage = fixture.documents.to_pylist()
+        docs = fx.docs_table(
+            fx.doc(index["doc_id"], *index["spans"],
+                   *(fx.span("anchor", p, p) for p in pages)),
+            subpage, *(fx.doc(f"retry/{p}") for p in pages))
+        ck = str(tmp_path / "meshretry")
+        partial = LinkChecker(
+            CheckOptions(paths=fixture.seeds, checkpoint_dir=ck,
+                         checkpoint_interval_s=0.25, fetch_concurrency=1,
+                         concurrency=1, batch_size=4, **fixture.options),
+            docs, fixture.http_map, use_ray=True,
+            transport_latency_s=0.05)
+        orig = partial._mesh_checkpoint
+
+        def stop_once_scripts_ran(nodes, epoch, num_actors, seed_rows):
+            orig(nodes, epoch, num_actors, seed_rows)
+            seq = pq.read_table(os.path.join(
+                ck, f"round_{epoch:06d}", "seq_counters.parquet"))
+            if "http://slow.invalid/1" in seq["url"].to_pylist():
+                raise KeyboardInterrupt
+        partial._mesh_checkpoint = stop_once_scripts_ran
+        with pytest.raises(KeyboardInterrupt):
+            partial.check()
+
+        resumed = LinkChecker(
+            CheckOptions(paths=fixture.seeds, **fixture.options),
+            docs, fixture.http_map,
+            clock=FakeClock()).check(resume_from=ck)
+        assert resumed.stats["executor"] == "rounds"
+        assert resumed.passed
+        slow = [(u, s) for u, _, s in resumed.call_log
+                if u.startswith("http://slow.invalid/")]
+        assert ("http://slow.invalid/1", 200) in slow
+        assert ("http://slow.invalid/3", 200) in slow
+        assert all(s == 200 for _, s in slow)
 
     def test_driver_resume_of_mesh_checkpoint(self, ray_session, tmp_path):
         """A mesh-written checkpoint resumed on local rounds: membership

@@ -146,6 +146,62 @@ class TestHash:
         assert arr[0] == arr[2] != arr[1]
         assert arr[0] == urlkit.hash64("a")
 
+    def test_vectorized_equals_scalar(self):
+        """Past the scalar cutoff, the per-position passes over the flat
+        buffer give hash64 of every row: mixed lengths, empty strings
+        and nulls, multi-byte UTF-8, a sliced array, large_string."""
+        import random
+
+        import pyarrow as pa
+        rng = random.Random(5)
+        vals = ["".join(rng.choice("ab/:.%\u00e9\u4e2d") for _ in
+                        range(rng.randrange(0, 40))) for _ in range(300)]
+        vals[7], vals[11] = "", None
+        arr = pa.array(vals)
+        for col in (arr, arr.slice(3), arr.cast(pa.large_string())):
+            assert urlkit.hash64_arrow(col).tolist() == [
+                urlkit.hash64(v or "") for v in col.to_pylist()]
+
+
+class TestEdgeKey:
+    """The (url, parent) edge key is mixed from the two URL hashes."""
+
+    def test_no_collisions_among_random_pairs(self):
+        rng = np.random.default_rng(7)
+        pairs = rng.integers(0, 2**64, size=(1_000_000, 2), dtype=np.uint64)
+        pairs = np.unique(pairs, axis=0)
+        keys = urlkit.edge_key(pairs[:, 0], pairs[:, 1])
+        assert keys.dtype == np.uint64
+        assert len(np.unique(keys)) == len(pairs)
+
+    def test_distinct_along_a_shared_url_or_parent(self):
+        # a 1000 x 1000 grid of real URL hashes: every row shares a URL,
+        # every column a parent, and no two of the 1M edges share a key
+        urls = urlkit.hash64_array(
+            [f"http://h{i % 7}.test/d{i}.html" for i in range(1000)])
+        keys = urlkit.edge_key(urls[:, None], urls[None, :])
+        assert len(np.unique(keys)) == keys.size
+        # not symmetric: (a, b) and (b, a) are different edges
+        assert keys[1, 2] != keys[2, 1]
+        assert int(urlkit.edge_key(urls[3], urls[4])) == keys[3, 4]
+
+    def test_cuckoo_false_positives_within_budget(self):
+        """Edge keys spread over a cuckoo filter's buckets and
+        fingerprints like random keys: inserting 250k edges, then
+        probing 750k absent ones, stays within ~1.22e-4 false positives
+        per key (8 slot compares of 16-bit fingerprints, a full filter's
+        rate). An insert reports a false positive when an earlier key
+        of its batch took its bucket pair and fingerprint."""
+        from linkinator_ray.state.cuckoo import CuckooFilter
+        urls = urlkit.hash64_array(
+            [f"http://h{i % 7}.test/d{i}.html" for i in range(1000)])
+        keys = urlkit.edge_key(urls[:, None], urls[None, :]).ravel()
+        keys = keys[np.random.default_rng(3).permutation(len(keys))]
+        f = CuckooFilter(1 << 20)
+        false_pos = f.contains_or_insert(keys[:250_000]).sum() \
+            + f.contains(keys[250_000:]).sum()
+        assert false_pos <= 8 / 2**16 * len(keys)
+
 
 class TestFastResolveEquivalence:
     """The fast resolver must agree with the urllib-based slow path."""
@@ -281,20 +337,42 @@ class TestResolveLinksArrow:
                     ["http://h.test:8080/", "http://u:p@h.test/a.html",
                      "https://h.test:443/"])
 
+    # fragments, ports and dot or empty segments around the routed classes
+    EDGE_LINKS = [
+        "/x.html#top", "/x.html#a%20b", "/x.html#", "/x.html#a#b",
+        "/x.html#a%2", "x.html#f\tg", "/a.html#f\ng", "#only", "", "#",
+        "http://127.0.0.1:8080/#gone", "http://h.test:8080",
+        "http://h.test:8080/a/b.html#s", "http://h.test:0/x",
+        "http://h.test:65535/x", "http://h.test:59999/x",
+        "http://h.test:60000/x", "https://h.test:443/x",
+        "https://h.test:80/x", "http://h.test:80", "http://h.test:/x",
+        "http://h.test:8080//x", "http://h.test/./x", "http://./x",
+        "http://h.test/a/..", "/.../x", "/..a/x", "/a/...", "/.", "/..",
+        "//h.test/x", "..", ".", "./", "a/..", "a/.b", "a//b", "a:b/c",
+        "b/c:d", "/a:b", "http://h.test/a?b#c", "/x%zz.html#%41",
+        "/x.html#caf\u00e9", "/caf\u00e9.html#x",
+    ]
+
     def test_fixed_cases_on_every_base(self):
-        links = [link for link, _ in TestFastResolveEquivalence.CASES]
+        links = [link for link, _ in TestFastResolveEquivalence.CASES] \
+            + self.EDGE_LINKS
         pairs = [(link, base) for base in self.BASES for link in links]
         self._check([p[0] for p in pairs], [p[1] for p in pairs])
 
     def test_hypothesis_links_on_every_base(self):
         from hypothesis import given, settings, strategies as st
         seg = st.text(alphabet="abcZ09._-", min_size=1, max_size=5)
+        frag = st.text(alphabet="ab%20#\t", max_size=5)
         links = st.one_of(
             st.builds(lambda a, b: f"{a}/{b}.html", seg, seg),
             st.builds(lambda a: f"/{a}.html", seg),
             st.builds(lambda a, b: f"http://{a.lower()}.test/{b}", seg, seg),
             st.builds(lambda a, f: f"{a}.html#{f}", seg, seg),
             st.builds(lambda a: f"/{a}/", seg),
+            st.builds(lambda a, p, b: f"http://{a.lower()}.test:{p}/{b}",
+                      seg, st.integers(0, 70000), seg),
+            st.builds(lambda a, f: f"/{a}.html#{f}", seg, frag),
+            st.builds(lambda a, f: f"{a}#{f}", seg, frag),
         )
 
         @settings(max_examples=200, deadline=None)
