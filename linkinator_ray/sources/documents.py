@@ -18,6 +18,7 @@ Lance when importable.
 
 from __future__ import annotations
 
+import re
 from urllib.parse import unquote, urlsplit
 
 import numpy as np
@@ -50,18 +51,29 @@ RESOLUTIONS = pa.schema([
 ])
 
 
-def content_types(doc_ids: pa.Array, markdown_as_html: bool = False) -> pa.Array:
-    """MIME type by extension of each doc_id (the last ``.ext`` of the
-    file name, not counting leading dots, as ``posixpath.splitext``)."""
-    ext = pc.utf8_lower(pc.struct_field(
-        pc.extract_regex(doc_ids, r"[^/.][^/]*(?P<ext>\.[^./]*)$"), "ext"))
+def ext_codes(doc_ids: pa.Array) -> np.ndarray:
+    """Position in ``MIME_BY_EXT`` of each doc_id's extension (the last
+    ``.ext`` of the file name, not counting leading dots, as
+    ``posixpath.splitext``); ``len(MIME_BY_EXT)`` for any other. The
+    pattern runs anchored on the reversed ids: the extension reversed,
+    its dot, any dots, then a file-name character."""
+    ext = pc.struct_field(pc.extract_regex(
+        pc.utf8_reverse(doc_ids), r"^(?P<ext>[^./]*\.)\.*[^./]"), "ext")
+    pos = pc.index_in(pc.utf8_lower(pc.utf8_reverse(ext)),
+                      value_set=pa.array(list(MIME_BY_EXT)))
+    return pc.fill_null(pos, len(MIME_BY_EXT)).to_numpy(zero_copy_only=False) \
+        .astype(np.int8)
+
+
+def mime_values(markdown_as_html: bool = False) -> pa.Array:
+    """The MIME type of each ``ext_codes`` value, then ``''`` (the code
+    of a row that resolved to no document)."""
     mimes = list(MIME_BY_EXT.values())
     if markdown_as_html:
         # the reference compiles .md/.mdx to HTML before serving
         # (src/server.ts:147-165) when markdown mode is on
         mimes = ["text/html" if m == "text/markdown" else m for m in mimes]
-    pos = pc.index_in(ext, value_set=pa.array(list(MIME_BY_EXT)))
-    return pc.fill_null(pa.array(mimes, pa.string()).take(pos), DEFAULT_MIME)
+    return pa.array(mimes + [DEFAULT_MIME, ""], pa.string())
 
 
 def read_documents(path: str, *, columns: list[str] | None = None):
@@ -80,15 +92,25 @@ def write_documents(table: pa.Table, path: str) -> None:
 
 
 class CorpusIndex:
-    """doc_id → row lookup + the static-server path rules.
+    """Request URL → document row, and the static-server path rules.
 
-    The doc ids sit in a sorted index of their 64-bit FNV hashes
-    (``urlkit.hash64_arrow``) with the permutation back to table rows;
-    a lookup is one batch ``searchsorted`` probe, string-verified
-    against the doc_id column. ``resolve_many`` answers a whole batch
-    of requests in one vectorized pass. At 100 TB scale the same probe
-    becomes a hash-join of the frontier against the documents Dataset on
-    doc_id (SURVEY.md §2.4 J4) behind the same interface.
+    One sorted index of 64-bit FNV hashes (``urlkit.hash64``) keyed by
+    the normalized request URL of each document: ``http://<doc_id>`` in
+    multi-host mode (doc_ids are "host/path"), ``http://<host>/<doc_id>``
+    in single-host mode, plus the ``…/`` URL of every ``index.html``.
+    Each entry holds its table row and kind (``URL_KEY``, ``DIR_KEY``,
+    or ``ID_KEY`` for a doc_id no plain request reaches as itself, such
+    as one with ``%`` or a trailing ``/``).
+
+    ``resolve_many`` probes a batch with the ``url_hash`` the frontier
+    already carries: a hit is one ``searchsorted`` and a string-equality
+    check against the doc_id column. Only the rows the probe misses go
+    through the static-server rules (404, 301 for a directory without
+    its slash, clean URLs, listings, and https, percent-escaped or odd
+    URLs), which look documents up in the same index by the key of the
+    path they compute (``rows_of``). At 100 TB scale the same probe
+    becomes a hash-join of the frontier against the documents Dataset
+    on this key (SURVEY.md §2.4 J4) behind the same interface.
     """
 
     LISTING_PREFIX = "\x00listing:"
@@ -110,40 +132,80 @@ class CorpusIndex:
         self._table = documents.combine_chunks()
         self._spans_col = self._table["spans"].combine_chunks()
         self._ids_col = self._table["doc_id"].combine_chunks()
+        self._key_prefix = url_key_prefix(host, multi_host)
         # zero-copy index structures shipped through the object store
         # (actor __init__ pays ~0), or built here
         blob = prebuilt if prebuilt is not None \
-            else build_corpus_index_blob(self._table, multi_host)
-        self._id_hash_sorted = blob["id_hash_sorted"]
-        self._id_perm = blob["id_perm"]
+            else build_corpus_index_blob(self._table, multi_host, host)
+        self._key_sorted = blob["key_sorted"]
+        self._key_row = blob["key_row"]
+        self._key_kind = blob["key_kind"]
+        self._ext_code = blob["ext_code"]
         self._dir_hash_sorted = blob["dir_hash_sorted"]
         self._hosts = pa.array(blob["hosts"] if multi_host else [],
                                pa.string())
+        self._mimes = mime_values(markdown)
+
+    def _lookup(self, hashes: np.ndarray, skip_kind: int, same) -> np.ndarray:
+        """Index entry of each hash, -1 where none: one ``searchsorted``
+        probe over the entries not of ``skip_kind``, each candidate
+        verified by ``same(rows, entries)`` (a mask over the candidate
+        rows); a row whose hash run holds other keys walks on to the next
+        equal hash."""
+        n = len(hashes)
+        out = np.full(n, -1, dtype=np.int64)
+        keys = self._key_sorted
+        if n == 0 or len(keys) == 0:
+            return out
+        pos = np.searchsorted(keys, hashes)
+        live = np.arange(n)
+        while True:
+            live = live[pos[live] < len(keys)]
+            live = live[keys[pos[live]] == hashes[live]]
+            if not len(live):
+                return out
+            cand = live[self._key_kind[pos[live]] != skip_kind]
+            if len(cand):
+                hit = cand[same(cand, pos[cand])]
+                out[hit] = pos[hit]
+                live = live[out[live] < 0]
+            pos[live] += 1
 
     def rows_of(self, doc_ids: pa.Array) -> np.ndarray:
-        """Table row of each doc_id, -1 where absent: one hash +
-        ``searchsorted`` pass, string-verified; a row whose hash run
-        holds other ids walks on to the next equal hash."""
-        n = len(doc_ids)
-        rows = np.full(n, -1, dtype=np.int64)
-        sorted_h = self._id_hash_sorted
-        if n == 0 or len(sorted_h) == 0:
-            return rows
-        h = urlkit.hash64_arrow(doc_ids)
-        pos = np.searchsorted(sorted_h, h)
-        live = np.arange(n)
-        while len(live):
-            live = live[pos[live] < len(sorted_h)]
-            live = live[sorted_h[pos[live]] == h[live]]
-            if not len(live):
-                break
-            cand = self._id_perm[pos[live]]
-            same = pc.equal(self._ids_col.take(cand), doc_ids.take(live)) \
+        """Table row of each doc_id, -1 where absent: the doc_id's URL
+        key, hashed and probed, string-verified against the doc_id
+        column."""
+        if len(doc_ids) == 0 or len(self._key_sorted) == 0:
+            return np.full(len(doc_ids), -1, dtype=np.int64)
+        h = urlkit.hash64_arrow(pc.binary_join_element_wise(
+            self._key_prefix, doc_ids, ""))
+
+        def same(rows, entries):
+            return pc.equal(
+                self._ids_col.take(self._key_row[entries]),
+                doc_ids.take(rows)).to_numpy(zero_copy_only=False)
+        entry = self._lookup(h, DIR_KEY, same)
+        return np.where(entry >= 0, self._key_row[entry], -1)
+
+    def _probe_urls(self, urls: pa.Array, url_hash: np.ndarray) -> np.ndarray:
+        """Table row of each request URL that is a document's own URL
+        key (so the static-server rules would answer 200 with that
+        document), -1 for every other row."""
+        prefix = self._key_prefix
+
+        def same(rows, entries):
+            want = self._ids_col.take(self._key_row[entries])
+            as_dir = self._key_kind[entries] == DIR_KEY
+            if as_dir.any():
+                want = pc.if_else(as_dir, pc.utf8_slice_codeunits(
+                    want, 0, -len("index.html")), want)
+            got = urls if len(rows) == len(urls) else urls.take(rows)
+            return pc.and_(
+                pc.starts_with(got, prefix),
+                pc.equal(pc.utf8_slice_codeunits(got, len(prefix)), want)) \
                 .to_numpy(zero_copy_only=False)
-            rows[live[same]] = cand[same]
-            live = live[~same]
-            pos[live] += 1
-        return rows
+        entry = self._lookup(url_hash, ID_KEY, same)
+        return np.where(entry >= 0, self._key_row[entry], -1)
 
     def row_of(self, doc_id: str) -> int | None:
         """Table row for one doc_id (a one-row :meth:`rows_of`)."""
@@ -189,8 +251,8 @@ class CorpusIndex:
 
     def export_blob(self) -> dict:
         """The zero-copy index structures, for broadcasting to actors."""
-        return {"id_hash_sorted": self._id_hash_sorted,
-                "id_perm": self._id_perm,
+        return {"key_sorted": self._key_sorted, "key_row": self._key_row,
+                "key_kind": self._key_kind, "ext_code": self._ext_code,
                 "dir_hash_sorted": self._dir_hash_sorted,
                 "hosts": self._hosts.to_pylist()}
 
@@ -203,9 +265,51 @@ class CorpusIndex:
     def table(self) -> pa.Table:
         return self._table
 
-    def resolve_many(self, urls: pa.Array) -> pa.Table:
+    def resolve_many(self, urls: pa.Array,
+                     url_hash: np.ndarray | None = None) -> pa.Table:
         """Resolve a batch of request URLs, one static-server 'request'
         each, to RESOLUTIONS rows in input order.
+
+        ``url_hash`` is ``urlkit.hash64`` of each URL (the frontier's
+        column; hashed here when absent). A URL that is a document's own
+        key resolves by the index probe alone; only the other rows go
+        through the static-server rules (``_resolve_rules``). Every hit
+        is string-verified, so a row whose hash is not its URL's only
+        misses the probe."""
+        if isinstance(urls, pa.ChunkedArray):
+            urls = urls.combine_chunks()
+        n = len(urls)
+        if url_hash is None:
+            url_hash = urlkit.hash64_arrow(urls)
+        row = self._probe_urls(urls, np.asarray(url_hash, dtype=np.uint64))
+        miss = np.flatnonzero(row < 0)
+        if len(miss) == 0:
+            return pa.Table.from_arrays(
+                [pa.repeat(True, n)] + self._answers(row), schema=RESOLUTIONS)
+        ruled = self._resolve_rules(urls.take(pa.array(miss)))
+        if len(miss) == n:
+            return pa.Table.from_arrays(ruled, schema=RESOLUTIONS)
+        hit = np.flatnonzero(row >= 0)
+        found = [pa.repeat(True, len(hit))] + self._answers(row[hit])
+        take = np.empty(n, dtype=np.int64)
+        take[hit] = np.arange(len(hit))
+        take[miss] = len(hit) + np.arange(len(miss))
+        take = pa.array(take)
+        return pa.Table.from_arrays(
+            [pa.concat_arrays([a, b]).take(take) for a, b in zip(found, ruled)],
+            schema=RESOLUTIONS)
+
+    def _answers(self, row: np.ndarray) -> list[pa.Array]:
+        """status, doc_id, content_type, location and row columns of
+        requests that found document ``row`` (200 each)."""
+        n = len(row)
+        return [pa.array(np.full(n, 200, dtype=np.int32)),
+                self._ids_col.take(pa.array(row)),
+                self._mimes.take(pa.array(self._ext_code[row])),
+                pa.repeat("", n), pa.array(row)]
+
+    def _resolve_rules(self, urls: pa.Array) -> list[pa.Array]:
+        """The RESOLUTIONS columns of URLs the index probe missed.
 
         Plain URLs (lower-case host, no port, userinfo, ``%``, ``?`` or
         ``#``) split into host and path with one Arrow regex; the rest
@@ -213,8 +317,6 @@ class CorpusIndex:
         split is vectorized. In multi-host mode (scaled bench corpora)
         doc_ids are "host/path" and any host whose docs are present
         resolves."""
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
         n = len(urls)
         hosts, paths = _split_host_path(urls)
         if self.multi_host:
@@ -226,18 +328,15 @@ class CorpusIndex:
         on = on.to_numpy(zero_copy_only=False)
         sel = np.flatnonzero(on)
         if len(sel) == n:
-            return pa.Table.from_arrays(
-                [pa.array(on)] + self._resolve_paths(paths),
-                schema=RESOLUTIONS)
+            return [pa.array(on)] + self._resolve_paths(paths)
         found = self._resolve_paths(paths.take(sel))
         # rows off the corpus take the default row appended at the end
         take = np.full(n, len(sel))
         take[sel] = np.arange(len(sel))
         take = pa.array(take)
-        cols = [pa.array(on)] + [
+        return [pa.array(on)] + [
             pa.concat_arrays([col, pa.array([default], col.type)]).take(take)
             for col, default in zip(found, (0, "", "", "", -1))]
-        return pa.Table.from_arrays(cols, schema=RESOLUTIONS)
 
     def _resolve_paths(self, paths: pa.Array) -> list[pa.Array]:
         """The static-server path rules over a batch of corpus paths:
@@ -256,8 +355,8 @@ class CorpusIndex:
         found = pa.array(row, mask=row < 0)
         status = np.where(row >= 0, 200, 404).astype(np.int32)
         doc_id = pc.fill_null(self._ids_col.take(found), "")
-        content_type = pc.if_else(pc.is_null(found), "",
-                                  content_types(doc_id, self.markdown))
+        content_type = self._mimes.take(pa.array(np.where(
+            row >= 0, self._ext_code[row], len(self._mimes) - 1)))
         location = pa.repeat("", len(row))
         miss = np.flatnonzero(row < 0)
         if len(miss) and self.directory_listing:
@@ -345,20 +444,74 @@ def _dirs_of(ids: list[str]) -> set[str]:
     return dirs
 
 
-def build_corpus_index_blob(documents: pa.Table, multi_host: bool) -> dict:
+# kinds of URL-key entries in the corpus index
+URL_KEY = 0   # prefix + doc_id: a plain request that resolves to the doc
+DIR_KEY = 1   # prefix + "<dir>/" of a "<dir>/index.html" doc
+ID_KEY = 2    # prefix + doc_id that no plain request resolves to the doc
+              # (rows_of lookups only)
+
+# doc_ids whose URL key the static-server rules resolve to the doc
+# itself: no character the rules decode or cut ([%?#@:]), no leading
+# slash (they strip it), no trailing one (a directory)
+_PLAIN_PATH = r"[^/%?#@:](?:[^%?#@:]*[^/%?#@:])?"
+_PLAIN_HOST = r"[a-z0-9.-]+"
+
+
+def url_key_prefix(host: str, multi_host: bool) -> str:
+    """What the corpus index puts before a doc_id to make its URL key."""
+    return "http://" if multi_host else f"http://{host}/"
+
+
+def build_corpus_index_blob(documents: pa.Table, multi_host: bool,
+                            host: str = "corpus.test") -> dict:
     """Driver-side (once per crawl) construction of the CorpusIndex
     lookup structures — plain numpy arrays + a small host list, so the
-    broadcast to fetch actors is zero-copy and actor __init__ pays ~0."""
+    broadcast to fetch actors is zero-copy and actor __init__ pays ~0.
+
+    ``key_sorted`` holds the sorted ``hash64`` URL keys (after
+    ``url_key_prefix``) of every doc, and the ``…/`` key of every
+    ``index.html`` a plain request reaches, with the table row
+    (``key_row``) and kind (``key_kind``) of each entry; ``ext_code`` is
+    each row's ``ext_codes`` value."""
+    prefix = url_key_prefix(host, multi_host)
     if documents.num_rows == 0:
         empty = np.empty(0, dtype=np.uint64)
-        return {"id_hash_sorted": empty, "id_perm": np.empty(0, np.int64),
+        return {"key_sorted": empty, "key_row": np.empty(0, np.int64),
+                "key_kind": np.empty(0, np.int8),
+                "ext_code": np.empty(0, np.int8),
                 "dir_hash_sorted": empty, "hosts": []}
     ids_col = documents["doc_id"].combine_chunks()
-    id_hash = urlkit.hash64_arrow(ids_col)
-    perm = np.argsort(id_hash, kind="stable").astype(np.int64)
-    dirs = sorted(_dirs_of(ids_col.to_pylist()))
+    head = f"{_PLAIN_HOST}/" if multi_host else ""
+    if multi_host or re.fullmatch(_PLAIN_HOST, host):
+        plain = pc.match_substring_regex(ids_col, f"^{head}{_PLAIN_PATH}$")
+        # the directory of a plain ".../index.html" is plain too
+        index = pc.ends_with(ids_col, "/index.html")
+        if not multi_host:
+            index = pc.or_(index, pc.equal(ids_col, "index.html"))
+        index_rows = np.flatnonzero(pc.and_(plain, index)
+                                    .to_numpy(zero_copy_only=False))
+        plain = plain.to_numpy(zero_copy_only=False)
+    else:
+        # a host the rules never match: every key is a doc_id key
+        plain = np.zeros(len(ids_col), dtype=bool)
+        index_rows = np.empty(0, dtype=np.int64)
+    dir_ids = pc.utf8_slice_codeunits(ids_col.take(pa.array(index_rows)),
+                                      0, -len("index.html"))
+    keys = pc.binary_join_element_wise(
+        prefix, pa.concat_arrays([ids_col, dir_ids]), "")
+    key_hash = urlkit.hash64_arrow(keys)
+    rows = np.concatenate([np.arange(len(ids_col)), index_rows])
+    kinds = np.concatenate([np.where(plain, URL_KEY, ID_KEY),
+                            np.full(len(index_rows), DIR_KEY)]).astype(np.int8)
+    perm = np.argsort(key_hash, kind="stable")
+    # every directory is its own parent or an ancestor of a doc's parent
+    parents = pc.unique(pc.struct_field(pc.extract_regex(
+        ids_col, r"(?s)^(?P<dir>.*)/"), "dir")).drop_null().to_pylist()
+    dirs = sorted(_dirs_of(parents) | {p for p in parents if p})
     dir_hash = np.sort(urlkit.hash64_array(dirs)) if dirs \
         else np.empty(0, dtype=np.uint64)
     hosts = [p for p in dirs if "/" not in p] if multi_host else []
-    return {"id_hash_sorted": id_hash[perm], "id_perm": perm,
-            "dir_hash_sorted": dir_hash, "hosts": hosts}
+    return {"key_sorted": key_hash[perm],
+            "key_row": rows[perm].astype(np.int64), "key_kind": kinds[perm],
+            "ext_code": ext_codes(ids_col), "dir_hash_sorted": dir_hash,
+            "hosts": hosts}

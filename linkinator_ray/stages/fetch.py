@@ -38,6 +38,7 @@ from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages.classify import HTML_TYPES, content_is
 
 REDIRECT_STATUSES = frozenset([301, 302, 303, 307, 308])
+_METHODS = pa.array(["HEAD", "GET"])  # by the ``get`` flag
 SENSITIVE_HEADERS = frozenset(["authorization", "cookie", "proxy-authorization"])
 MAX_REDIRECTS = 20  # src/index.ts:1272-1275
 # the host of an absolute URL with a plain lower-case host (RE2)
@@ -248,44 +249,49 @@ class MockTransport:
     def scripted(self, urls: pa.Array) -> np.ndarray:
         """Rows whose URL has an http_map entry: they keep per-row
         ``request`` calls, which own the sequence counters."""
+        if not len(self._map_urls):
+            return np.zeros(len(urls), dtype=bool)
         return pc.is_in(urls, value_set=self._map_urls) \
             .to_numpy(zero_copy_only=False)
 
     def request_many(self, urls: pa.Array, get: np.ndarray,
-                     headers: dict[str, str] | None = None) -> pa.Table:
+                     headers: dict[str, str] | None = None,
+                     url_hash: np.ndarray | None = None) -> pa.Table:
         """``request`` for a batch of URLs without an http_map entry
         (GET where ``get``, else HEAD): one ``CorpusIndex.resolve_many``
-        pass, the same responses and call-log rows. Returns STEP rows;
-        following a 301's location is the caller's hop loop, and each
-        row's ``wait`` the caller's connection threads."""
-        res = self.corpus.resolve_many(urls)
+        pass keyed by ``url_hash`` (``urlkit.hash64`` of each URL), the
+        same responses and call-log rows. Returns STEP rows; following a
+        301's location is the caller's hop loop, and each row's ``wait``
+        the caller's connection threads."""
+        res = self.corpus.resolve_many(urls, url_hash)
+        n = len(urls)
         status = res["status"]
-        off = pc.invert(res["on_corpus"])
-        methods = pa.array(np.where(get, "GET", "HEAD"))
+        on = res["on_corpus"].to_numpy()
+        methods = _METHODS.take(pa.array(get.astype(np.int8)))
         if headers:
             self.header_log.extend((u, m, dict(headers)) for u, m in
                                    zip(urls.to_pylist(), methods.to_pylist()))
         self.log.extend(urls, methods, status)
-        error = pa.nulls(len(urls), pa.string())
-        if self.strict:
-            error = pc.if_else(off, pc.binary_join_element_wise(
-                "unmocked request:", methods, urls, " "), error)
-        else:
-            status = pc.if_else(off, 404, status)
-        body = pc.and_(pc.equal(status, 200), pa.array(get))
+        error, final_url = pa.repeat("", n), urls
+        if not on.all():
+            off = pa.array(~on)
+            if self.strict:
+                error = pc.if_else(off, pc.binary_join_element_wise(
+                    "unmocked request:", methods, urls, " "), "")
+                final_url = pc.if_else(off, "", urls)
+            else:
+                status = pc.if_else(off, 404, status)
+        body = (status.to_numpy() == 200) & get
+        doc_id, row = res["doc_id"], res["row"]
+        if not body.all():
+            doc_id = pc.if_else(pa.array(body), doc_id, "")
+            row = pc.if_else(pa.array(body), row, -1)
         location = res["location"]
         return pa.Table.from_arrays([
-            status.cast(pa.int32()),
-            pc.if_else(pc.is_null(error), urls, ""),
-            pc.if_else(body, res["doc_id"], ""),
-            res["content_type"],
-            pc.not_equal(location, ""),
-            location,
-            pa.repeat(False, len(urls)),
-            pa.repeat("", len(urls)),
-            pa.repeat("", len(urls)),
-            pc.fill_null(error, ""),
-            pc.if_else(body, res["row"], -1),
+            status.cast(pa.int32()), final_url, doc_id, res["content_type"],
+            pc.not_equal(location, ""), location,
+            pa.repeat(False, n), pa.repeat("", n), pa.repeat("", n),
+            error, row,
         ], schema=STEP)
 
 
@@ -430,21 +436,23 @@ class FetchWorker:
 
     # -- the per-URL state machine, one batch step at a time ---------------
 
-    def _request_steps(self, urls: pa.Array, do_crawl: np.ndarray,
-                       pending: np.ndarray, now: float) -> "_StepState":
+    def _request_steps(self, urls: pa.Array, url_hash: np.ndarray,
+                       do_crawl: np.ndarray, pending: np.ndarray,
+                       now: float) -> "_StepState":
         """Run src/index.ts:344-479 over the batch as masked steps, each
         one request per selected row, in the reference's order: first
         request (GET to crawl, else HEAD), 405 → GET, last-gasp GET,
         CSS body re-GET, fragment body re-GET. A redirect skip or a
         usable retry-after ends a row; a thrown request is recorded and
-        the row goes on."""
+        the row goes on. ``url_hash`` is the batch's column: the mock
+        transport keys its corpus lookups by it."""
         state = _StepState(len(urls))
         get_all = np.ones(len(urls), dtype=bool)
 
         def step(mask, get, forget_on_error: bool, check_retry: bool):
             idx = np.flatnonzero(mask)
             if len(idx):
-                rows, table = self._send(urls, idx, get[idx])
+                rows, table = self._send(urls, url_hash, idx, get[idx])
                 state.record(rows, table, forget_on_error,
                              check_retry and self.retry, now)
 
@@ -465,7 +473,8 @@ class FetchWorker:
                  & ~state.has_body & pending, get_all, False, False)
         return state
 
-    def _send(self, urls: pa.Array, idx: np.ndarray, get: np.ndarray):
+    def _send(self, urls: pa.Array, url_hash: np.ndarray, idx: np.ndarray,
+              get: np.ndarray):
         """One request for each row ``idx`` (GET where ``get``, else
         HEAD) → (rows, STEP table). A mock transport answers its corpus
         rows with one ``request_many`` and, when it simulates latency,
@@ -482,14 +491,16 @@ class FetchWorker:
         batched = np.flatnonzero(~per_row)
         if len(batched):
             t = transport.request_many(sub.take(pa.array(batched)),
-                                       get[batched], self.headers)
+                                       get[batched], self.headers,
+                                       url_hash[idx[batched]])
             if transport.latency_s:
                 self._per_row(lambda _: transport.wait(), len(batched))
             hop = np.zeros(len(batched), dtype=bool)
             if self.redirects != RedirectsMode.ERROR:
-                hop = np.isin(t["status"].to_numpy(zero_copy_only=False),
-                              list(REDIRECT_STATUSES)) \
-                    & t["has_location"].to_numpy(zero_copy_only=False)
+                hop = t["has_location"].to_numpy()
+                if hop.any():
+                    hop = hop & np.isin(t["status"].to_numpy(),
+                                        list(REDIRECT_STATUSES))
             if hop.any():
                 h = pa.array(np.flatnonzero(hop))
                 firsts += [TResponse(st, {"location": loc}, "", "", u)
@@ -583,7 +594,8 @@ class FetchWorker:
         do_crawl = batch["do_crawl"].to_numpy(zero_copy_only=False)
         pending = pc.is_in(urls, value_set=pa.array(
             pending_fragment_urls, pa.string())).to_numpy(zero_copy_only=False)
-        state = self._request_steps(urls, do_crawl, pending, now)
+        state = self._request_steps(
+            urls, batch["url_hash"].to_numpy(), do_crawl, pending, now)
         resp = state.responses()
         is_html, is_css, has_body = state.is_html, state.is_css, state.has_body
         base = pc.if_else(pc.equal(resp["final_url"], ""), urls,

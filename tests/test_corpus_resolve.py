@@ -181,3 +181,51 @@ def test_row_of():
         assert index.row_of(d) == i
     assert index.row_of("no/such/doc.html") is None
     assert index.resolve_many(pa.array([], pa.string())).num_rows == 0
+
+
+def test_page_urls_resolve_by_probe_alone(monkeypatch):
+    """Every page URL of a crawl corpus, keyed by the url_hash the
+    frontier carries, resolves by the index probe alone: no row reaches
+    the static-server rules' host/path split. Its /missingJ.html links
+    and a directory URL without its slash still take the rules and
+    answer 404 and 301."""
+    import numpy as np
+
+    from linkinator_ray import urlkit
+    from linkinator_ray.sources import documents as docs_mod
+    documents, _, _, n_broken = synth_crawl_corpus(num_hosts=3,
+                                                   docs_per_host=200, seed=5)
+    extra = fx.docs_table(fx.doc("h0.test/sub/index.html"),
+                          fx.doc("h0.test/sub/a.html"))
+    documents = pa.concat_tables([documents, extra])
+    ids = documents["doc_id"].to_pylist()
+    index = CorpusIndex(documents, multi_host=True)
+    calls = []
+    split = docs_mod._split_host_path
+    monkeypatch.setattr(docs_mod, "_split_host_path",
+                        lambda urls: calls.append(len(urls)) or split(urls))
+
+    def resolve(urls):
+        arr = pa.array(urls, pa.string())
+        return index.resolve_many(arr, urlkit.hash64_arrow(arr)).to_pylist()
+
+    pages = [urlkit.normalize_url(
+        "http://" + (d[:-len("index.html")] if d.endswith("/index.html")
+                     else d)) for d in ids]
+    got = resolve(pages)
+    assert calls == []
+    assert [(g["status"], g["row"]) for g in got] \
+        == [(200, i) for i in range(len(ids))]
+    assert [g["doc_id"] for g in got] == ids
+
+    spans = documents["spans"].to_pylist()
+    missing = sorted({"http://" + d.split("/", 1)[0] + s["media_ref"]
+                      for d, page in zip(ids, spans) for s in page
+                      if s["media_ref"].startswith("/missing")})
+    assert len(missing) == n_broken > 0
+    got = resolve(missing + ["http://h0.test/sub"])
+    assert calls == [len(missing) + 1]
+    assert all(g["on_corpus"] and g["status"] == 404 and g["row"] == -1
+               for g in got[:-1])
+    assert got[-1]["status"] == 301 and got[-1]["location"].endswith("/sub/")
+    assert np.all([g["content_type"] == "" for g in got])

@@ -41,6 +41,22 @@ class TestCuckooFilter:
         fp = filt.contains(fresh).mean()
         assert fp < 0.01, fp
 
+    def test_sharded_keys_fill_to_85_percent_without_victims(self):
+        """A mesh node's filter only sees keys with ``key % K == node``.
+        Buckets and fingerprints come from the mixed key, so keys with
+        their two low bits fixed (node 0 of 4) still spread over every
+        bucket: at 85% load no key is left for the victim cache (bucket
+        indices from the raw low bits reached a quarter of the buckets
+        and left thousands)."""
+        filt = CuckooFilter(1 << 16)
+        keys = np.random.default_rng(4).integers(
+            0, 2**62, int(0.85 * (1 << 16)), dtype=np.uint64) << np.uint64(2)
+        for i in range(0, len(keys), 2048):
+            filt.contains_or_insert(keys[i:i + 2048])
+        assert filt.count / (4 * filt.n_buckets) > 0.849
+        assert not filt._victims
+        assert filt.contains(keys).all()
+
 
 class TestSeenSet:
     @pytest.mark.parametrize("mode", ["exact", "cuckoo"])

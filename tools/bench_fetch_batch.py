@@ -1,7 +1,9 @@
 """Fetch-batch cost harness: the fixed and per-row cost of one
-``FetchWorker.fetch_batch`` call, stage by stage, Ray-free.
+``FetchWorker.fetch_batch`` call (or, with ``--pump``, of one whole mesh
+pump), stage by stage, Ray-free.
 
-    python tools/bench_fetch_batch.py [--repeats 5] [--seed 3] [--max-rows 4096]
+    python tools/bench_fetch_batch.py [--pump] [--repeats 5] [--seed 3]
+        [--max-rows 4096]
 
 Builds a compute-mock-shaped corpus (``synth_crawl_corpus(16, 2000)``,
 served by the mock transport with no latency), then calls
@@ -17,8 +19,24 @@ per call are taken as the best of the repeats at each B and fitted to
 - ``classify``: ``FetchWorker._classify_in_actor``;
 - ``other``: the rest of the call; ``total``: the whole call.
 
+``--pump`` times one pump of node 0 of a two-node compute-mock mesh
+(cuckoo seen filters, balanced routing): ``MeshNode._process`` on the
+batch, then the end-of-pump flush, whose fake peer handle hands node 1's
+share of the candidates straight to node 1's ``submit_candidates``.
+The seen filters carry over from call to call, as in a crawl. Stages:
+
+- ``admit``: ``admit_frontier`` (skip rules, robots, politeness gate);
+- ``fetch``: ``FetchWorker.fetch_batch``, of which ``transport`` is the
+  request steps;
+- ``route``: node 0's candidate routing and the dedup of its own share;
+- ``peer``: node 1's ``submit_candidates``;
+- ``dedup``: ``dedup_candidates`` on both nodes (inside route and peer);
+- ``other``: the rest (requeues, result tables, the flush);
+  ``total``: the whole pump.
+
 Compute-bound numbers compare only with runs on the same machine at the
 same time (alternate the two sides): the header line gives ``nproc``
+(which honours ``OMP_NUM_THREADS``), the CPUs this process may run on
 and the load average.
 """
 
@@ -38,16 +56,19 @@ sys.path.insert(0, ROOT)
 
 STAGES = ("transport", "extract", "resolve", "links", "classify", "other",
           "total")
+PUMP_STAGES = ("admit", "fetch", "transport", "route", "peer", "dedup",
+               "other", "total")
 
 
 class StageClock:
     """Seconds spent inside each wrapped callable since ``reset``."""
 
-    def __init__(self):
+    def __init__(self, stages=STAGES):
+        self.stages = stages
         self.reset()
 
     def reset(self) -> None:
-        self.secs: dict[str, float] = dict.fromkeys(STAGES, 0.0)
+        self.secs: dict[str, float] = dict.fromkeys(self.stages, 0.0)
 
     def wrap(self, owner, attr: str, stage: str) -> None:
         fn = getattr(owner, attr)
@@ -75,12 +96,68 @@ def build_worker(seed: int):
                                  "strict": False, "record_calls": True})
     worker = FetchWorker(transport, recurse=True, classify_opts=opts,
                          static_host="http://corpus.test/")
+    return worker, page_urls(docs)
+
+
+def page_urls(docs) -> list[str]:
+    """The URL of each corpus page, as the crawl requests it."""
     urls = []
     for doc_id in docs["doc_id"].to_pylist():
         host, path = doc_id.split("/", 1)
         urls.append(f"http://{host}/" + ("" if path == "index.html"
                                          else path))
-    return worker, urls
+    return urls
+
+
+class FakeHandle:
+    """An actor handle stand-in: ``handle.method.remote(*args)`` calls
+    ``target.method(*args)`` at once, or does nothing without a target."""
+
+    def __init__(self, target=None):
+        self._target = target
+
+    def __getattr__(self, name: str):
+        target = self._target
+
+        class Method:
+            @staticmethod
+            def remote(*args):
+                if target is not None:
+                    return getattr(target, name)(*args)
+        return Method
+
+
+def build_pump(seed: int):
+    """Nodes 0 and 1 of a two-node compute-mock mesh, Ray-free: node 0's
+    handle for node 1 delivers candidates straight to node 1. Returns
+    node 0, node 1 and the corpus's page URLs."""
+    from linkinator_ray.options import CheckOptions
+    from linkinator_ray.sources.synth import synth_crawl_corpus
+    from linkinator_ray.state.mesh import MeshNode
+    docs, seeds, _, _ = synth_crawl_corpus(num_hosts=16, docs_per_host=2000,
+                                           seed=seed)
+    opts = CheckOptions(paths=seeds, recurse=True, seen_filter="cuckoo")
+    blob = {"documents": docs, "multi_host": True, "strict": False,
+            "record_calls": True}
+    nodes = [MeshNode(i, 2, blob, {"classify_opts": opts, "recurse": True,
+                                   "static_host": "http://corpus.test/"},
+                      {"batch_cap": 1 << 30}, seen_mode="cuckoo",
+                      sticky_hosts=False) for i in range(2)]
+    nodes[0].set_peers(FakeHandle(), [FakeHandle(), FakeHandle(nodes[1])], 1)
+    nodes[1].set_peers(FakeHandle(), [FakeHandle(), FakeHandle()], 1)
+    return nodes[0], nodes[1], page_urls(docs)
+
+
+def pump_once(node, peer, batch) -> None:
+    """One pump of ``node`` over ``batch``, its flush included; the
+    frontier rows and buffers both nodes gained are dropped after."""
+    node._process(batch, time.time())
+    node._flush_peers()
+    for n in (node, peer):
+        n.queue, n.queued_rows = [], 0
+        n.dup_edges, n.results_buf, n.deferred = [], [], []
+    if node.errors:
+        raise RuntimeError(node.errors[0])
 
 
 def frontier(urls: list[str]):
@@ -95,9 +172,10 @@ def frontier(urls: list[str]):
 
 def nproc() -> str:
     """What ``nproc`` prints (it honours ``OMP_NUM_THREADS``, as the
-    benchmark's run record does)."""
-    return subprocess.run(["nproc"], capture_output=True,
-                          text=True).stdout.strip()
+    benchmark's run record does), and the CPUs this process may run on."""
+    shown = subprocess.run(["nproc"], capture_output=True,
+                           text=True).stdout.strip()
+    return f"{shown}  affinity {len(os.sched_getaffinity(0))}"
 
 
 def fit(sizes: np.ndarray, secs: np.ndarray) -> tuple[float, float]:
@@ -106,54 +184,88 @@ def fit(sizes: np.ndarray, secs: np.ndarray) -> tuple[float, float]:
     return fixed * 1e3, per_row * 1e6
 
 
+def measure(sizes, repeats, seed, clock, run_one, urls, nested=()):
+    """Best seconds per call of each stage at each batch size: ``run_one``
+    takes a frontier batch of B page rows, cut at a random offset.
+    ``other`` is the total less every stage not ``nested`` in another."""
+    rng = np.random.default_rng(seed)
+    best = {s: np.full(len(sizes), np.inf) for s in clock.stages}
+    top = [s for s in clock.stages if s not in ("other", "total", *nested)]
+    for _ in range(repeats):
+        for i, size in enumerate(sizes):
+            start = int(rng.integers(0, len(urls) - size))
+            batch = frontier(urls[start:start + size])
+            clock.reset()
+            run_one(batch)
+            secs = clock.secs
+            secs["other"] = secs["total"] - sum(secs[s] for s in top)
+            for s in clock.stages:
+                best[s][i] = min(best[s][i], secs[s])
+    return best
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pump", action="store_true",
+                    help="time whole mesh pumps instead of fetch_batch calls")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--max-rows", type=int, default=4096)
     args = ap.parse_args()
 
     from linkinator_ray import urlkit
+    from linkinator_ray.pipelines import crawl
     from linkinator_ray.stages import fetch
     from linkinator_ray.stages.extract import ExtractLinks
-    clock = StageClock()
-    clock.wrap(fetch.FetchWorker, "_request_steps", "transport")
-    clock.wrap(ExtractLinks, "extract_with_fragments", "extract")
-    clock.wrap(urlkit, "resolve_links_arrow", "resolve")
-    clock.wrap(fetch.FetchWorker, "_process_links_vec", "links")
-    clock.wrap(fetch.FetchWorker, "_classify_in_actor", "classify")
-    clock.wrap(fetch.FetchWorker, "fetch_batch", "total")
-
-    worker, urls = build_worker(args.seed)
-    rng = np.random.default_rng(args.seed)
+    from linkinator_ray.state import mesh
     sizes = []
     b = 8
     while b <= args.max_rows:
         sizes.append(b)
         b *= 2
-    # warm-up: first-call costs (kernel registration, regex compiles)
-    worker.fetch_batch(frontier(urls[:64]), [], 0.0)
-    best = {s: np.full(len(sizes), np.inf) for s in STAGES}
-    for _ in range(args.repeats):
-        for i, size in enumerate(sizes):
-            start = int(rng.integers(0, len(urls) - size))
-            batch = frontier(urls[start:start + size])
-            clock.reset()
+    if args.pump:
+        clock = StageClock(PUMP_STAGES)
+        clock.wrap(crawl, "admit_frontier", "admit")
+        clock.wrap(fetch.FetchWorker, "fetch_batch", "fetch")
+        clock.wrap(fetch.FetchWorker, "_request_steps", "transport")
+        clock.wrap(mesh.MeshNode, "_route_candidates", "route")
+        clock.wrap(mesh.MeshNode, "submit_candidates", "peer")
+        clock.wrap(crawl, "dedup_candidates", "dedup")
+        node, peer, urls = build_pump(args.seed)
+        # warm-up: first-call costs (kernel registration, regex compiles)
+        pump_once(node, peer, frontier(urls[:64]))
+
+        def run_one(batch):
+            t0 = time.perf_counter()
+            pump_once(node, peer, batch)
+            clock.secs["total"] += time.perf_counter() - t0
+        nested = ("transport", "dedup")
+    else:
+        clock = StageClock()
+        clock.wrap(fetch.FetchWorker, "_request_steps", "transport")
+        clock.wrap(ExtractLinks, "extract_with_fragments", "extract")
+        clock.wrap(urlkit, "resolve_links_arrow", "resolve")
+        clock.wrap(fetch.FetchWorker, "_process_links_vec", "links")
+        clock.wrap(fetch.FetchWorker, "_classify_in_actor", "classify")
+        clock.wrap(fetch.FetchWorker, "fetch_batch", "total")
+        worker, urls = build_worker(args.seed)
+        worker.fetch_batch(frontier(urls[:64]), [], 0.0)
+
+        def run_one(batch):
             worker.fetch_batch(batch, [], 0.0)
-            secs = clock.secs
-            secs["extract"] -= secs["resolve"]
-            secs["other"] = secs["total"] - sum(
-                secs[s] for s in STAGES if s not in ("other", "total"))
-            for s in STAGES:
-                best[s][i] = min(best[s][i], secs[s])
+            clock.secs["extract"] -= clock.secs["resolve"]
+        nested = ()
+    best = measure(sizes, args.repeats, args.seed, clock, run_one, urls,
+                   nested)
 
     load = " ".join(f"{x:.2f}" for x in os.getloadavg())
     print(f"nproc {nproc()}  load {load}  repeats {args.repeats}  "
-          f"seed {args.seed}  engine {ROOT}")
+          f"seed {args.seed}  {'pump' if args.pump else 'fetch_batch'}  "
+          f"engine {ROOT}")
     print(f"{'stage':<10} {'fixed ms':>9} {'us/row':>8}  "
           + " ".join(f"{s:>8}" for s in sizes) + "   (best ms per call at B)")
     x = np.asarray(sizes, dtype=np.float64)
-    for s in STAGES:
+    for s in clock.stages:
         fixed, per_row = fit(x, best[s])
         print(f"{s:<10} {fixed:9.3f} {per_row:8.3f}  "
               + " ".join(f"{v * 1e3:8.2f}" for v in best[s]))
