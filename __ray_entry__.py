@@ -70,8 +70,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "extract_edges": graph.extract_edges,
         # graph analytics
         "degree_stats": linkgraph.degree_stats,
-        "pagerank": linkgraph.pagerank,  # exact-integer, unrolled SQL oracle
-        "hits": linkgraph.hits,  # NEW in r5: exact-integer, unrolled SQL oracle
+        # exact-integer, resident graph shards, unrolled SQL oracles
+        "pagerank": linkgraph.pagerank,
+        "hits": linkgraph.hits,
         "cocitation_topk": lambda sf: linkgraph.cocitation_topk(
             sf, k=20),  # NEW in r5: exact SQL oracle
         "crawl_depth": graph.crawl_depth,  # NEW in r5: exact SQL oracle
@@ -559,7 +560,8 @@ def _hll_sql() -> str:
 def _pagerank_sql(iters: int, damping_pct: int, scale: int) -> str:
     """Unrolled exact-integer PageRank oracle — floor-division fixed
     point makes every iteration order-independent, so DuckDB reproduces
-    the distributed recurrence bit-for-bit (pipelines/linkgraph.py)."""
+    the graph shards' recurrence bit-for-bit
+    (pipelines/linkgraph.py:pagerank)."""
     base = (100 - damping_pct) * scale // 100
     sql = f"""
         WITH {_EDGES_CTE},
@@ -584,7 +586,7 @@ def _pagerank_sql(iters: int, damping_pct: int, scale: int) -> str:
 def _hits_sql(iters: int, scale: int) -> str:
     """Unrolled exact-integer HITS oracle — max-normalized floor
     arithmetic, order-independent like the pagerank oracle, so DuckDB
-    reproduces the distributed recurrence bit-for-bit
+    reproduces the graph shards' recurrence bit-for-bit
     (pipelines/linkgraph.py:hits)."""
     sql = f"""
         WITH {_EDGES_CTE},

@@ -331,6 +331,22 @@ def hash_join(left, right, on: list[str] | str,
         .map_batches(lambda t: t.select(out_cols), batch_format="pyarrow")
 
 
+def topk(ds, k: int, sort_keys: list[tuple[str, str]]) -> pa.Table:
+    """The first ``k`` rows of ``ds`` under ``sort_keys`` — Arrow
+    ``sort_by`` pairs of (column, "ascending" | "descending") that must
+    order the rows totally. Two levels: every block keeps its own top k,
+    and the driver sorts the ≤ blocks·k partial rows once more."""
+    import ray
+
+    def local(block: pa.Table) -> pa.Table:
+        return block.sort_by(sort_keys).slice(0, k)
+
+    parts = ray.get(ds.map_batches(local, batch_format="pyarrow",
+                                   batch_size=None).to_arrow_refs())
+    return pa.concat_tables(parts, promote_options="permissive") \
+        .sort_by(sort_keys).slice(0, k)
+
+
 def partition_stats(ds, keys: list[str] | str,
                     num_parts: int | None = None) -> pd.DataFrame:
     """Skew diagnostic for any exchange this module would run: per

@@ -1,45 +1,50 @@
 """Link-graph analytics over the crawl's extracted edge list.
 
 What a crawl engine's output feeds next: per-page degree statistics and
-PageRank over the (src_doc, dst_doc) edge list that the span-extraction
-pipeline produces (graph.extract_edges — the Ray analogue of walking
-linkinator's per-page ParsedUrl[] output, reference src/links.ts:94-140).
+link rankings over the (src_doc, dst_doc) edge list that the
+span-extraction pipeline produces (graph.extract_edges — the Ray
+analogue of walking linkinator's per-page ParsedUrl[] output, reference
+src/links.ts:94-140).
 
-Both operators are EXACT-integer so the driver's DuckDB oracle hashes
+Every operator is EXACT-integer so the driver's DuckDB oracle hashes
 identically:
 
 - ``degree_stats``: each edge emits (src,+out) and (dst,+in) increment
   rows; ONE combiner exchange (hashagg) sums them — no join, no driver
   state, rows moved = 2·|E| pre-combined to ≤ 2·|V|.
-- ``pagerank``: fixed-point arithmetic (scale 10^12, damping 85/100,
-  floor division everywhere) makes the iteration a pure integer
-  recurrence — order-independent sums, so a 4-iteration unrolled SQL
-  oracle reproduces the distributed result bit-for-bit. Per iteration:
-  one hash-partitioned join (edges ⋈ ranks on src — shares pr//deg) and
-  one combiner exchange (sum of shares per dst, zero-rows carry each
-  node's out-degree forward so the node table is never re-joined).
-  Dangling nodes (404 targets: in-links only) contribute nothing, per
-  the standard mass-dropping simplification — identical in the oracle.
+- ``pagerank`` and ``hits``: fixed-point arithmetic (floor division
+  everywhere) makes each iteration a pure integer recurrence —
+  order-independent sums, so an unrolled SQL oracle reproduces the
+  distributed result bit-for-bit. Both run on one engine of resident
+  ``GraphShard`` actors, vertex-partitioned as in Pregel (Malewicz et
+  al., SIGMOD 2010): the edge list is scattered ONCE, and an iteration
+  step moves only pre-aggregated (node, sum) rows between shards.
+  PageRank's dangling nodes (404 targets: in-links only) contribute
+  nothing, per the standard mass-dropping simplification — identical in
+  the oracle.
 
-Scale notes: the edge list is materialized once (the PageRank working
-set, O(|E|) in the object store — at 100 TB this is the parquet edge
-table a real run would checkpoint); each iteration moves O(|E|) shares
-and O(|V|) rank rows through two exchanges and materializes O(|V|) —
-the canonical distributed PageRank shape. Nothing ever lands on the
-driver except per-iteration scheduling.
+Scale notes: the shards hold every edge twice (at its src's owner and
+at its dst's owner, one exchange plan per direction) and O(|V|) int64
+vectors; a step moves O(|V|) rows, where a Dataset plan would re-shuffle
+the O(|E|) edge list every iteration. The driver sees per-step
+(min, max) scalars and the final rank table.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
 
 from linkinator_ray.pipelines import graph
-from linkinator_ray.pipelines.hashagg import hash_aggregate, hash_join
+from linkinator_ray.pipelines.hashagg import hash_aggregate, hash_join, topk
 
 PR_SCALE = 10 ** 12
 PR_DAMPING_PCT = 85
 PR_ITERS = 4
+HITS_SCALE = 10 ** 6
+HITS_ITERS = 3
 
 
 def _guard_contrib(contrib: np.ndarray, damping_pct: int) -> None:
@@ -87,137 +92,28 @@ def degree_stats(sf_dir: str):
                                           "in_deg": ("in_inc", "sum")})
 
 
-def _node_degrees(edges):
-    """(d, deg) for every node in src ∪ dst; dangling nodes get deg=0.
-
-    One combiner exchange: src rows carry +1, dst rows carry +0 (their
-    only job is making in-link-only nodes exist in the node table)."""
-    def to_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "d": pa.chunked_array(
-                [batch["src_doc"], batch["dst_doc"]]).combine_chunks(),
-            "inc": pa.chunked_array(
-                [pa.array(np.ones(n, dtype=np.int64)),
-                 pa.array(np.zeros(n, dtype=np.int64))]).combine_chunks(),
-        })
-
-    rows = edges.map_batches(to_rows, batch_format="pyarrow")
-    return hash_aggregate(rows, "d", {"deg": ("inc", "sum")})
-
-
 def pagerank(sf_dir: str, iters: int = PR_ITERS,
-             damping_pct: int = PR_DAMPING_PCT, scale: int = PR_SCALE):
+             damping_pct: int = PR_DAMPING_PCT, scale: int = PR_SCALE,
+             num_shards: int | None = None):
     """Exact-integer PageRank over the extracted link graph.
 
     pr0[v] = scale; pr[v] = base + (Σ_{u→v} pr[u]//deg[u]) · d // 100
     with base = (100−d)·scale//100 — all floor division on int64, so
-    the result is independent of summation order and engine."""
+    the result is independent of summation order and of ``num_shards``
+    (the resident-shard count; default from the cluster's CPUs)."""
     base = (100 - damping_pct) * scale // 100
-    edges = graph.extract_edges(sf_dir).materialize()
-    node_deg = _node_degrees(edges)
 
-    def init(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pr", pa.array(np.full(batch.num_rows, scale, dtype=np.int64)))
+    def coeffs(lo: int, hi: int) -> tuple[int, int, int]:
+        _guard_contrib(np.array([lo, hi], np.int64), damping_pct)
+        return base, damping_pct, 100
 
-    ranks = node_deg.map_batches(init, batch_format="pyarrow").materialize()
-
-    def to_shares(batch: pa.Table) -> pa.Table:
-        # join output row = one edge with its src's (deg, pr) attached
-        pr = batch["pr"].to_numpy(zero_copy_only=False)
-        deg = batch["deg"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "d": batch["dst_doc"],
-            "c": pa.array(pr // deg),
-            "degc": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-        })
-
-    def to_zero_rows(batch: pa.Table) -> pa.Table:
-        # one zero-contribution row per node: keeps contribution-less
-        # nodes alive AND carries deg through the exchange (degc sums
-        # back to deg because shares contribute 0 there)
-        return pa.table({
-            "d": batch["d"],
-            "c": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "degc": batch["deg"],
-        })
-
-    for _ in range(iters):
-        joined = hash_join(edges, ranks, on="src_doc", right_on="d")
-        shares = joined.map_batches(to_shares, batch_format="pyarrow")
-        zeros = ranks.map_batches(to_zero_rows, batch_format="pyarrow")
-        summed = hash_aggregate(shares.union(zeros), "d",
-                                {"contrib": ("c", "sum"),
-                                 "deg": ("degc", "sum")})
-
-        def update(batch: pa.Table) -> pa.Table:
-            contrib = batch["contrib"].to_numpy(zero_copy_only=False)
-            _guard_contrib(contrib, damping_pct)
-            return pa.table({
-                "d": batch["d"],
-                "deg": batch["deg"],
-                "pr": pa.array(base + contrib * damping_pct // 100),
-            })
-
-        ranks = summed.map_batches(update,
-                                   batch_format="pyarrow").materialize()
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch["d"], "pr": batch["pr"]})
-
-    return ranks.map_batches(project, batch_format="pyarrow")
+    step = _Step("pr", "out", True, "pr", coeffs)
+    return _rank_on_shards(graph.extract_edges(sf_dir), {"pr": scale},
+                           [step] * iters, num_shards)
 
 
-HITS_SCALE = 10 ** 6
-HITS_ITERS = 3
-
-
-def _hits_half(edges, scores, nodes, join_on: str, group_to: str,
-               out_col: str, scale: int):
-    """One HITS half-step: raw[group_to] = Σ_{edges} scores[join_on],
-    then max-normalize to [0, scale] with floor division.
-
-    Max-normalization (instead of the textbook L2 norm) keeps the whole
-    recurrence in exact int64 — sums and max are order-independent, so
-    the unrolled DuckDB oracle reproduces the distributed result
-    bit-for-bit. One hash-partitioned join + one combiner exchange per
-    half-step, same cost shape as a pagerank iteration; the global max
-    is a tiny O(|V|)→scalar aggregate."""
-    score_col = scores.schema().names[1]
-    joined = hash_join(edges, scores, on=join_on, right_on="d")
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({"d": batch[group_to], "c": batch[score_col]})
-
-    def to_zero_rows(batch: pa.Table) -> pa.Table:
-        # keeps contribution-less nodes alive through the exchange
-        return pa.table({
-            "d": batch["d"],
-            "c": pa.array(np.zeros(batch.num_rows, dtype=np.int64))})
-
-    rows = joined.map_batches(to_rows, batch_format="pyarrow")
-    zeros = nodes.map_batches(to_zero_rows, batch_format="pyarrow")
-    raw = hash_aggregate(rows.union(zeros), "d",
-                         {"raw": ("c", "sum")}).materialize()
-    m = raw.max("raw")
-    if m is None or m <= 0:
-        raise ValueError("HITS max-normalizer is 0 — empty edge set?")
-    if m > (2 ** 63 - 1) // scale:
-        raise OverflowError(
-            f"HITS normalize multiply would overflow int64 (max raw {m}, "
-            f"scale {scale}); lower scale")
-
-    def norm(batch: pa.Table) -> pa.Table:
-        r = batch["raw"].to_numpy(zero_copy_only=False)
-        if len(r) and int(r.min()) < 0:
-            raise OverflowError("HITS contribution SUM wrapped int64")
-        return pa.table({"d": batch["d"], out_col: pa.array(r * scale // m)})
-
-    # raw is already materialized (the max() pass consumed it); norm is
-    # a cheap projection — leave it lazy so each half-step costs one
-    # exchange + one scalar aggregate, not a third materialization
-    return raw.map_batches(norm, batch_format="pyarrow")
+# the name the resident-shard engine first had, kept for its callers
+pagerank_actors = pagerank
 
 
 def hits(sf_dir: str, iters: int = HITS_ITERS, scale: int = HITS_SCALE):
@@ -228,43 +124,33 @@ def hits(sf_dir: str, iters: int = HITS_ITERS, scale: int = HITS_SCALE):
 
     a0[v] = scale; per iteration: h[u] = norm(Σ_{u→v} a[v]),
     a[v] = norm(Σ_{u→v} h[u]) with norm(x) = x·scale // max(x) — all
-    int64 floor arithmetic, so a 3-iteration unrolled SQL oracle hashes
-    identically. Per iteration: two hash-partitioned joins (edges ⋈
-    scores) + two combiner exchanges + two scalar max aggregates;
-    working set O(|E|) edges (materialized once) + O(|V|) scores —
-    the same at-scale shape as distributed pagerank."""
-    edges = graph.extract_edges(sf_dir).materialize()
+    int64 floor arithmetic. Max-normalization (instead of the textbook
+    L2 norm) keeps the recurrence exact: sums and max are
+    order-independent, so a 3-iteration unrolled SQL oracle hashes
+    identically. Each half-step is one shard step."""
+    return _hits_edges(graph.extract_edges(sf_dir), iters, scale)
 
-    def node_only(batch: pa.Table) -> pa.Table:
-        return pa.table({"d": batch["d"]})
 
-    nodes = _node_degrees(edges).map_batches(
-        node_only, batch_format="pyarrow").materialize()
+def _hits_edges(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
+                num_shards: int | None = None):
+    """``hits`` over any DISTINCT (src_doc, dst_doc) edge Dataset."""
+    def coeffs(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi <= 0:
+            raise ValueError("HITS max-normalizer is 0 — empty edge set?")
+        if hi > (2 ** 63 - 1) // scale:
+            raise OverflowError(
+                f"HITS normalize multiply would overflow int64 (max raw "
+                f"{hi}, scale {scale}); lower scale")
+        if lo < 0:
+            raise OverflowError("HITS contribution SUM wrapped int64")
+        return 0, scale, hi
 
-    def init(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "d": batch["d"],
-            "a": pa.array(np.full(batch.num_rows, scale, dtype=np.int64))})
-
-    auth = nodes.map_batches(init, batch_format="pyarrow").materialize()
-    hub = None
-    for _ in range(iters):
-        # h[u] = norm(Σ over out-edges (u,v) of a[v]): join on dst, sum per src
-        hub = _hits_half(edges, auth, nodes, join_on="dst_doc",
-                         group_to="src_doc", out_col="h", scale=scale)
-        # a[v] = norm(Σ over in-edges (u,v) of h[u]): join on src, sum per dst
-        auth = _hits_half(edges, hub, nodes, join_on="src_doc",
-                          group_to="dst_doc", out_col="a", scale=scale)
-
-    both = hash_join(hub, auth.map_batches(
-        lambda b: pa.table({"d2": b["d"], "a": b["a"]}),
-        batch_format="pyarrow"), on="d", right_on="d2")
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch["d"], "hub": batch["h"],
-                         "auth": batch["a"]})
-
-    return both.map_batches(project, batch_format="pyarrow")
+    # the hub step sums a[v] over out-edges (u, v), i.e. pushes a[v]
+    # back along in-edges to u; the authority step pushes h[u] forward
+    steps = [_Step("auth", "in", False, "hub", coeffs),
+             _Step("hub", "out", False, "auth", coeffs)] * iters
+    return _rank_on_shards(edges, {"hub": 0, "auth": scale}, steps,
+                           num_shards)
 
 
 def hits_reference(edges: list[tuple[int, int]], iters: int = HITS_ITERS,
@@ -306,9 +192,23 @@ def pagerank_reference(edges: list[tuple[int, int]], iters: int = PR_ITERS,
 
 
 # ---------------------------------------------------------------------------
-# Actor-partitioned PageRank — iterative algorithms without per-iteration
-# edge shuffles
+# The resident-shard ranking engine — iterative algorithms without
+# per-iteration edge shuffles
 # ---------------------------------------------------------------------------
+
+class _Step(NamedTuple):
+    """One iteration step: every edge carries vector ``read`` of its
+    sending end ("out": src → dst; "in": dst → src), divided by the
+    src's out-degree when ``per_degree``; the receiving nodes sum what
+    they get, and ``write`` = add + sum·mul // div, where
+    ``coeffs(lo, hi)`` of the global (min, max) sum gives
+    (add, mul, div) or raises where int64 would wrap."""
+    read: str
+    along: str
+    per_degree: bool
+    write: str
+    coeffs: Callable[[int, int], tuple[int, int, int]]
+
 
 def _owner_of(ids: np.ndarray, num_shards: int) -> np.ndarray:
     """Node → shard assignment (splitmix64 mod P — balanced under
@@ -337,18 +237,18 @@ def _make_graph_shard():
 
     @ray.remote
     class GraphShard:
-        """One partition of the link graph, held resident across
-        PageRank iterations: local edges (every edge whose src this
-        shard OWNS), local out-degrees, and the rank vector of owned
-        nodes. Per iteration the only data on the wire is the
-        PRE-AGGREGATED (dst, contribution) rows — the edge list never
-        moves again after the one-time build scatter.
+        """One vertex partition of the link graph, held resident across
+        iterations: every edge with an endpoint this shard OWNS, one
+        precomputed exchange plan per direction, the owned nodes'
+        out-degrees and named int64 vectors over them. A step puts only
+        PRE-AGGREGATED (node, sum) rows on the wire — the edge list
+        never moves again after the one-time build scatter.
 
         This is the documented raw-actor escape hatch (SURVEY §2.3 /
-        ray_guide): Ray Data has no persistent co-partitioning, so the
-        Dataset version of pagerank() re-partitions the full edge list
-        every iteration; at 10^10 edges that shuffle dwarfs the
-        rank-row traffic this design pays instead.
+        ray_guide): Ray Data has no persistent co-partitioning, so a
+        Dataset plan re-partitions the full edge list every iteration;
+        at 10^10 edges that shuffle dwarfs the rank-row traffic this
+        design pays instead.
 
         Every build message carries an idempotency key (content
         checksum of its source batch): Ray Data map tasks RETRY, and a
@@ -359,13 +259,12 @@ def _make_graph_shard():
             self.shard_id = shard_id
             self.P = num_shards
             self._edge_parts: list = []    # (src, dst) arrays
-            self._node_parts: list = []    # announced owned node ids
             self._seen_keys: set = set()
             self._sealed = False
             self.n_edges_recv = 0
-            self.n_nodes_recv = 0
-            self._inbox: dict = {}         # iter -> list of (dst, c)
-            self._inbox_from: dict = {}    # iter -> set of sender ids
+            self._inbox: dict = {}         # step -> list of (node, sum)
+            self._inbox_from: dict = {}    # step -> set of sender ids
+            self._raw = None               # the gathered step's sums
             # fire-and-forget senders drop their ObjectRefs, so a
             # worker-side exception would otherwise vanish and the run
             # would die 120 s later as an opaque barrier timeout —
@@ -391,249 +290,228 @@ def _make_graph_shard():
                 self._errors.append(traceback.format_exc())
                 raise
 
-        def add_nodes(self, key, ids: np.ndarray) -> None:
-            try:
-                if self._sealed or key in self._seen_keys:
-                    return
-                self._seen_keys.add(key)
-                self._node_parts.append(ids)
-                self.n_nodes_recv += len(ids)
-            except Exception:
-                import traceback
-                self._errors.append(traceback.format_exc())
-                raise
+        def received(self) -> int:
+            return self.n_edges_recv
 
-        def received(self) -> tuple:
-            return self.n_edges_recv, self.n_nodes_recv
-
-        def seal(self, scale: int) -> int:
-            """Freeze the partition: dedupe owned nodes, compute local
-            out-degrees, init ranks, and precompute every
-            ITERATION-INVARIANT piece of the contribution exchange
-            (dst sort order, group starts, per-peer destination
-            slices) — send_contribs then does no sorting at all.
-            Returns the owned node count."""
-            if self._edge_parts:
-                self.src = np.concatenate([p[0] for p in self._edge_parts])
-                self.dst = np.concatenate([p[1] for p in self._edge_parts])
-            else:
-                self.src = np.empty(0, np.int64)
-                self.dst = np.empty(0, np.int64)
-            self._edge_parts = None
-            owned = [self.src] + self._node_parts
-            self._node_parts = None
-            self._seen_keys = None
+        def seal(self, init: dict) -> int:
+            """Freeze the partition: owned nodes, their out-degrees,
+            one vector per ``init`` entry (name → start value) and the
+            two ITERATION-INVARIANT exchange plans, so a step does no
+            sorting at all. Returns the owned node count."""
+            parts = self._edge_parts or [(np.empty(0, np.int64),) * 2]
+            src = np.concatenate([p[0] for p in parts])
+            dst = np.concatenate([p[1] for p in parts])
+            self._edge_parts = self._seen_keys = None
             self._sealed = True
-            # owned always holds >= 1 array (self.src, possibly empty);
-            # concatenate-of-empties yields an empty int64 array
-            self.nodes = np.unique(np.concatenate(owned))
-            # local degree == global degree: ALL edges of an owned src
-            # live here (edges scattered by src owner)
-            deg = np.zeros(len(self.nodes), np.int64)
-            if len(self.src):
-                su, sc = np.unique(self.src, return_counts=True)
-                deg[np.searchsorted(self.nodes, su)] = sc
-            self.deg = deg
-            self.pr = np.full(len(self.nodes), scale, dtype=np.int64)
-            # iteration-invariant exchange plan: edges sorted by dst,
-            # one (dst, start) group table, per-peer group index ranges
-            order = np.argsort(self.dst, kind="stable")
-            self.src_slot = np.searchsorted(self.nodes, self.src)[order]
-            d_s = self.dst[order]
-            if len(d_s):
-                cut = np.empty(len(d_s), bool)
-                cut[0] = True
-                cut[1:] = d_s[1:] != d_s[:-1]
-                self.grp_starts = np.flatnonzero(cut)
-                self.d_u = d_s[self.grp_starts]
-                own = _owner_of(self.d_u, self.P)
-                self.peer_groups = [np.flatnonzero(own == p)
-                                    for p in range(self.P)]
-            else:
-                self.grp_starts = np.empty(0, np.int64)
-                self.d_u = np.empty(0, np.int64)
-                self.peer_groups = [np.empty(0, np.int64)
-                                    for _ in range(self.P)]
-            self.src = None
-            self.dst = None
+            out = _owner_of(src, self.P) == self.shard_id
+            inn = _owner_of(dst, self.P) == self.shard_id
+            # a node is an endpoint of some edge, and that edge reached
+            # the node's owner
+            self.nodes = np.unique(np.concatenate([src[out], dst[inn]]))
+            # local degree == global degree: ALL out-edges of an owned
+            # src live here
+            su, sc = np.unique(src[out], return_counts=True)
+            self.deg = np.zeros(len(self.nodes), np.int64)
+            self.deg[np.searchsorted(self.nodes, su)] = sc
+            self._plans = {"out": self._plan(src[out], dst[out]),
+                           "in": self._plan(dst[inn], src[inn])}
+            self.vecs = {name: np.full(len(self.nodes), v, np.int64)
+                         for name, v in init.items()}
             return len(self.nodes)
 
-        # ---- iterate ----
-        def send_contribs(self, it: int, peers: list) -> None:
-            """Shares pr[src]//deg[src] in precomputed dst order, one
-            reduceat over the precomputed group starts, one message per
-            peer shard (empty messages keep the barrier deterministic)."""
-            if len(self.grp_starts):
-                shares = self.pr[self.src_slot] // self.deg[self.src_slot]
-                c_u = np.add.reduceat(shares, self.grp_starts)
-            else:
-                c_u = np.empty(0, np.int64)
-            for p in range(self.P):
-                g = self.peer_groups[p]
-                peers[p].receive_contribs.remote(it, self.shard_id,
-                                                 self.d_u[g], c_u[g])
+        def _plan(self, frm: np.ndarray, to: np.ndarray) -> tuple:
+            """Edges frm → to (frm owned here) sorted by (owner of to,
+            to): the slot of each edge's frm, the start of each to
+            group, the group's to id, and each peer's group range."""
+            own = _owner_of(to, self.P)
+            order = np.lexsort((to, own))
+            to_s = to[order]
+            starts = np.flatnonzero(
+                np.r_[len(to_s) > 0, to_s[1:] != to_s[:-1]])
+            bounds = np.searchsorted(own[order][starts],
+                                     np.arange(self.P + 1))
+            return (np.searchsorted(self.nodes, frm[order]), starts,
+                    to_s[starts], bounds)
 
-        def receive_contribs(self, it: int, sender: int,
-                             dst: np.ndarray, c: np.ndarray) -> None:
+        # ---- iterate ----
+        def push(self, step: int, read: str, along: str,
+                 per_degree: bool, peers: list) -> None:
+            """Shares of vector ``read`` in plan order, one reduceat
+            over the precomputed group starts, one message per peer
+            shard (empty messages keep the barrier deterministic)."""
+            slot, starts, targets, bounds = self._plans[along]
+            shares = self.vecs[read][slot]
+            if per_degree:
+                shares = shares // self.deg[slot]
+            sums = np.add.reduceat(shares, starts) if len(starts) \
+                else shares
+            for p in range(self.P):
+                lo, hi = bounds[p], bounds[p + 1]
+                peers[p].receive.remote(step, self.shard_id,
+                                        targets[lo:hi], sums[lo:hi])
+
+        def receive(self, step: int, sender: int, nodes: np.ndarray,
+                    sums: np.ndarray) -> None:
             # dedupe by SENDER, not message count: a retried/duplicated
             # delivery must not let the barrier pass with 2 messages
-            # from shard A and 0 from B (contribs double-counted and
-            # dropped, silently wrong ranks). A sender's (it, payload)
-            # is a pure function of sealed state + pr, so dropping the
-            # duplicate is exact.
+            # from shard A and 0 from B (sums double-counted and
+            # dropped, silently wrong ranks). A sender's (step, payload)
+            # is a pure function of sealed state + its vectors, so
+            # dropping the duplicate is exact.
             try:
-                heard = self._inbox_from.setdefault(it, set())
+                heard = self._inbox_from.setdefault(step, set())
                 if sender in heard:
                     return
                 heard.add(sender)
-                self._inbox.setdefault(it, []).append((dst, c))
+                self._inbox.setdefault(step, []).append((nodes, sums))
             except Exception:
                 import traceback
                 self._errors.append(traceback.format_exc())
                 raise
 
-        def ready(self, it: int) -> bool:
-            return len(self._inbox_from.get(it, ())) >= self.P
+        def ready(self, step: int) -> bool:
+            return len(self._inbox_from.get(step, ())) >= self.P
 
-        def apply_update(self, it: int, base: int,
-                         damping_pct: int) -> None:
-            contrib = np.zeros(len(self.nodes), np.int64)
-            for dst, c in self._inbox.pop(it, []):
-                if len(dst):
-                    np.add.at(contrib, np.searchsorted(self.nodes, dst), c)
-            self._inbox_from.pop(it, None)
-            _guard_contrib(contrib, damping_pct)
-            self.pr = base + contrib * damping_pct // 100
+        def gather(self, step: int) -> tuple:
+            """Sum the step's messages per owned node; returns the
+            (min, max) sum, (0, 0) on a shard that owns no node."""
+            raw = np.zeros(len(self.nodes), np.int64)
+            for nodes, sums in self._inbox.pop(step, []):
+                # a message names each node once, so += is exact
+                raw[np.searchsorted(self.nodes, nodes)] += sums
+            self._inbox_from.pop(step, None)
+            self._raw = raw
+            return (int(raw.min()), int(raw.max())) if len(raw) else (0, 0)
 
-        def ranks(self) -> "pa.Table":
-            return pa.table({"doc_id": pa.array(self.nodes, pa.int64()),
-                             "pr": pa.array(self.pr, pa.int64())})
+        def apply(self, write: str, add: int, mul: int, div: int) -> None:
+            self.vecs[write] = add + self._raw * mul // div
+            self._raw = None
+
+        def table(self, names: list) -> "pa.Table":
+            cols = {"doc_id": pa.array(self.nodes, pa.int64())}
+            for name in names:
+                cols[name] = pa.array(self.vecs[name], pa.int64())
+            return pa.table(cols)
 
     return GraphShard
 
 
-def pagerank_actors(sf_dir: str, iters: int = PR_ITERS,
-                    damping_pct: int = PR_DAMPING_PCT,
-                    scale: int = PR_SCALE, num_shards: int | None = None):
-    """PageRank over resident graph-shard actors: the edge list is
-    scattered by src-owner ONCE; each iteration exchanges only the
-    pre-aggregated (dst, contribution) rows between shards. Same exact
-    integer recurrence as ``pagerank()`` — bit-identical output
-    (pinned by test + the same DuckDB oracle).
+def _raise_shard_errors(shards: list) -> None:
+    """Re-raise the first worker-side traceback a shard recorded."""
+    import ray
+    for p, errs in enumerate(ray.get([s.errors.remote() for s in shards])):
+        if errs:
+            raise RuntimeError(f"graph shard {p} failed:\n{errs[0]}")
 
-    Build-scatter barrier: routing tasks return per-shard row counts;
-    the driver polls each shard until its received counters match —
-    actor mailbox ordering is only per-sender, so a bare 'seal' RPC
-    could overtake in-flight scatter messages (same counter pattern as
-    state/mesh.py quiescence). Scatter messages carry content-checksum
-    idempotency keys so a RETRIED map task cannot double-count.
-    Shards are killed in a finally block — a failed run leaves no
-    resident graph copies behind."""
-    import time as _time
 
+def _await(shards: list, poll: Callable, want: list, what: str) -> None:
+    """Poll ``poll(shard)`` on every shard until the answers equal
+    ``want``. Actor mailboxes order messages per sender only, so the
+    driver cannot just send the next RPC after fire-and-forget traffic.
+
+    The deadline is progress-based: a healthy large scatter that is
+    still draining mailboxes must not be killed by a fixed clock — only
+    answers that stop changing for 120 s time out. Errors are polled
+    every ~1 s, so a deterministic worker failure surfaces at once
+    instead of costing the stall window first."""
+    import time
+
+    import ray
+    stall_s, err_poll_s = 120, 1.0
+    last, last_change = None, time.time()
+    last_err_poll = time.time()
+    while True:
+        got = ray.get([poll(s) for s in shards])
+        if got == want:
+            return
+        now = time.time()
+        if now - last_err_poll > err_poll_s:
+            _raise_shard_errors(shards)
+            last_err_poll = now
+        if got != last:
+            last, last_change = got, now
+        elif now - last_change > stall_s:
+            _raise_shard_errors(shards)
+            raise TimeoutError(f"{what} stalled {stall_s}s: "
+                               f"{got} != {want}")
+        time.sleep(0.02)
+
+
+def _rank_on_shards(edges, init: dict, steps: list, num_shards: int | None):
+    """Run ``steps`` over a DISTINCT (src_doc, dst_doc) edge Dataset on
+    resident ``GraphShard`` actors; returns (doc_id, *init) as a Dataset.
+
+    Build: each edge goes ONCE to its src's owner and to its dst's
+    owner (one message when they are the same shard). Routing tasks
+    return per-shard row counts, and the driver waits until every shard
+    received exactly that many — a bare seal RPC could overtake
+    in-flight scatter messages (same counter pattern as state/mesh.py
+    quiescence). Shards are killed in a finally block — a failed run
+    leaves no resident graph copies behind."""
     import ray
     import ray.data as rd
 
     from linkinator_ray.pipelines.hashagg import default_parts
     P = num_shards or max(2, min(16, default_parts() // 2))
-    base = (100 - damping_pct) * scale // 100
     GraphShard = _make_graph_shard()
     shards = [GraphShard.remote(i, P) for i in range(P)]
     try:
-        edges = graph.extract_edges(sf_dir)
-
         def scatter(batch: pa.Table) -> pa.Table:
             src = batch["src_doc"].to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
             dst = batch["dst_doc"].to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
             key = _batch_checksum(src, dst)
-            e_cnt = np.zeros(P, np.int64)
-            n_cnt = np.zeros(P, np.int64)
-            so = _owner_of(src, P)
-            do = _owner_of(dst, P)
+            so, do = _owner_of(src, P), _owner_of(dst, P)
+            sent = np.zeros(P, np.int64)
             for p in range(P):
-                m = so == p
+                m = (so == p) | (do == p)
                 if m.any():
-                    shards[p].add_edges.remote((key, "e", p), src[m],
-                                               dst[m])
-                    e_cnt[p] = int(m.sum())
-                dm = do == p
-                if dm.any():
-                    ids = np.unique(dst[dm])
-                    shards[p].add_nodes.remote((key, "n", p), ids)
-                    n_cnt[p] = len(ids)
+                    shards[p].add_edges.remote((key, p), src[m], dst[m])
+                    sent[p] = int(m.sum())
             return pa.table({"shard": pa.array(np.arange(P)),
-                             "e": pa.array(e_cnt), "n": pa.array(n_cnt)})
+                             "e": pa.array(sent)})
 
         sent = edges.map_batches(scatter, batch_format="pyarrow",
                                  batch_size=65536).to_pandas() \
-            .groupby("shard")[["e", "n"]].sum()
-        expected = {int(i): (int(r["e"]), int(r["n"]))
-                    for i, r in sent.iterrows()}
+            .groupby("shard")["e"].sum()
+        _await(shards, lambda s: s.received.remote(),
+               [int(sent.get(p, 0)) for p in range(P)], "scatter barrier")
+        ray.get([s.seal.remote(init) for s in shards])
 
-        def raise_shard_errors() -> None:
-            # fire-and-forget senders drop their ObjectRefs; a recorded
-            # worker-side traceback beats an opaque barrier timeout
-            for p, errs in enumerate(ray.get(
-                    [s.errors.remote() for s in shards])):
-                if errs:
-                    raise RuntimeError(
-                        f"graph shard {p} failed:\n{errs[0]}")
-
-        # progress-based deadline: a healthy large scatter that is
-        # still draining mailboxes must not be killed by a fixed clock —
-        # only STALLED counters (no advance for the window) time out.
-        # Errors are polled every ~1 s, not only at stall timeout, so a
-        # deterministic worker failure surfaces immediately instead of
-        # costing the full 120 s window first.
-        stall_s, err_poll_s = 120, 1.0
-        last, last_change = None, _time.time()
-        last_err_poll = _time.time()
-        while True:
-            got = ray.get([s.received.remote() for s in shards])
-            if all(tuple(got[p]) == expected.get(p, (0, 0))
-                   for p in range(P)):
-                break
-            if _time.time() - last_err_poll > err_poll_s:
-                raise_shard_errors()
-                last_err_poll = _time.time()
-            if got != last:
-                last, last_change = got, _time.time()
-            elif _time.time() - last_change > stall_s:
-                raise_shard_errors()
-                raise TimeoutError(f"scatter barrier stalled {stall_s}s: "
-                                   f"{got} != {expected}")
-            _time.sleep(0.02)
-        ray.get([s.seal.remote(scale) for s in shards])
-
-        for it in range(iters):
-            ray.get([s.send_contribs.remote(it, shards) for s in shards])
-            last_n, last_change = -1, _time.time()
-            last_err_poll = _time.time()
-            while True:
-                ready = ray.get([s.ready.remote(it) for s in shards])
-                if all(ready):
-                    break
-                if _time.time() - last_err_poll > err_poll_s:
-                    raise_shard_errors()
-                    last_err_poll = _time.time()
-                n = sum(ready)
-                if n != last_n:
-                    last_n, last_change = n, _time.time()
-                elif _time.time() - last_change > stall_s:
-                    raise_shard_errors()
-                    raise TimeoutError(
-                        f"iteration {it} barrier stalled {stall_s}s")
-                _time.sleep(0.02)
-            ray.get([s.apply_update.remote(it, base, damping_pct)
+        for it, step in enumerate(steps):
+            ray.get([s.push.remote(it, step.read, step.along,
+                                   step.per_degree, shards)
+                     for s in shards])
+            _await(shards, lambda s: s.ready.remote(it), [True] * P,
+                   f"step {it} barrier")
+            sums = ray.get([s.gather.remote(it) for s in shards])
+            add, mul, div = step.coeffs(min(lo for lo, _ in sums),
+                                        max(hi for _, hi in sums))
+            ray.get([s.apply.remote(step.write, add, mul, div)
                      for s in shards])
 
-        tables = ray.get([s.ranks.remote() for s in shards])
+        tables = ray.get([s.table.remote(list(init)) for s in shards])
     finally:
         for s in shards:
             ray.kill(s)
-    return rd.from_arrow([t for t in tables if t.num_rows])
+    return rd.from_arrow([t for t in tables if t.num_rows] or tables[:1])
+
+
+def _run_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) row indices of every pair i < j inside each run of
+    equal ``keys`` (rows sorted by key) — run boundaries + np.repeat
+    indexing, no Python loop."""
+    n = len(keys)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    local = np.arange(n) - np.repeat(starts, sizes)
+    reps = np.repeat(sizes, sizes) - 1 - local  # pairs with i as left
+    lefts = np.repeat(np.arange(n), reps)
+    run_off = np.cumsum(reps) - reps
+    within = np.arange(len(lefts)) - np.repeat(run_off, reps)
+    rights = np.repeat(np.arange(n) + 1, reps) + within
+    return lefts, rights
 
 
 def triangle_count(sf_dir: str, num_parts: int | None = None):
@@ -704,12 +582,8 @@ def triangle_count_edges(edges, num_parts: int | None = None):
                          "doc_id", {"deg": ("inc", "sum")},
                          num_parts=num_parts).materialize()
 
-    def _ren(ds, old: str, new: str):
-        # Dataset.rename_columns exists on Ray 2.49 — use it
-        return ds.rename_columns({old: new})
-
-    e1 = _ren(hash_join(ue, deg, on="a", right_on="doc_id",
-                        num_parts=num_parts), "deg", "deg_a")
+    e1 = hash_join(ue, deg, on="a", right_on="doc_id",
+                   num_parts=num_parts).rename_columns({"deg": "deg_a"})
     e2 = hash_join(e1, deg, on="b", right_on="doc_id", num_parts=num_parts)
 
     def orient(batch: pa.Table) -> pa.Table:
@@ -733,19 +607,7 @@ def triangle_count_edges(edges, num_parts: int | None = None):
         df = df.sort_values(["u", "deg_v", "v"], kind="stable")
         u = df["u"].to_numpy()
         v = df["v"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        sizes = np.diff(np.r_[starts, len(u)])
-        local = np.arange(len(u)) - np.repeat(starts, sizes)
-        reps = np.repeat(sizes, sizes) - 1 - local  # pairs with i as left
-        total = int(reps.sum())
-        if total == 0:
-            return pd.DataFrame({"cu": np.array([], np.int64),
-                                 "cv": np.array([], np.int64),
-                                 "cw": np.array([], np.int64)})
-        lefts = np.repeat(np.arange(len(u)), reps)
-        run_off = np.cumsum(reps) - reps
-        within = np.arange(total) - np.repeat(run_off, reps)
-        rights = np.repeat(np.arange(len(u)) + 1, reps) + within
+        lefts, rights = _run_pairs(u)
         return pd.DataFrame({"cu": u[lefts], "cv": v[lefts],
                              "cw": v[rights]})
 
@@ -839,8 +701,7 @@ def cocitation_topk_edges(edges, k: int = 20, max_out_degree: int = 64,
     double-count pairs and inflate the degree cap)."""
     import pandas as pd
 
-    from linkinator_ray.pipelines.hashagg import (hash_aggregate,
-                                                  hash_partition_apply)
+    from linkinator_ray.pipelines.hashagg import hash_partition_apply
 
     def pair_fn(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["src_doc", "dst_doc"], kind="stable")
@@ -852,24 +713,8 @@ def cocitation_topk_edges(edges, k: int = 20, max_out_degree: int = 64,
         # same sources, so results stay bit-identical
         keep_run = sizes <= max_out_degree
         keep = np.repeat(keep_run, sizes)
-        s, d = s[keep], d[keep]
-        if len(s) == 0:
-            return pd.DataFrame({"a": np.array([], np.int64),
-                                 "b": np.array([], np.int64),
-                                 "n": np.array([], np.int64)})
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        sizes = np.diff(np.r_[starts, len(s)])
-        local = np.arange(len(s)) - np.repeat(starts, sizes)
-        reps = np.repeat(sizes, sizes) - 1 - local
-        total = int(reps.sum())
-        if total == 0:
-            return pd.DataFrame({"a": np.array([], np.int64),
-                                 "b": np.array([], np.int64),
-                                 "n": np.array([], np.int64)})
-        lefts = np.repeat(np.arange(len(s)), reps)
-        run_off = np.cumsum(reps) - reps
-        within = np.arange(total) - np.repeat(run_off, reps)
-        rights = np.repeat(np.arange(len(s)) + 1, reps) + within
+        lefts, rights = _run_pairs(s[keep])
+        d = d[keep]
         out = pd.DataFrame({"a": d[lefts], "b": d[rights]})
         # out-lists are dst-sorted within each src run, so a < b always
         return out.groupby(["a", "b"], sort=False).size() \
@@ -880,14 +725,8 @@ def cocitation_topk_edges(edges, k: int = 20, max_out_degree: int = 64,
     merged = hash_aggregate(pairs, ["a", "b"], {"n": ("n", "sum")},
                             num_parts=num_parts)
 
-    def local_topk(df: "pd.DataFrame") -> "pd.DataFrame":
-        return df.sort_values(["n", "a", "b"],
-                              ascending=[False, True, True]).head(k)
-
-    top = merged.map_batches(local_topk, batch_format="pandas").to_pandas() \
-        .sort_values(["n", "a", "b"], ascending=[False, True, True]).head(k)
-    return pa.Table.from_pandas(top.reset_index(drop=True),
-                                preserve_index=False)
+    return topk(merged, k, [("n", "descending"), ("a", "ascending"),
+                            ("b", "ascending")])
 
 
 def crawl_depth_edges(edges, roots: list[int], max_rounds: int = 64,

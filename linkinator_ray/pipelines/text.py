@@ -444,19 +444,12 @@ def top_tokens(sf_dir: str, k: int = 20):
 
     partials = read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         partial, batch_format="pyarrow", batch_size=8192)
-    from linkinator_ray.pipelines.hashagg import hash_aggregate
+    from linkinator_ray.pipelines.hashagg import hash_aggregate, topk
     merged = hash_aggregate(partials, "token", {"doc_freq": ("n", "sum")})
-
-    def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        # hash co-location: every token's global count lives in exactly
-        # one partition, so a per-partition head is a valid partial
-        return batch.sort_values(["doc_freq", "token"],
-                                 ascending=[False, True]).head(k)
-
-    top = merged.map_batches(local_topk, batch_format="pandas").to_pandas() \
-        .sort_values(["doc_freq", "token"], ascending=[False, True]).head(k)
-    import pyarrow as _pa
-    return _pa.Table.from_pandas(top.reset_index(drop=True), preserve_index=False)
+    # hash co-location: every token's global count lives in exactly one
+    # block, so a per-block top k is a valid partial
+    return topk(merged, k, [("doc_freq", "descending"),
+                            ("token", "ascending")])
 
 
 # ---------------------------------------------------------------------------
@@ -1871,7 +1864,7 @@ def bigram_counts(sf_dir: str, k: int = 20):
     lives in exactly one hash partition; driver sees P×k rows."""
     import pyarrow.compute as pc
 
-    from linkinator_ray.pipelines.hashagg import hash_aggregate
+    from linkinator_ray.pipelines.hashagg import hash_aggregate, topk
 
     def partial(batch: pa.Table) -> pa.Table:
         trimmed = pc.utf8_trim_whitespace(_text_col(batch))
@@ -1897,15 +1890,7 @@ def bigram_counts(sf_dir: str, k: int = 20):
     partials = read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         partial, batch_format="pyarrow", batch_size=8192)
     merged = hash_aggregate(partials, "bigram", {"n": ("n", "sum")})
-
-    def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.sort_values(["n", "bigram"],
-                                 ascending=[False, True]).head(k)
-
-    top = merged.map_batches(local_topk, batch_format="pandas").to_pandas() \
-        .sort_values(["n", "bigram"], ascending=[False, True]).head(k)
-    return pa.Table.from_pandas(top.reset_index(drop=True),
-                                preserve_index=False)
+    return topk(merged, k, [("n", "descending"), ("bigram", "ascending")])
 
 
 def vocab_build(sf_dir: str, min_doc_freq: int = 2,

@@ -73,7 +73,7 @@ def top_customers(sf_dir: str, k: int = 10):
     'What's wrong' #5)."""
     import pyarrow.dataset as pads
 
-    from linkinator_ray.pipelines.hashagg import hash_aggregate
+    from linkinator_ray.pipelines.hashagg import hash_aggregate, topk
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.multiply(batch["o_totalprice"],
@@ -91,13 +91,8 @@ def top_customers(sf_dir: str, k: int = 10):
                             {"total_cents": ("total", "sum"),
                              "n_orders": ("n", "sum")})
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("total_cents", "descending"),
-                              ("o_custkey", "ascending")]).slice(0, k)
-
-    top = local_topk(pa.Table.from_pandas(
-        merged.map_batches(local_topk, batch_format="pyarrow").to_pandas(),
-        preserve_index=False))
+    top = topk(merged, k, [("total_cents", "descending"),
+                           ("o_custkey", "ascending")])
     keys = top["o_custkey"].to_pylist()
     cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
         columns=["c_custkey", "c_name"],
@@ -132,7 +127,8 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
     import pyarrow.dataset as pads
     import ray.data as rd
 
-    from linkinator_ray.pipelines.hashagg import hash_aggregate, hash_join
+    from linkinator_ray.pipelines.hashagg import (hash_aggregate, hash_join,
+                                                  topk)
 
     cut = np.datetime64(cutoff, "us")
 
@@ -194,13 +190,8 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         joined, ["l_orderkey", "o_orderdate", "o_orderpriority"],
         {"revenue_u": ("rev_u", "sum")})
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("revenue_u", "descending"),
-                              ("l_orderkey", "ascending")]).slice(0, k)
-
-    top = local_topk(pa.Table.from_pandas(
-        merged.map_batches(local_topk, batch_format="pyarrow").to_pandas(),
-        preserve_index=False))
+    top = topk(merged, k, [("revenue_u", "descending"),
+                           ("l_orderkey", "ascending")])
     return top.select(["l_orderkey", "revenue_u", "o_orderdate",
                        "o_orderpriority"])
 

@@ -382,8 +382,14 @@ class CorpusIndex:
             is_dir = self._dirs_have(dirs)
             idx = miss[is_dir]
             status[idx] = 301
+            dirs = dirs.filter(pa.array(is_dir))
+            if self.multi_host and len(idx):
+                # the location is the URL's own path: drop the host that
+                # the doc_id form ("host/path") puts in front
+                dirs = pc.replace_substring_regex(dirs, "^[^/]*/", "",
+                                                  max_replacements=1)
             location = _patch(location, idx, pc.binary_join_element_wise(
-                "/", dirs.filter(pa.array(is_dir)), "/", ""))
+                "/", dirs, "/", ""))
         return [pa.array(status), doc_id, content_type, location,
                 pa.array(row)]
 

@@ -62,13 +62,15 @@ class ScalarResolver:
         if self.multi_host:
             if hostname not in self.hosts:
                 return None
-            return self.resolve_path(hostname + "/" + path.lstrip("/"))
+            return self.resolve_path(path, hostname + "/")
         if hostname != self.host:
             return None
         return self.resolve_path(path)
 
-    def resolve_path(self, path):
-        raw = path.lstrip("/")
+    def resolve_path(self, path, prefix=""):
+        """``prefix`` is the "host/" that multi-host doc_ids start with;
+        a 301 location is the URL's own path, without it."""
+        raw = prefix + path.lstrip("/")
         if path.endswith("/") or raw == "":
             raw = raw + "index.html"
         if raw in self.ids:
@@ -84,7 +86,7 @@ class ScalarResolver:
                 return (200, CorpusIndex.LISTING_PREFIX + dir_prefix,
                         "text/html", "")
         if raw in self.dirs:
-            return (301, "", "", "/" + raw + "/")
+            return (301, "", "", "/" + raw[len(prefix):] + "/")
         return (404, "", "", "")
 
 
@@ -227,5 +229,28 @@ def test_page_urls_resolve_by_probe_alone(monkeypatch):
     assert calls == [len(missing) + 1]
     assert all(g["on_corpus"] and g["status"] == 404 and g["row"] == -1
                for g in got[:-1])
-    assert got[-1]["status"] == 301 and got[-1]["location"].endswith("/sub/")
+    assert got[-1]["status"] == 301 and got[-1]["location"] == "/sub/"
     assert np.all([g["content_type"] == "" for g in got])
+
+
+def test_multi_host_directory_redirect_crawls():
+    """A multi-host link to a directory without its slash follows the
+    301 to the directory's index page: the location is the URL's own
+    path, so no request goes to a "/<host>/..." path."""
+    from linkinator_ray.options import CheckOptions
+    from linkinator_ray.pipelines.crawl import LinkChecker
+    documents = fx.docs_table(
+        fx.doc("h0.test/index.html", fx.span("anchor", "/sub")),
+        fx.doc("h0.test/sub/index.html", fx.span("anchor", "a.html")),
+        fx.doc("h0.test/sub/a.html"))
+    res = LinkChecker(CheckOptions(paths=["http://h0.test/"], recurse=True),
+                      documents, [], multi_host=True).check()
+    assert res.passed
+    rows = {r["url"]: (r["status"], r["state"])
+            for r in res.results.to_pylist()}
+    assert rows == {"http://h0.test/": (200, "OK"),
+                    "http://h0.test/sub": (200, "OK"),
+                    "http://h0.test/sub/a.html": (200, "OK")}
+    assert ("http://h0.test/sub/", "GET", 200) in res.call_log
+    assert not any("/h0.test/" in url.split("//", 1)[1]
+                   for url, _, _ in res.call_log)

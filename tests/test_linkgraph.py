@@ -1,10 +1,10 @@
-"""Link-graph analytics: degree stats and exact-integer PageRank.
+"""Link-graph analytics: degree stats and exact-integer PageRank/HITS.
 
-PageRank is differential-tested: the distributed Ray pipeline (per-
-iteration hash join + combiner exchange) must reproduce the single-
-machine integer recurrence bit-for-bit — floor-division fixed point
-makes the result order-independent, which is what the DuckDB oracle
-relies on too.
+PageRank and HITS are differential-tested: the resident-shard engine
+(edges scattered once, pre-aggregated sums per step) must reproduce the
+single-machine integer recurrence bit-for-bit at any shard count —
+floor-division fixed point makes the result order-independent, which is
+what the DuckDB oracle relies on too.
 """
 
 import numpy as np
@@ -70,18 +70,16 @@ def test_pagerank_distributed_equals_reference(ray_session):
 
 
 def test_pagerank_actors_equals_dataset(ray_session):
-    """The actor-partitioned variant (edges scattered once, only rank
-    contributions on the wire per iteration) must be BIT-IDENTICAL to
-    the Dataset version — same integer recurrence, different physical
-    plan. Exercised at two shard counts (partition-invariance)."""
-    from linkinator_ray.pipelines.linkgraph import pagerank, \
-        pagerank_actors
-    want = pagerank(SF, iters=4).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    """``pagerank_actors`` (the engine's first name) must be
+    BIT-IDENTICAL to the single-machine recurrence at two shard counts
+    (partition-invariance)."""
+    from linkinator_ray.pipelines.linkgraph import pagerank_actors, \
+        pagerank_reference
+    want = sorted(pagerank_reference(_edges(SF), iters=4).items())
     for shards in (2, 5):
         got = pagerank_actors(SF, iters=4, num_shards=shards).to_pandas() \
-            .sort_values("doc_id").reset_index(drop=True)
-        assert got.values.tolist() == want.values.tolist(), shards
+            .sort_values("doc_id")
+        assert list(zip(got.doc_id, got.pr)) == want, shards
 
 
 def test_guard_contrib_detects_wraps():
@@ -183,27 +181,35 @@ def test_triangle_partition_invariance(ray_session):
 
 
 def test_pagerank_actor_duplicate_delivery_is_dropped(ray_session):
-    """The iteration barrier dedupes by SENDER: a duplicated
-    receive_contribs delivery (task retry / re-send) must not
-    double-count contributions or satisfy the barrier early."""
+    """The step barrier dedupes by SENDER: a duplicated message (task
+    retry / re-send) must not double-count sums or satisfy the barrier
+    early — for a PageRank step and a HITS half-step alike."""
     import numpy as np
     import ray
 
     from linkinator_ray.pipelines.linkgraph import _make_graph_shard
     GS = _make_graph_shard()
     s = GS.remote(0, 1)  # single shard owns the whole 2-cycle 0<->1
-    ray.get(s.add_edges.remote(("k", "e", 0),
-                               np.array([0, 1], np.int64),
+    ray.get(s.add_edges.remote(("k", 0), np.array([0, 1], np.int64),
                                np.array([1, 0], np.int64)))
-    ray.get(s.seal.remote(1_000_000))
-    ray.get(s.send_contribs.remote(0, [s]))
-    ray.get(s.send_contribs.remote(0, [s]))  # duplicate delivery
+    ray.get(s.seal.remote({"pr": 1_000_000, "hub": 0, "auth": 1_000_000}))
+    # PageRank step: pr[v] = 150000 + (Σ pr[u] // deg[u]) * 85 // 100
+    ray.get(s.push.remote(0, "pr", "out", True, [s]))
+    ray.get(s.push.remote(0, "pr", "out", True, [s]))  # duplicate delivery
     assert ray.get(s.ready.remote(0))
-    ray.get(s.apply_update.remote(0, 150_000, 85))
-    pr = ray.get(s.ranks.remote()).to_pandas()["pr"]
-    # each node has deg 1 and receives exactly ONE contribution of
-    # 10^6 — a double-counted duplicate would give 150000 + 2*850000
-    assert set(pr) == {150_000 + 1_000_000 * 85 // 100}
+    # each node has deg 1 and receives exactly ONE share of 10^6 — a
+    # double-counted duplicate would sum to 2 * 10^6
+    assert ray.get(s.gather.remote(0)) == (1_000_000, 1_000_000)
+    ray.get(s.apply.remote("pr", 150_000, 85, 100))
+    # HITS hub half-step: hub[u] = Σ_{u->v} auth[v], max-normalized
+    ray.get(s.push.remote(1, "auth", "in", False, [s]))
+    ray.get(s.push.remote(1, "auth", "in", False, [s]))  # duplicate
+    assert ray.get(s.ready.remote(1))
+    assert ray.get(s.gather.remote(1)) == (1_000_000, 1_000_000)
+    ray.get(s.apply.remote("hub", 0, 1_000_000, 1_000_000))
+    got = ray.get(s.table.remote(["pr", "hub"])).to_pandas()
+    assert set(got["pr"]) == {150_000 + 1_000_000 * 85 // 100}
+    assert set(got["hub"]) == {1_000_000}
     assert not ray.get(s.errors.remote())
     ray.kill(s)
 
@@ -223,17 +229,43 @@ def test_hits_reference_hub_authority():
 
 
 def test_hits_distributed_equals_reference(ray_session):
-    """The Ray pipeline (2 joins + 2 combiner exchanges + 2 scalar max
-    aggregates per iteration) must be BIT-IDENTICAL to the single-
+    """The resident-shard engine must be BIT-IDENTICAL to the single-
     machine integer recurrence — max-normalized floor arithmetic is
-    order-independent."""
-    from linkinator_ray.pipelines.linkgraph import hits, hits_reference
+    order-independent — at the default shard count and at 2 and 5."""
+    from linkinator_ray.pipelines import graph
+    from linkinator_ray.pipelines.linkgraph import (_hits_edges, hits,
+                                                    hits_reference)
     expect = hits_reference(_edges(SF), iters=3)
-    got = hits(SF, iters=3).to_pandas().set_index("doc_id")
-    assert len(got) == len(expect)
-    for d, (h, a) in expect.items():
-        assert int(got.loc[d, "hub"]) == h, f"hub {d}"
-        assert int(got.loc[d, "auth"]) == a, f"auth {d}"
+    runs = {"default": hits(SF, iters=3)}
+    for shards in (2, 5):
+        runs[shards] = _hits_edges(graph.extract_edges(SF), iters=3,
+                                   num_shards=shards)
+    for shards, ds in runs.items():
+        got = ds.to_pandas().set_index("doc_id")
+        assert len(got) == len(expect), shards
+        for d, (h, a) in expect.items():
+            assert int(got.loc[d, "hub"]) == h, f"hub {d} ({shards})"
+            assert int(got.loc[d, "auth"]) == a, f"auth {d} ({shards})"
+
+
+def test_hits_guards_fire_on_shards(ray_session):
+    """The max-normalize guards hold on the shard engine: a zero
+    normalizer raises ValueError, and a normalize multiply past int64
+    raises OverflowError instead of wrapping."""
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from linkinator_ray.pipelines.linkgraph import _hits_edges
+    edges = rd.from_arrow(pa.table({
+        "src_doc": pa.array([1, 2, 0], pa.int64()),
+        "dst_doc": pa.array([0, 0, 3], pa.int64())}))
+    # scale 0: every authority starts at 0, so every raw hub sum is 0
+    with pytest.raises(ValueError, match="normalizer is 0"):
+        _hits_edges(edges, iters=1, scale=0, num_shards=2)
+    # the first raw hub sum is 10^10, and 10^10 * 10^10 > 2^63 - 1
+    with pytest.raises(OverflowError, match="normalize multiply"):
+        _hits_edges(edges, iters=1, scale=10 ** 10, num_shards=2)
 
 
 def _cocite_ds(edges, **kw):
