@@ -418,23 +418,19 @@ def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
     when k >= its writer's restored counter: ``spill_part`` for the
     driver (w = 0), ``node_spill_parts[i]`` for mesh node i (w = i + 1);
     nodes beyond the saved list had no pre-checkpoint parts, so all of
-    theirs are stale. Parts named by earlier versions, which a resumed
-    checkpoint's dead run may have left, count too: ``part_{k:05d}``
-    is the driver's, ``node{i:02d}_part_{k:05d}`` mesh node i's. Orphan
-    ``.tmp`` files from an interrupted atomic write also go."""
+    theirs are stale. Orphan ``.tmp`` files from an interrupted atomic
+    write also go."""
     import re
     if not results_dir or not os.path.isdir(results_dir):
         return
-    pat = re.compile(
-        r"^(?:part_(\d+)_|node(\d+)_part_|part_)(\d+)\.parquet(\.tmp)?$")
+    pat = re.compile(r"^part_(\d+)_(\d+)\.parquet(\.tmp)?$")
     floors = [spill_part, *node_spill_parts]
     for name in os.listdir(results_dir):
         m = pat.match(name)
         if not m:
             continue
-        new_w, old_node, k, tmp = m.groups()
-        w = int(new_w) if new_w else int(old_node) + 1 if old_node else 0
-        if tmp or int(k) >= (floors[w] if w < len(floors) else 0):
+        w, k, tmp = int(m[1]), int(m[2]), m[3]
+        if tmp or k >= (floors[w] if w < len(floors) else 0):
             try:
                 os.remove(os.path.join(results_dir, name))
             except FileNotFoundError:
@@ -492,8 +488,8 @@ class LinkChecker:
     def __init__(self, options: CheckOptions, documents: pa.Table | None = None,
                  http_map: list[dict] | None = None, clock: Clock | None = None,
                  corpus_host: str = "corpus.test", use_ray: bool | None = None,
-                 transport_latency_s: float = 0.0, jitter_seed: int = 42,
-                 multi_host: bool = False, on_results=None):
+                 transport_latency_s: float = 0.0, multi_host: bool = False,
+                 on_results=None):
         # shallow copy: _expand_paths' markdown auto-detect assigns into
         # opts; the caller's options object must stay untouched so a
         # second check() with the same object behaves identically
@@ -505,7 +501,7 @@ class LinkChecker:
         self.documents = documents if documents is not None \
             else schema.empty(schema.DOCUMENTS)
         self.http_map = http_map or []
-        self.rng = np.random.default_rng(jitter_seed)
+        self.rng = np.random.default_rng(classify_mod.JITTER_SEED)
         if use_ray is None:
             use_ray = options.execution == "ray"
         self.use_ray = use_ray
@@ -517,7 +513,7 @@ class LinkChecker:
                                   markdown=options.markdown,
                                   multi_host=multi_host,
                                   directory_listing=options.directory_listing)
-        self.skip = SkipRules.from_options(options)
+        self.skip = SkipRules(options.links_to_skip)
         from linkinator_ray.state.robots import RobotsCache
         self.robots = RobotsCache.from_corpus(self.corpus, multi_host) \
             if options.respect_robots else RobotsCache()
@@ -710,9 +706,10 @@ class LinkChecker:
                 f"max_rounds={opts.max_rounds} caps BFS rounds, which only "
                 "the local rounds executor has; run with use_ray=False")
         # expand seeds FIRST: glob expansion and the .md/.mdx markdown
-        # auto-detect (src/options.ts:156-164) mutate opts/corpus state
-        # that the broadcast transport blob snapshots below
+        # auto-detect (src/options.ts:156-164) mutate opts/corpus state;
+        # workers read opts, so they get self.opts only after this
         self._expanded_paths = self._expand_paths()
+        # the blob holds the check's data, never an option
         transport_blob = {
             "http_map": self.http_map,
             "documents": self.documents,
@@ -720,17 +717,9 @@ class LinkChecker:
             # them zero-copy instead of rebuilding a dict per actor
             "corpus_index": self.corpus.export_blob(),
             "corpus_host": self.corpus_host,
-            "clean_urls": opts.clean_urls,
-            "markdown": opts.markdown,
             "multi_host": self.multi_host,
-            "directory_listing": opts.directory_listing,
             "latency_s": self.transport_latency_s,
             "strict": False,
-            "transport": opts.transport,
-            "timeout": opts.timeout,
-            "user_agent": opts.user_agent,
-            "allow_insecure_certs": opts.allow_insecure_certs,
-            "proxy": opts.proxy,
             # the request log (CrawlResult.request_log) exists for the
             # conformance tests. Fetch workers keep it as Arrow chunks
             # and the driver gathers it once after the crawl, so it
@@ -739,40 +728,22 @@ class LinkChecker:
             # is off
             "record_calls": bool(self.http_map) or self.documents.num_rows <= 50_000,
         }
-        worker_kwargs = {
-            "redirects": opts.redirects.value,
-            "check_css": opts.check_css,
-            "check_fragments": opts.check_fragments,
-            "retry": opts.retry,
-            "recurse": opts.recurse,
-            "skip_patterns": opts.links_to_skip if not callable(opts.links_to_skip) else None,
-            "skip_fn": opts.links_to_skip if callable(opts.links_to_skip) else None,
-            "frag_skip_patterns": opts.fragments_to_skip
-            if not callable(opts.fragments_to_skip) else None,
-            "frag_skip_fn": opts.fragments_to_skip
-            if callable(opts.fragments_to_skip) else None,
-            "headers": opts.headers,
-            "classify_opts": opts,
-            "static_host": self.static_host,
-        }
         # the reference's `concurrency` caps simultaneous connections
         # (src/index.ts:256-258): actors × per-actor connection threads
-        # never exceed it (FetchPool forces 1 thread when host-sticky
-        # ordering matters)
+        # never exceed it
         num_actors = max(1, min(opts.fetch_concurrency, opts.concurrency))
         # connection threads only pay off when requests actually wait on
         # the wire (simulated latency OR the real HTTP transport); with
         # a zero-latency mock they are pure GIL churn
-        waits_on_wire = self.transport_latency_s > 0 \
-            or opts.transport == "http"
-        worker_kwargs["connections"] = max(
-            1, min(25, opts.concurrency // num_actors)) \
-            if waits_on_wire else 1
+        connections = max(1, min(25, opts.concurrency // num_actors)) \
+            if self.transport_latency_s > 0 or opts.transport == "http" \
+            else 1
+        scripted = any(e.get("seq", -1) >= 0 for e in self.http_map)
 
         # Ray runs the mesh; local rounds are the Ray-free reference
         if self.use_ray:
-            return self._run_mesh(transport_blob, worker_kwargs, num_actors,
-                                  resume_from=resume_from)
+            return self._run_mesh(transport_blob, num_actors, connections,
+                                  scripted, resume_from=resume_from)
 
         import time as _time
         t0 = _time.perf_counter()
@@ -780,7 +751,11 @@ class LinkChecker:
         self.seen = SeenSet(opts.seen_shards, opts.seen_filter)
         # edge dedup is driver-local; one vectorized shard beats sharding
         self.edge_seen = SeenSet(1, "exact")
-        pool = FetchPool(worker_kwargs, transport_blob)
+        # scripted sequences and Retry-After need each URL's requests in
+        # order: one connection
+        pool = FetchPool(transport_blob, opts, static_host=self.static_host,
+                         connections=1 if scripted or opts.retry
+                         else connections)
         self.timings["spawn"] = _time.perf_counter() - t0
 
         round_no = 0
@@ -901,8 +876,9 @@ class LinkChecker:
     # mesh execution — the driverless frontier (state/mesh.py)
     # ------------------------------------------------------------------
 
-    def _run_mesh(self, transport_blob: dict, worker_kwargs: dict,
-                  num_actors: int, resume_from: str | None = None) -> CrawlResult:
+    def _run_mesh(self, transport_blob: dict, num_actors: int,
+                  connections: int, scripted: bool,
+                  resume_from: str | None = None) -> CrawlResult:
         """Actor-mesh frontier: fetch actors push candidates straight to
         seen-shard actors; shards route fresh rows back to the owning
         fetch actors; the driver only seeds, detects quiescence (two
@@ -926,20 +902,18 @@ class LinkChecker:
         num_actors = max(1, min(num_actors, cluster_cpus))
         t0 = _time.perf_counter()
         blob_ref = ray.put(transport_blob)
-        opts_blob = {"batch_cap": opts.batch_size * 4, "jitter_seed": 42,
-                     "frontier_spill_rows": opts.mesh_frontier_spill_rows,
-                     # checkpointed runs journal the keys they insert
-                     "journal_keys": bool(opts.checkpoint_dir),
-                     "events": [e for e, cbs in self._listeners.items()
-                                if cbs]}
         # host affinity only when per-host actor state matters (scripted
         # sequences, Retry-After delay maps, politeness); else balance by
         # url_hash
-        sticky = (any(e.get("seq", -1) >= 0 for e in self.http_map)
-                  or opts.retry or opts.politeness_delay > 0)
-        lease = actors.Lease(mesh_mod.MeshNode, [
-            (i, num_actors, blob_ref, worker_kwargs, opts_blob,
-             opts.seen_filter, sticky) for i in range(num_actors)])
+        sticky = scripted or opts.retry or opts.politeness_delay > 0
+        # nodes get the options whole; the blob rides as a top-level
+        # reset argument so Ray resolves its ref (state/actors.py)
+        factory = functools.partial(
+            mesh_mod.MeshNode, static_host=self.static_host,
+            connections=connections, sticky_hosts=sticky,
+            events=[e for e, cbs in self._listeners.items() if cbs])
+        lease = actors.Lease(factory, [(i, num_actors, blob_ref, opts)
+                                       for i in range(num_actors)])
         self._leases.append(lease)
         nodes = lease.wait()
         # the generation tags this check's pumps and kicks: a node that

@@ -161,9 +161,14 @@ def should_retry_error_mask(status: np.ndarray, attempt: np.ndarray,
     return eligible & (attempt < opts.retry_errors_count)
 
 
+# the retry-backoff jitter's seed: local rounds draw from one generator
+# seeded with it, mesh node i from one seeded with JITTER_SEED + i
+JITTER_SEED = 42
+
+
 def backoff_delays(attempts: np.ndarray, opts: CheckOptions, rng) -> np.ndarray:
     """2^n seconds + U(0, jitter) (src/index.ts:1090-1092); rng is seeded
-    per-run for deterministic tests."""
+    from JITTER_SEED, so tests are deterministic."""
     base = np.power(2.0, attempts + 1)
     jitter = rng.random(len(attempts)) * opts.retry_errors_jitter
     return base + jitter

@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from linkinator_ray import schema, urlkit
-from linkinator_ray.options import RedirectsMode
+from linkinator_ray.options import CheckOptions, RedirectsMode
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages.classify import HTML_TYPES, content_is
 
@@ -296,20 +296,17 @@ class MockTransport:
 
 
 class SkipRules:
-    """linksToSkip (src/index.ts:929-955): regex patterns or one callable.
-    The fetch worker matches them per link and per redirect hop, and the
-    frontier skip stage (pipelines/crawl.py) matches them per batch."""
+    """A skip option's value (``links_to_skip``, src/index.ts:929-955,
+    or ``fragments_to_skip``): regex patterns or one callable. The fetch
+    worker matches them per link and per redirect hop, and the frontier
+    skip stage (pipelines/crawl.py) matches them per batch."""
 
-    def __init__(self, patterns: list[str] | None = None, fn=None):
+    def __init__(self, rule=None):
         import re
-        self.patterns = [re.compile(p) for p in (patterns or [])]
-        self.fn = fn
+        self.fn = rule if callable(rule) else None
+        self.patterns = [] if self.fn is not None \
+            else [re.compile(p) for p in rule or []]
         self._vec_ok: dict[int, bool] = {}
-
-    @classmethod
-    def from_options(cls, opts) -> "SkipRules":
-        rule = opts.links_to_skip
-        return cls(fn=rule) if callable(rule) else cls(rule)
 
     def __bool__(self) -> bool:
         return bool(self.patterns) or self.fn is not None
@@ -348,45 +345,24 @@ class FetchWorker:
     """One fetch worker: the per-URL request state machine of
     src/index.ts:344-479 (HEAD→GET fallbacks, manual redirect loop with
     per-hop skip rules, retry-after detection), run as masked steps over
-    a whole batch.
+    a whole batch, then extraction, per-link rules and classification.
 
-    Owned by the local rounds' ``FetchPool`` or by a mesh node
+    Every setting comes from ``opts``, the check's ``CheckOptions``;
+    ``static_host`` and ``connections`` are the driver's facts of the
+    check. Owned by the local rounds' ``FetchPool`` or by a mesh node
     (state/mesh.py).
     """
 
-    def __init__(self, transport: MockTransport, *,
-                 redirects: str = "allow",
-                 check_css: bool = False,
-                 check_fragments: bool = False,
-                 retry: bool = False,
-                 recurse: bool = False,
-                 skip_patterns: list[str] | None = None,
-                 skip_fn=None,
-                 frag_skip_patterns: list[str] | None = None,
-                 frag_skip_fn=None,
-                 headers: dict[str, str] | None = None,
-                 classify_opts=None, static_host: str | None = None,
-                 connections: int = 1):
+    def __init__(self, transport: MockTransport, opts: CheckOptions, *,
+                 static_host: str | None = None, connections: int = 1):
         self.transport = transport
-        # per-actor concurrent connection streams (the reference's
-        # `concurrency` is simultaneous connections, src/index.ts:256);
-        # >1 only when no scripted sequences / politeness stickiness
-        # depend on request ordering
-        self.connections = max(1, connections)
-        self.redirects = RedirectsMode(redirects)
-        self.check_css = check_css
-        self.check_fragments = check_fragments
-        self.retry = retry
-        self.recurse = recurse
-        self.skip = SkipRules(skip_patterns, skip_fn)
-        self.frag_skip = SkipRules(frag_skip_patterns)
-        self.frag_skip_fn = frag_skip_fn
-        self.headers = headers or {}
-        # when set, classification (M17-M20) runs inside the actor and
-        # the output table carries state/failure/warn columns — keeps the
-        # driver's serial round work down to the global joins
-        self.classify_opts = classify_opts
+        self.opts = opts
         self.static_host = static_host
+        # per-worker concurrent connection streams (the reference's
+        # `concurrency` is simultaneous connections, src/index.ts:256)
+        self.connections = max(1, connections)
+        self.skip = SkipRules(opts.links_to_skip)
+        self.frag_skip = SkipRules(opts.fragments_to_skip)
         corpus = getattr(transport, "corpus", None)
         # body rows of per-row responses come from the corpus index
         self._index = corpus if isinstance(corpus, CorpusIndex) else None
@@ -408,10 +384,10 @@ class FetchWorker:
                      first: TResponse | None = None) -> TResponse:
         """One request and its redirect hops. ``first`` is the first
         hop's response when a batched step already sent it."""
-        manual = self.redirects == RedirectsMode.ERROR
+        manual = self.opts.redirects == RedirectsMode.ERROR
         per_hop_skip = not manual and bool(self.skip)
         current = url
-        headers = dict(self.headers)
+        headers = dict(self.opts.headers)
         hops = 0
         while True:
             resp = first if first is not None else \
@@ -454,7 +430,7 @@ class FetchWorker:
             if len(idx):
                 rows, table = self._send(urls, url_hash, idx, get[idx])
                 state.record(rows, table, forget_on_error,
-                             check_retry and self.retry, now)
+                             check_retry and self.opts.retry, now)
 
         step(get_all, do_crawl, True, True)
         # server dislikes HEAD → GET
@@ -463,11 +439,11 @@ class FetchWorker:
         # last-gasp GET for non-crawl targets (src/index.ts:396-417)
         ok2xx = state.has_resp & (state.status >= 200) & (state.status < 300)
         step(~state.ended & ~do_crawl & ~ok2xx, get_all, False, True)
-        if self.check_css:
+        if self.opts.check_css:
             # CSS body re-GET (src/index.ts:426-448)
             step(~state.ended & state.has_resp & state.is_css
                  & ~state.has_body & do_crawl, get_all, False, False)
-        if self.check_fragments:
+        if self.opts.check_fragments:
             # fragment body re-GET (src/index.ts:450-473)
             step(~state.ended & state.has_resp & state.is_html
                  & ~state.has_body & pending, get_all, False, False)
@@ -491,12 +467,12 @@ class FetchWorker:
         batched = np.flatnonzero(~per_row)
         if len(batched):
             t = transport.request_many(sub.take(pa.array(batched)),
-                                       get[batched], self.headers,
+                                       get[batched], self.opts.headers,
                                        url_hash[idx[batched]])
             if transport.latency_s:
                 self._per_row(lambda _: transport.wait(), len(batched))
             hop = np.zeros(len(batched), dtype=bool)
-            if self.redirects != RedirectsMode.ERROR:
+            if self.opts.redirects != RedirectsMode.ERROR:
                 hop = t["has_location"].to_numpy()
                 if hop.any():
                     hop = hop & np.isin(t["status"].to_numpy(),
@@ -580,7 +556,7 @@ class FetchWorker:
         """
         from linkinator_ray.stages.extract import ExtractLinks
         if self._extractor is None:
-            self._extractor = ExtractLinks(check_css=self.check_css)
+            self._extractor = ExtractLinks(check_css=self.opts.check_css)
         out = empty_outputs()
         if batch.num_rows == 0:
             return out
@@ -603,8 +579,8 @@ class FetchWorker:
         # parsed: crawl targets with an HTML (or checked CSS) body, and
         # pages whose fragments are wanted — all of them in one documents
         # table through the batch extractor (stages/extract.py)
-        eligible = do_crawl & has_body & (is_html | (is_css & self.check_css))
-        need_frags = self.check_fragments & has_body & is_html \
+        eligible = do_crawl & has_body & (is_html | (is_css & self.opts.check_css))
+        need_frags = self.opts.check_fragments & has_body & is_html \
             & (eligible | pending)
         rows = np.flatnonzero(~state.ended & (eligible | need_frags))
         soft404 = np.zeros(batch.num_rows, dtype=bool)
@@ -622,9 +598,7 @@ class FetchWorker:
             pa.array(state.retry_at), resp["cf_mitigated"],
             resp["redirect_skipped"], pa.array(errors, pa.string()),
             pa.array(soft404)], schema=schema.FETCH_RESULTS)
-        if self.classify_opts is not None:
-            fetched = self._classify_in_actor(fetched)
-        out["fetched"] = fetched
+        out["fetched"] = self._classify_in_actor(fetched)
         return out
 
     # -- extraction + per-link handling, actor-side (src/index.ts:675-798) --
@@ -655,7 +629,7 @@ class FetchWorker:
                 .to_numpy(zero_copy_only=False)
             links = links.filter(pa.array(eligible[doc_pos]))
         out.update(self._process_links_vec(links, batch.take(take)))
-        if not self.check_fragments:
+        if not self.opts.check_fragments:
             return np.zeros(len(rows), dtype=bool)
         # the only parsed rows that are not fragment-checked then are
         # stylesheets, which have no fragment targets
@@ -727,15 +701,15 @@ class FetchWorker:
         # fragment tracking (src/index.ts:754-784): the URL is still
         # checked when its fragment is skipped
         out = {}
-        if self.check_fragments:
+        if self.opts.check_fragments:
             frag_col = links["fragment"].combine_chunks()
             has_frag = np.flatnonzero(live & pc.not_equal(frag_col, "")
                                       .to_numpy(zero_copy_only=False))
             sel = pa.array(has_frag)
             frags, frag_urls = frag_col.take(sel), wfrag.take(sel)
-            if self.frag_skip_fn is not None:
+            if self.frag_skip.fn is not None:
                 hit = np.fromiter(
-                    (bool(self.frag_skip_fn(f, u)) for f, u in
+                    (bool(self.frag_skip.fn(f, u)) for f, u in
                      zip(frags.to_pylist(), frag_urls.to_pylist())),
                     bool, len(has_frag))
             else:
@@ -767,7 +741,7 @@ class FetchWorker:
         live_roots = link_root_ids[live]
         link_hosts = self._hosts_vec(live_urls)
         crawl_flags = np.zeros(len(live_roots), dtype=bool)
-        if self.recurse:
+        if self.opts.recurse:
             for rid, root in enumerate(root_strs_pa.to_pylist()):
                 root_mask = live_roots == rid
                 if not root_mask.any():
@@ -818,7 +792,7 @@ class FetchWorker:
         actor; append state/failure/warn/retry_error columns."""
         import numpy as np
         from linkinator_ray.stages import classify as classify_mod
-        opts = self.classify_opts
+        opts = self.opts
         verdict = classify_mod.classify_batch(fetched, opts, self.static_host)
         status = fetched["status"].to_numpy(zero_copy_only=False).astype(np.int64)
         attempt = fetched["attempt"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -937,19 +911,15 @@ def split_by_owner(data, owner: np.ndarray, num_owners: int):
 
 class FetchPool:
     """The local rounds executor's fetch worker: one in-process
-    ``FetchWorker`` that fetches each round's runnable frontier as one
-    batch. The mesh (state/mesh.py) runs its own workers inside its
-    nodes."""
+    ``FetchWorker``, built from the worker's own arguments, that fetches
+    each round's runnable frontier as one batch. The mesh
+    (state/mesh.py) runs its own workers inside its nodes."""
 
-    def __init__(self, worker_kwargs: dict, transport_blob: dict):
-        scripted = any(e.get("seq", -1) >= 0
-                       for e in transport_blob.get("http_map") or [])
-        if scripted or worker_kwargs.get("retry", False):
-            # scripted sequences / politeness ordering require serial
-            # per-host request streams
-            worker_kwargs = {**worker_kwargs, "connections": 1}
-        self._worker = FetchWorker(build_transport(transport_blob),
-                                   **worker_kwargs)
+    def __init__(self, transport_blob: dict, opts: CheckOptions, *,
+                 static_host: str | None = None, connections: int = 1):
+        self._worker = FetchWorker(build_transport(transport_blob, opts),
+                                   opts, static_host=static_host,
+                                   connections=connections)
 
     def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
               now: float) -> dict:
@@ -967,30 +937,30 @@ class FetchPool:
         return self._worker.transport.seq_counters
 
 
-def build_transport(blob: dict):
-    """Reconstruct a transport from a broadcast blob. The corpus
-    rides as the Arrow documents table — zero-copy through the object
-    store (cloudpickling a nested-python corpus costs minutes at 10^5+
-    docs; Arrow ships in milliseconds). ``blob["transport"] == "http"``
-    builds the real stdlib HTTP transport instead (stages/http_transport)."""
-    if blob.get("transport") == "http":
+def build_transport(blob: dict, opts: CheckOptions):
+    """Reconstruct a transport from a broadcast blob (the check's data,
+    no options) and the check's options. The corpus rides as the Arrow
+    documents table — zero-copy through the object store (cloudpickling
+    a nested-python corpus costs minutes at 10^5+ docs; Arrow ships in
+    milliseconds). ``opts.transport == "http"`` builds the real stdlib
+    HTTP transport instead (stages/http_transport)."""
+    if opts.transport == "http":
         from linkinator_ray.stages.http_transport import HttpTransport
         # CheckOptions.timeout is milliseconds (reference --timeout unit,
         # src/cli.ts:118-119); the transport's socket knob is seconds
-        return HttpTransport(timeout=(blob.get("timeout", 0.0) or 0.0) / 1000.0,
-                             user_agent=blob.get("user_agent", ""),
-                             allow_insecure_certs=blob.get(
-                                 "allow_insecure_certs", False),
-                             proxy=blob.get("proxy"))
+        return HttpTransport(timeout=(opts.timeout or 0.0) / 1000.0,
+                             user_agent=opts.user_agent,
+                             allow_insecure_certs=opts.allow_insecure_certs,
+                             proxy=opts.proxy)
     corpus = None
     documents = blob.get("documents")
     if documents is not None:
         corpus = CorpusIndex(documents,
                              host=blob.get("corpus_host", "corpus.test"),
-                             clean_urls=blob.get("clean_urls", False),
-                             markdown=blob.get("markdown", False),
+                             clean_urls=opts.clean_urls,
+                             markdown=opts.markdown,
                              multi_host=blob.get("multi_host", False),
-                             directory_listing=blob.get("directory_listing", False),
+                             directory_listing=opts.directory_listing,
                              prebuilt=blob.get("corpus_index"))
     return MockTransport(blob.get("http_map"), corpus,
                          latency_s=blob.get("latency_s", 0.0),

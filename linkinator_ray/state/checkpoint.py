@@ -252,10 +252,7 @@ def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
             raise ValueError(
                 f"checkpoint {checkpoint_dir}: round {r} is missing; the "
                 f"key journal needs every round {first}..{last}") from None
-        names = manifest["row_counts"]
-        # the earlier mesh wrote one url_keys_{i:04d} per node
-        url_names = sorted(n for n in names if n.startswith("url_keys"))
-        if not url_names:
+        if "url_keys" not in manifest["row_counts"]:
             raise ValueError(
                 f"checkpoint {checkpoint_dir}: round {r} has no key "
                 "journal (written by an earlier version); its seen state "
@@ -267,12 +264,10 @@ def load_key_journal(checkpoint_dir: str, last: int, first: int = 1):
                 f"{scheme or 'hash64(url|parent) (an earlier version)'}, "
                 f"not {urlkit.EDGE_KEY_SCHEME}; its edge journal cannot be "
                 "restored")
-        for name in url_names:
-            t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
-            urls.append(keys(t, "data"))
-        for name in sorted(n for n in names if n.startswith("edge_keys")):
-            t = pq.read_table(os.path.join(round_dir, f"{name}.parquet"))
-            ekeys.append(keys(t, "data"))
-            eroutes.append(keys(t, "routes"))
+        t = pq.read_table(os.path.join(round_dir, "url_keys.parquet"))
+        urls.append(keys(t, "data"))
+        t = pq.read_table(os.path.join(round_dir, "edge_keys.parquet"))
+        ekeys.append(keys(t, "data"))
+        eroutes.append(keys(t, "routes"))
     return tuple(np.concatenate(parts) if parts else _NO_KEYS
                  for parts in (urls, ekeys, eroutes))

@@ -27,7 +27,10 @@ key range, duplicate-edge buffering (the J1 join input), results
 buffering. The driver only seeds, polls for quiescence (monotonic
 send/receive counters — an in-flight message shows up as a sum
 mismatch), drains result buffers, and runs the final duplicate-broken
-join.
+join. A node and its fetch worker read every setting from the check's
+``CheckOptions`` (the pump cap is 4 × ``batch_size``); the driver adds
+only facts of the check: the blob's data, the static host, connections,
+listened events and host-sticky routing.
 
 Batching: ``enqueue``/``submit_candidates`` only append; a
 self-scheduled ``pump`` message processes everything accumulated since
@@ -72,9 +75,11 @@ import numpy as np
 import pyarrow as pa
 
 from linkinator_ray import schema, urlkit
+from linkinator_ray.options import CheckOptions
+from linkinator_ray.stages.classify import JITTER_SEED
 from linkinator_ray.stages.fetch import hash_owner, split_by_owner
 from linkinator_ray.state.checkpoint import KeyJournal, pending_table
-from linkinator_ray.state.seen import SeenShard
+from linkinator_ray.state.seen import SEEN_CAPACITY, SeenShard
 
 def _host_assignment(hosts: list[str], num_nodes: int,
                      memo: dict) -> np.ndarray:
@@ -114,9 +119,8 @@ class MeshNode:
     ``url_hash % K`` range."""
 
     def __init__(self, actor_id: int, num_nodes: int, transport_blob: dict,
-                 worker_kwargs: dict, opts_blob: dict,
-                 seen_mode: str = "exact", sticky_hosts: bool = True,
-                 seen_capacity: int = 1 << 20):
+                 opts: CheckOptions, *, static_host: str | None = None,
+                 connections: int = 1, events=(), sticky_hosts: bool = True):
         import threading
         # the node runs with max_concurrency=2 so enqueue/submit/poll
         # land WHILE a pump computes (latency hiding — pumps otherwise
@@ -127,12 +131,12 @@ class MeshNode:
         from linkinator_ray.stages.fetch import FetchWorker, build_transport
         self.actor_id = actor_id
         self.num_nodes = num_nodes
-        self.worker = FetchWorker(build_transport(transport_blob),
-                                  **worker_kwargs)
-        self.opts = worker_kwargs["classify_opts"]
-        self.batch_cap = opts_blob.get("batch_cap", 16384)
-        self.rng = np.random.default_rng(opts_blob.get("jitter_seed", 42)
-                                         + actor_id)
+        self.opts = opts
+        self.worker = FetchWorker(build_transport(transport_blob, opts), opts,
+                                  static_host=static_host,
+                                  connections=connections)
+        self.batch_cap = opts.batch_size * 4
+        self.rng = np.random.default_rng(JITTER_SEED + actor_id)
         self.sticky_hosts = sticky_hosts
         # robots rules are a pure function of the corpus — each node
         # compiles them locally (no shared cache actor needed)
@@ -143,12 +147,12 @@ class MeshNode:
                 corpus, transport_blob.get("multi_host", False))
         else:
             self.robots = RobotsCache()
-        self.url_seen = SeenShard(actor_id, seen_mode, seen_capacity)
+        self.url_seen = SeenShard(actor_id, opts.seen_filter)
         # edges outnumber URLs ~linkage-factor×; give the filter headroom
-        self.edge_seen = SeenShard(actor_id ^ 0xFFFF, seen_mode,
-                                   seen_capacity * 4)
+        self.edge_seen = SeenShard(actor_id ^ 0xFFFF, opts.seen_filter,
+                                   SEEN_CAPACITY * 4)
         # keys inserted since the last snapshot (checkpointed runs)
-        self.journal = KeyJournal(bool(opts_blob.get("journal_keys", False)))
+        self.journal = KeyJournal(bool(opts.checkpoint_dir))
         self.dup_edges: list[pa.Table] = []
         self.queue: list[pa.Table] = []
         self.queued_rows = 0
@@ -158,7 +162,7 @@ class MeshNode:
         # listener events the driver fires from poll(): only the events
         # that have a listener are buffered
         from linkinator_ray.pipelines.crawl import WARN_EVENTS
-        self.events = frozenset(opts_blob.get("events", ()))
+        self.events = frozenset(events)
         self.buffer_warnings = bool(self.events & WARN_EVENTS)
         self.event_buf: dict[str, list] = {"pagestart": [], "warn": [],
                                            "retry": []}
@@ -202,7 +206,6 @@ class MeshNode:
         # node-local parquet part; pumps reload parts as the head drains.
         # At 10^10 URLs a node's frontier share can't live in heap —
         # this bounds it to ~cap rows + one part in flight. 0 = off.
-        self.frontier_spill_rows = opts_blob.get("frontier_spill_rows", 0)
         self._frontier_spill_dir: str | None = None
         self._frontier_parts: list[str] = []
         self._spilled_frontier_rows = 0
@@ -264,8 +267,8 @@ class MeshNode:
     def _append_local(self, table: pa.Table) -> None:
         self.queue.append(table)
         self.queued_rows += table.num_rows
-        if self.frontier_spill_rows \
-                and self.queued_rows > self.frontier_spill_rows:
+        cap = self.opts.mesh_frontier_spill_rows
+        if cap and self.queued_rows > cap:
             self._spill_frontier()
         self._schedule_pump()
 
@@ -277,7 +280,7 @@ class MeshNode:
 
         import pyarrow.parquet as pq
         merged = pa.concat_tables(self.queue).combine_chunks()
-        keep = max(1, self.frontier_spill_rows // 2)
+        keep = max(1, self.opts.mesh_frontier_spill_rows // 2)
         head = merged.slice(0, keep)
         tail = merged.slice(keep)
         if tail.num_rows == 0:

@@ -21,6 +21,9 @@ import numpy as np
 
 from linkinator_ray.state.cuckoo import CuckooFilter
 
+# keys a shard's cuckoo filter is sized for (exact shards grow as needed)
+SEEN_CAPACITY = 1 << 20
+
 
 class SeenShard:
     """One shard. ``mode`` = 'exact' | 'cuckoo'.
@@ -31,7 +34,7 @@ class SeenShard:
     """
 
     def __init__(self, shard_id: int = 0, mode: str = "exact",
-                 capacity: int = 1 << 20):
+                 capacity: int = SEEN_CAPACITY):
         self.shard_id = shard_id
         self.mode = mode
         self._keys = np.empty(0, dtype=np.uint64)  # sorted
@@ -83,11 +86,9 @@ class SeenSet:
     each batch split by ``hash % K`` (a batched semi-join of the
     frontier against the seen state — SURVEY.md §2.4 J3)."""
 
-    def __init__(self, num_shards: int = 8, mode: str = "exact",
-                 capacity_per_shard: int = 1 << 20):
+    def __init__(self, num_shards: int = 8, mode: str = "exact"):
         self.num_shards = num_shards
-        self._shards = [SeenShard(i, mode, capacity_per_shard)
-                        for i in range(num_shards)]
+        self._shards = [SeenShard(i, mode) for i in range(num_shards)]
 
     def contains_or_insert(self, hashes: np.ndarray) -> np.ndarray:
         """Batched test-and-set across shards; order-preserving."""

@@ -193,7 +193,7 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
 
     url = "http://a.test/"
     node = MeshNode(0, 1, {"http_map": [], "strict": False},
-                    {"classify_opts": CheckOptions(paths=[url])}, {})
+                    CheckOptions(paths=[url]))
     node.set_peers(SelfHandle(), [SelfHandle()], 7)
     node.enqueue(_frontier_rows(
         url=[url], url_hash=urlkit.hash64_array([url]), host=["a.test"],
@@ -209,12 +209,10 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
     assert node.queued_rows == 1 and sent == [7]
 
 
-def test_mesh_node_sends_peer_candidates_every_pump():
-    """End-of-pump flush rule (no Ray needed): node 0 of a two-node mesh
-    pumps one page whose links route candidates to node 1 while its own
-    queue still holds a second page. It sends them to node 1 in that
-    pump rather than holding them until its queue empties: a held row
-    idles the peer (on the wire, its connections)."""
+def pumped_node(opts, docs, urls, peers=()):
+    """Node 0 of a mesh of ``1 + len(peers)`` nodes (balanced routing,
+    no Ray) after it enqueued the corpus pages ``urls`` and pumped once;
+    its own pumps go nowhere."""
     from linkinator_ray import urlkit
     from linkinator_ray.pipelines.crawl import _frontier_rows
     from linkinator_ray.state.mesh import MeshNode
@@ -225,6 +223,28 @@ def test_mesh_node_sends_peer_candidates_every_pump():
             def remote(generation):
                 pass
 
+    node = MeshNode(
+        0, 1 + len(peers), {"http_map": [], "documents": docs,
+                            "strict": False}, opts, sticky_hosts=False)
+    node.set_peers(SelfHandle(), [SelfHandle(), *peers], 1)
+    n = len(urls)
+    node.enqueue(_frontier_rows(
+        url=urls, url_hash=urlkit.hash64_array(urls),
+        host=["corpus.test"] * n, parent=[""] * n, depth=[0] * n,
+        do_crawl=[True] * n, root_path=["http://corpus.test/"] * n,
+        attempt=[0] * n, not_before=[0.0] * n))
+    node.pump(1)
+    assert not node.errors
+    return node
+
+
+def test_mesh_node_sends_peer_candidates_every_pump():
+    """End-of-pump flush rule (no Ray needed): node 0 of a two-node mesh
+    pumps four pages (its cap, 4 × ``batch_size``) whose links route
+    candidates to node 1 while its own queue still holds a fifth page.
+    It sends them to node 1 in that pump rather than holding them until
+    its queue empties: a held row idles the peer (on the wire, its
+    connections)."""
     sent = []
 
     class Peer:
@@ -234,21 +254,46 @@ def test_mesh_node_sends_peer_candidates_every_pump():
                 sent.append(cand.num_rows)
 
     links = [fx._anchor(f"/p{i}.html") for i in range(40)]
-    docs = fx.docs_table(fx.doc("a.html", *links), fx.doc("b.html", *links))
-    urls = ["http://corpus.test/a.html", "http://corpus.test/b.html"]
-    node = MeshNode(
-        0, 2, {"http_map": [], "documents": docs, "strict": False},
-        {"classify_opts": CheckOptions(paths=urls, recurse=True),
-         "recurse": True},
-        {"batch_cap": 1}, sticky_hosts=False)
-    node.set_peers(SelfHandle(), [SelfHandle(), Peer()], 1)
-    node.enqueue(_frontier_rows(
-        url=urls, url_hash=urlkit.hash64_array(urls),
-        host=["corpus.test"] * 2, parent=["", ""], depth=[0, 0],
-        do_crawl=[True, True], root_path=urls, attempt=[0, 0],
-        not_before=[0.0, 0.0]))
-    node.pump(1)
-    assert not node.errors
-    assert node.queued_rows  # b.html and node 0's own links wait
+    pages = [f"{c}.html" for c in "abcde"]
+    urls = [f"http://corpus.test/{p}" for p in pages]
+    node = pumped_node(CheckOptions(paths=urls, recurse=True, batch_size=1),
+                       fx.docs_table(*(fx.doc(p, *links) for p in pages)),
+                       urls, [Peer()])
+    assert node.counters["urls_checked"] == 4
+    assert node.queued_rows  # e.html and node 0's own links wait
     assert sum(sent) > 0 and node.poll()["held_cand"] == 0
+    node.close()
+
+
+def test_mesh_node_reads_every_setting_from_check_options():
+    """One ``CheckOptions`` is all a node and its fetch worker get: a
+    one-node mesh built from it recurses into the pages' links, skips
+    ``links_to_skip`` matches, records fragment wants, runs cuckoo seen
+    filters for ``seen_filter`` and caps each pump at 4 × ``batch_size``
+    rows."""
+    from linkinator_ray.state.cuckoo import CuckooFilter
+    pages = [f"p{i}.html" for i in range(9)]
+    links = [fx._anchor("/child.html#top"),
+             fx._anchor("http://skip.invalid/x")]
+    urls = [f"http://corpus.test/{p}" for p in pages]
+    node = pumped_node(
+        CheckOptions(paths=urls, recurse=True, check_fragments=True,
+                     links_to_skip=[r"skip\.invalid"], seen_filter="cuckoo",
+                     batch_size=2),
+        fx.docs_table(*(fx.doc(p, *links) for p in pages),
+                      fx.doc("child.html")), urls)
+    assert isinstance(node.url_seen._filter, CuckooFilter)
+    assert isinstance(node.edge_seen._filter, CuckooFilter)
+    assert node.counters["urls_checked"] == 8  # the cap, 4 × 2 rows
+    queued = [r for t in node.queue for r in t.to_pylist()]
+    # the ninth page waits; the link the first eight share is queued to
+    # crawl
+    assert {(r["url"], r["do_crawl"]) for r in queued} == {
+        ("http://corpus.test/p8.html", True),
+        ("http://corpus.test/child.html", True)}
+    skipped = [r for t in node.results_buf for r in t.to_pylist()
+               if r["state"] == "SKIPPED"]
+    assert {r["url"] for r in skipped} == {"http://skip.invalid/x"}
+    assert node.pending_fragments == {
+        "http://corpus.test/child.html": {"top"}}
     node.close()

@@ -10,7 +10,10 @@ change to how the batch is stepped cannot reorder or drop a request.
 
 import json
 
+import pyarrow as pa
+
 from linkinator_ray import schema, urlkit
+from linkinator_ray.options import CheckOptions
 from linkinator_ray.sources import fixtures as fx
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages.fetch import FetchWorker, MockTransport
@@ -73,9 +76,9 @@ def _worker() -> FetchWorker:
                 content_type="text/css", body_doc_id="style.css"),
     ]
     transport = MockTransport(http_map, CorpusIndex(documents), strict=False)
-    return FetchWorker(transport, check_css=True, check_fragments=True,
-                       retry=True, recurse=True,
-                       skip_patterns=[r"skip\.invalid"])
+    return FetchWorker(transport, CheckOptions(
+        check_css=True, check_fragments=True, retry=True, recurse=True,
+        links_to_skip=[r"skip\.invalid"]))
 
 
 def _batch():
@@ -123,6 +126,15 @@ EXPECTED = {
 }
 
 
+def _classified(fetched) -> bool:
+    """The FETCH_RESULTS columns first, then the classification
+    columns, ``state`` and ``failure`` among them: every batch is
+    classified."""
+    prefix = pa.schema(list(fetched.schema)[:len(schema.FETCH_RESULTS)])
+    return prefix == schema.FETCH_RESULTS \
+        and {"state", "failure"} <= set(fetched.column_names)
+
+
 def test_mixed_batch_takes_every_step():
     worker = _worker()
     out = worker.fetch_batch(_batch(), ["http://corpus.test/frag.html"], NOW)
@@ -133,7 +145,7 @@ def test_mixed_batch_takes_every_step():
     assert len(calls) == sum(len(s) for s in sequences.values())
 
     fetched = out["fetched"]
-    assert fetched.schema == schema.FETCH_RESULTS
+    assert _classified(fetched)
     rows = {r["url"]: r for r in fetched.to_pylist()}
     assert fetched["url"].to_pylist() == list(ROWS)  # batch order kept
     for url, want in EXPECTED.items():
@@ -192,11 +204,11 @@ def _frag_worker(skip_by: str) -> FetchWorker:
                         headers={"location": "/moved/page.html"})]
     transport = MockTransport(
         http_map, CorpusIndex(documents, directory_listing=True), strict=False)
-    frag_rule = {"frag_skip_patterns": ["^skip"]} if skip_by == "pattern" \
-        else {"frag_skip_fn": lambda frag, url: frag.startswith("cb-")}
-    return FetchWorker(transport, check_css=True, check_fragments=True,
-                       recurse=True, skip_patterns=[r"skip\.invalid"],
-                       **frag_rule)
+    frag_rule = ["^skip"] if skip_by == "pattern" \
+        else lambda frag, url: frag.startswith("cb-")
+    return FetchWorker(transport, CheckOptions(
+        check_css=True, check_fragments=True, recurse=True,
+        links_to_skip=[r"skip\.invalid"], fragments_to_skip=frag_rule))
 
 
 def _frag_batch():
@@ -225,7 +237,7 @@ def test_fragment_mode_batch_all_tables():
                             "pending_frags", "frag_targets"}
 
         fetched = out["fetched"]
-        assert fetched.schema == schema.FETCH_RESULTS
+        assert _classified(fetched)
         assert fetched["url"].to_pylist() == list(FRAG_ROWS)
         assert _sorted_rows(fetched, ("url", "status", "final_url",
                                       "body_doc_id", "content_type",

@@ -132,8 +132,8 @@ def test_headers_reach_transport_and_strip_cross_host():
                 headers={"location": "http://b.invalid/land"}),
         fx.http("http://b.invalid/land", 200),
     ])
-    worker = FetchWorker(transport, headers={
-        "Authorization": "Bearer tok", "X-Custom": "yes"})
+    worker = FetchWorker(transport, CheckOptions(headers={
+        "Authorization": "Bearer tok", "X-Custom": "yes"}))
     resp = worker.make_request("HEAD", "http://a.invalid/start")
     assert resp.status == 200
     by_url = {u: h for (u, m, h) in transport.header_log}
@@ -150,7 +150,8 @@ def test_headers_kept_same_host():
                 headers={"location": "http://a.invalid/land"}),
         fx.http("http://a.invalid/land", 200),
     ])
-    worker = FetchWorker(transport, headers={"Authorization": "Bearer tok"})
+    worker = FetchWorker(transport,
+                         CheckOptions(headers={"Authorization": "Bearer tok"}))
     worker.make_request("HEAD", "http://a.invalid/start")
     by_url = {u: h for (u, m, h) in transport.header_log}
     assert by_url["http://a.invalid/land"] == {"Authorization": "Bearer tok"}

@@ -172,17 +172,22 @@ class TestCheckpointResume:
         manifest lacks it (an earlier version keyed edges by
         hash64(url|parent)) raises a ValueError naming the checkpoint
         and the round, instead of seeding the edge set with keys that
-        no re-found edge matches."""
+        no re-found edge matches. The refusal comes before the
+        stale-part prune: every file in ``results_dir``, a stale part
+        included, keeps its name and bytes."""
         import json
         import os
 
         from linkinator_ray import urlkit
         from linkinator_ray.state import checkpoint as ckpt
         fixture = fx.repeated_broken_link()
-        ck = str(tmp_path / "ck")
-        LinkChecker(CheckOptions(paths=fixture.seeds, checkpoint_dir=ck,
-                                 max_rounds=2, **fixture.options),
+        ck, res = str(tmp_path / "ck"), tmp_path / "res"
+        opts = dict(paths=fixture.seeds, results_dir=str(res),
+                    results_flush_rows=1, **fixture.options)
+        LinkChecker(CheckOptions(**opts, checkpoint_dir=ck, max_rounds=2),
                     fixture.documents, fixture.http_map).check()
+        # past the checkpoint's spill counter: a prune would delete it
+        (res / "part_00_09999.parquet").write_bytes(b"stale")
         mpath = os.path.join(ck, "round_000002", "manifest.json")
         with open(mpath) as f:
             manifest = json.load(f)
@@ -193,11 +198,13 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="round 2 keys its edges") as err:
             ckpt.load_key_journal(ck, 2)
         assert ck in str(err.value)
+        before = {p.name: p.read_bytes() for p in res.iterdir()}
+        assert len(before) > 1
         with pytest.raises(ValueError, match="round 2 keys its edges") as err:
-            LinkChecker(CheckOptions(paths=fixture.seeds, **fixture.options),
-                        fixture.documents, fixture.http_map) \
-                .check(resume_from=ck)
+            LinkChecker(CheckOptions(**opts), fixture.documents,
+                        fixture.http_map).check(resume_from=ck)
         assert ck in str(err.value)
+        assert {p.name: p.read_bytes() for p in res.iterdir()} == before
 
     def test_resume_continues_scripted_sequences(self, tmp_path):
         """The mock transport's sequence counters travel with the
@@ -719,23 +726,13 @@ class TestResumeHardening:
             "part_02_00000.parquet",         # stale: node 1 saved 0
             "part_06_00000.parquet",         # stale: beyond saved list
             "part_00_00009.parquet.tmp",     # orphan tmp
-            # the name forms of earlier versions: part_{k} is the
-            # driver's, node{i}_part_{k} mesh node i's
-            "part_00001.parquet",
-            "part_00003.parquet",            # stale: >= spill_part 2
-            "node00_part_00000.parquet",
-            "node00_part_00004.parquet",     # stale: node 0 saved 1
-            "node01_part_00000.parquet",     # stale: node 1 saved 0
-            "node05_part_00000.parquet",     # stale: beyond saved list
-            "part_00009.parquet.tmp",        # orphan tmp
             "other.txt",
         ]
         for n in names:
             (d / n).write_bytes(b"x")
         prune_stale_spill_parts(str(d), 2, [1, 0])
         assert sorted(os.listdir(d)) == [
-            "node00_part_00000.parquet", "other.txt",
-            "part_00001.parquet", "part_00_00000.parquet",
+            "other.txt", "part_00_00000.parquet",
             "part_00_00001.parquet", "part_01_00000.parquet"]
 
     def test_shrink_resume_carries_node_floors(self, ray_session,

@@ -93,9 +93,9 @@ def build_worker(seed: int):
                                            seed=seed)
     opts = CheckOptions(paths=seeds, recurse=True)
     transport = build_transport({"documents": docs, "multi_host": True,
-                                 "strict": False, "record_calls": True})
-    worker = FetchWorker(transport, recurse=True, classify_opts=opts,
-                         static_host="http://corpus.test/")
+                                 "strict": False, "record_calls": True},
+                                opts)
+    worker = FetchWorker(transport, opts, static_host="http://corpus.test/")
     return worker, page_urls(docs)
 
 
@@ -139,9 +139,7 @@ def build_pump(seed: int):
     opts = CheckOptions(paths=seeds, recurse=True, seen_filter="cuckoo")
     blob = {"documents": docs, "multi_host": True, "strict": False,
             "record_calls": True}
-    nodes = [MeshNode(i, 2, blob, {"classify_opts": opts, "recurse": True,
-                                   "static_host": "http://corpus.test/"},
-                      {"batch_cap": 1 << 30}, seen_mode="cuckoo",
+    nodes = [MeshNode(i, 2, blob, opts, static_host="http://corpus.test/",
                       sticky_hosts=False) for i in range(2)]
     nodes[0].set_peers(FakeHandle(), [FakeHandle(), FakeHandle(nodes[1])], 1)
     nodes[1].set_peers(FakeHandle(), [FakeHandle(), FakeHandle()], 1)
