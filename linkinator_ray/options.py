@@ -140,6 +140,12 @@ class CheckOptions:
         if isinstance(self.require_https, str):
             self.require_https = RequireHttpsMode(self.require_https)
         self.status_codes = validate_status_codes(self.status_codes)
+        # one pattern given as a string is that pattern, not a list of
+        # one-character patterns
+        if isinstance(self.links_to_skip, str):
+            self.links_to_skip = [self.links_to_skip]
+        if isinstance(self.fragments_to_skip, str):
+            self.fragments_to_skip = [self.fragments_to_skip]
         rewrites = []
         for rw in self.url_rewrites:
             if isinstance(rw, UrlRewrite):

@@ -71,10 +71,6 @@ class CrawlResult:
         return call_tuples(self.request_log)
 
 
-# result rows as the executors hold them: RESULTS plus whether the row
-# reports a frontier URL itself (the duplicate-broken join's input)
-RESULT_ROWS = schema.RESULTS.append(pa.field("frontier_level", pa.bool_()))
-
 # the row-level warning events, fired off the fetch worker's warn_* masks
 WARN_EVENTS = frozenset({"statusCodeWarning", "redirect", "httpInsecure"})
 
@@ -85,25 +81,26 @@ def _frontier_rows(**cols) -> pa.Table:
 
 def result_rows(round_no: int, frontier_level: bool, url, status, state,
                 parent, failure="") -> pa.Table:
-    """RESULT_ROWS for ``len(url)`` rows, the one constructor every
+    """schema.RESULT_ROWS for ``len(url)`` rows, the one constructor every
     stage uses. Columns are Arrow arrays or Python lists; a str fills
     every row and ``None`` makes the column null."""
     n = len(url)
     cols = []
     for values, field in zip((url, status, state, parent, failure),
-                             RESULT_ROWS):
+                             schema.RESULT_ROWS):
         if values is None:
             values = pa.nulls(n, field.type)
         elif isinstance(values, str):
             values = pa.repeat(pa.scalar(values, field.type), n)
         elif isinstance(values, pa.ChunkedArray):
-            values = values.combine_chunks()
+            values = values.chunk(0) if values.num_chunks == 1 \
+                else values.combine_chunks()
         elif not isinstance(values, pa.Array):
             values = pa.array(values, field.type)
         cols.append(values)
     cols.append(pa.array(np.full(n, round_no, dtype=np.int32)))
     cols.append(pa.array(np.full(n, frontier_level, dtype=bool)))
-    return pa.Table.from_arrays(cols, schema=RESULT_ROWS)
+    return pa.Table.from_arrays(cols, schema=schema.RESULT_ROWS)
 
 
 def seed_frontier(paths: list[str], corpus_base: str) -> pa.Table:
@@ -216,7 +213,7 @@ def validate_fragment_wants(fetched: pa.Table, frags: pa.Table,
 def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
                            round_no: int, counters: dict,
                            check_css: bool = False) -> tuple[list, pa.Table]:
-    """Classified fetch output → RESULT_ROWS tables, shared by every
+    """Classified fetch output → schema.RESULT_ROWS tables, shared by every
     executor: redirect-skipped rows → SKIPPED, actor-classified rows
     pass through as Arrow columns, link-level results append. Returns
     (result tables, remaining fetched rows) and bumps the warn / pages
@@ -225,19 +222,18 @@ def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
     out: list[pa.Table] = []
     if fetched.num_rows:
         # redirect-skipped rows → SKIPPED results (src/index.ts:370-373)
-        rskip = pc.not_equal(fetched["redirect_skipped"], "")
-        if pc.any(rskip).as_py():
-            rows = fetched.filter(rskip)
+        rskip = urlkit.nonempty(fetched["redirect_skipped"])
+        if rskip.any():
+            rows = fetched.filter(pa.array(rskip))
             out.append(result_rows(round_no, True, rows["url"], None,
                                    "SKIPPED", rows["parent"]))
-            fetched = fetched.filter(pc.invert(rskip))
+            fetched = fetched.filter(pa.array(~rskip))
     if fetched.num_rows:
         out.append(result_rows(round_no, True, fetched["url"],
                                fetched["status"], fetched["state"],
                                fetched["parent"], fetched["failure"]))
-        counters["warn_status"] += int(pc.sum(fetched["warn_status"]).as_py() or 0)
-        counters["warn_redirect"] += int(pc.sum(fetched["warn_redirect"]).as_py() or 0)
-        counters["warn_insecure"] += int(pc.sum(fetched["warn_insecure"]).as_py() or 0)
+        for warn in ("warn_status", "warn_redirect", "warn_insecure"):
+            counters[warn] += int(fetched[warn].to_numpy().sum())
         recurse_html = fetched["recurse_html"].to_numpy(zero_copy_only=False)
         recurse_css = fetched["recurse_css"].to_numpy(zero_copy_only=False)
         do_crawl = fetched["do_crawl"].to_numpy(zero_copy_only=False)
@@ -368,31 +364,33 @@ def dedup_candidates(cand: pa.Table, edge_seen, url_seen):
     one mesh node's SeenShards. Returns ``(new frontier rows, (url,
     parent) edges to an already-seen URL — the duplicate-broken join's
     input, edge_fresh mask, keep mask)``."""
-    edge_hash = np.asarray(
-        cand["edge_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
+    edge_hash = np.asarray(cand.column("edge_hash").to_numpy(),
+                           dtype=np.uint64)
     edge_fresh = ~edge_seen.contains_or_insert(edge_hash)
-    url_hash = np.asarray(
-        cand["url_hash"].to_numpy(zero_copy_only=False), dtype=np.uint64)
+    url_hash = np.asarray(cand.column("url_hash").to_numpy(),
+                          dtype=np.uint64)
     url_dup = np.zeros(len(url_hash), dtype=bool)
     fresh_idx = np.flatnonzero(edge_fresh)
     if len(fresh_idx):
         url_dup[fresh_idx] = url_seen.contains_or_insert(url_hash[fresh_idx])
-    dups = cand.filter(pa.array(edge_fresh & url_dup)).select(["url", "parent"])
+    dup_idx = np.flatnonzero(edge_fresh & url_dup)
+    dups = cand.select(["url", "parent"]).take(pa.array(dup_idx)) \
+        if len(dup_idx) else schema.empty(schema.EDGES)
     keep = edge_fresh & ~url_dup
-    rows = cand.filter(pa.array(keep))
+    rows = cand.select(_CANDIDATE_FRONTIER)
+    rows = rows.combine_chunks() if keep.all() \
+        else rows.take(pa.array(np.flatnonzero(keep)))
     n = rows.num_rows
-    frontier = pa.Table.from_arrays([
-        rows["url"].combine_chunks(),
-        rows["url_hash"].combine_chunks(),
-        rows["host"].combine_chunks(),
-        rows["parent"].combine_chunks(),
-        rows["depth"].combine_chunks(),
-        rows["do_crawl"].combine_chunks(),
-        rows["root_path"].combine_chunks(),
+    frontier = pa.Table.from_arrays(rows.columns + [
         pa.array(np.zeros(n, dtype=np.int32)),
         pa.array(np.zeros(n, dtype=np.float64)),
     ], schema=schema.FRONTIER)
     return frontier, dups, edge_fresh, keep
+
+
+# the CANDIDATES columns a frontier row keeps (FRONTIER adds the retry
+# attempt and the not-before deadline)
+_CANDIDATE_FRONTIER = schema.FRONTIER.names[:7]
 
 
 def write_results_part(results_dir: str, writer: int, k: int,
@@ -607,16 +605,18 @@ class LinkChecker:
         for i in np.flatnonzero(warn_insecure):
             self._emit_event("httpInsecure", {"url": urls[i]})
 
-    def _emit_retry_events(self, requeues: list, now: float) -> None:
+    def _emit_retry_events(self, requeues: list, now) -> None:
+        """'retry' for every requeued row; ``now`` (a float, or one per
+        row of a single table) is when the retry was scheduled."""
         if not self._listeners.get("retry"):
             return
         for table in requeues:
             urls = table["url"].to_pylist()
-            nb = table["not_before"].to_numpy(zero_copy_only=False)
-            for url, deadline in zip(urls, nb):
+            wait = table["not_before"].to_numpy(zero_copy_only=False) - now
+            for url, seconds in zip(urls, wait):
                 self._emit_event("retry", {
                     "url": url,
-                    "secondsUntilRetry": int(round(max(0.0, deadline - now)))})
+                    "secondsUntilRetry": int(round(max(0.0, seconds)))})
 
     def _emit_pagestart(self, live: pa.Table) -> None:
         """'pagestart' (src/index.ts:677) for every admitted row whose
@@ -739,6 +739,10 @@ class LinkChecker:
             if self.transport_latency_s > 0 or opts.transport == "http" \
             else 1
         scripted = any(e.get("seq", -1) >= 0 for e in self.http_map)
+        if scripted or opts.retry:
+            # scripted sequences and Retry-After need each URL's requests
+            # in order: one connection, on every executor
+            connections = 1
 
         # Ray runs the mesh; local rounds are the Ray-free reference
         if self.use_ray:
@@ -751,11 +755,8 @@ class LinkChecker:
         self.seen = SeenSet(opts.seen_shards, opts.seen_filter)
         # edge dedup is driver-local; one vectorized shard beats sharding
         self.edge_seen = SeenSet(1, "exact")
-        # scripted sequences and Retry-After need each URL's requests in
-        # order: one connection
         pool = FetchPool(transport_blob, opts, static_host=self.static_host,
-                         connections=1 if scripted or opts.retry
-                         else connections)
+                         connections=connections)
         self.timings["spawn"] = _time.perf_counter() - t0
 
         round_no = 0
@@ -948,7 +949,7 @@ class LinkChecker:
                 hashes, hash_owner(hashes, num_actors), num_actors)])
         seed_rows = frontier.num_rows
         owners = mesh_mod.frontier_owner(frontier, num_actors, sticky, {})
-        ray.get([nodes[a].enqueue.remote(piece) for a, piece
+        ray.get([nodes[a].enqueue.remote(schema.encode(piece)) for a, piece
                  in split_by_owner(frontier, owners, num_actors)])
 
         # quiescence: monotonic counters make in-flight messages visible
@@ -986,7 +987,7 @@ class LinkChecker:
                     raise RuntimeError(
                         f"mesh node failed:\n{p['errors'][0]}")
                 self._fire_node_buffers(p)
-                got_results = got_results or bool(p["results"])
+                got_results = got_results or p["results"] is not None
             self._maybe_spill_results()
             last_counters = [p["counters"] for p in polls]
             busy = any(p["pump_scheduled"] or p["queued_rows"] for p in polls)
@@ -1029,31 +1030,40 @@ class LinkChecker:
         for counters in last_counters:
             for key, val in counters.items():
                 self.counters[key] = self.counters.get(key, 0) + val
-        self._mesh_stats = {"busy_sec": [p["busy_sec"] for p in polls],
-                            "pumps": [p["counters"]["rounds"] for p in polls]}
+        self._mesh_stats = {
+            "busy_sec": [p["busy_sec"] for p in polls],
+            "pumps": [p["counters"]["rounds"] for p in polls],
+            # peer candidate messages: rows each node sent and received,
+            # and the wire bytes it sent
+            "cand_rows_sent": [p["sent_cand"] for p in polls],
+            "cand_rows_received": [p["received_cand"] for p in polls],
+            "cand_bytes_sent": [p["sent_cand_bytes"] for p in polls]}
         # each node's dup edges and request log, in one wait
-        tails = ray.get([n.drain_dups.remote() for n in nodes]
-                        + [n.request_log.remote() for n in nodes])
+        tails = [schema.decode(buf) for buf in ray.get(
+            [n.drain_dups.remote() for n in nodes]
+            + [n.request_log.remote() for n in nodes])]
         self.dup_edge_tables.extend(t for t in tails[:len(nodes)]
                                     if t.num_rows)
         return self._finish(pa.concat_tables(tails[len(nodes):]),
                             sum(p["seen_size"] for p in polls))
 
     def _fire_node_buffers(self, poll: dict) -> None:
-        """One node poll's buffers, kind by kind in the order a round
-        fires them: 'pagestart', 'retry', the result rows ('link'), then
-        the warning events. Each kind keeps the node's order, but a poll
-        may cover several pumps, whose events are grouped by kind, not
-        by pump."""
+        """One node poll's buffers (each an encoded table, or None), kind
+        by kind in the order a round fires them: 'pagestart', 'retry',
+        the result rows ('link'), then the warning events. Each kind
+        keeps the node's order, but a poll may cover several pumps,
+        whose events are grouped by kind, not by pump."""
         events = poll["events"]
-        for table in events["pagestart"]:
-            self._emit_pagestart(table)
-        for now, table in events["retry"]:
-            self._emit_retry_events([table], now)
-        for table in poll["results"]:
-            self._emit(table)
-        for table in events["warn"]:
-            self._emit_warn_events(table)
+        if events["pagestart"] is not None:
+            self._emit_pagestart(schema.decode(events["pagestart"]))
+        if events["retry"] is not None:
+            retry = schema.decode(events["retry"])
+            self._emit_retry_events(
+                [retry], retry["now"].to_numpy(zero_copy_only=False))
+        if poll["results"] is not None:
+            self._emit(schema.decode(poll["results"]))
+        if events["warn"] is not None:
+            self._emit_warn_events(schema.decode(events["warn"]))
 
     # ------------------------------------------------------------------
     # mesh checkpoint / resume (driver-coordinated epoch snapshots)
@@ -1110,6 +1120,9 @@ class LinkChecker:
             _time.sleep(0.005)
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
+        for snap in snaps:
+            for key in ("frontier", "pending_fragments", "dup_edges"):
+                snap[key] = schema.decode(snap[key])
         delay_union: dict[str, float] = {}
         # a scripted URL is fetched by its host's one node, but after a
         # resume at another node count a stale copy may sit on another:
@@ -1167,7 +1180,7 @@ class LinkChecker:
         if wants.num_rows:
             owners = mesh_mod.want_owner(wants, num_actors, sticky, {})
             for a, piece in split_by_owner(wants, owners, num_actors):
-                want_pieces[a] = piece
+                want_pieces[a] = schema.encode(piece)
         # node i writes results parts as writer i + 1: a new node
         # sharing an old index continues that numbering; indices beyond
         # the old count start fresh; on shrink, orphaned old parts stay
@@ -1313,9 +1326,9 @@ class LinkChecker:
             "dup_edges": pa.concat_tables(dups) if dups
             else schema.empty(schema.EDGES),
             "results": pa.concat_tables(self.results_tables)
-            if self.results_tables else schema.empty(RESULT_ROWS),
+            if self.results_tables else schema.empty(schema.RESULT_ROWS),
             "broken_first": pa.concat_tables(self.broken_first_tables)
-            if self.broken_first_tables else schema.empty(RESULT_ROWS),
+            if self.broken_first_tables else schema.empty(schema.RESULT_ROWS),
             "delay_map": pa.table({
                 "host": pa.array(list(delay_map), pa.string()),
                 "deadline": pa.array(list(delay_map.values()),

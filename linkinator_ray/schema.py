@@ -3,7 +3,8 @@
 The reference keeps these shapes as implicit TypeScript types and
 in-heap collections (src/index.ts:260-265, src/links.ts:43-49); here
 each is a fixed pyarrow schema so blocks flow zero-copy through the
-object store.
+object store. ``encode``/``decode`` are the mesh's wire format: every
+table a mesh message carries crosses Ray as one Arrow IPC stream.
 """
 
 from __future__ import annotations
@@ -161,6 +162,31 @@ PENDING_FRAGS = pa.schema([
     ("fragment", pa.string()),
 ])
 
+# a crawl result row (RESULTS, plus whether the row is a frontier
+# URL's own result: the duplicate-broken join reads only those)
+RESULT_ROWS = RESULTS.append(pa.field("frontier_level", pa.bool_()))
+
+# --- listener event rows a mesh node buffers for the driver ---------------
+PAGESTART_ROWS = pa.schema([
+    ("url", pa.string()),
+    ("do_crawl", pa.bool_()),
+])
+
+WARN_ROWS = pa.schema([
+    ("url", pa.string()),
+    ("status", pa.int32()),
+    ("final_url", pa.string()),
+    ("warn_status", pa.bool_()),
+    ("warn_redirect", pa.bool_()),
+    ("warn_insecure", pa.bool_()),
+])
+
+RETRY_ROWS = pa.schema([
+    ("url", pa.string()),
+    ("not_before", pa.float64()),
+    ("now", pa.float64()),           # when the retry was scheduled
+])
+
 # --- mock HTTP behavior (FIXTURES.md http_map; replaces undici MockAgent) --
 HTTP_MAP = pa.schema([
     ("url", pa.string()),
@@ -209,3 +235,20 @@ def table(schema: pa.Schema, **columns) -> pa.Table:
                 else False if pa.types.is_boolean(field.type) else ""
             arrays.append(pa.array([default] * n, type=field.type))
     return pa.Table.from_arrays(arrays, schema=schema)
+
+
+def encode(table: pa.Table) -> pa.Buffer:
+    """``table`` as one Arrow IPC stream: the wire format of every table
+    a mesh message carries. The writer copies only the rows a sliced
+    table shows, and Ray ships the buffer as bytes, without the
+    column-by-column rebuild its ``pa.Table`` pickling does."""
+    sink = pa.BufferOutputStream()
+    writer = pa.ipc.RecordBatchStreamWriter(sink, table.schema)
+    writer.write_table(table)
+    writer.close()
+    return sink.getvalue()
+
+
+def decode(buf) -> pa.Table:
+    """The table ``encode`` wrote (zero-copy over ``buf``)."""
+    return pa.ipc.open_stream(buf).read_all()

@@ -65,6 +65,10 @@ def ext_codes(doc_ids: pa.Array) -> np.ndarray:
         .astype(np.int8)
 
 
+# the mime code of an HTML page (a directory listing's type)
+_HTML_CODE = list(MIME_BY_EXT).index(".html")
+
+
 def mime_values(markdown_as_html: bool = False) -> pa.Array:
     """The MIME type of each ``ext_codes`` value, then ``''`` (the code
     of a row that resolved to no document)."""
@@ -182,8 +186,9 @@ class CorpusIndex:
 
         def same(rows, entries):
             return pc.equal(
-                self._ids_col.take(self._key_row[entries]),
-                doc_ids.take(rows)).to_numpy(zero_copy_only=False)
+                self._ids_col.take(pa.array(self._key_row[entries])),
+                urlkit.take_rows(doc_ids, rows)) \
+                .to_numpy(zero_copy_only=False)
         entry = self._lookup(h, DIR_KEY, same)
         return np.where(entry >= 0, self._key_row[entry], -1)
 
@@ -194,15 +199,14 @@ class CorpusIndex:
         prefix = self._key_prefix
 
         def same(rows, entries):
-            want = self._ids_col.take(self._key_row[entries])
+            want = self._ids_col.take(pa.array(self._key_row[entries]))
             as_dir = self._key_kind[entries] == DIR_KEY
             if as_dir.any():
                 want = pc.if_else(as_dir, pc.utf8_slice_codeunits(
                     want, 0, -len("index.html")), want)
-            got = urls if len(rows) == len(urls) else urls.take(rows)
-            return pc.and_(
-                pc.starts_with(got, prefix),
-                pc.equal(pc.utf8_slice_codeunits(got, len(prefix)), want)) \
+            return pc.equal(
+                urlkit.take_rows(urls, rows),
+                pc.binary_join_element_wise(prefix, want, "")) \
                 .to_numpy(zero_copy_only=False)
         entry = self._lookup(url_hash, ID_KEY, same)
         return np.where(entry >= 0, self._key_row[entry], -1)
@@ -282,42 +286,41 @@ class CorpusIndex:
         if url_hash is None:
             url_hash = urlkit.hash64_arrow(urls)
         row = self._probe_urls(urls, np.asarray(url_hash, dtype=np.uint64))
+        on = np.ones(n, dtype=bool)
+        status = np.full(n, 200, dtype=np.int32)
+        code = self._mime_codes(row)
+        listings = locations = (None, None)
         miss = np.flatnonzero(row < 0)
-        if len(miss) == 0:
-            return pa.Table.from_arrays(
-                [pa.repeat(True, n)] + self._answers(row), schema=RESOLUTIONS)
-        ruled = self._resolve_rules(urls.take(pa.array(miss)))
-        if len(miss) == n:
-            return pa.Table.from_arrays(ruled, schema=RESOLUTIONS)
-        hit = np.flatnonzero(row >= 0)
-        found = [pa.repeat(True, len(hit))] + self._answers(row[hit])
-        take = np.empty(n, dtype=np.int64)
-        take[hit] = np.arange(len(hit))
-        take[miss] = len(hit) + np.arange(len(miss))
-        take = pa.array(take)
-        return pa.Table.from_arrays(
-            [pa.concat_arrays([a, b]).take(take) for a, b in zip(found, ruled)],
+        if len(miss):
+            on[miss], status[miss], row[miss], code[miss], listings, \
+                locations = self._resolve_rules(urlkit.take_rows(urls, miss))
+        found = row >= 0
+        doc_id = self._ids_col.take(pa.array(row, mask=~found))
+        if not found.all():
+            doc_id = doc_id.fill_null("")
+        location = pa.repeat(pa.scalar("", pa.string()), n)
+        if listings[0] is not None:
+            doc_id = _patch(doc_id, miss[listings[0]], listings[1])
+        if locations[0] is not None:
+            location = _patch(location, miss[locations[0]], locations[1])
+        return pa.Table.from_arrays([
+            pa.array(on), pa.array(status), doc_id,
+            self._mimes.take(pa.array(code)), location, pa.array(row)],
             schema=RESOLUTIONS)
 
-    def _answers(self, row: np.ndarray) -> list[pa.Array]:
-        """status, doc_id, content_type, location and row columns of
-        requests that found document ``row`` (200 each)."""
-        n = len(row)
-        return [pa.array(np.full(n, 200, dtype=np.int32)),
-                self._ids_col.take(pa.array(row)),
-                self._mimes.take(pa.array(self._ext_code[row])),
-                pa.repeat("", n), pa.array(row)]
-
-    def _resolve_rules(self, urls: pa.Array) -> list[pa.Array]:
-        """The RESOLUTIONS columns of URLs the index probe missed.
+    def _resolve_rules(self, urls: pa.Array):
+        """The static-server rules over URLs the index probe missed:
+        ``(on_corpus, status, row, mime code)`` numpy columns, then the
+        listing doc_ids and the 301 locations as ``(rows, values)``
+        patches (``(None, None)`` when there are none).
 
         Plain URLs (lower-case host, no port, userinfo, ``%``, ``?`` or
         ``#``) split into host and path with one Arrow regex; the rest
         go through ``urlsplit``/``unquote`` first. Everything after the
         split is vectorized. In multi-host mode (scaled bench corpora)
         doc_ids are "host/path" and any host whose docs are present
-        resolves."""
-        n = len(urls)
+        resolves. The path rules run on every row; a row off the corpus
+        then answers status 0 with no document."""
         hosts, paths = _split_host_path(urls)
         if self.multi_host:
             on = pc.is_in(hosts, value_set=self._hosts)
@@ -326,84 +329,99 @@ class CorpusIndex:
         else:
             on = pc.equal(hosts, self.host)
         on = on.to_numpy(zero_copy_only=False)
-        sel = np.flatnonzero(on)
-        if len(sel) == n:
-            return [pa.array(on)] + self._resolve_paths(paths)
-        found = self._resolve_paths(paths.take(sel))
-        # rows off the corpus take the default row appended at the end
-        take = np.full(n, len(sel))
-        take[sel] = np.arange(len(sel))
-        take = pa.array(take)
-        return [pa.array(on)] + [
-            pa.concat_arrays([col, pa.array([default], col.type)]).take(take)
-            for col, default in zip(found, (0, "", "", "", -1))]
+        status, row, code, listings, locations = self._resolve_paths(paths)
+        off = ~on
+        if off.any():
+            status[off], row[off], code[off] = 0, -1, len(self._mimes) - 1
+            listings = _on_rows(listings, on)
+            locations = _on_rows(locations, on)
+        return on, status, row, code, listings, locations
 
-    def _resolve_paths(self, paths: pa.Array) -> list[pa.Array]:
+    def _mime_codes(self, row: np.ndarray) -> np.ndarray:
+        """The mime code of each document ``row`` (the no-document code
+        where it is -1)."""
+        code = np.full(len(row), len(self._mimes) - 1, dtype=np.int64)
+        found = row >= 0
+        code[found] = self._ext_code[row[found]]
+        return code
+
+    def _resolve_paths(self, paths: pa.Array):
         """The static-server path rules over a batch of corpus paths:
-        status, doc_id, content_type, location and row columns."""
+        status, row and mime code numpy columns, then the listing
+        doc_id and 301 location patches (``_resolve_rules``)."""
         raw = pc.utf8_ltrim(paths, "/")
-        as_dir = pc.or_(pc.ends_with(paths, "/"), pc.equal(raw, ""))
-        raw = pc.if_else(as_dir, pc.binary_join_element_wise(
-            raw, "index.html", ""), raw)
+        as_dir = pc.ends_with(paths, "/").to_numpy(zero_copy_only=False) \
+            | ~urlkit.nonempty(raw)
+        if as_dir.any():
+            raw = pc.if_else(pa.array(as_dir), pc.binary_join_element_wise(
+                raw, "index.html", ""), raw)
         row = self.rows_of(raw)
         if self.clean_urls:
             # /about → about.html (server.ts:119-143)
             for suffix in (".html", ".htm"):
                 miss = np.flatnonzero(row < 0)
                 row[miss] = self.rows_of(pc.binary_join_element_wise(
-                    raw.take(miss), suffix, ""))
-        found = pa.array(row, mask=row < 0)
-        status = np.where(row >= 0, 200, 404).astype(np.int32)
-        doc_id = pc.fill_null(self._ids_col.take(found), "")
-        content_type = self._mimes.take(pa.array(np.where(
-            row >= 0, self._ext_code[row], len(self._mimes) - 1)))
-        location = pa.repeat("", len(row))
-        miss = np.flatnonzero(row < 0)
+                    urlkit.take_rows(raw, miss), suffix, ""))
+        found = row >= 0
+        status = np.where(found, 200, 404).astype(np.int32)
+        code = self._mime_codes(row)
+        listings = locations = (None, None)
+        miss = np.flatnonzero(~found)
         if len(miss) and self.directory_listing:
             # auto-index for directories without index.html
             # (server.ts:94-95, :172-184)
-            miss = miss[pc.ends_with(raw.take(miss), "index.html")
+            miss = miss[pc.ends_with(urlkit.take_rows(raw, miss),
+                                     "index.html")
                         .to_numpy(zero_copy_only=False)]
             prefixes = pc.utf8_rtrim(pc.utf8_slice_codeunits(
-                raw.take(miss), 0, -len("index.html")), "/")
-            listed = self._dirs_have(prefixes) | \
-                pc.equal(prefixes, "").to_numpy(zero_copy_only=False)
+                urlkit.take_rows(raw, miss), 0, -len("index.html")), "/")
+            listed = self._dirs_have(prefixes) | ~urlkit.nonempty(prefixes)
             idx = miss[listed]
-            status[idx] = 200
-            doc_id = _patch(doc_id, idx, pc.binary_join_element_wise(
-                self.LISTING_PREFIX, prefixes.filter(pa.array(listed)), ""))
-            content_type = _patch(content_type, idx,
-                                  ["text/html"] * len(idx))
+            if len(idx):
+                status[idx] = 200
+                code[idx] = _HTML_CODE
+                listings = (idx, pc.binary_join_element_wise(
+                    self.LISTING_PREFIX, prefixes.filter(pa.array(listed)),
+                    ""))
             miss = np.flatnonzero(status == 404)
         if len(miss):
             # directory without trailing slash → 301 to path + '/'
             # (server.ts:85-117)
-            dirs = raw.take(miss)
+            dirs = urlkit.take_rows(raw, miss)
             is_dir = self._dirs_have(dirs)
             idx = miss[is_dir]
-            status[idx] = 301
-            dirs = dirs.filter(pa.array(is_dir))
-            if self.multi_host and len(idx):
-                # the location is the URL's own path: drop the host that
-                # the doc_id form ("host/path") puts in front
-                dirs = pc.replace_substring_regex(dirs, "^[^/]*/", "",
-                                                  max_replacements=1)
-            location = _patch(location, idx, pc.binary_join_element_wise(
-                "/", dirs, "/", ""))
-        return [pa.array(status), doc_id, content_type, location,
-                pa.array(row)]
+            if len(idx):
+                status[idx] = 301
+                dirs = dirs.filter(pa.array(is_dir))
+                if self.multi_host:
+                    # the location is the URL's own path: drop the host
+                    # that the doc_id form ("host/path") puts in front
+                    dirs = pc.replace_substring_regex(dirs, "^[^/]*/", "",
+                                                      max_replacements=1)
+                locations = (idx, pc.binary_join_element_wise(
+                    "/", dirs, "/", ""))
+        return status, row, code, listings, locations
+
+
+def _on_rows(patch: tuple, on: np.ndarray) -> tuple:
+    """A ``(rows, values)`` patch less its rows that are not ``on``."""
+    idx, values = patch
+    if idx is None:
+        return patch
+    keep = on[idx]
+    if not keep.any():
+        return None, None
+    return idx[keep], values.filter(pa.array(keep))
 
 
 def _split_host_path(urls: pa.Array) -> tuple[pa.Array, pa.Array]:
     """(host, path) of each URL as the static server reads it."""
-    matched, host, port, rest = urlkit.split_url_arrow(urls)
-    plain = matched & pc.equal(port, "").to_numpy(zero_copy_only=False) \
-        & ~pc.match_substring_regex(rest, "[%?#@:]") \
-        .to_numpy(zero_copy_only=False)
-    path = pc.if_else(pc.equal(rest, ""), "/", rest)
+    plain, host, path = urlkit.split_plain_url_arrow(urls)
+    path = pc.fill_null(path, "/")
     odd = np.flatnonzero(~plain)
     if len(odd):
-        pairs = [_split_one(u) for u in urls.take(odd).to_pylist()]
+        pairs = [_split_one(u)
+                 for u in urlkit.take_rows(urls, odd).to_pylist()]
         host = _patch(host, odd, [h for h, _ in pairs])
         path = _patch(path, odd, [p for _, p in pairs])
     return host, path

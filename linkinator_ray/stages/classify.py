@@ -17,8 +17,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from linkinator_ray.options import CheckOptions, LinkState, RedirectsMode, RequireHttpsMode
+from linkinator_ray.urlkit import nonempty
 
 HTML_TYPES = ("text/html", "application/xhtml+xml")
+CSS_TYPES = ("text/css",)
 
 
 def status_code_action(status: int, status_codes: dict[str, str]) -> str | None:
@@ -35,12 +37,15 @@ def status_code_action(status: int, status_codes: dict[str, str]) -> str | None:
 
 
 def classify_batch(batch: pa.Table, opts: CheckOptions,
-                   static_host: str | None = None) -> dict:
+                   static_host: str | None = None,
+                   content: tuple | None = None) -> dict:
     """Classify a FETCH_RESULTS batch.
 
     Returns dict with numpy arrays: ``state`` (unicode), ``failure``
     (object: JSON or ''), plus event masks ``warn_status`` /
-    ``warn_redirect`` / ``warn_insecure`` for counters.
+    ``warn_redirect`` / ``warn_insecure`` for counters. ``content`` is
+    the rows' (HTML, CSS) content-type masks, when the caller has them
+    already (``content_masks`` of the content_type column).
     """
     n = batch.num_rows
     status = batch["status"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -50,7 +55,7 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
     urls = batch["url"]
     final_urls = batch["final_url"]
     # the request produced some response
-    has_response = _mask(pc.not_equal(final_urls, ""))
+    has_response = nonempty(final_urls)
 
     # redirect detection (src/index.ts:1370-1395)
     is_redirect = (status >= 300) & (status < 400)
@@ -76,17 +81,23 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
         mode_ok = ok2xx | nonstandard_ok
         mode_broken_redirect = np.zeros(n, dtype=bool)
 
-    conditions = [
-        np.asarray(action == "ok") | np.asarray(action == "warn"),
-        np.asarray(action == "skip"),
-        np.asarray(action == "error"),
-        status == 999,                                   # bot-protection skip
-        (status == 403) & cf_mitigated & has_response,   # Cloudflare challenge skip
-        mode_broken_redirect,
-        mode_ok,
+    # (condition, state), the first that holds wins
+    rules = [
+        (status == 999, "SKIPPED"),  # bot-protection skip
+        # Cloudflare challenge skip
+        ((status == 403) & cf_mitigated & has_response, "SKIPPED"),
+        (mode_broken_redirect, "BROKEN"),
+        (mode_ok, "OK"),
     ]
-    choices = ["OK", "SKIPPED", "BROKEN", "SKIPPED", "SKIPPED", "BROKEN", "OK"]
-    state = np.select(conditions, choices, default="BROKEN").astype(object)
+    if opts.status_codes:
+        rules[:0] = [
+            (np.asarray(action == "ok") | np.asarray(action == "warn"), "OK"),
+            (np.asarray(action == "skip"), "SKIPPED"),
+            (np.asarray(action == "error"), "BROKEN"),
+        ]
+    state = np.full(n, "BROKEN", dtype=object)
+    for cond, verdict in reversed(rules):
+        state[cond] = verdict
 
     # HTTPS enforcement overrides (src/index.ts:578-604); the corpus'
     # synthetic http host is exempt like the reference's local server
@@ -103,11 +114,10 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
     # failure details only for BROKEN rows
     failure = np.full(n, "", dtype=object)
     broken_idx = np.flatnonzero(state == "BROKEN")
-    take = pa.array(broken_idx)
-    for i, url, final_url, errors in zip(
-            broken_idx, urls.take(take).to_pylist(),
-            final_urls.take(take).to_pylist(),
-            batch["error_details"].take(take).to_pylist()):
+    detail_cols = ("url", "final_url", "error_details")
+    broken = batch.select(detail_cols).take(pa.array(broken_idx)) \
+        .to_pydict() if len(broken_idx) else dict.fromkeys(detail_cols, [])
+    for i, url, final_url, errors in zip(broken_idx, *broken.values()):
         details = []
         if errors:
             details.extend(json.loads(errors))
@@ -126,6 +136,8 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
             details.append({"error": "HTTP link detected but HTTPS is required"})
         failure[i] = json.dumps(details)
 
+    html, css = content if content is not None else content_masks(
+        batch["content_type"], HTML_TYPES, CSS_TYPES)
     return {
         "state": state,
         "failure": failure,
@@ -133,8 +145,8 @@ def classify_batch(batch: pa.Table, opts: CheckOptions,
         "warn_redirect": (is_redirect | was_followed) if mode == RedirectsMode.WARN
         else np.zeros(n, dtype=bool),
         "warn_insecure": warn_insecure,
-        "should_recurse_html": content_is(batch["content_type"], HTML_TYPES),
-        "should_recurse_css": content_is(batch["content_type"], ("text/css",)),
+        "should_recurse_html": html,
+        "should_recurse_css": css,
     }
 
 
@@ -142,12 +154,20 @@ def _mask(values) -> np.ndarray:
     return values.to_numpy(zero_copy_only=False)
 
 
-def content_is(content_type, needles: tuple[str, ...]) -> np.ndarray:
-    """Rows of a content-type column containing any of ``needles``."""
-    hit = pc.match_substring(content_type, needles[0])
-    for needle in needles[1:]:
-        hit = pc.or_(hit, pc.match_substring(content_type, needle))
-    return _mask(pc.fill_null(hit, False))
+def content_masks(content_type, *needle_sets: tuple[str, ...]) -> list:
+    """For each tuple of needles, the rows of a content-type column that
+    contain any of them (a null type contains none). A batch holds few
+    distinct types: each is matched once in Python, and every row takes
+    its type's answer."""
+    if isinstance(content_type, pa.ChunkedArray):
+        content_type = content_type.combine_chunks()
+    if content_type.null_count:
+        content_type = content_type.fill_null("")
+    enc = pc.dictionary_encode(content_type)
+    types = enc.dictionary.to_pylist()
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    return [np.array([any(x in t for x in needles) for t in types],
+                     dtype=bool)[codes] for needles in needle_sets]
 
 
 def should_retry_error_mask(status: np.ndarray, attempt: np.ndarray,

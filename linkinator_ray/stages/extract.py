@@ -151,12 +151,10 @@ class ExtractLinks:
         kinds = flat.field("kind")
         texts = flat.field("text")
         refs = flat.field("media_ref")
+        kind_of = _KindCodes(kinds)
 
         # fragment targets: kind == fragment_target with non-empty text
-        ft = pc.fill_null(
-            pc.and_(pc.equal(kinds, "fragment_target"),
-                    pc.and_(pc.is_valid(texts), pc.not_equal(texts, ""))),
-            False).to_numpy(zero_copy_only=False)
+        ft = kind_of.among(("fragment_target",)) & urlkit.nonempty(texts)
         if ft.any():
             frags_table = pa.Table.from_arrays(
                 [pages.take(pa.array(pidx[ft])),
@@ -165,20 +163,22 @@ class ExtractLinks:
         else:
             frags_table = schema.empty(schema.FRAGMENT_TARGETS)
 
-        link_src, raw_arr, kind_arr = self._link_spans(kinds, texts, refs)
+        link_src, raw_arr, kind_arr = self._link_spans(kind_of, kinds,
+                                                       texts, refs)
         n_links = len(link_src)
         if n_links == 0:
             return schema.empty(schema.LINKS), frags_table
         link_doc = pidx[link_src]
         # dense per-doc order (link_doc is non-decreasing: flat order is
         # doc-major and the merge sorted by flat index)
-        change = np.r_[True, link_doc[1:] != link_doc[:-1]]
+        change = np.ones(n_links, dtype=bool)
+        np.not_equal(link_doc[1:], link_doc[:-1], out=change[1:])
         starts = np.flatnonzero(change)
-        counts = np.diff(np.r_[starts, n_links])
+        counts = np.diff(starts, append=n_links)
         order = np.arange(n_links, dtype=np.int64) - np.repeat(starts, counts)
 
         doc_take = pa.array(link_doc)
-        link_base = _rebased(bases.take(doc_take), bases, kinds, refs, pidx,
+        link_base = _rebased(bases.take(doc_take), bases, kind_of, refs, pidx,
                              link_src, link_doc)
         resolved = urlkit.resolve_links_arrow(raw_arr, link_base, self.resolver)
         links_table = pa.Table.from_arrays([
@@ -194,18 +194,13 @@ class ExtractLinks:
         ], schema=schema.LINKS)
         return links_table, frags_table
 
-    def _link_spans(self, kinds, texts, refs):
+    def _link_spans(self, kind_of: "_KindCodes", kinds, texts, refs):
         """The flat span each link comes from, its raw link and its kind,
         in flat order: direct kinds by mask, the rare kinds expanded per
         span."""
-        direct = pc.fill_null(
-            pc.and_(pc.is_in(kinds,
-                             value_set=pa.array(sorted(schema.DIRECT_LINK_KINDS))),
-                    pc.and_(pc.is_valid(refs), pc.not_equal(refs, ""))),
-            False).to_numpy(zero_copy_only=False)
-        rare = pc.fill_null(
-            pc.is_in(kinds, value_set=pa.array(self._RARE_KINDS)),
-            False).to_numpy(zero_copy_only=False)
+        direct = kind_of.among(schema.DIRECT_LINK_KINDS) \
+            & urlkit.nonempty(refs)
+        rare = kind_of.among(self._RARE_KINDS)
 
         dir_idx = np.flatnonzero(direct)
         if not rare.any():
@@ -258,6 +253,24 @@ class ExtractLinks:
         return links
 
 
+class _KindCodes:
+    """The span kinds of a flat spans batch, dictionary-encoded once: a
+    batch holds a handful of distinct kinds, so each kind test is a
+    lookup on the codes instead of a string kernel over every span."""
+
+    def __init__(self, kinds: pa.Array):
+        if kinds.null_count:
+            kinds = kinds.fill_null("")
+        enc = pc.dictionary_encode(kinds)
+        self.names = enc.dictionary.to_pylist()
+        self.codes = enc.indices.to_numpy(zero_copy_only=False)
+
+    def among(self, names) -> np.ndarray:
+        """Spans whose kind is one of ``names``."""
+        return np.array([k in names for k in self.names],
+                        dtype=bool)[self.codes]
+
+
 def _stylesheets_as_style_url(spans: pa.Array, rows: np.ndarray) -> pa.Array:
     """``spans`` with each stylesheet row's text and style_url runs, in
     offset order, joined into one style_url span: getCssLinks parses the
@@ -273,14 +286,14 @@ def _stylesheets_as_style_url(spans: pa.Array, rows: np.ndarray) -> pa.Array:
     return pa.concat_arrays([spans, sheets]).take(pa.array(pick))
 
 
-def _rebased(link_base: pa.Array, bases: pa.Array, kinds, refs,
-             pidx: np.ndarray, link_src: np.ndarray,
+def _rebased(link_base: pa.Array, bases: pa.Array, kind_of: "_KindCodes",
+             refs, pidx: np.ndarray, link_src: np.ndarray,
              link_doc: np.ndarray) -> pa.Array:
     """``link_base`` (each link's doc base) with the links that follow
     their doc's first non-empty ``<base>`` span rebased on its href."""
-    is_base = pc.fill_null(
-        pc.and_(pc.equal(kinds, "base"), pc.not_equal(refs, "")),
-        False).to_numpy(zero_copy_only=False)
+    is_base = kind_of.among(("base",))
+    if is_base.any():
+        is_base &= urlkit.nonempty(refs)
     if not is_base.any():
         return link_base
     base_idx = np.flatnonzero(is_base)

@@ -35,7 +35,8 @@ import pyarrow.compute as pc
 from linkinator_ray import schema, urlkit
 from linkinator_ray.options import CheckOptions, RedirectsMode
 from linkinator_ray.sources.documents import CorpusIndex
-from linkinator_ray.stages.classify import HTML_TYPES, content_is
+from linkinator_ray.stages.classify import (CSS_TYPES, HTML_TYPES,
+                                            content_masks)
 
 REDIRECT_STATUSES = frozenset([301, 302, 303, 307, 308])
 _METHODS = pa.array(["HEAD", "GET"])  # by the ``get`` flag
@@ -265,14 +266,17 @@ class MockTransport:
         the caller's connection threads."""
         res = self.corpus.resolve_many(urls, url_hash)
         n = len(urls)
-        status = res["status"]
-        on = res["on_corpus"].to_numpy()
+        status, doc_id, location, row = (
+            res.column(name).chunk(0)
+            for name in ("status", "doc_id", "location", "row"))
+        on = res.column("on_corpus").to_numpy()
         methods = _METHODS.take(pa.array(get.astype(np.int8)))
         if headers:
             self.header_log.extend((u, m, dict(headers)) for u, m in
                                    zip(urls.to_pylist(), methods.to_pylist()))
         self.log.extend(urls, methods, status)
-        error, final_url = pa.repeat("", n), urls
+        empty = pa.repeat(pa.scalar("", pa.string()), n)
+        error, final_url = empty, urls
         if not on.all():
             off = pa.array(~on)
             if self.strict:
@@ -280,18 +284,17 @@ class MockTransport:
                     "unmocked request:", methods, urls, " "), "")
                 final_url = pc.if_else(off, "", urls)
             else:
-                status = pc.if_else(off, 404, status)
-        body = (status.to_numpy() == 200) & get
-        doc_id, row = res["doc_id"], res["row"]
-        if not body.all():
-            doc_id = pc.if_else(pa.array(body), doc_id, "")
-            row = pc.if_else(pa.array(body), row, -1)
-        location = res["location"]
+                status = pc.if_else(off, pa.scalar(404, pa.int32()), status)
+        # a HEAD request's 200 has no body
+        head_ok = (status.to_numpy(zero_copy_only=False) == 200) & ~get
+        if head_ok.any():
+            body = pa.array(~head_ok)
+            doc_id = pc.if_else(body, doc_id, "")
+            row = pc.if_else(body, row, -1)
         return pa.Table.from_arrays([
-            status.cast(pa.int32()), final_url, doc_id, res["content_type"],
-            pc.not_equal(location, ""), location,
-            pa.repeat(False, n), pa.repeat("", n), pa.repeat("", n),
-            error, row,
+            status, final_url, doc_id, res.column("content_type").chunk(0),
+            pa.array(urlkit.nonempty(location)), location,
+            pa.array(np.zeros(n, dtype=bool)), empty, empty, error, row,
         ], schema=STEP)
 
 
@@ -370,6 +373,8 @@ class FetchWorker:
         # connection threads only exist when a batch fetches in parallel
         self._extractor = None
         self._pool = None
+        # '0', '1', ...: the doc_ids of an extraction batch (_positions)
+        self._position_ids = pa.array([], pa.string())
 
     def close(self) -> None:
         """Stop the connection threads (their keep-alive connections
@@ -457,7 +462,7 @@ class FetchWorker:
         waits once per row over the connection threads; scripted rows,
         redirects to follow and the HTTP transport go through
         ``make_request`` per row."""
-        sub = urls.take(pa.array(idx))
+        sub = urlkit.take_rows(urls, idx)
         transport = self.transport
         per_row = transport.scripted(sub) if self._index is not None \
             else np.ones(len(idx), dtype=bool)
@@ -466,7 +471,7 @@ class FetchWorker:
         rows, tables = [], []
         batched = np.flatnonzero(~per_row)
         if len(batched):
-            t = transport.request_many(sub.take(pa.array(batched)),
+            t = transport.request_many(urlkit.take_rows(sub, batched),
                                        get[batched], self.opts.headers,
                                        url_hash[idx[batched]])
             if transport.latency_s:
@@ -494,6 +499,8 @@ class FetchWorker:
                 sub.take(pa.array(todo)).to_pylist(), get[todo], firsts)
             rows.append(idx[todo])
             tables.append(self._step_table(outcomes))
+        if len(tables) == 1:
+            return rows[0], tables[0]
         return np.concatenate(rows), pa.concat_tables(tables)
 
     def _request_rows(self, urls: list[str], get: np.ndarray,
@@ -560,22 +567,18 @@ class FetchWorker:
         out = empty_outputs()
         if batch.num_rows == 0:
             return out
-        # FETCH_RESULTS carries the frontier columns. take() copies them
-        # compactly: a sliced batch (a mesh pump's share of its queue)
-        # would otherwise pickle its parent's whole buffers into every
-        # result table it ships
-        batch = batch.select(schema.FETCH_RESULTS.names[:8]) \
-            .take(np.arange(batch.num_rows))
+        # FETCH_RESULTS carries the frontier columns, one chunk each
+        batch = batch.select(schema.FETCH_RESULTS.names[:8]).combine_chunks()
         urls = batch["url"].chunk(0)
         do_crawl = batch["do_crawl"].to_numpy(zero_copy_only=False)
         pending = pc.is_in(urls, value_set=pa.array(
-            pending_fragment_urls, pa.string())).to_numpy(zero_copy_only=False)
+            pending_fragment_urls, pa.string())).to_numpy(
+            zero_copy_only=False) if pending_fragment_urls \
+            else np.zeros(batch.num_rows, dtype=bool)
         state = self._request_steps(
             urls, batch["url_hash"].to_numpy(), do_crawl, pending, now)
         resp = state.responses()
         is_html, is_css, has_body = state.is_html, state.is_css, state.has_body
-        base = pc.if_else(pc.equal(resp["final_url"], ""), urls,
-                          resp["final_url"])
         # parsed: crawl targets with an HTML (or checked CSS) body, and
         # pages whose fragments are wanted — all of them in one documents
         # table through the batch extractor (stages/extract.py)
@@ -586,24 +589,30 @@ class FetchWorker:
         soft404 = np.zeros(batch.num_rows, dtype=bool)
         if len(rows):
             soft404[rows] = self._extract_and_process(
-                rows, batch, base, resp, eligible[rows],
+                rows, batch, resp, eligible[rows],
                 (is_css & ~is_html)[rows], need_frags[rows], out)
 
-        errors = np.full(batch.num_rows, "", dtype=object)
-        for row, messages in state.failures.items():
-            errors[row] = json.dumps(messages)
-        fetched = pa.Table.from_arrays(batch.columns + [
+        if state.failures:
+            errors = np.full(batch.num_rows, "", dtype=object)
+            for row, messages in state.failures.items():
+                errors[row] = json.dumps(messages)
+            errors = pa.array(errors, pa.string())
+        else:
+            errors = resp["error"]  # '' on every row
+        cols = batch.columns + [
             resp["status"], resp["final_url"], pa.array(has_body),
             resp["body_doc_id"], resp["content_type"], resp["has_location"],
             pa.array(state.retry_at), resp["cf_mitigated"],
-            resp["redirect_skipped"], pa.array(errors, pa.string()),
-            pa.array(soft404)], schema=schema.FETCH_RESULTS)
-        out["fetched"] = self._classify_in_actor(fetched)
+            resp["redirect_skipped"], errors, pa.array(soft404)]
+        fetched = pa.Table.from_arrays(cols, schema=schema.FETCH_RESULTS)
+        out["fetched"] = pa.Table.from_arrays(
+            cols + self._classify_in_actor(fetched, (is_html, is_css)),
+            schema=CLASSIFIED)
         return out
 
     # -- extraction + per-link handling, actor-side (src/index.ts:675-798) --
 
-    def _extract_and_process(self, rows: np.ndarray, batch: pa.Table, base,
+    def _extract_and_process(self, rows: np.ndarray, batch: pa.Table,
                              resp: pa.Table, eligible: np.ndarray,
                              css: np.ndarray, need_frags: np.ndarray,
                              out: dict) -> np.ndarray:
@@ -612,23 +621,28 @@ class FetchWorker:
         ones; fills ``out`` and returns the rows' soft-404 mask (set on
         fragment-checked pages)."""
         take = pa.array(rows)
-        spans = self._spans(resp["body_doc_id"].take(take),
+        spans = self._spans(resp["body_doc_id"], rows,
                             resp["body_row"].to_numpy(zero_copy_only=False)[rows])
         # doc_id = LOCAL position string so link rows map back to their
         # row with one cast instead of a lookup; fragment targets are
         # keyed by the checked URL, links resolve against the final one
-        links, frags = self._extractor.extract_with_fragments(pa.table({
-            "doc_id": pc.cast(pa.array(np.arange(len(rows))), pa.string()),
-            "spans": spans,
-            "page_url": batch["url"].take(take),
-            "base_url": base.take(take),
-            "css": pa.array(css),
-        }))
+        # (a row with a body has one)
+        names = ["doc_id", "spans", "page_url", "base_url"]
+        cols = [self._positions(len(rows)), spans,
+                batch.column("url").take(take),
+                resp.column("final_url").take(take)]
+        if css.any():
+            names.append("css")
+            cols.append(pa.array(css))
+        links, frags = self._extractor.extract_with_fragments(
+            pa.Table.from_arrays(cols, names=names))
+        doc_pos = None
         if not eligible.all():
             doc_pos = pc.cast(links["doc_id"], pa.int64()) \
                 .to_numpy(zero_copy_only=False)
-            links = links.filter(pa.array(eligible[doc_pos]))
-        out.update(self._process_links_vec(links, batch.take(take)))
+            keep = eligible[doc_pos]
+            links, doc_pos = links.filter(pa.array(keep)), doc_pos[keep]
+        out.update(self._process_links_vec(links, batch, rows, doc_pos))
         if not self.opts.check_fragments:
             return np.zeros(len(rows), dtype=bool)
         # the only parsed rows that are not fragment-checked then are
@@ -645,10 +659,20 @@ class FetchWorker:
 
         return need_frags & some_span_has("noindex") & some_span_has("nofollow")
 
-    def _spans(self, bodies: pa.Array, body_row: np.ndarray) -> pa.Array:
-        """The span lists of ``bodies``: corpus rows by one take on the
-        corpus's spans column, live bodies and directory listings from
-        the transport's body store."""
+    def _positions(self, n: int) -> pa.Array:
+        """'0', '1', ... as a string column of ``n`` rows, sliced from
+        one column the worker keeps and grows."""
+        if len(self._position_ids) < n:
+            self._position_ids = pc.cast(pa.array(np.arange(
+                max(n, 2 * len(self._position_ids), 64))), pa.string())
+        return self._position_ids.slice(0, n)
+
+    def _spans(self, bodies, rows: np.ndarray,
+               body_row: np.ndarray) -> pa.Array:
+        """The span lists of the ``bodies`` of batch rows ``rows``
+        (``body_row`` is each one's corpus row, -1 if none): corpus rows
+        by one take on the corpus's spans column, live bodies and
+        directory listings from the transport's body store."""
         stored = np.flatnonzero(body_row >= 0)
         if len(stored) == len(body_row):
             return self._index._spans_col.take(pa.array(body_row))
@@ -657,7 +681,7 @@ class FetchWorker:
         others = np.flatnonzero(body_row < 0)
         listed = pa.array(
             [store.spans_of(b) if store is not None else [] for b in
-             bodies.take(pa.array(others)).to_pylist()], spans_type)
+             bodies.take(pa.array(rows[others])).to_pylist()], spans_type)
         if not len(stored):
             return listed
         pick = np.empty(len(body_row), dtype=np.int64)
@@ -667,28 +691,30 @@ class FetchWorker:
             self._index._spans_col.take(pa.array(body_row[stored])),
             listed]).take(pa.array(pick))
 
-    def _process_links_vec(self, links: pa.Table, pages: pa.Table) -> dict:
+    def _process_links_vec(self, links: pa.Table, batch: pa.Table,
+                           rows: np.ndarray,
+                           doc_pos: np.ndarray | None = None) -> dict:
         """Arrow-native per-link processing (src/index.ts:717-798) of
-        links whose ``doc_id`` is the position of their page in
-        ``pages``: doc metadata joins are C-speed takes on the page rows,
-        string work stays in Arrow kernels, hashing runs on the flat
-        UTF-8 buffers. Python touches only user skip callables. Returns
-        the candidates, link_results and pending_frags tables."""
+        links whose ``doc_id`` is the position of their page in ``rows``
+        (batch rows; ``doc_pos`` holds those positions when the caller
+        has them): doc metadata joins are C-speed takes on the page
+        rows, string work stays in Arrow kernels, hashing runs on the
+        flat UTF-8 buffers. Python touches only user skip callables and
+        each distinct seed root. Returns the candidates, link_results
+        and pending_frags tables."""
         n = links.num_rows
         if n == 0:
             return {}
-        doc_pos = pc.cast(links["doc_id"].combine_chunks(), pa.int64())
-        roots = pc.dictionary_encode(pages["root_path"].combine_chunks())
-        root_strs_pa = roots.dictionary
-        parents = pages["url"].combine_chunks().take(doc_pos)
-        link_root_ids = roots.indices.take(doc_pos) \
-            .to_numpy(zero_copy_only=False)
-        url_col = links["url"].combine_chunks()
-        wfrag = links["url_with_fragment"].combine_chunks()
+        if doc_pos is None:
+            doc_pos = pc.cast(links["doc_id"], pa.int64()) \
+                .to_numpy(zero_copy_only=False)
+        # a link's parent is its page's url
+        parents = links.column("parent_url").chunk(0)
+        url_col = links.column("url").chunk(0)
+        wfrag = links.column("url_with_fragment").chunk(0)
 
         # parse errors → BROKEN status 0 (src/index.ts:717-730)
-        broken = pc.not_equal(links["parse_error"].combine_chunks(), "") \
-            .to_numpy(zero_copy_only=False)
+        broken = urlkit.nonempty(links.column("parse_error"))
         live = ~broken
         skipped = np.zeros(n, dtype=bool)
         # fragment-full skip rule (src/index.ts:732-752)
@@ -702,9 +728,8 @@ class FetchWorker:
         # checked when its fragment is skipped
         out = {}
         if self.opts.check_fragments:
-            frag_col = links["fragment"].combine_chunks()
-            has_frag = np.flatnonzero(live & pc.not_equal(frag_col, "")
-                                      .to_numpy(zero_copy_only=False))
+            frag_col = links.column("fragment").chunk(0)
+            has_frag = np.flatnonzero(live & urlkit.nonempty(frag_col))
             sel = pa.array(has_frag)
             frags, frag_urls = frag_col.take(sel), wfrag.take(sel)
             if self.frag_skip.fn is not None:
@@ -723,7 +748,7 @@ class FetchWorker:
             sel = pa.array(np.flatnonzero(broken | skipped))
             bad = pa.array(broken).take(sel)
             out["link_results"] = pa.Table.from_arrays([
-                pc.if_else(bad, links["raw_link"].combine_chunks().take(sel),
+                pc.if_else(bad, links.column("raw_link").chunk(0).take(sel),
                            wfrag.take(sel)),
                 pc.if_else(bad, pa.scalar(0, pa.int32()),
                            pa.scalar(None, pa.int32())),
@@ -733,44 +758,47 @@ class FetchWorker:
         if not live.any():
             return out
 
+        all_live = live.all()
+        live_pa = None if all_live else pa.array(live)
+        live_urls = url_col if all_live else url_col.filter(live_pa)
+        live_page = rows[doc_pos] if all_live else rows[doc_pos[live]]
+        link_hosts = self._hosts_vec(live_urls)
         # child-crawl gate (src/index.ts:786-798): url under the seed's
         # rootPath, same host unless the root pins a path
-        live_pa = pa.array(live)
-        live_urls = url_col.filter(live_pa)
-        live_pos = doc_pos.filter(live_pa)
-        live_roots = link_root_ids[live]
-        link_hosts = self._hosts_vec(live_urls)
-        crawl_flags = np.zeros(len(live_roots), dtype=bool)
+        roots = pc.dictionary_encode(batch.column("root_path").chunk(0))
+        root_of = roots.indices.to_numpy(zero_copy_only=False)[live_page]
+        crawl_flags = np.zeros(len(live_page), dtype=bool)
         if self.opts.recurse:
-            for rid, root in enumerate(root_strs_pa.to_pylist()):
-                root_mask = live_roots == rid
-                if not root_mask.any():
-                    continue
-                under = root_mask & pc.starts_with(live_urls, root) \
-                    .to_numpy(zero_copy_only=False)
-                if not under.any():
-                    continue
-                sep = root.find("://")
-                if sep < 0 or root.find("/", sep + 3) < 0:
-                    under &= pc.equal(link_hosts, urlkit.host_of(root)) \
+            crawl_flags = _under_roots(live_urls, roots.dictionary, root_of)
+            if crawl_flags.any():
+                root_strs = roots.dictionary.to_pylist()
+                pins = np.array([root.find("/", root.find("://") + 3) >= 0
+                                 and "://" in root for root in root_strs],
+                                dtype=bool)
+                loose = crawl_flags & ~pins[root_of]
+                if loose.any():
+                    idx = np.flatnonzero(loose)
+                    root_hosts = pa.array([urlkit.host_of(r)
+                                           for r in root_strs])
+                    crawl_flags[idx] = pc.equal(
+                        link_hosts.take(pa.array(idx)),
+                        root_hosts.take(pa.array(root_of[idx]))) \
                         .to_numpy(zero_copy_only=False)
-                crawl_flags |= under
 
         # the edge key mixes the two URL hashes: the page's url_hash is
         # hash64 of its url, which every frontier stage keeps
         url_hash = urlkit.hash64_arrow(live_urls)
-        parent_hash = pages["url_hash"].combine_chunks().take(live_pos) \
-            .to_numpy(zero_copy_only=False)
+        parent_hash = batch.column("url_hash").to_numpy()[live_page]
+        depth = batch.column("depth").to_numpy()[live_page] + 1
         out["candidates"] = pa.Table.from_arrays([
             live_urls,
             pa.array(url_hash, pa.uint64()),
             pa.array(urlkit.edge_key(url_hash, parent_hash), pa.uint64()),
             link_hosts,
-            parents.filter(live_pa),
-            pc.add(pages["depth"].combine_chunks().take(live_pos),
-                   pa.scalar(1, pa.int32())).cast(pa.int32()),
+            parents if all_live else parents.filter(live_pa),
+            pa.array(depth.astype(np.int32)),
             pa.array(crawl_flags),
-            root_strs_pa.take(pa.array(live_roots)),
+            roots.dictionary.take(pa.array(root_of)),
         ], schema=schema.CANDIDATES)
         return out
 
@@ -787,32 +815,32 @@ class FetchWorker:
             [urlkit.host_of_normalized(u)
              for u in url_col.filter(misses).to_pylist()], pa.string()))
 
-    def _classify_in_actor(self, fetched: pa.Table) -> pa.Table:
+    def _classify_in_actor(self, fetched: pa.Table,
+                           content: tuple | None = None) -> list:
         """Run M17-M20 classification + the retryErrors gate inside the
-        actor; append state/failure/warn/retry_error columns."""
-        import numpy as np
+        actor: the columns CLASSIFIED adds to FETCH_RESULTS (state/
+        failure/warn/retry_error/recurse). ``content`` is the rows'
+        (HTML, CSS) content-type masks when the request steps hold
+        them."""
         from linkinator_ray.stages import classify as classify_mod
         opts = self.opts
-        verdict = classify_mod.classify_batch(fetched, opts, self.static_host)
+        verdict = classify_mod.classify_batch(fetched, opts, self.static_host,
+                                              content)
         status = fetched["status"].to_numpy(zero_copy_only=False).astype(np.int64)
         attempt = fetched["attempt"].to_numpy(zero_copy_only=False).astype(np.int64)
         ra = fetched["retry_after_epoch"].to_numpy(zero_copy_only=False)
         retry_err = classify_mod.should_retry_error_mask(status, attempt, ra, opts)
         not_retrying = ~(retry_err | (ra > 0))
-        return (fetched
-                .append_column("state", pa.array(verdict["state"].tolist(), pa.string()))
-                .append_column("failure", pa.array(verdict["failure"].tolist(), pa.string()))
-                .append_column("warn_status",
-                               pa.array(verdict["warn_status"] & not_retrying))
-                .append_column("warn_redirect",
-                               pa.array(verdict["warn_redirect"] & not_retrying))
-                .append_column("warn_insecure",
-                               pa.array(verdict["warn_insecure"] & not_retrying))
-                .append_column("retry_error", pa.array(retry_err))
-                .append_column("recurse_html",
-                               pa.array(verdict["should_recurse_html"]))
-                .append_column("recurse_css",
-                               pa.array(verdict["should_recurse_css"])))
+        return [
+            pa.array(verdict["state"].tolist(), pa.string()),
+            pa.array(verdict["failure"].tolist(), pa.string()),
+            pa.array(verdict["warn_status"] & not_retrying),
+            pa.array(verdict["warn_redirect"] & not_retrying),
+            pa.array(verdict["warn_insecure"] & not_retrying),
+            pa.array(retry_err),
+            pa.array(verdict["should_recurse_html"]),
+            pa.array(verdict["should_recurse_css"]),
+        ]
 
     def request_log(self) -> pa.Table:
         """Every request this worker's transport sent (schema.CALLS)."""
@@ -822,6 +850,14 @@ class FetchWorker:
         return call_tuples(self.request_log())
 
 
+# a classified fetch result: FETCH_RESULTS and the verdict columns
+CLASSIFIED = pa.schema(list(schema.FETCH_RESULTS) + [
+    ("state", pa.string()), ("failure", pa.string()),
+    ("warn_status", pa.bool_()), ("warn_redirect", pa.bool_()),
+    ("warn_insecure", pa.bool_()), ("retry_error", pa.bool_()),
+    ("recurse_html", pa.bool_()), ("recurse_css", pa.bool_())])
+
+
 class _StepState:
     """Each batch row's state while the request steps run: its current
     response (a row of the step tables) and the masks the next steps
@@ -829,6 +865,7 @@ class _StepState:
 
     def __init__(self, n: int):
         self.tables: list[pa.Table] = []
+        self.recorded = 0                     # rows of self.tables
         self.src = np.zeros(n, dtype=np.int64)
         self.has_resp = np.zeros(n, dtype=bool)
         self.ended = np.zeros(n, dtype=bool)  # redirect skip / retry-after
@@ -842,7 +879,7 @@ class _StepState:
     def record(self, rows: np.ndarray, t: pa.Table, forget_on_error: bool,
                check_retry: bool, now: float) -> None:
         """Take one step's responses (STEP rows for batch rows ``rows``)."""
-        err = pc.not_equal(t["error"], "").to_numpy(zero_copy_only=False)
+        err = urlkit.nonempty(t["error"])
         if err.any():
             for r, msg in zip(rows[err], t["error"].filter(err).to_pylist()):
                 self.failures.setdefault(int(r), []).append(msg)
@@ -850,25 +887,25 @@ class _StepState:
         # keeps the earlier one
         take = np.ones(len(rows), dtype=bool) if forget_on_error else ~err
         r = rows[take]
-        self.src[r] = sum(x.num_rows for x in self.tables) \
-            + np.flatnonzero(take)
+        self.src[r] = self.recorded + np.flatnonzero(take)
+        self.recorded += t.num_rows
         self.tables.append(t)
         self.has_resp[r] = ~err[take]
         status = t["status"].to_numpy(zero_copy_only=False)
         self.status[r] = status[take]
-        self.has_body[r] = pc.not_equal(t["body_doc_id"], "") \
-            .to_numpy(zero_copy_only=False)[take]
-        self.is_html[r] = content_is(t["content_type"], HTML_TYPES)[take]
-        self.is_css[r] = content_is(t["content_type"], ("text/css",))[take]
-        skipped = pc.not_equal(t["redirect_skipped"], "") \
-            .to_numpy(zero_copy_only=False)
+        self.has_body[r] = urlkit.nonempty(t["body_doc_id"])[take]
+        html, css = content_masks(t["content_type"], HTML_TYPES, CSS_TYPES)
+        self.is_html[r] = html[take]
+        self.is_css[r] = css[take]
+        skipped = urlkit.nonempty(t["redirect_skipped"])
         self.ended[rows[skipped]] = True
         if check_retry:
             # 429 + parseable retry-after while retry enabled
             # (src/index.ts:1019-1032)
-            wait = np.flatnonzero(~skipped & (status == 429) & pc.not_equal(
-                t["retry_after"], "").to_numpy(zero_copy_only=False))
-            for j, raw in zip(wait, t["retry_after"].take(wait).to_pylist()):
+            wait = np.flatnonzero(~skipped & (status == 429)
+                                  & urlkit.nonempty(t["retry_after"]))
+            for j, raw in zip(wait, t["retry_after"].take(pa.array(wait))
+                              .to_pylist()):
                 epoch = parse_retry_after(raw, now)
                 if epoch == epoch and epoch:  # nan → no retry
                     self.retry_at[rows[j]] = epoch
@@ -876,7 +913,53 @@ class _StepState:
 
     def responses(self) -> pa.Table:
         """Each row's final response, in batch order."""
+        if len(self.tables) == 1 and \
+                (self.src == np.arange(len(self.src))).all():
+            return self.tables[0]  # one step answered every row, in order
         return pa.concat_tables(self.tables).take(pa.array(self.src))
+
+
+def _under_roots(urls: pa.Array, roots: pa.Array,
+                 root_of: np.ndarray) -> np.ndarray:
+    """Rows of ``urls`` that start with their own root (``roots`` at
+    ``root_of``), compared on the UTF-8 buffers for every root at once:
+    each row's leading bytes, as 8-byte words, masked to its root's
+    length and matched against the root's words."""
+    u_off, u_data = _string_buffers(urls)
+    r_off, r_data = _string_buffers(roots)
+    r_len = r_off[1:] - r_off[:-1]
+    if not len(r_len):
+        return np.zeros(len(root_of), dtype=bool)
+    width = max(8, -(-int(r_len.max()) // 8) * 8)
+    # each root's bytes and a byte mask of its length, zero-padded
+    in_root = np.arange(width) < r_len[:, None]
+    root_bytes = np.zeros(in_root.shape, dtype=np.uint8)
+    root_bytes[in_root] = r_data[(r_off[:-1, None]
+                                  + np.arange(width))[in_root]]
+    root_words = root_bytes.view(np.uint64)
+    mask_words = (in_root.astype(np.uint8) * np.uint8(0xFF)).view(np.uint64)
+    # each url's first ``width`` bytes: rows of a sliding window over
+    # the (padded) data buffer; bytes past a url's end belong to the
+    # next url, and only matter when the url is shorter than its root
+    padded = np.concatenate((u_data, np.zeros(width, dtype=np.uint8)))
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(len(u_data) + 1, width), strides=(1, 1))
+    url_words = windows[u_off[:-1]].view(np.uint64)
+    same = ((url_words & mask_words[root_of]) == root_words[root_of]) \
+        .all(axis=1)
+    return same & (u_off[1:] - u_off[:-1] >= r_len[root_of])
+
+
+def _string_buffers(col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """A string array's row offsets (int64, into the data buffer) and
+    UTF-8 bytes."""
+    n = len(col)
+    bufs = col.buffers()
+    offsets = np.frombuffer(bufs[1], dtype=np.int32, count=n + 1,
+                            offset=col.offset * 4).astype(np.int64)
+    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
+        else np.zeros(0, dtype=np.uint8)
+    return offsets, data
 
 
 # the fetch_batch result tables, by key
@@ -902,11 +985,23 @@ def hash_owner(hashes, num_owners: int) -> np.ndarray:
 def split_by_owner(data, owner: np.ndarray, num_owners: int):
     """Yield ``(owner, its rows)`` for every owner with at least one
     row. ``data`` is an Arrow table or a numpy array; rows keep their
-    order within each piece (scripted sequences rely on it)."""
+    order within each piece (scripted sequences rely on it). The rows
+    are grouped by owner with one stable sort and one take, and each
+    piece is a slice of the result."""
+    if len(owner) == 0:
+        return
+    if (owner == owner[0]).all():
+        yield int(owner[0]), data  # one owner takes every row
+        return
+    order = np.argsort(owner, kind="stable")
+    grouped = data[order] if isinstance(data, np.ndarray) \
+        else data.take(pa.array(order))
+    bounds = np.searchsorted(owner[order], np.arange(num_owners + 1))
     for a in range(num_owners):
-        idx = np.flatnonzero(owner == a)
-        if len(idx):
-            yield a, data.take(idx)
+        if bounds[a + 1] > bounds[a]:
+            yield a, grouped[bounds[a]:bounds[a + 1]] \
+                if isinstance(data, np.ndarray) \
+                else grouped.slice(bounds[a], bounds[a + 1] - bounds[a])
 
 
 class FetchPool:

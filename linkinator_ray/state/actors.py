@@ -35,7 +35,7 @@ import pyarrow as pa
 
 # the MeshNode methods a hosted node answers through its actor
 FORWARDED = (
-    "set_peers", "seed", "enqueue", "submit_candidates", "submit_wants",
+    "set_peers", "seed", "enqueue", "deliver_candidates", "deliver_wants",
     "pause", "resume_run", "snapshot", "restore_keys", "poll",
     "drain_dups", "request_log",
 )

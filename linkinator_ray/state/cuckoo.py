@@ -43,13 +43,18 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _LANE = 0xFFFF
 _LOW_LANES = np.uint64(0x0001000100010001)
 _HIGH_BITS = np.uint64(0x8000800080008000)
+_MIX_U64 = np.uint64(_MIX)
+_ONE, _U16, _U48 = np.uint64(1), np.uint64(16), np.uint64(48)
 
 
-def _holds(words: np.ndarray, spread_fp: np.ndarray) -> np.ndarray:
-    """True where a bucket word has a lane equal to the fingerprint
-    (``spread_fp`` is the fingerprint copied into all four lanes)."""
-    x = words ^ spread_fp
-    return ((x - _LOW_LANES) & ~x & _HIGH_BITS) != 0
+def _zero_lanes(x: np.ndarray) -> np.ndarray:
+    """The high bit of each all-zero 16-bit lane of ``x`` (the SWAR
+    zero-lane test; ``x`` is overwritten)."""
+    t = x - _LOW_LANES
+    np.invert(x, out=x)
+    x &= t
+    x &= _HIGH_BITS
+    return x
 
 
 # a word holds k filled lanes iff it is at least the k-th floor (lanes
@@ -88,9 +93,12 @@ class CuckooFilter:
         nonzero; 0 marks an empty lane), the home bucket its low bits."""
         # (u64 array arithmetic wraps silently)
         mixed = _splitmix64(np.asarray(keys, dtype=np.uint64))
-        fp = np.maximum(mixed >> np.uint64(48), np.uint64(1))
-        i1 = mixed & self.mask
-        i2 = (i1 ^ (fp * np.uint64(_MIX))) & self.mask
+        fp = np.maximum(mixed >> _U48, _ONE)
+        i1 = mixed
+        i1 &= self.mask
+        i2 = fp * _MIX_U64
+        i2 ^= i1
+        i2 &= self.mask
         return fp, i1, i2
 
     def _alt(self, idx: int, fp: int) -> int:
@@ -98,9 +106,17 @@ class CuckooFilter:
 
     def _probe(self, fp: np.ndarray, i1: np.ndarray,
                i2: np.ndarray) -> np.ndarray:
+        """True where either bucket word has a lane equal to the
+        fingerprint (copied into all four lanes, each word XOR it has
+        a zero lane)."""
         spread = fp * _LOW_LANES
-        found = _holds(self.table[i1], spread)
-        found |= _holds(self.table[i2], spread)
+        x1 = self.table[i1]
+        x1 ^= spread
+        x2 = self.table[i2]
+        x2 ^= spread
+        hit = _zero_lanes(x1)
+        hit |= _zero_lanes(x2)
+        found = hit != 0
         if self._victims:
             for pos in np.flatnonzero(~found):
                 f = int(fp[pos])
@@ -131,7 +147,7 @@ class CuckooFilter:
         out = self._probe(fp, i1, i2)
         new = np.flatnonzero(~out)
         if len(new):
-            home, rows = self._sorted((i1[new] << np.uint64(16)) | fp[new], 16)
+            home, rows = self._sorted((i1[new] << _U16) | fp[new], 16)
             later = np.zeros(len(home), dtype=bool)
             np.equal(home[1:], home[:-1], out=later[1:])
             if later.any():
@@ -161,20 +177,25 @@ class CuckooFilter:
         """Put each key into the next free lane of its bucket (``bucket``
         sorted: slot = occupancy + rank within the bucket) and return
         the positions of the keys that found no free lane."""
-        head = np.ones(len(bucket), dtype=bool)
+        n = len(bucket)
+        head = np.ones(n, dtype=bool)
         np.not_equal(bucket[1:], bucket[:-1], out=head[1:])
         starts = np.flatnonzero(head)
-        group = np.cumsum(head) - 1
-        words = self.table[bucket[starts]]
+        first = bucket[starts]
+        words = self.table[first]
         occupancy = np.searchsorted(_LANE_FLOORS, words, side="right")
-        slot = (occupancy - starts)[group] + np.arange(len(bucket))
-        fits = slot < 4
-        lanes = fp << (np.uint64(16) * np.minimum(slot, 3).astype(np.uint64))
-        lanes[~fits] = 0
+        spread = len(starts) == n  # every key has a bucket to itself
+        slot = occupancy if spread else \
+            (occupancy - starts)[np.cumsum(head) - 1] + np.arange(n)
+        left = np.flatnonzero(slot >= 4)
+        lanes = fp << (_U16 * np.minimum(slot, 3).astype(np.uint64))
+        if len(left):
+            lanes[left] = 0
         # lanes of one bucket are disjoint: their sum is their OR
-        self.table[bucket[starts]] = words | np.add.reduceat(lanes, starts)
-        self.count += int(fits.sum())
-        return np.flatnonzero(~fits)
+        self.table[first] = words | (lanes if spread
+                                     else np.add.reduceat(lanes, starts))
+        self.count += n - len(left)
+        return left
 
     def _bulk_insert(self, fp: np.ndarray, i1: np.ndarray,
                      i2: np.ndarray) -> None:

@@ -32,7 +32,18 @@ join. A node and its fetch worker read every setting from the check's
 only facts of the check: the blob's data, the static host, connections,
 listened events and host-sticky routing.
 
-Batching: ``enqueue``/``submit_candidates`` only append; a
+Wire format: every table a message carries (frontier rows, peer
+candidates and fragment wants, ``poll``'s results and events,
+``snapshot``, the end-of-check ``drain_dups`` and ``request_log``)
+crosses Ray as one Arrow IPC stream buffer, written by
+``schema.encode`` and read by ``schema.decode``; no message takes or
+returns a ``pa.Table``: Ray 2.49 pickles a table by rebuilding each
+column buffer by buffer in Python (0.6–0.8 ms a table), and writing an
+IPC stream takes tens of µs. The actor-facing
+entries decode and hand tables to the node's own intake
+(``deliver_candidates`` → ``submit_candidates``).
+
+Batching: ``enqueue``/``deliver_candidates`` only append; a
 self-scheduled ``pump`` message processes everything accumulated since
 the last pump, so under load the mailbox coalesces many small routed
 pieces into full fetch batches. Self-addressed pieces are delivered
@@ -173,6 +184,7 @@ class MeshNode:
         self.sent_frontier = 0
         self.received_cand = 0
         self.sent_cand = 0
+        self.sent_cand_bytes = 0
         self.pump_scheduled = False
         self.pumping = False
         self.paused = False
@@ -243,12 +255,14 @@ class MeshNode:
             self.journal.add_urls(
                 hashes[~self.url_seen.contains_or_insert(hashes)])
 
-    def enqueue(self, table: pa.Table) -> None:
-        """Frontier rows whose fetch this node owns. Rows restored from
-        a checkpoint can carry a future ``not_before`` (retry backoff /
-        politeness deferrals snapshotted mid-wait) — they park in
-        ``deferred`` so the resume honors the original deadline instead
-        of re-fetching a still-failing host immediately."""
+    def enqueue(self, buf) -> None:
+        """Frontier rows (``schema.encode``d) whose fetch this node owns.
+        Rows restored from a checkpoint can carry a future
+        ``not_before`` (retry backoff / politeness deferrals snapshotted
+        mid-wait) — they park in ``deferred`` so the resume honors the
+        original deadline instead of re-fetching a still-failing host
+        immediately."""
+        table = schema.decode(buf)
         if table.num_rows == 0:
             return
         with self.lock:
@@ -312,14 +326,21 @@ class MeshNode:
         self.queue.append(part)
         self.queued_rows += part.num_rows
 
+    def deliver_candidates(self, buf) -> None:
+        """Peer message: candidate links (``schema.encode``d) whose
+        url_hash this node owns."""
+        self.submit_candidates(schema.decode(buf))
+
     def submit_candidates(self, cand: pa.Table) -> None:
         """Candidate links whose url_hash this node owns."""
         with self.lock:
             self.received_cand += cand.num_rows
             self._accept_candidates(cand)
 
-    def submit_wants(self, wants: pa.Table) -> None:
-        """Fragment wants whose target page this node will fetch."""
+    def deliver_wants(self, buf) -> None:
+        """Peer message: fragment wants (``schema.encode``d) whose target
+        page this node will fetch."""
+        wants = schema.decode(buf)
         with self.lock:
             self.received_wants += wants.num_rows
             self._register_wants(wants)
@@ -362,33 +383,32 @@ class MeshNode:
                 # parts stay on disk (the live run keeps draining them);
                 # the checkpoint reads them into the frontier snapshot
                 spilled = [pq.read_table(p) for p in self._frontier_parts]
-            frontier = pa.concat_tables(self.queue + spilled + self.deferred) \
-                if (self.queue or spilled or self.deferred) \
-                else schema.empty(schema.FRONTIER)
-            dups = pa.concat_tables(self.dup_edges) \
-                if self.dup_edges else schema.empty(schema.EDGES)
             return {
-                "frontier": frontier,
+                "frontier": _wire(self.queue + spilled + self.deferred,
+                                  schema.FRONTIER),
                 # drained into THIS epoch's checkpoint: every key lives
                 # in exactly one epoch's journal
                 "journal": self.journal.drain(),
-                "pending_fragments": pending_table(self.pending_fragments),
+                "pending_fragments": schema.encode(
+                    pending_table(self.pending_fragments)),
                 "delay_map": dict(self.delay_map),
                 "seq_counters": dict(self.worker.transport.seq_counters),
-                "dup_edges": dups,
+                "dup_edges": _wire(self.dup_edges, schema.EDGES),
                 "counters": dict(self.counters),
                 "spill_part": self.spill_part,
             }
 
     def restore_keys(self, url_keys: np.ndarray, edge_keys: np.ndarray,
-                     delay_map: dict, seq: dict,
-                     wants: pa.Table | None = None,
+                     delay_map: dict, seq: dict, wants=None,
                      spill_part: int = 0) -> None:
         """Resume: rebuild this node's seen/edge filters from journal
         keys the driver routed to this node's hash range. They are not
         journaled again: the checkpoint's earlier epochs hold them.
         Every node takes the whole delay map and scripted-sequence
-        counters: any node may own a host at the new node count."""
+        counters: any node may own a host at the new node count.
+        ``wants`` is the node's pending fragment wants,
+        ``schema.encode``d, or None."""
+        wants = schema.decode(wants) if wants is not None else None
         with self.lock:
             if len(url_keys):
                 self.url_seen.contains_or_insert(
@@ -426,7 +446,7 @@ class MeshNode:
                 self._append_local(piece)
             else:
                 self.sent_frontier += piece.num_rows
-                self.peers[a].enqueue.remote(piece)
+                self.peers[a].enqueue.remote(schema.encode(piece))
 
     # -- the work loop -----------------------------------------------------
 
@@ -500,7 +520,7 @@ class MeshNode:
             self.deferred.extend(deferred)
             if "pagestart" in self.events and batch.num_rows:
                 self.event_buf["pagestart"].append(
-                    batch.select(["url", "do_crawl"]))
+                    batch.select(schema.PAGESTART_ROWS.names))
             pending_list = list(self.pending_fragments) \
                 if self.opts.check_fragments else []
         if batch.num_rows == 0:
@@ -518,15 +538,16 @@ class MeshNode:
             self.deferred.extend(requeues)
             if "retry" in self.events:
                 self.event_buf["retry"].extend(
-                    (now, t.select(["url", "not_before"])) for t in requeues)
+                    t.select(["url", "not_before"]).append_column(
+                        "now", pa.array(np.full(t.num_rows, now)))
+                    for t in requeues)
             results, remaining = assemble_result_tables(
                 fetched, output["link_results"], self.counters["rounds"],
                 self.counters, check_css=self.opts.check_css)
             self.results_buf.extend(results)
             if self.buffer_warnings and remaining.num_rows:
-                self.event_buf["warn"].append(remaining.select(
-                    ["url", "status", "final_url", "warn_status",
-                     "warn_redirect", "warn_insecure"]))
+                self.event_buf["warn"].append(
+                    remaining.select(schema.WARN_ROWS.names))
             if self.opts.check_fragments:
                 # own-range wants register BEFORE validating this
                 # batch's pages, so same-page/same-batch fragments
@@ -598,25 +619,37 @@ class MeshNode:
         one message per kind."""
         for a, bufs in enumerate(self.peer_buf):
             if bufs:
-                piece = bufs[0] if len(bufs) == 1 else pa.concat_tables(bufs)
                 self.peer_buf[a] = []
-                self.sent_cand += piece.num_rows
-                self.peers[a].submit_candidates.remote(piece)
+                self.sent_cand += sum(t.num_rows for t in bufs)
+                buf = _wire(bufs, schema.CANDIDATES)
+                self.sent_cand_bytes += buf.size
+                self.peers[a].deliver_candidates.remote(buf)
             wbufs = self.peer_wants[a] if self.peer_wants else []
             if wbufs:
-                piece = wbufs[0] if len(wbufs) == 1 else pa.concat_tables(wbufs)
                 self.peer_wants[a] = []
-                self.sent_wants += piece.num_rows
-                self.peers[a].submit_wants.remote(piece)
+                self.sent_wants += sum(t.num_rows for t in wbufs)
+                self.peers[a].deliver_wants.remote(
+                    _wire(wbufs, schema.PENDING_FRAGS))
 
     # -- driver interface --------------------------------------------------
 
     def poll(self) -> dict:
         """Stable-state snapshot + results drain (consistent under the
         node lock; a mid-pump node reports pumping=True so the driver
-        never mistakes it for idle)."""
+        never mistakes it for idle). ``results`` and each kind of
+        ``events`` are one ``schema.encode``d table, or None when
+        empty."""
         with self.lock:
-            return self._poll_locked()
+            state = self._poll_locked()
+        # encoded outside the lock, which a pump needs to hand over its
+        # results
+        results = state["results"]
+        state["results"] = _wire(results, schema.RESULT_ROWS) \
+            if results else None
+        state["events"] = {kind: _wire(tables, EVENT_SCHEMAS[kind])
+                           if tables else None
+                           for kind, tables in state["events"].items()}
+        return state
 
     def _poll_locked(self) -> dict:
         results = self.results_buf
@@ -641,6 +674,7 @@ class MeshNode:
             "deferred_rows": deferred_rows,
             "earliest_deadline": earliest,
             "pump_scheduled": self.pump_scheduled or self.pumping,
+            "sent_cand_bytes": self.sent_cand_bytes,
             "counters": dict(self.counters),
             "results": results,
             "events": events,
@@ -659,17 +693,30 @@ class MeshNode:
             self._flush_peers()
             self._schedule_pump()
 
-    def drain_dups(self) -> pa.Table:
-        """This node's (url, parent) duplicate edges as one table, so
-        the driver deserializes one block. They are distinct already:
-        ``dedup_candidates`` reports only edge-fresh rows, and an edge
-        always routes to its URL's owner."""
+    def drain_dups(self):
+        """This node's (url, parent) duplicate edges, ``schema.encode``d
+        as one table. They are distinct already: ``dedup_candidates``
+        reports only edge-fresh rows, and an edge always routes to its
+        URL's owner."""
         with self.lock:
             dups = self.dup_edges
             self.dup_edges = []
-        if not dups:
-            return schema.empty(schema.EDGES)
-        return pa.concat_tables(dups).combine_chunks()
+        return _wire(dups, schema.EDGES)
 
-    def request_log(self) -> pa.Table:
-        return self.worker.request_log()
+    def request_log(self):
+        """The fetch worker's request log, ``schema.encode``d."""
+        return schema.encode(self.worker.request_log())
+
+
+# the schema of each kind of buffered listener event (``poll``)
+EVENT_SCHEMAS = {"pagestart": schema.PAGESTART_ROWS,
+                 "warn": schema.WARN_ROWS, "retry": schema.RETRY_ROWS}
+
+
+def _wire(tables: list[pa.Table], table_schema: pa.Schema):
+    """``tables`` as one ``schema.encode``d table (an empty table of
+    ``table_schema`` when there are none)."""
+    if not tables:
+        return schema.encode(schema.empty(table_schema))
+    return schema.encode(tables[0] if len(tables) == 1
+                         else pa.concat_tables(tables))

@@ -358,8 +358,13 @@ def hash64_array(values) -> np.ndarray:
 
 
 # rows up to which hash64_arrow hashes string by string (break-even
-# with the vectorized passes is ~64 URL-length strings)
-_SCALAR_HASH_ROWS = 48
+# with the vectorized passes is ~20 strings of ~22 characters on a
+# 4-CPU x86 box: ~95 µs either way at 20-24 rows)
+_SCALAR_HASH_ROWS = 20
+# leading bytes of each row hash64_arrow gathers in one block (longer
+# rows take the rest a position at a time)
+_HASH_BLOCK = 64
+_HASH_CHUNK = 1 << 16
 
 
 def hash64_arrow(col) -> np.ndarray:
@@ -395,12 +400,28 @@ def hash64_arrow(col) -> np.ndarray:
     # rows longer than j: a prefix of the sorted rows
     longer = np.searchsorted(-lengths[order],
                              -np.arange(int(lengths.max())), side="left")
+    # the first _HASH_BLOCK bytes of each row in one gather up front
+    # (rows of a sliding window over the buffer), so a position reads a
+    # column of it instead of gathering from the buffer; in chunks of
+    # _HASH_CHUNK rows, which bounds the block at 4 MB
+    width = min(len(longer), _HASH_BLOCK)
+    padded = np.concatenate((data, np.zeros(width, dtype=np.uint8)))
+    window = np.lib.stride_tricks.as_strided(
+        padded, shape=(len(data) + 1, width), strides=(1, 1))
     acc = np.full(n, _FNV_BASIS, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for j, k in enumerate(longer):
-            head = acc[:k]
-            head ^= data[starts[:k] + j]
-            head *= _FNV_PRIME
+        for c0 in range(0, n, _HASH_CHUNK):
+            rows = acc[c0:c0 + _HASH_CHUNK]
+            chunk_starts = starts[c0:c0 + _HASH_CHUNK]
+            block = window[chunk_starts]
+            # the chunk's rows longer than j: a prefix of the chunk
+            for j, k in enumerate(np.minimum(longer, c0 + len(rows)) - c0):
+                if k <= 0:
+                    break
+                head = rows[:k]
+                head ^= block[:k, j] if j < width \
+                    else data[chunk_starts[:k] + j]
+                head *= _FNV_PRIME
     out = np.empty(n, dtype=np.uint64)
     out[order] = acc
     return out
@@ -411,12 +432,20 @@ def hash64_arrow(col) -> np.ndarray:
 _SM_A = np.uint64(0xBF58476D1CE4E5B9)
 _SM_B = np.uint64(0x94D049BB133111EB)
 _SM_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _SM_A
-    z = (z ^ (z >> np.uint64(27))) * _SM_B
-    return z ^ (z >> np.uint64(31))
+    # in place on one scratch array: each step is one ufunc call
+    t = z >> _U30
+    t ^= z
+    t *= _SM_A
+    z = t >> _U27
+    z ^= t
+    z *= _SM_B
+    t = z >> _U31
+    t ^= z
+    return t
 
 
 # names edge_key's formula in checkpoint manifests: a journal of edge keys
@@ -438,26 +467,46 @@ def edge_key(url_hash, parent_hash) -> np.ndarray:
         return _splitmix64(u ^ _splitmix64(p + _SM_GOLDEN))
 
 
-# lower-case host, optional port, then path/query/fragment (RE2)
-_RE_URL_PARTS = (r"^(?P<scheme>[a-z][a-z0-9+.-]*)://(?P<host>[a-z0-9.-]+)"
-                 r"(?P<port>:[0-9]*)?(?P<rest>[/?#].*)?$")
+def nonempty(col) -> np.ndarray:
+    """Rows of an Arrow string column that hold a non-empty string (a
+    null row holds none), read off the offsets buffer: no compute call,
+    for the many ``!= ''`` tests of a batch."""
+    import pyarrow as pa
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    n = len(col)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    width = 8 if pa.types.is_large_string(col.type) else 4
+    offsets = np.frombuffer(col.buffers()[1], dtype=f"<i{width}",
+                            count=n + 1, offset=col.offset * width)
+    out = offsets[1:] != offsets[:-1]
+    if col.null_count:
+        out &= col.is_valid().to_numpy(zero_copy_only=False)
+    return out
 
 
-def split_url_arrow(col):
-    """Vectorized split of absolute URLs with a plain lower-case host
-    into ``(matched, host, port, rest)``: a numpy mask of the rows the
-    pattern took, and Arrow string columns (``''`` where a part is
-    absent or the row missed). Rows it misses (userinfo, IPv6, upper
-    case, odd characters) are left to the scalar helpers."""
+# an absolute URL with a lower-case host, no port and a path with
+# nothing to decode or cut ([%?#@:]): the static server reads its host
+# and path as they stand (RE2)
+_RE_PLAIN_URL = (r"^[a-z][a-z0-9+.-]*://(?P<host>[a-z0-9.-]+)"
+                 r"(?P<path>/[^%?#@:]*)?$")
+
+
+def split_plain_url_arrow(col):
+    """Vectorized split of plain absolute URLs (``_RE_PLAIN_URL``) into
+    ``(matched, host, path)``: a numpy mask of the rows the pattern
+    took, and Arrow string columns (null where a row missed; the path
+    is null too when the URL has none). Rows it misses (userinfo, IPv6,
+    upper case, a port, escapes, a query) are left to the scalar
+    helpers."""
     import pyarrow as pa
     import pyarrow.compute as pc
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    parts = pc.extract_regex(col, _RE_URL_PARTS)
-    matched = pc.is_valid(parts).to_numpy(zero_copy_only=False)
-    return (matched,) + tuple(
-        pc.fill_null(pc.struct_field(parts, name), "")
-        for name in ("host", "port", "rest"))
+    parts = pc.extract_regex(col, _RE_PLAIN_URL)
+    return (pc.is_valid(parts).to_numpy(zero_copy_only=False),
+            pc.struct_field(parts, "host"), pc.struct_field(parts, "path"))
 
 
 # ---------------------------------------------------------------------------
@@ -473,40 +522,56 @@ _SEGC_NO_COLON = r"A-Za-z0-9@!$&'()*+,;=~%_\[\]-"
 
 def _plain_segment(chars: str) -> str:
     """RE2 for one path segment of ``chars`` and '.', other than '.' and
-    '..' (dot segments, which normpath would resolve)."""
-    return (rf"(?:[{chars}][.{chars}]*|\.[{chars}][.{chars}]*"
-            rf"|\.\.[.{chars}]+)")
+    '..' (dot segments, which normpath would resolve): one with a
+    character of ``chars``, or three dots or more. (Compiled on every
+    kernel call, so the pattern keeps few character classes.)"""
+    return rf"(?:[.{chars}]*[{chars}][.{chars}]*|\.\.\.+)"
 
 
 # a path of plain segments: no dot segment, no empty segment ('//'),
 # an optional trailing '/'
 _RE_PLAIN_PATH = rf"(?:/{_plain_segment(_SEGC)})*/?"
-# class A: http(s) with a plain lower-case host and an in-range port
-# without a leading 0 (a default port is weeded out below)
-_RE_CLASS_A = (r"^https?://[a-z0-9.-]+(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}))?"
-               rf"{_RE_PLAIN_PATH}$")
-_RE_DEFAULT_PORT_HEAD = r"^(?:http://[^/]*:80|https://[^/]*:443)(?:/|$)"
+# an in-range port without a leading 0 (1-59999), less the scheme's
+# default port (normalize_url drops a default port): RE2 has no
+# lookahead, so each form spells out the numbers it leaves out
+_PORT_NOT_80 = (r"(?:[1-79][0-9]{0,3}|8(?:[1-9][0-9]{0,2}|0[0-9]{1,2})?"
+                r"|[1-5][0-9]{4})")
+_PORT_NOT_443 = (r"(?:[1-35-9][0-9]{0,3}"
+                 r"|4(?:[0-35-9][0-9]{0,2}|4(?:[0-24-9][0-9]?|3[0-9])?)?"
+                 r"|[1-5][0-9]{4})")
+# a plain origin: http(s), a lower-case host, an optional port that is
+# not the default one
+_PLAIN_ORIGIN = (rf"(?:http://[a-z0-9.-]+(?::{_PORT_NOT_80})?"
+                 rf"|https://[a-z0-9.-]+(?::{_PORT_NOT_443})?)")
+# class A: a plain origin and a plain path; the port-less form is a
+# quicker compile, and only the rows it misses meet the full one
+_RE_CLASS_A_NO_PORT = rf"^https?://[a-z0-9.-]+{_RE_PLAIN_PATH}$"
+_RE_CLASS_A = rf"^{_PLAIN_ORIGIN}{_RE_PLAIN_PATH}$"
 # class B: a root-relative plain path
 _RE_CLASS_B = rf"^{_RE_PLAIN_PATH}$"
 # class C: a relative plain path (no scheme, no leading '/')
 _SEG_C = _plain_segment(_SEGC_NO_COLON)
 _RE_CLASS_C = rf"^{_SEG_C}(?:/{_SEG_C})*/?$"
-# a base's origin: http(s)://, then its authority up to the first
-# [/?#]. It is plain when the authority is a lower-case host and an
-# optional port: userinfo, an IPv6 literal, upper case or a 0-led /
-# out-of-range port miss, and a default port (normalize_url drops it)
-# is nulled too
-_RE_BASE_AUTHORITY = r"^(?P<origin>https?://[^/?#]*)"
-_RE_PLAIN_ORIGIN = (r"^https?://[a-z0-9.-]+"
-                    r"(?::(?:[1-9][0-9]{0,3}|[1-5][0-9]{4}))?$")
-_RE_DEFAULT_PORT = r"^(?:http://.*:80|https://.*:443)$"
-_RE_BASE_DIR = r"^(?P<dir>https?://[a-z0-9.-]+/(?:[^?#]*/)?)"
+# a base's origin, when its whole authority (up to the first [/?#]) is
+# plain: userinfo, an IPv6 literal, upper case, a 0-led, out-of-range
+# or default port miss
+_RE_BASE_ORIGIN = rf"^(?P<origin>{_PLAIN_ORIGIN})(?:[/?#]|$)"
+_RE_BASE_ORIGIN_NO_PORT = r"^(?P<origin>https?://[a-z0-9.-]+)(?:[/?#]|$)"
+# a base's directory: a plain host with no port, up to the last '/',
+# when the base has no query or fragment
+_RE_BASE_DIR = r"^(?P<dir>https?://[a-z0-9.-]+/(?:[^?#]*/)?)[^?#]*$"
 
 
-def _take(arr, idx: np.ndarray):
+def take_rows(arr, idx: np.ndarray):
     """``arr`` at positions ``idx`` (no copy when ``idx`` is every row)."""
     import pyarrow as pa
     return arr if len(idx) == len(arr) else arr.take(pa.array(idx))
+
+
+def _keep_rows(arr, keep: np.ndarray):
+    """``arr`` at the rows of mask ``keep`` (no copy when it keeps all)."""
+    import pyarrow as pa
+    return arr if keep.all() else arr.filter(pa.array(keep))
 
 
 def _base_prefix(base, idx: np.ndarray, prefix):
@@ -514,27 +579,26 @@ def _base_prefix(base, idx: np.ndarray, prefix):
     base shape is not plain) taken back to the rows ``idx``: the links
     of a batch share few bases, so each is worked out once."""
     import pyarrow.compute as pc
-    bases = pc.dictionary_encode(_take(base, idx))
+    bases = pc.dictionary_encode(take_rows(base, idx))
     return prefix(bases.dictionary).take(bases.indices)
 
 
 def _origin(uniq):
     import pyarrow as pa
     import pyarrow.compute as pc
-    origin = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_AUTHORITY),
+    origin = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_ORIGIN_NO_PORT),
                              "origin")
-    plain = pc.and_(pc.match_substring_regex(origin, _RE_PLAIN_ORIGIN),
-                    pc.invert(pc.match_substring_regex(origin,
-                                                       _RE_DEFAULT_PORT)))
-    return pc.if_else(plain, origin, pa.scalar(None, pa.string()))
+    if origin.null_count:
+        # a port, or no plain origin at all: the full pattern
+        miss = pc.is_null(origin)
+        origin = pc.replace_with_mask(origin, miss, pc.struct_field(
+            pc.extract_regex(uniq.filter(miss), _RE_BASE_ORIGIN), "origin"))
+    return origin
 
 
 def _base_dir(uniq):
-    import pyarrow as pa
     import pyarrow.compute as pc
-    base_dir = pc.struct_field(pc.extract_regex(uniq, _RE_BASE_DIR), "dir")
-    return pc.if_else(pc.match_substring_regex(uniq, r"[?#]"),
-                      pa.scalar(None, pa.string()), base_dir)
+    return pc.struct_field(pc.extract_regex(uniq, _RE_BASE_DIR), "dir")
 
 
 def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
@@ -567,9 +631,15 @@ def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
     if n == 0:
         e = pa.array([], pa.string())
         return {"url": e, "url_with_fragment": e, "fragment": e, "parse_error": e}
+    # a null link or base reads as '' (as the scalar resolver takes it),
+    # so no kernel below meets a null
+    if raw.null_count:
+        raw = raw.fill_null("")
+    if base.null_count:
+        base = base.fill_null("")
 
     def mask(arr) -> np.ndarray:
-        return pc.fill_null(arr, False).to_numpy(zero_copy_only=False)
+        return arr.to_numpy(zero_copy_only=False)
 
     # the fragment: everything after the first '#'. A fragment with a
     # tab or newline stays scalar (urlsplit would drop those characters)
@@ -586,18 +656,22 @@ def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
                                         pa.array(hashed), frags)
         slow[hashed] = mask(pc.match_substring_regex(frags, r"[\t\r\n]"))
 
-    is_abs = mask(pc.or_(pc.starts_with(head, "http://"),
-                         pc.starts_with(head, "https://")))
+    # "http" routes a row to class A, whose pattern checks the scheme
+    # (a relative path that starts so goes to the scalar resolver)
+    is_abs = mask(pc.starts_with(head, "http"))
     is_root = mask(pc.starts_with(head, "/"))
     fast_pos, fast_url = [], []
 
     idx = np.flatnonzero(is_abs & ~slow)
     if len(idx):
-        sub = _take(head, idx)
-        ok = mask(pc.match_substring_regex(sub, _RE_CLASS_A)) & ~mask(
-            pc.match_substring_regex(sub, _RE_DEFAULT_PORT_HEAD))
+        sub = take_rows(head, idx)
+        ok = mask(pc.match_substring_regex(sub, _RE_CLASS_A_NO_PORT))
+        if not ok.all():
+            ported = np.flatnonzero(~ok)
+            ok[ported] = mask(pc.match_substring_regex(
+                take_rows(sub, ported), _RE_CLASS_A))
         if ok.any():
-            sub = sub.filter(pa.array(ok))
+            sub = _keep_rows(sub, ok)
             bare = pc.equal(pc.count_substring(sub, "/"), 2)
             fast_pos.append(idx[ok])
             fast_url.append(pc.if_else(
@@ -605,36 +679,40 @@ def resolve_links_arrow(raw, base, resolver: "LinkResolver | None" = None):
 
     idx = np.flatnonzero(is_root & ~slow)
     if len(idx):
-        sub = _take(head, idx)
+        sub = take_rows(head, idx)
         ok = mask(pc.match_substring_regex(sub, _RE_CLASS_B))
         if ok.any():
             origin = _base_prefix(base, idx, _origin)
-            ok &= mask(pc.is_valid(origin))
-            keep = pa.array(ok)
+            if origin.null_count:
+                ok &= mask(origin.is_valid())
             fast_pos.append(idx[ok])
             fast_url.append(pc.binary_join_element_wise(
-                origin.filter(keep), sub.filter(keep), ""))
+                _keep_rows(origin, ok), _keep_rows(sub, ok), ""))
 
     idx = np.flatnonzero(~is_abs & ~is_root & ~slow)
     if len(idx):
-        sub = _take(head, idx)
+        sub = take_rows(head, idx)
         ok = mask(pc.match_substring_regex(sub, _RE_CLASS_C))
         if ok.any():
             base_dir = _base_prefix(base, idx, _base_dir)
-            ok &= mask(pc.is_valid(base_dir))
-            keep = pa.array(ok)
+            if base_dir.null_count:
+                ok &= mask(base_dir.is_valid())
             fast_pos.append(idx[ok])
             fast_url.append(pc.binary_join_element_wise(
-                base_dir.filter(keep), sub.filter(keep), ""))
+                _keep_rows(base_dir, ok), _keep_rows(sub, ok), ""))
 
     pos = np.concatenate(fast_pos) if fast_pos \
         else np.empty(0, dtype=np.int64)
-    url = pa.concat_arrays(fast_url) if fast_url else pa.array([], pa.string())
+    if len(fast_url) == 1:
+        url = fast_url[0]
+    else:
+        url = pa.concat_arrays(fast_url) if fast_url \
+            else pa.array([], pa.string())
     wfrag = url
     frag = err = pa.repeat(pa.scalar("", pa.string()), len(pos))
     if frag_raw is not None and len(pos):
         raw_frag = frag_raw.take(pa.array(pos))
-        has = mask(pc.not_equal(raw_frag, ""))
+        has = nonempty(raw_frag)
         if has.any():
             raw_frag = pc.fill_null(raw_frag, "")
             wfrag = pc.if_else(pa.array(has), pc.binary_join_element_wise(

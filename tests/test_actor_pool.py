@@ -179,7 +179,7 @@ def test_check_after_session_restart(ray_session):
 def test_mesh_node_drops_stale_pumps_and_kicks():
     """A pump or kick sent for another lease generation, or reaching a
     released node, is dropped under the node lock (no Ray needed)."""
-    from linkinator_ray import urlkit
+    from linkinator_ray import schema, urlkit
     from linkinator_ray.pipelines.crawl import _frontier_rows
     from linkinator_ray.state.mesh import MeshNode
     sent = []
@@ -195,10 +195,10 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
     node = MeshNode(0, 1, {"http_map": [], "strict": False},
                     CheckOptions(paths=[url]))
     node.set_peers(SelfHandle(), [SelfHandle()], 7)
-    node.enqueue(_frontier_rows(
+    node.enqueue(schema.encode(_frontier_rows(
         url=[url], url_hash=urlkit.hash64_array([url]), host=["a.test"],
         parent=[""], depth=[0], do_crawl=[True], root_path=[url],
-        attempt=[0], not_before=[0.0]))
+        attempt=[0], not_before=[0.0])))
     assert sent == [7]
     node.pump(6)
     node.kick(6)
@@ -213,7 +213,7 @@ def pumped_node(opts, docs, urls, peers=()):
     """Node 0 of a mesh of ``1 + len(peers)`` nodes (balanced routing,
     no Ray) after it enqueued the corpus pages ``urls`` and pumped once;
     its own pumps go nowhere."""
-    from linkinator_ray import urlkit
+    from linkinator_ray import schema, urlkit
     from linkinator_ray.pipelines.crawl import _frontier_rows
     from linkinator_ray.state.mesh import MeshNode
 
@@ -228,11 +228,11 @@ def pumped_node(opts, docs, urls, peers=()):
                             "strict": False}, opts, sticky_hosts=False)
     node.set_peers(SelfHandle(), [SelfHandle(), *peers], 1)
     n = len(urls)
-    node.enqueue(_frontier_rows(
+    node.enqueue(schema.encode(_frontier_rows(
         url=urls, url_hash=urlkit.hash64_array(urls),
         host=["corpus.test"] * n, parent=[""] * n, depth=[0] * n,
         do_crawl=[True] * n, root_path=["http://corpus.test/"] * n,
-        attempt=[0] * n, not_before=[0.0] * n))
+        attempt=[0] * n, not_before=[0.0] * n)))
     node.pump(1)
     assert not node.errors
     return node
@@ -244,14 +244,15 @@ def test_mesh_node_sends_peer_candidates_every_pump():
     candidates to node 1 while its own queue still holds a fifth page.
     It sends them to node 1 in that pump rather than holding them until
     its queue empties: a held row idles the peer (on the wire, its
-    connections)."""
+    connections). The peer's stub decodes each candidate message."""
+    from linkinator_ray import schema
     sent = []
 
     class Peer:
-        class submit_candidates:
+        class deliver_candidates:
             @staticmethod
-            def remote(cand):
-                sent.append(cand.num_rows)
+            def remote(buf):
+                sent.append(schema.decode(buf).num_rows)
 
     links = [fx._anchor(f"/p{i}.html") for i in range(40)]
     pages = [f"{c}.html" for c in "abcde"]

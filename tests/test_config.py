@@ -194,3 +194,24 @@ def test_js_parser_accepts_arbitrary_json():
         assert parse_js_config(src) == obj
 
     check()
+
+
+def test_skip_rule_given_as_one_string():
+    """A skip option given as one string is one pattern: the check gives
+    the same results as with a one-element list (a string iterated one
+    character at a time made '/' a pattern that skips every URL)."""
+    from linkinator_ray.pipelines.crawl import LinkChecker
+    from linkinator_ray.sources import fixtures as fx
+    fixture = fx.recurse()
+
+    def rows(skip):
+        opts = CheckOptions(paths=fixture.seeds, links_to_skip=skip,
+                            **fixture.options)
+        res = LinkChecker(opts, fixture.documents, fixture.http_map).check()
+        return sorted((r["url"], r["state"]) for r in res.results.to_pylist())
+
+    as_list = rows(["zzz/x"])
+    assert len(as_list) == 4
+    assert rows("zzz/x") == as_list
+    assert CheckOptions(paths=["x"], fragments_to_skip="a/b") \
+        .fragments_to_skip == ["a/b"]

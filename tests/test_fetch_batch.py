@@ -290,3 +290,28 @@ def test_fragment_mode_batch_all_tables():
             "page_url", "fragment_id")) == sorted([
             (C, "top"), (C + "index.html", "top"), (C + "old.html", "here"),
             (C + "soft.html", "s"), (C + "target.html", "sec")])
+
+
+def test_crawl_gate_prefix_test_matches_startswith():
+    """The crawl gate's prefix test (each link against its own seed
+    root, all roots in one pass over the UTF-8 buffers) equals
+    ``str.startswith`` row for row: roots shorter and longer than 8 and
+    16 bytes, an empty root, links shorter than their root, links that
+    differ only past the root, and multi-byte characters."""
+    import numpy as np
+    from linkinator_ray.stages.fetch import _under_roots
+    roots = ["http://a.test/", "", "http://a.test/docs/guide/", "h",
+             "http://café.test/x/", "http://a.test/docs/guide/v2/api/"]
+    rng = np.random.default_rng(7)
+    stems = roots + ["http://a.test", "http://a.tes", "http://b.test/",
+                     "http://café.test/y", "x"]
+    urls = [stems[rng.integers(len(stems))]
+            + "".join(rng.choice(list("ab/é.-"), rng.integers(0, 12)))
+            for _ in range(400)]
+    root_of = rng.integers(0, len(roots), len(urls))
+    # a sliced column (a pump's share of its queue) starts mid-buffer
+    got = _under_roots(pa.array(urls).slice(1), pa.array(roots),
+                       root_of[1:])
+    assert got.tolist() == [u.startswith(roots[r])
+                            for u, r in zip(urls[1:], root_of[1:])]
+    assert got.any() and not got.all()

@@ -131,8 +131,10 @@ class TestMeshMode:
             assert rounds.passed == mesh.passed
 
     def test_mesh_node_load_in_stats(self, ray_session):
-        """stats["mesh"] gives each node's busy seconds and pump count
-        from the driver's final poll; the pumps add up to the rounds."""
+        """stats["mesh"] gives each node's busy seconds, pump count and
+        peer candidate messages (rows sent and received, wire bytes
+        sent) from the driver's final poll; the pumps add up to the
+        rounds, and every candidate row sent was received."""
         from linkinator_ray.sources.synth import synth_crawl_corpus
         docs, seeds, _, _ = synth_crawl_corpus(num_hosts=3,
                                                docs_per_host=150)
@@ -141,9 +143,15 @@ class TestMeshMode:
             docs, [], multi_host=True, use_ray=True).check()
         assert res.stats["executor"] == "mesh"
         load = res.stats["mesh"]
-        assert len(load["busy_sec"]) == len(load["pumps"]) == 3
+        assert set(load) == {"busy_sec", "pumps", "cand_rows_sent",
+                             "cand_rows_received", "cand_bytes_sent"}
+        assert all(len(per_node) == 3 for per_node in load.values())
         assert all(busy > 0 for busy in load["busy_sec"])
         assert sum(load["pumps"]) == res.stats["rounds"]
+        sent = sum(load["cand_rows_sent"])
+        assert sent > 0 and sent == sum(load["cand_rows_received"])
+        assert all((rows > 0) == (size > 0) for rows, size in
+                   zip(load["cand_rows_sent"], load["cand_bytes_sent"]))
 
     def test_mesh_skip_rules_and_dup_broken(self, ray_session):
         """Mesh honors skip rules and the duplicate-broken re-report
@@ -276,3 +284,34 @@ def test_mesh_stall_message_names_stalled_nodes():
                                  "  node 0: held sends 3"]
     idle = mesh_stall_message("mesh", [poll()], seed_rows=0)
     assert idle.splitlines()[1] == "  no node reports pending work"
+
+
+def test_mesh_orders_one_urls_scripted_requests(ray_session):
+    """A scripted URL's requests reach it in order on the mesh, as in
+    local rounds: one page links to 8 URLs that each 301 to one
+    scripted URL whose responses alternate 500/200. With wire latency
+    and several connections per node, a node whose connection threads
+    took that URL's sequence out of order reported another status
+    multiset than local rounds; nodes now take local rounds'
+    one-connection rule."""
+    target = "http://corpus.test/target"
+    sources = [f"http://corpus.test/r{i}" for i in range(8)]
+    docs = fx.docs_table(fx.doc("index.html",
+                                *(fx._anchor(u) for u in sources)))
+    http_map = [fx.http(u, 301, headers={"location": target})
+                for u in sources]
+    http_map += [fx.http(target, 500 if seq % 2 == 0 else 200, seq=seq)
+                 for seq in range(64)]
+    opts = CheckOptions(paths=["http://corpus.test/"], concurrency=16,
+                        fetch_concurrency=1)
+
+    def outcome(use_ray):
+        res = LinkChecker(opts, docs, http_map, use_ray=use_ray,
+                          transport_latency_s=0.01).check()
+        return Counter((r["url"], r["status"])
+                       for r in res.results.to_pylist())
+
+    local = outcome(False)
+    assert len(local) > 1
+    for _ in range(3):
+        assert outcome(True) == local

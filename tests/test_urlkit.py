@@ -163,6 +163,34 @@ class TestHash:
                 urlkit.hash64(v or "") for v in col.to_pylist()]
 
 
+    def test_row_chunks_hash_alike(self, monkeypatch):
+        """The vectorized passes take the rows in chunks (a bounded byte
+        block each); chunks of 7 rows, a chunk boundary inside a run of
+        equal lengths and rows past the block width included, give
+        hash64 of every row."""
+        import random
+
+        import pyarrow as pa
+        rng = random.Random(11)
+        vals = ["".join(rng.choice("ab/.\u00e9") for _ in
+                        range(rng.choice((3, 3, 3, 70, rng.randrange(90)))))
+                for _ in range(200)]
+        monkeypatch.setattr(urlkit, "_HASH_CHUNK", 7)
+        col = pa.array(vals).slice(2)
+        assert urlkit.hash64_arrow(col).tolist() == [
+            urlkit.hash64(v) for v in col.to_pylist()]
+
+    def test_both_sides_of_the_scalar_cutoff(self):
+        """Up to ``_SCALAR_HASH_ROWS`` rows hash string by string, one
+        row more takes the vectorized passes: both give hash64."""
+        import pyarrow as pa
+        cut = urlkit._SCALAR_HASH_ROWS
+        for n in (cut, cut + 1):
+            vals = [f"http://h{i}.test/d{i * 37}.html" for i in range(n)]
+            assert urlkit.hash64_arrow(pa.array(vals)).tolist() == [
+                urlkit.hash64(v) for v in vals]
+
+
 class TestEdgeKey:
     """The (url, parent) edge key is mixed from the two URL hashes."""
 
@@ -330,6 +358,18 @@ class TestResolveLinksArrow:
             assert tuple(c[i] for c in cols) == (
                 want.url or "", want.url_with_fragment or "",
                 want.fragment or "", want.error or ""), (link, base)
+
+    def test_port_patterns_leave_out_only_the_default(self):
+        """The RE2 port forms take exactly the ports 1-59999 written
+        without a leading 0, less the scheme's default port."""
+        import re
+        ports = [str(p) for p in range(70000)] + ["080", "0443", "00", ""]
+        for pattern, default in ((urlkit._PORT_NOT_80, 80),
+                                 (urlkit._PORT_NOT_443, 443)):
+            rx = re.compile(rf"^{pattern}$")
+            taken = {p for p in ports if rx.match(p)}
+            assert taken == {str(p) for p in range(1, 60000)
+                             if p != default}
 
     def test_port_and_userinfo_bases(self):
         # the root-relative shape takes the origin of the base

@@ -8,7 +8,11 @@ pump), stage by stage, Ray-free.
 Builds a compute-mock-shaped corpus (``synth_crawl_corpus(16, 2000)``,
 served by the mock transport with no latency), then calls
 ``fetch_batch`` on frontier batches of B = 8, 16, ... ``--max-rows``
-page rows, ``--repeats`` times each on fresh rows. Each stage's seconds
+rows, ``--repeats`` times each on fresh rows. A batch is a run of page
+URLs plus the corpus's broken ``/missingJ.html`` link targets at their
+share of the crawl's URLs (about 2%), and at least one: a crawl's pumps
+carry them, and each batch that does pays the fixed cost of the static
+server's rules for URLs the corpus index misses. Each stage's seconds
 per call are taken as the best of the repeats at each B and fitted to
 ``fixed + per_row * B`` by least squares. Stages:
 
@@ -21,16 +25,18 @@ per call are taken as the best of the repeats at each B and fitted to
 
 ``--pump`` times one pump of node 0 of a two-node compute-mock mesh
 (cuckoo seen filters, balanced routing): ``MeshNode._process`` on the
-batch, then the end-of-pump flush, whose fake peer handle hands node 1's
-share of the candidates straight to node 1's ``submit_candidates``.
-The seen filters carry over from call to call, as in a crawl. Stages:
+batch, then the end-of-pump flush, which encodes node 1's share of the
+candidates for the wire, and whose fake peer handle hands the message
+straight to node 1's ``deliver_candidates``. The seen filters carry
+over from call to call, as in a crawl. Stages:
 
 - ``admit``: ``admit_frontier`` (skip rules, robots, politeness gate);
 - ``fetch``: ``FetchWorker.fetch_batch``, of which ``transport`` is the
   request steps;
 - ``route``: node 0's candidate routing and the dedup of its own share;
-- ``peer``: node 1's ``submit_candidates``;
+- ``peer``: node 1's ``submit_candidates`` (after the decode);
 - ``dedup``: ``dedup_candidates`` on both nodes (inside route and peer);
+- ``wire``: the message's ``schema.encode`` and ``schema.decode``;
 - ``other``: the rest (requeues, result tables, the flush);
   ``total``: the whole pump.
 
@@ -57,7 +63,7 @@ sys.path.insert(0, ROOT)
 STAGES = ("transport", "extract", "resolve", "links", "classify", "other",
           "total")
 PUMP_STAGES = ("admit", "fetch", "transport", "route", "peer", "dedup",
-               "other", "total")
+               "wire", "other", "total")
 
 
 class StageClock:
@@ -85,7 +91,7 @@ class StageClock:
 
 def build_worker(seed: int):
     """A FetchWorker over a compute-mock-shaped corpus, and the corpus's
-    page URLs (the frontier the batches are cut from)."""
+    page and missing URLs (the frontier the batches are cut from)."""
     from linkinator_ray.options import CheckOptions
     from linkinator_ray.sources.synth import synth_crawl_corpus
     from linkinator_ray.stages.fetch import FetchWorker, build_transport
@@ -96,17 +102,27 @@ def build_worker(seed: int):
                                  "strict": False, "record_calls": True},
                                 opts)
     worker = FetchWorker(transport, opts, static_host="http://corpus.test/")
-    return worker, page_urls(docs)
+    return worker, crawl_urls(docs)
 
 
-def page_urls(docs) -> list[str]:
-    """The URL of each corpus page, as the crawl requests it."""
-    urls = []
+def crawl_urls(docs) -> tuple[list[str], list[str]]:
+    """The URL of each corpus page, as the crawl requests it, and the
+    distinct ``/missingJ.html`` URLs its pages link to (no page
+    answers them)."""
+    import pyarrow.compute as pc
+    pages, hosts = [], []
     for doc_id in docs["doc_id"].to_pylist():
         host, path = doc_id.split("/", 1)
-        urls.append(f"http://{host}/" + ("" if path == "index.html"
-                                         else path))
-    return urls
+        hosts.append(host)
+        pages.append(f"http://{host}/" + ("" if path == "index.html"
+                                          else path))
+    spans = docs["spans"].combine_chunks()
+    owner = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+    refs = pc.list_flatten(spans).field("media_ref").to_pylist()
+    missing = sorted({f"http://{hosts[row]}{ref}"
+                      for row, ref in zip(owner, refs)
+                      if ref.startswith("/missing")})
+    return pages, missing
 
 
 class FakeHandle:
@@ -130,7 +146,7 @@ class FakeHandle:
 def build_pump(seed: int):
     """Nodes 0 and 1 of a two-node compute-mock mesh, Ray-free: node 0's
     handle for node 1 delivers candidates straight to node 1. Returns
-    node 0, node 1 and the corpus's page URLs."""
+    node 0, node 1 and the corpus's page and missing URLs."""
     from linkinator_ray.options import CheckOptions
     from linkinator_ray.sources.synth import synth_crawl_corpus
     from linkinator_ray.state.mesh import MeshNode
@@ -143,7 +159,7 @@ def build_pump(seed: int):
                       sticky_hosts=False) for i in range(2)]
     nodes[0].set_peers(FakeHandle(), [FakeHandle(), FakeHandle(nodes[1])], 1)
     nodes[1].set_peers(FakeHandle(), [FakeHandle(), FakeHandle()], 1)
-    return nodes[0], nodes[1], page_urls(docs)
+    return nodes[0], nodes[1], crawl_urls(docs)
 
 
 def pump_once(node, peer, batch) -> None:
@@ -184,15 +200,22 @@ def fit(sizes: np.ndarray, secs: np.ndarray) -> tuple[float, float]:
 
 def measure(sizes, repeats, seed, clock, run_one, urls, nested=()):
     """Best seconds per call of each stage at each batch size: ``run_one``
-    takes a frontier batch of B page rows, cut at a random offset.
-    ``other`` is the total less every stage not ``nested`` in another."""
+    takes a frontier batch of B rows, page rows cut at a random offset
+    followed by missing URLs at their share of the crawl's URLs (at
+    least one). ``other`` is the total less every stage not ``nested``
+    in another."""
+    pages, missing = urls
+    share = len(missing) / (len(pages) + len(missing))
     rng = np.random.default_rng(seed)
     best = {s: np.full(len(sizes), np.inf) for s in clock.stages}
     top = [s for s in clock.stages if s not in ("other", "total", *nested)]
     for _ in range(repeats):
         for i, size in enumerate(sizes):
-            start = int(rng.integers(0, len(urls) - size))
-            batch = frontier(urls[start:start + size])
+            m = max(1, round(size * share))
+            start = int(rng.integers(0, len(pages) - size))
+            gone = rng.choice(len(missing), m, replace=False)
+            batch = frontier(pages[start:start + size - m]
+                             + [missing[j] for j in gone])
             clock.reset()
             run_one(batch)
             secs = clock.secs
@@ -211,7 +234,7 @@ def main() -> None:
     ap.add_argument("--max-rows", type=int, default=4096)
     args = ap.parse_args()
 
-    from linkinator_ray import urlkit
+    from linkinator_ray import schema, urlkit
     from linkinator_ray.pipelines import crawl
     from linkinator_ray.stages import fetch
     from linkinator_ray.stages.extract import ExtractLinks
@@ -229,9 +252,11 @@ def main() -> None:
         clock.wrap(mesh.MeshNode, "_route_candidates", "route")
         clock.wrap(mesh.MeshNode, "submit_candidates", "peer")
         clock.wrap(crawl, "dedup_candidates", "dedup")
+        clock.wrap(schema, "encode", "wire")
+        clock.wrap(schema, "decode", "wire")
         node, peer, urls = build_pump(args.seed)
         # warm-up: first-call costs (kernel registration, regex compiles)
-        pump_once(node, peer, frontier(urls[:64]))
+        pump_once(node, peer, frontier(urls[0][:64] + urls[1][:2]))
 
         def run_one(batch):
             t0 = time.perf_counter()
@@ -247,7 +272,7 @@ def main() -> None:
         clock.wrap(fetch.FetchWorker, "_classify_in_actor", "classify")
         clock.wrap(fetch.FetchWorker, "fetch_batch", "total")
         worker, urls = build_worker(args.seed)
-        worker.fetch_batch(frontier(urls[:64]), [], 0.0)
+        worker.fetch_batch(frontier(urls[0][:64] + urls[1][:2]), [], 0.0)
 
         def run_one(batch):
             worker.fetch_batch(batch, [], 0.0)
