@@ -51,12 +51,6 @@ from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
 from linkinator_ray.state.seen import SeenSet
 
-# the mesh driver's poll waits (_run_mesh_body): the longest while a node
-# is pumping, and the one while the mesh settles
-MESH_POLL_BUSY_S = 0.02
-MESH_POLL_SETTLE_S = 0.002
-
-
 @dataclasses.dataclass
 class CrawlResult:
     passed: bool
@@ -392,6 +386,44 @@ def dedup_candidates(cand: pa.Table, edge_seen, url_seen):
 # attempt and the not-before deadline)
 _CANDIDATE_FRONTIER = schema.FRONTIER.names[:7]
 
+# the columns of a frontier-level BROKEN row the duplicate-broken join reads
+BROKEN_COLUMNS = ["url", "status", "failure_details"]
+
+
+def frontier_broken(results: pa.Table) -> pa.Table:
+    """The ``BROKEN_COLUMNS`` of ``results``' frontier-level BROKEN rows
+    (schema.RESULT_ROWS): the duplicate-broken join's broken side, one
+    row per URL by construction."""
+    return results.filter(pc.and_(
+        results["frontier_level"], pc.equal(results["state"], "BROKEN"))) \
+        .select(BROKEN_COLUMNS)
+
+
+def duplicate_broken_rows(dup_edges: list[pa.Table],
+                          broken: pa.Table) -> pa.Table | None:
+    """The duplicate-broken join (SURVEY.md §2.4 J1), a post-hoc hash
+    join replacing the in-flight wait at src/index.ts:840-875: every
+    distinct (url, parent) duplicate edge whose URL's frontier-level
+    result is BROKEN re-reports with that parent. ``broken`` holds those
+    results' ``BROKEN_COLUMNS``, one row per URL. Local rounds run it on
+    the driver, mesh nodes on the edges and rows of the URLs they own.
+    None when no row re-reports."""
+    dups = [t for t in dup_edges if t.num_rows]
+    if not dups or broken.num_rows == 0:
+        return None
+    dups = pa.concat_tables(dups)
+    # each edge's row in ``broken`` (null when its URL did not break): a
+    # hash probe of the few broken URLs, where an Arrow join pays ~1.5 ms
+    # to set up
+    at = pc.index_in(dups["url"], value_set=broken["url"].combine_chunks())
+    hit = at.is_valid()
+    edges = dups.filter(hit)
+    if edges.num_rows == 0:
+        return None
+    rows = broken.take(at.filter(hit))
+    return result_rows(-1, False, edges["url"], rows["status"], "BROKEN",
+                       edges["parent"], rows["failure_details"])
+
 
 def write_results_part(results_dir: str, writer: int, k: int,
                        rows: pa.Table) -> None:
@@ -451,6 +483,34 @@ def mesh_message_totals(polls: list[dict], seed_rows: int) -> dict:
             for key in MESH_MESSAGES}
 
 
+# the poll counters that must not move between two rounds of a quiet mesh
+MESH_COUNTERS = tuple(f"{way}_{key}" for key in MESH_MESSAGES
+                      for way in ("sent", "received"))
+
+
+def mesh_quiescent(prev: list[dict], cur: list[dict], seed_rows: int,
+                   paused: bool = False) -> bool:
+    """The mesh's end test: the four-counter rule (Mattern, *Algorithms
+    for distributed termination detection*, 1987) over two rounds of
+    ``MeshNode.poll`` answers, ``cur`` asked after every answer of
+    ``prev`` was in. Quiet when, in both rounds, no node runs or has
+    scheduled a pump or holds sends (and, unless ``paused``, none has
+    queued or deferred rows), every node's message counters are the
+    same in both, and the mesh-wide totals balance (the driver's
+    ``seed_rows`` count as sent frontier rows). A paused mesh keeps its
+    queues: quiet then means settled for a checkpoint.
+    ``mesh_quiescent(polls, polls, ...)`` asks whether one round could
+    be the end, which a second round must confirm."""
+    def idle(p):
+        return not (p["pump_scheduled"] or p["held_cand"] or not paused
+                    and (p["queued_rows"] or p["deferred_rows"]))
+    return len(prev) == len(cur) \
+        and all(idle(p) and idle(c) and all(p[k] == c[k]
+                                            for k in MESH_COUNTERS)
+                for p, c in zip(prev, cur)) \
+        and all(s == r for s, r in mesh_message_totals(cur, seed_rows).values())
+
+
 def mesh_stall_message(what: str, polls: list[dict], seed_rows: int) -> str:
     """The error for a mesh that stopped making progress. It names each
     node that still has queued rows, a scheduled pump or held sends, or
@@ -477,6 +537,80 @@ def mesh_stall_message(what: str, polls: list[dict], seed_rows: int) -> str:
             f"{MESH_MESSAGES[key]} sent {sent} received {received}"
             for key, (sent, received) in unbalanced.items())
     return "\n".join([head] + (lines or ["  no node reports pending work"]))
+
+
+def _owner_pieces(table: pa.Table, owners: np.ndarray,
+                  num_nodes: int) -> list:
+    """``table``'s rows of each node (``owners``), ``schema.encode``d;
+    None for a node with no rows."""
+    pieces = [None] * num_nodes
+    for a, piece in split_by_owner(table, owners, num_nodes):
+        pieces[a] = schema.encode(piece)
+    return pieces
+
+
+class _MeshPolls:
+    """The driver's side of a running mesh's polls: one waiting poll out
+    at every node, each node's latest answer, and the answers taken from
+    each. ``on_answer`` sees every answer as it is taken, in the order
+    they come in, which may put an older answer of a node after a newer
+    one: ``latest`` keeps the newest."""
+
+    def __init__(self, nodes, generation: int, on_answer):
+        self.nodes = nodes
+        self.generation = generation
+        self.on_answer = on_answer
+        self.latest: list[dict | None] = [None] * len(nodes)
+        self.count = [0] * len(nodes)
+        self.waiting = {self._send(i): i for i in range(len(nodes))}
+
+    def _send(self, i: int):
+        return self.nodes[i].poll.remote(self.generation, True)
+
+    def _take(self, i: int, answer: dict) -> None:
+        self.count[i] += 1
+        if self.latest[i] is None \
+                or answer["answer"] > self.latest[i]["answer"]:
+            self.latest[i] = answer
+        self.on_answer(answer)
+
+    def caught_up(self) -> bool:
+        """Whether every answer the nodes gave has been taken (a waiting
+        poll can answer while an immediate round is out): only then are
+        all of their results and request log rows in."""
+        return all(p is not None and p["answer"] == n
+                   for p, n in zip(self.latest, self.count))
+
+    def wait(self, timeout: float) -> list[int]:
+        """Take the answers in within ``timeout`` seconds (the first one
+        waited for, then every other one ready), and send each node that
+        answered its next waiting poll; those nodes. With none in, one
+        immediate round (``poll_now``) answers for every node."""
+        import ray
+        refs = list(self.waiting)
+        ready, _ = ray.wait(refs, num_returns=1, timeout=timeout)
+        if not ready:
+            self.poll_now()
+            return list(range(len(self.nodes)))
+        ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+        answered = []
+        for ref, answer in zip(ready, ray.get(ready)):
+            i = self.waiting.pop(ref)
+            self.waiting[self._send(i)] = i
+            self._take(i, answer)
+            answered.append(i)
+        return answered
+
+    def poll_now(self, broken: list | None = None) -> list[dict]:
+        """One immediate poll round, ``broken[i]`` to node i when given
+        (``MeshNode.poll``); its answers become the latest."""
+        import ray
+        answers = ray.get([n.poll.remote(
+            self.generation, False, None if broken is None else broken[i])
+            for i, n in enumerate(self.nodes)])
+        for i, answer in enumerate(answers):
+            self._take(i, answer)
+        return answers
 
 
 class LinkChecker:
@@ -548,9 +682,11 @@ class LinkChecker:
         self.static_host = self.corpus_base  # requireHttps exemption + mapUrl
         self.run_id = uuid.uuid4().hex[:12]
         # "spawn": leasing, resetting and spawning actors plus the
-        # transport-blob broadcast (state/actors.py); "finish": from the
-        # end of the crawl loop to the returned CrawlResult (the mesh's
-        # dup drain, the request-log gather, the duplicate-broken join)
+        # transport-blob broadcast and the seeds (state/actors.py);
+        # "finish": from the end of the crawl loop to the returned
+        # CrawlResult (the duplicate-broken rows, which local rounds join
+        # here and mesh nodes in the loop's confirming round, the results
+        # tail, the stats)
         self.timings = {"spawn": 0.0, "skip": 0.0, "fetch": 0.0,
                         "process": 0.0, "finish": 0.0}
         self._loop_end = 0.0  # perf_counter when the crawl loop ended
@@ -558,6 +694,11 @@ class LinkChecker:
         self._executor = ""
         # mesh only: each node's busy seconds and pump count
         self._mesh_stats: dict | None = None
+        # a mesh check's polls, and what their answers gathered: the
+        # request log's pieces and the J1 join's broken side
+        self._mesh_polls: _MeshPolls | None = None
+        self._mesh_requests: list[pa.Table] = []
+        self._mesh_broken: list[pa.Table] = []
         # §2.8 event-listener parity: the reference's 'link' events become
         # a per-batch callback over each appended results table
         self.on_results = on_results
@@ -695,6 +836,9 @@ class LinkChecker:
         except BaseException:
             actors.discard(self._leases)
             raise
+        finally:
+            # the refs of the polls still waiting end with the check
+            self._mesh_polls = None
         actors.release(self._leases)
         return result
 
@@ -814,7 +958,9 @@ class LinkChecker:
                 self._checkpoint(round_no, frontier, pool.seq_counters())
 
         self._loop_end = _time.perf_counter()
-        return self._finish(pool.request_log(), self.seen.size())
+        return self._finish(pool.request_log(), self.seen.size(),
+                            [duplicate_broken_rows(self.dup_edge_tables,
+                                                   self._broken_first())])
 
     def _maybe_spill_results(self, force: bool = False) -> None:
         """Streaming results sink (options.results_dir): when the driver
@@ -844,12 +990,16 @@ class LinkChecker:
                 pc.equal(merged["state"], "BROKEN")).num_rows
         self.results_tables = []
 
-    def _finish(self, request_log: pa.Table, seen_size: int) -> CrawlResult:
-        """The duplicate-broken join, the results tail and the stats.
-        The "finish" timing runs from ``self._loop_end``, the
+    def _finish(self, request_log: pa.Table, seen_size: int,
+                dup_broken: list) -> CrawlResult:
+        """The duplicate-broken re-report rows (``duplicate_broken_rows``
+        tables, None for none), the results tail and the stats. The
+        "finish" timing runs from ``self._loop_end``, the
         ``perf_counter`` reading the executor took as its loop ended."""
         import time as _time
-        self._duplicate_broken_join()
+        for table in dup_broken:
+            if table is not None:
+                self._emit(table)
         if self.opts.results_dir and self.results_tables:
             # flush the tail (including the J1 re-reports) so the parquet
             # parts are the complete result record
@@ -882,12 +1032,13 @@ class LinkChecker:
                   resume_from: str | None = None) -> CrawlResult:
         """Actor-mesh frontier: fetch actors push candidates straight to
         seen-shard actors; shards route fresh rows back to the owning
-        fetch actors; the driver only seeds, detects quiescence (two
-        consecutive stable snapshots of the monotonic send/receive
-        counters), drains result and event buffers, and runs the final
-        duplicate-broken join. No per-URL driver work, so no ~25 µs/URL
-        serial ceiling from routing every batch through the driver
-        (BASELINE.md r1)."""
+        fetch actors. The driver hands each node its share of the start
+        in its lease reset, waits on the nodes' polls until the mesh is
+        quiet (two rounds of the monotonic send/receive counters,
+        ``mesh_quiescent``), fires the result and event buffers they
+        carry, and gathers the nodes' duplicate-broken rows. No per-URL
+        driver work, so no ~25 µs/URL serial ceiling from routing every
+        batch through the driver (BASELINE.md r1)."""
         import time as _time
 
         import ray
@@ -902,150 +1053,180 @@ class LinkChecker:
             cluster_cpus = num_actors
         num_actors = max(1, min(num_actors, cluster_cpus))
         t0 = _time.perf_counter()
-        blob_ref = ray.put(transport_blob)
+        self._executor = "mesh"
+        # the documents cross as one IPC buffer (Ray would pickle the
+        # table column by column); the encoded copy is dropped with the
+        # dict once the put returns
+        blob_ref = ray.put(dict(transport_blob,
+                                documents=schema.encode(self.documents)))
         # host affinity only when per-host actor state matters (scripted
         # sequences, Retry-After delay maps, politeness); else balance by
         # url_hash
         sticky = scripted or opts.retry or opts.politeness_delay > 0
+        epoch = 0
+        if resume_from is not None:
+            seeds, seed_rows, epoch = self._mesh_restore(
+                resume_from, num_actors, sticky)
+        else:
+            # seeds: pre-insert into the owning nodes' seen shards
+            # (src/index.ts:267-288); each row goes to its fetch owner
+            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
+            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
+            self.journal.add_urls(np.unique(hashes))
+            no_keys = np.empty(0, dtype=np.uint64)
+            seeds = self._mesh_seeds(frontier, (hashes, no_keys, no_keys),
+                                     schema.empty(schema.PENDING_FRAGS),
+                                     schema.empty(schema.EDGES),
+                                     [0] * num_actors, sticky)
+            seed_rows = frontier.num_rows
         # nodes get the options whole; the blob rides as a top-level
         # reset argument so Ray resolves its ref (state/actors.py)
         factory = functools.partial(
             mesh_mod.MeshNode, static_host=self.static_host,
             connections=connections, sticky_hosts=sticky,
             events=[e for e, cbs in self._listeners.items() if cbs])
-        lease = actors.Lease(factory, [(i, num_actors, blob_ref, opts)
+        lease = actors.Lease(factory, [(i, num_actors, blob_ref, opts,
+                                        seeds[i])
                                        for i in range(num_actors)])
         self._leases.append(lease)
+        del blob_ref, seeds
         nodes = lease.wait()
-        # the generation tags this check's pumps and kicks: a node that
-        # was released and leased again drops the ones sent before
-        self._mesh_generation = lease.generation
-        ray.get([n.set_peers.remote(nodes[i], nodes, lease.generation)
-                 for i, n in enumerate(nodes)])
+        # the nodes pump their seeds already; this message overlaps it
+        for n in nodes:
+            n.connect.remote(nodes)
         self.timings["spawn"] = _time.perf_counter() - t0
-        self._executor = "mesh"
-        return self._run_mesh_body(nodes, num_actors, sticky, resume_from)
+        return self._run_mesh_body(nodes, num_actors, lease.generation,
+                                   seed_rows, epoch)
 
-    def _run_mesh_body(self, nodes, num_actors: int, sticky: bool,
-                       resume_from: str | None) -> CrawlResult:
-        import time as _time
-
-        import ray
-
+    def _mesh_seeds(self, frontier: pa.Table, journal, wants: pa.Table,
+                    dups: pa.Table, node_parts: list[int],
+                    sticky: bool) -> list[dict]:
+        """Each node's ``MeshNode`` seed: the journal's URL and edge keys
+        of its hash range (edges by their routing hash), its fetch share
+        of ``frontier``, the pending wants whose target it fetches, the
+        dup edges of its URLs, its results-part floor, and the whole
+        delay map and scripted-sequence counters."""
         from linkinator_ray.state import mesh as mesh_mod
+        k = len(node_parts)
+        url_keys, edge_keys, edge_routes = journal
+        url_owner = hash_owner(url_keys, k)
+        edge_owner = hash_owner(edge_routes, k)
+        rows = _owner_pieces(frontier, mesh_mod.frontier_owner(
+            frontier, k, sticky, {}), k)
+        want_pieces = _owner_pieces(wants, mesh_mod.want_owner(
+            wants, k, sticky, {}), k) if wants.num_rows else [None] * k
+        dup_pieces = _owner_pieces(dups, hash_owner(urlkit.hash64_arrow(
+            dups["url"].combine_chunks()), k), k) if dups.num_rows \
+            else [None] * k
+        return [{"frontier": rows[i], "url_keys": url_keys[url_owner == i],
+                 "edge_keys": edge_keys[edge_owner == i],
+                 "wants": want_pieces[i], "dup_edges": dup_pieces[i],
+                 "delay_map": self.delay_map,
+                 "seq_counters": self.seq_counters,
+                 "spill_part": node_parts[i]} for i in range(k)]
+
+    def _run_mesh_body(self, nodes, num_actors: int, generation: int,
+                       seed_rows: int, epoch: int) -> CrawlResult:
+        import time as _time
         opts = self.opts
-
-        epoch = 0
-        if resume_from is not None:
-            frontier, epoch = self._mesh_restore(resume_from, nodes,
-                                                 num_actors, sticky)
-        else:
-            # seeds: pre-insert into the owning nodes' seen shards
-            # (src/index.ts:267-288), then enqueue each row with its
-            # fetch owner
-            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
-            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
-            ray.get([nodes[a].seed.remote(h) for a, h in split_by_owner(
-                hashes, hash_owner(hashes, num_actors), num_actors)])
-        seed_rows = frontier.num_rows
-        owners = mesh_mod.frontier_owner(frontier, num_actors, sticky, {})
-        ray.get([nodes[a].enqueue.remote(schema.encode(piece)) for a, piece
-                 in split_by_owner(frontier, owners, num_actors)])
-
-        # quiescence: monotonic counters make in-flight messages visible
-        # as a sum mismatch; a consistent all-idle snapshot is terminal
-        # (two in a row kept as safety margin)
-        stable = 0
-        last_counters: list[dict] = []
-        polls: list[dict] = []
+        self._mesh_requests = []
+        self._mesh_broken = [self._broken_first()]
+        polls = self._mesh_polls = _MeshPolls(nodes, generation,
+                                              self._take_poll)
         t_start = _time.perf_counter()
         last_progress = (None, _time.monotonic())
         last_ckpt = _time.monotonic()
         # a pause starves the mesh if it re-fires before any work ran —
         # floor the epoch cadence
         ckpt_interval = max(0.25, opts.checkpoint_interval_s)
-        # poll cadence: while a node pumps there is nothing to decide, so
-        # the wait doubles up to MESH_POLL_BUSY_S; when every node is idle
-        # with messages in flight the mesh is settling, so it drops back
-        # to MESH_POLL_SETTLE_S. Each poll takes a node's lock and a GIL
-        # turn from its pump, so polling a busy mesh every 2 ms slows the
-        # check whenever other processes compete for the CPUs. Until the
-        # first results arrive the wait stays short: they are the
-        # check's first answer, and a backed-off poll would sit on them
-        poll_s = MESH_POLL_SETTLE_S
-        got_results = False
+        answered = range(num_actors)
+        # no timer: each node answers its waiting poll when it has news
+        # (results, turning idle, counters moving while idle, an error or
+        # a deferred deadline), so the loop runs once per answer, and a
+        # busy mesh is not polled for nothing
         while True:
-            if opts.checkpoint_dir and _time.monotonic() - last_ckpt \
-                    > ckpt_interval:
+            now = _time.monotonic()
+            if opts.checkpoint_dir and now - last_ckpt > ckpt_interval:
                 epoch += 1
                 self._mesh_checkpoint(nodes, epoch, num_actors, seed_rows)
-                last_ckpt = _time.monotonic()
-                last_progress = (None, _time.monotonic())
-            polls = ray.get([n.poll.remote() for n in nodes])
-            for p in polls:
-                if p["errors"]:
+                last_ckpt = now = _time.monotonic()
+                last_progress = (None, now)
+            latest = polls.latest
+            if None not in latest:
+                # self-heal: queued work with no pump scheduled (a lost
+                # pump self-message) or held sends on an idle node get
+                # re-kicked instead of hanging
+                for i in answered:
+                    p = latest[i]
+                    if (p["queued_rows"] or p["held_cand"]) \
+                            and not p["pump_scheduled"]:
+                        nodes[i].kick.remote(generation)
+                progress = (tuple(mesh_message_totals(
+                    latest, seed_rows).values()),
+                    sum(p["counters"]["rounds"] for p in latest))
+                if any(p["deferred_rows"] for p in latest):
+                    # a node waiting out a deferral is not stalled
+                    last_progress = (progress, now)
+                elif progress != last_progress[0]:
+                    # the first full view keeps the clock of the start
+                    last_progress = (progress, now if last_progress[0]
+                                     is not None else last_progress[1])
+                elif now - last_progress[1] > 60:
                     raise RuntimeError(
-                        f"mesh node failed:\n{p['errors'][0]}")
-                self._fire_node_buffers(p)
-                got_results = got_results or p["results"] is not None
-            self._maybe_spill_results()
-            last_counters = [p["counters"] for p in polls]
-            busy = any(p["pump_scheduled"] or p["queued_rows"] for p in polls)
-            totals = mesh_message_totals(polls, seed_rows)
-            deferred = sum(p["deferred_rows"] for p in polls)
-            # self-heal: queued work with no pump scheduled (a lost pump
-            # self-message) or held sends on an idle node get
-            # re-kicked instead of hanging
-            for n, p in zip(nodes, polls):
-                if (p["queued_rows"] and not p["pump_scheduled"]) or \
-                        (p["held_cand"] and not p["pump_scheduled"]):
-                    n.kick.remote(self._mesh_generation)
-            progress = tuple(totals.values())
-            if progress != last_progress[0]:
-                last_progress = (progress, _time.monotonic())
-            elif _time.monotonic() - last_progress[1] > 60:
-                raise RuntimeError(
-                    mesh_stall_message("mesh", polls, seed_rows))
-            if not busy and all(s == r for s, r in totals.values()):
-                if deferred:
-                    earliest = min(p["earliest_deadline"] for p in polls
-                                   if p["deferred_rows"])
-                    _time.sleep(max(0.0, earliest - _time.time()) + 0.002)
-                    ray.get([n.kick.remote(self._mesh_generation)
-                             for n in nodes])
-                    stable = 0
-                    last_progress = (None, _time.monotonic())
+                        mesh_stall_message("mesh", latest, seed_rows))
+                if mesh_quiescent(latest, latest, seed_rows) \
+                        and polls.caught_up():
+                    # the confirming round asks for the end: it carries
+                    # the broken rows to their URLs' owners
+                    broken = pa.concat_tables(self._mesh_broken)
+                    pieces = _owner_pieces(broken, hash_owner(
+                        urlkit.hash64_arrow(broken["url"].combine_chunks()),
+                        num_actors), num_actors)
+                    empty = schema.encode(broken.slice(0, 0))
+                    confirm = polls.poll_now(
+                        [p if p is not None else empty for p in pieces])
+                    if mesh_quiescent(latest, confirm, seed_rows) \
+                            and polls.caught_up():
+                        break
+                    answered = range(num_actors)
                     continue
-                stable += 1
-                if stable >= 2:
-                    break
-            else:
-                stable = 0
-                poll_s = min(2 * poll_s, MESH_POLL_BUSY_S) \
-                    if busy and got_results else MESH_POLL_SETTLE_S
-                _time.sleep(poll_s)
+            wait_s = 60 - (now - last_progress[1])
+            if opts.checkpoint_dir:
+                wait_s = min(wait_s, ckpt_interval - (now - last_ckpt))
+            answered = polls.wait(max(0.0, wait_s))
         self._loop_end = _time.perf_counter()
         self.timings["fetch"] += self._loop_end - t_start
 
-        for counters in last_counters:
-            for key, val in counters.items():
+        for p in confirm:
+            for key, val in p["counters"].items():
                 self.counters[key] = self.counters.get(key, 0) + val
         self._mesh_stats = {
-            "busy_sec": [p["busy_sec"] for p in polls],
-            "pumps": [p["counters"]["rounds"] for p in polls],
+            "busy_sec": [p["busy_sec"] for p in confirm],
+            "pumps": [p["counters"]["rounds"] for p in confirm],
             # peer candidate messages: rows each node sent and received,
             # and the wire bytes it sent
-            "cand_rows_sent": [p["sent_cand"] for p in polls],
-            "cand_rows_received": [p["received_cand"] for p in polls],
-            "cand_bytes_sent": [p["sent_cand_bytes"] for p in polls]}
-        # each node's dup edges and request log, in one wait
-        tails = [schema.decode(buf) for buf in ray.get(
-            [n.drain_dups.remote() for n in nodes]
-            + [n.request_log.remote() for n in nodes])]
-        self.dup_edge_tables.extend(t for t in tails[:len(nodes)]
-                                    if t.num_rows)
-        return self._finish(pa.concat_tables(tails[len(nodes):]),
-                            sum(p["seen_size"] for p in polls))
+            "cand_rows_sent": [p["sent_cand"] for p in confirm],
+            "cand_rows_received": [p["received_cand"] for p in confirm],
+            "cand_bytes_sent": [p["sent_cand_bytes"] for p in confirm],
+            # messages each node took from its peers, and the poll
+            # answers the driver took from it
+            "messages_received": [p["messages_received"] for p in confirm],
+            "polls": list(polls.count)}
+        return self._finish(
+            pa.concat_tables([schema.empty(schema.CALLS),
+                              *self._mesh_requests]),
+            sum(p["seen_size"] for p in confirm),
+            [schema.decode(p["j1"]) for p in confirm if p["j1"] is not None])
+
+    def _take_poll(self, poll: dict) -> None:
+        """One node's poll answer: its error, else its buffers and its
+        piece of the request log."""
+        if poll["errors"]:
+            raise RuntimeError(f"mesh node failed:\n{poll['errors'][0]}")
+        self._fire_node_buffers(poll)
+        if poll["requests"] is not None:
+            self._mesh_requests.append(schema.decode(poll["requests"]))
+        self._maybe_spill_results()
 
     def _fire_node_buffers(self, poll: dict) -> None:
         """One node poll's buffers (each an encoded table, or None), kind
@@ -1061,7 +1242,9 @@ class LinkChecker:
             self._emit_retry_events(
                 [retry], retry["now"].to_numpy(zero_copy_only=False))
         if poll["results"] is not None:
-            self._emit(schema.decode(poll["results"]))
+            results = schema.decode(poll["results"])
+            self._emit(results)
+            self._mesh_broken.append(frontier_broken(results))
         if events["warn"] is not None:
             self._emit_warn_events(schema.decode(events["warn"]))
 
@@ -1071,53 +1254,47 @@ class LinkChecker:
 
     def _mesh_checkpoint(self, nodes, epoch: int, num_actors: int,
                          seed_rows: int) -> None:
-        """Pause the mesh, wait for in-flight messages to settle (two
-        identical consecutive counter snapshots under pause AND matching
-        send/receive totals across nodes — a message still on the wire
-        between two polls would otherwise be in neither a sender buffer
-        nor a receiver queue, silently missing from the snapshot), drain
-        the result buffers, snapshot every node's state, write one atomic
-        checkpoint, resume. The pause costs one settle round-trip — the
-        cadence knob is opts.checkpoint_interval_s."""
+        """Pause the mesh, wait on the nodes' polls (``self._mesh_polls``,
+        the check's) until it is settled
+        (``mesh_quiescent`` with ``paused``: stable counters alone can't
+        see a message still on the wire between two polls, which would
+        be in neither a sender buffer nor a receiver queue, silently
+        missing from the snapshot), snapshot every node's state, write
+        one atomic checkpoint, resume. The pause costs one settle round
+        trip — the cadence knob is opts.checkpoint_interval_s."""
         import time as _time
 
         import ray
 
+        polls = self._mesh_polls
         ray.get([n.pause.remote() for n in nodes])
-        prev = None
-        last_change = _time.monotonic()
+        last_change = (None, _time.monotonic())
         while True:
-            polls = ray.get([n.poll.remote() for n in nodes])
-            for p in polls:
-                self._fire_node_buffers(p)
-            # buffered sends must flush before the snapshot
-            # (kick flushes; pumps stay suppressed while paused)
-            for n, p in zip(nodes, polls):
-                if p["held_cand"]:
-                    n.kick.remote(self._mesh_generation)
-            state = [(p["sent_cand"], p["received_cand"], p["sent_wants"],
-                      p["received_wants"], p["sent_frontier"],
-                      p["received_frontier"], p["pump_scheduled"],
-                      p["held_cand"]) for p in polls]
-            # totals must balance too (mirrors the quiescence check in
-            # _run_mesh_body): stable counters alone can't see a message
-            # in flight across two ~5 ms polls
-            totals_ok = all(s == r for s, r in mesh_message_totals(
-                polls, seed_rows).values())
-            if prev == state and totals_ok \
-                    and not any(p["pump_scheduled"] for p in polls) \
-                    and not any(p["held_cand"] for p in polls):
-                break
-            if state != prev:
-                last_change = _time.monotonic()
-            elif _time.monotonic() - last_change > 60:
-                # a lost message leaves sent != received forever; raise
-                # naming the stalled nodes (mirrors _run_mesh_body's stall
-                # detector) instead of hanging the paused mesh silently
-                raise RuntimeError(mesh_stall_message(
-                    "mesh checkpoint settle", polls, seed_rows))
-            prev = state
-            _time.sleep(0.005)
+            latest = polls.latest
+            if None not in latest:
+                if mesh_quiescent(latest, latest, seed_rows, paused=True) \
+                        and polls.caught_up():
+                    if mesh_quiescent(latest, polls.poll_now(), seed_rows,
+                                      paused=True) and polls.caught_up():
+                        break
+                    continue
+                # buffered sends must flush before the snapshot
+                # (kick flushes; pumps stay suppressed while paused)
+                for n, p in zip(nodes, latest):
+                    if p["held_cand"]:
+                        n.kick.remote(polls.generation)
+                state = [tuple(p[k] for k in MESH_COUNTERS)
+                         + (p["pump_scheduled"], p["held_cand"])
+                         for p in latest]
+                if state != last_change[0]:
+                    last_change = (state, _time.monotonic())
+                elif _time.monotonic() - last_change[1] > 60:
+                    # a lost message leaves sent != received forever;
+                    # raise naming the stalled nodes (as _run_mesh_body
+                    # does) instead of hanging the paused mesh silently
+                    raise RuntimeError(mesh_stall_message(
+                        "mesh checkpoint settle", latest, seed_rows))
+            polls.wait(max(0.0, 60 - (_time.monotonic() - last_change[1])))
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
         for snap in snaps:
@@ -1156,31 +1333,21 @@ class LinkChecker:
         self._save_checkpoint(
             epoch, pa.concat_tables([s["frontier"] for s in snaps]),
             pa.concat_tables([s["pending_fragments"] for s in snaps]),
-            # node buffers + any dups restored from an earlier epoch
-            # (held driver-side after a resume)
-            [s["dup_edges"] for s in snaps] + self.dup_edge_tables,
+            # a resumed check routed its dup edges to the nodes too
+            [s["dup_edges"] for s in snaps],
             delay_union, seq_union,
             [np.concatenate(parts) for parts in zip(*journals)],
             counters, floors)
         ray.get([n.resume_run.remote() for n in nodes])
 
-    def _mesh_restore(self, checkpoint_dir: str, nodes,
-                      num_actors: int, sticky: bool = False) -> tuple[pa.Table, int]:
-        """Load the newest mesh epoch into a fresh mesh of any node
-        count: journal keys go to their ``hash_owner`` under this count
-        (edges by their routing hash), pending wants to their target's
-        fetch owner, and each node continues its results-part
-        numbering."""
-        import ray
-
-        from linkinator_ray.state import mesh as mesh_mod
+    def _mesh_restore(self, checkpoint_dir: str, num_actors: int,
+                      sticky: bool) -> tuple[list[dict], int, int]:
+        """The newest checkpoint as the seeds of a fresh mesh of any
+        node count (``_mesh_seeds``): each node continues its
+        results-part numbering. Returns ``(seeds, frontier rows,
+        epoch)``."""
         frontier, epoch, wants, journal = self._load_checkpoint(
             checkpoint_dir)
-        want_pieces: list = [None] * num_actors
-        if wants.num_rows:
-            owners = mesh_mod.want_owner(wants, num_actors, sticky, {})
-            for a, piece in split_by_owner(wants, owners, num_actors):
-                want_pieces[a] = schema.encode(piece)
         # node i writes results parts as writer i + 1: a new node
         # sharing an old index continues that numbering; indices beyond
         # the old count start fresh; on shrink, orphaned old parts stay
@@ -1188,17 +1355,13 @@ class LinkChecker:
         saved_parts = self._inherited_node_floors
         node_parts = [saved_parts[i] if i < len(saved_parts) else 0
                       for i in range(num_actors)]
-        url_keys, edge_keys, edge_routes = journal
-        url_owner = hash_owner(url_keys, num_actors)
-        edge_owner = hash_owner(edge_routes, num_actors)
-        ray.get([
-            nodes[i].restore_keys.remote(
-                url_keys[url_owner == i], edge_keys[edge_owner == i],
-                self.delay_map, self.seq_counters, want_pieces[i],
-                node_parts[i])
-            for i in range(num_actors)
-        ])
-        return frontier, epoch
+        # the nodes hold the dup edges from here on
+        dups = pa.concat_tables(self.dup_edge_tables) \
+            if self.dup_edge_tables else schema.empty(schema.EDGES)
+        self.dup_edge_tables = []
+        seeds = self._mesh_seeds(frontier, journal, wants, dups, node_parts,
+                                 sticky)
+        return seeds, frontier.num_rows, epoch
 
     # ------------------------------------------------------------------
 
@@ -1260,32 +1423,12 @@ class LinkChecker:
                 self._emit(bad)
         return new_rows
 
-    def _duplicate_broken_join(self) -> None:
-        """Post-hoc join replacing the in-flight wait at
-        src/index.ts:840-875: every distinct (url, parent) duplicate edge
-        whose URL's frontier-level result is BROKEN re-reports with that
-        parent."""
-        if not self.dup_edge_tables:
-            return
-        dup_edges = pa.concat_tables(self.dup_edge_tables).combine_chunks()
-        # frontier-level BROKEN rows (one per URL by construction) —
-        # an Arrow hash join stands in for the reference's in-flight
-        # await + re-emit; earlier spills retained their broken rows in
-        # broken_first_tables
-        merged = pa.concat_tables(
-            self.results_tables + self.broken_first_tables).combine_chunks()
-        broken_first = merged.filter(
-            pc.and_(merged["frontier_level"],
-                    pc.equal(merged["state"], "BROKEN"))) \
-            .select(["url", "status", "failure_details"])
-        if broken_first.num_rows == 0 or dup_edges.num_rows == 0:
-            return
-        joined = dup_edges.join(broken_first, keys=["url"], join_type="inner")
-        if joined.num_rows == 0:
-            return
-        self._emit(result_rows(-1, False, joined["url"], joined["status"],
-                               "BROKEN", joined["parent"],
-                               joined["failure_details"]))
+    def _broken_first(self) -> pa.Table:
+        """``frontier_broken`` over every result row (earlier spills
+        retained their broken rows in broken_first_tables)."""
+        return frontier_broken(pa.concat_tables(
+            [schema.empty(schema.RESULT_ROWS), *self.results_tables,
+             *self.broken_first_tables]))
 
     def _final_results(self) -> pa.Table:
         if not self.results_tables:

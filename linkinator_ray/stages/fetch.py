@@ -109,14 +109,15 @@ class CallLog:
     def extend(self, urls: pa.Array, methods: pa.Array,
                status: pa.Array) -> None:
         if self.enabled:
-            self._flush_rows()
-            self._chunks.append(pa.Table.from_arrays(
-                [urls, methods, status.cast(pa.int32())],
-                schema=schema.CALLS))
+            chunk = pa.Table.from_arrays(
+                [urls, methods, status.cast(pa.int32())], schema=schema.CALLS)
+            with self._lock:
+                self._flush_rows()
+                self._chunks.append(chunk)
 
     def _flush_rows(self) -> None:
-        with self._lock:
-            rows, self._rows = self._rows, []
+        """The pending rows as a chunk; called under ``_lock``."""
+        rows, self._rows = self._rows, []
         if rows:
             self._chunks.append(pa.Table.from_arrays(
                 [pa.array(col, f.type) for col, f in zip(zip(*rows),
@@ -124,8 +125,19 @@ class CallLog:
                 schema=schema.CALLS))
 
     def table(self) -> pa.Table:
-        self._flush_rows()
-        return pa.concat_tables([schema.empty(schema.CALLS), *self._chunks])
+        with self._lock:
+            self._flush_rows()
+            chunks = list(self._chunks)
+        return pa.concat_tables([schema.empty(schema.CALLS), *chunks])
+
+    def take(self) -> list[pa.Table]:
+        """The chunks logged since the last ``take``, which the log
+        forgets: a mesh node hands its log to the driver a piece per
+        poll answer."""
+        with self._lock:
+            self._flush_rows()
+            chunks, self._chunks = self._chunks, []
+        return chunks
 
 
 def call_tuples(calls: pa.Table) -> list[tuple[str, str, int]]:

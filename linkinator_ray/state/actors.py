@@ -35,14 +35,13 @@ import pyarrow as pa
 
 # the MeshNode methods a hosted node answers through its actor
 FORWARDED = (
-    "set_peers", "seed", "enqueue", "deliver_candidates", "deliver_wants",
-    "pause", "resume_run", "snapshot", "restore_keys", "poll",
-    "drain_dups", "request_log",
+    "connect", "enqueue", "deliver_candidates", "deliver_wants",
+    "pause", "resume_run", "snapshot",
 )
-# self-messages and driver nudges that can reach an actor after its
-# check released it: dropped when the actor is idle (the mesh node drops
-# stale ones itself, by generation)
-LATE = ("pump", "kick")
+# self-messages, driver nudges and waiting polls that can reach an actor
+# after its check released it: dropped when the actor is idle (the mesh
+# node drops stale ones itself, by generation)
+LATE = ("pump", "kick", "poll")
 
 
 class CrawlActor:
@@ -62,6 +61,10 @@ class CrawlActor:
         self._generation = 0
 
     def reset(self, generation: int, factory, *args) -> int:
+        """Host ``factory(*args)`` for lease ``generation``, and start it
+        (``obj.start(this actor's handle, generation)``) if it has a
+        ``start``: a mesh node pumps its seeds from here."""
+        import ray
         # ``args`` ride as top-level task arguments, so Ray resolves an
         # ObjectRef among them (the transport blob) before the call
         obj = factory(*args)
@@ -69,6 +72,9 @@ class CrawlActor:
             old, self._obj = self._obj, obj
             self._generation = generation
         _close(old)
+        start = getattr(obj, "start", None)
+        if start is not None:
+            start(ray.get_runtime_context().current_actor, generation)
         return os.getpid()
 
     def release(self, generation: int) -> None:
@@ -137,11 +143,12 @@ def _session_idle() -> list:
 def _actor_class():
     """The shell as a Ray actor class, built once per process: every
     new class is exported to the cluster again, ~40 ms per spawn.
-    max_concurrency=2: a mesh node's peer messages and driver polls land
-    while its pump computes (MeshNode guards its state with its own
+    max_concurrency=3: a mesh node's pump, the driver's waiting poll and
+    a peer message run at once, so a poll waiting for news never blocks
+    intake during a pump (MeshNode guards its state with its own
     lock)."""
     import ray
-    return ray.remote(num_cpus=0, max_concurrency=2,
+    return ray.remote(num_cpus=0, max_concurrency=3,
                       scheduling_strategy="SPREAD")(CrawlActor)
 
 

@@ -23,33 +23,46 @@ maps, politeness) the owner forwards fresh rows to the host's home node
 Node responsibilities: rewrites, skip classification, politeness +
 retry deferrals (wall clock, owner-local), the fetch/extract/classify
 state machine (stages/fetch.py), URL-seen + edge-seen filters for its
-key range, duplicate-edge buffering (the J1 join input), results
-buffering. The driver only seeds, polls for quiescence (monotonic
-send/receive counters — an in-flight message shows up as a sum
-mismatch), drains result buffers, and runs the final duplicate-broken
-join. A node and its fetch worker read every setting from the check's
-``CheckOptions`` (the pump cap is 4 × ``batch_size``); the driver adds
-only facts of the check: the blob's data, the static host, connections,
-listened events and host-sticky routing.
+key range, duplicate-edge buffering and the duplicate-broken join (J1)
+over them, results buffering. A node and its fetch worker read every
+setting from the check's ``CheckOptions`` (the pump cap is 4 ×
+``batch_size``); the driver adds only facts of the check: the blob's
+data, the static host, connections, listened events and host-sticky
+routing.
+
+The driver's part is one round trip at each end. At the start, each
+node's lease reset carries its seed keys and frontier share (``seed``),
+and the node pumps its seeds before it has its peers; the peer handles
+follow in one ``connect`` once every reset is done. In between, the
+driver keeps one waiting ``poll`` per node: a node answers when it has
+news (its first results and then every pump cap's worth, turning idle,
+an idle node's counters moving, an error, a deferred deadline), so the
+driver hears the end from the nodes instead of sampling on a timer. The end is the four-counter rule over
+the monotonic send/receive counters (an in-flight message shows up as a
+sum mismatch), confirmed by one immediate round; that round carries the
+frontier-level BROKEN rows, routed to their URLs' owners, and each node
+answers with its J1 rows. An edge always lives on its URL's dedup
+owner, so no dup edge reaches the driver. Every answer also hands over
+the node's request log since its last one.
 
 Wire format: every table a message carries (frontier rows, peer
-candidates and fragment wants, ``poll``'s results and events,
-``snapshot``, the end-of-check ``drain_dups`` and ``request_log``)
-crosses Ray as one Arrow IPC stream buffer, written by
-``schema.encode`` and read by ``schema.decode``; no message takes or
-returns a ``pa.Table``: Ray 2.49 pickles a table by rebuilding each
-column buffer by buffer in Python (0.6–0.8 ms a table), and writing an
-IPC stream takes tens of µs. The actor-facing
-entries decode and hand tables to the node's own intake
+candidates and fragment wants, ``poll``'s results, events, J1 rows and
+request log, ``snapshot``, and the blob's documents) crosses Ray as one
+Arrow IPC stream buffer, written by ``schema.encode`` and read by
+``schema.decode``; no message takes or returns a ``pa.Table``: Ray 2.49
+pickles a table by rebuilding each column buffer by buffer in Python
+(0.6–0.8 ms a table), and writing an IPC stream takes tens of µs. The
+actor-facing entries decode and hand tables to the node's own intake
 (``deliver_candidates`` → ``submit_candidates``).
 
 Batching: ``enqueue``/``deliver_candidates`` only append; a
 self-scheduled ``pump`` message processes everything accumulated since
 the last pump, so under load the mailbox coalesces many small routed
 pieces into full fetch batches. Self-addressed pieces are delivered
-in-process (no message, no counter — symmetric). Each pump ends by
-sending every peer what it routed to that peer, so no peer sits idle
-while this node holds its work.
+in-process (no message, no counter — symmetric). A pump publishes its
+results before it routes its candidates, and ends by sending every peer
+what it routed to that peer, so no peer sits idle while this node holds
+its work.
 
 Listener events: the driver names the events that have listeners, and
 nodes buffer only those (``pagestart``, ``retry`` and the warning
@@ -64,8 +77,8 @@ validated at target fetch (:754-784, :616-673). robots.txt rules are
 compiled per node from the corpus. Checkpoints are driver-coordinated
 epoch snapshots (pause → settle → snapshot every node → one atomic
 write → resume) in the rounds' format: each node journals the keys it
-inserts, and a resume at any node count routes the journal's keys to
-their new owners (``restore_keys``). Every LinkChecker feature runs in
+inserts, and a resume at any node count routes the journal's keys and
+dup edges to their new owners (``seed``). Every LinkChecker feature runs in
 this mode, through the same frontier-stage kernels as the driver
 executors (pipelines/crawl.py).
 
@@ -130,19 +143,28 @@ class MeshNode:
     ``url_hash % K`` range."""
 
     def __init__(self, actor_id: int, num_nodes: int, transport_blob: dict,
-                 opts: CheckOptions, *, static_host: str | None = None,
-                 connections: int = 1, events=(), sticky_hosts: bool = True):
+                 opts: CheckOptions, seed: dict | None = None, *,
+                 static_host: str | None = None, connections: int = 1,
+                 events=(), sticky_hosts: bool = True):
+        """``transport_blob`` carries its documents ``schema.encode``d;
+        ``seed`` is this node's share of the check's start (see
+        ``_seed``), or None for a node that starts empty."""
         import threading
-        # the node runs with max_concurrency=2 so enqueue/submit/poll
-        # land WHILE a pump computes (latency hiding — pumps otherwise
-        # convoy the whole mesh into lock-step waves). All shared state
-        # is guarded by this lock; the pump's long fetch/extract section
-        # runs outside it.
+        # the node runs with max_concurrency=3 so enqueue/submit land
+        # WHILE a pump computes (latency hiding — pumps otherwise convoy
+        # the whole mesh into lock-step waves), and a driver poll can
+        # wait for news without blocking either. All shared state is
+        # guarded by this lock; the pump's long fetch/extract section
+        # runs outside it. A waiting poll sleeps on ``changed``.
         self.lock = threading.Lock()
+        self.changed = threading.Condition(self.lock)
         from linkinator_ray.stages.fetch import FetchWorker, build_transport
         self.actor_id = actor_id
         self.num_nodes = num_nodes
         self.opts = opts
+        if transport_blob.get("documents") is not None:
+            transport_blob = dict(transport_blob, documents=schema.decode(
+                transport_blob["documents"]))
         self.worker = FetchWorker(build_transport(transport_blob, opts), opts,
                                   static_host=static_host,
                                   connections=connections)
@@ -185,26 +207,36 @@ class MeshNode:
         self.received_cand = 0
         self.sent_cand = 0
         self.sent_cand_bytes = 0
+        self.messages_received = 0
         self.pump_scheduled = False
         self.pumping = False
         self.paused = False
         self.self_handle = None
         self.peers = None
-        # the lease generation this node serves (set_peers); pumps and
-        # kicks carry it, so ones sent for an earlier check are dropped
+        # the lease generation this node serves (start); pumps, kicks and
+        # waiting polls carry it, so ones sent for an earlier check are
+        # dropped
         self.generation = None
+        # poll answers given: the driver has fired every answer's
+        # buffers once it has taken this many
+        self.answers = 0
+        self.first_results = True
         self.host_memo: dict = {}
         self.errors: list[str] = []
         self.busy_sec = 0.0
-        # per-peer candidate buffers, all sent at the end of each pump
-        self.peer_buf: list[list[pa.Table]] = []
+        # per-peer buffers of candidates, and of frontier rows forwarded
+        # to their host's node, sent by ``_flush_peers``: at the end of
+        # each pump or intake, and once the peers are known (``connect``)
+        self.peer_buf: list[list[pa.Table]] = [[] for _ in range(num_nodes)]
+        self.peer_frontier: list[list[pa.Table]] = \
+            [[] for _ in range(num_nodes)]
         # fragment wants: registered unconditionally on arrival
         # (reference registers at link-processing time,
         # src/index.ts:754-784); validated only when the target page is
         # fetched AFTERWARDS — a want for an already-fetched page simply
         # never validates, same as the reference's cached-page path
         self.pending_fragments: dict[str, set] = {}
-        self.peer_wants: list[list[pa.Table]] = []
+        self.peer_wants: list[list[pa.Table]] = [[] for _ in range(num_nodes)]
         self.sent_wants = 0
         self.received_wants = 0
         # node-local streaming results sink (options.results_dir): OK /
@@ -222,61 +254,100 @@ class MeshNode:
         self._frontier_parts: list[str] = []
         self._spilled_frontier_rows = 0
         self._frontier_part_seq = 0
+        if seed is not None:
+            self._seed(**seed)
+        # whether the driver's last poll answer is out of date: a waiting
+        # poll answers once it is set (``_wake``). A node with work
+        # answers its first one with its first results, an empty one at
+        # once
+        self.news = not self.queued_rows
 
-    def set_peers(self, self_handle, peers, generation: int) -> None:
+    def _seed(self, frontier, url_keys: np.ndarray, edge_keys: np.ndarray,
+              wants, dup_edges, delay_map: dict, seq_counters: dict,
+              spill_part: int) -> None:
+        """This node's share of the check's start, carried by the lease
+        reset: the seen and edge keys of its hash range (the seeds, or a
+        checkpoint's key journal: not journaled again, the driver or the
+        checkpoint's earlier epochs hold them), the frontier rows it
+        fetches, and its pending fragment wants and duplicate edges, each
+        ``schema.encode``d or None. Every node takes the whole delay map
+        and scripted-sequence counters: any node may own a host."""
+        if len(url_keys):
+            self.url_seen.contains_or_insert(
+                np.asarray(url_keys, dtype=np.uint64))
+        if len(edge_keys):
+            self.edge_seen.contains_or_insert(
+                np.asarray(edge_keys, dtype=np.uint64))
+        self.delay_map.update(delay_map)
+        self.worker.transport.seq_counters.update(seq_counters)
+        if wants is not None:
+            self._register_wants(schema.decode(wants))
+        if dup_edges is not None:
+            self.dup_edges.append(schema.decode(dup_edges))
+        self.spill_part = spill_part
+        if frontier is not None:
+            self._enqueue_table(schema.decode(frontier))
+
+    def start(self, self_handle, generation: int) -> None:
+        """Serve lease ``generation``: pumps go to ``self_handle``, and
+        the seeds' first pump is scheduled. The peers come later
+        (``connect``); until then sends are held."""
         with self.lock:
             self.self_handle = self_handle
-            self.peers = peers
             self.generation = generation
-            self.peer_buf = [[] for _ in peers]
-            self.peer_wants = [[] for _ in peers]
+            self._schedule_pump()
+
+    def connect(self, peers) -> None:
+        """Every node's handle (this one's included), sent once every
+        node's reset has finished: a pooled actor not yet reset would
+        answer a peer message as an idle shell. Sends the held ones."""
+        with self.lock:
+            self.peers = peers
+            if self._flush_peers():
+                self._wake_if_idle()
 
     def close(self) -> None:
         """Release: drop the peer handles (the mesh's handle cycle), stop
-        answering this check's pumps and kicks, stop the fetch worker's
-        connection threads and remove the frontier spill directory."""
+        answering this check's pumps and kicks, answer a waiting poll,
+        stop the fetch worker's connection threads and remove the
+        frontier spill directory."""
         import shutil
         with self.lock:
             self.generation = None
             self.self_handle = None
             self.peers = None
-            self.peer_buf, self.peer_wants = [], []
+            self.changed.notify_all()
         self.worker.close()
         if self._frontier_spill_dir is not None:
             shutil.rmtree(self._frontier_spill_dir, ignore_errors=True)
 
     # -- intake ------------------------------------------------------------
 
-    def seed(self, hashes: np.ndarray) -> None:
-        """Pre-insert seed URLs into this node's key range
-        (src/index.ts:267-288)."""
-        with self.lock:
-            hashes = np.asarray(hashes, dtype=np.uint64)
-            self.journal.add_urls(
-                hashes[~self.url_seen.contains_or_insert(hashes)])
-
     def enqueue(self, buf) -> None:
-        """Frontier rows (``schema.encode``d) whose fetch this node owns.
-        Rows restored from a checkpoint can carry a future
+        """Peer message: frontier rows (``schema.encode``d) whose fetch
+        this node owns."""
+        table = schema.decode(buf)
+        with self.lock:
+            self.messages_received += 1
+            self._enqueue_table(table)
+            self._wake_if_idle()
+
+    def _enqueue_table(self, table: pa.Table) -> None:
+        """Rows restored from a checkpoint can carry a future
         ``not_before`` (retry backoff / politeness deferrals snapshotted
         mid-wait) — they park in ``deferred`` so the resume honors the
         original deadline instead of re-fetching a still-failing host
-        immediately."""
-        table = schema.decode(buf)
+        immediately; a waiting poll wakes them at their deadline."""
         if table.num_rows == 0:
             return
-        with self.lock:
-            self.received_frontier += table.num_rows
-            nb = table["not_before"].to_numpy(zero_copy_only=False)
-            future = nb > time.time()
-            if future.any():
-                self.deferred.append(table.filter(pa.array(future)))
-                table = table.filter(pa.array(~future))
-            if table.num_rows:
-                self._append_local(table)
-            # when EVERY row parked in deferred the node cannot
-            # self-wake (_schedule_pump no-ops on an empty queue): the
-            # driver's quiescence loop calls wake_deferred at deadline
+        self.received_frontier += table.num_rows
+        nb = table["not_before"].to_numpy(zero_copy_only=False)
+        future = nb > time.time()
+        if future.any():
+            self.deferred.append(table.filter(pa.array(future)))
+            table = table.filter(pa.array(~future))
+        if table.num_rows:
+            self._append_local(table)
 
     def _append_local(self, table: pa.Table) -> None:
         self.queue.append(table)
@@ -334,16 +405,21 @@ class MeshNode:
     def submit_candidates(self, cand: pa.Table) -> None:
         """Candidate links whose url_hash this node owns."""
         with self.lock:
+            self.messages_received += 1
             self.received_cand += cand.num_rows
             self._accept_candidates(cand)
+            self._flush_peers()
+            self._wake_if_idle()
 
     def deliver_wants(self, buf) -> None:
         """Peer message: fragment wants (``schema.encode``d) whose target
         page this node will fetch."""
         wants = schema.decode(buf)
         with self.lock:
+            self.messages_received += 1
             self.received_wants += wants.num_rows
             self._register_wants(wants)
+            self._wake_if_idle()
 
     def _register_wants(self, wants: pa.Table) -> None:
         for url, frag in zip(wants["target_url"].to_pylist(),
@@ -357,6 +433,20 @@ class MeshNode:
             self.pump_scheduled = True
             self.self_handle.pump.remote(self.generation)
 
+    def _wake(self) -> None:
+        """Mark the driver's view of this node out of date, and answer a
+        waiting poll."""
+        self.news = True
+        self.changed.notify_all()
+
+    def _wake_if_idle(self) -> None:
+        """Wake a waiting poll if no pump is running or scheduled: a busy
+        node's pump wakes it when its results are ready or it turns
+        idle, so an idle node whose counters moved is the one case
+        left."""
+        if not (self.pumping or self.pump_scheduled):
+            self._wake()
+
     # -- checkpoint coordination (driver-driven epoch snapshots) ----------
 
     def pause(self) -> None:
@@ -365,7 +455,8 @@ class MeshNode:
         snapshots."""
         with self.lock:
             self.paused = True
-            self._flush_peers()
+            if self._flush_peers():
+                self._wake_if_idle()
 
     def resume_run(self) -> None:
         with self.lock:
@@ -398,30 +489,6 @@ class MeshNode:
                 "spill_part": self.spill_part,
             }
 
-    def restore_keys(self, url_keys: np.ndarray, edge_keys: np.ndarray,
-                     delay_map: dict, seq: dict, wants=None,
-                     spill_part: int = 0) -> None:
-        """Resume: rebuild this node's seen/edge filters from journal
-        keys the driver routed to this node's hash range. They are not
-        journaled again: the checkpoint's earlier epochs hold them.
-        Every node takes the whole delay map and scripted-sequence
-        counters: any node may own a host at the new node count.
-        ``wants`` is the node's pending fragment wants,
-        ``schema.encode``d, or None."""
-        wants = schema.decode(wants) if wants is not None else None
-        with self.lock:
-            if len(url_keys):
-                self.url_seen.contains_or_insert(
-                    np.asarray(url_keys, dtype=np.uint64))
-            if len(edge_keys):
-                self.edge_seen.contains_or_insert(
-                    np.asarray(edge_keys, dtype=np.uint64))
-            self.delay_map.update(delay_map)
-            self.worker.transport.seq_counters.update(seq)
-            if wants is not None and wants.num_rows:
-                self._register_wants(wants)
-            self.spill_part = spill_part
-
     # -- dedup + frontier routing (the shard role) -------------------------
 
     def _accept_candidates(self, cand: pa.Table) -> None:
@@ -445,8 +512,7 @@ class MeshNode:
             if a == self.actor_id:
                 self._append_local(piece)
             else:
-                self.sent_frontier += piece.num_rows
-                self.peers[a].enqueue.remote(schema.encode(piece))
+                self.peer_frontier[a].append(piece)
 
     # -- the work loop -----------------------------------------------------
 
@@ -481,6 +547,7 @@ class MeshNode:
             if not self.queue:
                 self.pumping = False
                 self._flush_peers()
+                self._wake_if_idle()
                 return
             batch = pa.concat_tables(self.queue)
             self.queue = []
@@ -497,12 +564,14 @@ class MeshNode:
             import traceback
             with self.lock:
                 self.errors.append(traceback.format_exc())
+                self._wake()
         with self.lock:
             self._flush_peers()
             self.busy_sec += time.perf_counter() - t0
             self.counters["rounds"] += 1
             self.pumping = False
             self._schedule_pump()
+            self._wake_if_idle()
 
     def _process(self, batch: pa.Table, now: float) -> None:
         from linkinator_ray.pipelines.crawl import (admit_frontier,
@@ -548,6 +617,16 @@ class MeshNode:
             if self.buffer_warnings and remaining.num_rows:
                 self.event_buf["warn"].append(
                     remaining.select(schema.WARN_ROWS.names))
+            # the results go to a waiting poll now, not after routing:
+            # the node's first ones at once (the check's first answer),
+            # then a pump's worth (the pump cap) at a time. Each answer
+            # costs the busy pumps a reply; turning idle hands over the
+            # rest
+            if self.first_results or sum(
+                    t.num_rows for t in self.results_buf) >= self.batch_cap:
+                self.first_results = False
+                self._wake()
+        with self.lock:
             if self.opts.check_fragments:
                 # own-range wants register BEFORE validating this
                 # batch's pages, so same-page/same-batch fragments
@@ -614,65 +693,118 @@ class MeshNode:
             else:
                 self.peer_buf[a].append(piece)
 
-    def _flush_peers(self) -> None:
-        """Send every peer its buffered candidates and fragment wants,
-        one message per kind."""
-        for a, bufs in enumerate(self.peer_buf):
+    def _flush_peers(self) -> bool:
+        """Send every peer its buffered candidates, fragment wants and
+        forwarded frontier rows, one message per kind; hold them while
+        the peers are not known yet. Whether anything was sent."""
+        if self.peers is None:
+            return False
+        sent = False
+        for a in range(self.num_nodes):
+            bufs = self.peer_buf[a]
             if bufs:
                 self.peer_buf[a] = []
                 self.sent_cand += sum(t.num_rows for t in bufs)
                 buf = _wire(bufs, schema.CANDIDATES)
                 self.sent_cand_bytes += buf.size
                 self.peers[a].deliver_candidates.remote(buf)
-            wbufs = self.peer_wants[a] if self.peer_wants else []
+            wbufs = self.peer_wants[a]
             if wbufs:
                 self.peer_wants[a] = []
                 self.sent_wants += sum(t.num_rows for t in wbufs)
                 self.peers[a].deliver_wants.remote(
                     _wire(wbufs, schema.PENDING_FRAGS))
+            fbufs = self.peer_frontier[a]
+            if fbufs:
+                self.peer_frontier[a] = []
+                self.sent_frontier += sum(t.num_rows for t in fbufs)
+                self.peers[a].enqueue.remote(_wire(fbufs, schema.FRONTIER))
+            sent = sent or bool(bufs or wbufs or fbufs)
+        return sent
 
     # -- driver interface --------------------------------------------------
 
-    def poll(self) -> dict:
+    def poll(self, generation: int | None = None, wait: bool = False,
+             broken=None) -> dict:
         """Stable-state snapshot + results drain (consistent under the
         node lock; a mid-pump node reports pumping=True so the driver
         never mistakes it for idle). ``results`` and each kind of
         ``events`` are one ``schema.encode``d table, or None when
-        empty."""
+        empty.
+
+        ``wait`` holds the answer until there is news (``_wake``): the
+        node's first results, a pump cap's worth of results, the node
+        turning idle, an idle node's counters moving, an error, or the
+        earliest deferred deadline, at which the node wakes those rows
+        itself. A close, or a lease other than ``generation``, answers
+        at once.
+
+        Each answer is numbered (``answer``) and hands over the request
+        log's rows since the last one (``requests``, encoded, or None).
+
+        ``broken`` (the crawl's frontier-level BROKEN rows whose URLs
+        this node owns, ``schema.encode``d) asks for the end of the
+        check: the answer adds this node's duplicate-broken rows
+        (``j1``, None when there are none). The dup edges stay, in case
+        the driver finds the mesh was not done."""
         with self.lock:
+            while wait and not self.news and not self.errors \
+                    and generation == self.generation:
+                due = self._earliest_deadline()
+                if due and due <= time.time():
+                    self._wake_deferred(time.time())
+                    self._schedule_pump()
+                    break
+                self.changed.wait(due - time.time() + 0.001 if due else None)
+            self.news = False
             state = self._poll_locked()
+            dups = list(self.dup_edges)
+            requests = self.worker.transport.log.take()
         # encoded outside the lock, which a pump needs to hand over its
         # results
         results = state["results"]
         state["results"] = _wire(results, schema.RESULT_ROWS) \
             if results else None
+        state["requests"] = _wire(requests, schema.CALLS) \
+            if requests else None
         state["events"] = {kind: _wire(tables, EVENT_SCHEMAS[kind])
                            if tables else None
                            for kind, tables in state["events"].items()}
+        if broken is not None:
+            from linkinator_ray.pipelines.crawl import duplicate_broken_rows
+            j1 = duplicate_broken_rows(dups, schema.decode(broken))
+            state["j1"] = schema.encode(j1) if j1 is not None else None
         return state
+
+    def _earliest_deadline(self) -> float:
+        """The earliest ``not_before`` of the deferred rows, 0.0 when
+        none wait."""
+        return min((float(t["not_before"].to_numpy(
+            zero_copy_only=False).min()) for t in self.deferred),
+            default=0.0)
 
     def _poll_locked(self) -> dict:
         results = self.results_buf
         self.results_buf = []
         events = self.event_buf
         self.event_buf = {kind: [] for kind in events}
-        deferred_rows = sum(t.num_rows for t in self.deferred)
-        earliest = min((float(t["not_before"].to_numpy(
-            zero_copy_only=False).min()) for t in self.deferred),
-            default=0.0)
+        self.answers += 1
         return {
+            "answer": self.answers,
             "received_frontier": self.received_frontier,
             "sent_frontier": self.sent_frontier,
             "received_cand": self.received_cand,
             "sent_cand": self.sent_cand,
             "sent_wants": self.sent_wants,
             "received_wants": self.received_wants,
+            "messages_received": self.messages_received,
             "queued_rows": self.queued_rows + self._spilled_frontier_rows,
             "held_cand": sum(t.num_rows for bufs in
-                             (*self.peer_buf, *self.peer_wants)
+                             (*self.peer_buf, *self.peer_wants,
+                              *self.peer_frontier)
                              for t in bufs),
-            "deferred_rows": deferred_rows,
-            "earliest_deadline": earliest,
+            "deferred_rows": sum(t.num_rows for t in self.deferred),
+            "earliest_deadline": self._earliest_deadline(),
             "pump_scheduled": self.pump_scheduled or self.pumping,
             "sent_cand_bytes": self.sent_cand_bytes,
             "counters": dict(self.counters),
@@ -690,22 +822,10 @@ class MeshNode:
             if generation != self.generation:
                 return
             self._wake_deferred(time.time())
-            self._flush_peers()
+            sent = self._flush_peers()
             self._schedule_pump()
-
-    def drain_dups(self):
-        """This node's (url, parent) duplicate edges, ``schema.encode``d
-        as one table. They are distinct already: ``dedup_candidates``
-        reports only edge-fresh rows, and an edge always routes to its
-        URL's owner."""
-        with self.lock:
-            dups = self.dup_edges
-            self.dup_edges = []
-        return _wire(dups, schema.EDGES)
-
-    def request_log(self):
-        """The fetch worker's request log, ``schema.encode``d."""
-        return schema.encode(self.worker.request_log())
+            if sent:
+                self._wake_if_idle()
 
 
 # the schema of each kind of buffered listener event (``poll``)

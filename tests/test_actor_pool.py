@@ -176,6 +176,25 @@ def test_check_after_session_restart(ray_session):
     assert_cpus_free(ray)
 
 
+def test_mesh_start_rides_in_the_lease(ray_session, monkeypatch):
+    """A mesh check starts with its lease resets, which carry each
+    node's seeds, and one ``connect`` per node: the driver sends its
+    nodes no ``seed``, ``set_peers`` or ``enqueue`` call."""
+    import ray.actor
+    calls = []
+    remote = ray.actor.ActorMethod.remote
+
+    def recording(self, *args, **kwargs):
+        calls.append(self._method_name)
+        return remote(self, *args, **kwargs)
+    monkeypatch.setattr(ray.actor.ActorMethod, "remote", recording)
+    fixture = fx.recurse()
+    res = checker(fixture).check()
+    assert key_set(res) == key_set(checker(fixture, use_ray=False).check())
+    assert calls.count("reset") == calls.count("connect") == 2
+    assert not {"seed", "set_peers", "enqueue"} & set(calls)
+
+
 def test_mesh_node_drops_stale_pumps_and_kicks():
     """A pump or kick sent for another lease generation, or reaching a
     released node, is dropped under the node lock (no Ray needed)."""
@@ -194,7 +213,8 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
     url = "http://a.test/"
     node = MeshNode(0, 1, {"http_map": [], "strict": False},
                     CheckOptions(paths=[url]))
-    node.set_peers(SelfHandle(), [SelfHandle()], 7)
+    node.start(SelfHandle(), 7)
+    node.connect([SelfHandle()])
     node.enqueue(schema.encode(_frontier_rows(
         url=[url], url_hash=urlkit.hash64_array([url]), host=["a.test"],
         parent=[""], depth=[0], do_crawl=[True], root_path=[url],
@@ -224,9 +244,10 @@ def pumped_node(opts, docs, urls, peers=()):
                 pass
 
     node = MeshNode(
-        0, 1 + len(peers), {"http_map": [], "documents": docs,
+        0, 1 + len(peers), {"http_map": [], "documents": schema.encode(docs),
                             "strict": False}, opts, sticky_hosts=False)
-    node.set_peers(SelfHandle(), [SelfHandle(), *peers], 1)
+    node.start(SelfHandle(), 1)
+    node.connect([SelfHandle(), *peers])
     n = len(urls)
     node.enqueue(schema.encode(_frontier_rows(
         url=urls, url_hash=urlkit.hash64_array(urls),

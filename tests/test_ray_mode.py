@@ -144,14 +144,35 @@ class TestMeshMode:
         assert res.stats["executor"] == "mesh"
         load = res.stats["mesh"]
         assert set(load) == {"busy_sec", "pumps", "cand_rows_sent",
-                             "cand_rows_received", "cand_bytes_sent"}
+                             "cand_rows_received", "cand_bytes_sent",
+                             "messages_received", "polls"}
         assert all(len(per_node) == 3 for per_node in load.values())
         assert all(busy > 0 for busy in load["busy_sec"])
+        assert all(polls > 0 for polls in load["polls"])
         assert sum(load["pumps"]) == res.stats["rounds"]
         sent = sum(load["cand_rows_sent"])
         assert sent > 0 and sent == sum(load["cand_rows_received"])
         assert all((rows > 0) == (size > 0) for rows, size in
                    zip(load["cand_rows_sent"], load["cand_bytes_sent"]))
+
+    def test_mesh_polls_follow_news(self, ray_session):
+        """The driver hears from a node when the node has news, not on a
+        timer: with 50 ms of wire latency a pump takes at least 50 ms,
+        and each node's poll answers number at most its pumps (results
+        or turning idle) plus the peer messages it received plus 3 (its
+        first answer, its last turn to idle and the confirming round)."""
+        from linkinator_ray.sources.synth import synth_crawl_corpus
+        docs, seeds, expected_seen, _ = synth_crawl_corpus(
+            num_hosts=2, docs_per_host=60)
+        res = LinkChecker(
+            CheckOptions(paths=seeds, recurse=True, fetch_concurrency=2),
+            docs, [], multi_host=True, use_ray=True,
+            transport_latency_s=0.05).check()
+        assert res.stats["seen_urls"] == expected_seen
+        load = res.stats["mesh"]
+        for polls, pumps, messages in zip(load["polls"], load["pumps"],
+                                          load["messages_received"]):
+            assert 0 < polls <= pumps + messages + 3, load
 
     def test_mesh_skip_rules_and_dup_broken(self, ray_session):
         """Mesh honors skip rules and the duplicate-broken re-report
@@ -284,6 +305,49 @@ def test_mesh_stall_message_names_stalled_nodes():
                                  "  node 0: held sends 3"]
     idle = mesh_stall_message("mesh", [poll()], seed_rows=0)
     assert idle.splitlines()[1] == "  no node reports pending work"
+
+
+def test_mesh_quiescent_rule():
+    """The mesh's end test (Ray-free, on hand-built ``MeshNode.poll``
+    answers) never ends early: not with a message in flight between two
+    stale rounds, not when an idle node's counters moved (a dup-only
+    message, no pump), not with deferred rows; and it ends on two
+    consistent idle rounds. Paused, queued rows are allowed."""
+    from linkinator_ray.pipelines.crawl import mesh_quiescent
+
+    def poll(**kw):
+        return dict({"queued_rows": 0, "held_cand": 0, "deferred_rows": 0,
+                     "pump_scheduled": False, "sent_cand": 0,
+                     "received_cand": 0, "sent_wants": 0,
+                     "received_wants": 0, "sent_frontier": 0,
+                     "received_frontier": 1}, **kw)
+
+    # node 0 sent 5 candidates that node 1 has not received, in both
+    # rounds: both idle and unchanged, but unbalanced
+    stale = [poll(sent_cand=5), poll()]
+    assert not mesh_quiescent(stale, stale, seed_rows=2)
+    assert not mesh_quiescent(stale, [poll(sent_cand=5), poll()], 2)
+    # node 1 took them, found only dups and stayed idle: balanced now,
+    # but its counters moved since the last round
+    moved = [poll(sent_cand=5), poll(received_cand=5)]
+    assert not mesh_quiescent(stale, moved, seed_rows=2)
+    # a deferred row waits on node 0, in either round
+    deferred = [poll(sent_cand=5, deferred_rows=1), poll(received_cand=5)]
+    assert not mesh_quiescent(moved, deferred, seed_rows=2)
+    assert not mesh_quiescent(deferred, moved, seed_rows=2)
+    # a pump scheduled, queued rows or held sends in the second round
+    for busy in ({"pump_scheduled": True}, {"queued_rows": 3},
+                 {"held_cand": 2}):
+        assert not mesh_quiescent(moved, [poll(sent_cand=5, **busy),
+                                          poll(received_cand=5)], 2), busy
+    # two consistent idle rounds end the check
+    again = [poll(sent_cand=5), poll(received_cand=5)]
+    assert mesh_quiescent(moved, again, seed_rows=2)
+    assert not mesh_quiescent(moved, again, seed_rows=3)
+    # a paused mesh settles with its queues
+    paused = [poll(sent_cand=5, queued_rows=4), poll(received_cand=5)]
+    assert mesh_quiescent(paused, paused, seed_rows=2, paused=True)
+    assert not mesh_quiescent(paused, paused, seed_rows=2)
 
 
 def test_mesh_orders_one_urls_scripted_requests(ray_session):

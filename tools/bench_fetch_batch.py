@@ -8,20 +8,28 @@ pump), stage by stage, Ray-free.
 Builds a compute-mock-shaped corpus (``synth_crawl_corpus(16, 2000)``,
 served by the mock transport with no latency), then calls
 ``fetch_batch`` on frontier batches of B = 8, 16, ... ``--max-rows``
-rows, ``--repeats`` times each on fresh rows. A batch is a run of page
-URLs plus the corpus's broken ``/missingJ.html`` link targets at their
-share of the crawl's URLs (about 2%), and at least one: a crawl's pumps
-carry them, and each batch that does pays the fixed cost of the static
-server's rules for URLs the corpus index misses. Each stage's seconds
-per call are taken as the best of the repeats at each B and fitted to
-``fixed + per_row * B`` by least squares. Stages:
+rows, ``--repeats`` times each on fresh rows; each repeat runs every B
+once, so the repeats of one B are spread over the whole run. A batch is
+a run of page URLs plus the corpus's broken ``/missingJ.html`` link
+targets at their share of the crawl's URLs (about 2%), and at least
+one: a crawl's pumps carry them, and each batch that does pays the fixed
+cost of the static server's rules for URLs the corpus index misses.
+Each stage's seconds per call are taken as the best of the repeats at
+each B and fitted to ``fixed + per_row * B`` by least squares: the
+fixed term on the points with B <= 64 alone (over all of them the
+large-B points dominate the intercept, and its noise), the per-row term
+on all of them. The ``cpu`` row fits the whole call's process CPU
+seconds (best of the repeats) the same way: CPU time does not count the
+time this process waited for a CPU, so on a shared machine it repeats
+where the wall-clock fit does not. Stages:
 
 - ``transport``: the request steps (``FetchWorker._request_steps``);
 - ``extract``: ``ExtractLinks.extract_with_fragments`` less the resolver;
 - ``resolve``: ``urlkit.resolve_links_arrow``;
 - ``links``: per-link processing (``FetchWorker._process_links_vec``);
 - ``classify``: ``FetchWorker._classify_in_actor``;
-- ``other``: the rest of the call; ``total``: the whole call.
+- ``other``: the rest of the call; ``total``: the whole call; ``cpu``:
+  its process CPU seconds.
 
 ``--pump`` times one pump of node 0 of a two-node compute-mock mesh
 (cuckoo seen filters, balanced routing): ``MeshNode._process`` on the
@@ -38,7 +46,7 @@ over from call to call, as in a crawl. Stages:
 - ``dedup``: ``dedup_candidates`` on both nodes (inside route and peer);
 - ``wire``: the message's ``schema.encode`` and ``schema.decode``;
 - ``other``: the rest (requeues, result tables, the flush);
-  ``total``: the whole pump.
+  ``total``: the whole pump; ``cpu``: its process CPU seconds.
 
 Compute-bound numbers compare only with runs on the same machine at the
 same time (alternate the two sides): the header line gives ``nproc``
@@ -61,9 +69,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
 STAGES = ("transport", "extract", "resolve", "links", "classify", "other",
-          "total")
+          "total", "cpu")
 PUMP_STAGES = ("admit", "fetch", "transport", "route", "peer", "dedup",
-               "wire", "other", "total")
+               "wire", "other", "total", "cpu")
+# the batch sizes the fixed term is fitted on
+SMALL_B = 64
 
 
 class StageClock:
@@ -152,13 +162,16 @@ def build_pump(seed: int):
     from linkinator_ray.state.mesh import MeshNode
     docs, seeds, _, _ = synth_crawl_corpus(num_hosts=16, docs_per_host=2000,
                                            seed=seed)
+    from linkinator_ray import schema
     opts = CheckOptions(paths=seeds, recurse=True, seen_filter="cuckoo")
-    blob = {"documents": docs, "multi_host": True, "strict": False,
-            "record_calls": True}
+    blob = {"documents": schema.encode(docs), "multi_host": True,
+            "strict": False, "record_calls": True}
     nodes = [MeshNode(i, 2, blob, opts, static_host="http://corpus.test/",
                       sticky_hosts=False) for i in range(2)]
-    nodes[0].set_peers(FakeHandle(), [FakeHandle(), FakeHandle(nodes[1])], 1)
-    nodes[1].set_peers(FakeHandle(), [FakeHandle(), FakeHandle()], 1)
+    for node in nodes:
+        node.start(FakeHandle(), 1)
+    nodes[0].connect([FakeHandle(), FakeHandle(nodes[1])])
+    nodes[1].connect([FakeHandle(), FakeHandle()])
     return nodes[0], nodes[1], crawl_urls(docs)
 
 
@@ -193,8 +206,11 @@ def nproc() -> str:
 
 
 def fit(sizes: np.ndarray, secs: np.ndarray) -> tuple[float, float]:
-    """Least-squares ``secs = fixed + per_row * size``: (fixed ms, µs/row)."""
-    per_row, fixed = np.polyfit(sizes, secs, 1)
+    """Least-squares ``secs = fixed + per_row * size``: (fixed ms from
+    the points with size <= SMALL_B, µs/row from all of them)."""
+    small = sizes <= SMALL_B
+    fixed = np.polyfit(sizes[small], secs[small], 1)[1]
+    per_row = np.polyfit(sizes, secs, 1)[0]
     return fixed * 1e3, per_row * 1e6
 
 
@@ -208,7 +224,8 @@ def measure(sizes, repeats, seed, clock, run_one, urls, nested=()):
     share = len(missing) / (len(pages) + len(missing))
     rng = np.random.default_rng(seed)
     best = {s: np.full(len(sizes), np.inf) for s in clock.stages}
-    top = [s for s in clock.stages if s not in ("other", "total", *nested)]
+    top = [s for s in clock.stages
+           if s not in ("other", "total", "cpu", *nested)]
     for _ in range(repeats):
         for i, size in enumerate(sizes):
             m = max(1, round(size * share))
@@ -217,8 +234,10 @@ def measure(sizes, repeats, seed, clock, run_one, urls, nested=()):
             batch = frontier(pages[start:start + size - m]
                              + [missing[j] for j in gone])
             clock.reset()
+            cpu0 = time.process_time()
             run_one(batch)
             secs = clock.secs
+            secs["cpu"] = time.process_time() - cpu0
             secs["other"] = secs["total"] - sum(secs[s] for s in top)
             for s in clock.stages:
                 best[s][i] = min(best[s][i], secs[s])
@@ -286,7 +305,8 @@ def main() -> None:
           f"seed {args.seed}  {'pump' if args.pump else 'fetch_batch'}  "
           f"engine {ROOT}")
     print(f"{'stage':<10} {'fixed ms':>9} {'us/row':>8}  "
-          + " ".join(f"{s:>8}" for s in sizes) + "   (best ms per call at B)")
+          + " ".join(f"{s:>8}" for s in sizes)
+          + f"   (best ms per call at B; fixed from B <= {SMALL_B})")
     x = np.asarray(sizes, dtype=np.float64)
     for s in clock.stages:
         fixed, per_row = fit(x, best[s])
