@@ -612,6 +612,59 @@ class _MeshPolls:
             self._take(i, answer)
         return answers
 
+    def settle(self, seed_rows: int, paused: bool = False, broken=None,
+               until: float | None = None) -> list[dict] | None:
+        """Wait on the nodes' answers until the mesh is quiet
+        (``mesh_quiescent``, ``paused`` or not) with every answer taken,
+        then confirm it by one immediate round; that round's answers.
+        ``broken()``, when given, makes the confirming round's
+        ``broken`` pieces. A node that has queued rows (unless paused)
+        or held sends but no pump coming is kicked (a lost pump
+        self-message). Raises after 60 s without progress (a node
+        waiting out a deferral makes progress); returns None once the
+        monotonic time ``until`` passes."""
+        import time as _time
+        last_progress = (None, _time.monotonic())
+        answered = range(len(self.nodes))
+        while True:
+            now = _time.monotonic()
+            if until is not None and now >= until:
+                return None
+            latest = self.latest
+            if None not in latest:
+                for i in answered:
+                    p = latest[i]
+                    if (p["held_cand"] or p["queued_rows"] and not paused) \
+                            and not p["pump_scheduled"]:
+                        self.nodes[i].kick.remote(self.generation)
+                progress = tuple((p["counters"]["rounds"],
+                                  *(p[k] for k in MESH_COUNTERS))
+                                 for p in latest)
+                if not paused and any(p["deferred_rows"] for p in latest):
+                    last_progress = (progress, now)
+                elif progress != last_progress[0]:
+                    # the first full view keeps the clock of the start
+                    last_progress = (progress, now if last_progress[0]
+                                     is not None else last_progress[1])
+                elif now - last_progress[1] > 60:
+                    raise RuntimeError(mesh_stall_message(
+                        "mesh checkpoint settle" if paused else "mesh",
+                        latest, seed_rows))
+                if mesh_quiescent(latest, latest, seed_rows, paused) \
+                        and self.caught_up():
+                    # the answers are replaced in place: keep this round
+                    prev = list(latest)
+                    confirm = self.poll_now(broken() if broken else None)
+                    if mesh_quiescent(prev, confirm, seed_rows, paused) \
+                            and self.caught_up():
+                        return confirm
+                    answered = range(len(self.nodes))
+                    continue
+            wait_s = 60 - (now - last_progress[1])
+            if until is not None:
+                wait_s = min(wait_s, until - now)
+            answered = self.wait(max(0.0, wait_s))
+
 
 class LinkChecker:
     """One crawl job. Construct with options + the corpus table (+ mock
@@ -1134,66 +1187,23 @@ class LinkChecker:
         polls = self._mesh_polls = _MeshPolls(nodes, generation,
                                               self._take_poll)
         t_start = _time.perf_counter()
-        last_progress = (None, _time.monotonic())
-        last_ckpt = _time.monotonic()
         # a pause starves the mesh if it re-fires before any work ran —
         # floor the epoch cadence
         ckpt_interval = max(0.25, opts.checkpoint_interval_s)
-        answered = range(num_actors)
         # no timer: each node answers its waiting poll when it has news
         # (results, turning idle, counters moving while idle, an error or
-        # a deferred deadline), so the loop runs once per answer, and a
-        # busy mesh is not polled for nothing
+        # a deferred deadline), so the driver wakes once per answer, and
+        # a busy mesh is not polled for nothing
         while True:
-            now = _time.monotonic()
-            if opts.checkpoint_dir and now - last_ckpt > ckpt_interval:
-                epoch += 1
-                self._mesh_checkpoint(nodes, epoch, num_actors, seed_rows)
-                last_ckpt = now = _time.monotonic()
-                last_progress = (None, now)
-            latest = polls.latest
-            if None not in latest:
-                # self-heal: queued work with no pump scheduled (a lost
-                # pump self-message) or held sends on an idle node get
-                # re-kicked instead of hanging
-                for i in answered:
-                    p = latest[i]
-                    if (p["queued_rows"] or p["held_cand"]) \
-                            and not p["pump_scheduled"]:
-                        nodes[i].kick.remote(generation)
-                progress = (tuple(mesh_message_totals(
-                    latest, seed_rows).values()),
-                    sum(p["counters"]["rounds"] for p in latest))
-                if any(p["deferred_rows"] for p in latest):
-                    # a node waiting out a deferral is not stalled
-                    last_progress = (progress, now)
-                elif progress != last_progress[0]:
-                    # the first full view keeps the clock of the start
-                    last_progress = (progress, now if last_progress[0]
-                                     is not None else last_progress[1])
-                elif now - last_progress[1] > 60:
-                    raise RuntimeError(
-                        mesh_stall_message("mesh", latest, seed_rows))
-                if mesh_quiescent(latest, latest, seed_rows) \
-                        and polls.caught_up():
-                    # the confirming round asks for the end: it carries
-                    # the broken rows to their URLs' owners
-                    broken = pa.concat_tables(self._mesh_broken)
-                    pieces = _owner_pieces(broken, hash_owner(
-                        urlkit.hash64_arrow(broken["url"].combine_chunks()),
-                        num_actors), num_actors)
-                    empty = schema.encode(broken.slice(0, 0))
-                    confirm = polls.poll_now(
-                        [p if p is not None else empty for p in pieces])
-                    if mesh_quiescent(latest, confirm, seed_rows) \
-                            and polls.caught_up():
-                        break
-                    answered = range(num_actors)
-                    continue
-            wait_s = 60 - (now - last_progress[1])
-            if opts.checkpoint_dir:
-                wait_s = min(wait_s, ckpt_interval - (now - last_ckpt))
-            answered = polls.wait(max(0.0, wait_s))
+            until = _time.monotonic() + ckpt_interval \
+                if opts.checkpoint_dir else None
+            confirm = polls.settle(
+                seed_rows, broken=lambda: self._broken_pieces(num_actors),
+                until=until)
+            if confirm is not None:
+                break
+            epoch += 1
+            self._mesh_checkpoint(nodes, epoch, num_actors, seed_rows)
         self._loop_end = _time.perf_counter()
         self.timings["fetch"] += self._loop_end - t_start
 
@@ -1217,6 +1227,17 @@ class LinkChecker:
                               *self._mesh_requests]),
             sum(p["seen_size"] for p in confirm),
             [schema.decode(p["j1"]) for p in confirm if p["j1"] is not None])
+
+    def _broken_pieces(self, num_actors: int) -> list:
+        """The frontier-level BROKEN rows so far, ``schema.encode``d per
+        node by their URLs' dedup owner (an empty table for a node with
+        none): the confirming poll's ``broken``."""
+        broken = pa.concat_tables(self._mesh_broken)
+        pieces = _owner_pieces(broken, hash_owner(
+            urlkit.hash64_arrow(broken["url"].combine_chunks()),
+            num_actors), num_actors)
+        empty = schema.encode(broken.slice(0, 0))
+        return [p if p is not None else empty for p in pieces]
 
     def _take_poll(self, poll: dict) -> None:
         """One node's poll answer: its error, else its buffers and its
@@ -1262,39 +1283,10 @@ class LinkChecker:
         missing from the snapshot), snapshot every node's state, write
         one atomic checkpoint, resume. The pause costs one settle round
         trip — the cadence knob is opts.checkpoint_interval_s."""
-        import time as _time
-
         import ray
 
-        polls = self._mesh_polls
         ray.get([n.pause.remote() for n in nodes])
-        last_change = (None, _time.monotonic())
-        while True:
-            latest = polls.latest
-            if None not in latest:
-                if mesh_quiescent(latest, latest, seed_rows, paused=True) \
-                        and polls.caught_up():
-                    if mesh_quiescent(latest, polls.poll_now(), seed_rows,
-                                      paused=True) and polls.caught_up():
-                        break
-                    continue
-                # buffered sends must flush before the snapshot
-                # (kick flushes; pumps stay suppressed while paused)
-                for n, p in zip(nodes, latest):
-                    if p["held_cand"]:
-                        n.kick.remote(polls.generation)
-                state = [tuple(p[k] for k in MESH_COUNTERS)
-                         + (p["pump_scheduled"], p["held_cand"])
-                         for p in latest]
-                if state != last_change[0]:
-                    last_change = (state, _time.monotonic())
-                elif _time.monotonic() - last_change[1] > 60:
-                    # a lost message leaves sent != received forever;
-                    # raise naming the stalled nodes (as _run_mesh_body
-                    # does) instead of hanging the paused mesh silently
-                    raise RuntimeError(mesh_stall_message(
-                        "mesh checkpoint settle", latest, seed_rows))
-            polls.wait(max(0.0, 60 - (_time.monotonic() - last_change[1])))
+        self._mesh_polls.settle(seed_rows, paused=True)
         self._maybe_spill_results()
         snaps = ray.get([n.snapshot.remote() for n in nodes])
         for snap in snaps:

@@ -350,6 +350,61 @@ def test_mesh_quiescent_rule():
     assert not mesh_quiescent(paused, paused, seed_rows=2)
 
 
+def test_mesh_settle_compares_the_confirming_round(monkeypatch):
+    """The driver's settle loop (``_MeshPolls.settle``, Ray-free on stub
+    nodes) holds the confirming round to the round before it: the
+    waiting answers look like the end, but the confirming answers have
+    moved counters (node 0 sent 3 more candidates, dups that node 1
+    took while idle), balanced mesh-wide, so the loop confirms again and
+    ends only on the round after, whose counters equal the last ones
+    seen. The same holds paused."""
+    import types
+
+    import ray
+
+    from linkinator_ray.pipelines.crawl import _MeshPolls
+
+    class Ref:
+        def __init__(self, answer):
+            self.answer = answer  # None: a waiting poll with no news
+
+    def answer(n, **kw):
+        return dict({"answer": n, "queued_rows": 0, "held_cand": 0,
+                     "deferred_rows": 0, "pump_scheduled": False,
+                     "sent_cand": 0, "received_cand": 0, "sent_wants": 0,
+                     "received_wants": 0, "sent_frontier": 0,
+                     "received_frontier": 1, "counters": {"rounds": 1}}, **kw)
+
+    def node(waiting, immediate):
+        waiting, immediate = list(waiting), list(immediate)
+
+        def poll(generation, wait, broken=None):
+            if wait:
+                return Ref(waiting.pop(0) if waiting else None)
+            return Ref(immediate.pop(0))
+        return types.SimpleNamespace(
+            poll=types.SimpleNamespace(remote=poll),
+            kick=types.SimpleNamespace(remote=lambda generation: None))
+
+    def wait(refs, num_returns, timeout):
+        ready = [r for r in refs if r.answer is not None][:num_returns]
+        return ready, [r for r in refs if r not in ready]
+
+    monkeypatch.setattr(ray, "wait", wait)
+    monkeypatch.setattr(ray, "get", lambda refs: [r.answer for r in refs])
+    for paused in (False, True):
+        nodes = [node([answer(1, sent_cand=5)],
+                      [answer(2, sent_cand=8), answer(3, sent_cand=8)]),
+                 node([answer(1, received_cand=5)],
+                      [answer(2, received_cand=8),
+                       answer(3, received_cand=8)])]
+        taken = []
+        polls = _MeshPolls(nodes, generation=1, on_answer=taken.append)
+        confirm = polls.settle(seed_rows=2, paused=paused)
+        assert [p["answer"] for p in confirm] == [3, 3], paused
+        assert polls.count == [3, 3] and len(taken) == 6
+
+
 def test_mesh_orders_one_urls_scripted_requests(ray_session):
     """A scripted URL's requests reach it in order on the mesh, as in
     local rounds: one page links to 8 URLs that each 301 to one
