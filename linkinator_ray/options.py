@@ -129,7 +129,7 @@ class CheckOptions:
     checkpoint_dir: str | None = None  # checkpoints (frontier, key journal, lineage) after every round, or every mesh epoch
     checkpoint_interval_s: float = 10.0  # mesh mode: seconds between epoch checkpoints
     results_dir: str | None = None     # stream results out as parquet parts
-    results_flush_rows: int = 1_000_000  # spill threshold (rows held in driver)
+    results_flush_rows: int = 1_000_000  # result rows the driver holds before it writes a results_dir part (every executor's rows reach the driver)
     politeness_delay: float = 0.0  # min seconds between fetches to one host (token bucket)
 
     respect_robots: bool = False  # consult the robots cache actor

@@ -425,42 +425,38 @@ def duplicate_broken_rows(dup_edges: list[pa.Table],
                        edges["parent"], rows["failure_details"])
 
 
-def write_results_part(results_dir: str, writer: int, k: int,
-                       rows: pa.Table) -> None:
-    """Atomically write result part ``k`` of ``writer`` (0 is the
-    driver, ``i + 1`` mesh node ``i``) as ``part_{writer:02d}_{k:05d}
-    .parquet``: one name form for every writer, so a ``part_*.parquet``
-    scan of ``results_dir`` sees every part."""
+def write_results_part(results_dir: str, k: int, rows: pa.Table) -> None:
+    """Atomically write the driver's result part ``k`` as
+    ``part_00_{k:05d}.parquet``, so a ``part_*.parquet`` scan of
+    ``results_dir`` sees every part."""
     import pyarrow.parquet as pq
     os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"part_{writer:02d}_{k:05d}.parquet")
+    path = os.path.join(results_dir, f"part_00_{k:05d}.parquet")
     pq.write_table(rows.drop_columns(["frontier_level"]), path + ".tmp")
     os.replace(path + ".tmp", path)
 
 
-def prune_stale_spill_parts(results_dir: str | None, spill_part: int,
-                            node_spill_parts: list[int]) -> None:
+def prune_stale_spill_parts(results_dir: str | None,
+                            spill_part: int) -> None:
     """Resume hygiene: delete results_dir parquet parts written AFTER
     the checkpoint being resumed (the dead run kept spilling past its
     last snapshot; the replay re-produces those rows, so stale parts
     would double-count them in the results_dir scan). A part
-    ``part_{w:02d}_{k:05d}.parquet`` (``write_results_part``) is stale
-    when k >= its writer's restored counter: ``spill_part`` for the
-    driver (w = 0), ``node_spill_parts[i]`` for mesh node i (w = i + 1);
-    nodes beyond the saved list had no pre-checkpoint parts, so all of
-    theirs are stale. Orphan ``.tmp`` files from an interrupted atomic
-    write also go."""
+    ``part_{w:02d}_{k:05d}.parquet`` is stale when it is the driver's
+    (w = 0, ``write_results_part``) and k >= the restored
+    ``spill_part``, or when any other writer made it (only earlier
+    versions' mesh nodes did). Orphan ``.tmp`` files from an
+    interrupted atomic write also go."""
     import re
     if not results_dir or not os.path.isdir(results_dir):
         return
     pat = re.compile(r"^part_(\d+)_(\d+)\.parquet(\.tmp)?$")
-    floors = [spill_part, *node_spill_parts]
     for name in os.listdir(results_dir):
         m = pat.match(name)
         if not m:
             continue
         w, k, tmp = int(m[1]), int(m[2]), m[3]
-        if tmp or k >= (floors[w] if w < len(floors) else 0):
+        if tmp or w != 0 or k >= spill_part:
             try:
                 os.remove(os.path.join(results_dir, name))
             except FileNotFoundError:
@@ -711,13 +707,6 @@ class LinkChecker:
         # frontier-level BROKEN rows retained across spills (J1 join input)
         self.broken_first_tables: list[pa.Table] = []
         self._spill_part = 0
-        # per-node spill-part floors inherited from a resumed checkpoint
-        # (mesh node parts' numbering). Carried forward into every
-        # checkpoint THIS run writes — even when this run has fewer
-        # nodes (or is a driver run): a later resume would otherwise see
-        # no floor for those node indices, treat their FINALIZED parts
-        # as stale and delete crawl results the replay never re-produces
-        self._inherited_node_floors: list[int] = []
         self.dup_edge_tables: list[pa.Table] = []   # (url, parent) dup references
         self.pending_fragments: dict[str, set[str]] = {}
         self.delay_map: dict[str, float] = {}       # host → retry-after deadline
@@ -747,11 +736,10 @@ class LinkChecker:
         self._executor = ""
         # mesh only: each node's busy seconds and pump count
         self._mesh_stats: dict | None = None
-        # a mesh check's polls, and what their answers gathered: the
-        # request log's pieces and the J1 join's broken side
+        # a mesh check's polls, and the request log's pieces their
+        # answers gathered
         self._mesh_polls: _MeshPolls | None = None
         self._mesh_requests: list[pa.Table] = []
-        self._mesh_broken: list[pa.Table] = []
         # §2.8 event-listener parity: the reference's 'link' events become
         # a per-batch callback over each appended results table
         self.on_results = on_results
@@ -1034,7 +1022,7 @@ class LinkChecker:
         self.broken_first_tables.append(merged.filter(
             pc.and_(merged["frontier_level"],
                     pc.equal(merged["state"], "BROKEN"))))
-        write_results_part(opts.results_dir, 0, self._spill_part, merged)
+        write_results_part(opts.results_dir, self._spill_part, merged)
         self._spill_part += 1
         self.counters["spilled_rows"] = \
             self.counters.get("spilled_rows", 0) + merged.num_rows
@@ -1130,7 +1118,7 @@ class LinkChecker:
             seeds = self._mesh_seeds(frontier, (hashes, no_keys, no_keys),
                                      schema.empty(schema.PENDING_FRAGS),
                                      schema.empty(schema.EDGES),
-                                     [0] * num_actors, sticky)
+                                     num_actors, sticky)
             seed_rows = frontier.num_rows
         # nodes get the options whole; the blob rides as a top-level
         # reset argument so Ray resolves its ref (state/actors.py)
@@ -1152,15 +1140,13 @@ class LinkChecker:
                                    seed_rows, epoch)
 
     def _mesh_seeds(self, frontier: pa.Table, journal, wants: pa.Table,
-                    dups: pa.Table, node_parts: list[int],
-                    sticky: bool) -> list[dict]:
-        """Each node's ``MeshNode`` seed: the journal's URL and edge keys
-        of its hash range (edges by their routing hash), its fetch share
-        of ``frontier``, the pending wants whose target it fetches, the
-        dup edges of its URLs, its results-part floor, and the whole
-        delay map and scripted-sequence counters."""
+                    dups: pa.Table, k: int, sticky: bool) -> list[dict]:
+        """Each of the ``k`` nodes' ``MeshNode`` seed: the journal's URL
+        and edge keys of its hash range (edges by their routing hash),
+        its fetch share of ``frontier``, the pending wants whose target
+        it fetches, the dup edges of its URLs, and the whole delay map
+        and scripted-sequence counters."""
         from linkinator_ray.state import mesh as mesh_mod
-        k = len(node_parts)
         url_keys, edge_keys, edge_routes = journal
         url_owner = hash_owner(url_keys, k)
         edge_owner = hash_owner(edge_routes, k)
@@ -1175,15 +1161,13 @@ class LinkChecker:
                  "edge_keys": edge_keys[edge_owner == i],
                  "wants": want_pieces[i], "dup_edges": dup_pieces[i],
                  "delay_map": self.delay_map,
-                 "seq_counters": self.seq_counters,
-                 "spill_part": node_parts[i]} for i in range(k)]
+                 "seq_counters": self.seq_counters} for i in range(k)]
 
     def _run_mesh_body(self, nodes, num_actors: int, generation: int,
                        seed_rows: int, epoch: int) -> CrawlResult:
         import time as _time
         opts = self.opts
         self._mesh_requests = []
-        self._mesh_broken = [self._broken_first()]
         polls = self._mesh_polls = _MeshPolls(nodes, generation,
                                               self._take_poll)
         t_start = _time.perf_counter()
@@ -1232,7 +1216,7 @@ class LinkChecker:
         """The frontier-level BROKEN rows so far, ``schema.encode``d per
         node by their URLs' dedup owner (an empty table for a node with
         none): the confirming poll's ``broken``."""
-        broken = pa.concat_tables(self._mesh_broken)
+        broken = self._broken_first()
         pieces = _owner_pieces(broken, hash_owner(
             urlkit.hash64_arrow(broken["url"].combine_chunks()),
             num_actors), num_actors)
@@ -1263,9 +1247,7 @@ class LinkChecker:
             self._emit_retry_events(
                 [retry], retry["now"].to_numpy(zero_copy_only=False))
         if poll["results"] is not None:
-            results = schema.decode(poll["results"])
-            self._emit(results)
-            self._mesh_broken.append(frontier_broken(results))
+            self._emit(schema.decode(poll["results"]))
         if events["warn"] is not None:
             self._emit_warn_events(schema.decode(events["warn"]))
 
@@ -1308,17 +1290,6 @@ class LinkChecker:
         for s in snaps:
             for key, val in s["counters"].items():
                 counters[key] = counters.get(key, 0) + val
-        # merge this mesh's floors with inherited ones: node indices
-        # this run doesn't have (resume shrank the mesh) keep their
-        # checkpointed floor so their finalized parts survive a later
-        # resume's prune; shared indices take max (own counters only
-        # ever grow from the restored value)
-        floors = [s["spill_part"] for s in snaps]
-        for i, f in enumerate(self._inherited_node_floors):
-            if i < len(floors):
-                floors[i] = max(floors[i], f)
-            else:
-                floors.append(f)
         # a resume from another directory left its replayed keys in
         # the driver's journal
         journals = [s["journal"] for s in snaps] + [self.journal.drain()]
@@ -1329,29 +1300,21 @@ class LinkChecker:
             [s["dup_edges"] for s in snaps],
             delay_union, seq_union,
             [np.concatenate(parts) for parts in zip(*journals)],
-            counters, floors)
+            counters)
         ray.get([n.resume_run.remote() for n in nodes])
 
     def _mesh_restore(self, checkpoint_dir: str, num_actors: int,
                       sticky: bool) -> tuple[list[dict], int, int]:
         """The newest checkpoint as the seeds of a fresh mesh of any
-        node count (``_mesh_seeds``): each node continues its
-        results-part numbering. Returns ``(seeds, frontier rows,
+        node count (``_mesh_seeds``). Returns ``(seeds, frontier rows,
         epoch)``."""
         frontier, epoch, wants, journal = self._load_checkpoint(
             checkpoint_dir)
-        # node i writes results parts as writer i + 1: a new node
-        # sharing an old index continues that numbering; indices beyond
-        # the old count start fresh; on shrink, orphaned old parts stay
-        # on disk and the results_dir scan still collects them
-        saved_parts = self._inherited_node_floors
-        node_parts = [saved_parts[i] if i < len(saved_parts) else 0
-                      for i in range(num_actors)]
         # the nodes hold the dup edges from here on
         dups = pa.concat_tables(self.dup_edge_tables) \
             if self.dup_edge_tables else schema.empty(schema.EDGES)
         self.dup_edge_tables = []
-        seeds = self._mesh_seeds(frontier, journal, wants, dups, node_parts,
+        seeds = self._mesh_seeds(frontier, journal, wants, dups, num_actors,
                                  sticky)
         return seeds, frontier.num_rows, epoch
 
@@ -1438,15 +1401,12 @@ class LinkChecker:
         self._save_checkpoint(
             round_no, frontier, ckpt.pending_table(self.pending_fragments),
             self.dup_edge_tables, self.delay_map, seq_counters,
-            self.journal.drain(), dict(self.counters),
-            # carry node floors from a resumed mesh checkpoint so a
-            # later resume keeps those nodes' finalized parts
-            self._inherited_node_floors)
+            self.journal.drain(), dict(self.counters))
 
     def _save_checkpoint(self, round_no: int, frontier: pa.Table,
                          pending: pa.Table, dup_tables: list,
                          delay_map: dict, seq_counters: dict, journal,
-                         counters: dict, node_spill_parts: list[int]) -> None:
+                         counters: dict) -> None:
         """The one checkpoint every executor writes: the executor's
         frontier, pending wants, duplicate edges, delay map, scripted
         sequence counters and key journal, plus the driver's results and
@@ -1476,8 +1436,7 @@ class LinkChecker:
             counters, extra={"clock": self._now(),
                              "executor": self._executor,
                              "spill_part": self._spill_part,
-                             "journal_from": self._journal_from,
-                             "node_spill_parts": node_spill_parts})
+                             "journal_from": self._journal_from})
 
     def _load_checkpoint(self, checkpoint_dir: str):
         """Restore the driver's share of the newest checkpoint, whoever
@@ -1488,6 +1447,13 @@ class LinkChecker:
         if last is None:
             raise ValueError(f"no checkpoint found under {checkpoint_dir}")
         manifest, tables = ckpt.load_round(checkpoint_dir, last)
+        if any(manifest["extra"].get("node_spill_parts", [])):
+            # an earlier version's mesh nodes wrote results parts of
+            # their own; the prune below would delete their finished rows
+            raise ValueError(
+                f"checkpoint {checkpoint_dir}: round {last} counts results "
+                "parts written by mesh nodes (an earlier version); its "
+                "results_dir cannot be resumed")
         first = manifest["extra"].get("journal_from", 1)
         journal = ckpt.load_key_journal(checkpoint_dir, last, first)
         self._journal_from = first
@@ -1523,10 +1489,7 @@ class LinkChecker:
         # parts the dead run spilled AFTER this checkpoint duplicate
         # rows the replay will re-produce — drop them before resuming
         self._spill_part = int(manifest["extra"].get("spill_part", 0))
-        self._inherited_node_floors = list(
-            manifest["extra"].get("node_spill_parts", []))
-        prune_stale_spill_parts(self.opts.results_dir, self._spill_part,
-                                self._inherited_node_floors)
+        prune_stale_spill_parts(self.opts.results_dir, self._spill_part)
         return (frontier, manifest["round"], tables["pending_fragments"],
                 journal)
 

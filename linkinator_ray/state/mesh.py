@@ -24,11 +24,13 @@ Node responsibilities: rewrites, skip classification, politeness +
 retry deferrals (wall clock, owner-local), the fetch/extract/classify
 state machine (stages/fetch.py), URL-seen + edge-seen filters for its
 key range, duplicate-edge buffering and the duplicate-broken join (J1)
-over them, results buffering. A node and its fetch worker read every
-setting from the check's ``CheckOptions`` (the pump cap is 4 ×
-``batch_size``); the driver adds only facts of the check: the blob's
-data, the static host, connections, listened events and host-sticky
-routing.
+over them. Every result row a node makes goes to the driver with its
+next poll answer; the driver fires ``on_results``/'link' and writes
+the ``results_dir`` parts, as local rounds do. A node and its fetch
+worker read every setting from the check's ``CheckOptions`` (the pump
+cap is 4 × ``batch_size``); the driver adds only facts of the check:
+the blob's data, the static host, connections, listened events and
+host-sticky routing.
 
 The driver's part is one round trip at each end. At the start, each
 node's lease reset carries its seed keys and frontier share (``seed``),
@@ -85,10 +87,13 @@ executors (pipelines/crawl.py).
 Scale notes: the frontier queue spills to node-local parquet past
 ``mesh_frontier_spill_rows`` (FIFO tail out, parts reloaded as the head
 drains; snapshots include spilled parts), bounding per-node frontier
-heap at 10^10 URLs. Candidate/result buffers are pump-bounded. Sends
-are not individually acked; the monotonic counters make loss visible
-(sent != received never converges, and the driver's stall detector
-raises with a full state dump).
+heap at 10^10 URLs. Candidate buffers are pump-bounded; result rows
+leave with the next poll answer, which a node gives once it holds a
+pump cap's worth, and the driver, the one writer of ``results_dir``
+parts, spills them past ``results_flush_rows``. Sends are not
+individually acked; the monotonic counters make loss visible (sent !=
+received never converges, and the driver's stall detector raises with
+a full state dump).
 """
 
 from __future__ import annotations
@@ -191,6 +196,7 @@ class MeshNode:
         self.queued_rows = 0
         self.deferred: list[pa.Table] = []
         self.delay_map: dict[str, float] = {}
+        # result rows not yet handed to the driver (``poll``)
         self.results_buf: list[pa.Table] = []
         # listener events the driver fires from poll(): only the events
         # that have a listener are buffered
@@ -239,12 +245,6 @@ class MeshNode:
         self.peer_wants: list[list[pa.Table]] = [[] for _ in range(num_nodes)]
         self.sent_wants = 0
         self.received_wants = 0
-        # node-local streaming results sink (options.results_dir): OK /
-        # SKIPPED rows spill straight from the node to partitioned
-        # parquet — at 10^10 URLs result rows never route through the
-        # driver. Frontier-level BROKEN rows are retained in the buffer
-        # (the driver's duplicate-broken join needs them).
-        self.spill_part = 0
         # frontier queue spill (options.mesh_frontier_spill_rows): when
         # the in-memory queue exceeds the cap, the FIFO tail spills to a
         # node-local parquet part; pumps reload parts as the head drains.
@@ -263,8 +263,7 @@ class MeshNode:
         self.news = not self.queued_rows
 
     def _seed(self, frontier, url_keys: np.ndarray, edge_keys: np.ndarray,
-              wants, dup_edges, delay_map: dict, seq_counters: dict,
-              spill_part: int) -> None:
+              wants, dup_edges, delay_map: dict, seq_counters: dict) -> None:
         """This node's share of the check's start, carried by the lease
         reset: the seen and edge keys of its hash range (the seeds, or a
         checkpoint's key journal: not journaled again, the driver or the
@@ -284,7 +283,6 @@ class MeshNode:
             self._register_wants(schema.decode(wants))
         if dup_edges is not None:
             self.dup_edges.append(schema.decode(dup_edges))
-        self.spill_part = spill_part
         if frontier is not None:
             self._enqueue_table(schema.decode(frontier))
 
@@ -359,7 +357,7 @@ class MeshNode:
 
     def _spill_frontier(self) -> None:
         """Keep the FIFO head (half the cap) in memory, write the tail
-        to a node-local parquet part — mirrors _maybe_spill_results."""
+        to a node-local parquet part."""
         import os
         import tempfile
 
@@ -486,7 +484,6 @@ class MeshNode:
                 "seq_counters": dict(self.worker.transport.seq_counters),
                 "dup_edges": _wire(self.dup_edges, schema.EDGES),
                 "counters": dict(self.counters),
-                "spill_part": self.spill_part,
             }
 
     # -- dedup + frontier routing (the shard role) -------------------------
@@ -639,32 +636,6 @@ class MeshNode:
                     if bad is not None:
                         self.results_buf.append(bad)
             self._route_candidates(output["candidates"])
-            self._maybe_spill_results()
-
-    def _maybe_spill_results(self) -> None:
-        opts = self.opts
-        if not opts.results_dir:
-            return
-        held = sum(t.num_rows for t in self.results_buf)
-        threshold = max(1, opts.results_flush_rows // max(1, self.num_nodes))
-        if held < threshold:
-            return
-        import pyarrow.compute as pc
-
-        from linkinator_ray.pipelines.crawl import write_results_part
-        merged = pa.concat_tables(self.results_buf).combine_chunks()
-        keep_mask = pc.and_(merged["frontier_level"],
-                            pc.equal(merged["state"], "BROKEN"))
-        keep = merged.filter(keep_mask)
-        spill = merged.filter(pc.invert(keep_mask))
-        if spill.num_rows:
-            # writer 0 is the driver; node i writes as i + 1
-            write_results_part(opts.results_dir, self.actor_id + 1,
-                               self.spill_part, spill)
-            self.spill_part += 1
-            spilled = self.counters.get("spilled_rows", 0)
-            self.counters["spilled_rows"] = spilled + spill.num_rows
-        self.results_buf = [keep] if keep.num_rows else []
 
     def _route_wants(self, wants: pa.Table) -> None:
         """Route fragment wants to the node that will FETCH the target

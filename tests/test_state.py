@@ -206,6 +206,42 @@ class TestCheckpointResume:
         assert ck in str(err.value)
         assert {p.name: p.read_bytes() for p in res.iterdir()} == before
 
+    def test_resume_refuses_node_spill_parts(self, tmp_path):
+        """Earlier versions let mesh nodes write results parts of their
+        own and counted them in the manifest's ``node_spill_parts``. A
+        checkpoint whose newest manifest holds a nonzero node floor
+        raises a ValueError naming the checkpoint and the round, before
+        the stale-part prune, which would delete that node's finished
+        parts: every file in ``results_dir`` keeps its name and
+        bytes."""
+        import json
+        import os
+
+        fixture = fx.repeated_broken_link()
+        ck, res = str(tmp_path / "ck"), tmp_path / "res"
+        opts = dict(paths=fixture.seeds, results_dir=str(res),
+                    results_flush_rows=1, **fixture.options)
+        LinkChecker(CheckOptions(**opts, checkpoint_dir=ck, max_rounds=2),
+                    fixture.documents, fixture.http_map).check()
+        # a node part below its floor, and a driver part past the
+        # checkpoint's spill counter: a prune would delete both
+        (res / "part_01_00000.parquet").write_bytes(b"node 0")
+        (res / "part_00_09999.parquet").write_bytes(b"stale")
+        mpath = os.path.join(ck, "round_000002", "manifest.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+        manifest["extra"]["node_spill_parts"] = [1]
+        with open(mpath, "w") as f:
+            json.dump(manifest, f)
+        before = {p.name: p.read_bytes() for p in res.iterdir()}
+        assert len(before) > 2
+        with pytest.raises(ValueError, match="round 2 counts results "
+                           "parts written by mesh nodes") as err:
+            LinkChecker(CheckOptions(**opts), fixture.documents,
+                        fixture.http_map).check(resume_from=ck)
+        assert ck in str(err.value)
+        assert {p.name: p.read_bytes() for p in res.iterdir()} == before
+
     def test_resume_continues_scripted_sequences(self, tmp_path):
         """The mock transport's sequence counters travel with the
         checkpoint: resumed mid-Retry-After, the retry fixture's next
@@ -634,10 +670,12 @@ class TestEdgeKeyInvariant:
 
 class TestMeshResultsSpill:
     def test_node_local_results_spill(self, ray_session, tmp_path):
-        """With results_dir set, mesh nodes spill OK/SKIPPED rows to
-        partitioned parquet directly (never through the driver); the
-        union of spilled parts + final in-memory results equals a
-        no-spill run, and BROKEN totals stay correct."""
+        """With results_dir set, mesh nodes hand every result row to the
+        driver with their polls, and the driver is the one writer of
+        the parquet parts, as in local rounds: ``on_results`` and
+        'link' see every row, every part is the driver's, the union of
+        the parts and the final in-memory results equals a no-spill
+        run, and BROKEN totals stay correct."""
         import os
 
         import pyarrow as pa
@@ -651,13 +689,18 @@ class TestMeshResultsSpill:
                            multi_host=True, use_ray=True).check()
 
         res_dir = str(tmp_path / "meshres")
-        spilled = LinkChecker(
+        handed, links = [], []
+        checker = LinkChecker(
             CheckOptions(**base, results_dir=res_dir,
                          results_flush_rows=50, batch_size=64),
-            docs, [], multi_host=True, use_ray=True).check()
+            docs, [], multi_host=True, use_ray=True,
+            on_results=lambda t: handed.append(t.num_rows))
+        spilled = checker.on("link", links.append).check()
         parts = sorted(os.listdir(res_dir))
-        assert parts, "expected node-spilled parquet parts"
-        assert any(not p.startswith("part_00_") for p in parts)
+        assert parts, "expected spilled parquet parts"
+        assert all(p.startswith("part_00_") for p in parts), parts
+        assert sum(handed) == full.results.num_rows
+        assert len(links) == full.results.num_rows
 
         tables = [pq.read_table(os.path.join(res_dir, p)) for p in parts]
         all_rows = pa.concat_tables(
@@ -669,8 +712,25 @@ class TestMeshResultsSpill:
         assert key(all_rows) == key(full.results)
         assert spilled.passed == full.passed
         assert spilled.stats["seen_urls"] == expected_seen
-        # BROKEN accounting includes node-spilled rows (they are
-        # retained driver-side, never node-spilled)
+        # BROKEN accounting counts the spilled rows too
+        assert spilled.stats["broken"] == full.stats["broken"]
+
+    def test_spilled_fragment_rows_count_as_broken(self, ray_session,
+                                                   tmp_path):
+        """A missing fragment's BROKEN row is not a frontier row; spilled
+        to ``results_dir`` on the mesh, it still counts in
+        ``stats["broken"]`` and fails the check, as it does in memory."""
+        fixture = fx.fragments()
+
+        def run(**kw):
+            return LinkChecker(
+                CheckOptions(paths=fixture.seeds, **fixture.options, **kw),
+                fixture.documents, fixture.http_map, use_ray=True).check()
+        full = run()
+        assert not full.passed and full.stats["broken"] > 0
+        spilled = run(results_dir=str(tmp_path / "res"),
+                      results_flush_rows=1)
+        assert spilled.passed == full.passed
         assert spilled.stats["broken"] == full.stats["broken"]
 
 
@@ -709,10 +769,11 @@ class TestResumeHardening:
                 == expected_seen, mode
 
     def test_prune_stale_spill_parts(self, tmp_path):
-        """Parts spilled AFTER the checkpoint being resumed (driver
-        part index >= spill_part, node part index >= that node's saved
-        counter) are deleted; pre-checkpoint parts and foreign files
-        stay; orphan .tmp files always go."""
+        """Parts spilled AFTER the checkpoint being resumed (part index
+        >= spill_part) are deleted, and so is every part of another
+        writer than the driver (only earlier versions' mesh nodes wrote
+        those); pre-checkpoint driver parts and foreign files stay;
+        orphan .tmp files always go."""
         import os
 
         from linkinator_ray.pipelines.crawl import prune_stale_spill_parts
@@ -721,29 +782,28 @@ class TestResumeHardening:
         names = [
             "part_00_00000.parquet", "part_00_00001.parquet",
             "part_00_00002.parquet",         # stale: >= spill_part 2
-            "part_01_00000.parquet",
-            "part_01_00001.parquet",         # stale: node 0 saved 1
-            "part_02_00000.parquet",         # stale: node 1 saved 0
-            "part_06_00000.parquet",         # stale: beyond saved list
+            "part_01_00000.parquet",         # stale: not the driver's
+            "part_01_00001.parquet",         # stale: not the driver's
+            "part_06_00000.parquet",         # stale: not the driver's
             "part_00_00009.parquet.tmp",     # orphan tmp
+            "part_00_00001.parquet.tmp",     # orphan tmp below the floor
             "other.txt",
         ]
         for n in names:
             (d / n).write_bytes(b"x")
-        prune_stale_spill_parts(str(d), 2, [1, 0])
+        prune_stale_spill_parts(str(d), 2)
         assert sorted(os.listdir(d)) == [
-            "other.txt", "part_00_00000.parquet",
-            "part_00_00001.parquet", "part_01_00000.parquet"]
+            "other.txt", "part_00_00000.parquet", "part_00_00001.parquet"]
 
     def test_shrink_resume_carries_node_floors(self, ray_session,
                                                tmp_path):
         """Double-crash with a mesh SHRINK in between: run A (2 nodes)
-        checkpoints per-node spill floors; run B resumes with 1 node
-        (node 1 never runs again) and its checkpoints must CARRY node
-        1's floor forward — without it, run C's prune sees no floor for
-        node 1's part files, treats finalized parts as stale and deletes
-        crawl results the replay never re-produces (their URLs are
-        already in the seen set). Final sets must equal a clean run."""
+        crashes after its first epoch checkpoint, run B resumes with 1
+        node and crashes after its first, and run C resumes again and
+        finishes. The driver writes every results part, so each
+        manifest carries one part floor (``spill_part``) and no
+        per-node floors, every part is ``part_00_*``, and the final
+        sets equal a clean run."""
         import json
         import os
 
@@ -788,8 +848,7 @@ class TestResumeHardening:
             run_a.check()
         except KeyboardInterrupt:
             pass
-        floors_a = newest_manifest()["extra"]["node_spill_parts"]
-        assert len(floors_a) == 2
+        assert "node_spill_parts" not in newest_manifest()["extra"]
 
         # run B: SHRINK to 1 node, crash after its first checkpoint
         run_b = LinkChecker(
@@ -803,11 +862,7 @@ class TestResumeHardening:
             run_b.check(resume_from=ck)
         except KeyboardInterrupt:
             pass
-        floors_b = newest_manifest()["extra"]["node_spill_parts"]
-        # the 1-node run's checkpoint still knows node 1's floor
-        assert len(floors_b) == 2
-        assert floors_b[1] == floors_a[1]
-        assert floors_b[0] >= floors_a[0]
+        assert "node_spill_parts" not in newest_manifest()["extra"]
 
         # run C: resume again (1 node), run to completion
         run_c = LinkChecker(
@@ -817,6 +872,7 @@ class TestResumeHardening:
         final = run_c.check(resume_from=ck)
 
         parts = sorted(os.listdir(res_dir))
+        assert all(p.startswith("part_00_") for p in parts), parts
         tables = [pq.read_table(os.path.join(res_dir, p)) for p in parts]
         cols = ["url", "state", "status"]
         rows = [final.results.select(cols)] \
