@@ -390,13 +390,12 @@ _CANDIDATE_FRONTIER = schema.FRONTIER.names[:7]
 BROKEN_COLUMNS = ["url", "status", "failure_details"]
 
 
-def frontier_broken(results: pa.Table) -> pa.Table:
-    """The ``BROKEN_COLUMNS`` of ``results``' frontier-level BROKEN rows
-    (schema.RESULT_ROWS): the duplicate-broken join's broken side, one
-    row per URL by construction."""
-    return results.filter(pc.and_(
-        results["frontier_level"], pc.equal(results["state"], "BROKEN"))) \
-        .select(BROKEN_COLUMNS)
+def frontier_broken_mask(results: pa.Table):
+    """Which of ``results``' rows (schema.RESULT_ROWS) are frontier-level
+    BROKEN: the duplicate-broken join's broken side, one row per URL by
+    construction."""
+    return pc.and_(results["frontier_level"],
+                   pc.equal(results["state"], "BROKEN"))
 
 
 def duplicate_broken_rows(dup_edges: list[pa.Table],
@@ -689,11 +688,16 @@ class LinkChecker:
         self.transport_latency_s = transport_latency_s
         self.multi_host = multi_host
 
+        # the index arrays are the session's (state/actors.py): every
+        # checker of one documents table shares them
+        self._corpus_index = actors.corpus_index(self.documents, corpus_host,
+                                                 multi_host)
         self.corpus = CorpusIndex(self.documents, host=corpus_host,
                                   clean_urls=options.clean_urls,
                                   markdown=options.markdown,
                                   multi_host=multi_host,
-                                  directory_listing=options.directory_listing)
+                                  directory_listing=options.directory_listing,
+                                  prebuilt=self._corpus_index)
         self.skip = SkipRules(options.links_to_skip)
         from linkinator_ray.state.robots import RobotsCache
         self.robots = RobotsCache.from_corpus(self.corpus, multi_host) \
@@ -704,7 +708,8 @@ class LinkChecker:
         self.seen = None          # SeenSet — built in check()
         self.edge_seen = None     # SeenSet over urlkit.edge_key keys
         self.results_tables: list[pa.Table] = []
-        # frontier-level BROKEN rows retained across spills (J1 join input)
+        # every frontier-level BROKEN row, gathered as it is emitted and
+        # kept across spills (the J1 join's input)
         self.broken_first_tables: list[pa.Table] = []
         self._spill_part = 0
         self.dup_edge_tables: list[pa.Table] = []   # (url, parent) dup references
@@ -859,6 +864,9 @@ class LinkChecker:
 
     def _emit(self, table: pa.Table) -> None:
         self.results_tables.append(table)
+        broken = table.filter(frontier_broken_mask(table))
+        if broken.num_rows:
+            self.broken_first_tables.append(broken)
         if self.on_results is not None:
             self.on_results(table.drop_columns(["frontier_level"]))
         self._emit_link_rows(table)
@@ -894,15 +902,10 @@ class LinkChecker:
         # auto-detect (src/options.ts:156-164) mutate opts/corpus state;
         # workers read opts, so they get self.opts only after this
         self._expanded_paths = self._expand_paths()
-        # the blob holds the check's data, never an option
+        # the blob holds the check's data, never an option; the corpus
+        # (documents and index) joins it per executor
         transport_blob = {
             "http_map": self.http_map,
-            "documents": self.documents,
-            # index structures built ONCE (driver __init__); actors get
-            # them zero-copy instead of rebuilding a dict per actor
-            "corpus_index": self.corpus.export_blob(),
-            "corpus_host": self.corpus_host,
-            "multi_host": self.multi_host,
             "latency_s": self.transport_latency_s,
             "strict": False,
             # the request log (CrawlResult.request_log) exists for the
@@ -940,7 +943,11 @@ class LinkChecker:
         self.seen = SeenSet(opts.seen_shards, opts.seen_filter)
         # edge dedup is driver-local; one vectorized shard beats sharding
         self.edge_seen = SeenSet(1, "exact")
-        pool = FetchPool(transport_blob, opts, static_host=self.static_host,
+        pool = FetchPool(dict(transport_blob, documents=self.documents,
+                              corpus_index=self._corpus_index,
+                              corpus_host=self.corpus_host,
+                              multi_host=self.multi_host),
+                         opts, static_host=self.static_host,
                          connections=connections)
         self.timings["spawn"] = _time.perf_counter() - t0
 
@@ -1006,8 +1013,9 @@ class LinkChecker:
     def _maybe_spill_results(self, force: bool = False) -> None:
         """Streaming results sink (options.results_dir): when the driver
         holds more than ``results_flush_rows`` result rows, write them to
-        an atomic parquet part and keep only the frontier-level BROKEN
-        rows (the duplicate-broken join's input). At 10^10 URLs the
+        an atomic parquet part and drop them (``_emit`` keeps the
+        frontier-level BROKEN rows, the duplicate-broken join's input,
+        apart). At 10^10 URLs the
         results never accumulate in driver memory; output is partitioned
         so a rerun diffs/resumes per part. ``force`` flushes the tail at
         finish time regardless of the threshold (never mutate the
@@ -1019,9 +1027,6 @@ class LinkChecker:
         if held == 0 or (not force and held < opts.results_flush_rows):
             return
         merged = pa.concat_tables(self.results_tables).combine_chunks()
-        self.broken_first_tables.append(merged.filter(
-            pc.and_(merged["frontier_level"],
-                    pc.equal(merged["state"], "BROKEN"))))
         write_results_part(opts.results_dir, self._spill_part, merged)
         self._spill_part += 1
         self.counters["spilled_rows"] = \
@@ -1055,7 +1060,7 @@ class LinkChecker:
         stats = dict(self.counters, broken=total_broken,
                      seen_urls=seen_size,
                      results_dir=self.opts.results_dir,
-                     timings={k: round(v, 3) for k, v in self.timings.items()},
+                     timings={k: round(v, 6) for k, v in self.timings.items()},
                      executor=self._executor,
                      actors={"spawned": sum(x.spawned for x in self._leases),
                              "reused": sum(x.reused for x in self._leases)})
@@ -1082,24 +1087,18 @@ class LinkChecker:
         batch through the driver (BASELINE.md r1)."""
         import time as _time
 
-        import ray
-
         from linkinator_ray.state import mesh as mesh_mod
         opts = self.opts
         # cap nodes at the cluster's CPUs — pooled actors hold no CPU,
         # but more nodes than CPUs only time-slice one another
-        try:
-            cluster_cpus = int(ray.cluster_resources().get("CPU", num_actors))
-        except Exception:
-            cluster_cpus = num_actors
-        num_actors = max(1, min(num_actors, cluster_cpus))
+        num_actors = max(1, min(num_actors,
+                                actors.session_cpus() or num_actors))
         t0 = _time.perf_counter()
         self._executor = "mesh"
-        # the documents cross as one IPC buffer (Ray would pickle the
-        # table column by column); the encoded copy is dropped with the
-        # dict once the put returns
-        blob_ref = ray.put(dict(transport_blob,
-                                documents=schema.encode(self.documents)))
+        # the corpus is put once per session (state/actors.py); the
+        # check's own data rides inline with each reset
+        corpus_ref = actors.corpus_ref(self.documents, self.corpus_host,
+                                       self.multi_host)
         # host affinity only when per-host actor state matters (scripted
         # sequences, Retry-After delay maps, politeness); else balance by
         # url_hash
@@ -1120,17 +1119,17 @@ class LinkChecker:
                                      schema.empty(schema.EDGES),
                                      num_actors, sticky)
             seed_rows = frontier.num_rows
-        # nodes get the options whole; the blob rides as a top-level
+        # nodes get the options whole; the corpus rides as a top-level
         # reset argument so Ray resolves its ref (state/actors.py)
         factory = functools.partial(
             mesh_mod.MeshNode, static_host=self.static_host,
             connections=connections, sticky_hosts=sticky,
             events=[e for e, cbs in self._listeners.items() if cbs])
-        lease = actors.Lease(factory, [(i, num_actors, blob_ref, opts,
-                                        seeds[i])
+        lease = actors.Lease(factory, [(i, num_actors, corpus_ref,
+                                        transport_blob, opts, seeds[i])
                                        for i in range(num_actors)])
         self._leases.append(lease)
-        del blob_ref, seeds
+        del corpus_ref, seeds
         nodes = lease.wait()
         # the nodes pump their seeds already; this message overlaps it
         for n in nodes:
@@ -1379,11 +1378,11 @@ class LinkChecker:
         return new_rows
 
     def _broken_first(self) -> pa.Table:
-        """``frontier_broken`` over every result row (earlier spills
-        retained their broken rows in broken_first_tables)."""
-        return frontier_broken(pa.concat_tables(
-            [schema.empty(schema.RESULT_ROWS), *self.results_tables,
-             *self.broken_first_tables]))
+        """The ``BROKEN_COLUMNS`` of every frontier-level BROKEN row so
+        far (``_emit`` gathers them in broken_first_tables)."""
+        return pa.concat_tables(
+            [schema.empty(schema.RESULT_ROWS), *self.broken_first_tables]) \
+            .select(BROKEN_COLUMNS)
 
     def _final_results(self) -> pa.Table:
         if not self.results_tables:
@@ -1465,8 +1464,16 @@ class LinkChecker:
             self.journal.add_edges(journal[1], journal[2])
             self._journal_from = last + 1
         self.counters.update(manifest["counters"])
-        self.results_tables = [tables["results"]]
+        results = tables["results"]
+        self.results_tables = [results]
+        # ``broken_first`` holds every frontier-level BROKEN row; an
+        # earlier version's held only the spilled ones, so the results'
+        # own that it lacks (by URL, one row each) join it
         broken_first = tables["broken_first"]
+        held = results.filter(frontier_broken_mask(results))
+        held = held.filter(pc.invert(pc.is_in(
+            held["url"], value_set=broken_first["url"].combine_chunks())))
+        broken_first = pa.concat_tables([broken_first, held])
         if broken_first.num_rows:
             self.broken_first_tables = [broken_first]
         dup = tables["dup_edges"]

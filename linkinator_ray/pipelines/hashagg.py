@@ -40,12 +40,10 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 
 
 def default_parts(cap: int = 64) -> int:
-    try:
-        import ray
-        n = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-    except Exception:
-        n = 8
+    import ray
+
+    from linkinator_ray.state import actors
+    n = (actors.session_cpus() if ray.is_initialized() else None) or 8
     return min(cap, max(4, n))
 
 

@@ -253,13 +253,6 @@ class CorpusIndex:
             for i, child in enumerate(sorted(children))
         ]
 
-    def export_blob(self) -> dict:
-        """The zero-copy index structures, for broadcasting to actors."""
-        return {"key_sorted": self._key_sorted, "key_row": self._key_row,
-                "key_kind": self._key_kind, "ext_code": self._ext_code,
-                "dir_hash_sorted": self._dir_hash_sorted,
-                "hosts": self._hosts.to_pylist()}
-
     def doc_ids(self) -> list[str]:
         if not hasattr(self, "_ids_list"):
             self._ids_list = self._ids_col.to_pylist()
@@ -488,9 +481,10 @@ def url_key_prefix(host: str, multi_host: bool) -> str:
 
 def build_corpus_index_blob(documents: pa.Table, multi_host: bool,
                             host: str = "corpus.test") -> dict:
-    """Driver-side (once per crawl) construction of the CorpusIndex
-    lookup structures — plain numpy arrays + a small host list, so the
-    broadcast to fetch actors is zero-copy and actor __init__ pays ~0.
+    """Driver-side (once per documents table, ``actors.corpus_index``)
+    construction of the CorpusIndex lookup structures — plain numpy
+    arrays + a small host list, so the broadcast to fetch actors is
+    zero-copy and actor __init__ pays ~0.
 
     ``key_sorted`` holds the sorted ``hash64`` URL keys (after
     ``url_key_prefix``) of every doc, and the ``…/`` key of every

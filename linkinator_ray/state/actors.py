@@ -1,12 +1,14 @@
-"""Warm crawl actors: one pool of idle Ray actors per Ray session.
+"""What one Ray session keeps between checks: warm crawl actors, the
+last corpus broadcast, and the session's CPU count.
 
 Starting an actor costs a worker-process start-up, which on a small box
 is most of a short check. So the mesh (state/mesh.py) does not spawn
 its nodes; it leases them here, and a cleanly finished check hands
 them back. Every pooled actor is the same shell, :class:`CrawlActor`,
 which hosts one ``MeshNode`` per lease, built fresh from the new
-check's transport blob and kwargs. Nothing of the previous check
-survives a lease, because the hosted node is new, not re-initialised.
+check's corpus, transport blob and kwargs. Nothing of the previous
+check survives a lease, because the hosted node is new, not
+re-initialised.
 
 Lifetime and resources are decided here and nowhere else:
 
@@ -21,6 +23,19 @@ Lifetime and resources are decided here and nowhere else:
   processes never outnumber one check's actors;
 - the pool is keyed by the Ray session (job id + node id) and its
   actors are not detached: ``ray.shutdown()`` ends them with the session.
+
+The session also keeps what every check of one corpus would otherwise
+redo (the object store puts a value once for many readers, as Spark's
+broadcast variables do):
+
+- one resident corpus (:func:`corpus_index`, :func:`corpus_ref`): the
+  index arrays of the last documents table a check was built on, and
+  the ``ObjectRef`` of its broadcast (the encoded documents plus those
+  arrays). It is keyed by the table's identity (held by a ``weakref``),
+  the corpus host and ``multi_host``, and its ref by the session. The
+  entry is dropped when the table is garbage-collected or another
+  corpus is checked, and its ref when the session changes;
+- the session's CPU count (:func:`session_cpus`), read once per session.
 """
 
 from __future__ import annotations
@@ -30,7 +45,9 @@ import gc
 import itertools
 import os
 import threading
+import weakref
 
+import numpy as np
 import pyarrow as pa
 
 # the MeshNode methods a hosted node answers through its actor
@@ -66,7 +83,7 @@ class CrawlActor:
         ``start``: a mesh node pumps its seeds from here."""
         import ray
         # ``args`` ride as top-level task arguments, so Ray resolves an
-        # ObjectRef among them (the transport blob) before the call
+        # ObjectRef among them (the session's corpus) before the call
         obj = factory(*args)
         with self._lock:
             old, self._obj = self._obj, obj
@@ -127,6 +144,103 @@ def _session() -> tuple[str, str]:
     import ray
     ctx = ray.get_runtime_context()
     return ctx.get_job_id(), ctx.get_node_id()
+
+
+# session → its CPU count (None: the cluster reports none); one session
+_cpus: dict[tuple[str, str], int | None] = {}
+
+
+def session_cpus() -> int | None:
+    """The session's CPUs (``ray.cluster_resources()``, a GCS round
+    trip), read once per session; None when the cluster reports none or
+    cannot be asked."""
+    import ray
+    key = _session()
+    with _lock:
+        if key not in _cpus:
+            try:
+                cpus = ray.cluster_resources().get("CPU")
+            except Exception:
+                return None
+            _cpus.clear()
+            _cpus[key] = int(cpus) if cpus else None
+        return _cpus[key]
+
+
+class _Corpus:
+    """The resident corpus: a documents table (by weakref), the corpus
+    host and ``multi_host`` it was indexed for, its index arrays, and
+    the broadcast's ref with the session it was put in."""
+
+    def __init__(self, documents: pa.Table, host: str, multi_host: bool,
+                 index: dict):
+        self.table = weakref.ref(documents, _drop_corpus)
+        self.host = host
+        self.multi_host = multi_host
+        self.index = index
+        self.ref = None
+        self.session = None
+
+    def holds(self, documents: pa.Table, host: str, multi_host: bool) -> bool:
+        return self.table() is documents and self.host == host \
+            and self.multi_host == multi_host
+
+
+_corpus: _Corpus | None = None
+
+
+def _drop_corpus(table_ref) -> None:
+    # the weakref callback runs inside a garbage collection, maybe while
+    # this thread holds ``_lock``: so no lock, one atomic assignment
+    global _corpus
+    if _corpus is not None and _corpus.table is table_ref:
+        _corpus = None
+
+
+def _resident(documents: pa.Table, host: str,
+              multi_host: bool) -> _Corpus:
+    """The entry of ``documents``, made (its index built) if the
+    resident corpus is another; call with ``_lock`` held."""
+    global _corpus
+    entry = _corpus
+    if entry is None or not entry.holds(documents, host, multi_host):
+        from linkinator_ray.sources.documents import build_corpus_index_blob
+        index = build_corpus_index_blob(documents, multi_host, host)
+        for arr in index.values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False  # shared by every checker
+        entry = _corpus = _Corpus(documents, host, multi_host, index)
+    return entry
+
+
+def corpus_index(documents: pa.Table, host: str, multi_host: bool) -> dict:
+    """``build_corpus_index_blob(documents, multi_host, host)``, built by
+    the first check of the table and shared, read-only, by every later
+    one."""
+    with _lock:
+        return _resident(documents, host, multi_host).index
+
+
+def corpus_ref(documents: pa.Table, host: str, multi_host: bool):
+    """The ``ObjectRef`` of ``documents``' broadcast, put once per
+    session: ``{"documents": schema.encode(documents), "corpus_index":
+    ..., "corpus_host": host, "multi_host": multi_host}``, what a
+    ``MeshNode`` takes as its ``corpus``."""
+    import ray
+
+    from linkinator_ray import schema
+    session = _session()
+    with _lock:
+        entry = _resident(documents, host, multi_host)
+        if entry.session != session:
+            # the documents cross as one IPC buffer (Ray would pickle
+            # the table column by column)
+            entry.ref = ray.put({"documents": schema.encode(documents),
+                                 "corpus_index": entry.index,
+                                 "corpus_host": host,
+                                 "multi_host": multi_host})
+            entry.session = session
+        return entry.ref
 
 
 def _session_idle() -> list:
@@ -200,8 +314,8 @@ class Lease:
                 self.reused -= 1
                 pid = ray.get(self._reset(i))
             self.pids.append(pid)
-        # the reset arguments hold the check's transport blob: drop them
-        # so the object store can free it once the check is done
+        # the reset arguments hold the check's transport blob and seeds:
+        # drop them with the reset refs once every node holds its own
         self._pending = self.factory = self.arg_lists = None
         return self.handles
 

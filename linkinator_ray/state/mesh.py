@@ -29,8 +29,8 @@ next poll answer; the driver fires ``on_results``/'link' and writes
 the ``results_dir`` parts, as local rounds do. A node and its fetch
 worker read every setting from the check's ``CheckOptions`` (the pump
 cap is 4 × ``batch_size``); the driver adds only facts of the check:
-the blob's data, the static host, connections, listened events and
-host-sticky routing.
+the corpus and the blob's data, the static host, connections, listened
+events and host-sticky routing.
 
 The driver's part is one round trip at each end. At the start, each
 node's lease reset carries its seed keys and frontier share (``seed``),
@@ -49,7 +49,7 @@ the node's request log since its last one.
 
 Wire format: every table a message carries (frontier rows, peer
 candidates and fragment wants, ``poll``'s results, events, J1 rows and
-request log, ``snapshot``, and the blob's documents) crosses Ray as one
+request log, ``snapshot``, and the corpus's documents) crosses Ray as one
 Arrow IPC stream buffer, written by ``schema.encode`` and read by
 ``schema.decode``; no message takes or returns a ``pa.Table``: Ray 2.49
 pickles a table by rebuilding each column buffer by buffer in Python
@@ -147,13 +147,18 @@ class MeshNode:
     """One symmetric node: fetch worker + seen/edge shard for its
     ``url_hash % K`` range."""
 
-    def __init__(self, actor_id: int, num_nodes: int, transport_blob: dict,
-                 opts: CheckOptions, seed: dict | None = None, *,
+    def __init__(self, actor_id: int, num_nodes: int, corpus: dict | None,
+                 transport_blob: dict, opts: CheckOptions,
+                 seed: dict | None = None, *,
                  static_host: str | None = None, connections: int = 1,
                  events=(), sticky_hosts: bool = True):
-        """``transport_blob`` carries its documents ``schema.encode``d;
-        ``seed`` is this node's share of the check's start (see
-        ``_seed``), or None for a node that starts empty."""
+        """``corpus`` is the session's corpus broadcast
+        (``actors.corpus_ref``: the documents ``schema.encode``d, their
+        index arrays, corpus host and ``multi_host``), or None for no
+        documents; ``transport_blob`` the check's own data (``http_map``,
+        latency, ``strict``, ``record_calls``); ``seed`` this node's share
+        of the check's start (see ``_seed``), or None for a node that
+        starts empty."""
         import threading
         # the node runs with max_concurrency=3 so enqueue/submit land
         # WHILE a pump computes (latency hiding — pumps otherwise convoy
@@ -167,9 +172,9 @@ class MeshNode:
         self.actor_id = actor_id
         self.num_nodes = num_nodes
         self.opts = opts
-        if transport_blob.get("documents") is not None:
-            transport_blob = dict(transport_blob, documents=schema.decode(
-                transport_blob["documents"]))
+        if corpus is not None:
+            transport_blob = {**transport_blob, **corpus, "documents":
+                              schema.decode(corpus["documents"])}
         self.worker = FetchWorker(build_transport(transport_blob, opts), opts,
                                   static_host=static_host,
                                   connections=connections)

@@ -3,8 +3,11 @@ their mesh nodes from a per-session pool.
 A leased actor must behave exactly like a fresh one, idle actors must
 hold no CPU, and only a cleanly finished check may hand actors back."""
 
+import dataclasses
+import gc
 import time
 
+import pyarrow as pa
 import pytest
 
 from linkinator_ray.options import CheckOptions
@@ -52,7 +55,7 @@ def assert_cpus_free(ray):
 def assert_timings_booked(res, wall: float):
     """``stats["timings"]`` books every stage, the end-of-check tail
     ("finish") included, and the stages never add up to more than the
-    check's wall time (each is rounded to the millisecond)."""
+    check's wall time (each is rounded to the microsecond)."""
     timings = res.stats["timings"]
     assert set(timings) == {"spawn", "skip", "fetch", "process", "finish"}
     assert min(timings.values()) >= 0
@@ -195,6 +198,68 @@ def test_mesh_start_rides_in_the_lease(ray_session, monkeypatch):
     assert not {"seed", "set_peers", "enqueue"} & set(calls)
 
 
+def test_one_corpus_put_per_session(ray_session, monkeypatch):
+    """Two checks of one documents table in a session put the corpus
+    once, and agree with each other and with local rounds; a new table
+    of equal content is put again. Once the table is collected, the
+    session holds no corpus. The session's CPUs are read once."""
+    ray = ray_session
+    puts, reads = [], []
+    put, resources = ray.put, ray.cluster_resources
+
+    def counting(value, *args, **kwargs):
+        puts.append(value)
+        return put(value, *args, **kwargs)
+
+    def reading():
+        reads.append(1)
+        return resources()
+    monkeypatch.setattr(ray, "put", counting)
+    monkeypatch.setattr(ray, "cluster_resources", reading)
+    monkeypatch.setattr(actors, "_cpus", {})
+    fixture = fx.repeated_broken_link()
+    want = key_set(checker(fixture, use_ray=False).check())
+    first = checker(fixture).check()
+    second = checker(fixture).check()
+    assert len(puts) == 1 and set(puts[0]) == {
+        "documents", "corpus_index", "corpus_host", "multi_host"}
+    assert key_set(first) == key_set(second) == want
+    assert first.passed == second.passed is False
+
+    fixture = dataclasses.replace(fixture, documents=pa.Table.from_batches(
+        fixture.documents.to_batches()))
+    assert key_set(checker(fixture).check()) == want
+    assert len(puts) == 2 and len(reads) == 1
+
+    del fixture
+    gc.collect()
+    assert actors._corpus is None
+
+
+def test_checkers_of_one_table_share_its_index():
+    """Two checkers of one documents table share its index arrays
+    (Ray-free), and nothing else: the markdown auto-detect of one
+    (``_expand_paths`` sets ``corpus.markdown``) does not reach the
+    other, whose check equals one on a table of its own."""
+    fixture = fx.markdown()
+    docs = fixture.documents
+
+    def build(paths, documents):
+        return LinkChecker(CheckOptions(paths=paths), documents,
+                           fixture.http_map, use_ray=False)
+    md = build(["markdown/README.md"], docs)
+    plain = build(["markdown/boo.jpg"], docs)
+    assert md.corpus._key_sorted is plain.corpus._key_sorted
+    assert md.corpus._key_row is plain.corpus._key_row
+    md.check()
+    assert md.corpus.markdown and md.opts.markdown
+    assert not plain.corpus.markdown and not plain.opts.markdown
+    own = build(["markdown/boo.jpg"],
+                pa.Table.from_batches(docs.to_batches()))
+    assert own.corpus._key_sorted is not plain.corpus._key_sorted
+    assert key_set(plain.check()) == key_set(own.check())
+
+
 def test_mesh_node_drops_stale_pumps_and_kicks():
     """A pump or kick sent for another lease generation, or reaching a
     released node, is dropped under the node lock (no Ray needed)."""
@@ -211,7 +276,7 @@ def test_mesh_node_drops_stale_pumps_and_kicks():
                 sent.append(generation)
 
     url = "http://a.test/"
-    node = MeshNode(0, 1, {"http_map": [], "strict": False},
+    node = MeshNode(0, 1, None, {"http_map": [], "strict": False},
                     CheckOptions(paths=[url]))
     node.start(SelfHandle(), 7)
     node.connect([SelfHandle()])
@@ -244,8 +309,8 @@ def pumped_node(opts, docs, urls, peers=()):
                 pass
 
     node = MeshNode(
-        0, 1 + len(peers), {"http_map": [], "documents": schema.encode(docs),
-                            "strict": False}, opts, sticky_hosts=False)
+        0, 1 + len(peers), {"documents": schema.encode(docs)},
+        {"http_map": [], "strict": False}, opts, sticky_hosts=False)
     node.start(SelfHandle(), 1)
     node.connect([SelfHandle(), *peers])
     n = len(urls)

@@ -1,6 +1,7 @@
 """Seen-set shards, cuckoo filter, checkpoint/resume."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from linkinator_ray.options import CheckOptions
@@ -241,6 +242,51 @@ class TestCheckpointResume:
                         fixture.http_map).check(resume_from=ck)
         assert ck in str(err.value)
         assert {p.name: p.read_bytes() for p in res.iterdir()} == before
+
+    def test_broken_first_restores_exactly(self, tmp_path):
+        """A checkpoint's ``broken_first`` holds every frontier-level
+        BROKEN row so far, spilled or not, and a resume restores exactly
+        that table. An earlier version's held only the spilled rows (an
+        empty table here, where nothing spilled): its resume takes the
+        rest from ``results``, and both reach a clean run's rows, the
+        duplicate-broken re-reports included."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        from linkinator_ray import schema
+        from linkinator_ray.pipelines.crawl import frontier_broken_mask
+        fixture = fx.repeated_broken_link()
+
+        def build(**kw):
+            return LinkChecker(
+                CheckOptions(paths=fixture.seeds, **fixture.options, **kw),
+                fixture.documents, fixture.http_map)
+
+        def key_set(res):
+            return sorted((r["url"], r["state"], r["status"], r["parent"])
+                          for r in res.results.to_pylist())
+        full = build().check()
+        ck = str(tmp_path / "ck")
+        build(checkpoint_dir=ck, max_rounds=3).check()
+        path = os.path.join(ck, "round_000003", "broken_first.parquet")
+        saved = pq.read_table(path)
+        results = pq.read_table(os.path.join(ck, "round_000003",
+                                             "results.parquet"))
+        assert saved.num_rows and saved.equals(
+            results.filter(frontier_broken_mask(results)))
+        checker = build()
+        checker._load_checkpoint(ck)
+        assert pa.concat_tables(checker.broken_first_tables).equals(saved)
+        assert key_set(build().check(resume_from=ck)) == key_set(full)
+
+        pq.write_table(schema.empty(schema.RESULT_ROWS), path)
+        checker = build()
+        checker._load_checkpoint(ck)
+        assert pa.concat_tables(checker.broken_first_tables).equals(saved)
+        resumed = build().check(resume_from=ck)
+        assert key_set(resumed) == key_set(full)
+        assert resumed.stats["broken"] == full.stats["broken"]
 
     def test_resume_continues_scripted_sequences(self, tmp_path):
         """The mock transport's sequence counters travel with the

@@ -164,10 +164,11 @@ def build_pump(seed: int):
                                            seed=seed)
     from linkinator_ray import schema
     opts = CheckOptions(paths=seeds, recurse=True, seen_filter="cuckoo")
-    blob = {"documents": schema.encode(docs), "multi_host": True,
-            "strict": False, "record_calls": True}
-    nodes = [MeshNode(i, 2, blob, opts, static_host="http://corpus.test/",
-                      sticky_hosts=False) for i in range(2)]
+    corpus = {"documents": schema.encode(docs), "multi_host": True}
+    blob = {"strict": False, "record_calls": True}
+    nodes = [MeshNode(i, 2, corpus, blob, opts,
+                      static_host="http://corpus.test/", sticky_hosts=False)
+             for i in range(2)]
     for node in nodes:
         node.start(FakeHandle(), 1)
     nodes[0].connect([FakeHandle(), FakeHandle(nodes[1])])
