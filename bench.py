@@ -50,10 +50,8 @@ def _make_opts(ncpu: int, seeds):
         paths=seeds, recurse=True,
         fetch_concurrency=actors,
         concurrency=CONNS_PER_ACTOR * actors,  # connection budget scales with nodes
-        seen_shards=max(4, ncpu // 4),
         seen_filter="cuckoo",
         batch_size=4096 if wire else 2048,
-        mesh=True,
     )
 
 

@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="runs the actor mesh (starts a local Ray session "
                         "when none is running)")
     p.add_argument("--fetch-concurrency", type=int, default=8)
-    p.add_argument("--seen-shards", type=int, default=8)
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--resume-from", default=None)
     p.add_argument("--output-parquet", default=None)
@@ -196,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         "fragments_to_skip": split_list(args.skip_fragment) or None,
         "status_codes": parse_status_codes(args.status_codes) or None,
         "fetch_concurrency": args.fetch_concurrency,
-        "seen_shards": args.seen_shards,
         "checkpoint_dir": args.checkpoint_dir,
     }
     if args.url_rewrite_search and args.url_rewrite_replace:

@@ -116,14 +116,14 @@ class CheckOptions:
     execution: str = "auto"  # 'ray' runs the Ray actor mesh; 'local' and 'auto' run local rounds (LinkChecker's use_ray overrides it)
     transport: str = "mock"  # 'mock' (corpus/http_map) | 'http' (real stdlib HTTP, loopback-tested)
     fetch_concurrency: int = 8  # fetch actor-pool size
-    seen_shards: int = 8  # URL-seen set shard count
     seen_filter: str = "exact"  # 'exact' | 'cuckoo' (cuckoo at 10^10-URL scale)
     batch_size: int = 4096  # rows per Arrow batch in map_batches stages
-    # accepted and inert: use_ray alone picks the mesh. Kept only because
-    # perfbench/workloads.py passes them; both go with the next
-    # benchmark change
+    # accepted and inert: use_ray alone picks the mesh, and the URL-seen
+    # set is sharded by mesh node. Kept only because perfbench/workloads.py
+    # passes them; they go with the next benchmark change
     pipelined: bool = False
     mesh: bool = False
+    seen_shards: int = 8
     mesh_frontier_spill_rows: int = 0  # per-node frontier queue cap; past it the tail spills to parquet (0 = unbounded in-memory)
     max_rounds: int = 10_000  # BFS safety valve (local rounds; a Ray check refuses a lower cap)
     checkpoint_dir: str | None = None  # checkpoints (frontier, key journal, lineage) after every round, or every mesh epoch

@@ -3,25 +3,34 @@ event-loop queue (/root/reference/src/index.ts:216-927, src/queue.ts).
 
 Design (SURVEY.md §3 "Ray-native lifecycle"): the frontier is a table of
 ``(url, url_hash, host, parent, depth, do_crawl, root_path, attempt,
-not_before)`` rows; each round:
+not_before)`` rows, and the frontier stages below are the kernels of
+one ``MeshNode.pump`` (state/mesh.py), the one implementation of a
+frontier cycle. A Ray-free check runs one node in-process: a round is
+one pump of that node over its whole queue (``LinkChecker._run_rounds``),
+so a row's round is its BFS depth. A Ray check runs K nodes as actors
+(``_run_mesh``). One pump:
 
-1. split runnable vs deferred on ``not_before`` (the round loop is the
-   clock — no timers);
+1. wake deferred rows whose ``not_before`` passed (in-process, the
+   round loop is the clock: with nothing queued it jumps, or sleeps, to
+   the earliest deadline — no timers);
 2. rewrite + skip-classify (vectorized kernel; SKIPPED rows → results);
 3. per-host politeness gate (429 deadlines + optional token-bucket
    stagger) → more deferrals;
-4. fetch through the fetch worker (stages/fetch.py);
+4. fetch through the node's fetch worker (stages/fetch.py);
 5. handle Retry-After re-enqueues (max-of-deadlines per host,
    src/index.ts:1035-1043) and error-retry backoff (:1069-1109);
 6. classify (stages/classify.py) → results rows;
 7. extract links from crawled bodies (stages/extract.py, inside the
-   fetch workers that fetched them), dedup edges, consult the sharded
-   seen-set (batched anti-join) → next frontier;
-8. validate fragments whose target page was fetched this round;
-9. checkpoint frontier + key journal + lineage (state/checkpoint.py).
+   fetch worker), dedup edges, consult the seen set of the URL's owner
+   (batched anti-join) → next frontier;
+8. validate fragments whose target page was fetched in this pump.
 
-After the loop: the duplicate-broken hash join (SURVEY.md §2.4 J1)
-re-reports every BROKEN URL once per distinct referring parent.
+The driver takes each node's results and events with its poll answers,
+and checkpoints the nodes' snapshots (frontier + key journal + lineage,
+state/checkpoint.py) after every round, or every mesh epoch. At the
+end the duplicate-broken hash join (SURVEY.md §2.4 J1) re-reports
+every BROKEN URL once per distinct referring parent, on the nodes that
+own the URLs.
 
 Equality contract vs the reference (SURVEY.md §2.6): final URL-seen set,
 per-URL state/status, per-(url,parent) BROKEN edges, and retry counts —
@@ -44,12 +53,11 @@ from linkinator_ray import schema, urlkit
 from linkinator_ray.options import CheckOptions
 from linkinator_ray.sources.documents import CorpusIndex
 from linkinator_ray.stages import classify as classify_mod
-from linkinator_ray.stages.fetch import (FetchPool, SkipRules, call_tuples,
-                                         hash_owner, split_by_owner)
+from linkinator_ray.stages.fetch import (SkipRules, call_tuples, hash_owner,
+                                         split_by_owner)
 from linkinator_ray.state import actors
 from linkinator_ray.state import checkpoint as ckpt
 from linkinator_ray.state.clock import Clock, FakeClock
-from linkinator_ray.state.seen import SeenSet
 
 @dataclasses.dataclass
 class CrawlResult:
@@ -113,12 +121,16 @@ def seed_frontier(paths: list[str], corpus_base: str) -> pa.Table:
 
 
 def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
-                     opts: CheckOptions, rng) -> tuple[pa.Table, list, int]:
+                     opts: CheckOptions, rng,
+                     fetch_s: float) -> tuple[pa.Table, list, int]:
     """Retry-After re-enqueues with host-wide max-of-deadlines
     (src/index.ts:1019-1060) and error-retry backoff (:1069-1109); the
     error-retry gate is the fetch worker's ``retry_error`` column.
-    Mutates ``delay_map``; shared by the driver loop (LinkChecker) and
-    the mesh fetch actors (state/mesh.py)."""
+    ``now`` is when the fetch ended, ``fetch_s`` how long it took on the
+    check's clock: the worker parsed each Retry-After against the
+    fetch's start, so its deadline moves by ``fetch_s`` to count from
+    the response (a date one only waits longer). Mutates ``delay_map``,
+    the node's (state/mesh.py)."""
     requeues: list[pa.Table] = []
     n_retries = 0
     if fetched.num_rows == 0:
@@ -128,7 +140,7 @@ def compute_requeues(fetched: pa.Table, now: float, delay_map: dict,
     if ra_mask.any():
         rows = fetched.filter(pa.array(ra_mask))
         hosts = rows["host"].to_pylist()
-        epochs = ra_epoch[ra_mask]
+        epochs = ra_epoch[ra_mask] + fetch_s
         for host, epoch in zip(hosts, epochs):
             cur = delay_map.get(host)
             delay_map[host] = max(cur, epoch) if cur is not None else epoch
@@ -207,8 +219,8 @@ def validate_fragment_wants(fetched: pa.Table, frags: pa.Table,
 def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
                            round_no: int, counters: dict,
                            check_css: bool = False) -> tuple[list, pa.Table]:
-    """Classified fetch output → schema.RESULT_ROWS tables, shared by every
-    executor: redirect-skipped rows → SKIPPED, actor-classified rows
+    """Classified fetch output → schema.RESULT_ROWS tables:
+    redirect-skipped rows → SKIPPED, actor-classified rows
     pass through as Arrow columns, link-level results append. Returns
     (result tables, remaining fetched rows) and bumps the warn / pages
     counters. ``fetched`` must carry actor-side classification columns
@@ -245,9 +257,9 @@ def assemble_result_tables(fetched: pa.Table, link_results: pa.Table,
 def apply_rewrites_table(table: pa.Table, rewrites) -> pa.Table:
     """urlRewriteExpressions over frontier URLs (src/index.ts:311-318).
 
-    Shared kernel: the driver modes and the mesh nodes must apply the
-    SAME rewrite → rehash → rehost transform or their seen/routing keys
-    diverge (exact-equality contract, SURVEY.md §2.6)."""
+    Every node must apply the SAME rewrite → rehash → rehost transform
+    or their seen/routing keys diverge (exact-equality contract,
+    SURVEY.md §2.6)."""
     if not rewrites:
         return table
     urls = table["url"].to_pylist()
@@ -274,8 +286,7 @@ def politeness_gate_table(table: pa.Table, now: float, delay_map: dict,
     with ``politeness_delay`` > 0 each host runs at most one fetch per
     delay window; excess rows carry to ``not_before`` slots.
 
-    Shared kernel (driver modes + mesh nodes). Returns
-    ``(runnable, deferred_tables)`` — deferred rows carry their wake
+    Returns ``(runnable, deferred_tables)`` — deferred rows carry their wake
     deadline in ``not_before``."""
     deferred = []
     if delay_map and table.num_rows:
@@ -339,10 +350,10 @@ def skip_stage_table(table: pa.Table, skip: SkipRules, robots,
 def admit_frontier(table: pa.Table, now: float, round_no: int,
                    opts: CheckOptions, skip: SkipRules, robots,
                    delay_map: dict):
-    """The admission step every executor runs on frontier rows before
-    they are fetched: skip → politeness gate, on rows that have already
-    been through ``apply_rewrites_table`` (kept apart so the mesh node
-    rewrites outside its lock). Returns ``(runnable rows, SKIPPED result
+    """The admission step a node runs on frontier rows before they are
+    fetched: skip → politeness gate, on rows that have already been
+    through ``apply_rewrites_table`` (kept apart so the node rewrites
+    outside its lock). Returns ``(runnable rows, SKIPPED result
     rows or None, deferred tables)``."""
     live, skipped = skip_stage_table(table, skip, robots, round_no)
     live, deferred = politeness_gate_table(live, now, delay_map,
@@ -354,10 +365,9 @@ def dedup_candidates(cand: pa.Table, edge_seen, url_seen):
     """The two global joins of link discovery: edge dedup
     (relationshipCache, src/index.ts:800-810) and the seen-set anti-join
     (cache, :812-875); edge-fresh rows alone consult and insert the URL
-    set. ``edge_seen``/``url_seen`` are SeenSets (driver executors) or
-    one mesh node's SeenShards. Returns ``(new frontier rows, (url,
-    parent) edges to an already-seen URL — the duplicate-broken join's
-    input, edge_fresh mask, keep mask)``."""
+    set. ``edge_seen``/``url_seen`` are one node's SeenShards. Returns
+    ``(new frontier rows, (url, parent) edges to an already-seen URL —
+    the duplicate-broken join's input, edge_fresh mask, keep mask)``."""
     edge_hash = np.asarray(cand.column("edge_hash").to_numpy(),
                            dtype=np.uint64)
     edge_fresh = ~edge_seen.contains_or_insert(edge_hash)
@@ -404,9 +414,8 @@ def duplicate_broken_rows(dup_edges: list[pa.Table],
     join replacing the in-flight wait at src/index.ts:840-875: every
     distinct (url, parent) duplicate edge whose URL's frontier-level
     result is BROKEN re-reports with that parent. ``broken`` holds those
-    results' ``BROKEN_COLUMNS``, one row per URL. Local rounds run it on
-    the driver, mesh nodes on the edges and rows of the URLs they own.
-    None when no row re-reports."""
+    results' ``BROKEN_COLUMNS``, one row per URL. Each node runs it on the
+    edges and rows of the URLs it owns. None when no row re-reports."""
     dups = [t for t in dup_edges if t.num_rows]
     if not dups or broken.num_rows == 0:
         return None
@@ -675,13 +684,15 @@ class LinkChecker:
         # second check() with the same object behaves identically
         import copy
         self.opts = copy.copy(options)
-        self.clock = clock or FakeClock()
+        # real HTTP waits out Retry-After and politeness in wall time; the
+        # mock transport's deadlines are jumped to
+        self.clock = clock or (Clock() if options.transport == "http"
+                               else FakeClock())
         self.corpus_host = corpus_host
         self.corpus_base = f"http://{corpus_host}/"
         self.documents = documents if documents is not None \
             else schema.empty(schema.DOCUMENTS)
         self.http_map = http_map or []
-        self.rng = np.random.default_rng(classify_mod.JITTER_SEED)
         if use_ray is None:
             use_ray = options.execution == "ray"
         self.use_ray = use_ray
@@ -698,27 +709,21 @@ class LinkChecker:
                                   multi_host=multi_host,
                                   directory_listing=options.directory_listing,
                                   prebuilt=self._corpus_index)
-        self.skip = SkipRules(options.links_to_skip)
-        from linkinator_ray.state.robots import RobotsCache
-        self.robots = RobotsCache.from_corpus(self.corpus, multi_host) \
-            if options.respect_robots else RobotsCache()
 
-        # mutable crawl state (the Arrow/actor re-architecture of the
-        # reference's six shared caches, src/index.ts:260-265)
-        self.seen = None          # SeenSet — built in check()
-        self.edge_seen = None     # SeenSet over urlkit.edge_key keys
+        # the driver's share of the crawl state: the seen sets, pending
+        # fragment wants and dup edges of the reference's shared caches
+        # (src/index.ts:260-265) live on the nodes
         self.results_tables: list[pa.Table] = []
         # every frontier-level BROKEN row, gathered as it is emitted and
         # kept across spills (the J1 join's input)
         self.broken_first_tables: list[pa.Table] = []
         self._spill_part = 0
-        self.dup_edge_tables: list[pa.Table] = []   # (url, parent) dup references
-        self.pending_fragments: dict[str, set[str]] = {}
-        self.delay_map: dict[str, float] = {}       # host → retry-after deadline
-        # a resumed checkpoint's scripted-sequence counters, for the
-        # executor to hand its transports
+        # a resumed checkpoint's delay map (host → retry-after deadline)
+        # and scripted-sequence counters, for the nodes' seeds
+        self.delay_map: dict[str, float] = {}
         self.seq_counters: dict[tuple[str, str], int] = {}
-        # keys this driver inserts into seen/edge_seen between checkpoints
+        # the seed keys, and the keys a resume into another directory
+        # replays: the nodes journal the keys they insert themselves
         self.journal = ckpt.KeyJournal(bool(self.opts.checkpoint_dir))
         self._journal_from = 1  # the first round of checkpoint_dir's chain
         self.counters = {
@@ -728,12 +733,10 @@ class LinkChecker:
         }
         self.static_host = self.corpus_base  # requireHttps exemption + mapUrl
         self.run_id = uuid.uuid4().hex[:12]
-        # "spawn": leasing, resetting and spawning actors plus the
-        # transport-blob broadcast and the seeds (state/actors.py);
-        # "finish": from the end of the crawl loop to the returned
-        # CrawlResult (the duplicate-broken rows, which local rounds join
-        # here and mesh nodes in the loop's confirming round, the results
-        # tail, the stats)
+        # "spawn": the seeds and the nodes (on Ray, leasing, resetting
+        # and spawning actors, state/actors.py); "finish": from the end
+        # of the crawl loop to the returned CrawlResult (the nodes'
+        # duplicate-broken rows, the results tail, the stats)
         self.timings = {"spawn": 0.0, "skip": 0.0, "fetch": 0.0,
                         "process": 0.0, "finish": 0.0}
         self._loop_end = 0.0  # perf_counter when the crawl loop ended
@@ -741,10 +744,10 @@ class LinkChecker:
         self._executor = ""
         # mesh only: each node's busy seconds and pump count
         self._mesh_stats: dict | None = None
-        # a mesh check's polls, and the request log's pieces their
-        # answers gathered
+        # a mesh check's polls
         self._mesh_polls: _MeshPolls | None = None
-        self._mesh_requests: list[pa.Table] = []
+        # the request log's pieces the nodes' poll answers gathered
+        self._requests: list[pa.Table] = []
         # §2.8 event-listener parity: the reference's 'link' events become
         # a per-batch callback over each appended results table
         self.on_results = on_results
@@ -752,7 +755,7 @@ class LinkChecker:
         # :601, :614, :677, :1058, :1107): 'link' | 'pagestart' | 'retry'
         # | 'redirect' | 'statusCodeWarning' | 'httpInsecure'. Zero
         # overhead when nothing is registered. Every executor fires them
-        # all: mesh nodes buffer the events that have a listener and the
+        # all: the nodes buffer the events that have a listener and the
         # driver fires them as it polls.
         self._listeners: dict[str, list] = {}
 
@@ -792,18 +795,17 @@ class LinkChecker:
         for i in np.flatnonzero(warn_insecure):
             self._emit_event("httpInsecure", {"url": urls[i]})
 
-    def _emit_retry_events(self, requeues: list, now) -> None:
-        """'retry' for every requeued row; ``now`` (a float, or one per
-        row of a single table) is when the retry was scheduled."""
+    def _emit_retry_events(self, retry: pa.Table) -> None:
+        """'retry' for every requeued row (schema.RETRY_ROWS: its
+        ``not_before`` and the ``now`` its retry was scheduled at)."""
         if not self._listeners.get("retry"):
             return
-        for table in requeues:
-            urls = table["url"].to_pylist()
-            wait = table["not_before"].to_numpy(zero_copy_only=False) - now
-            for url, seconds in zip(urls, wait):
-                self._emit_event("retry", {
-                    "url": url,
-                    "secondsUntilRetry": int(round(max(0.0, seconds)))})
+        wait = retry["not_before"].to_numpy(zero_copy_only=False) \
+            - retry["now"].to_numpy(zero_copy_only=False)
+        for url, seconds in zip(retry["url"].to_pylist(), wait):
+            self._emit_event("retry", {
+                "url": url,
+                "secondsUntilRetry": int(round(max(0.0, seconds)))})
 
     def _emit_pagestart(self, live: pa.Table) -> None:
         """'pagestart' (src/index.ts:677) for every admitted row whose
@@ -932,83 +934,61 @@ class LinkChecker:
             # in order: one connection, on every executor
             connections = 1
 
-        # Ray runs the mesh; local rounds are the Ray-free reference
+        # Ray runs the mesh; a Ray-free check runs one node in-process
         if self.use_ray:
             return self._run_mesh(transport_blob, num_actors, connections,
                                   scripted, resume_from=resume_from)
+        return self._run_rounds(transport_blob, connections, resume_from)
 
+    def _run_rounds(self, transport_blob: dict, connections: int,
+                    resume_from: str | None) -> CrawlResult:
+        """Strict BFS rounds, Ray-free: the one node of a one-node mesh
+        (state/mesh.py), run in-process on the check's clock with no pump
+        cap, so one pump is one round and a result row's ``round`` is its
+        BFS depth. Each round the clock first jumps (or sleeps) to the
+        earliest deferred deadline when nothing is queued; then one pump,
+        its poll answer and, with ``checkpoint_dir``, the round's
+        checkpoint. The conformance-test executor."""
+        import sys
         import time as _time
+
+        from linkinator_ray.state import mesh as mesh_mod
+        opts = self.opts
         t0 = _time.perf_counter()
         self._executor = "rounds"
-        self.seen = SeenSet(opts.seen_shards, opts.seen_filter)
-        # edge dedup is driver-local; one vectorized shard beats sharding
-        self.edge_seen = SeenSet(1, "exact")
-        pool = FetchPool(dict(transport_blob, documents=self.documents,
-                              corpus_index=self._corpus_index,
-                              corpus_host=self.corpus_host,
-                              multi_host=self.multi_host),
-                         opts, static_host=self.static_host,
-                         connections=connections)
+        seeds, _, round_no = self._seeds(resume_from, 1, False)
+        node = mesh_mod.MeshNode(
+            0, 1, None, dict(transport_blob, documents=self.documents,
+                             corpus_index=self._corpus_index,
+                             corpus_host=self.corpus_host,
+                             multi_host=self.multi_host),
+            opts, seeds[0], **self._node_kwargs(connections, False),
+            clock=self.clock, pump_cap=sys.maxsize)
+        # the node numbers the rounds, from the checkpoint's on a resume
+        node.counters["rounds"], self.counters["rounds"] = round_no, 0
         self.timings["spawn"] = _time.perf_counter() - t0
-
-        round_no = 0
-        if resume_from is not None:
-            frontier, round_no = self._restore(resume_from)
-            pool.seq_counters().update(self.seq_counters)
-        else:
-            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
-            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
-            self.journal.add_urls(
-                hashes[~self.seen.contains_or_insert(hashes)])
-        return self._run_rounds(pool, frontier, round_no)
-
-    def _run_rounds(self, pool, frontier: pa.Table, round_no: int) -> CrawlResult:
-        """Strict BFS rounds: deterministic depth ordering; each round is
-        a barrier. The conformance-test execution mode."""
-        import time as _time
-        opts = self.opts
-        while frontier.num_rows and round_no < opts.max_rounds:
-            now = self.clock.now()
-            not_before = frontier["not_before"].to_numpy(zero_copy_only=False)
-            runnable_mask = not_before <= now
-            if not runnable_mask.any():
-                self.clock.advance_to(float(not_before.min()))
-                continue
-            runnable = frontier.filter(pa.array(runnable_mask))
-            deferred = [frontier.filter(pa.array(~runnable_mask))]
-
-            live, gated = self._admit(runnable, now, round_no)
-            deferred.extend(gated)
-            t1 = _time.perf_counter()
-
-            output = pool.fetch(live, set(self.pending_fragments), now)
-            fetched = output["fetched"]
-            self.counters["urls_checked"] += fetched.num_rows
-            t2 = _time.perf_counter()
-
-            fetched, requeues = self._handle_retries(fetched, now)
-            deferred.extend(requeues)
-
-            new_frontier = self._process_fetched(fetched, output, round_no)
-            deferred.append(new_frontier)
-            t3 = _time.perf_counter()
-            self.timings["fetch"] += t2 - t1
-            self.timings["process"] += t3 - t2
-
-            frontier = pa.concat_tables(
-                [t for t in deferred if t.num_rows]).combine_chunks() \
-                if any(t.num_rows for t in deferred) else schema.empty(schema.FRONTIER)
-            round_no += 1
-            self.counters["rounds"] = round_no
-            self._maybe_spill_results()
-
-            if opts.checkpoint_dir:
-                self._checkpoint(round_no, frontier, pool.seq_counters())
-
-        self._loop_end = _time.perf_counter()
-        return self._finish(pool.request_log(), self.seen.size(),
-                            [duplicate_broken_rows(self.dup_edge_tables,
-                                                   self._broken_first())])
+        try:
+            answer = node.poll()
+            while (answer["queued_rows"] or answer["deferred_rows"]) \
+                    and answer["counters"]["rounds"] < opts.max_rounds:
+                if not answer["queued_rows"]:
+                    self.clock.advance_to(answer["earliest_deadline"])
+                node.pump(None)
+                if node.error is not None:
+                    raise node.error
+                answer = node.poll()
+                self._take_poll(answer)
+                if opts.checkpoint_dir:
+                    self._save_snapshots(answer["counters"]["rounds"],
+                                         [node.snapshot()])
+            self._loop_end = _time.perf_counter()
+            final = node.poll(broken=self._broken_pieces(1)[0])
+            self._take_poll(final)
+        finally:
+            node.close()
+        for stage, seconds in final["stage_sec"].items():
+            self.timings[stage] += seconds
+        return self._finish([final])
 
     def _maybe_spill_results(self, force: bool = False) -> None:
         """Streaming results sink (options.results_dir): when the driver
@@ -1036,16 +1016,18 @@ class LinkChecker:
                 pc.equal(merged["state"], "BROKEN")).num_rows
         self.results_tables = []
 
-    def _finish(self, request_log: pa.Table, seen_size: int,
-                dup_broken: list) -> CrawlResult:
-        """The duplicate-broken re-report rows (``duplicate_broken_rows``
-        tables, None for none), the results tail and the stats. The
-        "finish" timing runs from ``self._loop_end``, the
-        ``perf_counter`` reading the executor took as its loop ended."""
+    def _finish(self, confirm: list[dict]) -> CrawlResult:
+        """The check's end from the nodes' confirming poll answers (their
+        counters, seen set sizes and duplicate-broken rows), the results
+        tail and the stats. The "finish" timing runs from
+        ``self._loop_end``, the ``perf_counter`` reading the executor
+        took as its loop ended."""
         import time as _time
-        for table in dup_broken:
-            if table is not None:
-                self._emit(table)
+        for p in confirm:
+            for key, val in p["counters"].items():
+                self.counters[key] = self.counters.get(key, 0) + val
+            if p["j1"] is not None:
+                self._emit(schema.decode(p["j1"]))
         if self.opts.results_dir and self.results_tables:
             # flush the tail (including the J1 re-reports) so the parquet
             # parts are the complete result record
@@ -1058,7 +1040,7 @@ class LinkChecker:
             + self.counters.get("spilled_broken", 0)
         self.timings["finish"] = _time.perf_counter() - self._loop_end
         stats = dict(self.counters, broken=total_broken,
-                     seen_urls=seen_size,
+                     seen_urls=sum(p["seen_size"] for p in confirm),
                      results_dir=self.opts.results_dir,
                      timings={k: round(v, 6) for k, v in self.timings.items()},
                      executor=self._executor,
@@ -1066,8 +1048,10 @@ class LinkChecker:
                              "reused": sum(x.reused for x in self._leases)})
         if self._mesh_stats is not None:
             stats["mesh"] = self._mesh_stats
-        return CrawlResult(passed=total_broken == 0, results=results,
-                           stats=stats, request_log=request_log)
+        return CrawlResult(
+            passed=total_broken == 0, results=results, stats=stats,
+            request_log=pa.concat_tables([schema.empty(schema.CALLS),
+                                          *self._requests]))
 
     # ------------------------------------------------------------------
     # mesh execution — the driverless frontier (state/mesh.py)
@@ -1103,28 +1087,11 @@ class LinkChecker:
         # sequences, Retry-After delay maps, politeness); else balance by
         # url_hash
         sticky = scripted or opts.retry or opts.politeness_delay > 0
-        epoch = 0
-        if resume_from is not None:
-            seeds, seed_rows, epoch = self._mesh_restore(
-                resume_from, num_actors, sticky)
-        else:
-            # seeds: pre-insert into the owning nodes' seen shards
-            # (src/index.ts:267-288); each row goes to its fetch owner
-            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
-            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
-            self.journal.add_urls(np.unique(hashes))
-            no_keys = np.empty(0, dtype=np.uint64)
-            seeds = self._mesh_seeds(frontier, (hashes, no_keys, no_keys),
-                                     schema.empty(schema.PENDING_FRAGS),
-                                     schema.empty(schema.EDGES),
-                                     num_actors, sticky)
-            seed_rows = frontier.num_rows
+        seeds, seed_rows, epoch = self._seeds(resume_from, num_actors, sticky)
         # nodes get the options whole; the corpus rides as a top-level
         # reset argument so Ray resolves its ref (state/actors.py)
-        factory = functools.partial(
-            mesh_mod.MeshNode, static_host=self.static_host,
-            connections=connections, sticky_hosts=sticky,
-            events=[e for e, cbs in self._listeners.items() if cbs])
+        factory = functools.partial(mesh_mod.MeshNode,
+                                    **self._node_kwargs(connections, sticky))
         lease = actors.Lease(factory, [(i, num_actors, corpus_ref,
                                         transport_blob, opts, seeds[i])
                                        for i in range(num_actors)])
@@ -1137,6 +1104,36 @@ class LinkChecker:
         self.timings["spawn"] = _time.perf_counter() - t0
         return self._run_mesh_body(nodes, num_actors, lease.generation,
                                    seed_rows, epoch)
+
+    def _node_kwargs(self, connections: int, sticky: bool) -> dict:
+        """The facts of the check a ``MeshNode`` takes besides its
+        options: the static host, connections, host-sticky routing and
+        the events that have listeners."""
+        return {"static_host": self.static_host, "connections": connections,
+                "sticky_hosts": sticky,
+                "events": [e for e, cbs in self._listeners.items() if cbs]}
+
+    def _seeds(self, resume_from: str | None, k: int,
+               sticky: bool) -> tuple[list[dict], int, int]:
+        """Each of ``k`` nodes' seed (``_mesh_seeds``), the frontier rows
+        they hold and the round (or epoch) the check goes on from: a
+        fresh check's expanded paths, pre-inserted into their owners'
+        seen sets (src/index.ts:267-288), or the newest checkpoint under
+        ``resume_from``, whatever node count wrote it."""
+        if resume_from is not None:
+            frontier, round_no, wants, dups, journal = \
+                self._load_checkpoint(resume_from)
+        else:
+            frontier = seed_frontier(self._expanded_paths, self.corpus_base)
+            round_no = 0
+            hashes = frontier["url_hash"].to_numpy(zero_copy_only=False)
+            self.journal.add_urls(np.unique(hashes))
+            no_keys = np.empty(0, dtype=np.uint64)
+            journal = (hashes, no_keys, no_keys)
+            wants = schema.empty(schema.PENDING_FRAGS)
+            dups = schema.empty(schema.EDGES)
+        return (self._mesh_seeds(frontier, journal, wants, dups, k, sticky),
+                frontier.num_rows, round_no)
 
     def _mesh_seeds(self, frontier: pa.Table, journal, wants: pa.Table,
                     dups: pa.Table, k: int, sticky: bool) -> list[dict]:
@@ -1166,7 +1163,6 @@ class LinkChecker:
                        seed_rows: int, epoch: int) -> CrawlResult:
         import time as _time
         opts = self.opts
-        self._mesh_requests = []
         polls = self._mesh_polls = _MeshPolls(nodes, generation,
                                               self._take_poll)
         t_start = _time.perf_counter()
@@ -1189,10 +1185,6 @@ class LinkChecker:
             self._mesh_checkpoint(nodes, epoch, num_actors, seed_rows)
         self._loop_end = _time.perf_counter()
         self.timings["fetch"] += self._loop_end - t_start
-
-        for p in confirm:
-            for key, val in p["counters"].items():
-                self.counters[key] = self.counters.get(key, 0) + val
         self._mesh_stats = {
             "busy_sec": [p["busy_sec"] for p in confirm],
             "pumps": [p["counters"]["rounds"] for p in confirm],
@@ -1205,11 +1197,7 @@ class LinkChecker:
             # answers the driver took from it
             "messages_received": [p["messages_received"] for p in confirm],
             "polls": list(polls.count)}
-        return self._finish(
-            pa.concat_tables([schema.empty(schema.CALLS),
-                              *self._mesh_requests]),
-            sum(p["seen_size"] for p in confirm),
-            [schema.decode(p["j1"]) for p in confirm if p["j1"] is not None])
+        return self._finish(confirm)
 
     def _broken_pieces(self, num_actors: int) -> list:
         """The frontier-level BROKEN rows so far, ``schema.encode``d per
@@ -1222,6 +1210,19 @@ class LinkChecker:
         empty = schema.encode(broken.slice(0, 0))
         return [p if p is not None else empty for p in pieces]
 
+    def _broken_first(self) -> pa.Table:
+        """The ``BROKEN_COLUMNS`` of every frontier-level BROKEN row so
+        far (``_emit`` gathers them in broken_first_tables)."""
+        return pa.concat_tables(
+            [schema.empty(schema.RESULT_ROWS), *self.broken_first_tables]) \
+            .select(BROKEN_COLUMNS)
+
+    def _final_results(self) -> pa.Table:
+        if not self.results_tables:
+            return schema.empty(schema.RESULTS)
+        return pa.concat_tables(self.results_tables) \
+            .drop_columns(["frontier_level"])
+
     def _take_poll(self, poll: dict) -> None:
         """One node's poll answer: its error, else its buffers and its
         piece of the request log."""
@@ -1229,7 +1230,7 @@ class LinkChecker:
             raise RuntimeError(f"mesh node failed:\n{poll['errors'][0]}")
         self._fire_node_buffers(poll)
         if poll["requests"] is not None:
-            self._mesh_requests.append(schema.decode(poll["requests"]))
+            self._requests.append(schema.decode(poll["requests"]))
         self._maybe_spill_results()
 
     def _fire_node_buffers(self, poll: dict) -> None:
@@ -1242,9 +1243,7 @@ class LinkChecker:
         if events["pagestart"] is not None:
             self._emit_pagestart(schema.decode(events["pagestart"]))
         if events["retry"] is not None:
-            retry = schema.decode(events["retry"])
-            self._emit_retry_events(
-                [retry], retry["now"].to_numpy(zero_copy_only=False))
+            self._emit_retry_events(schema.decode(events["retry"]))
         if poll["results"] is not None:
             self._emit(schema.decode(poll["results"]))
         if events["warn"] is not None:
@@ -1269,15 +1268,23 @@ class LinkChecker:
         ray.get([n.pause.remote() for n in nodes])
         self._mesh_polls.settle(seed_rows, paused=True)
         self._maybe_spill_results()
-        snaps = ray.get([n.snapshot.remote() for n in nodes])
-        for snap in snaps:
-            for key in ("frontier", "pending_fragments", "dup_edges"):
-                snap[key] = schema.decode(snap[key])
+        self._save_snapshots(epoch,
+                             ray.get([n.snapshot.remote() for n in nodes]))
+        ray.get([n.resume_run.remote() for n in nodes])
+
+    def _save_snapshots(self, round_no: int, snaps: list[dict]) -> None:
+        """The one checkpoint every executor writes, from its nodes'
+        ``MeshNode.snapshot``s: their frontier, pending wants, duplicate
+        edges, delay maps, scripted-sequence counters and key journals,
+        plus the driver's counters, results and spill state (retained
+        frontier-level BROKEN rows are the J1 join's input, and a resumed
+        run continues numbering parquet parts)."""
         delay_union: dict[str, float] = {}
         # a scripted URL is fetched by its host's one node, but after a
         # resume at another node count a stale copy may sit on another:
         # counts only grow, so the max is the live one
         seq_union: dict[tuple[str, str], int] = {}
+        counters = dict(self.counters)
         for s in snaps:
             for host, deadline in s["delay_map"].items():
                 cur = delay_union.get(host)
@@ -1285,150 +1292,34 @@ class LinkChecker:
                     if cur is not None else deadline
             for key, count in s["seq_counters"].items():
                 seq_union[key] = max(seq_union.get(key, 0), count)
-        counters = dict(self.counters)
-        for s in snaps:
             for key, val in s["counters"].items():
                 counters[key] = counters.get(key, 0) + val
-        # a resume from another directory left its replayed keys in
-        # the driver's journal
+        # the driver's journal holds the seed keys, and the keys a resume
+        # from another directory replayed
         journals = [s["journal"] for s in snaps] + [self.journal.drain()]
-        self._save_checkpoint(
-            epoch, pa.concat_tables([s["frontier"] for s in snaps]),
-            pa.concat_tables([s["pending_fragments"] for s in snaps]),
-            # a resumed check routed its dup edges to the nodes too
-            [s["dup_edges"] for s in snaps],
-            delay_union, seq_union,
-            [np.concatenate(parts) for parts in zip(*journals)],
-            counters)
-        ray.get([n.resume_run.remote() for n in nodes])
 
-    def _mesh_restore(self, checkpoint_dir: str, num_actors: int,
-                      sticky: bool) -> tuple[list[dict], int, int]:
-        """The newest checkpoint as the seeds of a fresh mesh of any
-        node count (``_mesh_seeds``). Returns ``(seeds, frontier rows,
-        epoch)``."""
-        frontier, epoch, wants, journal = self._load_checkpoint(
-            checkpoint_dir)
-        # the nodes hold the dup edges from here on
-        dups = pa.concat_tables(self.dup_edge_tables) \
-            if self.dup_edge_tables else schema.empty(schema.EDGES)
-        self.dup_edge_tables = []
-        seeds = self._mesh_seeds(frontier, journal, wants, dups, num_actors,
-                                 sticky)
-        return seeds, frontier.num_rows, epoch
-
-    # ------------------------------------------------------------------
-
-    def _admit(self, table: pa.Table, now: float, round_no: int):
-        """The driver executors' admission step (rewrite, then
-        ``admit_frontier``), booked as "skip": SKIPPED rows go to the
-        results and 'pagestart' fires for every runnable page to crawl.
-        Returns (runnable rows, deferred tables)."""
-        import time as _time
-        t0 = _time.perf_counter()
-        live, skipped, deferred = admit_frontier(
-            apply_rewrites_table(table, self.opts.url_rewrites), now,
-            round_no, self.opts, self.skip, self.robots, self.delay_map)
-        if skipped is not None:
-            self._emit(skipped)
-        self._emit_pagestart(live)
-        self.timings["skip"] += _time.perf_counter() - t0
-        return live, deferred
-
-    def _handle_retries(self, fetched: pa.Table, now: float):
-        fetched, requeues, n_retries = compute_requeues(
-            fetched, now, self.delay_map, self.opts, self.rng)
-        self.counters["retries"] += n_retries
-        self._emit_retry_events(requeues, now)
-        return fetched, requeues
-
-    # ------------------------------------------------------------------
-
-    def _process_fetched(self, fetched: pa.Table, output: dict,
-                         round_no: int) -> pa.Table:
-        """Results, fragment wants and validation, and the dedup joins
-        over one fetched batch; returns the new frontier rows."""
-        results, fetched = assemble_result_tables(
-            fetched, output["link_results"], round_no, self.counters,
-            check_css=self.opts.check_css)
-        for table in results:
-            self._emit(table)
-        self._emit_warn_events(fetched)
-
-        # fragment accumulation (A7): merge actor-noted fragments
-        pend = output["pending_frags"]
-        for url, frag in zip(pend["target_url"].to_pylist(),
-                             pend["fragment"].to_pylist()):
-            self.pending_fragments.setdefault(url, set()).add(frag)
-
-        new_rows = schema.empty(schema.FRONTIER)
-        cand = output["candidates"]
-        if cand.num_rows:
-            new_rows, dups, edge_fresh, keep = dedup_candidates(
-                cand, self.edge_seen, self.seen)
-            self.journal.add_candidates(cand, edge_fresh, keep)
-            if dups.num_rows:
-                self.dup_edge_tables.append(dups)
-
-        if self.opts.check_fragments and fetched.num_rows:
-            bad = validate_fragment_wants(fetched, output["frag_targets"],
-                                          self.pending_fragments, round_no)
-            if bad is not None:
-                self._emit(bad)
-        return new_rows
-
-    def _broken_first(self) -> pa.Table:
-        """The ``BROKEN_COLUMNS`` of every frontier-level BROKEN row so
-        far (``_emit`` gathers them in broken_first_tables)."""
-        return pa.concat_tables(
-            [schema.empty(schema.RESULT_ROWS), *self.broken_first_tables]) \
-            .select(BROKEN_COLUMNS)
-
-    def _final_results(self) -> pa.Table:
-        if not self.results_tables:
-            empty = schema.empty(schema.RESULTS)
-            return empty
-        merged = pa.concat_tables(self.results_tables)
-        return merged.drop_columns(["frontier_level"])
-
-    # ------------------------------------------------------------------
-    # checkpoint / resume
-    # ------------------------------------------------------------------
-
-    def _checkpoint(self, round_no: int, frontier: pa.Table,
-                    seq_counters: dict) -> None:
-        self._save_checkpoint(
-            round_no, frontier, ckpt.pending_table(self.pending_fragments),
-            self.dup_edge_tables, self.delay_map, seq_counters,
-            self.journal.drain(), dict(self.counters))
-
-    def _save_checkpoint(self, round_no: int, frontier: pa.Table,
-                         pending: pa.Table, dup_tables: list,
-                         delay_map: dict, seq_counters: dict, journal,
-                         counters: dict) -> None:
-        """The one checkpoint every executor writes: the executor's
-        frontier, pending wants, duplicate edges, delay map, scripted
-        sequence counters and key journal, plus the driver's results and
-        spill state (retained
-        frontier-level BROKEN rows are the J1 join's input, and a
-        resumed run continues numbering parquet parts)."""
-        dups = [t.select(["url", "parent"]) for t in dup_tables
-                if t.num_rows]
+        def table(key, table_schema):
+            parts = [t for t in (schema.decode(s[key]) for s in snaps)
+                     if t.num_rows]
+            return pa.concat_tables(parts) if parts \
+                else schema.empty(table_schema)
         tables = {
-            "frontier": frontier,
-            "pending_fragments": pending,
-            "dup_edges": pa.concat_tables(dups) if dups
-            else schema.empty(schema.EDGES),
+            "frontier": table("frontier", schema.FRONTIER),
+            "pending_fragments": table("pending_fragments",
+                                       schema.PENDING_FRAGS),
+            # a resumed check routed its dup edges to the nodes too
+            "dup_edges": table("dup_edges", schema.EDGES),
             "results": pa.concat_tables(self.results_tables)
             if self.results_tables else schema.empty(schema.RESULT_ROWS),
             "broken_first": pa.concat_tables(self.broken_first_tables)
             if self.broken_first_tables else schema.empty(schema.RESULT_ROWS),
             "delay_map": pa.table({
-                "host": pa.array(list(delay_map), pa.string()),
-                "deadline": pa.array(list(delay_map.values()),
+                "host": pa.array(list(delay_union), pa.string()),
+                "deadline": pa.array(list(delay_union.values()),
                                      pa.float64())}),
-            "seq_counters": ckpt.seq_counter_table(seq_counters),
-            **ckpt.journal_tables(*journal),
+            "seq_counters": ckpt.seq_counter_table(seq_union),
+            **ckpt.journal_tables(*(np.concatenate(parts)
+                                    for parts in zip(*journals))),
         }
         ckpt.save_round(
             self.opts.checkpoint_dir, self.run_id, round_no, tables,
@@ -1439,9 +1330,9 @@ class LinkChecker:
 
     def _load_checkpoint(self, checkpoint_dir: str):
         """Restore the driver's share of the newest checkpoint, whoever
-        wrote it: counters, results, spill state, duplicate edges, the
-        delay map and the scripted-sequence counters. Returns ``(frontier, round, pending wants, key
-        journal)`` for the executor to place."""
+        wrote it: counters, results, spill state, the delay map and the
+        scripted-sequence counters. Returns ``(frontier, round, pending
+        wants, duplicate edges, key journal)`` for the nodes' seeds."""
         last = ckpt.latest_round(checkpoint_dir)
         if last is None:
             raise ValueError(f"no checkpoint found under {checkpoint_dir}")
@@ -1476,9 +1367,6 @@ class LinkChecker:
         broken_first = pa.concat_tables([broken_first, held])
         if broken_first.num_rows:
             self.broken_first_tables = [broken_first]
-        dup = tables["dup_edges"]
-        if dup.num_rows:
-            self.dup_edge_tables = [dup]
         # every deadline keeps the time it had left when the checkpoint
         # was written, on this executor's clock: either executor resumes
         # the other's checkpoints
@@ -1498,24 +1386,13 @@ class LinkChecker:
         self._spill_part = int(manifest["extra"].get("spill_part", 0))
         prune_stale_spill_parts(self.opts.results_dir, self._spill_part)
         return (frontier, manifest["round"], tables["pending_fragments"],
-                journal)
+                tables["dup_edges"], journal)
 
     def _now(self) -> float:
         """The clock this executor's deadlines are measured on: the
         nodes' wall clock on the mesh, ``self.clock`` in rounds."""
         import time as _time
         return _time.time() if self._executor == "mesh" else self.clock.now()
-
-    def _restore(self, checkpoint_dir: str):
-        frontier, round_no, pend, journal = self._load_checkpoint(
-            checkpoint_dir)
-        url_keys, edge_keys, _ = journal
-        self.seen.contains_or_insert(url_keys)
-        self.edge_seen.contains_or_insert(edge_keys)
-        for url, frag in zip(pend["target_url"].to_pylist(),
-                             pend["fragment"].to_pylist()):
-            self.pending_fragments.setdefault(url, set()).add(frag)
-        return frontier, round_no
 
 
 def check(options: CheckOptions, documents: pa.Table | None = None,

@@ -177,7 +177,7 @@ def crawl_reachability_mesh(sf_dir: str) -> pa.Table:
     oracle, proving the driverless dataflow end-to-end."""
     result = crawl_links(
         sf_dir, use_ray=True,
-        options={"fetch_concurrency": 4, "seen_shards": 4})
+        options={"fetch_concurrency": 4})
     return _reachability_table(result)
 
 

@@ -181,8 +181,8 @@ def should_retry_error_mask(status: np.ndarray, attempt: np.ndarray,
     return eligible & (attempt < opts.retry_errors_count)
 
 
-# the retry-backoff jitter's seed: local rounds draw from one generator
-# seeded with it, mesh node i from one seeded with JITTER_SEED + i
+# the retry-backoff jitter's seed: mesh node i draws from one generator
+# seeded with JITTER_SEED + i (a Ray-free check's one node, with it)
 JITTER_SEED = 42
 
 

@@ -4,11 +4,11 @@ Re-expresses the reference's ``makeRequest`` + per-URL crawl state
 machine (/root/reference/src/index.ts:1185-1286 and :344-479) as a
 batch worker. Each worker holds the transport (connection pool
 analogue), compiled skip rules, and per-(url, method) sequence
-counters. The local rounds executor owns one through ``FetchPool``;
-on Ray every mesh node (state/mesh.py) owns one, and the mesh routes a
-host's rows to one node when per-host state matters (scripted response
-sequences, Retry-After delay maps, politeness), so those stay
-deterministic on a cluster (SURVEY.md §4 partitioning keys).
+counters. Every mesh node (state/mesh.py) owns one, the in-process
+node of a Ray-free check included, and the mesh routes a host's rows
+to one node when per-host state matters (scripted response sequences,
+Retry-After delay maps, politeness), so those stay deterministic on a
+cluster (SURVEY.md §4 partitioning keys).
 
 A worker runs the state machine as masked steps over its whole batch,
 one request per selected row per step. Two transports sit behind the
@@ -364,8 +364,7 @@ class FetchWorker:
 
     Every setting comes from ``opts``, the check's ``CheckOptions``;
     ``static_host`` and ``connections`` are the driver's facts of the
-    check. Owned by the local rounds' ``FetchPool`` or by a mesh node
-    (state/mesh.py).
+    check. Owned by a mesh node (state/mesh.py).
     """
 
     def __init__(self, transport: MockTransport, opts: CheckOptions, *,
@@ -1017,31 +1016,14 @@ def split_by_owner(data, owner: np.ndarray, num_owners: int):
 
 
 class FetchPool:
-    """The local rounds executor's fetch worker: one in-process
-    ``FetchWorker``, built from the worker's own arguments, that fetches
-    each round's runnable frontier as one batch. The mesh
-    (state/mesh.py) runs its own workers inside its nodes."""
+    """Empty: every check's fetch worker lives in a ``MeshNode``
+    (state/mesh.py), in-process or on Ray. The name stays because the
+    benchmark's span tracer (perfbench/trace.py) wraps
+    ``FetchPool.__init__`` by name; it goes with the next benchmark
+    change."""
 
-    def __init__(self, transport_blob: dict, opts: CheckOptions, *,
-                 static_host: str | None = None, connections: int = 1):
-        self._worker = FetchWorker(build_transport(transport_blob, opts),
-                                   opts, static_host=static_host,
-                                   connections=connections)
-
-    def fetch(self, frontier: pa.Table, pending_fragment_urls: set[str],
-              now: float) -> dict:
-        if frontier.num_rows == 0:
-            return empty_outputs()
-        return self._worker.fetch_batch(frontier, list(pending_fragment_urls),
-                                        now)
-
-    def request_log(self) -> pa.Table:
-        """The worker's request log (schema.CALLS)."""
-        return self._worker.request_log()
-
-    def seq_counters(self) -> dict:
-        """The worker transport's live scripted-sequence counters."""
-        return self._worker.transport.seq_counters
+    def __init__(self):
+        pass
 
 
 def build_transport(blob: dict, opts: CheckOptions):

@@ -1,6 +1,7 @@
-"""Actor-mesh frontier: the driverless crawl dataflow, and the one Ray
-executor (every Ray check runs it; local rounds are the Ray-free
-reference beside it).
+"""Actor-mesh frontier: the driverless crawl dataflow, and the one
+implementation of the frontier stages. Every Ray check runs K nodes as
+actors; a Ray-free check runs one node in-process, one uncapped pump
+per BFS round (``LinkChecker._run_rounds``).
 
 Routing every fetched batch through the driver for the global dedup
 joins costs ~25 µs/URL of serial work, which Amdahl-caps compute-bound
@@ -21,16 +22,17 @@ maps, politeness) the owner forwards fresh rows to the host's home node
 — one extra hop, only when the semantics require it.
 
 Node responsibilities: rewrites, skip classification, politeness +
-retry deferrals (wall clock, owner-local), the fetch/extract/classify
-state machine (stages/fetch.py), URL-seen + edge-seen filters for its
-key range, duplicate-edge buffering and the duplicate-broken join (J1)
-over them. Every result row a node makes goes to the driver with its
-next poll answer; the driver fires ``on_results``/'link' and writes
-the ``results_dir`` parts, as local rounds do. A node and its fetch
-worker read every setting from the check's ``CheckOptions`` (the pump
-cap is 4 × ``batch_size``); the driver adds only facts of the check:
-the corpus and the blob's data, the static host, connections, listened
-events and host-sticky routing.
+retry deferrals (on the check's clock, the wall clock on Ray;
+owner-local), the fetch/extract/classify state machine
+(stages/fetch.py), URL-seen + edge-seen filters for its key range,
+duplicate-edge buffering and the duplicate-broken join (J1) over them.
+Every result row a node makes goes to the driver with its next poll
+answer; the driver fires ``on_results``/'link' and writes the
+``results_dir`` parts. A node and its fetch worker read every setting
+from the check's ``CheckOptions``; the driver adds only facts of the
+check: the corpus and the blob's data, the static host, connections,
+listened events, host-sticky routing, the clock and the pump cap
+(4 × ``batch_size`` on Ray, the whole queue in-process).
 
 The driver's part is one round trip at each end. At the start, each
 node's lease reset carries its seed keys and frontier share (``seed``),
@@ -80,9 +82,9 @@ compiled per node from the corpus. Checkpoints are driver-coordinated
 epoch snapshots (pause → settle → snapshot every node → one atomic
 write → resume) in the rounds' format: each node journals the keys it
 inserts, and a resume at any node count routes the journal's keys and
-dup edges to their new owners (``seed``). Every LinkChecker feature runs in
-this mode, through the same frontier-stage kernels as the driver
-executors (pipelines/crawl.py).
+dup edges to their new owners (``seed``). Every LinkChecker feature runs
+here, through the frontier-stage kernels of pipelines/crawl.py, which no
+other code calls.
 
 Scale notes: the frontier queue spills to node-local parquet past
 ``mesh_frontier_spill_rows`` (FIFO tail out, parts reloaded as the head
@@ -108,6 +110,7 @@ from linkinator_ray.options import CheckOptions
 from linkinator_ray.stages.classify import JITTER_SEED
 from linkinator_ray.stages.fetch import hash_owner, split_by_owner
 from linkinator_ray.state.checkpoint import KeyJournal, pending_table
+from linkinator_ray.state.clock import Clock
 from linkinator_ray.state.seen import SEEN_CAPACITY, SeenShard
 
 def _host_assignment(hosts: list[str], num_nodes: int,
@@ -151,14 +154,18 @@ class MeshNode:
                  transport_blob: dict, opts: CheckOptions,
                  seed: dict | None = None, *,
                  static_host: str | None = None, connections: int = 1,
-                 events=(), sticky_hosts: bool = True):
+                 events=(), sticky_hosts: bool = True, clock=None,
+                 pump_cap: int | None = None):
         """``corpus`` is the session's corpus broadcast
         (``actors.corpus_ref``: the documents ``schema.encode``d, their
-        index arrays, corpus host and ``multi_host``), or None for no
-        documents; ``transport_blob`` the check's own data (``http_map``,
+        index arrays, corpus host and ``multi_host``), or None when
+        ``transport_blob`` carries the documents itself or there are
+        none; ``transport_blob`` the check's own data (``http_map``,
         latency, ``strict``, ``record_calls``); ``seed`` this node's share
         of the check's start (see ``_seed``), or None for a node that
-        starts empty."""
+        starts empty. ``clock`` is the check's clock (the wall clock
+        ``Clock()`` by default) and ``pump_cap`` the most queued rows
+        one pump takes (4 × ``batch_size`` by default)."""
         import threading
         # the node runs with max_concurrency=3 so enqueue/submit land
         # WHILE a pump computes (latency hiding — pumps otherwise convoy
@@ -178,7 +185,8 @@ class MeshNode:
         self.worker = FetchWorker(build_transport(transport_blob, opts), opts,
                                   static_host=static_host,
                                   connections=connections)
-        self.batch_cap = opts.batch_size * 4
+        self.clock = clock or Clock()
+        self.batch_cap = pump_cap or opts.batch_size * 4
         self.rng = np.random.default_rng(JITTER_SEED + actor_id)
         self.sticky_hosts = sticky_hosts
         # robots rules are a pure function of the corpus — each node
@@ -234,7 +242,13 @@ class MeshNode:
         self.first_results = True
         self.host_memo: dict = {}
         self.errors: list[str] = []
+        # the first exception a pump caught, for an in-process scheduler
+        # to raise as it is
+        self.error: Exception | None = None
+        # pump seconds: admission and ``fetch_batch`` of ``busy_sec``
         self.busy_sec = 0.0
+        self.skip_sec = 0.0
+        self.fetch_sec = 0.0
         # per-peer buffers of candidates, and of frontier rows forwarded
         # to their host's node, sent by ``_flush_peers``: at the end of
         # each pump or intake, and once the peers are known (``connect``)
@@ -345,7 +359,7 @@ class MeshNode:
             return
         self.received_frontier += table.num_rows
         nb = table["not_before"].to_numpy(zero_copy_only=False)
-        future = nb > time.time()
+        future = nb > self.clock.now()
         if future.any():
             self.deferred.append(table.filter(pa.array(future)))
             table = table.filter(pa.array(~future))
@@ -535,7 +549,7 @@ class MeshNode:
         self.deferred = still
 
     def pump(self, generation: int) -> None:
-        now = time.time()
+        now = self.clock.now()
         with self.lock:
             if generation != self.generation:
                 return  # sent for a check this node no longer serves
@@ -561,11 +575,13 @@ class MeshNode:
                 batch = batch.slice(0, self.batch_cap)
         t0 = time.perf_counter()
         try:
-            self._process(batch, now)
-        except Exception:  # surfaced via poll(); fire-and-forget would lose it
+            self._process(batch, now, t0)
+        except Exception as exc:
+            # surfaced via poll(); fire-and-forget would lose it
             import traceback
             with self.lock:
                 self.errors.append(traceback.format_exc())
+                self.error = self.error or exc
                 self._wake()
         with self.lock:
             self._flush_peers()
@@ -575,7 +591,7 @@ class MeshNode:
             self._schedule_pump()
             self._wake_if_idle()
 
-    def _process(self, batch: pa.Table, now: float) -> None:
+    def _process(self, batch: pa.Table, now: float, t0: float) -> None:
         from linkinator_ray.pipelines.crawl import (admit_frontier,
                                                     apply_rewrites_table,
                                                     assemble_result_tables,
@@ -594,23 +610,30 @@ class MeshNode:
                     batch.select(schema.PAGESTART_ROWS.names))
             pending_list = list(self.pending_fragments) \
                 if self.opts.check_fragments else []
+            t1 = time.perf_counter()
+            self.skip_sec += t1 - t0
         if batch.num_rows == 0:
             return
         # the long fetch/extract section runs WITHOUT the lock so peer
         # messages (enqueue/submit/poll) land concurrently
         output = self.worker.fetch_batch(batch, pending_list, now)
         fetched = output["fetched"]
+        t2 = time.perf_counter()
+        # retries count from the fetch's end: on a wall clock it took time
+        done = self.clock.now()
         with self.lock:
+            self.fetch_sec += t2 - t1
             self.counters["urls_checked"] += fetched.num_rows
             fetched, requeues, n_retries = compute_requeues(
-                fetched, now, self.delay_map, self.opts, self.rng)
+                fetched, done, self.delay_map, self.opts, self.rng,
+                done - now)
             self.counters["retries"] += n_retries
             requeues = [t for t in requeues if t.num_rows]
             self.deferred.extend(requeues)
             if "retry" in self.events:
                 self.event_buf["retry"].extend(
                     t.select(["url", "not_before"]).append_column(
-                        "now", pa.array(np.full(t.num_rows, now)))
+                        "now", pa.array(np.full(t.num_rows, done)))
                     for t in requeues)
             results, remaining = assemble_result_tables(
                 fetched, output["link_results"], self.counters["rounds"],
@@ -632,7 +655,7 @@ class MeshNode:
             if self.opts.check_fragments:
                 # own-range wants register BEFORE validating this
                 # batch's pages, so same-page/same-batch fragments
-                # validate now — identical ordering to the driver loop
+                # validate now (the reference's ordering)
                 self._route_wants(output["pending_frags"])
                 if remaining.num_rows:
                     bad = validate_fragment_wants(
@@ -727,11 +750,12 @@ class MeshNode:
             while wait and not self.news and not self.errors \
                     and generation == self.generation:
                 due = self._earliest_deadline()
-                if due and due <= time.time():
-                    self._wake_deferred(time.time())
+                now = self.clock.now()
+                if due and due <= now:
+                    self._wake_deferred(now)
                     self._schedule_pump()
                     break
-                self.changed.wait(due - time.time() + 0.001 if due else None)
+                self.changed.wait(due - now + 0.001 if due else None)
             self.news = False
             state = self._poll_locked()
             dups = list(self.dup_edges)
@@ -788,6 +812,11 @@ class MeshNode:
             "events": events,
             "errors": self.errors,
             "busy_sec": self.busy_sec,
+            # the pumps' seconds by stage: admission, ``fetch_batch``
+            # and the rest
+            "stage_sec": {"skip": self.skip_sec, "fetch": self.fetch_sec,
+                          "process": self.busy_sec - self.skip_sec
+                          - self.fetch_sec},
             "seen_size": self.url_seen.size(),
         }
 
@@ -797,7 +826,7 @@ class MeshNode:
         with self.lock:
             if generation != self.generation:
                 return
-            self._wake_deferred(time.time())
+            self._wake_deferred(self.clock.now())
             sent = self._flush_peers()
             self._schedule_pump()
             if sent:

@@ -2,17 +2,17 @@
 
 The reference keeps one in-heap ``Set<string>`` consulted before every
 enqueue (/root/reference/src/index.ts:261, :813-817). Here the set is
-sharded by ``url_hash % num_shards``; each shard is either an exact set
+sharded by ``url_hash % K`` over the K mesh nodes (state/mesh.py): each
+node is the ``SeenShard`` of its own range, consulted with one batched
+``contains_or_insert`` per routed candidate batch, and a Ray-free check's
+one in-process node holds the whole set. A shard is either an exact set
 (test mode, authoritative) or a cuckoo filter (scale mode, ~2 B/key at
-10^10 URLs — see state/cuckoo.py). The local rounds executor holds its
-shards in-process (``SeenSet``); on Ray every mesh node (state/mesh.py)
-is the ``SeenShard`` of its own ``url_hash % K`` range, consulted with
-one batched ``contains_or_insert`` per routed candidate batch.
+10^10 URLs — see state/cuckoo.py).
 
-Checkpointing: the seen set is never dumped. Executors journal the keys
+Checkpointing: the seen set is never dumped. Nodes journal the keys
 they insert (state/checkpoint.py ``KeyJournal``), and a resume replays
 the journal through ``contains_or_insert``, so a checkpoint restores
-into any shard or node count, on either executor.
+into any node count, Ray-free or on Ray.
 """
 
 from __future__ import annotations
@@ -79,27 +79,3 @@ class SeenShard:
         if self._filter is not None:
             return self._filter.count
         return len(self._keys)
-
-
-class SeenSet:
-    """The local rounds' seen set: ``num_shards`` in-process shards,
-    each batch split by ``hash % K`` (a batched semi-join of the
-    frontier against the seen state — SURVEY.md §2.4 J3)."""
-
-    def __init__(self, num_shards: int = 8, mode: str = "exact"):
-        self.num_shards = num_shards
-        self._shards = [SeenShard(i, mode) for i in range(num_shards)]
-
-    def contains_or_insert(self, hashes: np.ndarray) -> np.ndarray:
-        """Batched test-and-set across shards; order-preserving."""
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        shard_of = (hashes % np.uint64(self.num_shards)).astype(np.int64)
-        out = np.zeros(len(hashes), dtype=bool)
-        for s in range(self.num_shards):
-            idx = np.flatnonzero(shard_of == s)
-            if len(idx):
-                out[idx] = self._shards[s].contains_or_insert(hashes[idx])
-        return out
-
-    def size(self) -> int:
-        return sum(s.size() for s in self._shards)

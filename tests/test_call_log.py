@@ -32,6 +32,12 @@ class RowLog:
             [dict(zip(schema.CALLS.names, r)) for r in self.rows],
             schema=schema.CALLS)
 
+    def take(self) -> list[pa.Table]:
+        """The rows since the last ``take``, as the node's poll hands
+        them over."""
+        table, self.rows = self.table(), []
+        return [table] if table.num_rows else []
+
 
 def mixed() -> fx.Fixture:
     """Corpus pages whose links put scripted rows (http_map: a 503 on

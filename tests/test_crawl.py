@@ -6,6 +6,7 @@ order (SURVEY.md §2.6).
 """
 
 import pyarrow.compute as pc
+import pytest
 
 from linkinator_ray.options import CheckOptions
 from linkinator_ray.pipelines.crawl import LinkChecker
@@ -432,3 +433,36 @@ def test_property_seen_set_closed_form():
         assert res.stats["urls_checked"] == expected  # each checked once
 
     check()
+
+
+def test_round_wider_than_the_ray_pump_cap():
+    """A Ray-free round is one pump over the whole queue, however wide:
+    at batch_size=2 (a Ray node's pump takes 8 rows) the 20 pages the
+    seed links are one round, the BFS depth of each."""
+    pages = [f"wide/p{i}.html" for i in range(20)]
+    docs = fx.docs_table(
+        fx.doc("wide/index.html", *(fx._anchor(p.split("/")[1])
+                                    for p in pages)),
+        *(fx.doc(p, fx._anchor("leaf.html")) for p in pages),
+        fx.doc("wide/leaf.html"))
+    res = LinkChecker(CheckOptions(paths=["wide/"], recurse=True,
+                                   batch_size=2), docs).check()
+    rounds = {r["url"]: r["round"] for r in res.results.to_pylist()}
+    assert {rounds[CB + p] for p in pages} == {1}
+    assert rounds[CB + "wide/"] == 0
+    assert rounds[CB + "wide/leaf.html"] == 2
+    # depths 0, 1 and 2
+    assert res.stats["rounds"] == 3 and res.passed
+
+
+def test_skip_callable_error_is_raised_as_is():
+    """A links_to_skip callable's own exception reaches the caller of a
+    Ray-free check unwrapped."""
+    def skip(url):
+        raise LookupError(url)
+
+    fixture = fx.recurse()
+    with pytest.raises(LookupError):
+        LinkChecker(CheckOptions(paths=fixture.seeds, **fixture.options,
+                                 links_to_skip=skip),
+                    fixture.documents, fixture.http_map).check()

@@ -372,3 +372,39 @@ def test_concurrency_actually_parallel(tracking_server):
     # the wall-clock bound just guards against a fully-serial regression
     # (kept loose for VM noise)
     assert elapsed < 2.4, elapsed
+
+
+class _RateLimited(BaseHTTPRequestHandler):
+    """Answers the first request for ``/limited`` with 429 and
+    ``Retry-After: 1``, every later one with 200, and stamps each."""
+    stamps: list[float] = []
+
+    def log_message(self, *args):
+        pass
+
+    def _respond(self):
+        type(self).stamps.append(time.monotonic())
+        self.send_response(429 if len(self.stamps) == 1 else 200)
+        if len(self.stamps) == 1:
+            self.send_header("Retry-After", "1")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_HEAD = _respond
+
+
+def test_retry_after_waits_in_wall_time():
+    """A Ray-free check over real HTTP (the CLI's check) waits out a
+    Retry-After on the wall clock before it sends the retry."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _RateLimited)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    try:
+        url = f"http://127.0.0.1:{httpd.server_address[1]}/limited"
+        opts = CheckOptions(paths=[url], transport="http", retry=True,
+                            timeout=5000)
+        result = LinkChecker(opts, use_ray=False).check()
+    finally:
+        httpd.shutdown()
+    stamps = _RateLimited.stamps
+    assert result.passed and result.stats["retries"] == 1
+    assert len(stamps) == 2 and stamps[1] - stamps[0] >= 1.0, stamps

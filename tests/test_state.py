@@ -8,7 +8,7 @@ from linkinator_ray.options import CheckOptions
 from linkinator_ray.pipelines.crawl import LinkChecker
 from linkinator_ray.sources import fixtures as fx
 from linkinator_ray.state.cuckoo import CuckooFilter
-from linkinator_ray.state.seen import SeenSet, SeenShard
+from linkinator_ray.state.seen import SeenShard
 
 
 class TestCuckooFilter:
@@ -59,38 +59,7 @@ class TestCuckooFilter:
         assert filt.contains(keys).all()
 
 
-class TestSeenSet:
-    @pytest.mark.parametrize("mode", ["exact", "cuckoo"])
-    def test_sharded_dedup(self, mode):
-        seen = SeenSet(num_shards=4, mode=mode)
-        keys = np.random.default_rng(5).integers(0, 2**63, 1000, dtype=np.uint64)
-        assert not seen.contains_or_insert(keys).any()
-        assert seen.contains_or_insert(keys).all()
-        assert seen.size() == 1000
-
-    def test_order_preserved_across_shards(self):
-        seen = SeenSet(num_shards=8)
-        keys = np.array([10, 11, 10, 12, 11, 13], dtype=np.uint64)
-        out = seen.contains_or_insert(keys)
-        assert out.tolist() == [False, False, True, False, True, False]
-
-    def test_dump_restore_roundtrip(self, tmp_path):
-        """A seen set round-trips through the key journal: the keys it
-        inserted, saved as a round and loaded back, rebuild it."""
-        from linkinator_ray.state import checkpoint as ckpt
-        seen = SeenSet(num_shards=3)
-        journal = ckpt.KeyJournal()
-        keys = np.arange(50, dtype=np.uint64) * 104729
-        journal.add_urls(keys[~seen.contains_or_insert(keys)])
-        ckpt.save_round(str(tmp_path), "run", 1,
-                        ckpt.journal_tables(*journal.drain()), {})
-        url_keys, edge_keys, _ = ckpt.load_key_journal(str(tmp_path), 1)
-        assert len(edge_keys) == 0
-        fresh = SeenSet(num_shards=3)
-        assert not fresh.contains_or_insert(url_keys).any()
-        assert fresh.contains_or_insert(keys).all()
-        assert fresh.size() == seen.size() == len(keys)
-
+class TestSeenShard:
     def test_shard_exact_vs_cuckoo_equivalent(self):
         keys = np.random.default_rng(9).integers(0, 2**63, 2000, dtype=np.uint64)
         exact = SeenShard(0, "exact")
@@ -781,38 +750,9 @@ class TestMeshResultsSpill:
 
 
 class TestResumeHardening:
-    """Round-4 review fixes: shard-layout-safe seen restore, stale spill
-    pruning, deferral deadlines surviving a Ray resume, cross-mode
-    (mesh checkpoint -> driver) resume, and no caller-opts mutation."""
-
-    def test_exact_seen_restore_reshards(self, tmp_path):
-        """A round checkpoint written at seen_shards=3 resumes at
-        seen_shards=5: the key journal re-shards into the new layout,
-        for the exact set and the cuckoo filter alike, and the resumed
-        crawl matches a clean run."""
-        from linkinator_ray.sources.synth import synth_crawl_corpus
-        docs, seeds, expected_seen, _ = synth_crawl_corpus(
-            num_hosts=2, docs_per_host=200)
-
-        def key(res):
-            return {(r["url"], r["state"], r["status"], r["parent"])
-                    for r in res.results.to_pylist()}
-        for mode in ("exact", "cuckoo"):
-            base = dict(paths=seeds, recurse=True, seen_filter=mode)
-            full = LinkChecker(CheckOptions(**base, seen_shards=5), docs,
-                               [], multi_host=True).check()
-            ck = str(tmp_path / mode)
-            partial = LinkChecker(
-                CheckOptions(**base, seen_shards=3, checkpoint_dir=ck,
-                             max_rounds=2),
-                docs, [], multi_host=True).check()
-            assert partial.results.num_rows < full.results.num_rows
-            resumed = LinkChecker(
-                CheckOptions(**base, seen_shards=5, checkpoint_dir=ck),
-                docs, [], multi_host=True).check(resume_from=ck)
-            assert key(resumed) == key(full), mode
-            assert resumed.stats["seen_urls"] == full.stats["seen_urls"] \
-                == expected_seen, mode
+    """Round-4 review fixes: stale spill pruning, deferral deadlines
+    surviving a Ray resume, cross-mode (mesh checkpoint -> driver)
+    resume, and no caller-opts mutation."""
 
     def test_prune_stale_spill_parts(self, tmp_path):
         """Parts spilled AFTER the checkpoint being resumed (part index

@@ -179,7 +179,7 @@ def build_pump(seed: int):
 def pump_once(node, peer, batch) -> None:
     """One pump of ``node`` over ``batch``, its flush included; the
     frontier rows and buffers both nodes gained are dropped after."""
-    node._process(batch, time.time())
+    node._process(batch, time.time(), time.perf_counter())
     node._flush_peers()
     for n in (node, peer):
         n.queue, n.queued_rows = [], 0
